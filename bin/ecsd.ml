@@ -62,6 +62,12 @@ let die fmt =
       exit 2)
     fmt
 
+(* An output path that cannot be opened (a missing directory, no
+   permission) is the user's error, not an internal one: exit 2 naming
+   it. Every file the CLI writes goes through here. *)
+let writing f = try f () with Sys_error msg -> die "cannot write %s" msg
+let write_json ~path v = writing (fun () -> Bench_json.write ~path v)
+
 (* Flush-on-error: `die` exits without unwinding through the command
    body, so anything that must reach disk even on a failed run (trace
    spans, flight bundles, partial reports) registers a sink here and
@@ -118,7 +124,7 @@ let with_obs ?(profile = false) trace metrics f =
       Obs.set_enabled false;
       (match trace with
       | Some path ->
-          Obs.write_chrome_trace ~path;
+          writing (fun () -> Obs.write_chrome_trace ~path);
           Printf.printf "trace spans written to %s\n" path
       | None -> ());
       if metrics then begin
@@ -177,7 +183,7 @@ let flight_bundle_written = ref false
    registration from writing twice. *)
 let write_flight_bundle name =
   if not !flight_bundle_written then
-    match Flight.write_captures ~prefix:("FLIGHT_" ^ name) with
+    match writing (fun () -> Flight.write_captures ~prefix:("FLIGHT_" ^ name)) with
     | Some (jsonl, trace) ->
         flight_bundle_written := true;
         Printf.eprintf "flight bundle written to %s and %s\n%!" jsonl trace
@@ -230,7 +236,8 @@ let mil mcu period fixed t_end csv trace metrics =
   Printf.printf "peak duty %.3f\n" max_duty;
   (match csv with
   | Some path ->
-      Trace_export.write_csv ~path [ ("speed", speed); ("duty", duty) ];
+      writing (fun () ->
+          Trace_export.write_csv ~path [ ("speed", speed); ("duty", duty) ]);
       Printf.printf "trace written to %s\n" path
   | None -> ());
   0
@@ -268,7 +275,7 @@ let codegen mcu period fixed pil opt out_dir trace metrics =
           ~project:built.Servo_system.project comp
     with Target.Codegen_error msg -> die "code generation failed: %s" msg
   in
-  let files = Target.write_to_dir arts ~dir:out_dir in
+  let files = writing (fun () -> Target.write_to_dir arts ~dir:out_dir) in
   let r = arts.Target.report in
   Printf.printf "%s target: %d blocks -> %d + %d LoC, step %.1f us, RAM est. %d B\n"
     (if pil then "PEERT_PIL" else "PEERT")
@@ -456,7 +463,7 @@ let diff_sweep ~cfg ~mcu ~float_mode ~opt ~engine ~steps ~ulp ~scenario ~seeds
         in
         let path = Printf.sprintf "DIFF_%s.partial.json" name in
         let open Bench_json in
-        write ~path
+        write_json ~path
           (Obj
              [
                ("name", Str name);
@@ -522,7 +529,7 @@ let diff_sweep ~cfg ~mcu ~float_mode ~opt ~engine ~steps ~ulp ~scenario ~seeds
   (if json then
      let path = Printf.sprintf "DIFF_%s.json" name in
      let open Bench_json in
-     write ~path
+     write_json ~path
        (Obj
           [
             ("name", Str name);
@@ -628,7 +635,7 @@ let diff mcu period fixed model_name steps ulp opt engine scenario_ref
      let path = Printf.sprintf "DIFF_%s.json" name in
      let open Bench_json in
      let divergence = divergence_json report.Silvm_diff.divergence in
-     write ~path
+     write_json ~path
        (Obj
           [
             ("name", Str name);
@@ -693,9 +700,10 @@ let diff_cmd =
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "SIL execution engine: $(b,compiled) (closure-compiled, the \
-             default), $(b,interp) (C AST interpreter), or $(b,both) \
-             (tri-lockstep: the compiled engine additionally shadows the \
-             interpreter and must match it bit-for-bit).")
+             default), $(b,interp) (the reference engine: the C semantics \
+             of the MIR evaluator, run on the lifted model units), or \
+             $(b,both) (tri-lockstep: the compiled engine additionally \
+             shadows the reference engine and must match it bit-for-bit).")
   in
   let scenario =
     Arg.(
@@ -727,7 +735,7 @@ let diff_cmd =
     (Cmd.info "diff"
        ~doc:
          "MIL vs SIL differential execution: run the compiled diagram and \
-          the interpreted generated application in lock-step and report the \
+          the generated application in lock-step and report the \
           first diverging block output")
     Term.(
       const diff $ mcu_arg $ period_arg $ fixed_arg $ model_arg $ steps $ ulp
@@ -844,7 +852,7 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
           in
           let open Bench_json in
           let opt_f = function Some s -> Float s | None -> Null in
-          write ~path
+          write_json ~path
             (Obj
                [
                  ("partial", Bool true);
@@ -931,7 +939,7 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
           | Some p -> p
           | None -> Printf.sprintf "FAULT_%s.json" model_name
         in
-        Bench_json.write ~path (Fault_campaign.to_json ~model:model_name r);
+        write_json ~path (Fault_campaign.to_json ~model:model_name r);
         Printf.printf "JSON report written to %s\n" path);
     write_flight_bundle model_name;
     if recovered && r.Fault_campaign.failures = [] then 0 else 1
@@ -1386,7 +1394,7 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
   Exec_pool.shutdown pool;
   (match prom with
   | Some path ->
-      Telemetry.write_prometheus ~path;
+      writing (fun () -> Telemetry.write_prometheus ~path);
       Printf.eprintf "prometheus snapshot written to %s\n%!" path
   | None -> ());
   write_flight_bundle "serve";
@@ -1603,7 +1611,7 @@ let check mcu period fixed model_name preemptive rules suppress jobs json
                   (Array.to_list (Array.map Check.to_json reports)) );
             ]
       in
-      Bench_json.write ~path doc;
+      write_json ~path doc;
       Printf.printf "JSON report written to %s\n" path
   | None -> ());
   Array.fold_left (fun acc r -> max acc (Check.exit_code ~strict r)) 0 reports
@@ -1678,7 +1686,7 @@ let simgen mcu period fixed out_dir =
   let m = Servo_system.plant_model cfg in
   let comp = Compile.compile ~default_dt:1e-4 m in
   let arts = Sim_target.generate ~name:"servo" ~baud:cfg.Servo_system.baud comp in
-  let files = Sim_target.write_to_dir arts ~dir:out_dir in
+  let files = writing (fun () -> Sim_target.write_to_dir arts ~dir:out_dir) in
   Printf.printf
     "Linux simulator target: %d plant blocks -> %d LoC plant + %d LoC runtime, %.0f us step\n"
     arts.Sim_target.report.Sim_target.n_blocks

@@ -16,21 +16,65 @@ type t = {
   returns : (string, vty) Hashtbl.t;  (** defined/declared functions *)
 }
 
-(* <stdint.h> limit macros appear as bare Vars in generated code *)
-let macro_ty = function
-  | "INT8_MAX" | "INT8_MIN" | "INT16_MAX" | "INT16_MIN" | "INT32_MAX"
-  | "INT32_MIN" ->
-      Some Mir.i32
-  | "INT64_MAX" | "INT64_MIN" -> Some Mir.i64
-  | "UINT8_MAX" | "UINT16_MAX" | "UINT32_MAX" -> Some Mir.u32
+(* The C library environment of the generated code, one table each:
+   both SIL engines and the typer read these and nothing else. *)
+
+(* <stdint.h> limit macros, which appear as bare Vars in generated code,
+   with their C type and value (on the ILP32 target UINT8_MAX and
+   UINT16_MAX are ints; UINT32_MAX is unsigned) *)
+let limits =
+  [
+    ("INT8_MAX", Mir.i32, 127L);
+    ("INT8_MIN", Mir.i32, -128L);
+    ("INT16_MAX", Mir.i32, 32767L);
+    ("INT16_MIN", Mir.i32, -32768L);
+    ("INT32_MAX", Mir.i32, 2147483647L);
+    ("INT32_MIN", Mir.i32, -2147483648L);
+    ("INT64_MAX", Mir.i64, Int64.max_int);
+    ("INT64_MIN", Mir.i64, Int64.min_int);
+    ("UINT8_MAX", Mir.i32, 255L);
+    ("UINT16_MAX", Mir.i32, 65535L);
+    ("UINT32_MAX", Mir.u32, 4294967295L);
+  ]
+
+let macro_ty n =
+  List.find_map (fun (m, ty, _) -> if String.equal m n then Some ty else None) limits
+
+(* the libm subset the block library calls without a visible prototype *)
+type libm =
+  | F1 of (float -> float)
+  | F2 of (float -> float -> float)
+  | L1 of (float -> int64)  (** returns long: 32 bits on the target *)
+
+let libm = function
+  | "sin" -> Some (F1 sin)
+  | "cos" -> Some (F1 cos)
+  | "tan" -> Some (F1 tan)
+  | "asin" -> Some (F1 asin)
+  | "acos" -> Some (F1 acos)
+  | "atan" -> Some (F1 atan)
+  | "exp" -> Some (F1 exp)
+  | "log" -> Some (F1 log)
+  | "log10" -> Some (F1 log10)
+  | "sqrt" -> Some (F1 sqrt)
+  | "fabs" -> Some (F1 Float.abs)
+  | "floor" -> Some (F1 Float.floor)
+  | "ceil" -> Some (F1 Float.ceil)
+  | "round" -> Some (F1 Float.round)
+  | "trunc" -> Some (F1 Float.trunc)
+  | "fmod" -> Some (F2 Float.rem)
+  | "pow" -> Some (F2 Float.pow)
+  | "atan2" -> Some (F2 Float.atan2)
+  | "fmin" -> Some (F2 Float.min)
+  | "fmax" -> Some (F2 Float.max)
+  | "lround" -> Some (L1 (fun x -> Int64.of_float (Float.round x)))
   | _ -> None
 
-(* libm externals the generated code calls without a visible prototype *)
-let libm_ty = function
-  | "sin" | "cos" | "tan" | "exp" | "log" | "sqrt" | "fabs" | "round"
-  | "floor" | "ceil" | "pow" | "fmod" | "atan2" ->
-      Some Mir.Tf64
-  | _ -> None
+let libm_ty f =
+  match libm f with
+  | Some (F1 _ | F2 _) -> Some Mir.Tf64
+  | Some (L1 _) -> Some Mir.i32
+  | None -> None
 
 let rec vty_of_cty t cty =
   match cty with

@@ -1,11 +1,9 @@
 (** The software-in-the-loop virtual machine, under one roof:
-    {!Silvm.Value} (C scalar arithmetic), {!Silvm.Interp} (C AST
-    interpreter), {!Silvm.Compiled} (closure compiler), {!Silvm.App}
+    {!Silvm.Compiled} (closure compiler), {!Silvm.App}
     (generated-application driver) and {!Silvm.Diff} (MIL<->SIL
-    differential harness). *)
+    differential harness). The reference C semantics both SIL engines
+    answer to is {!Mir_eval}. *)
 
-module Value = Silvm_value
-module Interp = Silvm_interp
 module Compiled = Silvm_compile
 module App = Silvm_app
 module Diff = Silvm_diff

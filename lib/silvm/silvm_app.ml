@@ -7,22 +7,22 @@
    same role the RS-232 link plays in a real PIL run, without the
    target hardware.
 
-   Two execution backends share this driver: the C-AST interpreter
-   ({!Silvm_interp}) and the closure compiler ({!Silvm_compile}).
-   The compiled engine is the default -- it is bit-exact against the
-   interpreter on the whole covered subset (test_silvm_compile.ml
-   holds it to every-output-every-step equality) and one to two
-   orders of magnitude faster, which is what campaigns and fuzz
-   loops feel. *)
+   Two execution backends share this driver: the reference engine
+   ({!Mir_eval}, executing the lifted MIR of the model units) and the
+   closure compiler ({!Silvm_compile}). The compiled engine is the
+   default -- it is bit-exact against the reference on the whole
+   covered subset (test_silvm_compile.ml holds it to
+   every-output-every-step equality) and an order of magnitude faster,
+   which is what campaigns and fuzz loops feel. *)
 
 type engine = [ `Interp | `Compiled ]
 
 type backend =
-  | Interp of Silvm_interp.t
+  | Interp of Mir_eval.t
   | Compiled of {
       code : Silvm_compile.code;
       st : Silvm_compile.st;
-      readers : (string, Silvm_compile.st -> Silvm_value.t) Hashtbl.t;
+      readers : (string, Silvm_compile.st -> Mir_eval.value) Hashtbl.t;
           (** per-field read closures, compiled once on first use *)
     }
 
@@ -55,18 +55,20 @@ let engine app = match app.backend with Interp _ -> `Interp | Compiled _ -> `Com
 
 let has_func app fn =
   match app.backend with
-  | Interp interp -> Silvm_interp.has_func interp fn
+  | Interp m -> Mir_eval.has_func m fn
   | Compiled { code; _ } -> Silvm_compile.has_func code fn
 
 let register_external app fn f =
   match app.backend with
-  | Interp interp -> Silvm_interp.register_external interp fn f
+  | Interp m -> Mir_eval.register_external m fn f
   | Compiled { st; _ } -> Silvm_compile.register_external st fn f
 
 let call app fn args =
   match app.backend with
-  | Interp interp -> ignore (Silvm_interp.call interp fn args)
+  | Interp m -> ignore (Mir_eval.call m fn args)
   | Compiled { code; st; _ } -> ignore (Silvm_compile.call code st fn args)
+
+let u16 = { Mir.bits = 16; signed = false }
 
 (* engine-level live metrics *)
 let c_sil_steps = Obs.counter "silvm.steps"
@@ -83,18 +85,19 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
     end
     else Target.generate ~mode ~opt ~name ~project comp
   in
-  let units = [ arts.Target.model_h; arts.Target.model_c ] in
+  let h = arts.Target.model_h and c = arts.Target.model_c in
   let backend =
     match engine with
     | `Interp ->
-        let interp = Silvm_interp.create () in
-        List.iter (Silvm_interp.add_unit interp) units;
-        Interp interp
+        let l = Mir_unit.lift ~header:h.C_ast.items c in
+        Interp
+          (Mir_eval.create l.Mir_unit.env (h.C_ast.items @ c.C_ast.items)
+             l.Mir_unit.funcs)
     | `Compiled ->
         (* the compiled code is immutable and content-hashed: repeated
            submissions of the same generated units (campaign shards,
            fuzz re-runs) share one compilation *)
-        let code = Silvm_compile.compile_cached units in
+        let code = Silvm_compile.compile_cached [ h; c ] in
         Compiled
           { code; st = Silvm_compile.instantiate code; readers = Hashtbl.create 32 }
   in
@@ -116,9 +119,7 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
                 let count =
                   int_of_float (Float.floor (app.time /. tick)) land 0xFFFF
                 in
-                Silvm_value.of_int
-                  { Silvm_value.bits = 16; signed = false }
-                  count)
+                Mir_eval.Vi (u16, Int64.of_int count))
         | _ -> ())
     (Model.blocks m);
   (* bean events wired to function-call groups: the generated ISR body
@@ -168,43 +169,42 @@ let step_fr fr app =
 let step app =
   step_fr (if Flight.enabled () then Some (Flight.recorder ()) else None) app
 
+let xchg buf slot = Mir.Pindex (Mir.Pvar buf, Mir.Kint (slot, Mir.Dec))
+
 let set_sensor app slot v =
   match app.backend with
-  | Interp interp ->
-      Silvm_interp.write interp
-        (C_ast.Index (C_ast.Var "pil_sensor_buf", C_ast.Int_lit slot))
-        (Silvm_value.of_int { Silvm_value.bits = 16; signed = false } v)
+  | Interp m ->
+      Mir_eval.write m (xchg "pil_sensor_buf" slot)
+        (Mir_eval.vi u16 (Int64.of_int v))
   | Compiled { st; _ } -> Silvm_compile.set_sensor st slot v
 
 let actuator app slot =
   match app.backend with
-  | Interp interp ->
-      Silvm_value.to_int
-        (Silvm_interp.read interp
-           (C_ast.Index (C_ast.Var "pil_actuator_buf", C_ast.Int_lit slot)))
+  | Interp m ->
+      Int64.to_int (Mir_eval.to_int64 (Mir_eval.read m (xchg "pil_actuator_buf" slot)))
   | Compiled { st; _ } -> Silvm_compile.actuator st slot
 
 let read_field app fname field =
-  let e = C_ast.Field (C_ast.Var fname, field) in
   match app.backend with
-  | Interp interp -> Silvm_interp.read interp e
+  | Interp m -> Mir_eval.read m (Mir.Pfield (Mir.Pvar fname, field))
   | Compiled { code; st; readers } -> (
       (* signals are polled every step of a diff run: compile the read
          once, then it is a closure call *)
       match Hashtbl.find_opt readers field with
       | Some r -> r st
       | None ->
-          let r = Silvm_compile.reader code e in
+          let r = Silvm_compile.reader code (C_ast.Field (C_ast.Var fname, field)) in
           Hashtbl.replace readers field r;
           r st)
 
 let set_input app i x =
-  let e =
-    C_ast.Field (C_ast.Var (app.name ^ "_U"), Printf.sprintf "in%d" i)
-  in
+  let v = Mir_eval.Vf (Mir.Tf64, x) and field = Printf.sprintf "in%d" i in
   match app.backend with
-  | Interp interp -> Silvm_interp.write interp e (Silvm_value.VF x)
-  | Compiled { code; st; _ } -> Silvm_compile.write code st e (Silvm_value.VF x)
+  | Interp m -> Mir_eval.write m (Mir.Pfield (Mir.Pvar (app.name ^ "_U"), field)) v
+  | Compiled { code; st; _ } ->
+      Silvm_compile.writer code
+        (C_ast.Field (C_ast.Var (app.name ^ "_U"), field))
+        st v
 
 (* the block-I/O structure field carrying a block output signal *)
 let signal app (b, p) =
@@ -215,7 +215,7 @@ let schedule app = app.arts.Target.schedule
 
 let stmts_executed app =
   match app.backend with
-  | Interp interp -> Silvm_interp.stmts_executed interp
+  | Interp m -> Mir_eval.stmts_executed m
   | Compiled _ -> 0
 
 (* ---------------- batched execution ---------------- *)

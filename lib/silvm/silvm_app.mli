@@ -7,10 +7,11 @@
     same role the RS-232 link plays in a real PIL run, without the
     target hardware.
 
-    Two engines share this driver: [`Interp] walks the C AST per step
-    ({!Silvm_interp}); [`Compiled] (the default) runs the closures of
-    {!Silvm_compile}, bit-exact against the interpreter and one to two
-    orders of magnitude faster. *)
+    Two engines share this driver: [`Interp] is the reference engine,
+    {!Mir_eval} executing the lifted MIR of the model units;
+    [`Compiled] (the default) runs the closures of {!Silvm_compile},
+    bit-exact against the reference and an order of magnitude
+    faster. *)
 
 type t
 
@@ -75,11 +76,12 @@ val actuator : t -> int -> int
 val set_input : t -> int -> float -> unit
 (** [set_input app i x] writes the Inport field [<name>_U.in<i>]. *)
 
-val signal : t -> Model.blk * int -> Silvm_value.t
+val signal : t -> Model.blk * int -> Mir_eval.value
 (** [signal app (b, p)] reads the block-output field
     [<name>_B.<block>_o<p>] of the generated signals structure (cached
     compiled reader on the compiled engine). *)
 
 val schedule : t -> Target.schedule
 val stmts_executed : t -> int
-(** interpreter statement counter; [0] on the compiled engine *)
+(** MIR statements the reference engine executed; [0] on the compiled
+    engine *)

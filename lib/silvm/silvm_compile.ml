@@ -4,46 +4,42 @@
    the translation set is lifted into MIR ({!Mir_of_c}), and every MIR
    node is compiled ONCE into an OCaml closure over a flat mutable
    state; running a step is then just calling closures, with no AST
-   dispatch, no hashtable lookups and no per-operation boxing on the
-   typed fast path. Anything the lifter carries as an opaque node falls
-   back to a structurally identical compiler over the C AST, so the
-   covered subset is exactly the interpreter's.
+   dispatch, no hashtable lookups and no per-operation boxing. A
+   function the compiler cannot cover (an opaque node, a 64-bit local)
+   fails lazily, only when it is called.
 
-   Bit-exactness contract: for every program {!Silvm_interp} executes,
-   the compiled closures produce the same value in every storage cell
-   after every call — including the wrap/sat/cast/quantize corners and
-   the error cases (division by zero, shift range, loop fuel). The
-   equivalence battery in test_silvm_compile.ml holds this to
-   every-block-output-every-step equality against the interpreter and
-   against the MIL engine.
+   Bit-exactness contract: {!Mir_eval} is the reference semantics. For
+   every program it executes in [Run] mode, the compiled closures
+   produce the same value in every storage cell after every call —
+   including the wrap/sat/cast/quantize corners and the error cases
+   (division by zero, shift range, loop fuel). The tri-lockstep of
+   {!Silvm_diff} and the equivalence battery in test_silvm_compile.ml
+   hold this to every-block-output-every-step equality against the
+   reference and against the MIL engine.
 
    Representation choices that make the fast path fast:
-   - integer cells hold the canonical value ({!Silvm_value}'s
-     sign-extended / zero-extended int64) as a native [int] — every
-     C type the generated code stores is <= 32 bits, so the canonical
-     value always fits in OCaml's 63-bit int, and wrap-around at the
+   - integer cells hold the canonical value (sign-extended /
+     zero-extended, as in {!Mir_eval}) as a native [int] — every C type
+     the generated code stores is <= 32 bits, so the canonical value
+     always fits in OCaml's 63-bit int, and wrap-around at the
      operation width is a mask + conditional subtract;
    - float cells hold the double (binary32 cells store the value
-     already rounded through {!to_f32}, exactly like the interpreter's
-     [write_cell]);
-   - expressions whose C type is statically known compile to unboxed
-     [st -> int] / [st -> float] closures; the dynamic
-     [st -> Silvm_value.t] tier remains for externals and for the
-     ternaries whose arms disagree on type (the interpreter returns the
-     arm's value unconverted, so the result type is data-dependent);
+     already rounded through {!to_f32}, like the reference store);
+   - every expression has a static C type and compiles to an unboxed
+     [st -> int] or [st -> float] closure; {!Mir_eval.value} appears
+     only at call boundaries and externals;
    - the PIL exchange buffers live in a [Bigarray] of unsigned 16-bit
      cells, so batched runs can snapshot actuator traces with no
      boxing and compare them vectorized. *)
 
 open C_ast
 
-type ity = Silvm_value.ity
+type ity = Mir.ity
+type value = Mir_eval.value
 
-let unsupported fmt =
-  Printf.ksprintf (fun s -> raise (Silvm_interp.Unsupported s)) fmt
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Silvm_interp.Runtime_error s)) fmt
-let verr fmt = Printf.ksprintf (fun s -> raise (Silvm_value.Error s)) fmt
+let unsupported = Mir_eval.unsupported
+let fail = Mir_eval.fail
+let run = Mir_eval.Run
 
 type ba16 = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -54,11 +50,9 @@ type st = {
   floats : float array;
   sensor : ba16;  (** pil_sensor_buf *)
   actuator : ba16;  (** pil_actuator_buf *)
-  externals : (string, Silvm_value.t list -> Silvm_value.t) Hashtbl.t;
+  externals : (string, value list -> value) Hashtbl.t;
   mutable fuel : int;
 }
-
-let loop_fuel_budget = Silvm_interp.loop_fuel_budget
 
 (* ---------------- compile-time layout ---------------- *)
 
@@ -73,10 +67,9 @@ type storage =
   | Sxchg of [ `Sens | `Act ] * int  (** exchange buffer, length *)
 
 type compiled_fn = {
-  cf_name : string;
-  cf_params : (st -> Silvm_value.t -> unit) array;
+  cf_params : (st -> value -> unit) array;
   cf_body : st -> unit;
-  cf_ret : (Silvm_value.t -> Silvm_value.t) option;  (** [None] = void *)
+  cf_ret : (value -> value) option;  (** [None] = void *)
 }
 
 (* a function whose body uses something outside the compiled subset
@@ -86,10 +79,9 @@ type compiled_fn = {
 type fn_slot = Fn_ok of compiled_fn | Fn_fail of string
 
 type code = {
-  typedefs : (string, cty) Hashtbl.t;
-  structs : (string, (cty * string) list) Hashtbl.t;
+  env : Mir_env.t;  (** layouts, typedefs and call return types *)
   globals : (string, storage) Hashtbl.t;
-  macros : (string, Silvm_value.t) Hashtbl.t;
+  macros : (string, value) Hashtbl.t;
   srcfns : (string, func) Hashtbl.t;
   fns : (string, fn_slot) Hashtbl.t;
   mutable n_ints : int;
@@ -100,61 +92,52 @@ type code = {
   mutable float_init : (int * float) list;
 }
 
-let i32ty = Silvm_value.i32ty
-let u32ty = Silvm_value.u32ty
-let u16ty = { Silvm_value.bits = 16; signed = false }
-let u8ty = { Silvm_value.bits = 8; signed = false }
+let i32ty = { Mir.bits = 32; signed = true }
+let u32ty = { Mir.bits = 32; signed = false }
+let u16ty = { Mir.bits = 16; signed = false }
+let u8ty = { Mir.bits = 8; signed = false }
 
 (* wrap a native int into the canonical value range of [t] (<= 32 bits:
    the low bits of native arithmetic are exact, so mask + sign-adjust
-   reproduces Silvm_value.normalize) *)
+   reproduces Mir_eval.norm) *)
 let norm (t : ity) x =
-  let m = (1 lsl t.Silvm_value.bits) - 1 in
+  let m = (1 lsl t.Mir.bits) - 1 in
   let v = x land m in
-  if t.Silvm_value.signed && v land (1 lsl (t.Silvm_value.bits - 1)) <> 0 then
-    v - m - 1
+  if t.Mir.signed && v land (1 lsl (t.Mir.bits - 1)) <> 0 then v - m - 1
   else v
 
-let to_f32 = Silvm_interp.to_f32
+let to_f32 = Mir_eval.round_f32
 
-(* C float->int conversion, exactly the interpreter's of_float_trunc
-   (NaN -> 0, truncate toward zero, modular wrap) *)
-let trunc_to (t : ity) x =
-  match Silvm_value.of_float_trunc t x with
-  | Silvm_value.VI (_, v) -> Int64.to_int v
-  | Silvm_value.VF _ -> assert false
+(* C float->int conversion, with the reference's run-time choice for
+   NaN and out-of-range values *)
+let trunc_to (t : ity) x = Int64.to_int (Mir_eval.float_to_int run t x)
 
-(* interpreter write_cell for an integer cell, from a dynamic value *)
-let dyn_to_int (t : ity) = function
-  | Silvm_value.VI (_, x) -> Int64.to_int (Silvm_value.normalize t x)
-  | Silvm_value.VF x -> trunc_to t x
+(* the reference store's conversion into an integer cell *)
+let int_of_value (t : ity) = function
+  | Mir_eval.Vi (_, x) -> Int64.to_int (Mir_eval.norm t x)
+  | Mir_eval.Vf (_, x) -> trunc_to t x
+
+let fty_of_width = function `F32 -> Mir.Tf32 | `F64 -> Mir.Tf64
 
 (* ---------------- compiled expressions ---------------- *)
 
-(* typed closures when the C type is static; [CD] is the dynamic tier *)
-type cexp =
-  | CI of ity * (st -> int)
-  | CF of (st -> float)
-  | CD of (st -> Silvm_value.t)
+(* every expression has a static type: an integer type or a double *)
+type cexp = CI of ity * (st -> int) | CF of (st -> float)
 
-let dyn = function
-  | CI (t, f) -> fun st -> Silvm_value.VI (t, Int64.of_int (f st))
-  | CF f -> fun st -> Silvm_value.VF (f st)
-  | CD f -> f
+(* boxed value, for call boundaries *)
+let value_of = function
+  | CI (t, f) -> fun st -> Mir_eval.Vi (t, Int64.of_int (f st))
+  | CF f -> fun st -> Mir_eval.Vf (Mir.Tf64, f st)
 
 (* numeric value as a double (canonical ints are exact in int64, so
-   [float_of_int] equals the interpreter's Int64.to_float) *)
-let fl = function
-  | CF f -> f
-  | CI (_, f) -> fun st -> float_of_int (f st)
-  | CD f -> fun st -> Silvm_value.to_float (f st)
+   [float_of_int] equals the reference's Int64.to_float) *)
+let fl = function CF f -> f | CI (_, f) -> fun st -> float_of_int (f st)
 
 let truth = function
   | CI (_, f) -> fun st -> f st <> 0
   | CF f -> fun st -> f st <> 0.0
-  | CD f -> fun st -> Silvm_value.truth (f st)
 
-(* Silvm_value.to_int: used for array subscripts and shift counts *)
+(* Mir_eval.to_int64: used for array subscripts and shift counts *)
 let as_index = function
   | CI (_, f) -> f
   | CF f ->
@@ -162,58 +145,27 @@ let as_index = function
         let x = f st in
         if Float.is_nan x then 0
         else Int64.to_int (Int64.of_float (Float.trunc x))
-  | CD f -> fun st -> Silvm_value.to_int (f st)
 
-(* conversion applied when an expression feeds an i32 helper parameter
-   (interpreter: write_cell into the int32_t argument cell) *)
+(* conversion applied when an expression feeds an i32 helper parameter *)
 let as_i32 = function
   | CI (t, f) ->
-      if t = i32ty then f
-      else if t.Silvm_value.signed || t.Silvm_value.bits < 32 then f
+      if t.Mir.signed || t.Mir.bits < 32 then f
         (* canonical value of any narrower type is already in i32 range *)
       else fun st -> norm i32ty (f st)
   | CF f -> fun st -> trunc_to i32ty (f st)
-  | CD f -> fun st -> dyn_to_int i32ty (f st)
 
 let burn st =
   st.fuel <- st.fuel - 1;
   if st.fuel <= 0 then fail "loop fuel exhausted (runaway loop?)"
 
 (* non-local exit of a compiled function body *)
-exception Creturn of Silvm_value.t option
+exception Creturn of value option
 
-(* ---------------- type resolution ---------------- *)
-
-type rkind =
-  | Rint of ity
-  | Rf of fwidth
-  | Rstruct of (cty * string) list
-  | Rarr of cty * int
-  | Rvoid
-
-let rec resolve g (ty : cty) : rkind =
-  match ty with
-  | Double_t -> Rf `F64
-  | Float_t -> Rf `F32
-  | I8 | U8 | I16 | U16 | I32 | U32 ->
-      Rint (Option.get (Silvm_interp.ity_of_base ty))
-  | Named n -> (
-      match Silvm_interp.stdint_ity n with
-      | Some t -> Rint t
-      | None -> (
-          match Hashtbl.find_opt g.structs n with
-          | Some fields -> Rstruct fields
-          | None -> (
-              match Hashtbl.find_opt g.typedefs n with
-              | Some under -> resolve g under
-              | None -> unsupported "unknown type name %s" n)))
-  | Arr (ety, n) -> Rarr (ety, n)
-  | Ptr _ -> unsupported "pointer object"
-  | Void -> Rvoid
+(* ---------------- storage layout ---------------- *)
 
 let narrow (t : ity) =
-  if t.Silvm_value.bits > 32 then
-    unsupported "64-bit storage in compiled SIL (interpreter-only)";
+  if t.Mir.bits > 32 then
+    unsupported "64-bit storage in compiled SIL (reference engine only)";
   t
 
 let alloc_int g =
@@ -226,32 +178,32 @@ let alloc_flt g =
   g.n_floats <- k + 1;
   k
 
-let rec new_storage g (ty : cty) : storage =
-  match resolve g ty with
-  | Rint t -> Sint (narrow t, alloc_int g)
-  | Rf w -> Sflt (w, alloc_flt g)
-  | Rstruct fields ->
+let rec new_storage g (vt : Mir_env.vty) : storage =
+  match vt with
+  | Mir_env.Scalar (Mir.Tint t) -> Sint (narrow t, alloc_int g)
+  | Mir_env.Scalar Mir.Tf64 -> Sflt (`F64, alloc_flt g)
+  | Mir_env.Scalar Mir.Tf32 -> Sflt (`F32, alloc_flt g)
+  | Mir_env.Vstruct s ->
+      let fields = Option.value ~default:[] (Hashtbl.find_opt g.env.Mir_env.structs s) in
       Sstructv
-        (Array.of_list
-           (List.map (fun (fty, fn) -> (fn, new_storage g fty)) fields))
-  | Rarr (ety, n) -> (
-      match resolve g ety with
-      | Rint t ->
-          let t = narrow t in
-          let base = g.n_ints in
-          g.n_ints <- base + n;
-          Sintarr (t, base, n)
-      | Rf w ->
-          let base = g.n_floats in
-          g.n_floats <- base + n;
-          Sfltarr (w, base, n)
-      | _ -> unsupported "array of aggregates")
-  | Rvoid -> unsupported "void object"
+        (Array.of_list (List.map (fun (fn, fvt) -> (fn, new_storage g fvt)) fields))
+  | Mir_env.Varray (Mir_env.Scalar (Mir.Tint t), n) ->
+      let t = narrow t in
+      let base = g.n_ints in
+      g.n_ints <- base + n;
+      Sintarr (t, base, n)
+  | Mir_env.Varray (Mir_env.Scalar ((Mir.Tf32 | Mir.Tf64) as fty), n) ->
+      let base = g.n_floats in
+      g.n_floats <- base + n;
+      Sfltarr ((if fty = Mir.Tf32 then `F32 else `F64), base, n)
+  | Mir_env.Varray _ -> unsupported "array of aggregates"
+  | Mir_env.Scalar (Mir.Tnamed n) -> unsupported "unknown type name %s" n
+  | Mir_env.Scalar Mir.Tunknown | Mir_env.Vunknown -> unsupported "untyped object"
 
 (* ---------------- lvalues ---------------- *)
 
-(* getter plus a normalizing setter (the setter performs the
-   interpreter's write_cell wrap / binary32 rounding) *)
+(* getter plus a normalizing setter (the setter performs the reference
+   store's wrap / binary32 rounding) *)
 type lval =
   | LI of ity * (st -> int) * (st -> int -> unit)
   | LF of fwidth * (st -> float) * (st -> float -> unit)
@@ -309,54 +261,52 @@ let index_lval stor (ix : st -> int) : lval =
               (norm u16ty x) )
   | Sint _ | Sflt _ | Sstructv _ -> fail "index into a non-array"
 
-(* interpreter write_cell, from a compiled RHS *)
+(* the reference store's write, from a compiled RHS *)
 let store (lv : lval) (e : cexp) : st -> unit =
   match (lv, e) with
   | LI (_, _, set), CI (_, f) -> fun st -> set st (f st)
   | LI (t, _, set), CF f -> fun st -> set st (trunc_to t (f st))
-  | LI (t, _, set), CD f -> fun st -> set st (dyn_to_int t (f st))
-  | LF (_, _, set), e -> (
+  | LF (_, _, set), e ->
       let f = fl e in
-      fun st -> set st (f st))
-
-(* ---------------- libm (the interpreter's subset) ---------------- *)
-
-let libm1 = Silvm_interp.libm1
-let libm2 = Silvm_interp.libm2
+      fun st -> set st (f st)
 
 (* ---------------- scalar constants ---------------- *)
 
 let const_of_value = function
-  | Silvm_value.VI (t, v) when t.Silvm_value.bits <= 32 ->
+  | Mir_eval.Vi (t, v) when t.Mir.bits <= 32 ->
       let x = Int64.to_int v in
       CI (t, fun _ -> x)
-  | Silvm_value.VF x -> CF (fun _ -> x)
-  | v -> CD (fun _ -> v)
+  | Mir_eval.Vf (_, x) -> CF (fun _ -> x)
+  | Mir_eval.Vi _ -> unsupported "64-bit constant in compiled SIL"
 
 let int_lit n =
-  let v = Int64.to_int (Silvm_value.normalize i32ty (Int64.of_int n)) in
+  let v = norm i32ty n in
   CI (i32ty, fun _ -> v)
 
+(* a hex literal prints with a U suffix: unsigned int *)
 let hex_lit n =
-  if n <= 0x7FFFFFFF then int_lit n
-  else
-    let v = Int64.to_int (Silvm_value.normalize u32ty (Int64.of_int n)) in
-    CI (u32ty, fun _ -> v)
+  let v = norm u32ty n in
+  CI (u32ty, fun _ -> v)
+
+(* the boxed result of a call, at its static type [ty] *)
+let typed_result (ty : Mir.ty) (f : st -> value) : cexp =
+  match ty with
+  | Mir.Tint t when t.Mir.bits <= 32 -> CI (t, fun st -> int_of_value t (f st))
+  | Mir.Tf64 -> CF (fun st -> Mir_eval.to_double (f st))
+  | Mir.Tf32 -> CF (fun st -> to_f32 (Mir_eval.to_double (f st)))
+  | _ -> unsupported "call result outside the compiled subset"
 
 (* ---------------- expression compilation ---------------- *)
 
 (* integer promotion then the usual arithmetic conversions, decided at
    compile time: the canonical value is unchanged by promotion, so only
    a conversion to a *different* common type costs a wrap *)
-let promote_ity (t : ity) = if t.Silvm_value.bits < 32 then i32ty else t
+let promote_ity (t : ity) = if t.Mir.bits < 32 then i32ty else t
 
 let common_ity (a : ity) (b : ity) =
-  if a = b then a
-  else if a.Silvm_value.signed = b.Silvm_value.signed then
-    if a.Silvm_value.bits >= b.Silvm_value.bits then a else b
-  else
-    let s, u = if a.Silvm_value.signed then (a, b) else (b, a) in
-    if u.Silvm_value.bits >= s.Silvm_value.bits then u else s
+  match Mir_env.usual (Mir.Tint a) (Mir.Tint b) with
+  | Mir.Tint t -> t
+  | _ -> assert false
 
 let conv_to (t : ity) (src : ity) (f : st -> int) : st -> int =
   if src = t then f else fun st -> norm t (f st)
@@ -382,8 +332,7 @@ let rec compile_expr g (scope : scope) (e : Mir.expr) : cexp =
       | CI (t, f) ->
           let t = promote_ity t in
           CI (t, fun st -> norm t (-f st))
-      | CF f -> CF (fun st -> -.f st)
-      | CD f -> CD (fun st -> Silvm_value.unop "-" (f st)))
+      | CF f -> CF (fun st -> -.f st))
   | Mir.Eun (Mir.Lnot, a) ->
       let tc = truth (compile_expr g scope a) in
       CI (i32ty, fun st -> if tc st then 0 else 1)
@@ -402,7 +351,7 @@ let rec compile_expr g (scope : scope) (e : Mir.expr) : cexp =
   | Mir.Esat16 a ->
       let f = as_i32 (compile_expr g scope a) in
       CI
-        ( { Silvm_value.bits = 16; signed = true },
+        ( { Mir.bits = 16; signed = true },
           fun st ->
             let x = f st in
             if x > 32767 then 32767 else if x < -32768 then -32768 else x )
@@ -424,36 +373,86 @@ let rec compile_expr g (scope : scope) (e : Mir.expr) : cexp =
         ( i32ty,
           fun st ->
             (* the helper body, op for op: i64 product, rounding bias,
-               arithmetic shift, truncating cast — with the
-               interpreter's shift-range errors *)
+               arithmetic shift, truncating cast *)
             let x = fa st and y = fb st and sh = fs st in
+            Mir_eval.check_mul_shift run sh;
             let p = Int64.mul (Int64.of_int x) (Int64.of_int y) in
-            if sh - 1 < 0 || sh - 1 >= 64 then
-              verr "shift count %d out of range" (sh - 1);
             let p = Int64.add p (Int64.shift_left 1L (sh - 1)) in
-            if sh >= 64 then verr "shift count %d out of range" sh;
-            Int64.to_int
-              (Silvm_value.normalize i32ty (Int64.shift_right p sh)) )
+            norm i32ty (Int64.to_int (Int64.shift_right p sh)) )
   | Mir.Ecall (f, args) -> compile_call g scope f args
   | Mir.Eselect (c, a, b) -> (
+      (* C99 6.5.15p5: the taken arm converts to the common type *)
       let tc = truth (compile_expr g scope c) in
-      let ca = compile_expr g scope a and cb = compile_expr g scope b in
-      match (ca, cb) with
-      | CI (ta, fa), CI (tb, fb) when ta = tb ->
-          CI (ta, fun st -> if tc st then fa st else fb st)
-      | CF fa, CF fb -> CF (fun st -> if tc st then fa st else fb st)
-      | _ ->
-          (* the interpreter returns the arm's value unconverted: a
-             type-mismatched ternary is data-dependently typed *)
-          let da = dyn ca and db = dyn cb in
-          CD (fun st -> if tc st then da st else db st))
-  | Mir.Eopaque ce -> compile_cexpr g scope ce
+      match (compile_expr g scope a, compile_expr g scope b) with
+      | CI (ta, fa), CI (tb, fb) ->
+          let t = common_ity ta tb in
+          let fa = conv_to t ta fa and fb = conv_to t tb fb in
+          CI (t, fun st -> if tc st then fa st else fb st)
+      | ca, cb ->
+          let fa = fl ca and fb = fl cb in
+          CF (fun st -> if tc st then fa st else fb st))
+  | Mir.Eopaque ce ->
+      unsupported "opaque expression %s" (C_print.expr_to_string ce)
 
 and compile_bin op (a : cexp) (b : cexp) : cexp =
   match (a, b) with
-  | (CF _ | CI _), (CF _ | CI _) when (match (a, b) with
-                                       | CF _, _ | _, CF _ -> true
-                                       | _ -> false) -> (
+  | CI (ta, fa0), CI (tb, fb0) -> (
+      let pa = promote_ity ta in
+      let t = common_ity ta tb in
+      let fa = conv_to t ta fa0 and fb = conv_to t tb fb0 in
+      let cmp test = CI (i32ty, fun st -> if test (compare (fa st) (fb st)) then 1 else 0) in
+      match op with
+      | Mir.Add -> CI (t, fun st -> norm t (fa st + fb st))
+      | Mir.Sub -> CI (t, fun st -> norm t (fa st - fb st))
+      | Mir.Mul -> CI (t, fun st -> norm t (fa st * fb st))
+      | Mir.Div ->
+          CI
+            ( t,
+              fun st ->
+                let x = fa st in
+                let y = fb st in
+                if y = 0 then Mir_eval.division_by_zero run;
+                norm t (x / y) )
+      | Mir.Mod ->
+          CI
+            ( t,
+              fun st ->
+                let x = fa st in
+                let y = fb st in
+                if y = 0 then Mir_eval.division_by_zero run;
+                norm t (x mod y) )
+      | Mir.Shl ->
+          let bits = pa.Mir.bits in
+          let fx = fa0 and fn_ = as_index b in
+          CI
+            ( pa,
+              fun st ->
+                let x = fx st in
+                let n = fn_ st in
+                Mir_eval.check_shift run n bits;
+                norm pa (x lsl n) )
+      | Mir.Shr ->
+          let bits = pa.Mir.bits in
+          let signed = pa.Mir.signed in
+          let fx = fa0 and fn_ = as_index b in
+          CI
+            ( pa,
+              fun st ->
+                let x = fx st in
+                let n = fn_ st in
+                Mir_eval.check_shift run n bits;
+                if signed then x asr n else x lsr n )
+      | Mir.Band -> CI (t, fun st -> norm t (fa st land fb st))
+      | Mir.Bor -> CI (t, fun st -> norm t (fa st lor fb st))
+      | Mir.Bxor -> CI (t, fun st -> norm t (fa st lxor fb st))
+      | Mir.Eq -> cmp (fun c -> c = 0)
+      | Mir.Ne -> cmp (fun c -> c <> 0)
+      | Mir.Lt -> cmp (fun c -> c < 0)
+      | Mir.Le -> cmp (fun c -> c <= 0)
+      | Mir.Gt -> cmp (fun c -> c > 0)
+      | Mir.Ge -> cmp (fun c -> c >= 0)
+      | Mir.Land | Mir.Lor -> assert false)
+  | _ -> (
       let fa = fl a and fb = fl b in
       match op with
       | Mir.Add -> CF (fun st -> fa st +. fb st)
@@ -468,94 +467,25 @@ and compile_bin op (a : cexp) (b : cexp) : cexp =
       | Mir.Ne -> CI (i32ty, fun st -> if fa st <> fb st then 1 else 0)
       | _ ->
           let name = Mir.bop_name op in
-          CD (fun _ -> verr "operator %s on float operands" name))
-  | CI (ta, fa0), CI (tb, fb0) -> (
-      let pa = promote_ity ta and pb = promote_ity tb in
-      let t = common_ity pa pb in
-      let fa = conv_to t pa fa0 and fb = conv_to t pb fb0 in
-      let cmp test = CI (i32ty, fun st -> if test (compare (fa st) (fb st)) then 1 else 0) in
-      match op with
-      | Mir.Add -> CI (t, fun st -> norm t (fa st + fb st))
-      | Mir.Sub -> CI (t, fun st -> norm t (fa st - fb st))
-      | Mir.Mul -> CI (t, fun st -> norm t (fa st * fb st))
-      | Mir.Div ->
-          CI
-            ( t,
-              fun st ->
-                let x = fa st in
-                let y = fb st in
-                if y = 0 then verr "division by zero";
-                norm t (x / y) )
-      | Mir.Mod ->
-          CI
-            ( t,
-              fun st ->
-                let x = fa st in
-                let y = fb st in
-                if y = 0 then verr "remainder by zero";
-                norm t (x mod y) )
-      | Mir.Shl ->
-          let bits = pa.Silvm_value.bits in
-          let fx = fa0 and fn_ = as_index b in
-          CI
-            ( pa,
-              fun st ->
-                let x = fx st in
-                let n = fn_ st in
-                if n < 0 || n >= bits then verr "shift count %d out of range" n;
-                norm pa (x lsl n) )
-      | Mir.Shr ->
-          let bits = pa.Silvm_value.bits in
-          let signed = pa.Silvm_value.signed in
-          let fx = fa0 and fn_ = as_index b in
-          CI
-            ( pa,
-              fun st ->
-                let x = fx st in
-                let n = fn_ st in
-                if n < 0 || n >= bits then verr "shift count %d out of range" n;
-                if signed then x asr n else x lsr n )
-      | Mir.Band -> CI (t, fun st -> norm t (fa st land fb st))
-      | Mir.Bor -> CI (t, fun st -> norm t (fa st lor fb st))
-      | Mir.Bxor -> CI (t, fun st -> norm t (fa st lxor fb st))
-      | Mir.Eq -> cmp (fun c -> c = 0)
-      | Mir.Ne -> cmp (fun c -> c <> 0)
-      | Mir.Lt -> cmp (fun c -> c < 0)
-      | Mir.Le -> cmp (fun c -> c <= 0)
-      | Mir.Gt -> cmp (fun c -> c > 0)
-      | Mir.Ge -> cmp (fun c -> c >= 0)
-      | Mir.Land | Mir.Lor -> assert false)
-  | _ ->
-      let name = Mir.bop_name op in
-      let da = dyn a and db = dyn b in
-      CD
-        (fun st ->
-          let x = da st in
-          let y = db st in
-          Silvm_value.binop name x y)
+          CF (fun _ -> fail "operator %s on float operands" name))
 
 and compile_cast g (ty : cty) (a : cexp) : cexp =
-  match resolve g ty with
-  | Rf `F64 -> CF (fl a)
-  | Rf `F32 ->
+  match Mir_env.vty_of_cty g.env ty with
+  | Mir_env.Scalar Mir.Tf64 -> CF (fl a)
+  | Mir_env.Scalar Mir.Tf32 ->
       let f = fl a in
       CF (fun st -> to_f32 (f st))
-  | Rint t when t.Silvm_value.bits <= 32 -> (
+  | Mir_env.Scalar (Mir.Tint t) when t.Mir.bits <= 32 -> (
       match a with
       | CI (ta, f) -> if ta = t then a else CI (t, fun st -> norm t (f st))
-      | CF f -> CI (t, fun st -> trunc_to t (f st))
-      | CD f -> CI (t, fun st -> dyn_to_int t (f st)))
-  | Rint _ -> unsupported "64-bit cast in compiled SIL (interpreter-only)"
-  | Rvoid -> a (* (void)e discards the value *)
-  | Rstruct _ | Rarr _ -> unsupported "cast to pointer/array type"
+      | CF f -> CI (t, fun st -> trunc_to t (f st)))
+  | Mir_env.Scalar (Mir.Tint _) ->
+      unsupported "64-bit cast in compiled SIL (reference engine only)"
+  | _ when ty = Void -> a (* (void)e discards the value *)
+  | _ -> unsupported "cast to a non-scalar type"
 
 and compile_quantize k (af : st -> float) : cexp =
-  let mt = Mir.qkind_ty k in
-  let t =
-    match mt with
-    | Mir.Tint { Mir.bits; signed } -> { Silvm_value.bits; signed }
-    | _ -> assert false
-  in
+  let t = Option.get (Mir_eval.ity_of_ty (Mir.qkind_ty k)) in
   match k with
   | Mir.Qb -> CI (u8ty, fun st -> if af st <> 0.0 then 1 else 0)
   | _ ->
@@ -572,58 +502,51 @@ and compile_quantize k (af : st -> float) : cexp =
               else if r <= lo then lo_i
               else trunc_to t r )
 
+(* calls resolve like the reference: unit functions, then externals
+   (registered per instance, after compilation), then libm *)
 and compile_call g scope f args : cexp =
+  let cargs = List.map (compile_expr g scope) args in
+  let vargs = Array.of_list (List.map value_of cargs) in
+  let values st = Array.to_list (Array.map (fun d -> d st) vargs) in
   if Hashtbl.mem g.srcfns f then
-    let das =
-      Array.of_list (List.map (fun a -> dyn (compile_expr g scope a)) args)
-    in
-    CD
-      (fun st ->
-        let vs = Array.to_list (Array.map (fun d -> d st) das) in
-        match call_fn g st f vs with
-        | Some v -> v
-        | None -> Silvm_value.vbool false (* void call in expression context *))
+    let call st = call_fn g st f (values st) in
+    if (Hashtbl.find g.srcfns f).ret = Void then
+      (* a void call in expression context yields int 0 *)
+      CI (i32ty, fun st -> ignore (call st); 0)
+    else typed_result (Mir_eval.call_ty g.env f) (fun st -> Option.get (call st))
   else
-    (* the interpreter resolves externals before libm, and externals
-       are registered per instance after compilation — so a libm-named
-       call keeps a (cheap) dynamic guard for the shadowing case *)
-    let shadowed mk =
-      let das = List.map (fun a -> dyn (compile_expr g scope a)) args in
-      CD
+    let external_or fallback st =
+      match Hashtbl.find_opt st.externals f with
+      | Some fn -> fn (values st)
+      | None -> fallback st
+    in
+    (* the libm fast path: an unboxed double unless an external of the
+       same name is registered *)
+    let external_or_double fallback =
+      CF
         (fun st ->
           match Hashtbl.find_opt st.externals f with
-          | Some fn -> fn (List.map (fun d -> d st) das)
-          | None -> mk st)
+          | Some ext -> Mir_eval.to_double (ext (values st))
+          | None -> fallback st)
     in
-    match (libm1 f, libm2 f, args) with
-    | Some fn, _, [ a ] ->
-        let fa = fl (compile_expr g scope a) in
-        shadowed (fun st -> Silvm_value.VF (fn (fa st)))
-    | _, Some fn, [ a; b ] ->
-        let fa = fl (compile_expr g scope a)
-        and fb = fl (compile_expr g scope b) in
-        shadowed (fun st -> Silvm_value.VF (fn (fa st) (fb st)))
-    | _ ->
-        if String.equal f "lround" then
-          match args with
-          | [ a ] ->
-              let fa = fl (compile_expr g scope a) in
-              shadowed (fun st ->
-                  Silvm_value.of_int64 i32ty
-                    (Int64.of_float (Float.round (fa st))))
-          | _ -> fail "lround arity"
-        else
-          let das =
-            List.map (fun a -> dyn (compile_expr g scope a)) args
-          in
-          CD
-            (fun st ->
-              match Hashtbl.find_opt st.externals f with
-              | Some fn -> fn (List.map (fun d -> d st) das)
-              | None -> unsupported "call to unknown function %s" f)
+    match (Mir_env.libm f, cargs) with
+    | Some (Mir_env.F1 fn), [ a ] ->
+        let fa = fl a in
+        external_or_double (fun st -> fn (fa st))
+    | Some (Mir_env.F2 fn), [ a; b ] ->
+        let fa = fl a and fb = fl b in
+        external_or_double (fun st -> fn (fa st) (fb st))
+    | Some (Mir_env.L1 fn), [ a ] ->
+        let fa = fl a in
+        typed_result Mir.i32
+          (external_or (fun st -> Mir_eval.Vi (i32ty, fn (fa st))))
+    | Some _, _ -> fail "%s: wrong number of arguments" f
+    | None, _ ->
+        typed_result (Mir_eval.call_ty g.env f)
+          (external_or (fun _ -> unsupported "call to unknown function %s" f))
 
 (* invoke a compiled (or lazily failed) model function *)
-and call_fn g st fname (args : Silvm_value.t list) : Silvm_value.t option =
+and call_fn g st fname (args : value list) : value option =
   match Hashtbl.find_opt g.fns fname with
   | Some (Fn_ok fn) ->
       let n = Array.length fn.cf_params in
@@ -639,30 +562,13 @@ and call_fn g st fname (args : Silvm_value.t list) : Silvm_value.t option =
       | None, _ -> None
       | Some cast, Some v -> Some (cast v)
       | Some _, None -> fail "%s: fell off a non-void function" fname)
-  | Some (Fn_fail msg) -> raise (Silvm_interp.Unsupported msg)
+  | Some (Fn_fail msg) -> raise (Mir_eval.Unsupported msg)
   | None -> (
       match Hashtbl.find_opt st.externals fname with
       | Some f -> Some (f args)
-      | None -> (
-          match (libm1 fname, libm2 fname, args) with
-          | Some f, _, [ x ] ->
-              Some (Silvm_value.VF (f (Silvm_value.to_float x)))
-          | _, Some f, [ x; y ] ->
-              Some
-                (Silvm_value.VF
-                   (f (Silvm_value.to_float x) (Silvm_value.to_float y)))
-          | _ ->
-              if String.equal fname "lround" then
-                match args with
-                | [ x ] ->
-                    Some
-                      (Silvm_value.of_int64 i32ty
-                         (Int64.of_float
-                            (Float.round (Silvm_value.to_float x))))
-                | _ -> fail "lround arity"
-              else unsupported "call to unknown function %s" fname))
+      | None -> unsupported "call to unknown function %s" fname)
 
-(* ---------------- places / C-AST fallback ---------------- *)
+(* ---------------- places ---------------- *)
 
 and storage_of_place g scope (p : Mir.place) : storage =
   match p with
@@ -695,94 +601,6 @@ and compile_lval g scope (p : Mir.place) : lval =
       index_lval stor ix
   | _ -> lval_of_storage (storage_of_place g scope p)
 
-and storage_of_cexpr g scope (e : C_ast.expr) : storage =
-  match e with
-  | Var v -> (
-      match Hashtbl.find_opt scope v with
-      | Some s -> s
-      | None -> (
-          match Hashtbl.find_opt g.globals v with
-          | Some s -> s
-          | None -> fail "unbound identifier %s" v))
-  | Field (b, f) | Arrow (b, f) -> (
-      match storage_of_cexpr g scope b with
-      | Sstructv fields -> (
-          let n = Array.length fields in
-          let rec find i =
-            if i >= n then fail "no field %s" f
-            else
-              let fn, s = fields.(i) in
-              if String.equal fn f then s else find (i + 1)
-          in
-          find 0)
-      | _ -> fail "field access %s on a non-struct" f)
-  | _ -> unsupported "expression is not an lvalue"
-
-and compile_clval g scope (e : C_ast.expr) : lval =
-  match e with
-  | Index (b, i) ->
-      let stor = storage_of_cexpr g scope b in
-      let ix = as_index (compile_cexpr g scope i) in
-      index_lval stor ix
-  | _ -> lval_of_storage (storage_of_cexpr g scope e)
-
-(* pre-increment / pre-decrement: update then yield the stored value *)
-and compile_incdec g scope op lv : cexp =
-  let d = if String.equal op "++" then 1 else -1 in
-  match compile_clval g scope lv with
-  | LI (t, get, set) ->
-      CI
-        ( t,
-          fun st ->
-            set st (get st + d);
-            get st )
-  | LF (_, get, set) ->
-      CF
-        (fun st ->
-          set st (get st +. float_of_int d);
-          get st)
-
-(* compiler over the C AST, for the fragments MIR carries opaquely;
-   same storage, same closures, so opaque nodes cost nothing extra *)
-and compile_cexpr g scope (e : C_ast.expr) : cexp =
-  match e with
-  | Var v when (not (Hashtbl.mem scope v)) && not (Hashtbl.mem g.globals v)
-    -> (
-      match Hashtbl.find_opt g.macros v with
-      | Some value -> const_of_value value
-      | None -> fail "unbound identifier %s" v)
-  | Var _ | Field _ | Arrow _ | Index _ -> (
-      match compile_clval g scope e with
-      | LI (t, get, _) -> CI (t, get)
-      | LF (_, get, _) -> CF get)
-  | Un (("++" | "--") as op, lv) -> compile_incdec g scope op lv
-  | Un (("-" | "!"), _) | Int_lit _ | Hex_lit _ | Float_lit _ | Call _
-  | Cast_to _ | Ternary _ ->
-      compile_expr g scope (Mir_of_c.lift_expr e)
-  | Bin (op, _, _) when Mir.bop_of_name op <> None ->
-      compile_expr g scope (Mir_of_c.lift_expr e)
-  | Bin (op, a, b) ->
-      let da = dyn (compile_cexpr g scope a)
-      and db = dyn (compile_cexpr g scope b) in
-      CD
-        (fun st ->
-          let x = da st in
-          let y = db st in
-          Silvm_value.binop op x y)
-  | Un (op, a) -> (
-      (* "+" and "~" via Silvm_value.unop; unknown operators raise the
-         interpreter's runtime error when (and only when) evaluated *)
-      match compile_cexpr g scope a with
-      | CI (t, f) when String.equal op "~" ->
-          let t = promote_ity t in
-          CI (t, fun st -> norm t (lnot (f st)))
-      | CI (t, f) when String.equal op "+" -> CI (promote_ity t, f)
-      | CF f when String.equal op "+" -> CF f
-      | ce ->
-          let d = dyn ce in
-          CD (fun st -> Silvm_value.unop op (d st)))
-  | Str_lit _ -> CD (fun _ -> unsupported "string literal")
-
 (* ---------------- statements ---------------- *)
 
 and seq (fs : (st -> unit) list) : st -> unit =
@@ -812,11 +630,9 @@ and zero_storage = function
 
 and new_local g scope (ty : cty) name : storage =
   let stor =
-    match resolve g ty with
-    | Rint t -> Sint (narrow t, alloc_int g)
-    | Rf w -> Sflt (w, alloc_flt g)
-    | Rarr _ | Rstruct _ -> unsupported "aggregate local"
-    | Rvoid -> unsupported "void object"
+    match Mir_env.vty_of_cty g.env ty with
+    | Mir_env.Scalar _ as vt -> new_storage g vt
+    | _ -> unsupported "aggregate local"
   in
   Hashtbl.replace scope name stor;
   stor
@@ -827,14 +643,14 @@ and compile_stmt g scope (s : Mir.stmt) : (st -> unit) option =
   | Mir.Sdecl (cty, n, init) -> (
       (* declaration order equals execution order in the generated
          straight-line code, so binding the name from here on mirrors
-         the interpreter's dynamic frame *)
+         the reference engine's dynamic frame *)
       match init with
       | None ->
           let stor = new_local g scope cty n in
           Some (zero_storage stor)
       | Some e ->
           (* the initialiser is compiled in the scope *before* the
-             declaration, like the interpreter evaluates it *)
+             declaration, like the reference evaluates it *)
           let ce = compile_expr g scope e in
           let stor = new_local g scope cty n in
           Some (store (lval_of_storage stor) ce))
@@ -844,8 +660,7 @@ and compile_stmt g scope (s : Mir.stmt) : (st -> unit) option =
   | Mir.Sexpr e -> (
       match compile_expr g scope e with
       | CI (_, f) -> Some (fun st -> ignore (f st))
-      | CF f -> Some (fun st -> ignore (f st))
-      | CD f -> Some (fun st -> ignore (f st)))
+      | CF f -> Some (fun st -> ignore (f st)))
   | Mir.Sincr p -> (
       match compile_lval g scope p with
       | LI (_, get, set) -> Some (fun st -> set st (get st + 1))
@@ -878,59 +693,47 @@ and compile_stmt g scope (s : Mir.stmt) : (st -> unit) option =
             fu st
           done)
   | Mir.Sreturn e ->
-      let d = Option.map (fun e -> dyn (compile_expr g scope e)) e in
+      let d = Option.map (fun e -> value_of (compile_expr g scope e)) e in
       Some (fun st -> raise (Creturn (Option.map (fun f -> f st) d)))
   | Mir.Sblock b -> Some (compile_stmts g scope b)
-  | Mir.Sopaque cs -> compile_cstmt g scope cs
+  | Mir.Sopaque cs ->
+      unsupported "opaque statement %s" (String.trim (C_print.print_stmts [ cs ]))
 
 and compile_stmts g scope (ss : Mir.stmt list) : st -> unit =
   seq (List.filter_map (compile_stmt g scope) ss)
 
-and compile_cstmt g scope (s : C_ast.stmt) : (st -> unit) option =
-  match s with
-  | Expr (Un (("++" | "--") as op, lv)) -> (
-      let d = if String.equal op "++" then 1 else -1 in
-      match compile_clval g scope lv with
-      | LI (_, get, set) -> Some (fun st -> set st (get st + d))
-      | LF (_, get, set) -> Some (fun st -> set st (get st +. float_of_int d)))
-  | Assign (lhs, e) ->
-      let ce = compile_cexpr g scope e in
-      Some (store (compile_clval g scope lhs) ce)
-  | Raw raw -> Some (fun _ -> unsupported "raw statement: %s" raw)
-  | _ -> compile_stmt g scope (Mir_of_c.lift_stmt s)
-
 (* ---------------- functions ---------------- *)
 
-and dyn_setter = function
-  | Sint (t, k) -> fun st v -> Array.unsafe_set st.ints k (dyn_to_int t v)
+let value_setter = function
+  | Sint (t, k) -> fun st v -> Array.unsafe_set st.ints k (int_of_value t v)
   | Sflt (`F64, k) ->
-      fun st v -> Array.unsafe_set st.floats k (Silvm_value.to_float v)
+      fun st v -> Array.unsafe_set st.floats k (Mir_eval.to_double v)
   | Sflt (`F32, k) ->
-      fun st v -> Array.unsafe_set st.floats k (to_f32 (Silvm_value.to_float v))
+      fun st v -> Array.unsafe_set st.floats k (to_f32 (Mir_eval.to_double v))
   | Sintarr _ | Sfltarr _ | Sstructv _ | Sxchg _ ->
       unsupported "aggregate assignment"
 
-and ret_cast g (ty : cty) : (Silvm_value.t -> Silvm_value.t) option =
-  match resolve g ty with
-  | Rvoid -> None
-  | Rf `F64 -> Some (fun v -> Silvm_value.VF (Silvm_value.to_float v))
-  | Rf `F32 -> Some (fun v -> Silvm_value.VF (to_f32 (Silvm_value.to_float v)))
-  | Rint t when t.Silvm_value.bits <= 32 ->
-      Some
-        (function
-        | Silvm_value.VI (_, x) -> Silvm_value.of_int64 t x
-        | Silvm_value.VF x -> Silvm_value.of_float_trunc t x)
-  | Rint _ -> unsupported "64-bit return in compiled SIL (interpreter-only)"
-  | Rstruct _ | Rarr _ -> unsupported "aggregate return"
+let ret_cast g (ty : cty) : (value -> value) option =
+  match Mir_env.vty_of_cty g.env ty with
+  | _ when ty = Void -> None
+  | Mir_env.Scalar Mir.Tf64 ->
+      Some (fun v -> Mir_eval.Vf (Mir.Tf64, Mir_eval.to_double v))
+  | Mir_env.Scalar Mir.Tf32 ->
+      Some (fun v -> Mir_eval.Vf (Mir.Tf32, to_f32 (Mir_eval.to_double v)))
+  | Mir_env.Scalar (Mir.Tint t) when t.Mir.bits <= 32 ->
+      Some (fun v -> Mir_eval.Vi (t, Int64.of_int (int_of_value t v)))
+  | Mir_env.Scalar (Mir.Tint _) ->
+      unsupported "64-bit return in compiled SIL (reference engine only)"
+  | _ -> unsupported "aggregate return"
 
-and compile_fn g (f : func) : compiled_fn =
+let compile_fn g (f : func) (body : Mir.stmt list) : compiled_fn =
   let scope : scope = Hashtbl.create 16 in
   let params =
     Array.of_list
-      (List.map (fun (ty, n) -> dyn_setter (new_local g scope ty n)) f.args)
+      (List.map (fun (ty, n) -> value_setter (new_local g scope ty n)) f.args)
   in
-  let body = compile_stmts g scope (Mir_of_c.lift_stmts f.body) in
-  { cf_name = f.fname; cf_params = params; cf_body = body; cf_ret = ret_cast g f.ret }
+  let body = compile_stmts g scope body in
+  { cf_params = params; cf_body = body; cf_ret = ret_cast g f.ret }
 
 (* ---------------- translation-unit processing ---------------- *)
 
@@ -941,18 +744,16 @@ let add_unit g (u : cunit) =
   List.iter
     (fun item ->
       match item with
-      | Include _ | Include_local _ | Item_comment _ | Proto _ | Raw_item _ ->
+      | Include _ | Include_local _ | Item_comment _ | Proto _ | Raw_item _
+      | Typedef _ | Struct_def _ ->
           ()
       | Define (n, body) -> (
           match int_of_string_opt body with
-          | Some v ->
-              Hashtbl.replace g.macros n (Silvm_value.of_int i32ty v)
+          | Some v -> Hashtbl.replace g.macros n (Mir_eval.vi i32ty (Int64.of_int v))
           | None -> (
               match float_of_string_opt body with
-              | Some x -> Hashtbl.replace g.macros n (Silvm_value.VF x)
+              | Some x -> Hashtbl.replace g.macros n (Mir_eval.Vf (Mir.Tf64, x))
               | None -> () (* function-like or non-constant macro *)))
-      | Typedef (ty, n) -> Hashtbl.replace g.typedefs n ty
-      | Struct_def (n, fields) -> Hashtbl.replace g.structs n fields
       | Global { gty; gname; ginit; _ } ->
           let stor =
             match gty with
@@ -963,23 +764,23 @@ let add_unit g (u : cunit) =
                 else (
                   g.n_actuator <- n;
                   Sxchg (`Act, n))
-            | _ -> new_storage g gty
+            | _ -> new_storage g (Mir_env.vty_of_cty g.env gty)
           in
           (match ginit with
           | None -> ()
           | Some init ->
               let v =
                 match init with
-                | Int_lit v | Hex_lit v -> Silvm_value.of_int i32ty v
-                | Float_lit x -> Silvm_value.VF x
-                | Un ("-", Int_lit v) -> Silvm_value.of_int i32ty (-v)
-                | Un ("-", Float_lit x) -> Silvm_value.VF (-.x)
+                | Int_lit v | Hex_lit v -> Mir_eval.vi i32ty (Int64.of_int v)
+                | Float_lit x -> Mir_eval.Vf (Mir.Tf64, x)
+                | Un ("-", Int_lit v) -> Mir_eval.vi i32ty (Int64.of_int (-v))
+                | Un ("-", Float_lit x) -> Mir_eval.Vf (Mir.Tf64, -.x)
                 | _ -> unsupported "non-literal initialiser for global %s" gname
               in
               (match stor with
-              | Sint (t, k) -> g.int_init <- (k, dyn_to_int t v) :: g.int_init
+              | Sint (t, k) -> g.int_init <- (k, int_of_value t v) :: g.int_init
               | Sflt (w, k) ->
-                  let x = Silvm_value.to_float v in
+                  let x = Mir_eval.to_double v in
                   let x = match w with `F64 -> x | `F32 -> to_f32 x in
                   g.float_init <- (k, x) :: g.float_init
               | _ -> unsupported "initialiser for aggregate global %s" gname));
@@ -987,13 +788,18 @@ let add_unit g (u : cunit) =
       | Func_def f -> Hashtbl.replace g.srcfns f.fname f)
     u.items
 
-let create_genv () =
+let compile (units : cunit list) : code =
+  let macros = Hashtbl.create 16 in
+  List.iter
+    (fun (n, ty, v) ->
+      Hashtbl.replace macros n
+        (Mir_eval.Vi (Option.get (Mir_eval.ity_of_ty ty), v)))
+    Mir_env.limits;
   let g =
     {
-      typedefs = Hashtbl.create 16;
-      structs = Hashtbl.create 16;
+      env = Mir_env.create (List.concat_map (fun u -> u.items) units);
       globals = Hashtbl.create 64;
-      macros = Hashtbl.create 16;
+      macros;
       srcfns = Hashtbl.create 32;
       fns = Hashtbl.create 32;
       n_ints = 0;
@@ -1004,37 +810,15 @@ let create_genv () =
       float_init = [];
     }
   in
-  (* the limits.h / stdint.h constants the generated helpers reference,
-     same table the interpreter preloads *)
-  let ic t v = Silvm_value.VI (t, v) in
-  List.iter
-    (fun (n, v) -> Hashtbl.replace g.macros n v)
-    [
-      ("INT8_MAX", ic i32ty 127L);
-      ("INT8_MIN", ic i32ty (-128L));
-      ("INT16_MAX", ic i32ty 32767L);
-      ("INT16_MIN", ic i32ty (-32768L));
-      ("INT32_MAX", ic i32ty 2147483647L);
-      ("INT32_MIN", ic i32ty (-2147483648L));
-      ("UINT8_MAX", ic i32ty 255L);
-      ("UINT16_MAX", ic i32ty 65535L);
-      ("UINT32_MAX", ic u32ty 4294967295L);
-    ];
-  g
-
-let compile (units : cunit list) : code =
-  let g = create_genv () in
   List.iter (add_unit g) units;
   (* compile every function; a body outside the compiled subset fails
-     lazily at call time, like the interpreter's Unsupported *)
+     lazily at call time *)
   Hashtbl.iter
     (fun name f ->
       let slot =
-        match compile_fn g f with
+        match compile_fn g f (Mir_of_c.lift_stmts f.body) with
         | fn -> Fn_ok fn
-        | exception Silvm_interp.Unsupported msg ->
-            Fn_fail (Printf.sprintf "%s: %s" name msg)
-        | exception Silvm_interp.Runtime_error msg ->
+        | exception (Mir_eval.Unsupported msg | Mir_eval.Runtime_error msg) ->
             Fn_fail (Printf.sprintf "%s: %s" name msg)
       in
       Hashtbl.replace g.fns name slot)
@@ -1059,36 +843,40 @@ let instantiate (g : code) : st =
     sensor = mk g.n_sensor;
     actuator = mk g.n_actuator;
     externals = Hashtbl.create 8;
-    fuel = loop_fuel_budget;
+    fuel = Mir_eval.loop_fuel_budget;
   }
 
 let register_external st name f = Hashtbl.replace st.externals name f
 let has_func (g : code) name = Hashtbl.mem g.fns name
 
 let call (g : code) st fname args =
-  st.fuel <- loop_fuel_budget;
+  st.fuel <- Mir_eval.loop_fuel_budget;
   call_fn g st fname args
 
 (* fast typed accessors for the exchange buffers *)
 let set_sensor st slot v = Bigarray.Array1.set st.sensor slot (v land 0xFFFF)
 let actuator st slot = Bigarray.Array1.get st.actuator slot
 let actuator_buf st = st.actuator
-let sensor_count (g : code) = g.n_sensor
 let actuator_count (g : code) = g.n_actuator
 
 (* ad-hoc reads/writes over global storage (block-output signals, the
    Inport fields): compiled once, then just a closure call per step *)
-let reader (g : code) (e : C_ast.expr) : st -> Silvm_value.t =
-  dyn (compile_cexpr g (Hashtbl.create 1) e)
+let lval_of_c (g : code) (e : C_ast.expr) : lval =
+  match Mir_of_c.lift_place e with
+  | Some p -> compile_lval g (Hashtbl.create 1) p
+  | None -> unsupported "expression is not an lvalue"
 
-let writer (g : code) (e : C_ast.expr) : st -> Silvm_value.t -> unit =
-  let lv = compile_clval g (Hashtbl.create 1) e in
-  match lv with
-  | LI (t, _, set) -> fun st v -> set st (dyn_to_int t v)
-  | LF (_, _, set) -> fun st v -> set st (Silvm_value.to_float v)
+let reader (g : code) (e : C_ast.expr) : st -> value =
+  match lval_of_c g e with
+  | LI (t, get, _) -> fun st -> Mir_eval.Vi (t, Int64.of_int (get st))
+  | LF (w, get, _) ->
+      let fty = fty_of_width w in
+      fun st -> Mir_eval.Vf (fty, get st)
 
-let read (g : code) st e = reader g e st
-let write (g : code) st e v = writer g e st v
+let writer (g : code) (e : C_ast.expr) : st -> value -> unit =
+  match lval_of_c g e with
+  | LI (t, _, set) -> fun st v -> set st (int_of_value t v)
+  | LF (_, _, set) -> fun st v -> set st (Mir_eval.to_double v)
 
 (* ---------------- content-hashed compile cache ----------------
 

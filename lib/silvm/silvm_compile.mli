@@ -1,9 +1,11 @@
 (** Closure compiler for the generated SIL application.
 
     Compiles the translation units once (via the MIR lifting of
-    {!Mir_of_c}, with a C-AST fallback for opaque nodes) into OCaml
-    closures over a flat mutable state, bit-exact against
-    {!Silvm_interp} on the whole covered subset. The immutable compiled
+    {!Mir_of_c}) into OCaml closures over a flat mutable state,
+    bit-exact against the reference semantics of {!Mir_eval} on the
+    whole covered subset; a function outside it (an opaque node, a
+    64-bit local) raises {!Mir_eval.Unsupported} only when called. The
+    immutable compiled
     [code] is shared — across instances, and across domains through the
     content-hashed {!compile_cached} — while each [st] instance owns its
     own cells, exchange buffers and externals. *)
@@ -29,13 +31,17 @@ val instantiate : code -> st
 (** fresh state with global initialisers applied and zeroed exchange
     buffers; call the model's [<name>_initialize] next, as on target *)
 
-val call : code -> st -> string -> Silvm_value.t list -> Silvm_value.t option
-(** invoke a compiled function (fuel is reset, like the interpreter);
-    raises {!Silvm_interp.Unsupported} / {!Silvm_interp.Runtime_error} /
-    {!Silvm_value.Error} exactly where the interpreter does *)
+val call : code -> st -> string -> Mir_eval.value list -> Mir_eval.value option
+(** invoke a compiled function (fuel is reset, as in {!Mir_eval.call});
+    raises {!Mir_eval.Unsupported} / {!Mir_eval.Runtime_error} exactly
+    where the reference engine does *)
 
 val has_func : code -> string -> bool
-val register_external : st -> string -> (Silvm_value.t list -> Silvm_value.t) -> unit
+
+val register_external :
+  st -> string -> (Mir_eval.value list -> Mir_eval.value) -> unit
+(** an external's value converts to the call's static type: its
+    declared return type, else int *)
 
 val set_sensor : st -> int -> int -> unit
 (** write a 16-bit word into [pil_sensor_buf] *)
@@ -47,14 +53,10 @@ val actuator_buf :
   st -> (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** the live actuator exchange buffer, for vectorized trace snapshots *)
 
-val sensor_count : code -> int
 val actuator_count : code -> int
 
-val reader : code -> C_ast.expr -> st -> Silvm_value.t
-(** compile an ad-hoc read (e.g. [servo_B.pid_o0]) once; the returned
-    closure is cheap to call per step *)
+val reader : code -> C_ast.expr -> st -> Mir_eval.value
+(** compile an ad-hoc read of an lvalue (e.g. [servo_B.pid_o0]) once;
+    the returned closure is cheap to call per step *)
 
-val writer : code -> C_ast.expr -> st -> Silvm_value.t -> unit
-
-val read : code -> st -> C_ast.expr -> Silvm_value.t
-val write : code -> st -> C_ast.expr -> Silvm_value.t -> unit
+val writer : code -> C_ast.expr -> st -> Mir_eval.value -> unit

@@ -1,7 +1,7 @@
 (* MIL <-> SIL differential execution.
 
    Runs the same compiled diagram through the simulation engine and
-   through the interpreted generated application in lock-step, feeding
+   through the generated application in lock-step, feeding
    both the identical sensor stimulus each control period, and reports
    the first step/signal where they disagree. This is the back-to-back
    model-versus-code check the paper's MIL->PIL chain implies but never
@@ -13,11 +13,11 @@ type float_mode =
   | Ulp of int  (** tolerate a few representable values of drift *)
 
 type engine =
-  | Interp  (** C AST interpreter *)
+  | Interp  (** the reference engine, {!Mir_eval} on the lifted MIR *)
   | Compiled  (** closure-compiled execution (the default) *)
   | Both
-      (** tri-lockstep: MIL vs compiled, plus a shadow interpreter the
-          compiled engine must match bit-for-bit *)
+      (** tri-lockstep: MIL vs compiled, plus a shadow reference engine
+          the compiled engine must match bit-for-bit *)
 
 type divergence = {
   d_step : int;
@@ -64,13 +64,10 @@ let floats_agree mode a b =
 
 let values_agree mode mil sil =
   match mil with
-  | Value.B b -> Silvm_value.truth sil = b
-  | Value.I (_, i) -> Silvm_value.to_int64 sil = Int64.of_int i
-  | Value.X _ -> Silvm_value.to_int64 sil = Int64.of_int (Value.to_int mil)
-  | Value.F x -> (
-      match sil with
-      | Silvm_value.VF y -> floats_agree mode x y
-      | Silvm_value.VI _ -> floats_agree mode x (Silvm_value.to_float sil))
+  | Value.B b -> Mir_eval.is_truthy sil = b
+  | Value.I (_, i) -> Mir_eval.to_int64 sil = Int64.of_int i
+  | Value.X _ -> Mir_eval.to_int64 sil = Int64.of_int (Value.to_int mil)
+  | Value.F x -> floats_agree mode x (Mir_eval.to_double sil)
 
 let mil_to_string = function
   | Value.F x -> Printf.sprintf "%.17g" x
@@ -115,8 +112,8 @@ let inject sim apps schedule sensors =
    with 0. and separate NaN from NaN — exactly the wrong laws here) *)
 let sil_bits_equal a b =
   match (a, b) with
-  | Silvm_value.VI (ta, va), Silvm_value.VI (tb, vb) -> ta = tb && Int64.equal va vb
-  | Silvm_value.VF xa, Silvm_value.VF xb ->
+  | Mir_eval.Vi (ta, va), Mir_eval.Vi (tb, vb) -> ta = tb && Int64.equal va vb
+  | Mir_eval.Vf (_, xa), Mir_eval.Vf (_, xb) ->
       Int64.equal (Int64.bits_of_float xa) (Int64.bits_of_float xb)
   | _ -> false
 
@@ -138,9 +135,9 @@ let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled
     let e = match engine with Interp -> `Interp | Compiled | Both -> `Compiled in
     Silvm_app.create ~opt ~engine:e ~name ~project comp
   in
-  (* [Both] runs a shadow interpreter in tri-lockstep; any compiled
-     value that is not bit-identical to the interpreter's is reported
-     as a divergence, even where MIL agrees with both *)
+  (* [Both] runs a shadow reference engine in tri-lockstep; any
+     compiled value that is not bit-identical to the reference's is
+     reported as a divergence, even where MIL agrees with both *)
   let shadow =
     match engine with
     | Both -> Some (Silvm_app.create ~opt ~engine:`Interp ~name ~project comp)
@@ -217,7 +214,7 @@ let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled
                      d_block = Model.block_name m b;
                      d_port = p;
                      d_mil = mil_to_string mil;
-                     d_sil = Silvm_value.to_string sil;
+                     d_sil = Mir_eval.to_string sil;
                      d_faults = faults ();
                    });
             match shadow with
@@ -232,8 +229,8 @@ let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled
                          d_time = time;
                          d_block = Model.block_name m b;
                          d_port = p;
-                         d_mil = "interp:" ^ Silvm_value.to_string isil;
-                         d_sil = Silvm_value.to_string sil;
+                         d_mil = "interp:" ^ Mir_eval.to_string isil;
+                         d_sil = Mir_eval.to_string sil;
                          d_faults = faults ();
                        }))
           signals;

@@ -1,7 +1,7 @@
 (** MIL <-> SIL differential execution.
 
     Runs the same compiled diagram through the simulation engine and
-    through the interpreted generated application in lock-step, feeding
+    through the generated application in lock-step, feeding
     both the identical sensor stimulus each control period, and reports
     the first step/signal where they disagree. This is the back-to-back
     model-versus-code check the paper's MIL->PIL chain implies but never
@@ -13,11 +13,11 @@ type float_mode =
   | Ulp of int  (** tolerate a few representable values of drift *)
 
 type engine =
-  | Interp  (** C AST interpreter *)
+  | Interp  (** the reference engine, {!Mir_eval} on the lifted MIR *)
   | Compiled  (** closure-compiled execution (the default) *)
   | Both
-      (** tri-lockstep: MIL vs compiled, plus a shadow interpreter the
-          compiled engine must match bit-for-bit; an engine mismatch is
+      (** tri-lockstep: MIL vs compiled, plus a shadow reference engine
+          the compiled engine must match bit-for-bit; an engine mismatch is
           reported as a divergence with [d_mil] prefixed ["interp:"] *)
 
 type divergence = {
@@ -26,7 +26,7 @@ type divergence = {
   d_block : string;
   d_port : int;
   d_mil : string;  (** the engine's value, printed exactly *)
-  d_sil : string;  (** the interpreter's value, printed exactly *)
+  d_sil : string;  (** the SIL engine's value, printed exactly *)
   d_faults : string list;
       (** names of the injected faults active at the divergence step
           (empty when no injector was armed) *)
@@ -38,7 +38,7 @@ type report = {
   signals : int;  (** block output signals compared per step *)
   divergence : divergence option;
   mil_seconds : float;  (** CPU time spent in [Sim.step] *)
-  sil_seconds : float;  (** CPU time spent in the interpreter *)
+  sil_seconds : float;  (** CPU time spent in the SIL engine *)
 }
 
 type plant = Plant : 'p * 'p Pil_cosim.plant_driver -> plant

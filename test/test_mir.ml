@@ -1,7 +1,7 @@
 (* The typed mid-level IR: exact C round-tripping, the verifier, the
    dataflow rules (MIR001-004), the optimization passes, and a QCheck
    differential property pitting the MIR reference evaluator against
-   the SIL interpreter running the lowered C. *)
+   the compiled SIL engine running the lowered C. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -393,7 +393,7 @@ let test_opt_misra_clean () =
 (* ---------------- MIR <-> C differential property ----------------
 
    Random well-typed straight-line programs over scalar locals:
-   the MIR reference evaluator and the SIL interpreter running the
+   the MIR reference evaluator and the compiled SIL engine running the
    lowered C must agree on every final variable value, bit for bit.
    Programs that trip C UB (signed overflow, INT_MIN negation ...)
    make the reference evaluator raise Undefined and are skipped —
@@ -561,16 +561,15 @@ let value_repr = function
   | Mir_eval.Vi (_, n) -> Int64.to_string n
   | Mir_eval.Vf (_, x) -> Printf.sprintf "%h" x
 
-let silvm_repr cty (v : Silvm_value.t) =
-  match cty with
-  | C_ast.Double_t -> Printf.sprintf "%h" (Silvm_value.to_float v)
-  | _ -> Int64.to_string (Silvm_value.to_int64 v)
 
 let fuzz_count =
   match Sys.getenv_opt "SILVM_FUZZ_COUNT" with
   | Some s -> (try int_of_string s with _ -> 200)
   | None -> 200
 
+(* two independent arithmetic implementations check each other: the
+   reference evaluator on the MIR program, the compiled SIL engine on
+   the C it lowers to *)
 let prop_mir_c_roundtrip =
   QCheck2.Test.make
     ~name:"random MIR programs: reference evaluator and SIL agree on lowered C"
@@ -583,15 +582,14 @@ let prop_mir_c_roundtrip =
       | exception (Mir_eval.Undefined _ | Mir_eval.Unsupported _) ->
           true (* the program trips C UB: nothing to compare *)
       | finals ->
-          let interp = Silvm_interp.create () in
-          Silvm_interp.add_unit interp (lower_to_c_unit vars body);
+          let code = Silvm_compile.compile [ lower_to_c_unit vars body ] in
+          let st = Silvm_compile.instantiate code in
           List.for_all
             (fun v ->
               let mir_v = value_repr (List.assoc v.gname finals) in
               let sil_v =
-                match Silvm_interp.call interp ("get_" ^ v.gname) []
-                with
-                | Some sv -> silvm_repr v.gcty sv
+                match Silvm_compile.call code st ("get_" ^ v.gname) [] with
+                | Some sv -> value_repr sv
                 | None -> "<void>"
               in
               if String.equal mir_v sil_v then true
@@ -605,12 +603,18 @@ let prop_mir_c_roundtrip =
             vars)
 
 (* the optimizer must preserve those same semantics: optimize the MIR
-   program and re-run the reference evaluator on the optimized body *)
+   program and re-run the reference evaluator on the optimized body.
+   The fixed seeds are ternaries with arms of different signedness,
+   which the optimizer types by C99 6.5.15p5 (e.g. [x1 ? -7 : x2] with
+   [uint32_t x2] is unsigned); the evaluator once returned the taken arm
+   unconverted *)
 let prop_opt_preserves_semantics =
   QCheck2.Test.make
     ~name:"random MIR programs: optimization passes preserve the evaluation"
     ~count:fuzz_count
-    QCheck2.Gen.(int_range 1_000_001 2_000_000)
+    (QCheck2.Gen.graft_corners
+       QCheck2.Gen.(int_range 1_000_001 2_000_000)
+       [ 1075411; 1989056; 1890486 ] ())
     (fun seed ->
       let rng = Random.State.make [| seed; 77 |] in
       let vars, body = gen_program rng in

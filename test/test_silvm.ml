@@ -1,22 +1,25 @@
-(* SIL virtual machine: interpreting the generated C and checking it
-   bit-for-bit against the MIL engine. *)
+(* SIL virtual machine: the reference engine (Mir_eval on the lifted
+   MIR of the generated C) checked bit-for-bit against the MIL engine. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let mcu = Mcu_db.mc56f8367
 
-(* ---------------- interpreter unit tests ---------------- *)
+(* ---------------- reference engine unit tests ---------------- *)
 
 let interp_of_items items =
-  let t = Silvm_interp.create () in
-  Silvm_interp.add_unit t { C_ast.unit_name = "t.c"; items };
-  t
+  let l = Mir_unit.lift ~header:[] { C_ast.unit_name = "t.c"; items } in
+  Mir_eval.create l.Mir_unit.env items l.Mir_unit.funcs
+
+let to_int v = Int64.to_int (Mir_eval.to_int64 v)
 
 let call_int t fn args =
-  match Silvm_interp.call t fn args with
-  | Some v -> Silvm_value.to_int v
+  match Mir_eval.call t fn args with
+  | Some v -> to_int v
   | None -> Alcotest.fail (fn ^ " returned void")
+
+let i v = Mir_eval.vi Mir_eval.i32 (Int64.of_int v)
 
 let test_interp_c_arithmetic () =
   (* C99 semantics: truncating division, remainder with the dividend's
@@ -33,7 +36,6 @@ let test_interp_c_arithmetic () =
         f "wrap_i16" I16 (Cast_to (I16, Bin ("*", Var "a", Var "b")));
       ]
   in
-  let i v = Silvm_value.of_int Silvm_value.i32ty v in
   check_int "trunc div" (-3) (call_int t "div" [ i (-7); i 2 ]);
   check_int "rem sign" (-1) (call_int t "rem" [ i (-7); i 2 ]);
   check_int "u16 wrap" 65535 (call_int t "wrap16" [ i 0; i (-1) ]);
@@ -43,8 +45,9 @@ let test_interp_c_arithmetic () =
   check_int "i16 wrap negative" (-29536) (call_int t "wrap_i16" [ i 300; i 120 ])
 
 let test_interp_sat_helpers () =
-  (* the generated saturation helpers run under the interpreter with
-     the exact pe_sat16 / pe_sat_add32 semantics *)
+  (* the generated saturation helpers, called by name, run their bodies
+     (int64_t local included) with the exact pe_sat16 / pe_sat_add32
+     semantics *)
   let open C_ast in
   let t =
     interp_of_items
@@ -88,7 +91,6 @@ let test_interp_sat_helpers () =
              ]);
       ]
   in
-  let i v = Silvm_value.of_int Silvm_value.i32ty v in
   check_int "sat16 high" 32767 (call_int t "sat16_probe" [ i 100000 ]);
   check_int "sat16 low" (-32768) (call_int t "sat16_probe" [ i (-100000) ]);
   check_int "sat16 pass" 1234 (call_int t "sat16_probe" [ i 1234 ]);
@@ -110,7 +112,7 @@ let test_interp_cast_helpers_match_value () =
       List.iter
         (fun x ->
           let expected = Value.to_int (Value.of_float dt x) in
-          let got = call_int t helper [ Silvm_value.VF x ] in
+          let got = call_int t helper [ Mir_eval.Vf (Mir.Tf64, x) ] in
           check_int
             (Printf.sprintf "%s(%g) = Value.of_float" helper x)
             expected got)
@@ -118,14 +120,52 @@ let test_interp_cast_helpers_match_value () =
     [ Dtype.Int8; Dtype.Uint8; Dtype.Int16; Dtype.Uint16; Dtype.Int32;
       Dtype.Uint32; Dtype.Bool ]
 
+let test_interp_helper_bodies_match_intrinsics () =
+  (* the lifter turns every pe_* call site into a MIR intrinsic, so the
+     emitted helper bodies only run when called by name: here, against
+     the intrinsic each one stands for *)
+  let t = interp_of_items (Target.fix_helpers @ Blockgen.cast_helpers) in
+  let intrinsic e = to_int (Option.get (Mir_eval.const_eval e)) in
+  let k n = Mir.Kint (n, Mir.Dec) in
+  let ints = [ 0; 1; -1; 1234; 32767; 32768; -32768; -32769; 100000;
+               -100000; 2000000000; -2000000000; 2147483647; -2147483648 ] in
+  List.iter
+    (fun a ->
+      check_int (Printf.sprintf "pe_sat16(%d)" a)
+        (intrinsic (Mir.Esat16 (k a)))
+        (call_int t "pe_sat16" [ i a ]);
+      List.iter
+        (fun b ->
+          check_int (Printf.sprintf "pe_sat_add32(%d, %d)" a b)
+            (intrinsic (Mir.Esat_add32 (k a, k b)))
+            (call_int t "pe_sat_add32" [ i a; i b ]))
+        ints;
+      List.iter
+        (fun (b, sh) ->
+          check_int (Printf.sprintf "pe_mul_shift(%d, %d, %d)" a b sh)
+            (intrinsic (Mir.Emul_shift (k a, k b, k sh)))
+            (call_int t "pe_mul_shift" [ i a; i b; i sh ]))
+        [ (3, 1); (-3, 1); (29491, 15); (-29491, 15); (1, 31); (12345, 20) ])
+    ints;
+  List.iter
+    (fun x ->
+      List.iter
+        (fun q ->
+          check_int
+            (Printf.sprintf "%s(%g)" (Mir.qkind_name q) x)
+            (intrinsic (Mir.Equantize (q, Mir.Kfloat x)))
+            (call_int t (Mir.qkind_name q) [ Mir_eval.Vf (Mir.Tf64, x) ]))
+        [ Mir.Qb; Mir.Qi8; Mir.Qu8; Mir.Qi16; Mir.Qu16; Mir.Qi32; Mir.Qu32 ])
+    [ 100.6; -100.6; 0.5; -0.5; 2.5; 70000.0; -70000.0; 1e12; -1e12; 0.0 ]
+
 (* ---------------- differential runs ---------------- *)
 
 let empty_project () = Bean_project.create mcu
 
-(* this file is the INTERPRETER's suite: every differential run is
-   pinned to [~engine:Interp] so the C-AST interpreter stays covered now
-   that the compiled engine is the default; the compiled engine has its
-   own battery in test_silvm_compile.ml *)
+(* this file is the REFERENCE ENGINE's suite: every differential run is
+   pinned to [~engine:Interp] so Mir_eval stays covered now that the
+   compiled engine is the default; the compiled engine has its own
+   battery in test_silvm_compile.ml *)
 let diff_model ?steps ?float_mode ?opt ?stimulus ~name m =
   let comp = Compile.compile ~default_dt:0.01 m in
   Silvm_diff.run ?steps ?float_mode ?opt ~engine:Silvm_diff.Interp ?stimulus
@@ -164,11 +204,11 @@ let test_cast_quantization_regression () =
   Silvm_app.initialize app;
   Silvm_app.step app;
   check_int "100.6 -> u16 rounds" 101
-    (Silvm_value.to_int (Silvm_app.signal app (k1, 0)));
+    (to_int (Silvm_app.signal app (k1, 0)));
   check_int "70000 -> u16 saturates" 65535
-    (Silvm_value.to_int (Silvm_app.signal app (k2, 0)));
+    (to_int (Silvm_app.signal app (k2, 0)));
   check_int "-2.5 -> i8 rounds away from zero" (-3)
-    (Silvm_value.to_int (Silvm_app.signal app (k3, 0)));
+    (to_int (Silvm_app.signal app (k3, 0)));
   (* and the emitted source goes through the helper *)
   let c_src = C_print.print_unit (Target.generate ~mode:Blockgen.Pil
     ~name:"castreg" ~project:(empty_project ()) comp).Target.model_c in
@@ -191,7 +231,7 @@ let test_servo_diff_1000 () =
   check_no_divergence "servo MIL vs SIL" (servo_diff 1000)
 
 (* isr-demo: an ADC end-of-conversion event triggers a function-call
-   group; the group function must fire in the interpreted application
+   group; the group function must fire in the reference engine
    exactly as the MIL engine fires the event *)
 let test_isr_demo_diff () =
   let m, project = Check.hazard_demo ~mcu () in
@@ -209,11 +249,11 @@ let test_isr_demo_diff () =
 
 (* ---------------- golden SIL trace ---------------- *)
 
-(* The servo generated application interpreted for 1000 steps in closed
-   loop: the PWM duty-ratio command (the u16 written to the actuator
-   exchange buffer) is locked as a golden trace. Captured from the SIL
-   interpreter at the time the differential suite first went green; the
-   MIL goldens in test_sim_golden.ml pin the other side. *)
+(* The servo generated application run for 1000 steps in closed loop on
+   the reference engine: the PWM duty-ratio command (the u16 written to
+   the actuator exchange buffer) is locked as a golden trace. Captured
+   from the first SIL engine when the differential suite first went
+   green; the MIL goldens in test_sim_golden.ml pin the other side. *)
 let golden_sil_duty : int * (int * int) list =
   ( 12240280,
     [
@@ -281,8 +321,8 @@ let fuzz_count =
   | Some s -> (try int_of_string s with _ -> 200)
   | None -> 200
 
-(* the interpreter walks the AST per step, so its smoke stays at the
-   historical count; the 10× budget goes to the compiled engine's
+(* the reference engine walks the MIR per step, so its smoke stays at
+   the historical count; the 10× budget goes to the compiled engine's
    sharded battery (test_silvm_compile.ml), where it is affordable *)
 let interp_fuzz_count = min fuzz_count 200
 
@@ -416,6 +456,8 @@ let suite =
       test_interp_sat_helpers;
     Alcotest.test_case "interp: pe_cast_* replicate Value.of_float" `Quick
       test_interp_cast_helpers_match_value;
+    Alcotest.test_case "interp: helper bodies match the MIR intrinsics" `Quick
+      test_interp_helper_bodies_match_intrinsics;
     Alcotest.test_case "regression: Cast output quantisation" `Quick
       test_cast_quantization_regression;
     Alcotest.test_case "servo: 1000-step MIL vs SIL, zero divergence" `Slow

@@ -1,12 +1,12 @@
 (* Compiled SIL execution: the closure compiler checked bit-for-bit
-   against the interpreter AND the MIL engine.
+   against the reference engine (Mir_eval, "interp") AND the MIL engine.
 
    Every differential here runs [Silvm_diff.Both]: MIL vs compiled in
-   lock-step, with a shadow interpreter the compiled engine must match
-   bit-identically on every block output of every step. A compiled-vs-
-   interpreted mismatch surfaces as a divergence whose MIL column is
-   prefixed "interp:", so the two failure modes are distinguishable in
-   the report. *)
+   lock-step, with a shadow reference engine the compiled engine must
+   match bit-identically on every block output of every step. A
+   compiled-vs-reference mismatch surfaces as a divergence whose MIL
+   column is prefixed "interp:", so the two failure modes are
+   distinguishable in the report. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -97,9 +97,9 @@ let test_isr_demo_both_1000 () =
 (* ---------------- batched Bigarray path ---------------- *)
 
 (* the servo PWM duty trace through [run_n_steps]: the compiled engine's
-   batched path must reproduce the interpreter's golden trace (same
-   checksum, same spot values) and the whole 1000×1 actuator trace must
-   be byte-identical to an interpreted run under the vectorized
+   batched path must reproduce the golden trace (same checksum, same
+   spot values) and the whole 1000×1 actuator trace must be
+   byte-identical to a reference-engine run under the vectorized
    comparison *)
 let servo_trace engine =
   let b = Servo_system.build () in
@@ -145,7 +145,7 @@ let test_batched_traces_identical () =
   | None -> ()
   | Some (k, s) ->
       Alcotest.failf
-        "compiled and interpreted traces differ at step %d slot %d: %d vs %d"
+        "compiled and reference traces differ at step %d slot %d: %d vs %d"
         k s
         (Bigarray.Array2.get compiled k s)
         (Bigarray.Array2.get interp k s));
@@ -269,14 +269,17 @@ let test_compile_cache_mutation_recompiles () =
 let test_compile_cache_run_map () =
   (* repeated submissions of the same content hash across a pool: the
      model-level Compile_cache and the SIL closure cache both dedup —
-     worker races may duplicate a first compile but never one per job *)
+     worker races may duplicate a first compile but never one per job.
+     A bean project is mutable (code generation re-resolves it), so each
+     domain builds its own servo, as the CLI's seed sweep does *)
   Compile_cache.clear ();
   Silvm_compile.cache_clear ();
-  let b = Servo_system.build () in
+  let servo = Domain.DLS.new_key (fun () -> Servo_system.build ()) in
   let jobs = 4 and n = 12 in
   let results =
     Exec_pool.with_pool ~workers:jobs (fun pool ->
         Exec_pool.run_map pool n (fun i ->
+            let b = Domain.DLS.get servo in
             let comp = Compile_cache.compile b.Servo_system.controller in
             let app =
               Silvm_app.create ~name:"servo"
@@ -311,11 +314,71 @@ let test_lazy_unsupported_functions () =
   check_bool "invoking the 64-bit helper raises Unsupported" true
     (match
        Silvm_compile.call code st "pe_sat_add32"
-         [ Silvm_value.of_int Silvm_value.i32ty 1;
-           Silvm_value.of_int Silvm_value.i32ty 2 ]
+         [ Mir_eval.vi Mir_eval.i32 1L; Mir_eval.vi Mir_eval.i32 2L ]
      with
     | _ -> false
-    | exception Silvm_interp.Unsupported _ -> true)
+    | exception Mir_eval.Unsupported _ -> true)
+
+(* ---------------- what SIL runs is all MIR ---------------- *)
+
+let count_opaque (l : Mir_unit.lifted) =
+  let n = ref 0 in
+  let expr = function Mir.Eopaque _ -> incr n | _ -> () in
+  let stmt = function Mir.Sopaque _ -> incr n | _ -> () in
+  List.iter (fun (_, body) -> List.iter (Mir.iter_stmt ~expr ~stmt) body)
+    l.Mir_unit.funcs;
+  !n
+
+let test_sil_units_lift_without_opaque_nodes () =
+  (* both SIL engines execute MIR only: the PIL-mode model units lift
+     with no opaque node, so nothing falls outside the IR *)
+  let check what ~name ~project comp =
+    let arts = Target.generate ~mode:Blockgen.Pil ~name ~project comp in
+    let l =
+      Mir_unit.lift ~header:arts.Target.model_h.C_ast.items
+        arts.Target.model_c
+    in
+    check_bool (what ^ " lifts some functions") true (l.Mir_unit.funcs <> []);
+    check_int (what ^ ": opaque nodes") 0 (count_opaque l)
+  in
+  List.iter
+    (fun (what, variant) ->
+      let config = { Servo_system.default_config with Servo_system.variant } in
+      let b = Servo_system.build ~config () in
+      check what ~name:"servo" ~project:b.Servo_system.project
+        (Compile.compile b.Servo_system.controller))
+    [ ("servo float", Servo_system.Float_pid); ("servo Q15", Servo_system.Fixed_pid) ];
+  let m, project = Check.hazard_demo ~mcu () in
+  check "isr-demo" ~name:"isr_demo" ~project (Compile.compile m)
+
+let test_opaque_statement_fails_lazily () =
+  (* a leftover opaque node is outside both engines: the unit still
+     loads, and Unsupported surfaces only when that function runs *)
+  let open C_ast in
+  let items =
+    [
+      Global { gty = I32; gname = "x"; ginit = Some (Int_lit 0); volatile = false; static = false };
+      Func_def (func Void "ok" [] [ Assign (Var "x", Int_lit 7) ]);
+      Func_def (func Void "opaque" [] [ Raw "__asm__(\"nop\");" ]);
+    ]
+  in
+  let unit_ = { unit_name = "t.c"; items } in
+  let raises_unsupported f =
+    match f () with _ -> false | exception Mir_eval.Unsupported _ -> true
+  in
+  let code = Silvm_compile.compile [ unit_ ] in
+  let st = Silvm_compile.instantiate code in
+  ignore (Silvm_compile.call code st "ok" []);
+  check_int "compiled: the other function ran" 7
+    (Int64.to_int
+       (Mir_eval.to_int64 (Silvm_compile.reader code (Var "x") st)));
+  check_bool "compiled: calling it raises Unsupported" true
+    (raises_unsupported (fun () -> Silvm_compile.call code st "opaque" []));
+  let l = Mir_unit.lift ~header:[] unit_ in
+  let m = Mir_eval.create l.Mir_unit.env items l.Mir_unit.funcs in
+  ignore (Mir_eval.call m "ok" []);
+  check_bool "reference: calling it raises Unsupported" true
+    (raises_unsupported (fun () -> Mir_eval.call m "opaque" []))
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -343,6 +406,10 @@ let suite =
       test_compile_cache_run_map;
     Alcotest.test_case "unsupported 64-bit helpers fail lazily" `Quick
       test_lazy_unsupported_functions;
+    Alcotest.test_case "SIL units lift with no opaque nodes" `Quick
+      test_sil_units_lift_without_opaque_nodes;
+    Alcotest.test_case "an opaque statement fails only when called" `Quick
+      test_opaque_statement_fails_lazily;
     qtest prop_compiled_interp_float;
     qtest prop_compiled_interp_int;
   ]

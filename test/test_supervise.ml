@@ -265,8 +265,8 @@ let test_run_map_abort_still_raises () =
 (* ---- submit error hook ---- *)
 
 let test_submit_error_hook () =
+  let seen = Atomic.make [] in
   Exec_pool.with_pool ~workers:2 (fun pool ->
-      let seen = Atomic.make [] in
       Exec_pool.set_error_hook pool (fun e ->
           let rec push () =
             let cur = Atomic.get seen in
@@ -281,12 +281,16 @@ let test_submit_error_hook () =
               ~finally:(fun () -> Atomic.incr done_)
               (fun () -> if i mod 2 = 0 then failwith "task boom"))
       done;
+      (* every task has started its [finally]; its hook call may still
+         be running on the worker *)
       while Atomic.get done_ < 10 do
         Domain.cpu_relax ()
-      done;
-      check_int "hook saw every failure" 5 (List.length (Atomic.get seen));
-      check_bool "worker survived and kept serving" true
-        (List.for_all (fun m -> m = "Failure(\"task boom\")") (Atomic.get seen)))
+      done);
+  (* [with_pool] has shut the pool down and joined its workers, so every
+     hook call has returned *)
+  check_int "hook saw every failure" 5 (List.length (Atomic.get seen));
+  check_bool "worker survived and kept serving" true
+    (List.for_all (fun m -> m = "Failure(\"task boom\")") (Atomic.get seen))
 
 (* ---- supervised campaign: jobs-count independence ---- *)
 
