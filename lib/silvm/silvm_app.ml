@@ -19,12 +19,7 @@ type engine = [ `Interp | `Compiled ]
 
 type backend =
   | Interp of Mir_eval.t
-  | Compiled of {
-      code : Silvm_compile.code;
-      st : Silvm_compile.st;
-      readers : (string, Silvm_compile.st -> Mir_eval.value) Hashtbl.t;
-          (** per-field read closures, compiled once on first use *)
-    }
+  | Compiled of { code : Silvm_compile.code; st : Silvm_compile.st }
 
 type t = {
   backend : backend;
@@ -50,8 +45,6 @@ let divisor comp b =
   | Sample_time.R_discrete { period; _ } ->
       Some (int_of_float (Float.round (period /. comp.Compile.base_dt)))
   | _ -> None
-
-let engine app = match app.backend with Interp _ -> `Interp | Compiled _ -> `Compiled
 
 let has_func app fn =
   match app.backend with
@@ -98,8 +91,7 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
            submissions of the same generated units (campaign shards,
            fuzz re-runs) share one compilation *)
         let code = Silvm_compile.compile_cached [ h; c ] in
-        Compiled
-          { code; st = Silvm_compile.instantiate code; readers = Hashtbl.create 32 }
+        Compiled { code; st = Silvm_compile.instantiate code }
   in
   let m = comp.Compile.model in
   let app =
@@ -184,32 +176,28 @@ let actuator app slot =
       Int64.to_int (Mir_eval.to_int64 (Mir_eval.read m (xchg "pil_actuator_buf" slot)))
   | Compiled { st; _ } -> Silvm_compile.actuator st slot
 
-let read_field app fname field =
-  match app.backend with
-  | Interp m -> Mir_eval.read m (Mir.Pfield (Mir.Pvar fname, field))
-  | Compiled { code; st; readers } -> (
-      (* signals are polled every step of a diff run: compile the read
-         once, then it is a closure call *)
-      match Hashtbl.find_opt readers field with
-      | Some r -> r st
-      | None ->
-          let r = Silvm_compile.reader code (C_ast.Field (C_ast.Var fname, field)) in
-          Hashtbl.replace readers field r;
-          r st)
+type probe =
+  | Compiled_probe of Silvm_compile.typed * Silvm_compile.st
+  | Reference_probe of Mir_eval.t * Mir.place
 
-let set_input app i x =
-  let v = Mir_eval.Vf (Mir.Tf64, x) and field = Printf.sprintf "in%d" i in
+(* the block-I/O structure field carrying a block output signal,
+   resolved once: signals are polled every step of a diff run *)
+let probe app (b, p) =
+  let s = app.name ^ "_B"
+  and field = sanitized_field b p app.comp.Compile.model in
   match app.backend with
-  | Interp m -> Mir_eval.write m (Mir.Pfield (Mir.Pvar (app.name ^ "_U"), field)) v
-  | Compiled { code; st; _ } ->
-      Silvm_compile.writer code
-        (C_ast.Field (C_ast.Var (app.name ^ "_U"), field))
-        st v
+  | Interp m -> Reference_probe (m, Mir.Pfield (Mir.Pvar s, field))
+  | Compiled { code; st } ->
+      Compiled_probe
+        (Silvm_compile.reader code (C_ast.Field (C_ast.Var s, field)), st)
 
-(* the block-I/O structure field carrying a block output signal *)
-let signal app (b, p) =
-  read_field app (app.name ^ "_B")
-    (sanitized_field b p app.comp.Compile.model)
+let probe_value = function
+  | Compiled_probe (Silvm_compile.TI (t, get), st) ->
+      Mir_eval.Vi (t, Int64.of_int (get st))
+  | Compiled_probe (Silvm_compile.TF (fty, get), st) -> Mir_eval.Vf (fty, get st)
+  | Reference_probe (m, place) -> Mir_eval.read m place
+
+let signal app bp = probe_value (probe app bp)
 
 let schedule app = app.arts.Target.schedule
 

@@ -38,8 +38,6 @@ val create :
     what {!Silvm_diff.run} checks.
     @raise Target.Codegen_error when generation fails. *)
 
-val engine : t -> engine
-
 val initialize : t -> unit
 (** Call [<name>_initialize ()]. *)
 
@@ -73,13 +71,26 @@ val set_sensor : t -> int -> int -> unit
 val actuator : t -> int -> int
 (** [actuator app slot] reads [pil_actuator_buf[slot]]. *)
 
-val set_input : t -> int -> float -> unit
-(** [set_input app i x] writes the Inport field [<name>_U.in<i>]. *)
+(** A block-output field [<name>_B.<block>_o<p>] of the generated
+    signals structure, resolved once so that reading it per step costs
+    no name building or lookup: on the compiled engine a typed getter
+    over the instance's cells, on the reference engine a prebuilt
+    place. *)
+type probe =
+  | Compiled_probe of Silvm_compile.typed * Silvm_compile.st
+  | Reference_probe of Mir_eval.t * Mir.place
+
+val probe : t -> Model.blk * int -> probe
+(** @raise Mir_eval.Runtime_error on the compiled engine when the
+    field does not exist *)
+
+val probe_value : probe -> Mir_eval.value
+(** the probe's current value, boxed: [Vi (ity, n)] for an integer
+    field, [Vf (Tf32|Tf64, x)] for a float one *)
 
 val signal : t -> Model.blk * int -> Mir_eval.value
-(** [signal app (b, p)] reads the block-output field
-    [<name>_B.<block>_o<p>] of the generated signals structure (cached
-    compiled reader on the compiled engine). *)
+(** [signal app (b, p)] is [probe_value (probe app (b, p))]: a one-off
+    read of the block-output field. *)
 
 val schedule : t -> Target.schedule
 val stmts_executed : t -> int

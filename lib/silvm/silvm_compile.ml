@@ -704,14 +704,12 @@ and compile_stmts g scope (ss : Mir.stmt list) : st -> unit =
 
 (* ---------------- functions ---------------- *)
 
-let value_setter = function
-  | Sint (t, k) -> fun st v -> Array.unsafe_set st.ints k (int_of_value t v)
-  | Sflt (`F64, k) ->
-      fun st v -> Array.unsafe_set st.floats k (Mir_eval.to_double v)
-  | Sflt (`F32, k) ->
-      fun st v -> Array.unsafe_set st.floats k (to_f32 (Mir_eval.to_double v))
-  | Sintarr _ | Sfltarr _ | Sstructv _ | Sxchg _ ->
-      unsupported "aggregate assignment"
+(* a parameter store: the reference store's conversion of a boxed
+   argument into the cell *)
+let value_setter stor =
+  match lval_of_storage stor with
+  | LI (t, _, set) -> fun st v -> set st (int_of_value t v)
+  | LF (_, _, set) -> fun st v -> set st (Mir_eval.to_double v)
 
 let ret_cast g (ty : cty) : (value -> value) option =
   match Mir_env.vty_of_cty g.env ty with
@@ -859,24 +857,16 @@ let actuator st slot = Bigarray.Array1.get st.actuator slot
 let actuator_buf st = st.actuator
 let actuator_count (g : code) = g.n_actuator
 
-(* ad-hoc reads/writes over global storage (block-output signals, the
-   Inport fields): compiled once, then just a closure call per step *)
-let lval_of_c (g : code) (e : C_ast.expr) : lval =
-  match Mir_of_c.lift_place e with
-  | Some p -> compile_lval g (Hashtbl.create 1) p
+(* ad-hoc reads of global storage (block-output signals): compiled
+   once, then just a typed closure call per step *)
+type typed = TI of ity * (st -> int) | TF of Mir.ty * (st -> float)
+
+let reader (g : code) (e : C_ast.expr) : typed =
+  let lval = compile_lval g (Hashtbl.create 1) in
+  match Option.map lval (Mir_of_c.lift_place e) with
+  | Some (LI (t, get, _)) -> TI (t, get)
+  | Some (LF (w, get, _)) -> TF (fty_of_width w, get)
   | None -> unsupported "expression is not an lvalue"
-
-let reader (g : code) (e : C_ast.expr) : st -> value =
-  match lval_of_c g e with
-  | LI (t, get, _) -> fun st -> Mir_eval.Vi (t, Int64.of_int (get st))
-  | LF (w, get, _) ->
-      let fty = fty_of_width w in
-      fun st -> Mir_eval.Vf (fty, get st)
-
-let writer (g : code) (e : C_ast.expr) : st -> value -> unit =
-  match lval_of_c g e with
-  | LI (t, _, set) -> fun st v -> set st (int_of_value t v)
-  | LF (_, _, set) -> fun st v -> set st (Mir_eval.to_double v)
 
 (* ---------------- content-hashed compile cache ----------------
 

@@ -55,8 +55,10 @@ val actuator_buf :
 
 val actuator_count : code -> int
 
-val reader : code -> C_ast.expr -> st -> Mir_eval.value
-(** compile an ad-hoc read of an lvalue (e.g. [servo_B.pid_o0]) once;
-    the returned closure is cheap to call per step *)
+(** a compiled scalar read with its static type: a canonical integer of
+    width [ity] (at most 32 bits), or a double / binary32 float *)
+type typed = TI of Mir.ity * (st -> int) | TF of Mir.ty * (st -> float)
 
-val writer : code -> C_ast.expr -> st -> Mir_eval.value -> unit
+val reader : code -> C_ast.expr -> typed
+(** compile an ad-hoc read of an lvalue (e.g. [servo_B.pid_o0]) once;
+    the getter is cheap to call per step and boxes nothing *)

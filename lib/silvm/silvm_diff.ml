@@ -57,10 +57,12 @@ let ulp_dist a b =
   let d = Int64.sub (ulp_key a) (ulp_key b) in
   Int64.abs d
 
-let floats_agree mode a b =
-  (Float.is_nan a && Float.is_nan b)
-  || a = b
-  || match mode with Exact -> false | Ulp n -> ulp_dist a b <= Int64.of_int n
+(* the float policy, resolved once per run *)
+let floats_agree = function
+  | Exact -> fun a b -> (Float.is_nan a && Float.is_nan b) || a = b
+  | Ulp n ->
+      let n = Int64.of_int n in
+      fun a b -> (Float.is_nan a && Float.is_nan b) || a = b || ulp_dist a b <= n
 
 let values_agree mode mil sil =
   match mil with
@@ -68,6 +70,31 @@ let values_agree mode mil sil =
   | Value.I (_, i) -> Mir_eval.to_int64 sil = Int64.of_int i
   | Value.X _ -> Mir_eval.to_int64 sil = Int64.of_int (Value.to_int mil)
   | Value.F x -> floats_agree mode x (Mir_eval.to_double sil)
+
+(* [values_agree mode mil (probe_value probe)] specialised to the
+   probe's static type: the common pairings (an integer, boolean or
+   fixed-point MIL value against an integer cell, a double against a
+   float cell) compare unboxed; the rest box and take the general
+   path. Compiled integer cells are at most 32 bits wide, so their
+   canonical value is also their int64 and double reading. *)
+let agree mode (probe : Silvm_app.probe) : Value.t -> bool =
+  let feq = floats_agree mode in
+  match probe with
+  | Silvm_app.Compiled_probe (Silvm_compile.TI (_, get), st) -> (
+      fun mil ->
+        let n = get st in
+        match mil with
+        | Value.I (_, i) -> n = i
+        | Value.B b -> (n <> 0) = b
+        | Value.X fx -> n = Fixed.raw fx
+        | Value.F x -> feq x (float_of_int n))
+  | Silvm_app.Compiled_probe (Silvm_compile.TF (fty, get), st) -> (
+      fun mil ->
+        match mil with
+        | Value.F x -> feq x (get st)
+        | mil -> values_agree mode mil (Mir_eval.Vf (fty, get st)))
+  | Silvm_app.Reference_probe _ ->
+      fun mil -> values_agree mode mil (Silvm_app.probe_value probe)
 
 let mil_to_string = function
   | Value.F x -> Printf.sprintf "%.17g" x
@@ -91,21 +118,31 @@ let compared_signals comp =
       List.init spec.Block.n_out (fun p -> (b, p)))
     blocks
 
-let inject sim apps schedule sensors =
+(* feed one step's raw sensor codes to both sides; the MIL port each
+   slot overrides and the code's conversion are resolved once *)
+let injector_for sim apps schedule =
   let m = (Sim.compiled sim).Compile.model in
-  List.iter
-    (fun (b, slot) ->
-      let v = sensors.(slot) in
-      let value =
-        match (Model.spec_of m b).Block.kind with
-        | "PE_Adc" | "AR_Adc" -> Value.of_int Dtype.Uint16 v
-        | "PE_QuadDec" | "AR_Icu" -> Value.of_int Dtype.Int32 v
-        | "PE_BitIO_In" | "AR_Dio_In" -> Value.of_bool (v <> 0)
-        | k -> failwith ("Silvm_diff: unexpected sensor block kind " ^ k)
-      in
-      Sim.override_output sim (b, 0) (Some value);
-      List.iter (fun app -> Silvm_app.set_sensor app slot v) apps)
-    schedule.Target.sensor_slots
+  let plan =
+    List.map
+      (fun (b, slot) ->
+        ( (b, 0),
+          slot,
+          match (Model.spec_of m b).Block.kind with
+          | "PE_Adc" | "AR_Adc" -> Value.of_int Dtype.Uint16
+          | "PE_QuadDec" | "AR_Icu" -> Value.of_int Dtype.Int32
+          | "PE_BitIO_In" | "AR_Dio_In" -> fun v -> Value.of_bool (v <> 0)
+          | k ->
+              fun _ -> failwith ("Silvm_diff: unexpected sensor block kind " ^ k)
+        ))
+      schedule.Target.sensor_slots
+  in
+  fun sensors ->
+    List.iter
+      (fun (port, slot, conv) ->
+        let v = sensors.(slot) in
+        Sim.override_output sim port (Some (conv v));
+        List.iter (fun app -> Silvm_app.set_sensor app slot v) apps)
+      plan
 
 (* bit-for-bit equality between the two SIL engines: same type, same
    canonical integer, same float bits ([compare] would identify -0.
@@ -145,99 +182,94 @@ let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled
   in
   Silvm_app.initialize app;
   Option.iter Silvm_app.initialize shadow;
-  let apps = app :: Option.to_list shadow in
   let sched = Silvm_app.schedule app in
-  let n_act = List.length sched.Target.actuator_slots in
-  let signals = compared_signals comp in
+  let inject = injector_for sim (app :: Option.to_list shadow) sched in
+  (* every compared block output, resolved before the loop: its SIL
+     probe, its comparator and the shadow engine's probe *)
+  let signals =
+    compared_signals comp
+    |> List.map (fun bp ->
+           let probe = Silvm_app.probe app bp in
+           let shadow_probe =
+             Option.map (fun sh -> Silvm_app.probe sh bp) shadow
+           in
+           (bp, probe, agree float_mode probe, shadow_probe))
+    |> Array.of_list
+  in
+  let acts = Array.make (List.length sched.Target.actuator_slots) 0 in
   let m = comp.Compile.model in
   let base = comp.Compile.base_dt in
-  let mil_t = ref 0.0 and sil_t = ref 0.0 in
+  let mil_ns = ref 0.0 and sil_ns = ref 0.0 in
   let steps_done = ref 0 in
   let force_at = forced_divergence_at () in
+  (* one recorder fetch for the whole run, not one per sensor event *)
+  let fr = if Flight.enabled () then Some (Flight.recorder ()) else None in
+  let perturb k time s =
+    let s =
+      match injector with Some i -> i.inj_sensors ~step:k ~time s | None -> s
+    in
+    (match fr with
+    | Some r ->
+        Array.iteri
+          (fun slot v ->
+            Flight.signal_r r ~step:k ~time ~port:slot ~value:(float_of_int v)
+              "sensor")
+          s
+    | None -> ());
+    s
+  in
+  let diverged k time d_block d_port d_mil d_sil =
+    let d_faults =
+      match injector with Some i -> i.inj_active ~time | None -> []
+    in
+    Stop { d_step = k; d_time = time; d_block; d_port; d_mil; d_sil; d_faults }
+  in
+  let mismatch k time (b, p) = diverged k time (Model.block_name m b) p in
   let result =
     try
       for k = 0 to steps - 1 do
         let time = float_of_int k *. base in
-        let perturb s =
-          let s =
-            match injector with
-            | Some i -> i.inj_sensors ~step:k ~time s
-            | None -> s
-          in
-          if Flight.enabled () then
-            Array.iteri
-              (fun slot v ->
-                Flight.signal ~step:k ~time ~port:slot ~value:(float_of_int v)
-                  "sensor")
-              s;
-          s
-        in
         (match plant, stimulus with
         | Some (Plant (p, d)), _ ->
-            inject sim apps sched (perturb (d.Pil_cosim.read_sensors p ~time))
-        | None, Some f -> inject sim apps sched (perturb (f k))
+            inject (perturb k time (d.Pil_cosim.read_sensors p ~time))
+        | None, Some f -> inject (perturb k time (f k))
         | None, None -> ());
-        let t0 = Sys.time () in
+        let t0 = Obs.now_ns () in
         Sim.step sim;
-        mil_t := !mil_t +. (Sys.time () -. t0);
-        let t1 = Sys.time () in
+        let t1 = Obs.now_ns () in
         Silvm_app.step app;
-        sil_t := !sil_t +. (Sys.time () -. t1);
+        let t2 = Obs.now_ns () in
+        mil_ns := !mil_ns +. (t1 -. t0);
+        sil_ns := !sil_ns +. (t2 -. t1);
         Option.iter Silvm_app.step shadow;
-        let faults () =
-          match injector with Some i -> i.inj_active ~time | None -> []
-        in
         (match force_at with
         | Some k' when k = k' ->
-            raise
-              (Stop
-                 {
-                   d_step = k;
-                   d_time = time;
-                   d_block = "__forced";
-                   d_port = 0;
-                   d_mil = "forced";
-                   d_sil = "forced";
-                   d_faults = faults ();
-                 })
+            raise (diverged k time "__forced" 0 "forced" "forced")
         | _ -> ());
-        List.iter
-          (fun (b, p) ->
-            let mil = Sim.value sim (b, p) in
-            let sil = Silvm_app.signal app (b, p) in
-            if not (values_agree float_mode mil sil) then
-              raise
-                (Stop
-                   {
-                     d_step = k;
-                     d_time = time;
-                     d_block = Model.block_name m b;
-                     d_port = p;
-                     d_mil = mil_to_string mil;
-                     d_sil = Mir_eval.to_string sil;
-                     d_faults = faults ();
-                   });
-            match shadow with
-            | None -> ()
-            | Some sh ->
-                let isil = Silvm_app.signal sh (b, p) in
-                if not (sil_bits_equal sil isil) then
-                  raise
-                    (Stop
-                       {
-                         d_step = k;
-                         d_time = time;
-                         d_block = Model.block_name m b;
-                         d_port = p;
-                         d_mil = "interp:" ^ Mir_eval.to_string isil;
-                         d_sil = Mir_eval.to_string sil;
-                         d_faults = faults ();
-                       }))
-          signals;
+        for i = 0 to Array.length signals - 1 do
+          let port, probe, agree, shadow = Array.unsafe_get signals i in
+          let mil = Sim.value sim port in
+          if not (agree mil) then
+            raise
+              (mismatch k time port (mil_to_string mil)
+                 (Mir_eval.to_string (Silvm_app.probe_value probe)));
+          match shadow with
+          | None -> ()
+          | Some sh ->
+              let sil = Silvm_app.probe_value probe
+              and isil = Silvm_app.probe_value sh in
+              if not (sil_bits_equal sil isil) then
+                raise
+                  (mismatch k time port
+                     ("interp:" ^ Mir_eval.to_string isil)
+                     (Mir_eval.to_string sil))
+        done;
         incr steps_done;
         match plant with
         | Some (Plant (p, d)) ->
-            let acts = Array.init n_act (Silvm_app.actuator app) in
+            for slot = 0 to Array.length acts - 1 do
+              acts.(slot) <- Silvm_app.actuator app slot
+            done;
             d.Pil_cosim.apply_actuators p acts;
             d.Pil_cosim.advance p ~dt:base
         | None -> ()
@@ -260,8 +292,8 @@ let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled
   {
     steps_run = !steps_done;
     steps_requested = steps;
-    signals = List.length signals;
+    signals = Array.length signals;
     divergence = result;
-    mil_seconds = !mil_t;
-    sil_seconds = !sil_t;
+    mil_seconds = !mil_ns *. 1e-9;
+    sil_seconds = !sil_ns *. 1e-9;
   }

@@ -37,15 +37,18 @@ type report = {
   steps_requested : int;
   signals : int;  (** block output signals compared per step *)
   divergence : divergence option;
-  mil_seconds : float;  (** CPU time spent in [Sim.step] *)
-  sil_seconds : float;  (** CPU time spent in the SIL engine *)
+  mil_seconds : float;  (** monotonic wall time spent in [Sim.step] *)
+  sil_seconds : float;
+      (** monotonic wall time spent stepping the SIL engine (the shadow
+          reference engine of {!Both} excluded) *)
 }
 
 type plant = Plant : 'p * 'p Pil_cosim.plant_driver -> plant
 (** A plant plus its PIL driver, packaged so heterogeneous plants fit
     one argument. The plant is driven from the {e SIL} actuator buffer
     (the generated application's own output), so both sides see the
-    identical sensor stream. *)
+    identical sensor stream. The actuator array handed to
+    [apply_actuators] is reused from step to step. *)
 
 type injector = {
   inj_sensors : step:int -> time:float -> int array -> int array;
@@ -55,6 +58,17 @@ type injector = {
   inj_active : time:float -> string list;
       (** fault names active at a time, for the divergence report *)
 }
+
+val values_agree : float_mode -> Value.t -> Mir_eval.value -> bool
+(** whether a MIL value and a SIL value denote the same signal value:
+    truthiness for booleans, the integer for integer and fixed-point
+    values, [float_mode] for doubles *)
+
+val agree : float_mode -> Silvm_app.probe -> Value.t -> bool
+(** [agree mode probe] is the per-step comparator of one signal,
+    resolved once: [agree mode probe mil] decides exactly as
+    [values_agree mode mil (Silvm_app.probe_value probe)], without
+    boxing the probe's value on the compiled engine. *)
 
 val run :
   ?steps:int ->

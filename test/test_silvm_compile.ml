@@ -94,6 +94,202 @@ let test_isr_demo_both_1000 () =
   in
   Test_silvm.check_no_divergence "isr-demo tri-lockstep" r
 
+(* a real divergence must be caught by the comparators themselves (the
+   ECSD_DIVERGE_AT drill skips them). The ADC word 70000 is out of the
+   16-bit range: MIL's ADC source saturates it to 65535, while the
+   generated code's 16-bit exchange buffer wraps it to 4464. This pins
+   today's saturate-vs-wrap asymmetry between the two sides. *)
+let test_isr_demo_out_of_range_adc_caught () =
+  let m, project = Check.hazard_demo ~mcu () in
+  let comp = Compile.compile m in
+  let stimulus k = [| (if k = 3 then 70000 else k * 37 mod 4096) |] in
+  List.iter
+    (fun (what, engine) ->
+      let r =
+        Silvm_diff.run ~steps:10 ~engine ~stimulus ~name:"isr_demo" ~project
+          comp
+      in
+      match r.Silvm_diff.divergence with
+      | None -> Alcotest.failf "%s: the wrapped ADC word went unnoticed" what
+      | Some d ->
+          check_int (what ^ ": step") 3 d.Silvm_diff.d_step;
+          check_int (what ^ ": steps run") 3 r.Silvm_diff.steps_run;
+          Alcotest.(check string) (what ^ ": block") "adc" d.Silvm_diff.d_block;
+          check_int (what ^ ": port") 0 d.Silvm_diff.d_port;
+          Alcotest.(check string)
+            (what ^ ": MIL value") "65535:uint16" d.Silvm_diff.d_mil;
+          Alcotest.(check string)
+            (what ^ ": SIL value") "4464:u16" d.Silvm_diff.d_sil)
+    [
+      ("compiled", Silvm_diff.Compiled);
+      ("interp", Silvm_diff.Interp);
+      ("both", Silvm_diff.Both);
+    ]
+
+(* ---------------- per-signal comparators ---------------- *)
+
+(* [Silvm_diff.agree], resolved once per signal, must decide exactly as
+   [values_agree] on the cell's boxed value ([Vi (t, n)] or
+   [Vf (fty, x)]), and the probe must box to that same value, which is
+   what divergence text prints *)
+let float_edges =
+  [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324;
+    -4.9e-324; 2.2250738585072009e-308; Float.min_float; Float.max_float;
+    1.0; -1.0; 0.5; 65535.0; -32768.0; 4294967295.0; 1e300 ]
+
+let ity_range (t : Mir.ity) =
+  let bits = t.Mir.bits in
+  if t.Mir.signed then (-(1 lsl (bits - 1)), (1 lsl (bits - 1)) - 1)
+  else (0, (1 lsl bits) - 1)
+
+let gen_float =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl float_edges;
+        float;
+        map Int64.float_of_bits (map Int64.of_int int);
+        map float_of_int (int_range (-70000) 70000);
+        (* subnormals of either sign *)
+        map2
+          (fun neg m ->
+            let x = Int64.float_of_bits (Int64.of_int m) in
+            if neg then -.x else x)
+          bool (int_range 1 ((1 lsl 52) - 1));
+      ])
+
+let gen_mil =
+  let open QCheck2.Gen in
+  let int_dt =
+    oneofl
+      Dtype.[ Int8; Uint8; Int16; Uint16; Int32; Uint32 ]
+  in
+  oneof
+    [
+      map (fun b -> Value.B b) bool;
+      ( int_dt >>= fun dt ->
+        let lo, hi = Option.get (Dtype.integer_range dt) in
+        map
+          (fun n -> Value.I (dt, n))
+          (oneof [ oneofl [ lo; hi; 0; lo + 1; hi - 1 ]; int_range lo hi ]) );
+      ( oneofl
+          Qformat.[ q15; q31; q7; make ~signed:false ~word_bits:16 ~frac_bits:8 ]
+      >>= fun f ->
+        let lo, hi =
+          ity_range { Mir.bits = f.Qformat.word_bits; signed = f.Qformat.signed }
+        in
+        map
+          (fun r -> Value.X (Fixed.create f r))
+          (oneof [ oneofl [ lo; hi; 0 ]; int_range lo hi ]) );
+      map (fun x -> Value.F x) gen_float;
+    ]
+
+(* a probe value: independent of the MIL value, or derived from it so
+   that agreement (and near-agreement in ulps) is exercised too *)
+let gen_probe_value mil =
+  let open QCheck2.Gen in
+  let ity =
+    oneofl
+      (List.concat_map
+         (fun bits ->
+           [ { Mir.bits; signed = true }; { Mir.bits; signed = false } ])
+         [ 8; 16; 32 ])
+  in
+  let near x =
+    map
+      (fun d ->
+        if Float.is_nan x then x
+        else
+          Int64.float_of_bits
+            (Int64.add (Int64.bits_of_float x) (Int64.of_int d)))
+      (int_range (-3) 3)
+  in
+  let derived =
+    match mil with
+    | Value.F x -> near x
+    | mil -> return (Value.to_float mil)
+  in
+  let int_of x t =
+    let lo, hi = ity_range t in
+    if Float.is_nan x then 0
+    else
+      Float.to_int
+        (Float.max (float_of_int lo) (Float.min (float_of_int hi) x))
+  in
+  oneof
+    [
+      ( ity >>= fun t ->
+        let lo, hi = ity_range t in
+        map
+          (fun n -> `I (t, n))
+          (oneof
+             [
+               oneofl [ lo; hi; 0; lo + 1; hi - 1 ];
+               int_range lo hi;
+               map (fun x -> int_of x t) derived;
+             ]) );
+      ( pair (oneofl [ Mir.Tf32; Mir.Tf64 ]) (oneof [ gen_float; derived ])
+      >|= fun (fty, x) ->
+        `F (fty, if fty = Mir.Tf32 then Mir_eval.round_f32 x else x) );
+    ]
+
+let gen_mode =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Silvm_diff.Exact;
+        map (fun n -> Silvm_diff.Ulp n) (int_range 0 4);
+      ])
+
+let comparator_st =
+  lazy (Silvm_compile.instantiate (Silvm_compile.compile []))
+
+let print_case (mode, mil, pv) =
+  Printf.sprintf "mode=%s mil=%s probe=%s"
+    (match mode with
+    | Silvm_diff.Exact -> "exact"
+    | Silvm_diff.Ulp n -> Printf.sprintf "ulp %d" n)
+    (match mil with
+    | Value.F x -> Printf.sprintf "F %h" x
+    | Value.I (dt, n) -> Printf.sprintf "I (%s, %d)" (Dtype.to_string dt) n
+    | Value.B b -> Printf.sprintf "B %b" b
+    | Value.X f -> Printf.sprintf "X %s raw %d" (Fixed.to_string f) (Fixed.raw f))
+    (match pv with
+    | `I (t, n) ->
+        Printf.sprintf "TI (%c%d, %d)"
+          (if t.Mir.signed then 'i' else 'u')
+          t.Mir.bits n
+    | `F (fty, x) ->
+        Printf.sprintf "TF (%s, %h)"
+          (if fty = Mir.Tf32 then "f32" else "f64")
+          x)
+
+let prop_comparators_match_values_agree =
+  QCheck2.Test.make
+    ~name:
+      "resolved per-signal comparators match values_agree on the boxed \
+       value"
+    ~count:(max 2000 Test_silvm.fuzz_count) ~print:print_case
+    QCheck2.Gen.(
+      pair gen_mode gen_mil >>= fun (mode, mil) ->
+      map (fun pv -> (mode, mil, pv)) (gen_probe_value mil))
+    (fun (mode, mil, pv) ->
+      let st = Lazy.force comparator_st in
+      (* the cell's boxed value *)
+      let typed, old_boxed =
+        match pv with
+        | `I (t, n) ->
+            (Silvm_compile.TI (t, fun _ -> n), Mir_eval.Vi (t, Int64.of_int n))
+        | `F (fty, x) ->
+            (Silvm_compile.TF (fty, fun _ -> x), Mir_eval.Vf (fty, x))
+      in
+      let probe = Silvm_app.Compiled_probe (typed, st) in
+      Silvm_diff.agree mode probe mil
+      = Silvm_diff.values_agree mode mil old_boxed
+      && String.equal
+           (Mir_eval.to_string (Silvm_app.probe_value probe))
+           (Mir_eval.to_string old_boxed))
+
 (* ---------------- batched Bigarray path ---------------- *)
 
 (* the servo PWM duty trace through [run_n_steps]: the compiled engine's
@@ -369,9 +565,11 @@ let test_opaque_statement_fails_lazily () =
   let code = Silvm_compile.compile [ unit_ ] in
   let st = Silvm_compile.instantiate code in
   ignore (Silvm_compile.call code st "ok" []);
-  check_int "compiled: the other function ran" 7
-    (Int64.to_int
-       (Mir_eval.to_int64 (Silvm_compile.reader code (Var "x") st)));
+  (match Silvm_compile.reader code (Var "x") with
+  | Silvm_compile.TI (t, get) ->
+      check_bool "compiled: x reads as int32" true (t = Mir_eval.i32);
+      check_int "compiled: the other function ran" 7 (get st)
+  | Silvm_compile.TF _ -> Alcotest.fail "compiled: x read as a float");
   check_bool "compiled: calling it raises Unsupported" true
     (raises_unsupported (fun () -> Silvm_compile.call code st "opaque" []));
   let l = Mir_unit.lift ~header:[] unit_ in
@@ -390,6 +588,8 @@ let suite =
       test_servo_fixed_both_1000;
     Alcotest.test_case "isr-demo: 1000-step tri-lockstep" `Quick
       test_isr_demo_both_1000;
+    Alcotest.test_case "isr-demo: out-of-range ADC word is a divergence"
+      `Quick test_isr_demo_out_of_range_adc_caught;
     Alcotest.test_case "batched run: golden PWM duty trace" `Slow
       test_batched_golden_duty;
     Alcotest.test_case "batched run: compiled trace == interpreted trace"
@@ -412,4 +612,5 @@ let suite =
       test_opaque_statement_fails_lazily;
     qtest prop_compiled_interp_float;
     qtest prop_compiled_interp_int;
+    qtest prop_comparators_match_values_agree;
   ]
