@@ -231,7 +231,8 @@ let bench_json () =
     if unarmed_sps > 0.0 then 1.0 -. (armed_sps /. unarmed_sps) else 0.0
   in
   (* P11: campaign scaling — the 64-seed encoder-dropout campaign run
-     through the work-stealing pool at --jobs 1 and --jobs 4. The
+     through the seed sweep at --jobs 1 (on this domain) and --jobs 4
+     (the work-stealing pool), as `ecsd faultsim` runs them. The
      speedup is whatever this machine's cores allow (recorded next to
      [domains_available] so the number can be judged); the merged
      report must be identical either way, which is asserted here. *)
@@ -241,11 +242,11 @@ let bench_json () =
     fst (Servo_system.faultsim_subject ~scenario:fault_scn ())
   in
   let campaign jobs =
-    Exec_pool.with_pool ~workers:jobs (fun pool ->
+    Seed_sweep.with_jobs jobs (fun pool ->
         let t0 = Unix.gettimeofday () in
         let r =
-          Fault_campaign.run_parallel ~t_end:scaling_t_end ~seeds:scaling_seeds
-            ~pool ~scenario:fault_scn mk_subject
+          Fault_campaign.sweep ~t_end:scaling_t_end ~seeds:scaling_seeds
+            ?pool ~scenario:fault_scn mk_subject
         in
         (r, Unix.gettimeofday () -. t0))
   in

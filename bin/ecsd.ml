@@ -370,292 +370,215 @@ let scenario_or_die ref_ =
   | Ok s -> s
   | Error e -> die "%s" e
 
-let injector_of scenario seed =
-  let inj = Fault_inject.arm ~seed scenario in
-  {
-    Silvm_diff.inj_sensors =
-      (fun ~step:_ ~time codes ->
-        Array.mapi
-          (fun slot v -> Fault_inject.sensor inj ~slot ~time v land 0xFFFF)
-          codes);
-    inj_active = (fun ~time -> Fault_inject.active_names inj ~time);
-  }
-
-let engine_name = function
-  | Silvm_diff.Interp -> "interp"
-  | Silvm_diff.Compiled -> "compiled"
-  | Silvm_diff.Both -> "both"
-
-let engine_of_name = function
-  | "interp" -> Some Silvm_diff.Interp
-  | "compiled" -> Some Silvm_diff.Compiled
-  | "both" -> Some Silvm_diff.Both
-  | _ -> None
-
-let divergence_json (d : Silvm_diff.divergence option) =
-  let open Bench_json in
-  match d with
-  | None -> Null
-  | Some d ->
-      Obj
-        [
-          ("step", Int d.Silvm_diff.d_step);
-          ("time", Float d.Silvm_diff.d_time);
-          ("block", Str d.Silvm_diff.d_block);
-          ("port", Int d.Silvm_diff.d_port);
-          ("mil", Str d.Silvm_diff.d_mil);
-          ("sil", Str d.Silvm_diff.d_sil);
-          ( "active_faults",
-            Arr (List.map (fun f -> Str f) d.Silvm_diff.d_faults) );
-        ]
-
-(* Seed sweep: one differential run per fault seed 1..N, sharded over a
-   domain pool. Each domain builds its own model/plant context (the
-   compile dedups through the content-hashed cache); reports merge in
-   seed order, so the sweep output — table and JSON, which carries no
-   timing field — is identical whatever --jobs is. *)
-let diff_sweep ~cfg ~mcu ~float_mode ~opt ~engine ~steps ~ulp ~scenario ~seeds
-    ~jobs ~json model_name =
-  let mk_ctx () =
-    match model_name with
-    | "servo" ->
-        let built = build_or_fail cfg in
-        let comp = Compile_cache.compile built.Servo_system.controller in
-        `Servo (built, comp)
-    | "isr-demo" ->
-        let m, project = Check.hazard_demo ~mcu () in
-        let comp = Compile_cache.compile m in
-        `Isr (project, comp)
-    | other -> die "unknown model %S (choose servo or isr-demo)" other
-  in
-  let run_one ctx seed =
-    Flight.begin_track ~id:seed ~name:scenario.Fault_scenario.sname;
-    let injector = Some (injector_of scenario seed) in
-    try
-      match ctx with
-      | `Servo (built, comp) ->
-          let plant = Servo_system.pil_plant built in
-          let driver = Servo_system.pil_driver built in
-          Silvm_diff.run ~steps ~float_mode ~opt ~engine
-            ~plant:(Silvm_diff.Plant (plant, driver))
-            ?injector ~name:"servo" ~project:built.Servo_system.project comp
-      | `Isr (project, comp) ->
-          let stimulus k = [| k * 37 mod 4096 |] in
-          Silvm_diff.run ~steps ~float_mode ~opt ~engine ~stimulus ?injector
-            ~name:"isr_demo" ~project comp
-    with Target.Codegen_error msg -> die "code generation failed: %s" msg
-  in
-  let name = if model_name = "isr-demo" then "isr_demo" else model_name in
-  let ctx_key = Domain.DLS.new_key mk_ctx in
-  (* build on this domain first: config errors die here, not on a
-     worker, and the workers' compiles then hit the cache *)
-  ignore (Domain.DLS.get ctx_key);
-  (* completed runs accumulate here so a `die` mid-sweep still leaves a
-     partial report on disk (satellite of the flight-recorder work) *)
-  let completed_lock = Mutex.create () in
+(* Completed runs of a seed sweep, kept so a `die` mid-sweep still
+   leaves a partial JSON report at [path] (when one is wanted): [head]
+   are the report's leading fields and [row seed r] renders one
+   completed run. Returns the sweep's [on_run] and [finish], which
+   marks the sweep complete (or failed before any seed ran: no partial
+   report then either). *)
+let partial_report path ~head ~seeds row =
+  let lock = Mutex.create () in
   let completed = ref [] in
-  let sweep_done = ref false in
-  register_exit_flush (fun () ->
-      write_flight_bundle name;
-      if json && not !sweep_done then begin
-        let runs =
-          List.sort (fun (a, _) (b, _) -> compare a b) !completed
-        in
-        let path = Printf.sprintf "DIFF_%s.partial.json" name in
-        let open Bench_json in
-        write_json ~path
-          (Obj
-             [
-               ("name", Str name);
-               ("partial", Bool true);
-               ("scenario", Str scenario.Fault_scenario.sname);
-               ("seeds_requested", Int seeds);
-               ("seeds_done", Int (List.length runs));
-               ( "runs",
-                 Arr
-                   (List.map
-                      (fun (seed, r) ->
-                        Obj
-                          [
-                            ("seed", Int seed);
-                            ("steps_run", Int r.Silvm_diff.steps_run);
-                            ( "divergence",
-                              divergence_json r.Silvm_diff.divergence );
-                          ])
-                      runs) );
-             ]);
-        Printf.eprintf "partial JSON report written to %s\n%!" path
-      end);
-  let f i =
-    let r = run_one (Domain.DLS.get ctx_key) (i + 1) in
-    Mutex.lock completed_lock;
-    completed := (i + 1, r) :: !completed;
-    Mutex.unlock completed_lock;
-    r
+  let finished = ref false in
+  Option.iter
+    (fun path ->
+      register_exit_flush (fun () ->
+          if not !finished then begin
+            let runs =
+              List.sort (fun (a, _) (b, _) -> compare a b) !completed
+            in
+            let open Bench_json in
+            write_json ~path
+              (Obj
+                 (head
+                 @ [
+                     ("seeds_requested", Int seeds);
+                     ("seeds_done", Int (List.length runs));
+                     ("runs", Arr (List.map (fun (seed, r) -> row seed r) runs));
+                   ]));
+            Printf.eprintf "partial JSON report written to %s\n%!" path
+          end))
+    path;
+  let on_run seed r =
+    Mutex.protect lock (fun () -> completed := (seed, r) :: !completed)
   in
-  let reports =
-    if jobs <= 1 then Array.init seeds f
-    else
-      Exec_pool.with_pool ~workers:jobs (fun pool ->
-          Exec_pool.run_map pool seeds f)
-  in
-  sweep_done := true;
-  Printf.printf "model              : %s\n" name;
-  Printf.printf "fault scenario     : %s (seeds 1..%d)\n"
-    scenario.Fault_scenario.sname seeds;
-  Printf.printf "signals compared   : %d per step\n"
-    reports.(0).Silvm_diff.signals;
-  Printf.printf "steps per run      : %d\n" steps;
-  let t = Table.create [ "seed"; "result" ] in
-  Array.iteri
-    (fun i r ->
-      Table.add_row t
-        [
-          string_of_int (i + 1);
-          (match r.Silvm_diff.divergence with
-          | None -> "ok"
-          | Some d ->
-              Printf.sprintf "DIVERGENCE at step %d on %s port %d"
-                d.Silvm_diff.d_step d.Silvm_diff.d_block d.Silvm_diff.d_port);
-        ])
-    reports;
-  Table.print t;
-  let diverged =
-    Array.fold_left
-      (fun a r -> if r.Silvm_diff.divergence = None then a else a + 1)
-      0 reports
-  in
-  Printf.printf "divergences        : %d / %d\n" diverged seeds;
-  (if json then
-     let path = Printf.sprintf "DIFF_%s.json" name in
-     let open Bench_json in
-     write_json ~path
-       (Obj
-          [
-            ("name", Str name);
-            ("git_rev", Str (git_rev ()));
-            ("engine", Str (engine_name engine));
-            ("steps_requested", Int steps);
-            ("signals", Int reports.(0).Silvm_diff.signals);
-            ("float_ulp", Int ulp);
-            ("scenario", Str scenario.Fault_scenario.sname);
-            ("seeds", Int seeds);
-            ("divergences", Int diverged);
-            ( "runs",
-              Arr
-                (List.mapi
-                   (fun i r ->
-                     Obj
-                       [
-                         ("seed", Int (i + 1));
-                         ("steps_run", Int r.Silvm_diff.steps_run);
-                         ("divergence", divergence_json r.Silvm_diff.divergence);
-                       ])
-                   (Array.to_list reports)) );
-          ]);
-     Printf.printf "JSON report written to %s\n" path);
-  write_flight_bundle name;
-  if diverged = 0 then 0 else 1
+  (on_run, fun () -> finished := true)
 
 let diff mcu period fixed model_name steps ulp opt engine scenario_ref
     fault_seed seeds jobs json no_flight profile trace metrics =
   with_obs ~profile trace metrics @@ fun () ->
   enable_flight no_flight;
   let scenario = Option.map scenario_or_die scenario_ref in
-  let injector = Option.map (fun s -> injector_of s fault_seed) scenario in
-  let cfg =
-    (* fault scenarios exercise the supervisor's recovery paths *)
-    let c = config mcu period fixed in
-    if scenario = None then c else { c with Servo_system.with_supervisor = true }
-  in
   let float_mode = if ulp > 0 then Silvm_diff.Ulp ulp else Silvm_diff.Exact in
-  if seeds > 1 then
-    match scenario with
-    | None -> die "--seeds %d: a seed sweep varies the fault stream; give --scenario" seeds
-    | Some scn ->
-        diff_sweep ~cfg ~mcu ~float_mode ~opt ~engine ~steps ~ulp ~scenario:scn
-          ~seeds ~jobs ~json model_name
-  else
-  let fname = if model_name = "isr-demo" then "isr_demo" else model_name in
-  register_exit_flush (fun () -> write_flight_bundle fname);
-  Flight.begin_track ~id:fault_seed ~name:fname;
-  let name, report =
-    try
-      match model_name with
-      | "servo" ->
-          let built = build_or_fail cfg in
-          let comp = Compile.compile built.Servo_system.controller in
-          let plant = Servo_system.pil_plant built in
-          let driver = Servo_system.pil_driver built in
-          ( "servo",
-            Silvm_diff.run ~steps ~float_mode ~opt ~engine
-              ~plant:(Silvm_diff.Plant (plant, driver))
-              ?injector ~name:"servo" ~project:built.Servo_system.project comp )
-      | "isr-demo" ->
-          let m, project = Check.hazard_demo ~mcu () in
-          let comp = Compile.compile m in
-          (* deterministic sweep across the 12-bit ADC range *)
-          let stimulus k = [| k * 37 mod 4096 |] in
-          ( "isr_demo",
-            Silvm_diff.run ~steps ~float_mode ~opt ~engine ~stimulus ?injector
-              ~name:"isr_demo" ~project comp )
-      | other -> die "unknown model %S (choose servo or isr-demo)" other
+  let name = if model_name = "isr-demo" then "isr_demo" else model_name in
+  register_exit_flush (fun () -> write_flight_bundle name);
+  (* a bad size, model or configuration dies before any lock-step *)
+  let subject abort () =
+    match
+      Diff_subject.make ~config:(config mcu period fixed) ~steps ~float_mode
+        ~opt ~engine ?scenario model_name
+    with
+    | Ok s -> s
+    | Error (Diff_subject.Unknown_model m) ->
+        abort (Printf.sprintf "unknown model %S (choose servo or isr-demo)" m)
+    | exception (Supervise.Bad_request msg | Invalid_argument msg) -> abort msg
+  in
+  let run ?seed s =
+    try Diff_subject.run ?seed s
     with Target.Codegen_error msg -> die "code generation failed: %s" msg
   in
-  let rate t =
-    if t > 0.0 then float_of_int report.Silvm_diff.steps_run /. t else 0.0
+  let divergence_json = Diff_subject.divergence_json in
+  (* the fields are built only when a report is wanted: [git_rev] may
+     spawn git *)
+  let json_report fields =
+    if json then begin
+      let path = Printf.sprintf "DIFF_%s.json" name in
+      write_json ~path (Bench_json.Obj (fields ()));
+      Printf.printf "JSON report written to %s\n" path
+    end
   in
-  Printf.printf "model              : %s\n" name;
-  Printf.printf "engine             : %s\n" (engine_name engine);
-  (match scenario with
-  | Some s ->
-      Printf.printf "fault scenario     : %s (seed %d)\n" s.Fault_scenario.sname
-        fault_seed
-  | None -> ());
-  Printf.printf "signals compared   : %d per step\n" report.Silvm_diff.signals;
-  Printf.printf "steps              : %d / %d\n" report.Silvm_diff.steps_run
-    report.Silvm_diff.steps_requested;
-  Printf.printf "MIL rate           : %.0f steps/s\n"
-    (rate report.Silvm_diff.mil_seconds);
-  Printf.printf "SIL rate           : %.0f steps/s\n"
-    (rate report.Silvm_diff.sil_seconds);
-  (match report.Silvm_diff.divergence with
-  | None -> Printf.printf "result             : zero divergence\n"
-  | Some d ->
-      Printf.printf
-        "result             : DIVERGENCE at step %d (t=%g) on %s port %d\n"
-        d.Silvm_diff.d_step d.Silvm_diff.d_time d.Silvm_diff.d_block
-        d.Silvm_diff.d_port;
-      Printf.printf "                     MIL %s  vs  SIL %s\n"
-        d.Silvm_diff.d_mil d.Silvm_diff.d_sil;
-      if d.Silvm_diff.d_faults <> [] then
-        Printf.printf "                     active faults: %s\n"
-          (String.concat ", " d.Silvm_diff.d_faults));
-  (if json then
-     let path = Printf.sprintf "DIFF_%s.json" name in
-     let open Bench_json in
-     let divergence = divergence_json report.Silvm_diff.divergence in
-     write_json ~path
-       (Obj
+  let open Bench_json in
+  let code =
+    if seeds = 1 then begin
+      Flight.begin_track ~id:fault_seed ~name;
+      let report = run ~seed:fault_seed (subject (fun msg -> die "%s" msg) ()) in
+      let rate t =
+        if t > 0.0 then float_of_int report.Silvm_diff.steps_run /. t else 0.0
+      in
+      Printf.printf "model              : %s\n" name;
+      Printf.printf "engine             : %s\n" (Diff_subject.engine_name engine);
+      Option.iter
+        (fun s ->
+          Printf.printf "fault scenario     : %s (seed %d)\n"
+            s.Fault_scenario.sname fault_seed)
+        scenario;
+      Printf.printf "signals compared   : %d per step\n" report.Silvm_diff.signals;
+      Printf.printf "steps              : %d / %d\n" report.Silvm_diff.steps_run
+        report.Silvm_diff.steps_requested;
+      Printf.printf "MIL rate           : %.0f steps/s\n"
+        (rate report.Silvm_diff.mil_seconds);
+      Printf.printf "SIL rate           : %.0f steps/s\n"
+        (rate report.Silvm_diff.sil_seconds);
+      (match report.Silvm_diff.divergence with
+      | None -> Printf.printf "result             : zero divergence\n"
+      | Some d ->
+          Printf.printf
+            "result             : DIVERGENCE at step %d (t=%g) on %s port %d\n"
+            d.Silvm_diff.d_step d.Silvm_diff.d_time d.Silvm_diff.d_block
+            d.Silvm_diff.d_port;
+          Printf.printf "                     MIL %s  vs  SIL %s\n"
+            d.Silvm_diff.d_mil d.Silvm_diff.d_sil;
+          if d.Silvm_diff.d_faults <> [] then
+            Printf.printf "                     active faults: %s\n"
+              (String.concat ", " d.Silvm_diff.d_faults));
+      json_report (fun () ->
+        [
+          ("name", Str name);
+          ("git_rev", Str (git_rev ()));
+          ("engine", Str (Diff_subject.engine_name engine));
+          ("steps_requested", Int report.Silvm_diff.steps_requested);
+          ("steps_run", Int report.Silvm_diff.steps_run);
+          ("signals", Int report.Silvm_diff.signals);
+          ("float_ulp", Int ulp);
+          ( "scenario",
+            match scenario with
+            | Some s -> Str s.Fault_scenario.sname
+            | None -> Null );
+          ("mil_steps_per_s", Float (rate report.Silvm_diff.mil_seconds));
+          ("sil_steps_per_s", Float (rate report.Silvm_diff.sil_seconds));
+          ("divergence", divergence_json report.Silvm_diff.divergence);
+        ]);
+      if report.Silvm_diff.divergence = None then 0 else 1
+    end
+    else
+      (* the seed sweep: one run per fault seed 1..N; its table and
+         JSON carry no timing field, so they are identical whatever
+         --jobs is *)
+      let scn =
+        match scenario with
+        | Some s -> s
+        | None ->
+            die "--seeds %d: a seed sweep varies the fault stream; give --scenario"
+              seeds
+      in
+      let run_row seed r =
+        Obj
           [
-            ("name", Str name);
-            ("git_rev", Str (git_rev ()));
-            ("engine", Str (engine_name engine));
-            ("steps_requested", Int report.Silvm_diff.steps_requested);
-            ("steps_run", Int report.Silvm_diff.steps_run);
-            ("signals", Int report.Silvm_diff.signals);
-            ("float_ulp", Int ulp);
-            ( "scenario",
-              match scenario with
-              | Some s -> Str s.Fault_scenario.sname
-              | None -> Null );
-            ("mil_steps_per_s", Float (rate report.Silvm_diff.mil_seconds));
-            ("sil_steps_per_s", Float (rate report.Silvm_diff.sil_seconds));
-            ("divergence", divergence);
-          ]);
-     Printf.printf "JSON report written to %s\n" path);
+            ("seed", Int seed);
+            ("steps_run", Int r.Silvm_diff.steps_run);
+            ("divergence", divergence_json r.Silvm_diff.divergence);
+          ]
+      in
+      let on_run, finish =
+        partial_report
+          (if json then Some (Printf.sprintf "DIFF_%s.partial.json" name)
+           else None)
+          ~head:
+            [
+              ("name", Str name);
+              ("partial", Bool true);
+              ("scenario", Str scn.Fault_scenario.sname);
+            ]
+          ~seeds run_row
+      in
+      let abort msg = finish (); die "%s" msg in
+      let sweep =
+        try
+          Seed_sweep.with_jobs jobs @@ fun pool ->
+          Seed_sweep.run ?pool ~on_run ~seeds ~track:scn.Fault_scenario.sname
+            ~label:("diff:" ^ scn.Fault_scenario.sname)
+            ~subject:(subject abort) ~plan:ignore
+            (fun () s seed -> run ~seed s)
+        with Supervise.Bad_request msg -> abort msg
+      in
+      finish ();
+      (* without a policy every outcome is a report *)
+      let reports =
+        Array.to_list sweep.Seed_sweep.outcomes
+        |> List.map (fun (seed, o) -> (seed, Result.get_ok o.Supervise.result))
+      in
+      let signals = (snd (List.hd reports)).Silvm_diff.signals in
+      Printf.printf "model              : %s\n" name;
+      Printf.printf "fault scenario     : %s (seeds 1..%d)\n"
+        scn.Fault_scenario.sname seeds;
+      Printf.printf "signals compared   : %d per step\n" signals;
+      Printf.printf "steps per run      : %d\n" steps;
+      let t = Table.create [ "seed"; "result" ] in
+      List.iter
+        (fun (seed, r) ->
+          Table.add_row t
+            [
+              string_of_int seed;
+              (match r.Silvm_diff.divergence with
+              | None -> "ok"
+              | Some d ->
+                  Printf.sprintf "DIVERGENCE at step %d on %s port %d"
+                    d.Silvm_diff.d_step d.Silvm_diff.d_block d.Silvm_diff.d_port);
+            ])
+        reports;
+      Table.print t;
+      let diverged =
+        List.length
+          (List.filter (fun (_, r) -> r.Silvm_diff.divergence <> None) reports)
+      in
+      Printf.printf "divergences        : %d / %d\n" diverged seeds;
+      json_report (fun () ->
+        [
+          ("name", Str name);
+          ("git_rev", Str (git_rev ()));
+          ("engine", Str (Diff_subject.engine_name engine));
+          ("steps_requested", Int steps);
+          ("signals", Int signals);
+          ("float_ulp", Int ulp);
+          ("scenario", Str scn.Fault_scenario.sname);
+          ("seeds", Int seeds);
+          ("divergences", Int diverged);
+          ("runs", Arr (List.map (fun (seed, r) -> run_row seed r) reports));
+        ]);
+      if diverged = 0 then 0 else 1
+  in
   write_flight_bundle name;
-  match report.Silvm_diff.divergence with None -> 0 | Some _ -> 1
+  code
 
 let diff_cmd =
   let model_arg =
@@ -671,7 +594,8 @@ let diff_cmd =
   let steps =
     Arg.(
       value & opt int 1000
-      & info [ "steps" ] ~docv:"N" ~doc:"Lock-steps to compare (default 1000).")
+      & info [ "steps" ] ~docv:"N"
+          ~doc:"Lock-steps to compare, $(docv) >= 0 (default 1000).")
   in
   let ulp =
     Arg.(
@@ -689,14 +613,7 @@ let diff_cmd =
   let engine =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("compiled", Silvm_diff.Compiled);
-               ("interp", Silvm_diff.Interp);
-               ("both", Silvm_diff.Both);
-             ])
-          Silvm_diff.Compiled
+      & opt (enum Diff_subject.engines) Silvm_diff.Compiled
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "SIL execution engine: $(b,compiled) (closure-compiled, the \
@@ -727,9 +644,10 @@ let diff_cmd =
       value & opt int 1
       & info [ "seeds" ] ~docv:"N"
           ~doc:
-            "Sweep the differential run over fault seeds 1..$(docv) \
-             (default 1: one run with --fault-seed). Needs --scenario; \
-             shard across domains with --jobs.")
+            "Sweep the differential run over fault seeds 1..$(docv), \
+             $(docv) >= 1 (default 1: one run with --fault-seed). More \
+             than one needs --scenario; shard across domains with \
+             --jobs.")
   in
   Cmd.v
     (Cmd.info "diff"
@@ -750,19 +668,6 @@ let diff_cmd =
 let validate_chaos () =
   try ignore (Supervise.Chaos.enabled ())
   with Invalid_argument msg -> die "%s" msg
-
-(* Per-job exit-code semantics, documented in `ecsd serve --help`:
-   0 success, 1 job-criterion failure (divergence / unrecovered run),
-   2 bad request, 3 deadline timeout, 4 crash, 5 poisoned (retries
-   exhausted), 6 shed (refused or killed). The serve process itself
-   exits 0 after a clean drain. *)
-let supervised_exit = function
-  | Supervise.Timeout _ -> 3
-  | Supervise.Crashed (Supervise.Bad_request _) -> 2
-  | Supervise.Crashed _ -> 4
-  | Supervise.Transient _ -> 4
-  | Supervise.Poisoned _ -> 5
-  | Supervise.Shed -> 6
 
 let policy_of_flags ~deadline_s ~retries =
   {
@@ -825,66 +730,47 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
              ~scenario ())
       with Invalid_argument msg -> die "%s" msg
     in
-    (* completed runs accumulate so a `die` mid-campaign still leaves a
-       partial report on disk, next to any flight bundle *)
-    let want_json = json || json_out <> None in
-    let completed_lock = Mutex.create () in
-    let completed = ref [] in
-    let campaign_done = ref false in
-    let on_run rr =
-      Mutex.lock completed_lock;
-      completed := rr :: !completed;
-      Mutex.unlock completed_lock
+    register_exit_flush (fun () -> write_flight_bundle model_name);
+    (* the campaign JSON, and the partial one a `die` mid-campaign leaves *)
+    let json_path, partial_path =
+      match (json, json_out) with
+      | false, None -> (None, None)
+      | _, Some p -> (Some p, Some (p ^ ".partial"))
+      | true, None ->
+          ( Some (Printf.sprintf "FAULT_%s.json" model_name),
+            Some (Printf.sprintf "FAULT_%s.partial.json" model_name) )
     in
-    register_exit_flush (fun () ->
-        write_flight_bundle model_name;
-        if want_json && not !campaign_done then begin
-          let runs =
-            List.sort
-              (fun (a : Fault_campaign.run_result) b ->
-                compare a.Fault_campaign.seed b.Fault_campaign.seed)
-              !completed
-          in
-          let path =
-            match json_out with
-            | Some p -> p ^ ".partial"
-            | None -> Printf.sprintf "FAULT_%s.partial.json" model_name
-          in
-          let open Bench_json in
-          let opt_f = function Some s -> Float s | None -> Null in
-          write_json ~path
-            (Obj
-               [
-                 ("partial", Bool true);
-                 ("model", Str model_name);
-                 ("scenario", Str scenario.Fault_scenario.sname);
-                 ("seeds_requested", Int seeds);
-                 ("seeds_done", Int (List.length runs));
-                 ( "runs",
-                   Arr
-                     (List.map
-                        (fun (r : Fault_campaign.run_result) ->
-                          Obj
-                            [
-                              ("seed", Int r.Fault_campaign.seed);
-                              ("detection_s", opt_f r.Fault_campaign.detection_s);
-                              ("recovery_s", opt_f r.Fault_campaign.recovery_s);
-                              ("wdog_bites", Int r.Fault_campaign.wdog_bites);
-                            ])
-                        runs) );
-               ]);
-          Printf.eprintf "partial JSON report written to %s\n%!" path
-        end);
+    let on_run, finish =
+      let open Bench_json in
+      let opt_f = function Some s -> Float s | None -> Null in
+      partial_report partial_path
+        ~head:
+          [
+            ("partial", Bool true);
+            ("model", Str model_name);
+            ("scenario", Str scenario.Fault_scenario.sname);
+          ]
+        ~seeds
+        (fun seed (r : Fault_campaign.run_result) ->
+          Obj
+            [
+              ("seed", Int seed);
+              ("detection_s", opt_f r.Fault_campaign.detection_s);
+              ("recovery_s", opt_f r.Fault_campaign.recovery_s);
+              ("wdog_bites", Int r.Fault_campaign.wdog_bites);
+            ])
+    in
     let r =
-      if jobs <= 1 then
-        Fault_campaign.run ~t_end ~seeds ~scenario ~on_run ?policy
-          (mk_subject ())
-      else
-        Exec_pool.with_pool ~workers:jobs (fun pool ->
-            Fault_campaign.run_parallel ~t_end ~seeds ~pool ~scenario ~on_run
-              ?policy mk_subject)
+      try
+        Seed_sweep.with_jobs jobs @@ fun pool ->
+        Fault_campaign.sweep ~t_end ~seeds ?pool ~scenario
+          ~on_run:(fun rr -> on_run rr.Fault_campaign.seed rr)
+          ?policy mk_subject
+      with Supervise.Bad_request msg ->
+        finish ();
+        die "%s" msg
     in
-    campaign_done := true;
+    finish ();
     Printf.printf "model              : %s\n" model_name;
     Printf.printf "scenario           : %s\n" r.Fault_campaign.scenario.Fault_scenario.sname;
     List.iter
@@ -931,16 +817,11 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
     let recovered = Fault_campaign.all_recovered r in
     Printf.printf "detected           : %s\n" (if detected then "all runs" else "NOT ALL");
     Printf.printf "recovered          : %s\n" (if recovered then "all runs" else "NOT ALL");
-    (match (json, json_out) with
-    | false, None -> ()
-    | _ ->
-        let path =
-          match json_out with
-          | Some p -> p
-          | None -> Printf.sprintf "FAULT_%s.json" model_name
-        in
+    Option.iter
+      (fun path ->
         write_json ~path (Fault_campaign.to_json ~model:model_name r);
-        Printf.printf "JSON report written to %s\n" path);
+        Printf.printf "JSON report written to %s\n" path)
+      json_path;
     write_flight_bundle model_name;
     if recovered && r.Fault_campaign.failures = [] then 0 else 1
 
@@ -964,12 +845,17 @@ let faultsim_cmd =
     Arg.(
       value & opt int 5
       & info [ "seeds" ] ~docv:"N"
-          ~doc:"Campaign size: one run per seed 1..$(docv) (default 5).")
+          ~doc:
+            "Campaign size: one run per seed 1..$(docv), $(docv) >= 1 \
+             (default 5).")
   in
   let t_end =
     Arg.(
       value & opt float 2.0
-      & info [ "t-end" ] ~docv:"SECONDS" ~doc:"Length of each run (default 2 s).")
+      & info [ "t-end" ] ~docv:"SECONDS"
+          ~doc:
+            "Length of each run (default 2 s): finite, and at least one \
+             control period once rounded to whole steps.")
   in
   let list_scn =
     Arg.(
@@ -1023,11 +909,6 @@ let faultsim_cmd =
    in submission order (a reorder buffer holds finished jobs whose
    predecessors are still running), so the output is a deterministic
    function of the input whatever the pool schedule does. *)
-
-let serve_usage =
-  "faultsim SCENARIO [SEEDS [T_END]]  |  diff MODEL [STEPS [SCENARIO [SEED \
-   [ENGINE]]]]  |  stats  (SCENARIO '-' = none; ENGINE \
-   compiled|interp|both)"
 
 let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
     queue_hw =
@@ -1093,79 +974,6 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
     Mutex.unlock lock
   in
   let open Bench_json in
-  (* runtime request errors (unknown scenario/model) are bad requests:
-     classified, never retried, worker survives *)
-  let scenario_or_fail s =
-    match Fault_scenario.find s with
-    | Ok scn -> scn
-    | Error e -> raise (Supervise.Bad_request e)
-  in
-  let run_faultsim scn_ref seeds t_end =
-    let scenario = scenario_or_fail scn_ref in
-    let subject, _ =
-      Servo_system.faultsim_subject ~config:cfg ~scenario ()
-    in
-    let r = Fault_campaign.run ~t_end ~seeds ~scenario subject in
-    let recovered = Fault_campaign.all_recovered r in
-    [
-      ("job", Str "faultsim");
-      ("scenario", Str r.Fault_campaign.scenario.Fault_scenario.sname);
-      ("seeds", Int seeds);
-      ("t_end", Float r.Fault_campaign.t_end);
-      ("all_detected", Bool (Fault_campaign.all_detected r));
-      ("all_recovered", Bool recovered);
-      ( "wdog_bites",
-        Int
-          (List.fold_left
-             (fun a x -> a + x.Fault_campaign.wdog_bites)
-             0 r.Fault_campaign.runs) );
-      ("wall_s", Float r.Fault_campaign.wall_s);
-      ("exit", Int (if recovered then 0 else 1));
-    ]
-  in
-  let run_diff model steps scn_ref seed engine =
-    let scenario = Option.map scenario_or_fail scn_ref in
-    let injector = Option.map (fun s -> injector_of s seed) scenario in
-    let dcfg =
-      if scenario = None then cfg
-      else { cfg with Servo_system.with_supervisor = true }
-    in
-    let name, report =
-      match model with
-      | "servo" ->
-          let built = Servo_system.build ~config:dcfg () in
-          let comp = Compile_cache.compile built.Servo_system.controller in
-          let plant = Servo_system.pil_plant built in
-          let driver = Servo_system.pil_driver built in
-          ( "servo",
-            Silvm_diff.run ~steps ~float_mode:Silvm_diff.Exact ~engine
-              ~plant:(Silvm_diff.Plant (plant, driver))
-              ?injector ~name:"servo" ~project:built.Servo_system.project comp
-          )
-      | "isr-demo" ->
-          let m, project = Check.hazard_demo ~mcu () in
-          let comp = Compile_cache.compile m in
-          let stimulus k = [| k * 37 mod 4096 |] in
-          ( "isr_demo",
-            Silvm_diff.run ~steps ~float_mode:Silvm_diff.Exact ~engine ~stimulus
-              ?injector ~name:"isr_demo" ~project comp )
-      | other ->
-          raise (Supervise.Bad_request (Printf.sprintf "unknown model %S" other))
-    in
-    let ok = report.Silvm_diff.divergence = None in
-    [
-      ("job", Str "diff");
-      ("model", Str name);
-      ("engine", Str (engine_name engine));
-      ("steps_run", Int report.Silvm_diff.steps_run);
-      ( "scenario",
-        match scenario with
-        | Some s -> Str s.Fault_scenario.sname
-        | None -> Null );
-      ("divergence", divergence_json report.Silvm_diff.divergence);
-      ("exit", Int (if ok then 0 else 1));
-    ]
-  in
   (* live introspection of the metrics registry, as a queue job so it
      serialises with the real work in submission order *)
   let run_stats () =
@@ -1205,67 +1013,6 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
       ("exit", Int 0);
     ]
   in
-  (* Malformed lines are rejected at parse time — numeric arguments
-     validate eagerly, so a bad count never reaches a worker — and
-     reported as structured bad-request records instead of a free-form
-     failwith string. *)
-  let parse_job line =
-    let usage what = Error (Printf.sprintf "%s (expected: %s)" what serve_usage) in
-    let int_arg what s k =
-      match int_of_string_opt s with
-      | Some v -> k v
-      | None -> usage (Printf.sprintf "bad %s %S" what s)
-    in
-    let float_arg what s k =
-      match float_of_string_opt s with
-      | Some v -> k v
-      | None -> usage (Printf.sprintf "bad %s %S" what s)
-    in
-    match
-      String.split_on_char ' ' line
-      |> List.filter (fun s -> String.trim s <> "")
-    with
-    | [ "stats" ] -> Ok (fun () -> run_stats ())
-    | [ "faultsim"; scn ] -> Ok (fun () -> run_faultsim scn 5 2.0)
-    | [ "faultsim"; scn; seeds ] ->
-        int_arg "seed count" seeds @@ fun seeds ->
-        Ok (fun () -> run_faultsim scn seeds 2.0)
-    | [ "faultsim"; scn; seeds; t_end ] ->
-        int_arg "seed count" seeds @@ fun seeds ->
-        float_arg "t_end" t_end @@ fun t_end ->
-        Ok (fun () -> run_faultsim scn seeds t_end)
-    | [ "diff"; model ] ->
-        Ok (fun () -> run_diff model 1000 None 1 Silvm_diff.Compiled)
-    | [ "diff"; model; steps ] ->
-        int_arg "step count" steps @@ fun steps ->
-        Ok (fun () -> run_diff model steps None 1 Silvm_diff.Compiled)
-    | [ "diff"; model; steps; scn ] ->
-        let scn = if scn = "-" then None else Some scn in
-        int_arg "step count" steps @@ fun steps ->
-        Ok (fun () -> run_diff model steps scn 1 Silvm_diff.Compiled)
-    | [ "diff"; model; steps; scn; seed ] ->
-        let scn = if scn = "-" then None else Some scn in
-        int_arg "step count" steps @@ fun steps ->
-        int_arg "seed" seed @@ fun seed ->
-        Ok (fun () -> run_diff model steps scn seed Silvm_diff.Compiled)
-    | [ "diff"; model; steps; scn; seed; eng ] -> (
-        let scn = if scn = "-" then None else Some scn in
-        int_arg "step count" steps @@ fun steps ->
-        int_arg "seed" seed @@ fun seed ->
-        match engine_of_name eng with
-        | Some engine -> Ok (fun () -> run_diff model steps scn seed engine)
-        | None -> usage (Printf.sprintf "bad engine %S (compiled|interp|both)" eng))
-    | _ -> usage "bad job line"
-  in
-  let error_fields ~job ~attempts err =
-    [
-      ("job", Str job);
-      ("class", Str (Supervise.error_class err));
-      ("error", Str (Supervise.error_message err));
-      ("attempts", Int attempts);
-      ("exit", Int (supervised_exit err));
-    ]
-  in
   let submit_job id line =
     Mutex.lock lock;
     incr pending;
@@ -1274,24 +1021,7 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
         Flight.begin_track ~id ~name:line;
         let t_start = Obs.now_ns () in
         let fields =
-          match parse_job line with
-          | Error msg ->
-              error_fields ~job:"error" ~attempts:0
-                (Supervise.Crashed (Supervise.Bad_request msg))
-          | Ok thunk -> (
-              (* the supervised envelope: deadline, retry/backoff,
-                 chaos, kill-on-second-signal; never raises, so the
-                 worker always survives the job *)
-              let o = Supervise.supervise ~policy ~killed ~label:line thunk in
-              match o.Supervise.result with
-              | Ok fields ->
-                  if o.Supervise.attempts > 1 then
-                    fields @ [ ("attempts", Int o.Supervise.attempts) ]
-                  else fields
-              | Error (Supervise.Shed as err) ->
-                  error_fields ~job:"shed" ~attempts:o.Supervise.attempts err
-              | Error err ->
-                  error_fields ~job:"error" ~attempts:o.Supervise.attempts err)
+          Serve_job.run ~policy ~killed ~config:cfg ~stats:run_stats line
         in
         Obs.record_named "serve.job_s" ((Obs.now_ns () -. t_start) *. 1e-9);
         (* publish before emit so the heartbeat taken there (and any
@@ -1312,7 +1042,7 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
       (to_string
          (Obj
             (("id", Int id)
-            :: error_fields ~job:"shed" ~attempts:0 Supervise.Shed)))
+            :: Serve_job.error_fields ~job:"shed" ~attempts:0 Supervise.Shed)))
   in
   let admit id line =
     let backlog =
@@ -1444,7 +1174,7 @@ let serve_cmd =
        ~doc:
          "Campaign queue mode: read jobs from stdin (one per line: \
           $(b,faultsim SCENARIO [SEEDS [T_END]]), $(b,diff MODEL [STEPS \
-          [SCENARIO [SEED]]]) or $(b,stats)), run them on a work-stealing \
+          [SCENARIO [SEED [ENGINE]]]]) or $(b,stats)), run them on a work-stealing \
           domain pool and stream one JSON result line per job on stdout, \
           in submission order. Blank lines and $(b,#) comments are \
           skipped. Every job runs supervised: $(b,--deadline-s) bounds \
@@ -1520,7 +1250,7 @@ let analyze_cmd =
 
 let check_models = [ "servo"; "closed-loop"; "plant"; "isr-demo" ]
 
-(* Several models shard over a domain pool like `diff --sweep`: each
+(* Several models shard over a domain pool like `diff --seeds`: each
    worker builds its own model (compiles dedup through the cache) and
    the reports print in argument order, so stdout and the JSON file are
    byte-identical whatever --jobs is. *)

@@ -48,9 +48,6 @@ let disarm subject = Sim.set_fault_hook subject.sim None
 
 let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
   Sim.reset subject.sim;
-  (* the seed is the forensic track id: whichever domain executes this
-     run, its events and any failure capture belong to the seed *)
-  Flight.begin_track ~id:seed ~name:scenario.Fault_scenario.sname;
   let inj = arm subject ~seed scenario in
   let machine = Machine.create subject.mcu in
   let wdog = Wdog_periph.create machine ~timeout:wdog_timeout () in
@@ -129,52 +126,36 @@ let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
     wdog_bites;
   }
 
-(* wall_s is the one timing-dependent field of the campaign document;
-   ECSD_WALL_ZERO=1 zeroes it so CI can assert a --jobs N report
-   byte-identical to the --jobs 1 one with plain cmp. *)
-let wall s =
-  match Sys.getenv_opt "ECSD_WALL_ZERO" with
-  | None | Some "" -> s
-  | Some _ -> 0.0
-
-(* One supervised (or raw) per-seed run. Without a policy the run is
-   executed bare and any exception propagates — the historical abort
-   behaviour. With a policy, deadlines / retries / chaos apply and the
-   outcome is a record, never an exception, so a campaign degrades to
-   per-seed failure rows instead of dying. The label feeds the chaos
-   and jitter hashes, so a given (seed, attempt) fails the same way on
-   every schedule. *)
-let supervised_one ?policy subject ~scenario ~seed ~steps ~period ~t_end
-    ~wdog_timeout =
-  let go () =
-    one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout
+let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?pool
+    ~scenario mk_subject =
+  let name = scenario.Fault_scenario.sname in
+  (* the run sizes, from the subject's control period *)
+  let plan subject =
+    let period = Sim.base_dt subject.sim in
+    let steps = int_of_float ((t_end /. period) +. 0.5) in
+    if (not (Float.is_finite t_end)) || steps < 1 then
+      Seed_sweep.bad_request
+        "t_end must be finite and span at least one %g s step, got %g"
+        period t_end;
+    let wdog_timeout = Option.value wdog_timeout ~default:(8.0 *. period) in
+    (period, steps, wdog_timeout)
   in
-  match policy with
-  | None -> { Supervise.result = Ok (go ()); attempts = 1 }
-  | Some policy ->
-      Supervise.supervise ~policy
-        ~label:
-          (Printf.sprintf "faultsim:%s:seed%d" scenario.Fault_scenario.sname
-             seed)
-        go
-
-let merge ~scenario ~t_end ~period ~steps ~wall_s outcomes =
-  let runs =
-    List.filter_map
-      (fun (_, o) ->
-        match o.Supervise.result with Ok r -> Some r | Error _ -> None)
-      outcomes
+  let s =
+    Seed_sweep.run ?pool ?policy
+      ?on_run:(Option.map (fun f _ r -> f r) on_run)
+      ~seeds ~track:name ~label:("faultsim:" ^ name) ~subject:mk_subject ~plan
+      (fun (period, steps, wdog_timeout) subject seed ->
+        one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout)
   in
-  let failures =
-    List.filter_map
+  let period, steps, _ = s.Seed_sweep.plan in
+  let outcomes = Array.to_list s.Seed_sweep.outcomes in
+  let runs, failures =
+    List.partition_map
       (fun (seed, o) ->
         match o.Supervise.result with
-        | Error e -> Some (seed, e)
-        | Ok _ -> None)
+        | Ok r -> Either.Left r
+        | Error e -> Either.Right (seed, e))
       outcomes
-  in
-  let retries_total =
-    List.fold_left (fun a (_, o) -> a + o.Supervise.attempts - 1) 0 outcomes
   in
   {
     scenario;
@@ -182,70 +163,18 @@ let merge ~scenario ~t_end ~period ~steps ~wall_s outcomes =
     period;
     runs;
     failures;
-    retries_total;
+    retries_total =
+      List.fold_left (fun a (_, o) -> a + o.Supervise.attempts - 1) 0 outcomes;
     steps_per_run = steps;
-    wall_s;
+    (* the one timing-dependent field of the campaign document:
+       ECSD_WALL_ZERO=1 zeroes it so CI can assert a --jobs N report
+       byte-identical to the --jobs 1 one with plain cmp *)
+    wall_s = Telemetry.wall s.Seed_sweep.wall_s;
   }
 
-let run ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ~scenario
-    subject =
-  let period = Sim.base_dt subject.sim in
-  let wdog_timeout =
-    match wdog_timeout with Some t -> t | None -> 8.0 *. period
-  in
-  let steps = int_of_float ((t_end /. period) +. 0.5) in
-  let t0 = Obs.now_ns () in
-  let outcomes =
-    List.init seeds (fun i ->
-        let seed = i + 1 in
-        let o =
-          supervised_one ?policy subject ~scenario ~seed ~steps ~period ~t_end
-            ~wdog_timeout
-        in
-        (match (o.Supervise.result, on_run) with
-        | Ok r, Some f -> f r
-        | _ -> ());
-        (seed, o))
-  in
-  let wall_s = wall ((Obs.now_ns () -. t0) *. 1e-9) in
-  merge ~scenario ~t_end ~period ~steps ~wall_s outcomes
-
-let run_parallel ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy
-    ~pool ~scenario mk_subject =
-  (* Every domain — workers and this one — lazily builds its own
-     subject: Sim state is mutable and must stay domain-local. The
-     probe below runs on the calling domain, warming the compile cache
-     so the workers' builds dedup against it; per-seed runs are then
-     sharded by [Exec_pool.run_map], whose results land in index order,
-     so the merged report is identical to the sequential one (runs are
-     seed-deterministic and independent — [one_run] starts from
-     [Sim.reset]) no matter which domain computed what. *)
-  let subj_key = Domain.DLS.new_key mk_subject in
-  let period, steps, wdog_timeout =
-    let probe = Domain.DLS.get subj_key in
-    let period = Sim.base_dt probe.sim in
-    let wdog_timeout =
-      match wdog_timeout with Some t -> t | None -> 8.0 *. period
-    in
-    (period, int_of_float ((t_end /. period) +. 0.5), wdog_timeout)
-  in
-  let t0 = Obs.now_ns () in
-  let outcomes =
-    Exec_pool.run_map pool seeds (fun i ->
-        let subject = Domain.DLS.get subj_key in
-        let seed = i + 1 in
-        let o =
-          supervised_one ?policy subject ~scenario ~seed ~steps ~period ~t_end
-            ~wdog_timeout
-        in
-        (* called from worker domains: the callback must synchronize *)
-        (match (o.Supervise.result, on_run) with
-        | Ok r, Some f -> f r
-        | _ -> ());
-        (seed, o))
-  in
-  let wall_s = wall ((Obs.now_ns () -. t0) *. 1e-9) in
-  merge ~scenario ~t_end ~period ~steps ~wall_s (Array.to_list outcomes)
+let run ?t_end ?seeds ?wdog_timeout ?on_run ?policy ~scenario subject =
+  sweep ?t_end ?seeds ?wdog_timeout ?on_run ?policy ~scenario (fun () ->
+      subject)
 
 let throughput ?scenario ~steps subject =
   Sim.reset subject.sim;
@@ -264,23 +193,15 @@ let throughput ?scenario ~steps subject =
 let all_detected r = List.for_all (fun x -> x.detected) r.runs
 let all_recovered r = List.for_all (fun x -> x.recovered) r.runs
 
-let stats xs =
-  match xs with
-  | [] -> None
-  | x :: rest ->
-      let lo, hi, sum =
-        List.fold_left
-          (fun (lo, hi, s) v -> (Float.min lo v, Float.max hi v, s +. v))
-          (x, x, x) rest
-      in
-      Some (lo, sum /. float_of_int (List.length xs), hi)
-
-let json_stats xs =
-  let open Bench_json in
-  match stats xs with
-  | None -> Null
-  | Some (lo, mean, hi) ->
-      Obj [ ("min", Float lo); ("mean", Float mean); ("max", Float hi) ]
+let json_stats = function
+  | [] -> Bench_json.Null
+  | xs ->
+      let s = Stats.summarize xs in
+      let open Bench_json in
+      Obj
+        [
+          ("min", Float s.Stats.min); ("mean", Float s.mean); ("max", Float s.max);
+        ]
 
 let to_json ~model r =
   let open Bench_json in

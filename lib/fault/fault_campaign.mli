@@ -60,6 +60,45 @@ val arm : subject -> ?seed:int -> Fault_scenario.t -> Fault_inject.t
 
 val disarm : subject -> unit
 
+val sweep :
+  ?t_end:float ->
+  ?seeds:int ->
+  ?wdog_timeout:float ->
+  ?on_run:(run_result -> unit) ->
+  ?policy:Supervise.policy ->
+  ?pool:Exec_pool.t ->
+  scenario:Fault_scenario.t ->
+  (unit -> subject) ->
+  result
+(** Run the campaign through {!Seed_sweep.run}: [seeds] runs (seeds
+    1..N, default 5) of [t_end] seconds (default 2.0) each, every run
+    starting from a reset simulation. [wdog_timeout] defaults to 8
+    control periods. The watchdog is serviced once per control step
+    unless the scenario suppresses it; injected overruns stretch the
+    step's cycle budget so a long enough burst starves the watchdog
+    exactly as it would on the bench.
+
+    - Without [pool] every run uses one subject built on this domain.
+      With [pool] the seeds shard over the pool's workers, each domain
+      building its own subject through the factory (the compile inside
+      dedups through {!Compile_cache}). Results merge in seed order, so
+      the report equals the sequential one field-for-field except
+      [wall_s] (set [ECSD_WALL_ZERO=1] to zero that too and compare
+      bytes).
+    - [on_run] fires after each completed run, on the domain that ran
+      it (it must synchronize its own state) — the CLI uses it to keep a
+      partial report it can flush if a later run dies.
+    - [policy] turns on supervised execution: each seed's run gets a
+      {!Supervise} deadline/retry envelope (and any configured chaos), a
+      failing seed lands in [failures] instead of aborting the campaign,
+      and [on_run] fires only for successful runs. Supervised outcomes
+      (chaos decisions, backoff jitter) are pure functions of (seed,
+      attempt), so the report stays byte-identical across pool sizes.
+      Without a [policy] any exception propagates.
+
+    @raise Supervise.Bad_request when [seeds < 1], or when [t_end] is
+    not finite or shorter than one control period. *)
+
 val run :
   ?t_end:float ->
   ?seeds:int ->
@@ -69,44 +108,7 @@ val run :
   scenario:Fault_scenario.t ->
   subject ->
   result
-(** Run the campaign: [seeds] runs (seeds 1..N, default 5) of [t_end]
-    seconds (default 2.0) each, resetting the simulation between runs.
-    [wdog_timeout] defaults to 8 control periods. The watchdog is
-    serviced once per control step unless the scenario suppresses it;
-    injected overruns stretch the step's cycle budget so a long enough
-    burst starves the watchdog exactly as it would on the bench.
-    [on_run] fires after each completed run — the CLI uses it to keep a
-    partial report it can flush if a later run dies.
-
-    [policy] turns on supervised execution: each seed's run gets a
-    {!Supervise} deadline/retry envelope (and any configured chaos),
-    a failing seed lands in [failures] instead of aborting the
-    campaign, and [on_run] fires only for successful runs. Without a
-    [policy] any exception propagates, as before. *)
-
-val run_parallel :
-  ?t_end:float ->
-  ?seeds:int ->
-  ?wdog_timeout:float ->
-  ?on_run:(run_result -> unit) ->
-  ?policy:Supervise.policy ->
-  pool:Exec_pool.t ->
-  scenario:Fault_scenario.t ->
-  (unit -> subject) ->
-  result
-(** {!run} sharded across a work-stealing domain pool: the seed range
-    splits over the pool's workers, each domain lazily building its own
-    subject through [mk_subject] (simulation state is mutable and must
-    stay domain-local — the compile inside dedups through
-    {!Compile_cache}). Per-seed runs are independent and
-    seed-deterministic, and results merge in seed order, so the report
-    equals the sequential one field-for-field except [wall_s]
-    (set [ECSD_WALL_ZERO=1] to zero that too and compare bytes).
-    [on_run] fires on the worker domain that completed the run and must
-    synchronize its own state. [policy] is as in {!run}; supervised
-    outcomes (including chaos decisions and backoff jitter) are pure
-    functions of (seed, attempt), so the supervised report stays
-    byte-identical across [--jobs] settings. *)
+(** {!sweep} on this domain, over the one given subject. *)
 
 val throughput : ?scenario:Fault_scenario.t -> steps:int -> subject -> float
 (** Steps per second over a fresh run, armed with [scenario] when given

@@ -615,6 +615,16 @@ let call m fname args =
   m.fuel <- loop_fuel_budget;
   call_fn m fname args
 
+(* [call m fname []] with the function resolved once (a nullary void
+   function; anything else goes through [call]) *)
+let entry m fname =
+  match Hashtbl.find_opt m.funcs fname with
+  | Some (f, body) when f.C_ast.args = [] && f.C_ast.ret = C_ast.Void ->
+      fun () ->
+        m.fuel <- loop_fuel_budget;
+        ignore (exec_list m { cells = Hashtbl.create 16; locals = [] } body)
+  | _ -> fun () -> ignore (call m fname [])
+
 let read m p = eval m (no_frame ()) (Mir.Load p)
 let write m p v = write_cell m.mode (cell_of m (no_frame ()) p) v
 

@@ -26,10 +26,12 @@ type t = {
   name : string;
   comp : Compile.t;
   arts : Target.artifacts;
-  events : (int * string) list;
+  step_fn : unit -> unit;  (** [<name>_step], resolved at [create] *)
+  events : (int * (unit -> unit)) list;
       (** rate divisor, group function to fire after the step (bean
           event ISRs; fired at the event block's rate, mirroring the
-          immediate-and-atomic group execution of the MIL engine) *)
+          immediate-and-atomic group execution of the MIL engine),
+          resolved at [create] *)
   mutable steps : int;
   mutable time : float;
 }
@@ -46,20 +48,23 @@ let divisor comp b =
       Some (int_of_float (Float.round (period /. comp.Compile.base_dt)))
   | _ -> None
 
-let has_func app fn =
-  match app.backend with
+let has_func backend fn =
+  match backend with
   | Interp m -> Mir_eval.has_func m fn
   | Compiled { code; _ } -> Silvm_compile.has_func code fn
 
-let register_external app fn f =
-  match app.backend with
+let register_external backend fn f =
+  match backend with
   | Interp m -> Mir_eval.register_external m fn f
   | Compiled { st; _ } -> Silvm_compile.register_external st fn f
 
-let call app fn args =
-  match app.backend with
-  | Interp m -> ignore (Mir_eval.call m fn args)
-  | Compiled { code; st; _ } -> ignore (Silvm_compile.call code st fn args)
+(* a nullary model function as a callable, looked up once *)
+let entry backend fn =
+  match backend with
+  | Interp m -> Mir_eval.entry m fn
+  | Compiled { code; st } ->
+      let f = Silvm_compile.entry code fn in
+      fun () -> f st
 
 let u16 = { Mir.bits = 16; signed = false }
 
@@ -94,26 +99,6 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
         Compiled { code; st = Silvm_compile.instantiate code }
   in
   let m = comp.Compile.model in
-  let app =
-    { backend; name; comp; arts; events = []; steps = 0; time = 0.0 }
-  in
-  (* free-running counter beans read the clock through an external *)
-  List.iter
-    (fun b ->
-      let spec = Model.spec_of m b in
-      if String.equal spec.Block.kind "PE_FreeCntr" then
-        match
-          ( List.assoc_opt "bean" spec.Block.params,
-            List.assoc_opt "tick" spec.Block.params )
-        with
-        | Some (Param.String bean), Some (Param.Float tick) ->
-            register_external app (bean ^ "_GetCounterValue") (fun _ ->
-                let count =
-                  int_of_float (Float.floor (app.time /. tick)) land 0xFFFF
-                in
-                Mir_eval.Vi (u16, Int64.of_int count))
-        | _ -> ())
-    (Model.blocks m);
   (* bean events wired to function-call groups: the generated ISR body
      is a call to the group function *)
   let events =
@@ -128,38 +113,62 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
                      Printf.sprintf "%s_%s" name
                        (Blockgen.sanitize (Model.group_name m g))
                    in
-                   if has_func app fn then
-                     Option.map (fun d -> (d, fn)) (divisor comp b)
+                   if has_func backend fn then
+                     Option.map
+                       (fun d -> (d, entry backend fn))
+                       (divisor comp b)
                    else None
                | None -> None))
       (Model.blocks m)
   in
-  { app with events }
+  let step_fn = entry backend (name ^ "_step") in
+  let app =
+    { backend; name; comp; arts; step_fn; events; steps = 0; time = 0.0 }
+  in
+  (* free-running counter beans read the clock through an external *)
+  List.iter
+    (fun b ->
+      let spec = Model.spec_of m b in
+      if String.equal spec.Block.kind "PE_FreeCntr" then
+        match
+          ( List.assoc_opt "bean" spec.Block.params,
+            List.assoc_opt "tick" spec.Block.params )
+        with
+        | Some (Param.String bean), Some (Param.Float tick) ->
+            register_external backend (bean ^ "_GetCounterValue") (fun _ ->
+                let count =
+                  int_of_float (Float.floor (app.time /. tick)) land 0xFFFF
+                in
+                Mir_eval.Vi (u16, Int64.of_int count))
+        | _ -> ())
+    (Model.blocks m);
+  app
 
 let initialize app =
   app.steps <- 0;
   app.time <- 0.0;
-  call app (app.name ^ "_initialize") []
+  entry app.backend (app.name ^ "_initialize") ()
+
+let rec fire steps = function
+  | [] -> ()
+  | (d, fn) :: rest ->
+      if steps mod d = 0 then fn ();
+      fire steps rest
 
 (* one base-rate step: the periodic part, then the ISR groups of every
-   bean event that fired in this period *)
-let step_fr fr app =
-  (* supervision fuel point (cheap: one domain-local read when no
-     token is installed) *)
+   bean event that fired in this period. Cancel.poll is the supervision
+   fuel point (cheap: one domain-local read when no token is
+   installed). *)
+let step app =
   Cancel.poll ();
-  (match fr with
-  | Some r -> Flight.step_mark_r r ~step:app.steps ~time:app.time app.name
-  | None -> ());
-  call app (app.name ^ "_step") [];
-  List.iter
-    (fun (d, fn) -> if app.steps mod d = 0 then call app fn [])
-    app.events;
+  if Flight.enabled () then
+    Flight.step_mark_r (Flight.recorder ()) ~step:app.steps ~time:app.time
+      app.name;
+  app.step_fn ();
+  fire app.steps app.events;
   app.steps <- app.steps + 1;
   app.time <- app.time +. app.comp.Compile.base_dt;
   Obs.add c_sil_steps 1
-
-let step app =
-  step_fr (if Flight.enabled () then Some (Flight.recorder ()) else None) app
 
 let xchg buf slot = Mir.Pindex (Mir.Pvar buf, Mir.Kint (slot, Mir.Dec))
 
@@ -223,15 +232,13 @@ let run_n_steps ?stimulus ?feedback app n =
   in
   Bigarray.Array2.fill trace 0;
   let row = Array.make (max 1 n_act) 0 in
-  (* one recorder fetch for the whole batch, not one per step *)
-  let fr = if Flight.enabled () then Some (Flight.recorder ()) else None in
   for k = 0 to n - 1 do
     (match stimulus with
     | None -> ()
     | Some f ->
         let sensors = f k in
         Array.iteri (fun slot v -> set_sensor app slot v) sensors);
-    step_fr fr app;
+    step app;
     (match app.backend with
     | Compiled { st; _ } when n_act > 0 ->
         (* vectorized snapshot: blit the exchange buffer into row k *)

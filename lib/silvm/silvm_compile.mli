@@ -36,6 +36,10 @@ val call : code -> st -> string -> Mir_eval.value list -> Mir_eval.value option
     raises {!Mir_eval.Unsupported} / {!Mir_eval.Runtime_error} exactly
     where the reference engine does *)
 
+val entry : code -> string -> st -> unit
+(** [entry code f] is [fun st -> ignore (call code st f [])], with [f]
+    resolved once: the per-step entry points of a SIL run *)
+
 val has_func : code -> string -> bool
 
 val register_external :

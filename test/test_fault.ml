@@ -260,7 +260,8 @@ let test_campaign_dropout () =
 
 (* the sharded campaign must reproduce the sequential one run-for-run:
    seeds are independent, results land in seed order, and each worker
-   domain builds its own subject *)
+   domain builds its own subject. Both bodies of the seed sweep are
+   held to it: the MIL fault campaign and the MIL<->SIL diff. *)
 let test_parallel_campaign_matches_sequential () =
   let scenario =
     match Fault_scenario.find "encoder-dropout" with
@@ -271,14 +272,114 @@ let test_parallel_campaign_matches_sequential () =
   let seq = Fault_campaign.run ~t_end:0.4 ~seeds:6 ~scenario subject in
   let par =
     Exec_pool.with_pool ~workers:3 (fun pool ->
-        Fault_campaign.run_parallel ~t_end:0.4 ~seeds:6 ~pool ~scenario
-          (fun () -> fst (Servo_system.faultsim_subject ~scenario ())))
+        Fault_campaign.sweep ~t_end:0.4 ~seeds:6 ~pool ~scenario (fun () ->
+            fst (Servo_system.faultsim_subject ~scenario ())))
   in
   check_int "same number of runs" 6 (List.length par.Fault_campaign.runs);
   check_bool "identical run lists" true
     (seq.Fault_campaign.runs = par.Fault_campaign.runs);
   check_int "same steps per run" seq.Fault_campaign.steps_per_run
-    par.Fault_campaign.steps_per_run
+    par.Fault_campaign.steps_per_run;
+  (* The diff body. Its reports are seed-blind while MIL and SIL agree,
+     and a dropout is not seeded at all, so the sweep runs the seeded
+     noise burst, a divergence is forced inside it, and the forensics
+     bundles, which carry each seed's perturbed sensor stream, are
+     compared as well as the reports. *)
+  let noise =
+    match Fault_scenario.find "noise-burst" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let sweep_diffs ?pool () =
+    Flight.reset ();
+    let s =
+      Seed_sweep.run ?pool ~seeds:6 ~track:"noise-burst" ~label:"diff"
+        ~subject:(fun () ->
+          Result.get_ok
+            (Diff_subject.make ~config:Servo_system.default_config ~steps:1000
+               ~scenario:noise "servo"))
+        ~plan:ignore
+        (fun () s seed -> Diff_subject.run ~seed s)
+    in
+    let reports =
+      Array.to_list
+        (Array.map
+           (fun (seed, o) ->
+             let r = Result.get_ok o.Supervise.result in
+             (* the timing fields are the only schedule-dependent ones *)
+             (seed, { r with Silvm_diff.mil_seconds = 0.0; sil_seconds = 0.0 }))
+           s.Seed_sweep.outcomes)
+    in
+    (reports, Flight.captures_jsonl ())
+  in
+  Unix.putenv "ECSD_DIVERGE_AT" "950";
+  Flight.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "ECSD_DIVERGE_AT" "";
+      Flight.set_enabled false;
+      Flight.reset ())
+  @@ fun () ->
+  let seq, seq_bundles = sweep_diffs () in
+  let par, par_bundles =
+    Exec_pool.with_pool ~workers:3 (fun pool -> sweep_diffs ~pool ())
+  in
+  check_int "diff: one report per seed" 6 (List.length par);
+  check_bool "diff: identical report lists" true (seq = par);
+  check_bool "diff: every seed diverged at the forced step" true
+    (List.for_all
+       (fun (_, r) ->
+         match r.Silvm_diff.divergence with
+         | Some d -> d.Silvm_diff.d_step = 950
+         | None -> false)
+       seq);
+  check_int "diff: one bundle per seed" 6 (List.length (Flight.captures ()));
+  check_bool "diff: identical bundles" true (seq_bundles = par_bundles)
+
+(* run sizes are validated once, by the seed sweep and the diff
+   subject: seeds >= 1, steps >= 0, a finite t_end of at least one
+   step; anything else is a bad request raised before any run *)
+let test_run_sizes_validated () =
+  let scenario =
+    match Fault_scenario.find "encoder-dropout" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let subject, _ = Servo_system.faultsim_subject ~scenario () in
+  let bad what f =
+    check_bool what true
+      (match f () with
+      | exception Supervise.Bad_request _ -> true
+      | _ -> false)
+  in
+  let campaign ?t_end seeds () =
+    Fault_campaign.run ?t_end ~seeds ~scenario subject
+  in
+  bad "seeds 0" (campaign 0);
+  bad "seeds -3" (campaign (-3));
+  bad "t_end -1" (campaign ~t_end:(-1.0) 2);
+  bad "t_end nan" (campaign ~t_end:Float.nan 2);
+  bad "t_end inf" (campaign ~t_end:Float.infinity 2);
+  bad "t_end under one step" (campaign ~t_end:0.0001 2);
+  check_int "t_end of ten steps" 10
+    (campaign ~t_end:0.01 1 ()).Fault_campaign.steps_per_run;
+  let built = ref 0 in
+  bad "sweep seeds 0" (fun () ->
+      Seed_sweep.run ~seeds:0 ~track:"t" ~label:"t"
+        ~subject:(fun () -> incr built)
+        ~plan:ignore
+        (fun () () _ -> ()));
+  check_int "rejected before any subject is built" 0 !built;
+  let config = Servo_system.default_config in
+  bad "diff steps -5" (fun () -> Diff_subject.make ~config ~steps:(-5) "servo");
+  (match Diff_subject.make ~config ~steps:0 "isr-demo" with
+  | Ok s ->
+      check_string "isr-demo report name" "isr_demo" (Diff_subject.name s);
+      check_int "zero steps run" 0 (Diff_subject.run s).Silvm_diff.steps_run
+  | Error _ -> Alcotest.fail "isr-demo is a known model");
+  check_bool "unknown model is a typed error" true
+    (Diff_subject.make ~config "nosuch"
+    = Error (Diff_subject.Unknown_model "nosuch"))
 
 let test_campaign_stuck_reaches_safestop () =
   let r = campaign "sensor-stuck" in
@@ -339,17 +440,7 @@ let test_diff_under_fault () =
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let inj = Fault_inject.arm ~seed:7 scenario in
-  let injector =
-    {
-      Silvm_diff.inj_sensors =
-        (fun ~step:_ ~time codes ->
-          Array.mapi
-            (fun slot v -> Fault_inject.sensor inj ~slot ~time v land 0xFFFF)
-            codes);
-      inj_active = (fun ~time -> Fault_inject.active_names inj ~time);
-    }
-  in
+  let injector = Diff_subject.injector scenario ~seed:7 in
   let r =
     Silvm_diff.run ~steps:1200 ~plant:(Silvm_diff.Plant (plant, driver))
       ~injector ~name:"servo" ~project:b.Servo_system.project comp
@@ -452,6 +543,8 @@ let suite =
       test_campaign_dropout;
     Alcotest.test_case "campaign: parallel matches sequential" `Quick
       test_parallel_campaign_matches_sequential;
+    Alcotest.test_case "campaign: run sizes validated" `Quick
+      test_run_sizes_validated;
     Alcotest.test_case "campaign: stuck sensor reaches SafeStop" `Quick
       test_campaign_stuck_reaches_safestop;
     Alcotest.test_case "campaign: timing faults bite the watchdog" `Quick

@@ -448,8 +448,33 @@ let prop_dag_mil_sil_ulp =
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
+(* a free-running counter bean reads the application clock through an
+   external: after three 1 ms steps of a 10 us tick the counter read
+   during the third step is 200, on both engines *)
+let test_free_counter_reads_app_clock () =
+  let project = empty_project () in
+  let fc =
+    Bean_project.add project
+      (Bean.make ~name:"FC1" (Bean.Free_cntr { tick = 1e-5 }))
+  in
+  let m = Model.create "fcdemo" in
+  let b = Model.add m ~name:"fc" (Periph_blocks.free_counter fc) in
+  let comp = Compile.compile ~default_dt:1e-3 m in
+  List.iter
+    (fun engine ->
+      let app = Silvm_app.create ~engine ~name:"fcdemo" ~project comp in
+      Silvm_app.initialize app;
+      for _ = 1 to 3 do
+        Silvm_app.step app
+      done;
+      check_int "counter at t = 2 ms" 200
+        (to_int (Silvm_app.signal app (b, 0))))
+    [ `Compiled; `Interp ]
+
 let suite =
   [
+    Alcotest.test_case "free counter reads the app clock" `Quick
+      test_free_counter_reads_app_clock;
     Alcotest.test_case "interp: C99 integer arithmetic" `Quick
       test_interp_c_arithmetic;
     Alcotest.test_case "interp: pe_sat16 / pe_sat_add32 semantics" `Quick

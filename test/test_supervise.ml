@@ -321,8 +321,8 @@ let test_campaign_supervised_identical () =
   in
   let par =
     Exec_pool.with_pool ~workers:4 (fun pool ->
-        Fault_campaign.run_parallel ~t_end:0.3 ~seeds:6 ~pool ~scenario
-          ~policy mk_subject)
+        Fault_campaign.sweep ~t_end:0.3 ~seeds:6 ~pool ~scenario ~policy
+          mk_subject)
   in
   let doc r = Bench_json.to_string (Fault_campaign.to_json ~model:"servo" r) in
   check_string "byte-identical report, 1 vs 4 workers" (doc seq) (doc par);
@@ -334,6 +334,48 @@ let test_campaign_supervised_identical () =
      would pass vacuously *)
   check_bool "chaos actually did something" true
     (seq.Fault_campaign.failures <> [] || seq.Fault_campaign.retries_total > 0)
+
+(* ---- serve request lines ---- *)
+
+(* every line comes back as a record: malformed lines, unknown names
+   and out-of-range sizes are bad requests (exit 2), never a crash *)
+let test_serve_line_classification () =
+  let run line =
+    Serve_job.run ~policy:Supervise.default_policy
+      ~config:Servo_system.default_config
+      ~stats:(fun () -> [ ("job", Bench_json.Str "stats"); ("exit", Bench_json.Int 0) ])
+      line
+  in
+  let field k fs =
+    match List.assoc_opt k fs with
+    | Some v -> Bench_json.to_string v
+    | None -> "missing"
+  in
+  List.iter
+    (fun line ->
+      let fs = run line in
+      check_string (line ^ ": class") "\"bad_request\"" (field "class" fs);
+      check_string (line ^ ": exit") "2" (field "exit" fs))
+    [
+      "bogus job line";
+      "faultsim nosuch-scenario";
+      "faultsim encoder-dropout 4 notafloat";
+      "faultsim encoder-dropout -3";
+      "faultsim encoder-dropout 0";
+      "faultsim encoder-dropout 2 -1.0";
+      "faultsim encoder-dropout 2 nan";
+      "faultsim encoder-dropout 2 inf";
+      "faultsim encoder-dropout 2 0.0001";
+      "diff servo -5";
+      "diff nosuch 10";
+      "diff servo 10 - 1 warp";
+    ];
+  let ok = run "diff isr-demo 20" in
+  check_string "diff job" "\"diff\"" (field "job" ok);
+  check_string "diff exit" "0" (field "exit" ok);
+  check_string "diff steps" "20" (field "steps_run" ok);
+  check_string "zero steps is a valid diff" "0" (field "exit" (run "diff servo 0"));
+  check_string "stats is the caller's job" "\"stats\"" (field "job" (run "stats"))
 
 let suite =
   [
@@ -363,4 +405,6 @@ let suite =
     Alcotest.test_case "submit error hook" `Quick test_submit_error_hook;
     Alcotest.test_case "supervised campaign jobs-independent" `Quick
       test_campaign_supervised_identical;
+    Alcotest.test_case "serve line classification" `Quick
+      test_serve_line_classification;
   ]
