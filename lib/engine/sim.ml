@@ -26,28 +26,48 @@ let probe_buf_push pb t v =
   pb.pb_v.(pb.pb_len) <- v;
   pb.pb_len <- pb.pb_len + 1
 
+(* Continuous-state integration, planned once at [create]: the owners of
+   continuous states with their offsets in the packed state [x], one
+   reusable slice per owner for [set_cstate], and the RK4 workspace. *)
+type integ = {
+  cowners : int array;  (* owners of continuous states, in order *)
+  offs : int array;  (* each owner's offset in [x] *)
+  slices : float array array;  (* each owner's state, handed to set_cstate *)
+  x : float array;  (* packed state, advanced in place *)
+  ws : Ode.rk4_ws;
+}
+
+type hook = time:float -> Value.t -> Value.t
+
 type t = {
   comp : Compile.t;
   behs : Block.beh array;
   signals : Value.t array array;
   overrides : Value.t option array array;
-  srcs : (Model.blk * int) array array;
+  src_sig : Value.t array array array;
+      (* per block, per input: the driving block's [signals] row *)
+  src_port : int array array;  (* ... and the driving port in it *)
+  inputs : Value.t array array;
+      (* per block, the engine-owned input array refilled before each
+         behaviour call *)
+  order : int array;  (* [comp.order] as indices *)
+  cont_order : int array;
+      (* the continuous-rate blocks of [order]: the minor pass *)
   mutable now : float;
   mutable nstep : int;
   probes : (int * int, probe_buf) Hashtbl.t;
   mutable events_this_step : int;
-  cstate_blocks : Model.blk array;  (* owners of continuous states, in order *)
-  solver : Ode.method_;
+  integ : integ;
+  deriv : float -> float array -> float array -> unit;
+      (* the ODE right-hand side over [integ.x], built once *)
   solver_substeps : int;
-  group_exec : Model.blk array array;
+  group_exec : int array array;
       (* execution order per function-call group, indexed by
-         [Model.group_index] — replaces the List.assoc_opt lookup that
-         used to sit on every event dispatch *)
+         [Model.group_index] *)
   group_counters : Obs.counter array;  (* same indexing *)
-  mutable fault_hook :
-    (time:float -> Model.blk * int -> Value.t -> Value.t) option;
-      (* fault-injection perturbation applied to every written output
-         port (after overrides); None = unarmed, near-zero cost *)
+  hooks : hook option array array;
+      (* per block, per output port: the installed fault hook; [||] for
+         a block none of whose ports is hooked *)
 }
 
 (* process-wide engine metrics *)
@@ -57,49 +77,89 @@ let h_substep = Obs.hist "sim.ode.substep_s"
 
 let bi = Model.blk_index
 
-let gather t b = Array.map (fun (sb, sp) -> t.signals.(bi sb).(sp)) t.srcs.(bi b)
+(* The returned array is [t.inputs.(i)]: valid until the next gather of
+   block [i]. *)
+let gather t i =
+  let ins = t.inputs.(i) and ss = t.src_sig.(i) and sp = t.src_port.(i) in
+  for k = 0 to Array.length ins - 1 do
+    ins.(k) <- ss.(k).(sp.(k))
+  done;
+  ins
 
-let write_outputs t b outs =
-  let spec = Model.spec_of t.comp.Compile.model b in
-  if Array.length outs <> spec.Block.n_out then
+let block_name t i =
+  let m = t.comp.Compile.model in
+  Model.block_name m (List.find (fun b -> bi b = i) (Model.blocks m))
+
+(* the arity check reads the signal row, sized from the block's spec *)
+let write_outputs t i outs =
+  let sg = t.signals.(i) in
+  let n = Array.length sg in
+  if Array.length outs <> n then
     failwith
       (Printf.sprintf "block %s returned %d outputs, expected %d"
-         (Model.block_name t.comp.Compile.model b)
-         (Array.length outs) spec.Block.n_out);
-  Array.iteri
-    (fun p v ->
-      let v =
-        match t.overrides.(bi b).(p) with Some ov -> ov | None -> v
-      in
-      let v =
-        match t.fault_hook with
-        | None -> v
-        | Some h -> h ~time:t.now (b, p) v
-      in
-      t.signals.(bi b).(p) <- v)
-    outs
+         (block_name t i) (Array.length outs) n);
+  let ov = t.overrides.(i) and hk = t.hooks.(i) in
+  if Array.length hk = 0 then
+    for p = 0 to n - 1 do
+      sg.(p) <- (match ov.(p) with Some v -> v | None -> outs.(p))
+    done
+  else
+    for p = 0 to n - 1 do
+      let v = match ov.(p) with Some v -> v | None -> outs.(p) in
+      sg.(p) <- (match hk.(p) with Some h -> h ~time:t.now v | None -> v)
+    done
 
-let rec exec_group t g =
-  let gi = Model.group_index g in
+let exec_group t gi =
   let order =
     if gi < Array.length t.group_exec then t.group_exec.(gi) else [||]
   in
   if gi < Array.length t.group_counters then Obs.add t.group_counters.(gi) 1;
-  Array.iter
-    (fun b ->
-      let outs = t.behs.(bi b).Block.out ~minor:false ~time:t.now (gather t b) in
-      write_outputs t b outs)
-    order;
-  Array.iter (fun b -> t.behs.(bi b).Block.update ~time:t.now (gather t b)) order
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    write_outputs t i
+      (t.behs.(i).Block.out ~minor:false ~time:t.now (gather t i))
+  done;
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    t.behs.(i).Block.update ~time:t.now (gather t i)
+  done
 
-and fire_event t b k =
+(* [targets.(k)]: the group wired to the firing block's event output
+   [k], resolved at [create]; -1 when none is *)
+let fire_event t targets k =
   t.events_this_step <- t.events_this_step + 1;
   Obs.add c_events 1;
-  match Model.event_target t.comp.Compile.model (b, k) with
-  | Some g -> exec_group t g
-  | None -> ()
+  if k >= 0 && k < Array.length targets && targets.(k) >= 0 then
+    exec_group t targets.(k)
 
-let create ?(solver = Ode.Rk4) ?(solver_substeps = 1) comp =
+let minor_pass t time =
+  let co = t.cont_order in
+  for k = 0 to Array.length co - 1 do
+    let i = co.(k) in
+    write_outputs t i (t.behs.(i).Block.out ~minor:true ~time (gather t i))
+  done
+
+let unpack t x =
+  let g = t.integ in
+  for j = 0 to Array.length g.cowners - 1 do
+    let s = g.slices.(j) in
+    Array.blit x g.offs.(j) s 0 (Array.length s);
+    t.behs.(g.cowners.(j)).Block.set_cstate s
+  done
+
+(* dx/dt at [(time, x)]: re-evaluate the continuous subgraph (minor
+   pass) at the stage state, discrete outputs being held *)
+let deriv_into t time x dx =
+  let g = t.integ in
+  unpack t x;
+  minor_pass t time;
+  for j = 0 to Array.length g.cowners - 1 do
+    let i = g.cowners.(j) in
+    let d = t.behs.(i).Block.deriv ~time (gather t i) in
+    Array.blit d 0 dx g.offs.(j) (Array.length g.slices.(j))
+  done
+
+let create ?(solver_substeps = 1) comp =
   if solver_substeps < 1 then invalid_arg "Sim.create: solver_substeps";
   let m = comp.Compile.model in
   let n = Model.n_blocks m in
@@ -124,6 +184,12 @@ let create ?(solver = Ode.Rk4) ?(solver_substeps = 1) comp =
         | Sample_time.R_continuous -> 0.0
         | Sample_time.R_triggered | Sample_time.R_const -> comp.Compile.base_dt
       in
+      let targets =
+        Array.init (Array.length spec.Block.event_outs) (fun k ->
+            match Model.event_target m (b, k) with
+            | Some g -> Model.group_index g
+            | None -> -1)
+      in
       let ctx =
         {
           Block.base_dt = comp.Compile.base_dt;
@@ -131,7 +197,7 @@ let create ?(solver = Ode.Rk4) ?(solver_substeps = 1) comp =
           fire =
             (fun k ->
               match !t_ref with
-              | Some t -> fire_event t b k
+              | Some t -> fire_event t targets k
               | None -> ());
           in_dtypes = comp.Compile.in_types.(bi b);
           out_dtypes = comp.Compile.out_types.(bi b);
@@ -139,10 +205,32 @@ let create ?(solver = Ode.Rk4) ?(solver_substeps = 1) comp =
       in
       behs.(bi b) <- spec.Block.make ctx)
     (Model.blocks m);
-  let cstate_blocks =
+  let srcs = Compile.signal_sources comp in
+  let order = Array.map bi comp.Compile.order in
+  let cont_order =
     Array.of_list
-      (List.filter (fun b -> behs.(bi b).Block.ncstates > 0)
-         (Array.to_list comp.Compile.order))
+      (List.filter
+         (fun i -> comp.Compile.sample.(i) = Sample_time.R_continuous)
+         (Array.to_list order))
+  in
+  let integ =
+    let cowners =
+      Array.of_list
+        (List.filter (fun i -> behs.(i).Block.ncstates > 0) (Array.to_list order))
+    in
+    let sizes = Array.map (fun i -> behs.(i).Block.ncstates) cowners in
+    let offs = Array.make (Array.length sizes) 0 in
+    for j = 1 to Array.length sizes - 1 do
+      offs.(j) <- offs.(j - 1) + sizes.(j - 1)
+    done;
+    let total = Array.fold_left ( + ) 0 sizes in
+    {
+      cowners;
+      offs;
+      slices = Array.map (fun k -> Array.make k 0.0) sizes;
+      x = Array.make total 0.0;
+      ws = Ode.rk4_workspace total;
+    }
   in
   let n_groups =
     List.fold_left
@@ -151,7 +239,7 @@ let create ?(solver = Ode.Rk4) ?(solver_substeps = 1) comp =
   in
   let group_exec = Array.make n_groups [||] in
   List.iter
-    (fun (g, order) -> group_exec.(Model.group_index g) <- order)
+    (fun (g, order) -> group_exec.(Model.group_index g) <- Array.map bi order)
     comp.Compile.group_order;
   let group_counters =
     Array.init n_groups (fun _ -> Obs.counter "sim.group.unused")
@@ -161,23 +249,27 @@ let create ?(solver = Ode.Rk4) ?(solver_substeps = 1) comp =
       group_counters.(Model.group_index g) <-
         Obs.counter ("sim.group." ^ Model.group_name m g))
     (Model.groups m);
-  let t =
+  let rec t =
     {
       comp;
       behs;
       signals;
       overrides;
-      srcs = Compile.signal_sources comp;
+      src_sig = Array.map (Array.map (fun (sb, _) -> signals.(bi sb))) srcs;
+      src_port = Array.map (Array.map snd) srcs;
+      inputs = Array.map (Array.map (fun (sb, sp) -> signals.(bi sb).(sp))) srcs;
+      order;
+      cont_order;
       now = 0.0;
       nstep = 0;
       probes = Hashtbl.create 8;
       events_this_step = 0;
-      cstate_blocks;
-      solver;
+      integ;
+      deriv = (fun time x dx -> deriv_into t time x dx);
       solver_substeps;
       group_exec;
       group_counters;
-      fault_hook = None;
+      hooks = Array.make n [||];
     }
   in
   t_ref := Some t;
@@ -208,79 +300,39 @@ let probe t (b, p) =
 
 let probe_named t name p = probe t (Model.find t.comp.Compile.model name, p)
 
-let hit t b =
-  match t.comp.Compile.sample.(bi b) with
+let hit t i =
+  match t.comp.Compile.sample.(i) with
   | Sample_time.R_const -> t.nstep = 0
   | r -> Sample_time.hit r ~time:t.now ~base_dt:t.comp.Compile.base_dt
 
-(* Continuous-state integration over one base step: the derivative
-   function re-evaluates the outputs of continuous-rate blocks (minor
-   pass) at the stage state, discrete outputs being held. *)
+(* Continuous-state integration over one base step, in place on the
+   planned state vector. *)
 let integrate t =
-  if Array.length t.cstate_blocks > 0 then begin
-    let sizes =
-      Array.map (fun b -> t.behs.(bi b).Block.ncstates) t.cstate_blocks
-    in
-    let total = Array.fold_left ( + ) 0 sizes in
-    let pack () =
-      let x = Array.make total 0.0 in
-      let off = ref 0 in
-      Array.iter
-        (fun b ->
-          let s = t.behs.(bi b).Block.get_cstate () in
-          Array.blit s 0 x !off (Array.length s);
-          off := !off + Array.length s)
-        t.cstate_blocks;
-      x
-    in
-    let unpack x =
-      let off = ref 0 in
-      Array.iteri
-        (fun i b ->
-          t.behs.(bi b).Block.set_cstate (Array.sub x !off sizes.(i));
-          off := !off + sizes.(i))
-        t.cstate_blocks
-    in
-    let minor_pass time =
-      Array.iter
-        (fun b ->
-          if t.comp.Compile.sample.(bi b) = Sample_time.R_continuous then
-            write_outputs t b
-              (t.behs.(bi b).Block.out ~minor:true ~time (gather t b)))
-        t.comp.Compile.order
-    in
-    let f time x =
-      unpack x;
-      minor_pass time;
-      let d = Array.make total 0.0 in
-      let off = ref 0 in
-      Array.iteri
-        (fun i b ->
-          let db = t.behs.(bi b).Block.deriv ~time (gather t b) in
-          Array.blit db 0 d !off sizes.(i);
-          off := !off + sizes.(i))
-        t.cstate_blocks;
-      d
-    in
+  let g = t.integ in
+  if Array.length g.cowners > 0 then begin
+    let x = g.x in
+    for j = 0 to Array.length g.cowners - 1 do
+      let s = t.behs.(g.cowners.(j)).Block.get_cstate () in
+      Array.blit s 0 x g.offs.(j) (Array.length s)
+    done;
     (* sub-stepping keeps stiff continuous dynamics (e.g. the motor's
        electrical pole) stable when the discrete base rate is slow *)
     let n = t.solver_substeps in
     let h = t.comp.Compile.base_dt /. float_of_int n in
-    let x = ref (pack ()) in
     if Obs.enabled () then
       for i = 0 to n - 1 do
         let t0 = Obs.now_ns () in
-        x := Ode.step t.solver f (t.now +. (float_of_int i *. h)) !x h;
+        Ode.rk4_into g.ws t.deriv (t.now +. (float_of_int i *. h)) x h;
         Obs.record h_substep ((Obs.now_ns () -. t0) *. 1e-9)
       done
     else
       for i = 0 to n - 1 do
-        x := Ode.step t.solver f (t.now +. (float_of_int i *. h)) !x h
+        Ode.rk4_into g.ws t.deriv (t.now +. (float_of_int i *. h)) x h
       done;
-    unpack !x;
+    unpack t x;
     (* leave the continuous signals consistent with the final state, not
        with the solver's last stage evaluation *)
-    minor_pass (t.now +. t.comp.Compile.base_dt)
+    minor_pass t (t.now +. t.comp.Compile.base_dt)
   end
 
 let record_probes t fr =
@@ -312,14 +364,17 @@ let step t =
         (Model.name t.comp.Compile.model)
   | None -> ());
   t.events_this_step <- 0;
-  Array.iter
-    (fun b ->
-      if hit t b then
-        write_outputs t b (t.behs.(bi b).Block.out ~minor:false ~time:t.now (gather t b)))
-    t.comp.Compile.order;
-  Array.iter
-    (fun b -> if hit t b then t.behs.(bi b).Block.update ~time:t.now (gather t b))
-    t.comp.Compile.order;
+  let order = t.order in
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    if hit t i then
+      write_outputs t i
+        (t.behs.(i).Block.out ~minor:false ~time:t.now (gather t i))
+  done;
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    if hit t i then t.behs.(i).Block.update ~time:t.now (gather t i)
+  done;
   record_probes t fr;
   integrate t;
   t.now <- t.now +. t.comp.Compile.base_dt;
@@ -344,12 +399,31 @@ let trace t (b, p) =
   | None -> raise Not_found
 
 let trace_named t name p = trace t (Model.find t.comp.Compile.model name, p)
-let fire_group t g = exec_group t g
+let fire_group t g = exec_group t (Model.group_index g)
 
 let override_output t (b, p) v =
   t.overrides.(bi b).(p) <- v;
   match v with Some v -> t.signals.(bi b).(p) <- v | None -> ()
 
-let set_fault_hook t h = t.fault_hook <- h
+let set_fault_hook t hooks =
+  let n = Array.length t.signals in
+  let fresh = Array.make n [||] in
+  List.iter
+    (fun ((b, p), h) ->
+      let i = bi b in
+      if i < 0 || i >= n || p < 0 || p >= Array.length t.signals.(i) then
+        invalid_arg
+          (Printf.sprintf "Sim.set_fault_hook: model %s has no output port %d:%d"
+             (Model.name t.comp.Compile.model) i p);
+      if Array.length fresh.(i) = 0 then
+        fresh.(i) <- Array.make (Array.length t.signals.(i)) None;
+      match fresh.(i).(p) with
+      | Some _ ->
+          invalid_arg
+            (Printf.sprintf "Sim.set_fault_hook: port %s:%d hooked twice"
+               (Model.block_name t.comp.Compile.model b) p)
+      | None -> fresh.(i).(p) <- Some h)
+    hooks;
+  Array.blit fresh 0 t.hooks 0 n
 
 let step_events t = t.events_this_step

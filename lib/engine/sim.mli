@@ -3,19 +3,20 @@
     Executes a compiled model: at every major step the engine runs the
     output pass over the blocks scheduled at that instant, then the
     discrete update pass, then integrates all continuous states over the
-    step with the selected solver (minor steps re-evaluate only the
-    continuous subgraph, with discrete outputs held — Simulink fixed-step
+    step with classical RK4 (minor steps re-evaluate only the continuous
+    subgraph, with discrete outputs held — Simulink fixed-step
     semantics). Events fired by blocks execute their function-call group
     immediately and atomically, reproducing the event-driven tasks of the
     paper's execution model (§5). *)
 
 type t
 
-val create : ?solver:Ode.method_ -> ?solver_substeps:int -> Compile.t -> t
-(** Instantiate every block behaviour. Default solver [Rk4] (ode4).
-    [solver_substeps] (default 1) integrates the continuous states with
-    that many sub-steps per major step — needed when a slow discrete base
-    rate meets fast continuous dynamics (stiffness). *)
+val create : ?solver_substeps:int -> Compile.t -> t
+(** Instantiate every block behaviour and plan the step once: per-block
+    input slots, the continuous-rate sub-order and the RK4 (ode4)
+    workspace. [solver_substeps] (default 1) integrates the continuous
+    states with that many sub-steps per major step — needed when a slow
+    discrete base rate meets fast continuous dynamics (stiffness). *)
 
 val reset : t -> unit
 (** Back to time zero and initial block states. *)
@@ -57,13 +58,16 @@ val override_output : t -> Model.blk * int -> Value.t option -> unit
     communication buffers, as PEERT_PIL does in §6. *)
 
 val set_fault_hook :
-  t -> (time:float -> Model.blk * int -> Value.t -> Value.t) option -> unit
-(** Install (or clear, with [None]) a fault-injection hook: a perturbation
-    applied to every output-port value as it is written (after
-    {!override_output} overrides). Unarmed, the hook costs one option
-    check per port write. This is the MIL attachment point of the fault
-    campaign subsystem — the hook decides per (block, port) whether and
-    how to corrupt the sample. *)
+  t -> ((Model.blk * int) * (time:float -> Value.t -> Value.t)) list -> unit
+(** Install a set of fault-injection hooks, replacing any installed
+    before ([[]] clears them all). Each hook perturbs the value written
+    to its one output port (after {!override_output} overrides), at
+    every write, with [time] the current major-step time. Ports are
+    resolved here, so a port without a hook pays nothing per write.
+    This is the MIL attachment point of the fault campaign subsystem.
+    @raise Invalid_argument on a port outside the model's blocks or past
+    a block's outputs, or on a port listed twice; the installed set is
+    then unchanged. *)
 
 val step_events : t -> int
 (** Number of events fired during the last major step. *)

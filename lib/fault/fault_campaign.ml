@@ -44,7 +44,7 @@ let arm subject ?seed scn =
        ?duty_port:subject.ports.duty_port ());
   inj
 
-let disarm subject = Sim.set_fault_hook subject.sim None
+let disarm subject = Sim.set_fault_hook subject.sim []
 
 let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
   Sim.reset subject.sim;
@@ -53,8 +53,17 @@ let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
   let wdog = Wdog_periph.create machine ~timeout:wdog_timeout () in
   Wdog_periph.enable wdog;
   let period_cycles = Machine.cycles_of_time machine period in
-  let modes = Array.make steps 0 in
-  let err = Array.make steps 0.0 in
+  let onset = Fault_scenario.onset scenario in
+  let clear = Fault_scenario.clear_time scenario ~horizon:t_end in
+  let onset_step = max 0 (int_of_float (onset /. period)) in
+  (* the recovery metrics, folded as the run goes: O(1) memory in the
+     horizon, and the tail sum of squares in the same order as a
+     post-hoc pass over the last [tail] steps *)
+  let tail = max 1 (steps / 8) in
+  let tail_start = steps - tail in
+  let first_nz = ref (-1) and last_nz = ref (-1) in
+  let n_degraded = ref 0 and n_safestop = ref 0 and max_mode = ref 0 in
+  let sq = ref 0.0 in
   for k = 0 to steps - 1 do
     (* supervision fuel point (Sim.step polls too; this one covers the
        MCU/watchdog half of the loop) *)
@@ -68,46 +77,41 @@ let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
     Machine.advance machine ~cycles:(period_cycles + extra);
     if not (Fault_inject.wdog_suppressed inj ~time) then
       Wdog_periph.refresh wdog;
-    modes.(k) <-
-      int_of_float (Value.to_float (Sim.value subject.sim subject.ports.mode_port));
-    let speed = Value.to_float (Sim.value subject.sim subject.ports.speed_port) in
-    let sp =
-      match subject.ports.setpoint_port with
-      | Some p -> Value.to_float (Sim.value subject.sim p)
-      | None -> 0.0
+    let mode =
+      int_of_float (Value.to_float (Sim.value subject.sim subject.ports.mode_port))
     in
-    err.(k) <- speed -. sp
+    if mode > 0 then begin
+      if !first_nz < 0 && k >= onset_step then first_nz := k;
+      last_nz := k
+    end;
+    if mode = 1 then incr n_degraded else if mode = 2 then incr n_safestop;
+    if mode > !max_mode then max_mode := mode;
+    if k >= tail_start then begin
+      let speed = Value.to_float (Sim.value subject.sim subject.ports.speed_port) in
+      let sp =
+        match subject.ports.setpoint_port with
+        | Some p -> Value.to_float (Sim.value subject.sim p)
+        | None -> 0.0
+      in
+      let err = speed -. sp in
+      sq := !sq +. (err *. err)
+    end
   done;
   disarm subject;
-  let onset = Fault_scenario.onset scenario in
-  let clear = Fault_scenario.clear_time scenario ~horizon:t_end in
-  let onset_step = int_of_float (onset /. period) in
   let detection_s =
-    let rec find k =
-      if k >= steps then None
-      else if modes.(k) > 0 then
-        Some (Float.max 0.0 ((float_of_int k *. period) -. onset))
-      else find (k + 1)
-    in
-    find (max 0 onset_step)
+    if !first_nz < 0 then None
+    else Some (Float.max 0.0 ((float_of_int !first_nz *. period) -. onset))
   in
   let wdog_bites = Wdog_periph.bites wdog in
-  let last_nz = ref (-1) in
-  Array.iteri (fun k m -> if m > 0 then last_nz := k) modes;
+  let last_nz = !last_nz in
   let recovered, recovery_s =
-    if !last_nz < 0 then (true, Some 0.0)
-    else if !last_nz = steps - 1 then (false, None)
+    if last_nz < 0 then (true, Some 0.0)
+    else if last_nz = steps - 1 then (false, None)
     else
       ( true,
         Some
-          (Float.max 0.0 ((float_of_int (!last_nz + 1) *. period) -. clear)) )
+          (Float.max 0.0 ((float_of_int (last_nz + 1) *. period) -. clear)) )
   in
-  let count m = Array.fold_left (fun a x -> if x = m then a + 1 else a) 0 modes in
-  let tail = max 1 (steps / 8) in
-  let sq = ref 0.0 in
-  for k = steps - tail to steps - 1 do
-    sq := !sq +. (err.(k) *. err.(k))
-  done;
   if (not recovered) && Flight.enabled () then
     Flight.capture
       ~reason:
@@ -119,9 +123,9 @@ let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
     detection_s;
     recovered;
     recovery_s;
-    steps_degraded = count 1;
-    steps_safestop = count 2;
-    max_mode = Array.fold_left max 0 modes;
+    steps_degraded = !n_degraded;
+    steps_safestop = !n_safestop;
+    max_mode = !max_mode;
     residual_rms = sqrt (!sq /. float_of_int tail);
     wdog_bites;
   }

@@ -183,39 +183,33 @@ let comm_config t =
 let active_names t ~time = Fault_scenario.active_names t.scn ~time
 
 let sim_hook t ~sensor_ports ?duty_port () =
-  if t.scn.Fault_scenario.faults = [] then None
+  if t.scn.Fault_scenario.faults = [] then []
   else begin
-    let key (b, p) = (Model.blk_index b, p) in
-    let sensors = Hashtbl.create 4 in
-    Array.iteri
-      (fun slot bp -> Hashtbl.replace sensors (key bp) slot)
-      sensor_ports;
-    let dk = Option.map key duty_port in
     (* Sensor_stuck freezes at the last value [sensor] returned while
        the fault was inactive, so slots carrying a stuck fault must keep
        flowing through [sensor] even in quiescent stretches to refresh
        [t.last]. Scenarios without stuck faults take the cheap exit: one
-       cached-window check per write instead of a fold plus a hashtable
-       probe — this is where the armed-campaign overhead was going. *)
+       cached-window check per write. *)
     let track_stuck =
       List.exists
         (fun fl -> fl.Fault.kind = Fault.Sensor_stuck)
         t.scn.Fault_scenario.faults
     in
-    Some
-      (fun ~time bp v ->
-        if (not track_stuck) && quiescent t ~time then v
-        else
-          let k = key bp in
-          match Hashtbl.find_opt sensors k with
-          | Some slot -> (
-              match v with
-              | Value.I (dt, c) -> Value.of_int dt (sensor t ~slot ~time c)
-              | v -> v)
-          | None -> (
-              if dk <> Some k then v
-              else
-                match v with
-                | Value.F u -> Value.F (duty t ~time u)
-                | v -> v))
+    let sensor_hook slot ~time v =
+      if (not track_stuck) && quiescent t ~time then v
+      else
+        match v with
+        | Value.I (dt, c) -> Value.of_int dt (sensor t ~slot ~time c)
+        | v -> v
+    in
+    let duty_hook ~time v =
+      if quiescent t ~time then v
+      else match v with Value.F u -> Value.F (duty t ~time u) | v -> v
+    in
+    let sensors =
+      Array.to_list (Array.mapi (fun slot bp -> (bp, sensor_hook slot)) sensor_ports)
+    in
+    match duty_port with
+    | Some bp -> sensors @ [ (bp, duty_hook) ]
+    | None -> sensors
   end

@@ -56,8 +56,8 @@ val sim_hook :
   sensor_ports:(Model.blk * int) array ->
   ?duty_port:Model.blk * int ->
   unit ->
-  (time:float -> Model.blk * int -> Value.t -> Value.t) option
-(** Build the perturbation function for {!Sim.set_fault_hook}:
+  ((Model.blk * int) * (time:float -> Value.t -> Value.t)) list
+(** The per-port hooks to install with {!Sim.set_fault_hook}:
     [sensor_ports.(slot)] is the output port carrying sensor slot
-    [slot]'s raw code, [duty_port] the commanded duty. Returns [None]
-    for an empty scenario (nothing to arm). *)
+    [slot]'s raw code, [duty_port] the commanded duty. Returns [[]] for
+    an empty scenario (nothing to arm). *)

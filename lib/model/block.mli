@@ -27,7 +27,10 @@ type ctx = {
 }
 
 (** Simulation behaviour of one block instance. All arrays indexed by
-    port. *)
+    port. The input array handed to [out], [update] and [deriv] is owned
+    by the engine, which refills it before every call: it is valid only
+    during the call, and a behaviour must copy what it keeps. The same
+    holds for the state array handed to [set_cstate]. *)
 type beh = {
   ncstates : int;  (** number of continuous states *)
   out : minor:bool -> time:float -> Value.t array -> Value.t array;

@@ -7,6 +7,46 @@ let axpy a x y =
   (* y + a*x, elementwise, fresh array *)
   Array.init (Array.length y) (fun i -> y.(i) +. (a *. x.(i)))
 
+type rk4_ws = {
+  k1 : float array;
+  k2 : float array;
+  k3 : float array;
+  k4 : float array;
+  xs : float array;  (* stage state *)
+}
+
+let rk4_workspace n =
+  let z () = Array.make n 0.0 in
+  { k1 = z (); k2 = z (); k3 = z (); k4 = z (); xs = z () }
+
+(* The one RK4 tableau in the tree. Each stage state is written into
+   [ws.xs] with the same float operations as [axpy], so [step Rk4], which
+   runs it on a fresh workspace, is bit-identical to a fresh-array RK4.
+   The loops stay inline: a helper taking the stage coefficient would box
+   it on every call. *)
+let rk4_into ws f t x h =
+  let n = Array.length x in
+  let { k1; k2; k3; k4; xs } = ws in
+  let h2 = h /. 2.0 in
+  f t x k1;
+  for i = 0 to n - 1 do
+    xs.(i) <- x.(i) +. (h2 *. k1.(i))
+  done;
+  f (t +. h2) xs k2;
+  for i = 0 to n - 1 do
+    xs.(i) <- x.(i) +. (h2 *. k2.(i))
+  done;
+  f (t +. h2) xs k3;
+  for i = 0 to n - 1 do
+    xs.(i) <- x.(i) +. (h *. k3.(i))
+  done;
+  f (t +. h) xs k4;
+  let h6 = h /. 6.0 in
+  for i = 0 to n - 1 do
+    x.(i) <-
+      x.(i) +. (h6 *. (k1.(i) +. (2.0 *. k2.(i)) +. (2.0 *. k3.(i)) +. k4.(i)))
+  done
+
 let step m f t x h =
   match m with
   | Euler ->
@@ -18,13 +58,12 @@ let step m f t x h =
       Array.init (Array.length x) (fun i ->
           x.(i) +. (h /. 2.0 *. (k1.(i) +. k2.(i))))
   | Rk4 ->
-      let k1 = f t x in
-      let k2 = f (t +. (h /. 2.0)) (axpy (h /. 2.0) k1 x) in
-      let k3 = f (t +. (h /. 2.0)) (axpy (h /. 2.0) k2 x) in
-      let k4 = f (t +. h) (axpy h k3 x) in
-      Array.init (Array.length x) (fun i ->
-          x.(i)
-          +. (h /. 6.0 *. (k1.(i) +. (2.0 *. k2.(i)) +. (2.0 *. k3.(i)) +. k4.(i))))
+      let n = Array.length x in
+      let x' = Array.copy x in
+      rk4_into (rk4_workspace n)
+        (fun t x d -> Array.blit (f t x) 0 d 0 n)
+        t x' h;
+      x'
 
 let integrate m f ~t0 ~t1 ~h x0 =
   if h <= 0.0 then invalid_arg "Ode.integrate: h must be positive";

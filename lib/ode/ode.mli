@@ -15,6 +15,22 @@ val step : method_ -> deriv -> float -> float array -> float -> float array
 (** [step m f t x h] advances [x] from [t] to [t +. h]. The input array is
     not mutated. *)
 
+type rk4_ws
+(** Caller-owned RK4 scratch for states of one size: the four stage
+    slopes and the stage state. *)
+
+val rk4_workspace : int -> rk4_ws
+(** Workspace for states of length [n]. *)
+
+val rk4_into :
+  rk4_ws -> (float -> float array -> float array -> unit) -> float ->
+  float array -> float -> unit
+(** [rk4_into ws f t x h] advances [x] in place from [t] to [t +. h] by
+    classical RK4, allocating nothing itself. [f t x dx] writes dx/dt at
+    [(t, x)] into [dx]; the [x] it is given (the caller's array or the
+    workspace's stage state) is only valid during the call. [step Rk4]
+    is this function on a fresh workspace, bit for bit. *)
+
 val integrate :
   method_ ->
   deriv ->

@@ -206,7 +206,7 @@ let test_unarmed_identity () =
     (Fault_inject.sim_hook
        (Fault_inject.arm (scn []))
        ~sensor_ports:[||] ()
-    = None);
+    = []);
   (* a hook whose windows never open must not perturb the trace *)
   let final_speed armed =
     let scenario =
@@ -224,6 +224,105 @@ let test_unarmed_identity () =
   in
   let w_off = final_speed false and w_on = final_speed true in
   check_bool "armed-but-idle hook is bit-identical" true (w_off = w_on)
+
+(* ---- the planned MIL step: allocation budget and hooked ports ---- *)
+
+let builtin name =
+  match Fault_scenario.builtin name with
+  | Some s -> s
+  | None -> Alcotest.failf "no builtin scenario %s" name
+
+(* run [f] with span and flight recording off, restoring both after *)
+let quiet f =
+  let obs = Obs.enabled () and fl = Flight.enabled () in
+  if obs then Obs.set_enabled false;
+  Flight.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      if obs then Obs.set_enabled true;
+      Flight.set_enabled fl)
+    f
+
+(* minor words per [Sim.step] on the faultsim subject: 2000 steps after
+   a 100-step warm-up, so the run crosses the 0.9 s fault window *)
+let words_per_step ?armed () =
+  let scenario = Option.value armed ~default:(scn []) in
+  let subject, _ = Servo_system.faultsim_subject ~scenario () in
+  (match armed with
+  | Some s -> ignore (Fault_campaign.arm subject s)
+  | None -> Fault_campaign.disarm subject);
+  let sim = subject.Fault_campaign.sim in
+  quiet (fun () ->
+      for _ = 1 to 100 do
+        Sim.step sim
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 2000 do
+        Sim.step sim
+      done;
+      (Gc.minor_words () -. w0) /. 2000.0)
+
+let test_step_allocation () =
+  let unarmed = words_per_step () in
+  let armed = words_per_step ~armed:(builtin "sensor-stuck") () in
+  (* measured 1043 words with OCaml 5.1 (RK4, 5 sub-steps: 20 derivative
+     stages per step), nearly all of it the behaviours' fresh output and
+     derivative arrays; a step that re-derived its inputs, arities and
+     continuous order every call allocated 3356 *)
+  let budget = Float.min (1.25 *. 1043.0) (3356.0 /. 2.0) in
+  if unarmed > budget then
+    Alcotest.failf "unarmed step allocates %.0f minor words, budget %.0f"
+      unarmed budget;
+  if Float.abs (armed -. unarmed) > 0.1 *. unarmed then
+    Alcotest.failf "armed (sensor-stuck) step allocates %.0f words, unarmed %.0f"
+      armed unarmed
+
+let test_hooked_ports () =
+  let subject, built = Servo_system.faultsim_subject ~scenario:(scn []) () in
+  let sim = subject.Fault_campaign.sim in
+  let m = built.Servo_system.closed_loop in
+  let qd = (Model.find m "ctl/qd", 0)
+  and duty = (Model.find m "duty_junction", 0) in
+  let calls = [| 0; 0 |] and seen = [| Value.F nan; Value.F nan |] in
+  let counting slot ~time:_ v =
+    calls.(slot) <- calls.(slot) + 1;
+    seen.(slot) <- v;
+    v
+  in
+  Sim.set_fault_hook sim [ (qd, counting 0); (duty, counting 1) ];
+  let steps = 300 in
+  for k = 1 to steps do
+    Sim.step sim;
+    check_int (Printf.sprintf "qd hook calls after step %d" k) k calls.(0);
+    check_int (Printf.sprintf "duty hook calls after step %d" k) k calls.(1);
+    (* each hook sees exactly its own port's writes *)
+    check_bool "qd hook bound to ctl/qd" true (Sim.value sim qd == seen.(0));
+    check_bool "duty hook bound to duty_junction" true
+      (Sim.value sim duty == seen.(1))
+  done;
+  let rejects what hooks =
+    match Sim.set_fault_hook sim hooks with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted" what
+  in
+  let n_out = (Model.spec_of m (fst qd)).Block.n_out in
+  rejects "port past n_out" [ ((fst qd, n_out), counting 0) ];
+  rejects "negative port" [ ((fst qd, -1), counting 0) ];
+  (* a block of a bigger model lies outside this one *)
+  let big = Model.create "big" in
+  let outside = ref (fst qd) in
+  for _ = 0 to Model.n_blocks m do
+    outside := Model.add big (Sources.constant 0.0)
+  done;
+  rejects "block outside the model" [ ((!outside, 0), counting 0) ];
+  rejects "port hooked twice" [ (qd, counting 0); (qd, counting 1) ];
+  (* a rejected install leaves the installed hooks in place *)
+  Sim.step sim;
+  check_int "hooks survive a rejected install" (steps + 1) calls.(0);
+  Sim.set_fault_hook sim [];
+  Sim.step sim;
+  check_int "cleared hooks see nothing" (steps + 1) calls.(0);
+  check_int "cleared duty hook sees nothing" (steps + 1) calls.(1)
 
 (* ---- recovery campaigns on the servo loop ---- *)
 
@@ -539,6 +638,9 @@ let suite =
     Alcotest.test_case "injector: cache matches Fault.active" `Quick
       test_injector_cache_equivalence;
     Alcotest.test_case "unarmed hooks are identity" `Quick test_unarmed_identity;
+    Alcotest.test_case "MIL step allocation budget" `Quick test_step_allocation;
+    Alcotest.test_case "fault hooks see only their ports" `Quick
+      test_hooked_ports;
     Alcotest.test_case "campaign: encoder dropout recovers" `Quick
       test_campaign_dropout;
     Alcotest.test_case "campaign: parallel matches sequential" `Quick
