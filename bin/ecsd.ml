@@ -709,7 +709,11 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
       Fault_scenario.builtins;
     0
   end
-  else
+  else begin
+    (* only a supervised seed has a deadline to enforce *)
+    if deadline_s > 0.0 && on_error = `Abort then
+      die "--deadline-s needs --on-error record (abort mode runs seeds \
+           unsupervised)";
     with_obs trace metrics @@ fun () ->
     enable_flight no_flight;
     validate_chaos ();
@@ -824,6 +828,7 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
       json_path;
     write_flight_bundle model_name;
     if recovered && r.Fault_campaign.failures = [] then 0 else 1
+  end
 
 let faultsim_cmd =
   let model_arg =
@@ -888,7 +893,7 @@ let faultsim_cmd =
              rows in the report, and the campaign completes; exit 1 if \
              any seed failed or never recovered. Failure rows are \
              deterministic, so the report stays byte-identical across \
-             $(b,--jobs).")
+             $(b,--jobs). $(b,--deadline-s) needs $(b,record).")
   in
   Cmd.v
     (Cmd.info "faultsim"

@@ -359,13 +359,17 @@ let mil_speed_at built ~t_end =
 
 (* ---------- PIL side ---------- *)
 
+(* The floats the plant writes every sub-step, in an all-float record:
+   its fields are stored unboxed, so a write allocates nothing. *)
+type pil_io = { mutable duty : float; mutable time : float }
+
 type pil_plant = {
   cfg : config;
   stage : Power_stage.t;
   enc : Encoder.t;
-  mutable state : Dc_motor.state;
-  mutable duty : float;
-  mutable time : float;
+  motor : Dc_motor.stepper;
+  x : float array;  (* the motor state, in [Dc_motor]'s layout *)
+  io : pil_io;
   button : float -> bool;
 }
 
@@ -374,11 +378,26 @@ let pil_plant built =
     cfg = built.config;
     stage = Power_stage.ideal ~u_supply:built.config.motor.Dc_motor.u_max;
     enc = Encoder.create ~lines_per_rev:built.config.encoder_lines ();
-    state = Dc_motor.initial;
-    duty = 0.0;
-    time = 0.0;
+    motor = Dc_motor.stepper built.config.motor;
+    x = Array.make 3 0.0;
+    io = { duty = 0.0; time = 0.0 };
     button = (fun _ -> false);
   }
+
+(* sub-step the electrical dynamics inside one control period *)
+let pil_substeps = 8
+
+let pil_advance p ~dt =
+  let h = dt /. float_of_int pil_substeps in
+  let x = p.x and io = p.io in
+  for _ = 1 to pil_substeps do
+    let u =
+      Power_stage.output_voltage p.stage ~duty:io.duty ~i:x.(Dc_motor.x_i)
+    in
+    let tau = Load_profile.torque p.cfg.load ~time:io.time ~w:x.(Dc_motor.x_w) in
+    Dc_motor.advance p.motor ~u ~tau_load:tau ~h x;
+    io.time <- io.time +. h
+  done
 
 let pil_driver built =
   let with_btn = built.config.with_mode_logic in
@@ -386,35 +405,22 @@ let pil_driver built =
     Pil_cosim.read_sensors =
       (fun p ~time:_ ->
         let count =
-          Encoder.count_of_angle p.enc ~theta:p.state.Dc_motor.theta land 0xFFFF
+          Encoder.count_of_angle p.enc ~theta:p.x.(Dc_motor.x_theta) land 0xFFFF
         in
-        if with_btn then [| count; (if p.button p.time then 1 else 0) |]
+        if with_btn then [| count; (if p.button p.io.time then 1 else 0) |]
         else [| count |]);
     apply_actuators =
       (fun p acts ->
-        if Array.length acts > 0 then p.duty <- float_of_int acts.(0) /. 65535.0);
-    advance =
-      (fun p ~dt ->
-        (* sub-step the electrical dynamics inside one control period *)
-        let substeps = 8 in
-        let h = dt /. float_of_int substeps in
-        for _ = 1 to substeps do
-          let u =
-            Power_stage.output_voltage p.stage ~duty:p.duty ~i:p.state.Dc_motor.i
-          in
-          let tau =
-            Load_profile.torque p.cfg.load ~time:p.time ~w:p.state.Dc_motor.w
-          in
-          p.state <- Dc_motor.step p.cfg.motor ~u ~tau_load:tau ~h p.state;
-          p.time <- p.time +. h
-        done);
+        if Array.length acts > 0 then
+          p.io.duty <- float_of_int acts.(0) /. 65535.0);
+    advance = pil_advance;
     observe =
       (fun p ->
         [
-          ("speed", p.state.Dc_motor.w);
-          ("theta", p.state.Dc_motor.theta);
-          ("duty", p.duty);
-          ("current", p.state.Dc_motor.i);
+          ("speed", p.x.(Dc_motor.x_w));
+          ("theta", p.x.(Dc_motor.x_theta));
+          ("duty", p.io.duty);
+          ("current", p.x.(Dc_motor.x_i));
         ]);
   }
 

@@ -55,7 +55,7 @@ let run cfg =
   let latency_ticks =
     int_of_float (Float.round (cfg.latency_frac *. cfg.period /. h))
   in
-  let state = ref Dc_motor.initial in
+  let motor = Dc_motor.stepper cfg.motor and x = Array.make 3 0.0 in
   let u = ref 0.0 in
   let traj = ref [] in
   let blown = ref false in
@@ -68,19 +68,19 @@ let run cfg =
     for i = 0 to sub - 1 do
       let tick = (k * sub) + i in
       if tick = sample_tick && not !blown then begin
-        let cmd = Pid.step pid ~sp:cfg.setpoint ~pv:!state.Dc_motor.w in
+        let cmd = Pid.step pid ~sp:cfg.setpoint ~pv:x.(Dc_motor.x_w) in
         pending := !pending @ [ (tick + latency_ticks, cmd) ]
       end;
       let due, future = List.partition (fun (at, _) -> at <= tick) !pending in
       (match List.rev due with (_, cmd) :: _ -> u := cmd | [] -> ());
       pending := future;
       if not !blown then begin
-        state := Dc_motor.step cfg.motor ~u:!u ~tau_load:0.0 ~h !state;
-        if Float.abs !state.Dc_motor.w > 1e5 || Float.is_nan !state.Dc_motor.w
-        then blown := true
+        Dc_motor.advance motor ~u:!u ~tau_load:0.0 ~h x;
+        let w = x.(Dc_motor.x_w) in
+        if Float.abs w > 1e5 || Float.is_nan w then blown := true
       end
     done;
-    traj := (t_k +. cfg.period, !state.Dc_motor.w) :: !traj
+    traj := (t_k +. cfg.period, x.(Dc_motor.x_w)) :: !traj
   done;
   let trajectory = List.rev !traj in
   let sp _ = cfg.setpoint in

@@ -51,6 +51,9 @@ type t = {
       (* per block, the engine-owned input array refilled before each
          behaviour call *)
   order : int array;  (* [comp.order] as indices *)
+  rates : Sample_time.resolved array;  (* the distinct rates of [order] *)
+  order_rate : int array;  (* per [order] entry: its block's rate in [rates] *)
+  rate_hit : bool array;  (* per rate: whether it hits this step *)
   cont_order : int array;
       (* the continuous-rate blocks of [order]: the minor pass *)
   mutable now : float;
@@ -207,6 +210,17 @@ let create ?(solver_substeps = 1) comp =
     (Model.blocks m);
   let srcs = Compile.signal_sources comp in
   let order = Array.map bi comp.Compile.order in
+  (* the distinct rates of [order], and each entry's index among them *)
+  let rates =
+    List.sort_uniq compare
+      (List.map (fun i -> comp.Compile.sample.(i)) (Array.to_list order))
+  in
+  let order_rate =
+    Array.map
+      (fun i ->
+        Option.get (List.find_index (( = ) comp.Compile.sample.(i)) rates))
+      order
+  in
   let cont_order =
     Array.of_list
       (List.filter
@@ -259,6 +273,9 @@ let create ?(solver_substeps = 1) comp =
       src_port = Array.map (Array.map snd) srcs;
       inputs = Array.map (Array.map (fun (sb, sp) -> signals.(bi sb).(sp))) srcs;
       order;
+      rates = Array.of_list rates;
+      order_rate;
+      rate_hit = Array.make (List.length rates) false;
       cont_order;
       now = 0.0;
       nstep = 0;
@@ -300,10 +317,15 @@ let probe t (b, p) =
 
 let probe_named t name p = probe t (Model.find t.comp.Compile.model name, p)
 
-let hit t i =
-  match t.comp.Compile.sample.(i) with
-  | Sample_time.R_const -> t.nstep = 0
-  | r -> Sample_time.hit r ~time:t.now ~base_dt:t.comp.Compile.base_dt
+(* Each rate's sample hit, evaluated once per step for all its blocks *)
+let sample_hits t =
+  let base_dt = t.comp.Compile.base_dt in
+  for r = 0 to Array.length t.rates - 1 do
+    t.rate_hit.(r) <-
+      (match t.rates.(r) with
+      | Sample_time.R_const -> t.nstep = 0
+      | rate -> Sample_time.hit rate ~time:t.now ~base_dt)
+  done
 
 (* Continuous-state integration over one base step, in place on the
    planned state vector. *)
@@ -364,16 +386,17 @@ let step t =
         (Model.name t.comp.Compile.model)
   | None -> ());
   t.events_this_step <- 0;
-  let order = t.order in
+  sample_hits t;
+  let order = t.order and hits = t.rate_hit and rate = t.order_rate in
   for k = 0 to Array.length order - 1 do
     let i = order.(k) in
-    if hit t i then
+    if hits.(rate.(k)) then
       write_outputs t i
         (t.behs.(i).Block.out ~minor:false ~time:t.now (gather t i))
   done;
   for k = 0 to Array.length order - 1 do
     let i = order.(k) in
-    if hit t i then t.behs.(i).Block.update ~time:t.now (gather t i)
+    if hits.(rate.(k)) then t.behs.(i).Block.update ~time:t.now (gather t i)
   done;
   record_probes t fr;
   integrate t;

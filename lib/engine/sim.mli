@@ -13,10 +13,12 @@ type t
 
 val create : ?solver_substeps:int -> Compile.t -> t
 (** Instantiate every block behaviour and plan the step once: per-block
-    input slots, the continuous-rate sub-order and the RK4 (ode4)
-    workspace. [solver_substeps] (default 1) integrates the continuous
-    states with that many sub-steps per major step — needed when a slow
-    discrete base rate meets fast continuous dynamics (stiffness). *)
+    input slots, each block's index among the model's distinct rates
+    (a step evaluates each rate's sample hit once), the continuous-rate
+    sub-order and the RK4 (ode4) workspace. [solver_substeps] (default
+    1) integrates the continuous states with that many sub-steps per
+    major step — needed when a slow discrete base rate meets fast
+    continuous dynamics (stiffness). *)
 
 val reset : t -> unit
 (** Back to time zero and initial block states. *)

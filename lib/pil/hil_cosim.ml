@@ -184,25 +184,24 @@ let servo_run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
     ?wdog_suppress ~built_mcu ~schedule ~controller ~motor ~load ~encoder
     ~periods () =
   let stage = Power_stage.ideal ~u_supply:motor.Dc_motor.u_max in
-  let state = ref Dc_motor.initial in
+  let st = Dc_motor.stepper motor in
   let time = ref 0.0 in
-  let advance (_ : Dc_motor.state) ~dt ~duty =
-    let u = Power_stage.output_voltage stage ~duty ~i:!state.Dc_motor.i in
-    let tau = Load_profile.torque load ~time:!time ~w:!state.Dc_motor.w in
-    state := Dc_motor.step motor ~u ~tau_load:tau ~h:dt !state;
+  let advance x ~dt ~duty =
+    let u = Power_stage.output_voltage stage ~duty ~i:x.(Dc_motor.x_i) in
+    let tau = Load_profile.torque load ~time:!time ~w:x.(Dc_motor.x_w) in
+    Dc_motor.advance st ~u ~tau_load:tau ~h:dt x;
     time := !time +. dt
   in
   let r =
     run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
       ?wdog_suppress ~mcu:built_mcu ~schedule ~controller
-      ~plant:!state
-      ~advance:(fun _ ~dt ~duty -> advance !state ~dt ~duty)
-      ~angle_of:(fun _ -> !state.Dc_motor.theta)
-      ~observe:(fun _ ->
+      ~plant:(Array.make 3 0.0) ~advance
+      ~angle_of:(fun x -> x.(Dc_motor.x_theta))
+      ~observe:(fun x ->
         [
-          ("speed", !state.Dc_motor.w);
-          ("theta", !state.Dc_motor.theta);
-          ("current", !state.Dc_motor.i);
+          ("speed", x.(Dc_motor.x_w));
+          ("theta", x.(Dc_motor.x_theta));
+          ("current", x.(Dc_motor.x_i));
         ])
       ~encoder ~periods ()
   in

@@ -32,20 +32,37 @@ type state = { i : float; w : float; theta : float }
 
 val initial : state
 
-val derivatives : params -> u:float -> tau_load:float -> state -> float * float
-(** [(di/dt, dw/dt)] at the given input voltage and load torque. *)
+(** {2 In-place integration}
 
-val step :
-  ?method_:Ode.method_ ->
-  params ->
-  u:float ->
-  tau_load:float ->
-  h:float ->
-  state ->
-  state
-(** Advance the motor by [h] seconds with the input held constant (the
-    zero-order-hold coupling a PWM power stage provides). Integrates
-    [theta] alongside the two dynamic states. *)
+    The motor state as a [float array] of length 3, advanced in place:
+    current at [x_i], speed at [x_w], shaft angle at [x_theta]. *)
+
+val x_i : int
+val x_w : int
+val x_theta : int
+
+val deriv_into :
+  params -> u:float -> tau_load:float -> float array -> float array -> unit
+(** [deriv_into p ~u ~tau_load x dx] writes [d/dt] of the state [x] at
+    input voltage [u] and load torque [tau_load] into [dx]: [di/dt],
+    [dw/dt] and [dtheta/dt = w]. *)
+
+type stepper
+(** One motor's RK4 workspace and right-hand side, built once: an
+    {!advance} allocates nothing of its own. *)
+
+val stepper : params -> stepper
+
+val advance :
+  stepper -> u:float -> tau_load:float -> h:float -> float array -> unit
+(** [advance st ~u ~tau_load ~h x] advances the state [x] by [h] seconds
+    in place, with the input held constant (the zero-order-hold coupling
+    a PWM power stage provides). Integrates [theta] alongside the two
+    dynamic states by classical RK4 ({!Ode.rk4_into}) on
+    {!deriv_into}. *)
+
+val step : params -> u:float -> tau_load:float -> h:float -> state -> state
+(** {!advance} on a fresh stepper and a copy of the state, bit for bit. *)
 
 val steady_state_speed : params -> u:float -> tau_load:float -> float
 (** Analytic steady-state speed for a constant voltage, used as a test

@@ -21,6 +21,9 @@ type 'ctx t = {
   roots : string list;
   transitions : 'ctx transition_def list;
   mutable leaf : string option;
+  mutable path : string list;
+      (* the active path, leaf first: [path_to_root] of [leaf], cached
+         whenever the leaf changes; [] while stopped *)
   last_child : (string, string) Hashtbl.t;
       (* per composite: the child that was active when it last exited *)
 }
@@ -87,7 +90,7 @@ let create state_defs transition_defs =
   check_initial "the chart root" roots;
   Hashtbl.iter check_initial children;
   { states; children; roots; transitions = transition_defs; leaf = None;
-    last_child = Hashtbl.create 8 }
+    path = []; last_child = Hashtbl.create 8 }
 
 let path_to_root t name =
   let rec go acc n =
@@ -117,7 +120,9 @@ let rec enter_down t ctx name =
   in
   match next with
   | Some k -> enter_down t ctx k
-  | None -> t.leaf <- Some name
+  | None ->
+      t.leaf <- Some name;
+      t.path <- path_to_root t name
 
 let start t ctx =
   match List.find_opt (fun r -> (Hashtbl.find t.states r).initial) t.roots with
@@ -127,8 +132,15 @@ let start t ctx =
 let active_leaf t =
   match t.leaf with Some l -> l | None -> failwith "Chart: not started"
 
-let active_path t = path_to_root t (active_leaf t)
-let is_in t name = List.mem name (active_path t)
+let active_path t =
+  match t.leaf with Some _ -> t.path | None -> failwith "Chart: not started"
+
+let is_in t name =
+  let rec mem = function
+    | [] -> false
+    | s :: rest -> String.equal s name || mem rest
+  in
+  mem (active_path t)
 
 let fire t ctx tr =
   (* Exit from the leaf up to (excluding) the LCA of src-path and dst. *)
@@ -212,4 +224,5 @@ let dispatch t ctx event =
 
 let reset t =
   t.leaf <- None;
+  t.path <- [];
   Hashtbl.reset t.last_child

@@ -52,7 +52,9 @@ val active_leaf : 'ctx t -> string
 (** Name of the current leaf state. @raise Failure before [start]. *)
 
 val is_in : 'ctx t -> string -> bool
-(** Whether the named state is on the active path (leaf or ancestor). *)
+(** Whether the named state is on the active path (leaf or ancestor).
+    The path is cached when the leaf changes, so this is a walk over a
+    few names. @raise Failure before [start] and after [reset]. *)
 
 val dispatch : 'ctx t -> 'ctx -> string -> bool
 (** Offer an event; the innermost enabled transition wins. Returns

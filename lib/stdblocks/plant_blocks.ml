@@ -39,7 +39,7 @@ let dc_motor ?(params = Dc_motor.default) ?(load = Load_profile.No_load) () =
     make =
       (fun _ctx ->
         let x = [| 0.0; 0.0; 0.0 |] in
-        (* i, w, theta *)
+        (* in [Dc_motor]'s layout: i, w, theta *)
         {
           Block.no_beh_state with
           ncstates = 3;
@@ -49,10 +49,10 @@ let dc_motor ?(params = Dc_motor.default) ?(load = Load_profile.No_load) () =
           deriv =
             (fun ~time ins ->
               let u = Value.to_float ins.(0) in
-              let s = { Dc_motor.i = x.(0); w = x.(1); theta = x.(2) } in
-              let tau = Load_profile.torque load ~time ~w:s.Dc_motor.w in
-              let di, dw = Dc_motor.derivatives p ~u ~tau_load:tau s in
-              [| di; dw; s.Dc_motor.w |]);
+              let tau = Load_profile.torque load ~time ~w:x.(Dc_motor.x_w) in
+              let dx = Array.make 3 0.0 in
+              Dc_motor.deriv_into p ~u ~tau_load:tau x dx;
+              dx);
           get_cstate = (fun () -> Array.copy x);
           set_cstate = (fun s -> Array.blit s 0 x 0 3);
           reset = (fun () -> Array.fill x 0 3 0.0);

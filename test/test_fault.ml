@@ -277,6 +277,68 @@ let test_step_allocation () =
     Alcotest.failf "armed (sensor-stuck) step allocates %.0f words, unarmed %.0f"
       armed unarmed
 
+(* minor words per [Silvm_diff.run] lock-step on servo [--opt] (MIL
+   step, compiled SIL step, compare, PIL plant): the difference of a
+   6000- and a 1000-step run, after a warm-up run that fills the
+   compile cache *)
+let words_per_lockstep () =
+  let subject steps =
+    match
+      Diff_subject.make ~config:Servo_system.default_config ~steps ~opt:true
+        "servo"
+    with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "no servo diff subject"
+  in
+  let words steps =
+    let s = subject steps in
+    let w0 = Gc.minor_words () in
+    let r = Diff_subject.run s in
+    let w = Gc.minor_words () -. w0 in
+    check_bool "lock-step agrees" true (r.Silvm_diff.divergence = None);
+    w
+  in
+  quiet (fun () ->
+      ignore (words 10);
+      let short = words 1000 in
+      (words 6000 -. short) /. 5000.0)
+
+let test_lockstep_allocation () =
+  let w = words_per_lockstep () in
+  (* measured 442 words with OCaml 5.1; the lock-step allocated 1366
+     while the PIL plant rebuilt its state, RK4 closure and workspace
+     every motor sub-step *)
+  let budget = Float.min (1.25 *. 442.0) (1366.0 /. 3.0) in
+  if w > budget then
+    Alcotest.failf "a diff lock-step allocates %.0f minor words, budget %.0f" w
+      budget
+
+(* minor words per PIL period of the servo plant, through its driver as
+   the lock-step uses it: read the sensors, apply the duty, advance *)
+let test_pil_plant_allocation () =
+  let b = Servo_system.build () in
+  let plant = Servo_system.pil_plant b in
+  let d = Servo_system.pil_driver b in
+  let acts = [| 30000 |] in
+  let period k =
+    ignore (d.Pil_cosim.read_sensors plant ~time:(float_of_int k *. 1e-3));
+    d.Pil_cosim.apply_actuators plant acts;
+    d.Pil_cosim.advance plant ~dt:1e-3
+  in
+  for k = 0 to 99 do
+    period k
+  done;
+  let w0 = Gc.minor_words () in
+  for k = 100 to 2099 do
+    period k
+  done;
+  let w = (Gc.minor_words () -. w0) /. 2000.0 in
+  (* measured 153 words with OCaml 5.1, against 1055 for 8 fresh-state
+     [Dc_motor.step] calls a period *)
+  if w > 1055.0 /. 5.0 then
+    Alcotest.failf "a PIL plant period allocates %.0f minor words, budget %.0f"
+      w (1055.0 /. 5.0)
+
 let test_hooked_ports () =
   let subject, built = Servo_system.faultsim_subject ~scenario:(scn []) () in
   let sim = subject.Fault_campaign.sim in
@@ -460,6 +522,13 @@ let test_run_sizes_validated () =
   bad "t_end nan" (campaign ~t_end:Float.nan 2);
   bad "t_end inf" (campaign ~t_end:Float.infinity 2);
   bad "t_end under one step" (campaign ~t_end:0.0001 2);
+  (* 5e18 steps of 1 ms: past max_int, so the step count cannot be
+     rounded, and the message must say so rather than blame finiteness *)
+  (match campaign ~t_end:5e15 2 () with
+  | exception Supervise.Bad_request msg ->
+      check_bool "overlong t_end names the step limit" true
+        (Astring_contains.contains msg "step limit")
+  | _ -> Alcotest.fail "t_end 5e15 was accepted");
   check_int "t_end of ten steps" 10
     (campaign ~t_end:0.01 1 ()).Fault_campaign.steps_per_run;
   let built = ref 0 in
@@ -639,6 +708,10 @@ let suite =
       test_injector_cache_equivalence;
     Alcotest.test_case "unarmed hooks are identity" `Quick test_unarmed_identity;
     Alcotest.test_case "MIL step allocation budget" `Quick test_step_allocation;
+    Alcotest.test_case "diff lock-step allocation budget" `Quick
+      test_lockstep_allocation;
+    Alcotest.test_case "PIL plant allocation budget" `Quick
+      test_pil_plant_allocation;
     Alcotest.test_case "fault hooks see only their ports" `Quick
       test_hooked_ports;
     Alcotest.test_case "campaign: encoder dropout recovers" `Quick

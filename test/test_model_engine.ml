@@ -267,6 +267,88 @@ let test_reset_reproducibility () =
   let t2 = Sim.trace_named sim "n" 0 in
   check_bool "same noise after reset" true (t1 = t2)
 
+(* ---- per-rate sample hits ---- *)
+
+(* a block that logs its id whenever its [update] runs; with an input
+   it inherits the rate of the block driving it *)
+let logged ~log ~id ~n_in sample =
+  let base =
+    Block.stateless ~kind:"Logged" ~n_in ~n_out:1 ~sample (fun _ _ ->
+        [| Value.F 0.0 |])
+  in
+  {
+    base with
+    Block.make =
+      (fun ctx ->
+        let beh = base.Block.make ctx in
+        { beh with Block.update = (fun ~time:_ _ -> log := id :: !log) });
+  }
+
+(* rate codes: 0-3 a period of 1, 2, 5 or 10 ms with an offset in
+   0.5 ms ticks below it, 4 Const, 5 Continuous; and whether an
+   inheriting block hangs off the source *)
+let rate_of_code (code, off) =
+  match code with
+  | 0 | 1 | 2 | 3 ->
+      let ms = [| 1; 2; 5; 10 |].(code) in
+      Sample_time.discrete
+        ~offset:(float_of_int (off mod (2 * ms)) *. 0.5e-3)
+        (float_of_int ms *. 1e-3)
+  | 4 -> Sample_time.Const
+  | _ -> Sample_time.Continuous
+
+let prop_sample_hits =
+  QCheck2.Test.make ~name:"updates run exactly on their sample hits" ~count:100
+    QCheck2.Gen.(
+      list_size (int_range 1 8)
+        (triple (int_range 0 5) (int_range 0 19) bool))
+    (fun codes ->
+      let m = Model.create "rates" in
+      let log = ref [] in
+      let blocks = ref [] in
+      List.iteri
+        (fun k (code, off, child) ->
+          let src =
+            Model.add m ~name:(Printf.sprintf "s%d" k)
+              (logged ~log ~id:(2 * k) ~n_in:0 (rate_of_code (code, off)))
+          in
+          blocks := (2 * k, src) :: !blocks;
+          if child then begin
+            let c =
+              Model.add m ~name:(Printf.sprintf "c%d" k)
+                (logged ~log ~id:((2 * k) + 1) ~n_in:1 Sample_time.Inherited)
+            in
+            Model.connect m ~src:(src, 0) ~dst:(c, 0);
+            blocks := ((2 * k) + 1, c) :: !blocks
+          end)
+        codes;
+      let comp = Compile.compile ~default_dt:1e-3 m in
+      let sim = Sim.create comp in
+      for n = 0 to 59 do
+        let time = Sim.time sim in
+        let expected =
+          List.filter_map
+            (fun (id, b) ->
+              let hit =
+                match Compile.resolved_of comp b with
+                | Sample_time.R_const -> n = 0
+                | r -> Sample_time.hit r ~time ~base_dt:comp.Compile.base_dt
+              in
+              if hit then Some id else None)
+            !blocks
+          |> List.sort compare
+        in
+        log := [];
+        Sim.step sim;
+        let ran = List.sort compare !log in
+        if ran <> expected then
+          QCheck2.Test.fail_reportf "step %d (t=%g): updated [%s], expected [%s]"
+            n time
+            (String.concat ";" (List.map string_of_int ran))
+            (String.concat ";" (List.map string_of_int expected))
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "gain chain output" `Quick test_chain_output;
@@ -287,4 +369,5 @@ let suite =
     Alcotest.test_case "inline subsystem" `Quick test_inline_subsystem;
     Alcotest.test_case "override output (PIL hook)" `Quick test_override_output;
     Alcotest.test_case "reset reproducibility" `Quick test_reset_reproducibility;
+    QCheck_alcotest.to_alcotest prop_sample_hits;
   ]

@@ -153,6 +153,76 @@ let test_pil_timeout_holds_last_actuator () =
         obs)
     r.Pil_cosim.trace
 
+(* Golden trajectory of the PIL plant (motor, power stage, load step,
+   encoder register) driven open-loop through its driver, recorded
+   before the plant moved onto the in-place stepper: the rewrite must
+   not change a bit. 5000 periods of 1 ms cross the default load step
+   at 1.2 s. *)
+let golden_periods = 5000
+
+(* duty word per period: a staircase through 0..48000 with a
+   deterministic ripple, so the run both accelerates and coasts *)
+let golden_duty_word k = (k / 250 mod 5 * 12000) + (k * 7919 mod 3000)
+
+let plant_trajectory () =
+  let b = Servo_system.build () in
+  let plant = Servo_system.pil_plant b in
+  let d = Servo_system.pil_driver b in
+  let dt = 1e-3 in
+  Array.init golden_periods (fun k ->
+      let s = d.Pil_cosim.read_sensors plant ~time:(float_of_int k *. dt) in
+      d.Pil_cosim.apply_actuators plant [| golden_duty_word k |];
+      d.Pil_cosim.advance plant ~dt;
+      let bits name =
+        Int64.bits_of_float (List.assoc name (d.Pil_cosim.observe plant))
+      in
+      (bits "speed", bits "theta", bits "current", s.(0)))
+
+(* (period, speed, theta, current bits, encoder count read before it) *)
+let golden_spots =
+  [
+    (0, 0L, 0L, 0L, 0);
+    (1, 4604091958843274584L, 4553272694686410284L, 4599003271977974893L, 0);
+    (7, 4617660731082047122L, 4581110741815715134L, 4594892365759578834L, 0);
+    (249, 4622584783719394844L, 4612999886852364990L, -4631214798611695033L, 163);
+    (250, 4625041938253025986L, 4613029133524014317L, 4611740598101860270L, 164);
+    (1199, 4645027457323072980L, 4641569030767258575L, 4599020199415673239L, 13303);
+    (1200, 4645030574659303873L, 4641581674865404786L, 4594791316291956912L, 13326);
+    (1201, 4645023558178043843L, 4641594315470955313L, -4639067110915157212L, 13349);
+    (1250, 4644694581034433304L, 4642210136163356963L, -4603593868293923559L, 14463);
+    (2000, 4640735202024411869L, 4643996731752810150L, 4611281895277663808L, 19128);
+    (3333, 4643433027509391443L, 4648046313535574014L, -4631800333655721074L, 34977);
+    (4999, 4644969483530498887L, 4651216689480043527L, 4597377192218705643L, 57917);
+  ]
+
+(* polynomial hashes over every period, so no sample between the spots
+   can drift either *)
+let golden_state_hash = -215840587649663302L
+let golden_count_hash = 164907223
+
+let test_pil_plant_golden () =
+  let traj = plant_trajectory () in
+  List.iter
+    (fun (k, w, th, i, c) ->
+      let w', th', i', c' = traj.(k) in
+      let chk what e a =
+        if not (Int64.equal e a) then
+          Alcotest.failf "period %d %s: bits %Ld, golden %Ld" k what a e
+      in
+      chk "speed" w w';
+      chk "theta" th th';
+      chk "current" i i';
+      check_int (Printf.sprintf "period %d encoder count" k) c c')
+    golden_spots;
+  let h = ref 0L and hc = ref 0 in
+  Array.iter
+    (fun (w, th, i, c) ->
+      List.iter (fun v -> h := Int64.add (Int64.mul !h 1000003L) v) [ w; th; i ];
+      hc := ((!hc * 31) + c) land 0x3FFFFFFF)
+    traj;
+  Alcotest.(check int64) "state hash" golden_state_hash !h;
+  check_int "encoder count hash" golden_count_hash !hc
+
 let suite =
   [
     Alcotest.test_case "pil converges" `Quick test_pil_converges;
@@ -166,4 +236,6 @@ let suite =
       test_pil_duplicate_frames_idempotent;
     Alcotest.test_case "timeout holds last actuator frame" `Quick
       test_pil_timeout_holds_last_actuator;
+    Alcotest.test_case "PIL plant golden trajectory" `Quick
+      test_pil_plant_golden;
   ]

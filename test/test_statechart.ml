@@ -271,6 +271,63 @@ let test_mode_chart_block_in_model () =
   Alcotest.(check (option (float 0.0))) "auto after second press" (Some 1.0)
     (value_at 1.5)
 
+(* the active path is cached when the leaf changes: after every event,
+   [is_in] must agree with the leaf's ancestry, and a stopped chart
+   (never started, or reset) has no path *)
+let test_is_in_follows_leaf () =
+  let parents =
+    [ ("Off", None); ("Run", None); ("Slow", Some "Run"); ("Fast", Some "Run");
+      ("Boost", Some "Fast"); ("Cruise", Some "Fast") ]
+  in
+  let c =
+    Chart.create
+      [
+        Chart.state ~initial:true "Off";
+        Chart.state ~history:true "Run";
+        Chart.state ~parent:"Run" ~initial:true "Slow";
+        Chart.state ~parent:"Run" "Fast";
+        Chart.state ~parent:"Fast" ~initial:true "Boost";
+        Chart.state ~parent:"Fast" "Cruise";
+      ]
+      [
+        Chart.transition ~trigger:"start" ~src:"Off" ~dst:"Run" ();
+        Chart.transition ~trigger:"stop" ~src:"Run" ~dst:"Off" ();
+        Chart.transition ~trigger:"shift" ~src:"Slow" ~dst:"Cruise" ();
+        Chart.transition ~trigger:"shift" ~src:"Fast" ~dst:"Slow" ();
+        Chart.transition ~trigger:"settle" ~src:"Boost" ~dst:"Cruise" ();
+      ]
+  in
+  let stopped what =
+    match Chart.is_in c "Off" with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "is_in on a stopped chart (%s) did not fail" what
+  in
+  let rec ancestry n =
+    n :: (match List.assoc n parents with Some p -> ancestry p | None -> [])
+  in
+  let agree () =
+    let path = ancestry (Chart.active_leaf c) in
+    List.iter
+      (fun (n, _) ->
+        check_bool
+          (Printf.sprintf "is_in %s at leaf %s" n (Chart.active_leaf c))
+          (List.mem n path) (Chart.is_in c n))
+      parents
+  in
+  stopped "before start";
+  Chart.start c ();
+  agree ();
+  List.iter
+    (fun e ->
+      ignore (Chart.dispatch c () e);
+      agree ())
+    [ "start"; "shift"; "stop"; "start"; "shift"; "shift"; "settle"; "stop";
+      "start"; "shift"; "settle" ];
+  Chart.reset c;
+  stopped "after reset";
+  Chart.start c ();
+  agree ()
+
 let suite =
   [
     Alcotest.test_case "basic toggle" `Quick test_basic_toggle;
@@ -284,6 +341,7 @@ let suite =
     Alcotest.test_case "parent fallback" `Quick test_parent_handles_when_leaf_does_not;
     Alcotest.test_case "shallow history" `Quick test_shallow_history;
     Alcotest.test_case "no history default" `Quick test_no_history_takes_initial;
+    Alcotest.test_case "is_in follows the leaf" `Quick test_is_in_follows_leaf;
     Alcotest.test_case "validation" `Quick test_validation_errors;
     Alcotest.test_case "effects" `Quick test_effects_and_context;
     Alcotest.test_case "mode chart block" `Quick test_mode_chart_block_in_model;
