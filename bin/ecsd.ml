@@ -670,6 +670,7 @@ let validate_chaos () =
   with Invalid_argument msg -> die "%s" msg
 
 let policy_of_flags ~deadline_s ~retries =
+  let retries = Option.value retries ~default:2 in
   {
     Supervise.default_policy with
     Supervise.deadline_s = (if deadline_s > 0.0 then Some deadline_s else None);
@@ -688,13 +689,15 @@ let deadline_arg =
 
 let retries_arg =
   Arg.(
-    value & opt int 2
+    value
+    & opt (some int) None
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Extra attempts for jobs that fail transiently (e.g. under \
            injected chaos), with deterministic exponential backoff; a \
            job still transient after all attempts is quarantined as \
-           $(b,poisoned). Default 2.")
+           $(b,poisoned). Default 2 (a supervised run: $(b,faultsim) \
+           takes it only with $(b,--on-error record)).")
 
 (* ---- faultsim ---- *)
 
@@ -710,13 +713,21 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
     0
   end
   else begin
-    (* only a supervised seed has a deadline to enforce *)
-    if deadline_s > 0.0 && on_error = `Abort then
-      die "--deadline-s needs --on-error record (abort mode runs seeds \
-           unsupervised)";
+    validate_chaos ();
+    (* only a supervised seed has a deadline, retries or chaos to apply:
+       abort mode would ignore them *)
+    if on_error = `Abort then begin
+      let needs_record what =
+        die "%s needs --on-error record (abort mode runs seeds unsupervised)"
+          what
+      in
+      if deadline_s > 0.0 then needs_record "--deadline-s";
+      if retries <> None then needs_record "--retries";
+      if Supervise.Chaos.enabled () then
+        needs_record "ECSD_CHAOS_SEED chaos"
+    end;
     with_obs trace metrics @@ fun () ->
     enable_flight no_flight;
-    validate_chaos ();
     if model_name <> "servo" then
       die "unknown model %S (faultsim drives the servo case study)" model_name;
     (* supervised mode: a failing seed becomes a failure row in the
@@ -893,7 +904,9 @@ let faultsim_cmd =
              rows in the report, and the campaign completes; exit 1 if \
              any seed failed or never recovered. Failure rows are \
              deterministic, so the report stays byte-identical across \
-             $(b,--jobs). $(b,--deadline-s) needs $(b,record).")
+             $(b,--jobs). $(b,--deadline-s), $(b,--retries) and \
+             $(b,ECSD_CHAOS_SEED) chaos need $(b,record): abort mode \
+             exits 2 on them.")
   in
   Cmd.v
     (Cmd.info "faultsim"

@@ -133,6 +133,7 @@ let bit_io_out bean =
               if not minor then latch := Value.to_bool ins.(0);
               [| Value.of_bool !latch |]);
           reset = (fun () -> latch := init);
+          save = (fun () -> let v = !latch in fun () -> latch := v);
         });
   }
 

@@ -28,6 +28,13 @@ let reset t =
   t.e_prev <- 0.0;
   t.d_prev <- 0.0
 
+let save t =
+  let integ = t.integ and e_prev = t.e_prev and d_prev = t.d_prev in
+  fun () ->
+    t.integ <- integ;
+    t.e_prev <- e_prev;
+    t.d_prev <- d_prev
+
 let ts t = t.ts
 let gains_of t = t.g
 
@@ -114,6 +121,13 @@ module Fixpoint = struct
     f.integ_q <- Fixed.zero f.acc_fmt;
     f.e_prev_q <- Fixed.zero f.sig_fmt;
     f.d_prev_q <- Fixed.zero f.acc_fmt
+
+  let save f =
+    let integ = f.integ_q and e_prev = f.e_prev_q and d_prev = f.d_prev_q in
+    fun () ->
+      f.integ_q <- integ;
+      f.e_prev_q <- e_prev;
+      f.d_prev_q <- d_prev
 
   let step f ~sp ~pv =
     let e_q = Fixed.of_float f.sig_fmt ((sp -. pv) /. f.in_scale) in

@@ -29,6 +29,11 @@ type t
 
 val create : ts:float -> gains -> t
 val reset : t -> unit
+
+val save : t -> unit -> unit
+(** [save t] captures the controller's state (integrator, previous
+    error and derivative) and returns a restorer for it. *)
+
 val ts : t -> float
 val gains_of : t -> gains
 
@@ -50,6 +55,9 @@ module Fixpoint : sig
       code generator bakes them into flash constants. *)
 
   val reset : fx -> unit
+
+  val save : fx -> unit -> unit
+  (** As {!Pid.save}. *)
 
   val step : fx -> sp:float -> pv:float -> float
   (** Physical-unit interface; all internal arithmetic is fixed-point with

@@ -24,6 +24,10 @@ type state = float array ref
 let init t = ref (Array.make (order t) 0.0)
 let reset s = Array.fill !s 0 (Array.length !s) 0.0
 
+let save s =
+  let w = Array.copy !s in
+  fun () -> s := Array.copy w
+
 let step t s u =
   let w = !s in
   let n = Array.length w in

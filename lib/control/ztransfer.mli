@@ -26,6 +26,10 @@ type state
 
 val init : t -> state
 val reset : state -> unit
+
+val save : state -> unit -> unit
+(** [save s] captures the delay line and returns a restorer for it. *)
+
 val step : t -> state -> float -> float
 (** Feed one input sample, produce one output sample. *)
 

@@ -103,7 +103,13 @@ let mode_chart_factory () =
     Chart.start chart ();
     ctx := (true, false)
   in
-  (step, reset)
+  let save () =
+    let restore = Chart.save chart and c = !ctx in
+    fun () ->
+      restore ();
+      ctx := c
+  in
+  (step, reset, save)
 
 (* Embedded realisation of the mode chart: the TLC script of the
    user-written s-function block (Blockgen's custom-emitter hook). *)
@@ -324,9 +330,9 @@ let faultsim_subject ?(config = default_config) ~scenario () =
   in
   let cfg = { config with with_supervisor = true; load } in
   let built = build ~config:cfg () in
-  (* campaigns build one subject per worker domain — the content-hashed
-     cache collapses those to a single compile per distinct model *)
-  let comp = Compile_cache.compile built.closed_loop in
+  (* compiled directly: a Compile_cache digest of the closed loop costs
+     more than the compile it would save *)
+  let comp = Compile.compile built.closed_loop in
   let sim = Sim.create ~solver_substeps:(solver_substeps_for built comp) comp in
   let find n = Model.find built.closed_loop n in
   let subject =

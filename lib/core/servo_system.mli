@@ -61,7 +61,10 @@ type built = {
 }
 
 val mode_chart_factory :
-  unit -> (time:float -> float array -> float array) * (unit -> unit)
+  unit ->
+  (time:float -> float array -> float array)
+  * (unit -> unit)
+  * (unit -> unit -> unit)
 (** The manual/auto mode chart of the case study as a {!Chart_block}
     factory: starts in Auto, toggles on each button rising edge. *)
 

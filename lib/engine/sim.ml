@@ -305,6 +305,75 @@ let reset t =
   t.now <- 0.0;
   t.nstep <- 0
 
+type snapshot = {
+  owner : t;
+  sn_signals : Value.t array array;
+  sn_now : float;
+  sn_nstep : int;
+  sn_events : int;
+  sn_x : float array;
+  sn_behs : (unit -> unit) array;  (* each behaviour's restorer *)
+  sn_probes : ((int * int) * float array * float array) list;
+      (* each probe's samples so far, times and values *)
+}
+
+(* a behaviour that resets state it cannot save would restore wrong *)
+let check_saveable t =
+  let d = Block.no_beh_state in
+  Array.iteri
+    (fun i beh ->
+      if beh.Block.reset != d.Block.reset && beh.Block.save == d.Block.save
+      then
+        invalid_arg
+          (Printf.sprintf
+             "Sim.save: block %s overrides reset but not save, so its \
+              state cannot be captured"
+             (block_name t i)))
+    t.behs
+
+let save t =
+  check_saveable t;
+  {
+    owner = t;
+    sn_signals = Array.map Array.copy t.signals;
+    sn_now = t.now;
+    sn_nstep = t.nstep;
+    sn_events = t.events_this_step;
+    sn_x = Array.copy t.integ.x;
+    sn_behs = Array.map (fun beh -> beh.Block.save ()) t.behs;
+    sn_probes =
+      Hashtbl.fold
+        (fun k pb acc ->
+          (k, Array.sub pb.pb_t 0 pb.pb_len, Array.sub pb.pb_v 0 pb.pb_len)
+          :: acc)
+        t.probes [];
+  }
+
+let restore t sn =
+  if sn.owner != t then invalid_arg "Sim.restore: snapshot of another simulation";
+  Array.iter (fun r -> r ()) sn.sn_behs;
+  Array.iteri
+    (fun i row -> Array.blit row 0 t.signals.(i) 0 (Array.length row))
+    sn.sn_signals;
+  Array.blit sn.sn_x 0 t.integ.x 0 (Array.length sn.sn_x);
+  Hashtbl.iter
+    (fun k pb ->
+      match List.find_opt (fun (k', _, _) -> k' = k) sn.sn_probes with
+      | None -> pb.pb_len <- 0
+      | Some (_, ts, vs) ->
+          let n = Array.length ts in
+          if Array.length pb.pb_t < n then begin
+            pb.pb_t <- Array.make n 0.0;
+            pb.pb_v <- Array.make n 0.0
+          end;
+          Array.blit ts 0 pb.pb_t 0 n;
+          Array.blit vs 0 pb.pb_v 0 n;
+          pb.pb_len <- n)
+    t.probes;
+  t.now <- sn.sn_now;
+  t.nstep <- sn.sn_nstep;
+  t.events_this_step <- sn.sn_events
+
 let time t = t.now
 let base_dt t = t.comp.Compile.base_dt
 let compiled t = t.comp

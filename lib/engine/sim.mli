@@ -23,6 +23,24 @@ val create : ?solver_substeps:int -> Compile.t -> t
 val reset : t -> unit
 (** Back to time zero and initial block states. *)
 
+type snapshot
+(** A captured simulation state: see {!save}. *)
+
+val save : t -> snapshot
+(** Capture the simulation's state: every signal, the time and step
+    count, the packed continuous state, every probe's samples so far,
+    and each block behaviour's state through its [Block.beh] [save].
+    Fault hooks and output overrides are configuration, not state, and
+    are not captured.
+    @raise Invalid_argument naming the block when a behaviour overrides
+    [reset] but not [save]: its state could not be put back. *)
+
+val restore : t -> snapshot -> unit
+(** Put a {!save}d state back. A snapshot can be restored any number of
+    times; stepping on from it is bit-identical to stepping on from the
+    moment it was taken, given the same fault hooks and overrides.
+    @raise Invalid_argument on a snapshot of another simulation. *)
+
 val time : t -> float
 val base_dt : t -> float
 val compiled : t -> Compile.t

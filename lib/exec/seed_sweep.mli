@@ -6,9 +6,7 @@
     [ecsd diff --seeds] all go through {!run}, which wires once what a
     campaign needs to be jobs-independent: a subject per domain (built
     on this domain first, so configuration errors surface before any
-    worker starts, and a {!Compile_cache} it fills serves the workers'
-    builds), a flight
-    track per seed, the optional {!Supervise} envelope, and results
+    worker starts), a flight track per seed, the optional {!Supervise} envelope, and results
     merged by seed whatever domain computed them. *)
 
 val bad_request : ('a, unit, string, 'b) format4 -> 'a
@@ -43,8 +41,10 @@ val run :
     - Without [pool] the seeds run in order on this domain, all on the
       one subject. With [pool] they are sharded by {!Exec_pool.run_map}
       and every domain builds its own subject through [subject], so the
-      subject's mutable state stays domain-local; bodies must therefore
-      depend only on the seed, not on what ran before on the subject.
+      subject's mutable state stays domain-local; a body's result must
+      therefore depend only on the seed, not on what ran before on the
+      subject (a body may reuse work an earlier seed left on it, as
+      [Fault_campaign] does, if the result stays the same).
     - Without [policy] a raising body aborts the sweep (the lowest
       failing seed's exception, under a pool). With [policy] each seed
       runs under {!Supervise.supervise} with label [label ^ ":seed" ^ N]

@@ -46,64 +46,138 @@ let arm subject ?seed scn =
 
 let disarm subject = Sim.set_fault_hook subject.sim []
 
-let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
-  Sim.reset subject.sim;
+(* The recovery metrics, folded as the run goes: O(1) memory in the
+   horizon, and the tail sum of squares in the same order as a post-hoc
+   pass over the last [tail] steps. *)
+type metrics = {
+  mutable first_nz : int;  (* first non-nominal step at or after onset *)
+  mutable last_nz : int;  (* last non-nominal step *)
+  mutable n_degraded : int;
+  mutable n_safestop : int;
+  mutable max_mode : int;
+  mutable sq : float;  (* tail sum of squared control error *)
+}
+
+(* The steps that start before the scenario's first fault edge are the
+   same bits for every seed: the injector draws from its RNG only while
+   a fault is active, and load faults are part of the subject. The first
+   seed a domain runs leaves a checkpoint at the end of that prefix, and
+   every later seed there restores it instead of simulating the prefix
+   again. What the prefix changed is all here, except the virtual MCU,
+   which is cheap to re-advance. *)
+type checkpoint = {
+  ck_sim : Sim.t;
+  ck_scenario : Fault_scenario.t;
+  ck_steps : int;  (* with the two above, fixes the prefix *)
+  ck_prefix : int;  (* steps before onset *)
+  ck_state : Sim.snapshot;
+  ck_metrics : metrics;
+  ck_stuck : (int * int) list;  (* the injector's stuck-sensor table *)
+  ck_flight : Flight.segment;  (* the prefix's events, after the arm *)
+}
+
+let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
+  let sim = subject.sim in
   let inj = arm subject ~seed scenario in
+  let flight_from = Flight.track_seq () in
   let machine = Machine.create subject.mcu in
   let wdog = Wdog_periph.create machine ~timeout:wdog_timeout () in
   Wdog_periph.enable wdog;
   let period_cycles = Machine.cycles_of_time machine period in
-  let onset = Fault_scenario.onset scenario in
-  let clear = Fault_scenario.clear_time scenario ~horizon:t_end in
-  let onset_step = max 0 (int_of_float (onset /. period)) in
-  (* the recovery metrics, folded as the run goes: O(1) memory in the
-     horizon, and the tail sum of squares in the same order as a
-     post-hoc pass over the last [tail] steps *)
-  let tail = max 1 (steps / 8) in
-  let tail_start = steps - tail in
-  let first_nz = ref (-1) and last_nz = ref (-1) in
-  let n_degraded = ref 0 and n_safestop = ref 0 and max_mode = ref 0 in
-  let sq = ref 0.0 in
-  for k = 0 to steps - 1 do
-    (* supervision fuel point (Sim.step polls too; this one covers the
-       MCU/watchdog half of the loop) *)
-    Cancel.poll ();
-    let time = Sim.time subject.sim in
-    Sim.step subject.sim;
-    (* the virtual MCU lives the same period, stretched by any injected
-       overrun; the watchdog is serviced at the end of the step unless
-       the scenario eats the service call *)
+  (* the virtual MCU lives the same period, stretched by any injected
+     overrun; the watchdog is serviced at the end of the step unless
+     the scenario eats the service call *)
+  let mcu_step time =
     let extra = Fault_inject.overrun_cycles inj ~time in
     Machine.advance machine ~cycles:(period_cycles + extra);
     if not (Fault_inject.wdog_suppressed inj ~time) then
-      Wdog_periph.refresh wdog;
-    let mode =
-      int_of_float (Value.to_float (Sim.value subject.sim subject.ports.mode_port))
-    in
+      Wdog_periph.refresh wdog
+  in
+  let onset = Fault_scenario.onset scenario in
+  let clear = Fault_scenario.clear_time scenario ~horizon:t_end in
+  let onset_step = max 0 (int_of_float (onset /. period)) in
+  let tail = max 1 (steps / 8) in
+  let tail_start = steps - tail in
+  let m, start, fresh =
+    match !slot with
+    | Some ck
+      when ck.ck_sim == sim && ck.ck_scenario == scenario && ck.ck_steps = steps
+      ->
+        let time = ref 0.0 in
+        for _ = 1 to ck.ck_prefix do
+          mcu_step !time;
+          time := !time +. period
+        done;
+        Flight.replay ck.ck_flight;
+        Fault_inject.set_stuck_codes inj ck.ck_stuck;
+        Sim.restore sim ck.ck_state;
+        ({ ck.ck_metrics with sq = ck.ck_metrics.sq }, ck.ck_prefix, false)
+    | _ ->
+        Sim.reset sim;
+        ( {
+            first_nz = -1;
+            last_nz = -1;
+            n_degraded = 0;
+            n_safestop = 0;
+            max_mode = 0;
+            sq = 0.0;
+          },
+          0,
+          true )
+  in
+  (* a run that checkpoints hands its checkpoint over only once it has
+     completed: a failed or cancelled one leaves none *)
+  let built = ref None in
+  let checkpoint k =
+    built :=
+      Some
+        {
+          ck_sim = sim;
+          ck_scenario = scenario;
+          ck_steps = steps;
+          ck_prefix = k;
+          ck_state = Sim.save sim;
+          ck_metrics = { m with sq = m.sq };
+          ck_stuck = Fault_inject.stuck_codes inj;
+          ck_flight = Flight.since flight_from;
+        }
+  in
+  for k = start to steps - 1 do
+    (* supervision fuel point (Sim.step polls too; this one covers the
+       MCU/watchdog half of the loop) *)
+    Cancel.poll ();
+    let time = Sim.time sim in
+    if fresh && Option.is_none !built && time >= onset then checkpoint k;
+    Sim.step sim;
+    mcu_step time;
+    let mode = int_of_float (Value.to_float (Sim.value sim subject.ports.mode_port)) in
     if mode > 0 then begin
-      if !first_nz < 0 && k >= onset_step then first_nz := k;
-      last_nz := k
+      if m.first_nz < 0 && k >= onset_step then m.first_nz <- k;
+      m.last_nz <- k
     end;
-    if mode = 1 then incr n_degraded else if mode = 2 then incr n_safestop;
-    if mode > !max_mode then max_mode := mode;
+    if mode = 1 then m.n_degraded <- m.n_degraded + 1
+    else if mode = 2 then m.n_safestop <- m.n_safestop + 1;
+    if mode > m.max_mode then m.max_mode <- mode;
     if k >= tail_start then begin
-      let speed = Value.to_float (Sim.value subject.sim subject.ports.speed_port) in
+      let speed = Value.to_float (Sim.value sim subject.ports.speed_port) in
       let sp =
         match subject.ports.setpoint_port with
-        | Some p -> Value.to_float (Sim.value subject.sim p)
+        | Some p -> Value.to_float (Sim.value sim p)
         | None -> 0.0
       in
       let err = speed -. sp in
-      sq := !sq +. (err *. err)
+      m.sq <- m.sq +. (err *. err)
     end
   done;
+  if fresh && Option.is_none !built then checkpoint steps;
+  if Option.is_some !built then slot := !built;
   disarm subject;
   let detection_s =
-    if !first_nz < 0 then None
-    else Some (Float.max 0.0 ((float_of_int !first_nz *. period) -. onset))
+    if m.first_nz < 0 then None
+    else Some (Float.max 0.0 ((float_of_int m.first_nz *. period) -. onset))
   in
   let wdog_bites = Wdog_periph.bites wdog in
-  let last_nz = !last_nz in
+  let last_nz = m.last_nz in
   let recovered, recovery_s =
     if last_nz < 0 then (true, Some 0.0)
     else if last_nz = steps - 1 then (false, None)
@@ -123,10 +197,10 @@ let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
     detection_s;
     recovered;
     recovery_s;
-    steps_degraded = !n_degraded;
-    steps_safestop = !n_safestop;
-    max_mode = !max_mode;
-    residual_rms = sqrt (!sq /. float_of_int tail);
+    steps_degraded = m.n_degraded;
+    steps_safestop = m.n_safestop;
+    max_mode = m.max_mode;
+    residual_rms = sqrt (m.sq /. float_of_int tail);
     wdog_bites;
   }
 
@@ -154,9 +228,12 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?pool
   let s =
     Seed_sweep.run ?pool ?policy
       ?on_run:(Option.map (fun f _ r -> f r) on_run)
-      ~seeds ~track:name ~label:("faultsim:" ^ name) ~subject:mk_subject ~plan
-      (fun (period, steps, wdog_timeout) subject seed ->
-        one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout)
+      ~seeds ~track:name ~label:("faultsim:" ^ name)
+      ~subject:(fun () -> (mk_subject (), ref None))
+      ~plan:(fun (subject, _) -> plan subject)
+      (fun (period, steps, wdog_timeout) (subject, slot) seed ->
+        one_run slot subject ~scenario ~seed ~steps ~period ~t_end
+          ~wdog_timeout)
   in
   let period, steps, _ = s.Seed_sweep.plan in
   let outcomes = Array.to_list s.Seed_sweep.outcomes in

@@ -72,7 +72,8 @@ val sweep :
   result
 (** Run the campaign through {!Seed_sweep.run}: [seeds] runs (seeds
     1..N, default 5) of [t_end] seconds (default 2.0) each, every run
-    starting from a reset simulation. [wdog_timeout] defaults to 8
+    starting from a reset simulation — or from a checkpoint of one.
+    [wdog_timeout] defaults to 8
     control periods. The watchdog is serviced once per control step
     unless the scenario suppresses it; injected overruns stretch the
     step's cycle budget so a long enough burst starves the watchdog
@@ -80,11 +81,20 @@ val sweep :
 
     - Without [pool] every run uses one subject built on this domain.
       With [pool] the seeds shard over the pool's workers, each domain
-      building its own subject through the factory (the compile inside
-      dedups through {!Compile_cache}). Results merge in seed order, so
+      building its own subject through the factory. Results merge in
+      seed order, so
       the report equals the sequential one field-for-field except
       [wall_s] (set [ECSD_WALL_ZERO=1] to zero that too and compare
       bytes).
+    - The steps that start before the scenario's first fault edge
+      ({!Fault_scenario.onset}) are the same bits for every seed, so a
+      domain simulates them once per sweep: its first seed runs in full
+      and, once it completes, leaves a checkpoint at the onset ({!Sim.save},
+      the run metrics so far, the injector's stuck-sensor table, the
+      prefix's flight events); every later seed on that domain
+      re-advances its own MCU and watchdog over the prefix, re-records
+      those events under its own track and restores the simulation.
+      Results and flight bundles are those of simulating every step.
     - [on_run] fires after each completed run, on the domain that ran
       it (it must synchronize its own state) — the CLI uses it to keep a
       partial report it can flush if a later run dies.

@@ -43,6 +43,12 @@ let arm ?(seed = 1) scn =
 let scenario t = t.scn
 let seed t = t.sd
 
+let stuck_codes t = Hashtbl.fold (fun slot c acc -> (slot, c) :: acc) t.last []
+
+let set_stuck_codes t codes =
+  Hashtbl.reset t.last;
+  List.iter (fun (slot, c) -> Hashtbl.replace t.last slot c) codes
+
 let next t =
   t.rng := Int64.add !(t.rng) 0x9E3779B97F4A7C15L;
   let z = !(t.rng) in

@@ -25,6 +25,14 @@ val arm : ?seed:int -> Fault_scenario.t -> t
 val scenario : t -> Fault_scenario.t
 val seed : t -> int
 
+val stuck_codes : t -> (int * int) list
+(** The [(slot, code)] table {!sensor} keeps for [Sensor_stuck]: the
+    last code it returned per slot while no stuck fault was active. *)
+
+val set_stuck_codes : t -> (int * int) list -> unit
+(** Replace that table — to carry it from an injector that ran a
+    fault-free stretch to one resuming after it. *)
+
 val sensor : t -> slot:int -> time:float -> int -> int
 (** Perturb one raw sensor code. Applies every active sensor fault bound
     to [slot], in scenario order. [Sensor_stuck] freezes the code at the

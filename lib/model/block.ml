@@ -19,6 +19,7 @@ type beh = {
   get_cstate : unit -> float array;
   set_cstate : float array -> unit;
   reset : unit -> unit;
+  save : unit -> unit -> unit;
 }
 
 type spec = {
@@ -42,6 +43,7 @@ let no_beh_state =
     get_cstate = (fun () -> [||]);
     set_cstate = (fun _ -> ());
     reset = (fun () -> ());
+    save = (fun () () -> ());
   }
 
 let stateless ~kind ?(params = []) ~n_in ~n_out ?out_types

@@ -43,6 +43,16 @@ type beh = {
   get_cstate : unit -> float array;
   set_cstate : float array -> unit;
   reset : unit -> unit;  (** back to initial conditions *)
+  save : unit -> unit -> unit;
+      (** [save ()] captures the behaviour's current state — everything
+          [reset] would overwrite, continuous states included — and
+          returns a restorer that puts that state back. The restorer
+          can be called any number of times, after any steps or resets
+          in between, and the behaviour then continues bit-identically
+          to how it continued from the capture. A behaviour that
+          overrides [reset] must override [save] too ([Sim.save]
+          refuses a model that holds one that does not); the stateless
+          default captures nothing. *)
 }
 
 (** Static block definition. *)

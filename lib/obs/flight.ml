@@ -183,22 +183,23 @@ type bundle = {
 let cap_mutex = Mutex.create ()
 let cap_tbl : (int, bundle) Hashtbl.t = Hashtbl.create 8
 
+let event_at r i =
+  {
+    ev_kind = kind_of_code r.kinds.(i);
+    ev_track = r.tracks.(i);
+    ev_seq = r.seqs.(i);
+    ev_step = r.steps.(i);
+    ev_time = r.times.(i);
+    ev_value = r.values.(i);
+    ev_arg = r.args.(i);
+    ev_label = r.labels.(i);
+  }
+
 let snapshot_track r ~reason =
   let evs = ref [] in
   for i = r.cap - 1 downto 0 do
     if r.kinds.(i) <> 0 && r.tracks.(i) = r.track then
-      evs :=
-        {
-          ev_kind = kind_of_code r.kinds.(i);
-          ev_track = r.tracks.(i);
-          ev_seq = r.seqs.(i);
-          ev_step = r.steps.(i);
-          ev_time = r.times.(i);
-          ev_value = r.values.(i);
-          ev_arg = r.args.(i);
-          ev_label = r.labels.(i);
-        }
-        :: !evs
+      evs := event_at r i :: !evs
   done;
   let events =
     List.sort (fun a b -> compare a.ev_seq b.ev_seq) !evs
@@ -244,21 +245,63 @@ let ring_dump () =
   let evs = ref [] in
   for k = r.cap - 1 downto 0 do
     let i = (r.next + k) mod r.cap in
-    if r.kinds.(i) <> 0 then
-      evs :=
-        {
-          ev_kind = kind_of_code r.kinds.(i);
-          ev_track = r.tracks.(i);
-          ev_seq = r.seqs.(i);
-          ev_step = r.steps.(i);
-          ev_time = r.times.(i);
-          ev_value = r.values.(i);
-          ev_arg = r.args.(i);
-          ev_label = r.labels.(i);
-        }
-        :: !evs
+    if r.kinds.(i) <> 0 then evs := event_at r i :: !evs
   done;
   !evs
+
+(* -- re-recording a stretch of a track -------------------------------- *)
+
+type segment = {
+  sg_from : int;  (* the first seq of the stretch *)
+  sg_count : int;  (* events recorded in it *)
+  sg_events : event list;  (* those still on the ring, by seq *)
+}
+
+let track_seq () = if !on then (ring ()).seq else 0
+
+(* Newest first, so the walk meets this recording's events before any
+   an earlier recording of the same track id left on the ring, and stops
+   at the first event out of the sequence. *)
+let since from =
+  if not !on then { sg_from = from; sg_count = 0; sg_events = [] }
+  else begin
+    let r = ring () in
+    let evs = ref [] and want = ref (r.seq - 1) and i = ref r.next in
+    let walked = ref 0 in
+    while !want >= from && !walked < r.cap do
+      i := (if !i = 0 then r.cap - 1 else !i - 1);
+      if r.kinds.(!i) <> 0 && r.tracks.(!i) = r.track then
+        if r.seqs.(!i) = !want then begin
+          evs := event_at r !i :: !evs;
+          decr want
+        end
+        else want := from - 1;
+      incr walked
+    done;
+    { sg_from = from; sg_count = r.seq - from; sg_events = !evs }
+  end
+
+let code_of_kind = function
+  | Step -> 1
+  | Signal -> 2
+  | Fault -> 3
+  | Engine -> 4
+  | Mark -> 5
+
+(* Only the stretch's survivors are written again; the sequence numbers
+   still count the evicted ones, so the bundle's dropped count holds. *)
+let replay sg =
+  if !on && sg.sg_count > 0 then begin
+    let r = ring () in
+    let base = r.seq in
+    List.iter
+      (fun e ->
+        record r (code_of_kind e.ev_kind) r.track
+          (base + e.ev_seq - sg.sg_from)
+          e.ev_step e.ev_time e.ev_value e.ev_arg e.ev_label)
+      sg.sg_events;
+    r.seq <- base + sg.sg_count
+  end
 
 (* -- export -------------------------------------------------------------- *)
 

@@ -102,6 +102,30 @@ val ring_dump : unit -> event list
 (** Raw contents of the calling domain's ring, oldest first (all tracks,
     including {!engine_track}); interactive use only. *)
 
+(** {2 Re-recording a stretch of a track}
+
+    A campaign whose seeds share a bit-identical stretch of run records
+    it once and re-records it under each later seed's track, so every
+    bundle reads as if each seed had recorded it itself. *)
+
+type segment
+(** The current track's events from some sequence number on. *)
+
+val track_seq : unit -> int
+(** The calling domain's next sequence number on its current track
+    ([0] when disabled): where a {!since} stretch starts. *)
+
+val since : int -> segment
+(** [since seq]: the events the current track recorded from [seq] on —
+    how many, and those still on the calling domain's ring (at most
+    {!capacity}). Empty when disabled. *)
+
+val replay : segment -> unit
+(** Record a {!since} segment again under the calling domain's current
+    track, its sequence numbers continuing the track's (evicted events
+    included), so a later {!capture} is the one recording the same
+    events afresh would give. No-op when disabled. *)
+
 (** {2 Export} *)
 
 val captures_jsonl : unit -> string

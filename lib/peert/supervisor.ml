@@ -144,6 +144,20 @@ let block ?period (c : config) : Block.spec =
               uprev := 0.0;
               held.(0) <- 0.0;
               held.(1) <- 0.0);
+          save =
+            (fun () ->
+              let p = !prev and st = !stale and o = !ok and b = !bad
+              and md = !mode and u = !uprev
+              and h0 = held.(0) and h1 = held.(1) in
+              fun () ->
+                prev := p;
+                stale := st;
+                ok := o;
+                bad := b;
+                mode := md;
+                uprev := u;
+                held.(0) <- h0;
+                held.(1) <- h1);
         });
   }
 

@@ -226,3 +226,11 @@ let reset t =
   t.leaf <- None;
   t.path <- [];
   Hashtbl.reset t.last_child
+
+let save t =
+  let leaf = t.leaf and path = t.path and last = Hashtbl.copy t.last_child in
+  fun () ->
+    t.leaf <- leaf;
+    t.path <- path;
+    Hashtbl.reset t.last_child;
+    Hashtbl.iter (Hashtbl.replace t.last_child) last

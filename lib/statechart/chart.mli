@@ -67,3 +67,8 @@ val tick : 'ctx t -> 'ctx -> bool
 val reset : 'ctx t -> unit
 (** Forget the configuration (including history); [start] must be called
     again. *)
+
+val save : 'ctx t -> unit -> unit
+(** [save t] captures the configuration (active leaf and path, and every
+    composite's history) and returns a restorer for it, callable any
+    number of times. The chart's context is the caller's to save. *)

@@ -11,9 +11,13 @@ val block :
   n_out:int ->
   ?period:float ->
   ?params:Param.t ->
-  (unit -> (time:float -> float array -> float array) * (unit -> unit)) ->
+  (unit ->
+  (time:float -> float array -> float array)
+  * (unit -> unit)
+  * (unit -> unit -> unit)) ->
   Block.spec
 (** [block ~kind ~n_in ~n_out factory]: [factory ()] must return
-    [(step, reset)]. The step runs once per sample hit (never on solver
-    minor steps); outputs are held between hits. [period] pins a discrete
-    rate (otherwise inherited). *)
+    [(step, reset, save)], where [save] follows {!Block.beh}'s [save]
+    contract for the chart and its context. The step runs once per
+    sample hit (never on solver minor steps); outputs are held between
+    hits. [period] pins a discrete rate (otherwise inherited). *)

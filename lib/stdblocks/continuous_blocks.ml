@@ -19,6 +19,7 @@ let integrator ?(init = 0.0) ?(k = 1.0) () =
           get_cstate = (fun () -> [| !x |]);
           set_cstate = (fun s -> x := s.(0));
           reset = (fun () -> x := init);
+          save = (fun () -> let v = !x in fun () -> x := v);
         });
   }
 
@@ -70,6 +71,10 @@ let state_space ~a ~b ~c ?(d = 0.0) () =
           get_cstate = (fun () -> Array.copy x);
           set_cstate = (fun s -> Array.blit s 0 x 0 n);
           reset = (fun () -> Array.fill x 0 n 0.0);
+          save =
+            (fun () ->
+              let s = Array.copy x in
+              fun () -> Array.blit s 0 x 0 n);
         });
   }
 

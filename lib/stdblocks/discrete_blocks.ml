@@ -21,6 +21,7 @@ let unit_delay ?(init = 0.0) ?period () =
           out = (fun ~minor:_ ~time:_ _ -> [| !state |]);
           update = (fun ~time:_ ins -> state := Value.cast ctx.Block.out_dtypes.(0) ins.(0));
           reset = (fun () -> state := Value.of_float ctx.Block.out_dtypes.(0) init);
+          save = (fun () -> let v = !state in fun () -> state := v);
         });
   }
 
@@ -67,6 +68,7 @@ let discrete_integrator ?(k = 1.0) ?(init = 0.0) ?(lo = neg_infinity)
             (fun ~time:_ ins ->
               y := clamp (!y +. (k *. ctx.Block.block_dt *. Value.to_float ins.(0))));
           reset = (fun () -> y := init);
+          save = (fun () -> let v = !y in fun () -> y := v);
         });
   }
 
@@ -90,6 +92,7 @@ let discrete_derivative ?(k = 1.0) () =
               [| Value.F (k *. (Value.to_float ins.(0) -. !prev) /. ctx.Block.block_dt) |]);
           update = (fun ~time:_ ins -> prev := Value.to_float ins.(0));
           reset = (fun () -> prev := 0.0);
+          save = (fun () -> let v = !prev in fun () -> prev := v);
         });
   }
 
@@ -121,6 +124,12 @@ let discrete_tf ~num ~den =
             (fun () ->
               Ztransfer.reset st;
               current := 0.0);
+          save =
+            (fun () ->
+              let restore_st = Ztransfer.save st and v = !current in
+              fun () ->
+                restore_st ();
+                current := v);
         });
   }
 
@@ -159,6 +168,12 @@ let pid ~ts g =
             (fun () ->
               Pid.reset c;
               current := 0.0);
+          save =
+            (fun () ->
+              let restore_c = Pid.save c and v = !current in
+              fun () ->
+                restore_c ();
+                current := v);
         });
   }
 
@@ -201,6 +216,12 @@ let fix_pid ~ts ~fmt ~in_scale ~out_scale g =
             (fun () ->
               Pid.Fixpoint.reset c;
               current := 0.0);
+          save =
+            (fun () ->
+              let restore_c = Pid.Fixpoint.save c and v = !current in
+              fun () ->
+                restore_c ();
+                current := v);
         });
   }
 
@@ -242,6 +263,12 @@ let rate_limiter ~rising ~falling =
             (fun () ->
               prev := 0.0;
               started := false);
+          save =
+            (fun () ->
+              let p = !prev and st = !started in
+              fun () ->
+                prev := p;
+                started := st);
         });
   }
 
@@ -279,6 +306,15 @@ let moving_average n =
               idx := 0;
               filled := 0;
               current := 0.0);
+          save =
+            (fun () ->
+              let b = Array.copy buf and i = !idx and f = !filled
+              and v = !current in
+              fun () ->
+                Array.blit b 0 buf 0 n;
+                idx := i;
+                filled := f;
+                current := v);
         });
   }
 
@@ -317,6 +353,12 @@ let encoder_speed ~counts_per_rev =
             (fun () ->
               prev := 0;
               current := 0.0);
+          save =
+            (fun () ->
+              let p = !prev and v = !current in
+              fun () ->
+                prev := p;
+                current := v);
         });
   }
 
@@ -350,6 +392,12 @@ let delay_n n =
               (fun () ->
                 Array.fill buf 0 n zero;
                 idx := 0);
+            save =
+              (fun () ->
+                let b = Array.copy buf and i = !idx in
+                fun () ->
+                  Array.blit b 0 buf 0 n;
+                  idx := i);
           }
         end);
   }

@@ -57,6 +57,7 @@ let relay ?(on_point = 0.5) ?(off_point = -0.5) ~on_value ~off_value () =
               end;
               [| Value.F (if !on then on_value else off_value) |]);
           reset = (fun () -> on := false);
+          save = (fun () -> let v = !on in fun () -> on := v);
         });
   }
 
@@ -107,5 +108,6 @@ let backlash ~width =
               end;
               [| Value.F !y |]);
           reset = (fun () -> y := 0.0);
+          save = (fun () -> let v = !y in fun () -> y := v);
         });
   }

@@ -56,6 +56,10 @@ let dc_motor ?(params = Dc_motor.default) ?(load = Load_profile.No_load) () =
           get_cstate = (fun () -> Array.copy x);
           set_cstate = (fun s -> Array.blit s 0 x 0 3);
           reset = (fun () -> Array.fill x 0 3 0.0);
+          save =
+            (fun () ->
+              let s = Array.copy x in
+              fun () -> Array.blit s 0 x 0 3);
         });
   }
 
@@ -112,5 +116,6 @@ let thermal_plant ?(params = Thermal.default) () =
                 Thermal.step p ~p_in:(Value.to_float ins.(0))
                   ~h:ctx.Block.block_dt !temp);
           reset = (fun () -> temp := p.Thermal.t_amb);
+          save = (fun () -> let v = !temp in fun () -> temp := v);
         });
   }

@@ -74,5 +74,12 @@ let merge2 =
               prev0 := zero;
               prev1 := zero;
               held := zero);
+          save =
+            (fun () ->
+              let p0 = !prev0 and p1 = !prev1 and h = !held in
+              fun () ->
+                prev0 := p0;
+                prev1 := p1;
+                held := h);
         });
   }

@@ -123,6 +123,12 @@ let uniform_noise ?(seed = 42) ?(lo = -1.0) ?(hi = 1.0) () =
             (fun () ->
               state := Int64.of_int seed;
               current := 0.0);
+          save =
+            (fun () ->
+              let st = !state and v = !current in
+              fun () ->
+                state := st;
+                current := v);
         });
   }
 

@@ -183,11 +183,19 @@ let test_shallow_history () =
   check_string "parked" "Off" (Chart.active_leaf c);
   ignore (Chart.dispatch c () "start");
   check_string "history resumes Fast" "Fast" (Chart.active_leaf c);
+  ignore (Chart.dispatch c () "stop");
+  let restore = Chart.save c in
   (* reset clears the memory *)
   Chart.reset c;
   Chart.start c ();
   ignore (Chart.dispatch c () "start");
-  check_string "fresh after reset" "Slow" (Chart.active_leaf c)
+  check_string "fresh after reset" "Slow" (Chart.active_leaf c);
+  (* a restore brings back the leaf, its path and the history *)
+  restore ();
+  check_string "restored leaf" "Off" (Chart.active_leaf c);
+  check_bool "restored path" true (Chart.is_in c "Off" && not (Chart.is_in c "Run"));
+  ignore (Chart.dispatch c () "start");
+  check_string "restored history resumes Fast" "Fast" (Chart.active_leaf c)
 
 let test_no_history_takes_initial () =
   let c =
