@@ -124,14 +124,14 @@ let with_obs ?(profile = false) trace metrics f =
       Obs.set_enabled false;
       (match trace with
       | Some path ->
-          writing (fun () -> Obs.write_chrome_trace ~path);
+          writing (fun () -> Flight.write_spans ~path);
           Printf.printf "trace spans written to %s\n" path
       | None -> ());
       if metrics then begin
         print_newline ();
         print_string (Obs_report.metrics_table (Obs.snapshot ()));
         print_newline ();
-        print_string (Obs_report.flame_summary (Obs.spans ()))
+        print_string (Obs_report.flame_summary (Flight.spans ()))
       end;
       if profile then begin
         print_newline ();

@@ -11,7 +11,7 @@ let pass name f =
   if not (Obs.enabled ()) then f ()
   else begin
     let t0 = Obs.now_ns () in
-    let r = Obs.span ("check." ^ name) f in
+    let r = Flight.span ("check." ^ name) f in
     Obs.record_named
       ("profile.check." ^ name ^ "_s")
       ((Obs.now_ns () -. t0) *. 1e-9);
@@ -19,7 +19,7 @@ let pass name f =
   end
 
 let run ?rules ?(suppress = []) ?(preemptive = false) ?project m =
-  Obs.span "analysis.check" @@ fun () ->
+  Flight.span "analysis.check" @@ fun () ->
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
   let comp =

@@ -446,7 +446,7 @@ let step t =
   (* supervision fuel point: a deadline or kill on the ambient token
      abandons the run between steps, where all state is reset-able *)
   Cancel.poll ();
-  Obs.span_begin "sim.step";
+  Flight.span_begin "sim.step";
   (* one ring fetch per step, shared with the probe burst below *)
   let fr = if Flight.enabled () then Some (Flight.recorder ()) else None in
   (match fr with
@@ -472,8 +472,8 @@ let step t =
   t.now <- t.now +. t.comp.Compile.base_dt;
   t.nstep <- t.nstep + 1;
   Obs.add c_steps 1;
-  Obs.bump t.events_this_step;
-  Obs.span_end ()
+  Flight.bump t.events_this_step;
+  Flight.span_end ()
 
 let run t ?(steps = max_int) ~until () =
   let n = ref 0 in

@@ -61,8 +61,21 @@ let parse_line lineno line =
           | None -> Ok None
           | Some s -> (
               match float_of_string_opt s with
-              | Some x -> Ok (Some x)
-              | None -> Error (Printf.sprintf "line %d: %s=%S is not a number" lineno k s))
+              | Some x when Float.is_finite x -> Ok (Some x)
+              | Some _ -> err "%s=%s is not a finite number" k s
+              | None -> err "%s=%S is not a number" k s)
+        in
+        (* an integer field: a whole number in int range, and >= 0
+           unless [signed] (a sensor offset) *)
+        let to_int ?(signed = false) k x =
+          if
+            Float.is_integer x
+            && x >= (if signed then -0x1p62 else 0.0)
+            && x < 0x1p62
+          then Ok (int_of_float x)
+          else
+            err "%s=%g is not a whole number in [%s, 2^62)" k x
+              (if signed then "-2^62" else "0")
         in
         let ( let* ) = Result.bind in
         let* at = fget "at" in
@@ -79,18 +92,22 @@ let parse_line lineno line =
               | Some x -> Ok (mk x)
               | None -> err "kind %S needs value=" kind_word |> Result.map (fun _ -> assert false)
             in
+            let need_int ?signed mk =
+              let* x = need_value Fun.id in
+              Result.map mk (to_int ?signed "value" x)
+            in
             let* kind =
               match kind_word with
               | "stuck" -> Ok Fault.Sensor_stuck
               | "dropout" -> Ok Fault.Sensor_dropout
               | "wdog-suppress" -> Ok Fault.Wdog_suppress
-              | "offset" -> need_value (fun x -> Fault.Sensor_offset (int_of_float x))
-              | "noise" -> need_value (fun x -> Fault.Sensor_noise (int_of_float x))
-              | "glitch" -> need_value (fun x -> Fault.Encoder_glitch (int_of_float x))
+              | "offset" -> need_int ~signed:true (fun n -> Fault.Sensor_offset n)
+              | "noise" -> need_int (fun n -> Fault.Sensor_noise n)
+              | "glitch" -> need_int (fun n -> Fault.Encoder_glitch n)
               | "saturation" -> need_value (fun x -> Fault.Actuator_saturation x)
               | "jam" -> need_value (fun x -> Fault.Actuator_jam x)
               | "load" -> need_value (fun x -> Fault.Load_torque x)
-              | "overrun" -> need_value (fun x -> Fault.Overrun (int_of_float x))
+              | "overrun" -> need_int (fun n -> Fault.Overrun n)
               | "comm" ->
                   need_value (fun x ->
                       Fault.Comm { Faulty.clean with Faulty.corrupt_rate = x })
@@ -104,7 +121,9 @@ let parse_line lineno line =
               | Some d -> Ok d
               | None -> err "missing duration=" |> Result.map (fun _ -> 0.0)
             in
-            let slot = match slot with Some s -> int_of_float s | None -> 0 in
+            let* slot =
+              match slot with Some s -> to_int "slot" s | None -> Ok 0
+            in
             (match Fault.make ~slot ?every ~at ~duration kind with
             | f -> Ok (Some f)
             | exception Invalid_argument m -> err "%s" m))

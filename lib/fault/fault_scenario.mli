@@ -14,7 +14,10 @@
     [jam], [load], [overrun], [wdog-suppress], [comm]. [value] is the
     kind's magnitude (counts for sensor kinds, duty for actuator kinds,
     N.m for [load], CPU cycles for [overrun], corrupt probability for
-    [comm]); kinds without a magnitude ignore it. *)
+    [comm]); kinds without a magnitude ignore it. Every number must be
+    finite; [slot] and the counts of [offset], [noise], [glitch] and
+    [overrun] must be whole numbers in int range, and all but the
+    [offset] count non-negative. *)
 
 type t = { sname : string; faults : Fault.t list }
 

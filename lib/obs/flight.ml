@@ -10,9 +10,11 @@
    - Events belong to a logical *track* (the campaign seed / job id), not to
      the domain that happened to execute them. A run calls [begin_track]
      before stepping; every event it records carries the track id and a
-     per-track sequence number. When a run fails, [capture] snapshots the
-     ring *on the executing domain, filtered to the current track*. Because
-     eviction is positional (slot i is simply overwritten), the surviving
+     per-track sequence number. When a run fails, [capture] walks the ring
+     *on the executing domain*, newest first, through the current track's
+     sequence numbers, so only this recording of the track id is kept (not
+     a retried or earlier run of the same id). Because eviction is
+     positional (slot i is simply overwritten), the surviving
      events of track S are always the last [min n_S cap] events S recorded —
      independent of whatever other tracks previously ran on the same domain.
      That is what makes forensics bundles byte-identical whatever [--jobs]
@@ -22,12 +24,16 @@
    - Engine-level events (compile-cache hits/misses, closure compilation)
      are attributed to the pseudo-track [engine_track] = -1. Cache races are
      scheduling-dependent, so they must never leak into a per-run forensics
-     bundle; they are still visible via [ring_dump] for interactive use.
+     bundle.
 
    - Bundles carry only virtual time (step index, simulated seconds), never
-     wall-clock, so byte-comparison across runs and job counts is exact. *)
+     wall-clock, so byte-comparison across runs and job counts is exact.
 
-type kind = Step | Signal | Fault | Engine | Mark
+   - Host spans (the tool timing itself) are events of the same ring type,
+     kept in a second per-domain ring: on the track ring they would move
+     the positional eviction that decides what a capture keeps. *)
+
+type kind = Step | Signal | Fault | Engine | Mark | Span
 
 let kind_name = function
   | Step -> "step"
@@ -35,22 +41,24 @@ let kind_name = function
   | Fault -> "fault"
   | Engine -> "engine"
   | Mark -> "mark"
+  | Span -> "span"
 
 (* slot encoding: 0 = empty; recorders store 1=step 2=signal 3=fault
-   4=engine 5=mark directly *)
+   4=engine 5=mark 6=span directly *)
 let kind_of_code = function
   | 1 -> Step
   | 2 -> Signal
   | 3 -> Fault
   | 4 -> Engine
-  | _ -> Mark
+  | 5 -> Mark
+  | _ -> Span
 
 type event = {
   ev_kind : kind;
   ev_track : int;
   ev_seq : int;  (* per-track sequence number, 0-based *)
   ev_step : int;  (* simulation step index, -1 if not applicable *)
-  ev_time : float;  (* simulated seconds, not wall clock *)
+  ev_time : float;  (* simulated seconds; host seconds for a Span *)
   ev_value : float;
   ev_arg : int;  (* port index / fired flag, event-kind specific *)
   ev_label : string;
@@ -117,8 +125,6 @@ let begin_track ~id ~name =
     r.seq <- 0
   end
 
-let current_track () = (ring ()).track
-
 (* hot path: one bounds check avoided per field via unsafe stores; the slot
    index is (next mod cap) by construction *)
 let record r code track seq step time value arg label =
@@ -170,19 +176,6 @@ let engine label =
 let mark ?(step = -1) ?(time = 0.0) ?(value = 0.0) label =
   if !on then record_track (ring ()) 5 step time value 0 label
 
-(* -- capture ------------------------------------------------------------- *)
-
-type bundle = {
-  b_track : int;
-  b_name : string;
-  b_reason : string;
-  b_dropped : int;  (* events of this track evicted before capture *)
-  b_events : event list;  (* seq ascending *)
-}
-
-let cap_mutex = Mutex.create ()
-let cap_tbl : (int, bundle) Hashtbl.t = Hashtbl.create 8
-
 let event_at r i =
   {
     ev_kind = kind_of_code r.kinds.(i);
@@ -194,60 +187,6 @@ let event_at r i =
     ev_arg = r.args.(i);
     ev_label = r.labels.(i);
   }
-
-let snapshot_track r ~reason =
-  let evs = ref [] in
-  for i = r.cap - 1 downto 0 do
-    if r.kinds.(i) <> 0 && r.tracks.(i) = r.track then
-      evs := event_at r i :: !evs
-  done;
-  let events =
-    List.sort (fun a b -> compare a.ev_seq b.ev_seq) !evs
-  in
-  {
-    b_track = r.track;
-    b_name = r.track_name;
-    b_reason = reason;
-    b_dropped = r.seq - List.length events;
-    b_events = events;
-  }
-
-(* First capture per track wins: a run's first divergence is the forensic
-   moment; later captures of the same track (retries, later failures) are
-   ignored so the bundle is stable. *)
-let capture ~reason =
-  if !on then begin
-    let b = snapshot_track (ring ()) ~reason in
-    Mutex.lock cap_mutex;
-    if not (Hashtbl.mem cap_tbl b.b_track) then
-      Hashtbl.replace cap_tbl b.b_track b;
-    Mutex.unlock cap_mutex
-  end
-
-let captures () =
-  Mutex.lock cap_mutex;
-  let l = Hashtbl.fold (fun _ b acc -> b :: acc) cap_tbl [] in
-  Mutex.unlock cap_mutex;
-  List.sort (fun a b -> compare a.b_track b.b_track) l
-
-let clear_captures () =
-  Mutex.lock cap_mutex;
-  Hashtbl.reset cap_tbl;
-  Mutex.unlock cap_mutex
-
-let reset () =
-  clear_captures ();
-  Domain.DLS.set ring_key (ring_create !default_capacity)
-
-(* raw dump of the calling domain's ring, oldest first; interactive use *)
-let ring_dump () =
-  let r = ring () in
-  let evs = ref [] in
-  for k = r.cap - 1 downto 0 do
-    let i = (r.next + k) mod r.cap in
-    if r.kinds.(i) <> 0 then evs := event_at r i :: !evs
-  done;
-  !evs
 
 (* -- re-recording a stretch of a track -------------------------------- *)
 
@@ -287,6 +226,7 @@ let code_of_kind = function
   | Fault -> 3
   | Engine -> 4
   | Mark -> 5
+  | Span -> 6
 
 (* Only the stretch's survivors are written again; the sequence numbers
    still count the evicted ones, so the bundle's dropped count holds. *)
@@ -302,6 +242,160 @@ let replay sg =
       sg.sg_events;
     r.seq <- base + sg.sg_count
   end
+
+(* -- capture ------------------------------------------------------------- *)
+
+type bundle = {
+  b_track : int;
+  b_name : string;
+  b_reason : string;
+  b_dropped : int;  (* events of this track evicted before capture *)
+  b_events : event list;  (* seq ascending *)
+}
+
+let cap_mutex = Mutex.create ()
+let cap_tbl : (int, bundle) Hashtbl.t = Hashtbl.create 8
+
+(* A bundle is the current recording of the track, [since 0]: an earlier
+   recording of the same id (a retried seed, a serve worker's previous
+   job) is never mixed in. First capture per track wins: a run's first
+   divergence is the forensic moment; later captures of the same track
+   (retries, later failures) are ignored so the bundle is stable. *)
+let capture ~reason =
+  if !on then begin
+    let r = ring () in
+    let sg = since 0 in
+    let b =
+      {
+        b_track = r.track;
+        b_name = r.track_name;
+        b_reason = reason;
+        b_dropped = sg.sg_count - List.length sg.sg_events;
+        b_events = sg.sg_events;
+      }
+    in
+    Mutex.lock cap_mutex;
+    if not (Hashtbl.mem cap_tbl b.b_track) then
+      Hashtbl.replace cap_tbl b.b_track b;
+    Mutex.unlock cap_mutex
+  end
+
+let captures () =
+  Mutex.lock cap_mutex;
+  let l = Hashtbl.fold (fun _ b acc -> b :: acc) cap_tbl [] in
+  Mutex.unlock cap_mutex;
+  List.sort (fun a b -> compare a.b_track b.b_track) l
+
+let clear_captures () =
+  Mutex.lock cap_mutex;
+  Hashtbl.reset cap_tbl;
+  Mutex.unlock cap_mutex
+
+(* -- host spans ---------------------------------------------------------- *)
+
+(* Spans time the tool itself. Each domain keeps its open spans on a
+   fixed stack and records a closed one into its own host ring, created
+   on the domain's first span (so a run without Obs allocates none) and
+   registered once, under a mutex, so {!spans} can read it after the
+   domain has joined. *)
+
+let host_capacity = 8192
+let max_depth = 64
+
+type host = {
+  hr : ring;  (* track = the domain id, seq = spans closed *)
+  stack_name : string array;
+  stack_t0 : float array;
+  stack_cnt : int array;
+  mutable depth : int;
+}
+
+let host_mutex = Mutex.create ()
+let hosts : host list ref = ref []
+
+let host_key =
+  Domain.DLS.new_key (fun () ->
+      let hr = ring_create host_capacity in
+      hr.track <- (Domain.self () :> int);
+      let h =
+        {
+          hr;
+          stack_name = Array.make max_depth "";
+          stack_t0 = Array.make max_depth 0.0;
+          stack_cnt = Array.make max_depth 0;
+          depth = 0;
+        }
+      in
+      Mutex.protect host_mutex (fun () -> hosts := h :: !hosts);
+      h)
+
+let host () = Domain.DLS.get host_key
+
+let span_begin name =
+  if Obs.enabled () then begin
+    let h = host () in
+    let d = h.depth in
+    if d < max_depth then begin
+      h.stack_name.(d) <- name;
+      h.stack_cnt.(d) <- 0;
+      h.stack_t0.(d) <- Obs.now_ns ()
+    end;
+    h.depth <- d + 1
+  end
+
+(* one Span event: time = start and value = duration, in host seconds;
+   step = nesting depth, arg = the bump count *)
+let span_end () =
+  if Obs.enabled () then begin
+    let h = host () in
+    if h.depth > 0 then begin
+      let d = h.depth - 1 in
+      h.depth <- d;
+      if d < max_depth then begin
+        let t0 = h.stack_t0.(d) in
+        record_track h.hr 6 d (t0 *. 1e-9)
+          ((Obs.now_ns () -. t0) *. 1e-9)
+          h.stack_cnt.(d) h.stack_name.(d)
+      end
+    end
+  end
+
+let span name f =
+  if not (Obs.enabled ()) then f ()
+  else begin
+    span_begin name;
+    Fun.protect ~finally:span_end f
+  end
+
+let bump n =
+  if Obs.enabled () then begin
+    let h = host () in
+    let d = h.depth - 1 in
+    if d >= 0 && d < max_depth then h.stack_cnt.(d) <- h.stack_cnt.(d) + n
+  end
+
+(* the last [host_capacity] spans of a host ring, oldest first *)
+let host_events h =
+  let r = h.hr in
+  let n = min r.seq r.cap in
+  List.init n (fun k -> event_at r ((r.next - n + k + r.cap) mod r.cap))
+
+let host_rings () =
+  List.sort
+    (fun a b -> compare a.hr.track b.hr.track)
+    (Mutex.protect host_mutex (fun () -> !hosts))
+
+let spans () = List.concat_map host_events (host_rings ())
+
+let reset () =
+  clear_captures ();
+  Domain.DLS.set ring_key (ring_create !default_capacity);
+  List.iter
+    (fun h ->
+      h.hr.next <- 0;
+      h.hr.seq <- 0;
+      h.depth <- 0)
+    (host_rings ())
 
 (* -- export -------------------------------------------------------------- *)
 
@@ -343,14 +437,13 @@ let captures_jsonl () =
   List.iter (fun b -> bundle_jsonl b buf) (captures ());
   Buffer.contents buf
 
-let esc s =
-  let b = Buffer.create (String.length s) in
-  Obs.json_escape b s;
-  Buffer.contents b
+let str s = Bench_json.to_string (Bench_json.Str s)
 
-(* Chrome-trace view: one lane (tid) per track, instant events placed at
-   simulated-microsecond timestamps *)
-let captures_chrome () =
+(* The one Chrome-trace writer (JSON array form): the process metadata,
+   then per lane its thread name and events — a Span as a complete ("X")
+   event, anything else as an instant event — at microseconds after
+   [origin]. *)
+let chrome ~process ~origin lanes =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
   let first = ref true in
@@ -359,35 +452,83 @@ let captures_chrome () =
     Buffer.add_string buf s
   in
   emit
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-     \"args\":{\"name\":\"ecsd flight recorder\"}}";
+    (Printf.sprintf
+       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+        \"args\":{%s}}"
+       process);
   List.iter
-    (fun b ->
-      let tid = b.b_track + 2 in
-      (* keep tids positive; engine pseudo-track -1 maps to 1 *)
+    (fun (tid, lane, events) ->
       emit
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\
-            \"args\":{\"name\":\"track %d %s\"}}"
-           tid b.b_track (esc b.b_name));
+            \"args\":{\"name\":%s}}"
+           tid (str lane));
       List.iter
         (fun e ->
-          let ts = e.ev_time *. 1e6 in
+          let ts = (e.ev_time -. origin) *. 1e6 in
           emit
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\
-                \"ts\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"seq\":%d,\
-                \"step\":%d,\"value\":%s,\"arg\":%d}}"
-               (esc e.ev_label)
-               (kind_name e.ev_kind)
-               (Bench_json.float_str ts)
-               tid e.ev_seq e.ev_step
-               (Bench_json.float_str e.ev_value)
-               e.ev_arg))
-        b.b_events)
-    (captures ());
+            (match e.ev_kind with
+            | Span ->
+                (* host time: nanosecond resolution is all there is *)
+                Printf.sprintf
+                  "{\"name\":%s,\"cat\":\"span\",\"ph\":\"X\",\"ts\":%.3f,\
+                   \"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"depth\":%d,\
+                   \"count\":%d}}"
+                  (str e.ev_label) ts (e.ev_value *. 1e6) tid e.ev_step
+                  e.ev_arg
+            | _ ->
+                Printf.sprintf
+                  "{\"name\":%s,\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\
+                   \"ts\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"seq\":%d,\
+                   \"step\":%d,\"value\":%s,\"arg\":%d}}"
+                  (str e.ev_label) (kind_name e.ev_kind)
+                  (Bench_json.float_str ts) tid e.ev_seq e.ev_step
+                  (Bench_json.float_str e.ev_value)
+                  e.ev_arg))
+        events)
+    lanes;
   Buffer.add_string buf "]\n";
   Buffer.contents buf
+
+(* bundles: one lane per track (tid = track + 2 keeps tids positive),
+   simulated time *)
+let captures_chrome () =
+  chrome ~process:"\"name\":\"ecsd flight recorder\"" ~origin:0.0
+    (List.map
+       (fun b ->
+         (b.b_track + 2, Printf.sprintf "track %d %s" b.b_track b.b_name,
+          b.b_events))
+       (captures ()))
+
+(* host spans: one lane per domain, host time from the earliest span,
+   which [wall_start] places on the wall clock *)
+let spans_chrome () =
+  let lanes =
+    List.filter_map
+      (fun h ->
+        match host_events h with
+        | [] -> None
+        | evs -> Some (h.hr.track, evs))
+      (host_rings ())
+    |> List.mapi (fun i (dom, evs) ->
+           (i + 1, Printf.sprintf "domain %d" dom, evs))
+  in
+  let now = Obs.now_ns () *. 1e-9 in
+  let origin =
+    List.fold_left
+      (fun acc (_, _, evs) ->
+        List.fold_left (fun acc e -> Float.min acc e.ev_time) acc evs)
+      now lanes
+  in
+  chrome
+    ~process:
+      (Printf.sprintf "\"name\":\"ecsd\",\"wall_start\":%.6f"
+         (Unix.gettimeofday () -. (now -. origin)))
+    ~origin lanes
+
+let dump path s =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
 (* Write FLIGHT_<name>.jsonl + FLIGHT_<name>_trace.json when any bundles were
    captured; returns the pair of paths. *)
@@ -396,12 +537,9 @@ let write_captures ~prefix =
   else begin
     let jsonl_path = prefix ^ ".jsonl" in
     let trace_path = prefix ^ "_trace.json" in
-    let dump path s =
-      let oc = open_out path in
-      output_string oc s;
-      close_out oc
-    in
     dump jsonl_path (captures_jsonl ());
     dump trace_path (captures_chrome ());
     Some (jsonl_path, trace_path)
   end
+
+let write_spans ~path = dump path (spans_chrome ())

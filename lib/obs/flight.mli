@@ -1,4 +1,5 @@
-(** Flight recorder: per-domain, fixed-capacity ring of binary trace events.
+(** Flight recorder: the environment's one trace ring — per-domain,
+    fixed-capacity rings of binary trace events, and their export.
 
     Always-on-grade instrumentation for campaigns: recording an event is a
     handful of unboxed array stores on the owning domain (no lock, no
@@ -7,16 +8,16 @@
     Events belong to a logical {e track} — the campaign seed or serve job
     id — not to the domain that executed them. A run calls {!begin_track}
     before stepping; on failure it calls {!capture}, which snapshots the
-    last [capacity] events {e of that track} from the executing domain's
-    ring. Because each track's events and its capture point are functions
-    of the run alone, the resulting forensics bundles are byte-identical
-    whatever [--jobs] is. Engine-level events (compile cache, closure
-    compilation) are scheduling-dependent and live on the pseudo-track
-    {!engine_track}, which is never captured into bundles.
+    last [capacity] events {e of that recording of the track} from the
+    executing domain's ring. Because each track's events and its capture
+    point are functions of the run alone, the resulting forensics bundles
+    are byte-identical whatever [--jobs] is. Engine-level events (compile
+    cache, closure compilation) are scheduling-dependent and live on the
+    pseudo-track {!engine_track}, which is never captured into bundles.
+    Bundles carry only virtual time (step index, simulated seconds);
+    host spans (below) live on a second ring and never enter one. *)
 
-    Bundles carry only virtual time (step index, simulated seconds). *)
-
-type kind = Step | Signal | Fault | Engine | Mark
+type kind = Step | Signal | Fault | Engine | Mark | Span
 
 val kind_name : kind -> string
 
@@ -25,7 +26,7 @@ type event = {
   ev_track : int;
   ev_seq : int;  (** per-track sequence number, 0-based *)
   ev_step : int;  (** simulation step index, [-1] if not applicable *)
-  ev_time : float;  (** simulated seconds, never wall clock *)
+  ev_time : float;  (** simulated seconds (host seconds for a [Span]) *)
   ev_value : float;
   ev_arg : int;  (** kind-specific: port index, fired flag *)
   ev_label : string;
@@ -48,8 +49,6 @@ val engine_track : int
 val begin_track : id:int -> name:string -> unit
 (** Start (or resume) logical track [id] on the calling domain and reset
     its per-track sequence counter. *)
-
-val current_track : unit -> int
 
 (** Hot-path recorders; no-ops when disabled. *)
 
@@ -87,8 +86,9 @@ type bundle = {
 }
 
 val capture : reason:string -> unit
-(** Snapshot the calling domain's ring filtered to the current track into
-    the global capture store. First capture per track wins. *)
+(** Snapshot the current track's current recording ([since 0]: an earlier
+    recording of the same id on this domain is never mixed in) into the
+    global capture store. First capture per track wins. *)
 
 val captures : unit -> bundle list
 (** All captured bundles, sorted by track id. *)
@@ -96,11 +96,8 @@ val captures : unit -> bundle list
 val clear_captures : unit -> unit
 
 val reset : unit -> unit
-(** Clear captures and replace the calling domain's ring. *)
-
-val ring_dump : unit -> event list
-(** Raw contents of the calling domain's ring, oldest first (all tracks,
-    including {!engine_track}); interactive use only. *)
+(** Clear captures, replace the calling domain's ring and empty every
+    host ring. Call it while no other domain records. *)
 
 (** {2 Re-recording a stretch of a track}
 
@@ -126,6 +123,29 @@ val replay : segment -> unit
     included), so a later {!capture} is the one recording the same
     events afresh would give. No-op when disabled. *)
 
+(** {2 Host spans}
+
+    The tool timing itself, switched by {!Obs.enabled} (not {!enabled}).
+    Spans nest on a 64-deep stack per domain (no allocation per span); a
+    closed span is one [Span] event — label = name, time = start, value
+    = duration (host seconds), step = depth, arg = {!bump} count — in the
+    domain's host ring of the newest 8192, created on its first span. *)
+
+val span_begin : string -> unit
+val span_end : unit -> unit
+
+val span : string -> (unit -> 'a) -> 'a
+(** [span name f] = begin; f (); end — exception-safe closure form for
+    cold paths (use begin/end pairs in hot loops). *)
+
+val bump : int -> unit
+(** Add to the innermost open span's count (e.g. events fired during this
+    step). No-op outside any span. *)
+
+val spans : unit -> event list
+(** Every domain's host spans, by domain id, each oldest first (in
+    completion order). Read them after the recording domains joined. *)
+
 (** {2 Export} *)
 
 val captures_jsonl : unit -> string
@@ -133,11 +153,16 @@ val captures_jsonl : unit -> string
     by its events. Byte-identical however tracks were scheduled. *)
 
 val captures_chrome : unit -> string
-(** Chrome-trace (chrome://tracing) view: one lane per track, instant
-    events at simulated-microsecond timestamps. *)
+(** Chrome-trace (chrome://tracing, Perfetto) array of the bundles: one
+    lane per track, instant events at simulated-microsecond timestamps. *)
+
+val spans_chrome : unit -> string
+(** The same writer over {!spans}: one lane per domain, "X" events in µs
+    after the earliest span, which the metadata's [wall_start] dates. *)
 
 val write_captures : prefix:string -> (string * string) option
 (** Write [<prefix>.jsonl] and [<prefix>_trace.json] if any bundles were
     captured; [None] when there is nothing to write. *)
 
-val event_json : event -> Bench_json.t
+val write_spans : path:string -> unit
+(** Write {!spans_chrome} to [path]. *)

@@ -1,30 +1,24 @@
-(* Tracing spans + metrics, multicore edition. Hot-path discipline is
-   unchanged: every mutating entry point starts with an [if not !on]
-   bail-out that touches no heap, reads no clock and takes no lock, so a
-   disabled build pays one load + branch per call site.
+(* Metrics, multicore edition (timed spans are Flight events, switched by
+   [on] here). Hot-path discipline: every mutating entry point starts with
+   an [if not !on] bail-out that touches no heap, reads no clock and takes
+   no lock, so a disabled build pays one load + branch per call site.
 
    Collection state is *domain-local*: each domain owns a private sink
-   (counters, gauges, histograms, span ring + stack) reached through
-   [Domain.DLS], so worker domains of the campaign pool record without
-   any synchronisation. Cold paths move data between domains: a worker
-   calls [publish] to fold its sink into the process-wide [published]
-   aggregate (one mutex, coarse granularity — once per campaign job),
-   and every read API (snapshot, counter_value, spans, ...) reports the
-   current domain's sink merged with the published aggregate. Merging
+   (counters, gauges, histograms) reached through [Domain.DLS], so worker
+   domains of the campaign pool record without any synchronisation. Cold
+   paths move data between domains: a worker calls [publish] to fold its
+   sink into the process-wide [published] aggregate (one mutex, coarse
+   granularity — once per campaign job), and every read API (snapshot,
+   counter_value, ...) reports the current domain's sink merged with the
+   published aggregate. Merging
    is defined by {!Export.merge}: commutative and associative on
    counters and histogram buckets, so totals are independent of which
    domain ran which job. *)
 
 let on = ref false
-let wall0 = ref 0.0
 let enabled () = !on
+let set_enabled b = on := b
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
-
-let set_enabled b =
-  if b && not !on then wall0 := Unix.gettimeofday ();
-  on := b
-
-let wall_anchor () = !wall0
 
 (* ---------- registry: names <-> dense ids, process-wide ---------- *)
 
@@ -72,29 +66,6 @@ let all_counters () =
 let all_hists () =
   locked reg_mutex @@ fun () ->
   List.rev_map (fun n -> Hashtbl.find hist_reg n) !hist_names
-
-(* ---------- spans ---------- *)
-
-type span = {
-  sp_name : string;
-  sp_start_ns : float;
-  sp_dur_ns : float;
-  sp_depth : int;
-  sp_count : int;
-  sp_dom : int;  (* domain the span completed on; Chrome lane assignment *)
-}
-
-let dummy_span =
-  {
-    sp_name = "";
-    sp_start_ns = 0.0;
-    sp_dur_ns = 0.0;
-    sp_depth = 0;
-    sp_count = 0;
-    sp_dom = 0;
-  }
-
-let max_depth = 64
 
 (* ---------- histograms ----------
 
@@ -155,36 +126,19 @@ type sink = {
   mutable counts : int array; (* indexed by counter id *)
   mutable hcells : hcell option array; (* indexed by hist id *)
   sk_gauges : (string, float ref) Hashtbl.t;
-  mutable ring : span array;
-  mutable ring_next : int; (* next write slot *)
-  mutable ring_total : int; (* spans ever completed since reset *)
-  stack_name : string array;
-  stack_t0 : float array;
-  stack_cnt : int array;
-  mutable depth : int;
 }
 
-let sink_create ?(ring_cap = 8192) () =
+let sink_create () =
   {
     counts = Array.make 64 0;
     hcells = Array.make 16 None;
     sk_gauges = Hashtbl.create 8;
-    ring = Array.make ring_cap dummy_span;
-    ring_next = 0;
-    ring_total = 0;
-    stack_name = Array.make max_depth "";
-    stack_t0 = Array.make max_depth 0.0;
-    stack_cnt = Array.make max_depth 0;
-    depth = 0;
   }
 
 let sink_clear s =
   Array.fill s.counts 0 (Array.length s.counts) 0;
   Array.iter (function Some c -> hcell_clear c | None -> ()) s.hcells;
-  Hashtbl.reset s.sk_gauges;
-  s.ring_next <- 0;
-  s.ring_total <- 0;
-  s.depth <- 0
+  Hashtbl.reset s.sk_gauges
 
 let sink_key = Domain.DLS.new_key (fun () -> sink_create ())
 let local () = Domain.DLS.get sink_key
@@ -222,98 +176,6 @@ let hcell_of s id =
       let c = hcell_create () in
       s.hcells.(id) <- Some c;
       c
-
-let set_ring_capacity n =
-  if n < 1 then invalid_arg "Obs.set_ring_capacity";
-  let s = local () in
-  s.ring <- Array.make n dummy_span;
-  s.ring_next <- 0;
-  s.ring_total <- 0
-
-let push_ring s sp =
-  let r = s.ring in
-  r.(s.ring_next) <- sp;
-  s.ring_next <- (s.ring_next + 1) mod Array.length r;
-  s.ring_total <- s.ring_total + 1
-
-let span_begin name =
-  if !on then begin
-    let s = local () in
-    let d = s.depth in
-    if d < max_depth then begin
-      s.stack_name.(d) <- name;
-      s.stack_cnt.(d) <- 0;
-      s.stack_t0.(d) <- now_ns ()
-    end;
-    s.depth <- d + 1
-  end
-
-let span_end () =
-  if !on then begin
-    let s = local () in
-    if s.depth > 0 then begin
-      let d = s.depth - 1 in
-      s.depth <- d;
-      if d < max_depth then
-        push_ring s
-          {
-            sp_name = s.stack_name.(d);
-            sp_start_ns = s.stack_t0.(d);
-            sp_dur_ns = now_ns () -. s.stack_t0.(d);
-            sp_depth = d;
-            sp_count = s.stack_cnt.(d);
-            sp_dom = (Domain.self () :> int);
-          }
-    end
-  end
-
-let span name f =
-  if not !on then f ()
-  else begin
-    span_begin name;
-    Fun.protect ~finally:span_end f
-  end
-
-let bump n =
-  if !on then begin
-    let s = local () in
-    let d = s.depth - 1 in
-    if d >= 0 && d < max_depth then s.stack_cnt.(d) <- s.stack_cnt.(d) + n
-  end
-
-let sink_spans s =
-  let r = s.ring in
-  let cap = Array.length r in
-  let n = min s.ring_total cap in
-  let first = if s.ring_total <= cap then 0 else s.ring_next in
-  Array.init n (fun i -> r.((first + i) mod cap))
-
-let span_order a b =
-  (* deterministic total order: permutation-independent merging *)
-  let c = Float.compare a.sp_start_ns b.sp_start_ns in
-  if c <> 0 then c
-  else
-    let c = Float.compare a.sp_dur_ns b.sp_dur_ns in
-    if c <> 0 then c
-    else
-      let c = String.compare a.sp_name b.sp_name in
-      if c <> 0 then c
-      else
-        let c = compare a.sp_depth b.sp_depth in
-        if c <> 0 then c
-        else
-          let c = compare a.sp_count b.sp_count in
-          if c <> 0 then c else compare a.sp_dom b.sp_dom
-
-let spans () =
-  let own = sink_spans (local ()) in
-  let pub = locked pub_mutex (fun () -> sink_spans published) in
-  if Array.length pub = 0 then own
-  else begin
-    let all = Array.append pub own in
-    Array.sort span_order all;
-    all
-  end
 
 (* ---------- counters / gauges ---------- *)
 
@@ -451,10 +313,9 @@ module Export = struct
     e_counters : (string * int) list; (* sorted by name, nonzero only *)
     e_gauges : (string * float) list; (* sorted by name *)
     e_hists : (string * hcell) list; (* sorted by name, nonempty only *)
-    e_spans : span list; (* sorted by span_order *)
   }
 
-  let empty = { e_counters = []; e_gauges = []; e_hists = []; e_spans = [] }
+  let empty = { e_counters = []; e_gauges = []; e_hists = [] }
 
   let of_sink s =
     let cs =
@@ -481,7 +342,6 @@ module Export = struct
         Hashtbl.fold (fun k r acc -> (k, !r) :: acc) s.sk_gauges []
         |> List.sort by_name;
       e_hists = List.sort by_name hs;
-      e_spans = List.sort span_order (Array.to_list (sink_spans s));
     }
 
   let of_local () = of_sink (local ())
@@ -497,13 +357,6 @@ module Export = struct
         else if c > 0 then (ky, vy) :: union f xs yt
         else (kx, f vx vy) :: union f xt yt
 
-  let rec merge_spans xs ys =
-    match (xs, ys) with
-    | [], l | l, [] -> l
-    | x :: xt, y :: yt ->
-        if span_order x y <= 0 then x :: merge_spans xt ys
-        else y :: merge_spans xs yt
-
   let merge a b =
     {
       e_counters = union ( + ) a.e_counters b.e_counters;
@@ -515,13 +368,11 @@ module Export = struct
             hcell_fold ~into:m y;
             m)
           a.e_hists b.e_hists;
-      e_spans = merge_spans a.e_spans b.e_spans;
     }
 
   let counters e = e.e_counters
   let gauges e = e.e_gauges
   let hists e = List.map (fun (n, c) -> (n, hcell_summary c)) e.e_hists
-  let spans e = e.e_spans
 
   (* fold an export into a sink (registry ids resolved by name) *)
   let absorb_into s e =
@@ -541,8 +392,7 @@ module Export = struct
       (fun (n, src) ->
         let h = hist n in
         hcell_fold ~into:(hcell_of s h.h_id) src)
-      e.e_hists;
-    List.iter (fun sp -> push_ring s sp) e.e_spans
+      e.e_hists
 
   let absorb e = locked pub_mutex (fun () -> absorb_into published e)
 end
@@ -590,73 +440,3 @@ let snapshot () =
 let reset () =
   sink_clear (local ());
   locked pub_mutex (fun () -> sink_clear published)
-
-(* ---------- Chrome trace export ---------- *)
-
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let chrome_trace () =
-  let sps = spans () in
-  let t0 =
-    Array.fold_left
-      (fun acc sp -> if sp.sp_start_ns < acc then sp.sp_start_ns else acc)
-      infinity sps
-  in
-  let t0 = if Float.is_finite t0 then t0 else 0.0 in
-  (* one lane per domain: map distinct domain ids (sorted, so the
-     assignment is deterministic) to compact tids starting at 1 *)
-  let doms =
-    Array.fold_left (fun acc sp -> sp.sp_dom :: acc) [] sps
-    |> List.sort_uniq compare
-  in
-  let tid_of d =
-    let rec idx i = function
-      | [] -> 1
-      | x :: t -> if x = d then i else idx (i + 1) t
-    in
-    idx 1 doms
-  in
-  let b = Buffer.create (4096 + (Array.length sps * 96)) in
-  Buffer.add_string b "{\"traceEvents\":[";
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"ecsd\",\"wall_start\":%.6f}}"
-       !wall0);
-  List.iter
-    (fun d ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain %d\"}}"
-           (tid_of d) d))
-    doms;
-  Array.iter
-    (fun sp ->
-      Buffer.add_string b ",{\"name\":\"";
-      json_escape b sp.sp_name;
-      Buffer.add_string b
-        (Printf.sprintf
-           "\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"depth\":%d,\"count\":%d}}"
-           (tid_of sp.sp_dom)
-           ((sp.sp_start_ns -. t0) /. 1e3)
-           (sp.sp_dur_ns /. 1e3) sp.sp_depth sp.sp_count))
-    sps;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-let write_chrome_trace ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (chrome_trace ()))

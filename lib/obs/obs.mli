@@ -1,12 +1,12 @@
-(** Observability: tracing spans, metrics, and their export.
+(** Observability: metrics, their export, and the switch for timed spans.
 
     The paper's PIL stage exists to *measure* the generated application
     (execution times, response latency, jitter, memory). This module
-    gives the environment itself the same treatment: nestable timed
-    spans recorded into a ring buffer, process-wide counters / gauges /
-    log-scale latency histograms, and snapshot/export APIs consumed by
-    {!Bench_json}, the [ecsd --trace/--metrics] flags and the bench
-    harness.
+    gives the environment itself the same treatment: process-wide
+    counters / gauges / log-scale latency histograms, and snapshot/export
+    APIs consumed by {!Bench_json}, the [ecsd --metrics/--profile] flags
+    and the bench harness. Nestable timed spans are [Flight.span] events
+    on the host ring; {!enabled} switches them along with the metrics.
 
     Everything is disabled by default and strictly zero-cost when
     disabled: each entry point checks {!enabled} once and the disabled
@@ -27,58 +27,11 @@
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-(** Turning collection off does not clear recorded data; {!reset} does. *)
+(** Turning collection off does not clear recorded data; {!reset} does
+    ([Flight.reset] for spans). *)
 
 val now_ns : unit -> float
 (** Monotonic clock, nanoseconds (arbitrary origin). *)
-
-val wall_anchor : unit -> float
-(** [Unix.gettimeofday] captured when collection was last enabled —
-    anchors the monotonic span timestamps to wall-clock time. *)
-
-(** {2 Spans}
-
-    Spans nest: [span_begin]/[span_end] maintain an explicit stack (no
-    allocation per span) and completed spans land in a bounded ring
-    buffer, oldest evicted first. *)
-
-type span = {
-  sp_name : string;
-  sp_start_ns : float;  (** monotonic, see {!now_ns} *)
-  sp_dur_ns : float;
-  sp_depth : int;  (** nesting depth at entry, outermost = 0 *)
-  sp_count : int;  (** per-span counter, bumped by {!bump} *)
-  sp_dom : int;  (** id of the domain the span completed on *)
-}
-
-val span_begin : string -> unit
-val span_end : unit -> unit
-
-val span : string -> (unit -> 'a) -> 'a
-(** [span name f] = begin; f (); end — exception-safe closure form for
-    cold paths (the closure itself may allocate; use begin/end pairs in
-    hot loops). *)
-
-val bump : int -> unit
-(** Add to the innermost open span's counter (e.g. events fired during
-    this step). No-op when disabled or outside any span. *)
-
-val spans : unit -> span array
-(** Ring contents, oldest first, in span-completion order. *)
-
-val set_ring_capacity : int -> unit
-(** Default 8192 completed spans; clears the ring. *)
-
-val chrome_trace : unit -> string
-(** The ring as a Chrome [chrome://tracing] / Perfetto JSON document
-    (complete "X" events, microsecond timestamps, one [tid] lane per
-    domain with [thread_name] metadata). *)
-
-val write_chrome_trace : path:string -> unit
-
-val json_escape : Buffer.t -> string -> unit
-(** Append [s] to [b] with JSON string escaping (shared by the trace
-    exporters). *)
 
 (** {2 Counters and gauges} *)
 
@@ -157,9 +110,7 @@ val publish : unit -> unit
     data the campaign pool moves between domains, exposed for tests and
     tooling. [merge] is associative; counter sums and histogram bucket
     sums are also commutative, so any merge tree over the same exports
-    yields the same totals. Spans merge into a deterministic total
-    order (start time, then duration/name/depth/count). Gauges merge
-    with [Float.max]. *)
+    yields the same totals. Gauges merge with [Float.max]. *)
 module Export : sig
   type t
 
@@ -175,7 +126,6 @@ module Export : sig
 
   val gauges : t -> (string * float) list
   val hists : t -> (string * hist_summary) list
-  val spans : t -> span list
 
   val absorb : t -> unit
   (** Fold an export into the published aggregate. *)

@@ -132,7 +132,7 @@ let c_lines_emitted = Obs.counter "peert.lines_emitted"
 let c_generations = Obs.counter "peert.generations"
 
 let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
-  Obs.span "peert.generate" @@ fun () ->
+  Flight.span "peert.generate" @@ fun () ->
   let m = comp.Compile.model in
   let mcu = Bean_project.mcu project in
   (match Bean_project.verify project with

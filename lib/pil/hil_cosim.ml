@@ -27,7 +27,7 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
     ?(background_load = 0.0) ?watchdog ?(overrun_inject = fun _ -> 0)
     ?(wdog_suppress = fun _ -> false) ~mcu ~schedule ~controller ~plant
     ~advance ~angle_of ~observe ~encoder ~periods () =
-  Obs.span "hil.run" @@ fun () ->
+  Flight.span "hil.run" @@ fun () ->
   let comp = Sim.compiled controller in
   let m = comp.Compile.model in
   let machine = Machine.create ~preemptive ~base_stack:96 mcu in
@@ -133,7 +133,7 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
   let slice = period /. float_of_int substeps in
   let trace = ref [] in
   for k = 0 to periods - 1 do
-    Obs.span_begin "hil.period";
+    Flight.span_begin "hil.period";
     Obs.add c_periods 1;
     period_ref := k;
     for i = 0 to substeps - 1 do
@@ -148,7 +148,7 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
     done;
     Machine.run_until_time machine (float_of_int (k + 1) *. period);
     trace := (float_of_int (k + 1) *. period, observe plant) :: !trace;
-    Obs.span_end ()
+    Flight.span_end ()
   done;
   let st = Machine.stats_of machine ctrl_irq in
   let to_s c = c /. mcu.Mcu_db.f_cpu_hz in

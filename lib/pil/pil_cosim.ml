@@ -53,7 +53,7 @@ let run ?(baud = 115200) ?(rx_isr_cycles = 80) ?(tx_isr_cycles = 40)
     ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1) ?(dup_frames = false)
     ?(overrun_inject = fun _ -> 0) ~mcu ~schedule ~controller ~plant ~driver
     ~periods () =
-  Obs.span "pil.run" @@ fun () ->
+  Flight.span "pil.run" @@ fun () ->
   let comp = Sim.compiled controller in
   let m = comp.Compile.model in
   let machine = Machine.create ~preemptive ~base_stack:96 mcu in
@@ -214,7 +214,7 @@ let run ?(baud = 115200) ?(rx_isr_cycles = 80) ?(tx_isr_cycles = 40)
     ref (Array.make (List.length schedule.Target.actuator_slots) 0)
   in
   for k = 0 to periods - 1 do
-    Obs.span_begin "pil.period";
+    Flight.span_begin "pil.period";
     Obs.add c_periods 1;
     period_index := k;
     let t_k = k * period_cycles in
@@ -256,7 +256,7 @@ let run ?(baud = 115200) ?(rx_isr_cycles = 80) ?(tx_isr_cycles = 40)
     driver.apply_actuators plant !last_actuators;
     driver.advance plant ~dt:period;
     trace := (float_of_int (k + 1) *. period, driver.observe plant) :: !trace;
-    Obs.span_end ()
+    Flight.span_end ()
   done;
   let summary_or_zero l =
     match l with

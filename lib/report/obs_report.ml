@@ -1,45 +1,44 @@
-let fmt_time_ns ns =
-  if ns >= 1e9 then Printf.sprintf "%.3f s" (ns /. 1e9)
-  else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-  else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-  else Printf.sprintf "%.0f ns" ns
-
-let fmt_time_s s = fmt_time_ns (s *. 1e9)
+let fmt_time_s s =
+  if s >= 1.0 then Printf.sprintf "%.3f s" s
+  else if s >= 1e-3 then Printf.sprintf "%.2f ms" (s *. 1e3)
+  else if s >= 1e-6 then Printf.sprintf "%.2f us" (s *. 1e6)
+  else Printf.sprintf "%.0f ns" (s *. 1e9)
 
 type agg = {
   mutable calls : int;
-  mutable total_ns : float;
-  mutable max_ns : float;
+  mutable total_s : float;
+  mutable max_s : float;
   mutable count : int;
 }
 
-let flame_summary spans =
-  if Array.length spans = 0 then "no spans recorded\n"
+let flame_summary events =
+  let spans = List.filter (fun e -> e.Flight.ev_kind = Flight.Span) events in
+  if spans = [] then "no spans recorded\n"
   else begin
     let tbl : (int * string, agg) Hashtbl.t = Hashtbl.create 16 in
     let order = ref [] in
     (* first-seen order, by completion time, gives a stable listing *)
-    Array.iter
-      (fun sp ->
-        let key = (sp.Obs.sp_depth, sp.Obs.sp_name) in
+    List.iter
+      (fun (e : Flight.event) ->
+        let key = (e.ev_step, e.ev_label) in
         let a =
           match Hashtbl.find_opt tbl key with
           | Some a -> a
           | None ->
-              let a = { calls = 0; total_ns = 0.0; max_ns = 0.0; count = 0 } in
+              let a = { calls = 0; total_s = 0.0; max_s = 0.0; count = 0 } in
               Hashtbl.replace tbl key a;
               order := key :: !order;
               a
         in
         a.calls <- a.calls + 1;
-        a.total_ns <- a.total_ns +. sp.Obs.sp_dur_ns;
-        if sp.Obs.sp_dur_ns > a.max_ns then a.max_ns <- sp.Obs.sp_dur_ns;
-        a.count <- a.count + sp.Obs.sp_count)
+        a.total_s <- a.total_s +. e.ev_value;
+        if e.ev_value > a.max_s then a.max_s <- e.ev_value;
+        a.count <- a.count + e.ev_arg)
       spans;
     let root_total =
-      Array.fold_left
-        (fun acc sp ->
-          if sp.Obs.sp_depth = 0 then acc +. sp.Obs.sp_dur_ns else acc)
+      List.fold_left
+        (fun acc (e : Flight.event) ->
+          if e.ev_step = 0 then acc +. e.ev_value else acc)
         0.0 spans
     in
     let keys =
@@ -47,7 +46,7 @@ let flame_summary spans =
         (fun (d1, n1) (d2, n2) ->
           if d1 <> d2 then compare d1 d2
           else
-            let t k n = (Hashtbl.find tbl (k, n)).total_ns in
+            let t k n = (Hashtbl.find tbl (k, n)).total_s in
             compare (t d2 n2) (t d1 n1))
         (List.rev !order)
     in
@@ -61,14 +60,14 @@ let flame_summary spans =
         let label = String.make (2 * d) ' ' ^ name in
         let share =
           if root_total > 0.0 then
-            Printf.sprintf "%5.1f %%" (100.0 *. a.total_ns /. root_total)
+            Printf.sprintf "%5.1f %%" (100.0 *. a.total_s /. root_total)
           else "-"
         in
         Buffer.add_string b
           (Printf.sprintf "%-40s %10d %12s %12s %12s %7s\n" label a.calls
-             (fmt_time_ns a.total_ns)
-             (fmt_time_ns (a.total_ns /. float_of_int a.calls))
-             (fmt_time_ns a.max_ns) share))
+             (fmt_time_s a.total_s)
+             (fmt_time_s (a.total_s /. float_of_int a.calls))
+             (fmt_time_s a.max_s) share))
       keys;
     Buffer.contents b
   end

@@ -166,7 +166,7 @@ let forced_divergence_at () =
 
 let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled)
     ?plant ?stimulus ?injector ~name ~project comp =
-  Obs.span "silvm.diff" @@ fun () ->
+  Flight.span "silvm.diff" @@ fun () ->
   let sim = Sim.create comp in
   let app =
     let e = match engine with Interp -> `Interp | Compiled | Both -> `Compiled in

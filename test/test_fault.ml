@@ -90,6 +90,46 @@ let test_scenario_errors () =
   expect_err "dropout at=2 duration=1 every=0.5" "line 1";
   expect_err "# only comments\n\n" "no faults"
 
+(* values that used to run as something else ([at=nan] as an empty
+   window, [value=1e300] as "+0 cycles") or crash are errors naming
+   their line *)
+let test_scenario_bad_values () =
+  List.iter
+    (fun (line, frag) ->
+      let text = "dropout at=0.5 duration=0.1\n" ^ line ^ "\n" in
+      match Fault_scenario.of_string ~name:"t" text with
+      | Ok _ -> Alcotest.failf "accepted %S" line
+      | Error e ->
+          check_bool (Printf.sprintf "%S: %S names line 2 and %S" line e frag)
+            true
+            (contains "line 2" e && contains frag e))
+    [
+      ("stuck at=nan duration=0.1", "at=nan");
+      ("stuck at=0.1 duration=nan", "duration=nan");
+      ("stuck at=inf duration=0.1", "at=inf");
+      ("stuck at=0.1 duration=0.1 every=nan", "every=nan");
+      ("overrun at=0.1 duration=0.1 value=nan", "value=nan");
+      ("jam at=0.1 duration=0.1 value=inf", "value=inf");
+      ("overrun at=0.1 duration=0.1 value=1e300", "value=1e+300");
+      ("overrun at=0.1 duration=0.1 value=-5", "value=-5");
+      ("noise at=0.1 duration=0.1 value=-1", "value=-1");
+      ("glitch at=0.1 duration=0.1 value=-1", "value=-1");
+      ("noise at=0.1 duration=0.1 value=2.5", "value=2.5");
+      ("offset at=0.1 duration=0.1 value=-1e19", "value=-1e+19");
+      ("stuck at=0.1 duration=0.1 slot=-1", "slot=-1");
+      ("stuck at=0.1 duration=0.1 slot=nan", "slot=nan");
+      ("stuck at=0.1 duration=0.1 slot=1.5", "slot=1.5");
+    ]
+
+(* the shipped example scenarios still parse *)
+let test_example_scenarios () =
+  List.iter
+    (fun f ->
+      match Fault_scenario.load (Filename.concat "../examples" f) with
+      | Ok s -> check_bool (f ^ " has faults") true (s.Fault_scenario.faults <> [])
+      | Error e -> Alcotest.failf "%s: %s" f e)
+    [ "brownout.fault"; "encoder_dropout.fault" ]
+
 let test_builtins () =
   List.iter
     (fun name ->
@@ -700,6 +740,8 @@ let suite =
     Alcotest.test_case "fault windows" `Quick test_fault_window;
     Alcotest.test_case "scenario parse" `Quick test_scenario_parse;
     Alcotest.test_case "scenario errors" `Quick test_scenario_errors;
+    Alcotest.test_case "scenario bad values" `Quick test_scenario_bad_values;
+    Alcotest.test_case "example scenarios parse" `Quick test_example_scenarios;
     Alcotest.test_case "builtin scenarios" `Quick test_builtins;
     Alcotest.test_case "injector: sensor kinds" `Quick test_injector_sensor;
     Alcotest.test_case "injector: seeds and actuators" `Quick

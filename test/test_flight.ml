@@ -202,6 +202,88 @@ let test_disabled_is_inert () =
   Alcotest.(check int) "no captures" 0 (List.length (Flight.captures ()));
   Alcotest.(check string) "empty jsonl" "" (Flight.captures_jsonl ())
 
+let sensor_stuck = Option.get (Fault_scenario.builtin "sensor-stuck")
+
+(* an unrecovered 1 s sensor-stuck campaign: every seed captures *)
+let stuck_campaign ~seeds =
+  ignore
+    (Fault_campaign.sweep ~t_end:1.0 ~seeds ~scenario:sensor_stuck (fun () ->
+         fst (Servo_system.faultsim_subject ~scenario:sensor_stuck ())))
+
+(* a track id recorded twice on one domain (serve reuses job ids on a
+   worker; here two campaigns in one process) captures its latest
+   recording only: the second bundle is the first one again, not both
+   recordings with a negative dropped count *)
+let test_reused_track_id () =
+  with_flight @@ fun () ->
+  stuck_campaign ~seeds:1;
+  let first = Flight.captures_jsonl () in
+  Flight.clear_captures ();
+  stuck_campaign ~seeds:1;
+  (match Flight.captures () with
+  | [ b ] ->
+      Alcotest.(check int) "dropped" 0 b.Flight.b_dropped;
+      Alcotest.(check int) "one recording" 1002 (List.length b.Flight.b_events)
+  | bs -> Alcotest.failf "expected one bundle, got %d" (List.length bs));
+  Alcotest.(check string) "same bundle as the first campaign" first
+    (Flight.captures_jsonl ())
+
+(* a supervised retry restarts its seed's track: the bundle holds the
+   retry's events, not the failed attempt's as well *)
+let test_supervised_retry () =
+  with_flight @@ fun () ->
+  let attempts = ref 0 in
+  let policy =
+    { Supervise.default_policy with backoff_base_s = 0.0; backoff_max_s = 0.0 }
+  in
+  let r =
+    Seed_sweep.run ~policy ~seeds:1 ~track:"retry" ~label:"retry"
+      ~subject:ignore ~plan:ignore (fun () () _ ->
+        incr attempts;
+        let n = if !attempts = 1 then 20 else 12 in
+        for k = 0 to n - 1 do
+          Flight.step_mark ~step:k ~time:(float_of_int k *. 1e-3) "retry"
+        done;
+        if !attempts = 1 then raise (Supervise.Transient_failure "attempt 1");
+        Flight.capture ~reason:"retried")
+  in
+  (match r.Seed_sweep.outcomes with
+  | [| (1, { Supervise.result = Ok (); attempts = 2 }) |] -> ()
+  | _ -> Alcotest.fail "expected seed 1 to succeed on its second attempt");
+  match Flight.captures () with
+  | [ b ] ->
+      Alcotest.(check int) "track" 1 b.Flight.b_track;
+      Alcotest.(check int) "dropped" 0 b.Flight.b_dropped;
+      Alcotest.(check (list int))
+        "the retry's seqs" (List.init 12 Fun.id)
+        (List.map (fun e -> e.Flight.ev_seq) b.Flight.b_events)
+  | bs -> Alcotest.failf "expected one bundle, got %d" (List.length bs)
+
+(* host spans have their own ring: a campaign's bundles are the same
+   bytes whether Obs records spans or not, even when the track ring is
+   smaller than one run *)
+let test_spans_never_change_capture () =
+  let run ~obs =
+    Obs.reset ();
+    Obs.set_enabled obs;
+    Fun.protect ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+    @@ fun () ->
+    with_flight ~capacity:64 @@ fun () ->
+    stuck_campaign ~seeds:2;
+    ( List.length (Flight.spans ()),
+      Flight.captures_jsonl (),
+      Flight.captures_chrome () )
+  in
+  let n0, jsonl0, chrome0 = run ~obs:false in
+  let n1, jsonl1, chrome1 = run ~obs:true in
+  Alcotest.(check bool) "two bundles" true (String.length jsonl0 > 0);
+  Alcotest.(check string) "jsonl unchanged by spans" jsonl0 jsonl1;
+  Alcotest.(check string) "trace unchanged by spans" chrome0 chrome1;
+  Alcotest.(check int) "no spans without Obs" 0 n0;
+  Alcotest.(check bool) "spans with Obs" true (n1 > 0)
+
 (* Telemetry: the Prometheus exposition and the serve heartbeat line are
    both projections of the Obs registry snapshot *)
 let test_telemetry_exports () =
@@ -261,4 +343,10 @@ let suite =
       test_disabled_is_inert;
     Alcotest.test_case "prometheus + heartbeat exports" `Quick
       test_telemetry_exports;
+    Alcotest.test_case "reused track id captures one recording" `Quick
+      test_reused_track_id;
+    Alcotest.test_case "supervised retry captures the retry" `Quick
+      test_supervised_retry;
+    Alcotest.test_case "host spans never change a capture" `Quick
+      test_spans_never_change_capture;
   ]

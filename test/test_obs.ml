@@ -1,15 +1,18 @@
-(* The observability layer: histogram quantile accuracy, span
-   nesting/ordering, the zero-allocation disabled path, and the
-   Bench_json round-trip. Obs state is process-global, so every test
-   starts from [Obs.reset] and restores [set_enabled false]. *)
+(* The observability layer: histogram quantile accuracy, host-span
+   nesting/ordering (spans are Flight events switched by Obs), the
+   zero-allocation disabled path, and the Bench_json round-trip. Obs and
+   Flight state is process-global, so every test starts from
+   [Obs.reset]/[Flight.reset] and restores [set_enabled false]. *)
 
 let with_obs f =
   Obs.reset ();
+  Flight.reset ();
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Obs.set_enabled false;
-      Obs.reset ())
+      Obs.reset ();
+      Flight.reset ())
     f
 
 (* log-scale buckets with 16 sub-buckets: <= ~6 % relative error *)
@@ -73,48 +76,55 @@ let test_hist_edge_cases () =
 
 let test_span_nesting () =
   with_obs @@ fun () ->
-  Obs.span "outer" (fun () ->
-      Obs.bump 2;
-      Obs.span "inner" (fun () ->
-          Obs.bump 5;
+  Flight.span "outer" (fun () ->
+      Flight.bump 2;
+      Flight.span "inner" (fun () ->
+          Flight.bump 5;
           ignore (Sys.opaque_identity (Array.make 10 0)));
-      Obs.span "inner2" (fun () -> ()));
-  let sps = Obs.spans () in
-  Alcotest.(check int) "three spans" 3 (Array.length sps);
-  (* completion order: inner, inner2, outer *)
-  Alcotest.(check string) "first completed" "inner" sps.(0).Obs.sp_name;
-  Alcotest.(check string) "second completed" "inner2" sps.(1).Obs.sp_name;
-  Alcotest.(check string) "last completed" "outer" sps.(2).Obs.sp_name;
-  Alcotest.(check int) "inner depth" 1 sps.(0).Obs.sp_depth;
-  Alcotest.(check int) "outer depth" 0 sps.(2).Obs.sp_depth;
-  Alcotest.(check int) "inner per-span count" 5 sps.(0).Obs.sp_count;
-  Alcotest.(check int) "outer per-span count" 2 sps.(2).Obs.sp_count;
-  let outer = sps.(2) and inner = sps.(0) in
-  Alcotest.(check bool) "outer contains inner (start)" true
-    (outer.Obs.sp_start_ns <= inner.Obs.sp_start_ns);
-  Alcotest.(check bool) "outer at least as long" true
-    (outer.Obs.sp_dur_ns >= inner.Obs.sp_dur_ns);
-  Alcotest.(check bool) "durations non-negative" true
-    (Array.for_all (fun sp -> sp.Obs.sp_dur_ns >= 0.0) sps)
+      Flight.span "inner2" (fun () -> ()));
+  match Flight.spans () with
+  | [ inner; inner2; outer ] ->
+      (* completion order: inner, inner2, outer *)
+      Alcotest.(check string) "first completed" "inner" inner.Flight.ev_label;
+      Alcotest.(check string) "second completed" "inner2" inner2.Flight.ev_label;
+      Alcotest.(check string) "last completed" "outer" outer.Flight.ev_label;
+      Alcotest.(check bool) "span kind" true
+        (List.for_all (fun e -> e.Flight.ev_kind = Flight.Span)
+           [ inner; inner2; outer ]);
+      Alcotest.(check int) "inner depth" 1 inner.Flight.ev_step;
+      Alcotest.(check int) "outer depth" 0 outer.Flight.ev_step;
+      Alcotest.(check int) "inner per-span count" 5 inner.Flight.ev_arg;
+      Alcotest.(check int) "outer per-span count" 2 outer.Flight.ev_arg;
+      Alcotest.(check bool) "outer contains inner (start)" true
+        (outer.Flight.ev_time <= inner.Flight.ev_time);
+      Alcotest.(check bool) "outer at least as long" true
+        (outer.Flight.ev_value >= inner.Flight.ev_value);
+      Alcotest.(check bool) "durations non-negative" true
+        (List.for_all
+           (fun e -> e.Flight.ev_value >= 0.0)
+           [ inner; inner2; outer ])
+  | sps -> Alcotest.failf "expected three spans, got %d" (List.length sps)
 
+(* the host ring keeps the newest 8192 spans, oldest evicted first *)
 let test_span_ring_eviction () =
   with_obs @@ fun () ->
-  Obs.set_ring_capacity 8;
-  for i = 1 to 20 do
-    Obs.span (string_of_int i) (fun () -> ())
+  for i = 1 to 8200 do
+    Flight.span (string_of_int i) (fun () -> ())
   done;
-  let sps = Obs.spans () in
-  Alcotest.(check int) "ring keeps capacity" 8 (Array.length sps);
-  Alcotest.(check string) "oldest surviving" "13" sps.(0).Obs.sp_name;
-  Alcotest.(check string) "newest" "20" sps.(7).Obs.sp_name;
-  Obs.set_ring_capacity 8192
+  let sps = Flight.spans () in
+  Alcotest.(check int) "ring keeps capacity" 8192 (List.length sps);
+  Alcotest.(check string) "oldest surviving" "9" (List.hd sps).Flight.ev_label;
+  Alcotest.(check string) "newest" "8200"
+    (List.nth sps 8191).Flight.ev_label
 
 let test_chrome_trace_parses () =
   with_obs @@ fun () ->
-  Obs.span "a" (fun () -> Obs.span "b with \"quotes\"" (fun () -> ()));
-  let doc = Bench_json.parse (Obs.chrome_trace ()) in
-  match Bench_json.member "traceEvents" doc with
-  | Some (Bench_json.Arr events) ->
+  (* a domain whose spans a reset emptied gets no lane *)
+  Domain.join (Domain.spawn (fun () -> Flight.span "gone" ignore));
+  Flight.reset ();
+  Flight.span "a" (fun () -> Flight.span "b with \"quotes\"" (fun () -> ()));
+  match Bench_json.parse (Flight.spans_chrome ()) with
+  | Bench_json.Arr events ->
       (* process_name + one thread_name lane (single domain) + 2 spans *)
       Alcotest.(check int) "event count" 4 (List.length events);
       let names =
@@ -123,11 +133,25 @@ let test_chrome_trace_parses () =
       Alcotest.(check bool) "escaped name round-trips" true
         (List.mem (Bench_json.Str "b with \"quotes\"") names);
       Alcotest.(check bool) "thread lane metadata present" true
-        (List.mem (Bench_json.Str "thread_name") names)
-  | _ -> Alcotest.fail "traceEvents missing"
+        (List.mem (Bench_json.Str "thread_name") names);
+      let complete =
+        List.filter
+          (fun e -> Bench_json.member "ph" e = Some (Bench_json.Str "X"))
+          events
+      in
+      Alcotest.(check int) "two complete events" 2 (List.length complete);
+      List.iter
+        (fun e ->
+          match (Bench_json.member "ts" e, Bench_json.member "dur" e) with
+          | Some (Bench_json.Float ts), Some (Bench_json.Float dur) ->
+              Alcotest.(check bool) "ts, dur >= 0" true (ts >= 0.0 && dur >= 0.0)
+          | _ -> Alcotest.fail "X event without ts/dur")
+        complete
+  | _ -> Alcotest.fail "trace is not a JSON array"
 
 let test_disabled_path_no_alloc () =
   Obs.reset ();
+  Flight.reset ();
   Obs.set_enabled false;
   let c = Obs.counter "test.disabled" in
   let h = Obs.hist "test.disabled_h" in
@@ -135,16 +159,16 @@ let test_disabled_path_no_alloc () =
   for _ = 1 to 10_000 do
     Obs.add c 1;
     Obs.record h 1.0;
-    Obs.span_begin "x";
-    Obs.bump 1;
-    Obs.span_end ()
+    Flight.span_begin "x";
+    Flight.bump 1;
+    Flight.span_end ()
   done;
   let after = Gc.minor_words () in
   (* 50k disabled calls: any per-call allocation would show as >= 10k
      words; the slack absorbs the boxing of the two Gc readings *)
   Alcotest.(check bool) "no observable allocation" true (after -. before < 256.0);
   Alcotest.(check int) "counter untouched" 0 (Obs.counter_value c);
-  Alcotest.(check int) "no spans recorded" 0 (Array.length (Obs.spans ()))
+  Alcotest.(check int) "no spans recorded" 0 (List.length (Flight.spans ()))
 
 let test_counters_and_reset () =
   with_obs @@ fun () ->
@@ -221,10 +245,10 @@ let test_json_parser_rejects () =
 
 let test_flame_and_metrics_render () =
   with_obs @@ fun () ->
-  Obs.span "root" (fun () -> Obs.span "leaf" (fun () -> ()));
+  Flight.span "root" (fun () -> Flight.span "leaf" (fun () -> ()));
   Obs.incr_counter ~by:3 "render.c";
   Obs.record_named "render.h" 1e-3;
-  let flame = Obs_report.flame_summary (Obs.spans ()) in
+  let flame = Obs_report.flame_summary (Flight.spans ()) in
   Alcotest.(check bool) "flame lists root" true
     (Astring_contains.contains flame "root");
   Alcotest.(check bool) "flame indents leaf" true
