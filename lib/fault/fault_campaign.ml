@@ -58,22 +58,23 @@ type metrics = {
   mutable sq : float;  (* tail sum of squared control error *)
 }
 
-(* The steps that start before the scenario's first fault edge are the
-   same bits for every seed: the injector draws from its RNG only while
-   a fault is active, and load faults are part of the subject. The first
-   seed a domain runs leaves a checkpoint at the end of that prefix, and
-   every later seed there restores it instead of simulating the prefix
-   again. What the prefix changed is all here, except the virtual MCU,
-   which is cheap to re-advance. *)
+(* A run is the same bits for every seed up to the first step at which a
+   fault that samples the injector's RNG is on ({!Fault_inject.draws}):
+   load faults are part of the subject, and every other kind is a
+   function of time alone. The first seed a domain runs leaves a
+   checkpoint at that step — at the end of a run that never draws — and
+   every later seed there restores it instead of simulating the shared
+   stretch again. What the stretch changed is all here, except the
+   virtual MCU, which is cheap to re-advance. *)
 type checkpoint = {
   ck_sim : Sim.t;
   ck_scenario : Fault_scenario.t;
-  ck_steps : int;  (* with the two above, fixes the prefix *)
-  ck_prefix : int;  (* steps before onset *)
+  ck_steps : int;  (* with the two above, fixes the stretch *)
+  ck_prefix : int;  (* steps in the shared stretch *)
   ck_state : Sim.snapshot;
   ck_metrics : metrics;
-  ck_stuck : (int * int) list;  (* the injector's stuck-sensor table *)
-  ck_flight : Flight.segment;  (* the prefix's events, after the arm *)
+  ck_inj : Fault_inject.saved;
+  ck_flight : Flight.segment;  (* the stretch's events, after the arm *)
 }
 
 let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
@@ -87,13 +88,16 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
   (* the virtual MCU lives the same period, stretched by any injected
      overrun; the watchdog is serviced at the end of the step unless
      the scenario eats the service call *)
+  let advance extra lost =
+    Machine.advance machine ~cycles:(period_cycles + extra);
+    if not lost then Wdog_periph.refresh wdog
+  in
   let mcu_step time =
     let extra = Fault_inject.overrun_cycles inj ~time in
-    Machine.advance machine ~cycles:(period_cycles + extra);
-    if not (Fault_inject.wdog_suppressed inj ~time) then
-      Wdog_periph.refresh wdog
+    advance extra (Fault_inject.wdog_suppressed inj ~time)
   in
   let onset = Fault_scenario.onset scenario in
+  let first_draw = Fault_scenario.onset ~only:Fault_inject.draws scenario in
   let clear = Fault_scenario.clear_time scenario ~horizon:t_end in
   let onset_step = max 0 (int_of_float (onset /. period)) in
   let tail = max 1 (steps / 8) in
@@ -105,11 +109,12 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
       ->
         let time = ref 0.0 in
         for _ = 1 to ck.ck_prefix do
-          mcu_step !time;
+          let extra, lost = Fault_inject.replay_timing inj ~time:!time in
+          advance extra lost;
           time := !time +. period
         done;
         Flight.replay ck.ck_flight;
-        Fault_inject.set_stuck_codes inj ck.ck_stuck;
+        Fault_inject.restore inj ck.ck_inj;
         Sim.restore sim ck.ck_state;
         ({ ck.ck_metrics with sq = ck.ck_metrics.sq }, ck.ck_prefix, false)
     | _ ->
@@ -138,7 +143,7 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
           ck_prefix = k;
           ck_state = Sim.save sim;
           ck_metrics = { m with sq = m.sq };
-          ck_stuck = Fault_inject.stuck_codes inj;
+          ck_inj = Fault_inject.save inj;
           ck_flight = Flight.since flight_from;
         }
   in
@@ -147,7 +152,7 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
        MCU/watchdog half of the loop) *)
     Cancel.poll ();
     let time = Sim.time sim in
-    if fresh && Option.is_none !built && time >= onset then checkpoint k;
+    if fresh && Option.is_none !built && time >= first_draw then checkpoint k;
     Sim.step sim;
     mcu_step time;
     let mode = int_of_float (Value.to_float (Sim.value sim subject.ports.mode_port)) in
@@ -222,6 +227,22 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?pool
     if steps < 1 then
       Seed_sweep.bad_request
         "t_end must span at least one %g s step, got %g" period t_end;
+    (* a fault on a port the subject does not hook would inject nothing *)
+    let slots = Array.length subject.ports.sensor_ports in
+    List.iter
+      (fun fl ->
+        let kind = fl.Fault.kind in
+        if Fault.is_sensor kind && (fl.Fault.slot < 0 || fl.Fault.slot >= slots)
+        then
+          Seed_sweep.bad_request
+            "fault %s: sensor slot %d does not exist (the subject has %d \
+             sensor slot%s)"
+            (Fault.name fl) fl.Fault.slot slots
+            (if slots = 1 then "" else "s");
+        if Fault.is_actuator kind && subject.ports.duty_port = None then
+          Seed_sweep.bad_request "fault %s: the subject has no duty port"
+            (Fault.name fl))
+      scenario.Fault_scenario.faults;
     let wdog_timeout = Option.value wdog_timeout ~default:(8.0 *. period) in
     (period, steps, wdog_timeout)
   in

@@ -86,15 +86,19 @@ val sweep :
       the report equals the sequential one field-for-field except
       [wall_s] (set [ECSD_WALL_ZERO=1] to zero that too and compare
       bytes).
-    - The steps that start before the scenario's first fault edge
-      ({!Fault_scenario.onset}) are the same bits for every seed, so a
-      domain simulates them once per sweep: its first seed runs in full
-      and, once it completes, leaves a checkpoint at the onset ({!Sim.save},
-      the run metrics so far, the injector's stuck-sensor table, the
-      prefix's flight events); every later seed on that domain
-      re-advances its own MCU and watchdog over the prefix, re-records
-      those events under its own track and restores the simulation.
-      Results and flight bundles are those of simulating every step.
+    - A run is the same bits for every seed up to the first step at
+      which a fault that samples the injector's RNG is on
+      ({!Fault_inject.draws}); for a scenario with no such fault that is
+      the whole run. A domain simulates that stretch once per sweep: its
+      first seed runs in full and, once it completes, leaves a
+      checkpoint there ({!Sim.save}, the run metrics so far,
+      {!Fault_inject.save}, the stretch's flight events); every later
+      seed on that domain re-advances its own MCU and watchdog over the
+      stretch without recording, re-records those events under its own
+      track, restores the injector and the simulation, and simulates
+      only the rest. Results, flight bundles and the [fault.*] counters
+      are those of simulating every step; [sim.steps] counts the steps
+      simulated.
     - [on_run] fires after each completed run, on the domain that ran
       it (it must synchronize its own state) — the CLI uses it to keep a
       partial report it can flush if a later run dies.
@@ -106,8 +110,10 @@ val sweep :
       attempt), so the report stays byte-identical across pool sizes.
       Without a [policy] any exception propagates.
 
-    @raise Supervise.Bad_request when [seeds < 1], or when [t_end] is
-    not finite or shorter than one control period. *)
+    @raise Supervise.Bad_request when [seeds < 1], when [t_end] is not
+    finite or shorter than one control period, or when a sensor fault's
+    slot is not one of the subject's [sensor_ports] or an actuator fault
+    meets a subject without a [duty_port]. *)
 
 val run :
   ?t_end:float ->

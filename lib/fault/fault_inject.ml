@@ -23,6 +23,11 @@ type t = {
   mutable cache_time : float;
   mutable cache_until : float;
   mutable cache_active : Fault.t list;
+  (* this run's share of the four counters above *)
+  mutable n_sensor : int;
+  mutable n_actuator : int;
+  mutable n_overrun : int;
+  mutable n_wdog : int;
 }
 
 let arm ?(seed = 1) scn =
@@ -38,16 +43,57 @@ let arm ?(seed = 1) scn =
                           query always recomputes *)
     cache_until = nan;
     cache_active = [];
+    n_sensor = 0;
+    n_actuator = 0;
+    n_overrun = 0;
+    n_wdog = 0;
   }
 
 let scenario t = t.scn
 let seed t = t.sd
 
-let stuck_codes t = Hashtbl.fold (fun slot c acc -> (slot, c) :: acc) t.last []
+(* Everything a run leaves in its injector but the RNG, which a stretch
+   before any drawing fault turns on never advances. *)
+type saved = {
+  sv_last : (int * int) list;
+  sv_cache_time : float;
+  sv_cache_until : float;
+  sv_cache_active : Fault.t list;
+  sv_counts : int * int * int * int;  (* sensor, actuator, overrun, wdog *)
+}
 
-let set_stuck_codes t codes =
+let save t =
+  {
+    sv_last = Hashtbl.fold (fun slot c acc -> (slot, c) :: acc) t.last [];
+    sv_cache_time = t.cache_time;
+    sv_cache_until = t.cache_until;
+    sv_cache_active = t.cache_active;
+    sv_counts = (t.n_sensor, t.n_actuator, t.n_overrun, t.n_wdog);
+  }
+
+let restore t sv =
   Hashtbl.reset t.last;
-  List.iter (fun (slot, c) -> Hashtbl.replace t.last slot c) codes
+  List.iter (fun (slot, c) -> Hashtbl.replace t.last slot c) sv.sv_last;
+  t.cache_time <- sv.sv_cache_time;
+  t.cache_until <- sv.sv_cache_until;
+  t.cache_active <- sv.sv_cache_active;
+  let s, a, o, w = sv.sv_counts in
+  t.n_sensor <- s;
+  t.n_actuator <- a;
+  t.n_overrun <- o;
+  t.n_wdog <- w;
+  Obs.add c_sensor s;
+  Obs.add c_actuator a;
+  Obs.add c_overrun o;
+  Obs.add c_wdog w
+
+let count_sensor t =
+  t.n_sensor <- t.n_sensor + 1;
+  Obs.add c_sensor 1
+
+let count_actuator t =
+  t.n_actuator <- t.n_actuator + 1;
+  Obs.add c_actuator 1
 
 let next t =
   t.rng := Int64.add !(t.rng) 0x9E3779B97F4A7C15L;
@@ -59,6 +105,16 @@ let next t =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* The kinds [sensor] applies by sampling the RNG — no wildcard, so a new
+   kind has to be placed here. A run draws nothing before the first of
+   these turns on. *)
+let draws : Fault.kind -> bool = function
+  | Fault.Sensor_noise _ | Fault.Encoder_glitch _ -> true
+  | Fault.Sensor_stuck | Fault.Sensor_offset _ | Fault.Sensor_dropout
+  | Fault.Actuator_saturation _ | Fault.Actuator_jam _ | Fault.Load_torque _
+  | Fault.Overrun _ | Fault.Wdog_suppress | Fault.Comm _ ->
+      false
 
 let uniform01 t =
   Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
@@ -117,20 +173,20 @@ let sensor t ~slot ~time v =
           match fl.Fault.kind with
           | Fault.Sensor_stuck ->
               stuck := true;
-              Obs.add c_sensor 1;
+              count_sensor t;
               (match Hashtbl.find_opt t.last slot with Some p -> p | None -> v)
           | Fault.Sensor_dropout ->
-              Obs.add c_sensor 1;
+              count_sensor t;
               0
           | Fault.Sensor_offset d ->
-              Obs.add c_sensor 1;
+              count_sensor t;
               v + d
           | Fault.Sensor_noise a ->
-              Obs.add c_sensor 1;
+              count_sensor t;
               v + rand_pm t a
           | Fault.Encoder_glitch a ->
               if uniform01 t < 0.2 then begin
-                Obs.add c_sensor 1;
+                count_sensor t;
                 v + rand_pm t a
               end
               else v
@@ -145,11 +201,11 @@ let duty t ~time u =
     (fun u fl ->
       match fl.Fault.kind with
       | Fault.Actuator_jam x ->
-          Obs.add c_actuator 1;
+          count_actuator t;
           x
       | Fault.Actuator_saturation c ->
           let clamped = if u > c then c else if u < -.c then -.c else u in
-          if clamped <> u then Obs.add c_actuator 1;
+          if clamped <> u then count_actuator t;
           clamped
       | _ -> u)
     u
@@ -160,25 +216,41 @@ let load_torque t ~time =
       match fl.Fault.kind with Fault.Load_torque x -> acc +. x | _ -> acc)
     0.0
 
+let overrun_of faults =
+  List.fold_left
+    (fun acc fl -> match fl.Fault.kind with Fault.Overrun c -> acc + c | _ -> acc)
+    0 faults
+
+let suppressed_of faults =
+  List.exists
+    (fun fl -> match fl.Fault.kind with Fault.Wdog_suppress -> true | _ -> false)
+    faults
+
 let overrun_cycles t ~time =
-  let n =
-    fold_active t ~time
-      (fun acc fl ->
-        match fl.Fault.kind with Fault.Overrun c -> acc + c | _ -> acc)
-      0
-  in
-  if n > 0 then Obs.add c_overrun 1;
+  refresh t ~time;
+  let n = overrun_of t.cache_active in
+  if n > 0 then begin
+    t.n_overrun <- t.n_overrun + 1;
+    Obs.add c_overrun 1
+  end;
   n
 
 let wdog_suppressed t ~time =
-  let s =
-    fold_active t ~time
-      (fun acc fl ->
-        match fl.Fault.kind with Fault.Wdog_suppress -> true | _ -> acc)
-      false
-  in
-  if s then Obs.add c_wdog 1;
+  refresh t ~time;
+  let s = suppressed_of t.cache_active in
+  if s then begin
+    t.n_wdog <- t.n_wdog + 1;
+    Obs.add c_wdog 1
+  end;
   s
+
+(* straight from the windows: the cache refresh would record fire/clear
+   edges the restored stretch already holds *)
+let replay_timing t ~time =
+  let active =
+    List.filter (fun fl -> Fault.active fl ~time) t.scn.Fault_scenario.faults
+  in
+  (overrun_of active, suppressed_of active)
 
 let comm_config t =
   List.find_map

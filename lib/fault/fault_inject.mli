@@ -25,13 +25,25 @@ val arm : ?seed:int -> Fault_scenario.t -> t
 val scenario : t -> Fault_scenario.t
 val seed : t -> int
 
-val stuck_codes : t -> (int * int) list
-(** The [(slot, code)] table {!sensor} keeps for [Sensor_stuck]: the
-    last code it returned per slot while no stuck fault was active. *)
+val draws : Fault.kind -> bool
+(** Whether {!sensor} applies the kind by sampling the RNG
+    ([Sensor_noise], [Encoder_glitch]). An injector draws nothing before
+    the first fault of such a kind turns on, so up to that instant every
+    seed's run is the same. *)
 
-val set_stuck_codes : t -> (int * int) list -> unit
-(** Replace that table — to carry it from an injector that ran a
-    fault-free stretch to one resuming after it. *)
+type saved
+(** What a run has left in its injector, but the RNG: the stuck-sensor
+    table (the last code {!sensor} returned per slot while no stuck
+    fault was active), the active-set cache, and the run's tallies of
+    the four [fault.*] counters. *)
+
+val save : t -> saved
+
+val restore : t -> saved -> unit
+(** Make an injector armed with the same scenario resume where the saved
+    one stood — valid while the saved run has drawn nothing, i.e. before
+    the first {!draws} fault turned on. The saved tallies are added to
+    the [fault.*] counters, so the restored stretch counts as if run. *)
 
 val sensor : t -> slot:int -> time:float -> int -> int
 (** Perturb one raw sensor code. Applies every active sensor fault bound
@@ -52,6 +64,12 @@ val overrun_cycles : t -> time:float -> int
 
 val wdog_suppressed : t -> time:float -> bool
 (** Whether the watchdog service call is lost at [time]. *)
+
+val replay_timing : t -> time:float -> int * bool
+(** {!overrun_cycles} and {!wdog_suppressed} at [time], read from the
+    fault windows alone: no Flight fire/clear event, no counter, and the
+    active-set cache is left as it is — to re-advance a virtual MCU over
+    a stretch whose events and counts a {!restore} already carries. *)
 
 val comm_config : t -> Faulty.config option
 (** The serial-line fault model, if the scenario carries one ([Comm]

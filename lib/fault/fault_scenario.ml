@@ -168,8 +168,10 @@ let find ref_ =
              "no scenario %S: not a built-in (%s) and not a file" ref_
              (String.concat ", " (List.map (fun s -> s.sname) builtins)))
 
-let onset s =
-  List.fold_left (fun acc f -> Float.min acc (Fault.onset f)) infinity s.faults
+let onset ?(only = fun _ -> true) s =
+  List.fold_left
+    (fun acc f -> if only f.Fault.kind then Float.min acc (Fault.onset f) else acc)
+    infinity s.faults
 
 let clear_time s ~horizon =
   List.fold_left

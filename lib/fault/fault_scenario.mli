@@ -37,8 +37,9 @@ val find : string -> (t, string) result
 (** Resolve a built-in scenario name, else a file path. The error lists
     the built-in names. *)
 
-val onset : t -> float
-(** Earliest fault onset ([infinity] for an empty scenario). *)
+val onset : ?only:(Fault.kind -> bool) -> t -> float
+(** Earliest onset of a fault whose kind satisfies [only] (default: any
+    fault); [infinity] when there is none. *)
 
 val clear_time : t -> horizon:float -> float
 (** When every fault is gone for good (capped at [horizon]). *)

@@ -193,53 +193,51 @@ let event_at r i =
 type segment = {
   sg_from : int;  (* the first seq of the stretch *)
   sg_count : int;  (* events recorded in it *)
-  sg_events : event list;  (* those still on the ring, by seq *)
+  sg_events : ring;  (* those still on the ring, by seq from slot 0 *)
 }
 
 let track_seq () = if !on then (ring ()).seq else 0
 
 (* Newest first, so the walk meets this recording's events before any
    an earlier recording of the same track id left on the ring, and stops
-   at the first event out of the sequence. *)
+   at the first event out of the sequence. The survivors are copied into
+   a ring of their own size: unboxed, half the words of event records. *)
 let since from =
-  if not !on then { sg_from = from; sg_count = 0; sg_events = [] }
+  if not !on then { sg_from = from; sg_count = 0; sg_events = ring_create 0 }
   else begin
     let r = ring () in
-    let evs = ref [] and want = ref (r.seq - 1) and i = ref r.next in
+    let slots = ref [] and want = ref (r.seq - 1) and i = ref r.next in
     let walked = ref 0 in
     while !want >= from && !walked < r.cap do
       i := (if !i = 0 then r.cap - 1 else !i - 1);
       if r.kinds.(!i) <> 0 && r.tracks.(!i) = r.track then
         if r.seqs.(!i) = !want then begin
-          evs := event_at r !i :: !evs;
+          slots := !i :: !slots;
           decr want
         end
         else want := from - 1;
       incr walked
     done;
-    { sg_from = from; sg_count = r.seq - from; sg_events = !evs }
+    let sg = ring_create (List.length !slots) in
+    List.iter
+      (fun i ->
+        record sg r.kinds.(i) r.tracks.(i) r.seqs.(i) r.steps.(i) r.times.(i)
+          r.values.(i) r.args.(i) r.labels.(i))
+      !slots;
+    { sg_from = from; sg_count = r.seq - from; sg_events = sg }
   end
-
-let code_of_kind = function
-  | Step -> 1
-  | Signal -> 2
-  | Fault -> 3
-  | Engine -> 4
-  | Mark -> 5
-  | Span -> 6
 
 (* Only the stretch's survivors are written again; the sequence numbers
    still count the evicted ones, so the bundle's dropped count holds. *)
 let replay sg =
   if !on && sg.sg_count > 0 then begin
-    let r = ring () in
+    let r = ring () and e = sg.sg_events in
     let base = r.seq in
-    List.iter
-      (fun e ->
-        record r (code_of_kind e.ev_kind) r.track
-          (base + e.ev_seq - sg.sg_from)
-          e.ev_step e.ev_time e.ev_value e.ev_arg e.ev_label)
-      sg.sg_events;
+    for k = 0 to e.cap - 1 do
+      record r e.kinds.(k) r.track
+        (base + e.seqs.(k) - sg.sg_from)
+        e.steps.(k) e.times.(k) e.values.(k) e.args.(k) e.labels.(k)
+    done;
     r.seq <- base + sg.sg_count
   end
 
@@ -270,8 +268,8 @@ let capture ~reason =
         b_track = r.track;
         b_name = r.track_name;
         b_reason = reason;
-        b_dropped = sg.sg_count - List.length sg.sg_events;
-        b_events = sg.sg_events;
+        b_dropped = sg.sg_count - sg.sg_events.cap;
+        b_events = List.init sg.sg_events.cap (event_at sg.sg_events);
       }
     in
     Mutex.lock cap_mutex;

@@ -2,10 +2,12 @@
    bit-identically (random diagrams and the servo faultsim subject),
    [Sim.save] refuses a behaviour it cannot save, a re-recorded Flight
    segment reads as recorded afresh, and every built-in scenario's
-   campaign rows are pinned bit for bit while each domain simulates the
-   fault-free prefix once. *)
+   campaign rows, counters and bundles are pinned bit for bit while each
+   domain simulates once the stretch every seed shares. *)
 
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
+let builtin name = Option.get (Fault_scenario.builtin name)
 
 let bits = function
   | Value.F x -> Int64.bits_of_float x
@@ -192,8 +194,8 @@ let test_flight_replay () =
 
 (* sensor-stuck draws nothing from the RNG, so the three seeds of an
    unrecovered 1 s campaign record the same events but for the arm
-   label; seeds 2 and 3 restore seed 1's checkpoint and re-record its
-   prefix *)
+   label; seeds 2 and 3 restore seed 1's checkpoint at the end of the
+   run and re-record all of it *)
 let test_campaign_bundles () =
   let scenario = Option.get (Fault_scenario.builtin "sensor-stuck") in
   Flight.reset ();
@@ -224,8 +226,9 @@ let test_campaign_bundles () =
         (strip b2 = strip b1 && strip b3 = strip b1)
   | bs -> Alcotest.failf "expected 3 bundles, got %d" (List.length bs)
 
-(* Every run row of the seven built-in scenarios x 8 seeds (2 s),
-   captured before prefix checkpointing: scenario, seed, detected,
+(* Every run row of the seven built-in scenarios and the two
+   examples/*.fault x 8 seeds (2 s), captured before any
+   checkpointing: scenario, seed, detected,
    detection_s, recovered, recovery_s, steps degraded / safe-stopped,
    max mode, residual RMS, watchdog bites; floats as their bits. *)
 let golden =
@@ -286,6 +289,22 @@ let golden =
     ("wdog-suppress", 6, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f01e8fdb2ddL, 12);
     ("wdog-suppress", 7, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f01e8fdb2ddL, 12);
     ("wdog-suppress", 8, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f01e8fdb2ddL, 12);
+    ("brownout", 1, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
+    ("brownout", 2, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
+    ("brownout", 3, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
+    ("brownout", 4, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
+    ("brownout", 5, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
+    ("brownout", 6, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
+    ("brownout", 7, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
+    ("brownout", 8, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
+    ("encoder_dropout", 1, true, Some 0x0000000000000000L, true, Some 0x3f989374bc6a7f00L, 389, 25, 2, 0x3fbd785b231a6a39L, 0);
+    ("encoder_dropout", 2, true, Some 0x0000000000000000L, true, Some 0x3f978d4fdf3b6440L, 388, 25, 2, 0x3fbd785b231a6a39L, 0);
+    ("encoder_dropout", 3, true, Some 0x0000000000000000L, true, Some 0x3f99999999999980L, 390, 25, 2, 0x3fbd785b231a6a39L, 0);
+    ("encoder_dropout", 4, true, Some 0x0000000000000000L, true, Some 0x3f96872b020c49c0L, 387, 25, 2, 0x3fbd785b231a6a39L, 0);
+    ("encoder_dropout", 5, true, Some 0x0000000000000000L, true, Some 0x3f96872b020c49c0L, 387, 25, 2, 0x3fbd785b231a6a39L, 0);
+    ("encoder_dropout", 6, true, Some 0x0000000000000000L, true, Some 0x3f978d4fdf3b6440L, 388, 25, 2, 0x3fbd785b231a6a39L, 0);
+    ("encoder_dropout", 7, true, Some 0x0000000000000000L, true, Some 0x3f96872b020c49c0L, 387, 25, 2, 0x3fbd785b231a6a39L, 0);
+    ("encoder_dropout", 8, true, Some 0x0000000000000000L, true, Some 0x3f8a9fbe76c8b400L, 378, 25, 2, 0x3fbd785b231a6a39L, 0);
   ]
 
 let row scenario (x : Fault_campaign.run_result) =
@@ -301,8 +320,8 @@ let row scenario (x : Fault_campaign.run_result) =
     Int64.bits_of_float x.residual_rms,
     x.wdog_bites )
 
-let campaign ?pool scenario =
-  Fault_campaign.sweep ~t_end:2.0 ~seeds:8 ?pool ~scenario (fun () ->
+let campaign ?pool ?(t_end = 2.0) ?(seeds = 8) scenario =
+  Fault_campaign.sweep ~t_end ~seeds ?pool ~scenario (fun () ->
       fst (Servo_system.faultsim_subject ~scenario ()))
 
 let check_golden (r : Fault_campaign.result) =
@@ -322,25 +341,92 @@ let check_golden (r : Fault_campaign.result) =
 let test_campaign_golden () =
   List.iter (fun s -> check_golden (campaign s)) Fault_scenario.builtins
 
-(* 8 seeds x 2000 steps, the 900 before the 0.9 s onset simulated once:
-   2000 + 7 x 1100 steps, under a pool too *)
-let test_prefix_simulated_once () =
-  let scenario = Option.get (Fault_scenario.builtin "noise-burst") in
+let example name =
+  match Fault_scenario.load ("../examples/" ^ name ^ ".fault") with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+let fault_counters =
+  List.map Obs.counter
+    [
+      "fault.sensor_perturbations";
+      "fault.actuator_perturbations";
+      "fault.injected_overrun_periods";
+      "fault.wdog_clears_suppressed";
+    ]
+
+(* [f ()] with metrics on: its result, the [sim.steps] it added and the
+   four [fault.*] counts it added *)
+let counting f =
   let steps = Obs.counter "sim.steps" in
   let was = Obs.enabled () in
   Obs.set_enabled true;
-  let r, n =
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () ->
+      let read () = List.map Obs.counter_value (steps :: fault_counters) in
+      let before = read () in
+      let r = f () in
+      match List.map2 ( - ) (read ()) before with
+      | n :: faults -> (r, n, faults)
+      | [] -> assert false)
+
+(* 8 seeds x 2000 steps: a run is shared by every seed up to the first
+   step at which a noise or glitch fault draws (0.9 s), so the five
+   scenarios that never draw simulate one run per domain, and the two
+   that do 2000 + 7 x 1100 steps. The fault.* counters (sensor,
+   actuator, overrun, wdog) are those of simulating every step, at
+   --jobs 1 and under a pool. *)
+let test_prefix_simulated_once () =
+  List.iter
+    (fun (scenario, max_steps, faults) ->
+      let name = scenario.Fault_scenario.sname in
+      let r, n, counted = counting (fun () -> campaign scenario) in
+      check_golden r;
+      if n > max_steps then
+        Alcotest.failf "%s: 8-seed campaign ran %d Sim steps (> %d)" name n
+          max_steps;
+      Alcotest.(check (list int)) (name ^ ": fault counters") faults counted;
+      Exec_pool.with_pool ~workers:2 (fun pool ->
+          let r, _, counted = counting (fun () -> campaign ~pool scenario) in
+          check_golden r;
+          Alcotest.(check (list int))
+            (name ^ ": fault counters, 2 workers")
+            faults counted))
+    [
+      (builtin "encoder-dropout", 2000, [ 1208; 0; 0; 0 ]);
+      (builtin "sensor-stuck", 2000, [ 1208; 0; 0; 0 ]);
+      (builtin "noise-burst", 9700, [ 1608; 0; 0; 0 ]);
+      (builtin "encoder-glitch", 9700, [ 311; 0; 0; 0 ]);
+      (builtin "actuator-jam", 2000, [ 0; 1608; 0; 0 ]);
+      (builtin "overrun-burst", 2000, [ 0; 0; 800; 0 ]);
+      (builtin "wdog-suppress", 2000, [ 0; 0; 0; 800 ]);
+      (example "brownout", 2000, [ 0; 0; 960; 256 ]);
+      (example "encoder_dropout", 2000 + (7 * 949), [ 3208; 0; 0; 0 ]);
+    ]
+
+(* encoder_dropout.fault: a dropout from 0.9 s, then noise from 1.05 s,
+   so the checkpoint lands as the dropout clears and the noise fires.
+   The 5 unrecovered 1.2 s runs' bundles are pinned by digest (taken
+   before any checkpointing), at --jobs 1 and under a pool. *)
+let test_mixed_capture_digest () =
+  let scenario = example "encoder_dropout" in
+  let digest ?pool () =
+    Flight.reset ();
+    Flight.set_enabled true;
     Fun.protect
-      ~finally:(fun () -> Obs.set_enabled was)
-      (fun () ->
-        let n0 = Obs.counter_value steps in
-        let r = campaign scenario in
-        (r, Obs.counter_value steps - n0))
+      ~finally:(fun () ->
+        Flight.set_enabled false;
+        Flight.reset ())
+    @@ fun () ->
+    ignore (campaign ?pool ~t_end:1.2 ~seeds:5 scenario);
+    check_int "bundles" 5 (List.length (Flight.captures ()));
+    Digest.to_hex (Digest.string (Flight.captures_jsonl ()))
   in
-  check_golden r;
-  if n > 9700 then Alcotest.failf "8-seed campaign ran %d Sim steps (> 9700)" n;
+  let golden = "e2bb1d0ed8b41ad2f288a7d3ce570529" in
+  Alcotest.(check string) "bundle digest" golden (digest ());
   Exec_pool.with_pool ~workers:2 (fun pool ->
-      check_golden (campaign ~pool scenario))
+      Alcotest.(check string) "bundle digest, 2 workers" golden (digest ~pool ()))
 
 let suite =
   [
@@ -358,4 +444,6 @@ let suite =
       `Quick test_campaign_golden;
     Alcotest.test_case "campaign: fault-free prefix simulated once" `Quick
       test_prefix_simulated_once;
+    Alcotest.test_case "campaign: mixed scenario bundles pinned" `Quick
+      test_mixed_capture_digest;
   ]

@@ -240,6 +240,84 @@ let test_injector_cache_equivalence () =
   Alcotest.(check (float 0.0)) "periodic: revalidate every instant" 0.3
     (Fault.next_transition f2 ~time:0.3)
 
+(* Every kind, with a magnitude where it takes one. *)
+let gen_kind =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Fault.Sensor_stuck;
+        map (fun n -> Fault.Sensor_offset n) (int_range (-50) 50);
+        map (fun n -> Fault.Sensor_noise n) (int_range 1 50);
+        return Fault.Sensor_dropout;
+        map (fun n -> Fault.Encoder_glitch n) (int_range 1 500);
+        map (fun x -> Fault.Actuator_saturation x) (float_range 0.1 1.0);
+        map (fun x -> Fault.Actuator_jam x) (float_range (-1.0) 1.0);
+        map (fun x -> Fault.Load_torque x) (float_range 0.0 0.01);
+        map (fun n -> Fault.Overrun n) (int_range 0 100_000);
+        return Fault.Wdog_suppress;
+        map
+          (fun r -> Fault.Comm { Faulty.clean with corrupt_rate = r })
+          (float_range 0.0 0.5);
+      ])
+
+(* times on the 1 ms control grid, so queries land on window edges *)
+let gen_time = QCheck2.Gen.(map (fun k -> float_of_int k *. 1e-3) (int_range 0 1500))
+
+(* windows of 1-400 ms, one-shot or recurring 0-500 ms after they close *)
+let gen_fault =
+  QCheck2.Gen.(
+    map
+      (fun (kind, slot, (at, duration), gap) ->
+        let ms k = float_of_int k *. 1e-3 in
+        let every = Option.map (fun g -> ms (duration + g)) gap in
+        Fault.make ~slot ?every ~at ~duration:(ms duration) kind)
+      (quad gen_kind (int_range 0 1)
+         (pair gen_time (int_range 1 400))
+         (opt (int_range 0 500))))
+
+type call = Sensor of int * float * int | Duty of float * float | Timing of float
+
+let gen_call =
+  QCheck2.Gen.(
+    oneof
+      [
+        map3 (fun slot time v -> Sensor (slot, time, v)) (int_range 0 1)
+          gen_time (int_range 0 65535);
+        map2 (fun time u -> Duty (time, u)) gen_time (float_range (-1.5) 1.5);
+        map (fun time -> Timing time) gen_time;
+      ])
+
+(* A kind {!Fault_inject.draws} calls non-drawing must give every seed
+   the same answers: campaigns simulate such a run once and hand it to
+   every seed. The quiet MCU query must agree with the recording ones. *)
+let prop_non_drawing_seed_free =
+  QCheck2.Test.make ~name:"non-drawing kinds answer every seed alike"
+    ~count:300
+    QCheck2.Gen.(
+      triple (list_size (int_range 1 4) gen_fault)
+        (list_size (int_range 1 60) gen_call)
+        (pair (int_range 1 1000) (int_range 1 1000)))
+    (fun (faults, calls, (s1, d)) ->
+      let faults =
+        List.filter (fun f -> not (Fault_inject.draws f.Fault.kind)) faults
+      in
+      let answers seed =
+        let inj = Fault_inject.arm ~seed (scn faults) in
+        List.map
+          (function
+            | Sensor (slot, time, v) ->
+                `I (Fault_inject.sensor inj ~slot ~time v)
+            | Duty (time, u) -> `F (Fault_inject.duty inj ~time u)
+            | Timing time ->
+                let quiet = Fault_inject.replay_timing inj ~time in
+                let n = Fault_inject.overrun_cycles inj ~time in
+                let lost = Fault_inject.wdog_suppressed inj ~time in
+                if quiet <> (n, lost) then QCheck2.Test.fail_report "replay_timing";
+                `T quiet)
+          calls
+      in
+      answers s1 = answers (s1 + d))
+
 let test_unarmed_identity () =
   (* an empty scenario arms nothing at all *)
   check_bool "empty scenario installs no hook" true
@@ -589,6 +667,56 @@ let test_run_sizes_validated () =
     (Diff_subject.make ~config "nosuch"
     = Error (Diff_subject.Unknown_model "nosuch"))
 
+(* a fault on a port the subject does not hook is a bad request naming
+   the fault and the slot count, not a campaign that injects nothing *)
+let test_fault_ports_validated () =
+  let subject, _ =
+    Servo_system.faultsim_subject ~scenario:(scn []) ()
+  in
+  let no_duty =
+    {
+      subject with
+      Fault_campaign.ports =
+        { subject.Fault_campaign.ports with Fault_campaign.duty_port = None };
+    }
+  in
+  List.iter
+    (fun (subject, line, expect) ->
+      let scenario =
+        match Fault_scenario.of_string ~name:"t" line with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: %s" line e
+      in
+      match Fault_campaign.run ~t_end:0.01 ~seeds:1 ~scenario subject with
+      | _ -> if expect <> None then Alcotest.failf "%s: accepted" line
+      | exception Supervise.Bad_request msg -> (
+          match expect with
+          | None -> Alcotest.failf "%s: rejected (%s)" line msg
+          | Some parts ->
+              List.iter
+                (fun part ->
+                  check_bool
+                    (Printf.sprintf "%s: %S names %S" line msg part)
+                    true (contains part msg))
+                parts))
+    [
+      (subject, "stuck at=0.9 duration=0.15 slot=99",
+       Some [ "sensor-stuck@99"; "slot 99"; "1 sensor slot" ]);
+      (subject, "noise at=0.9 duration=0.1 value=5 slot=1",
+       Some [ "sensor-noise(+-5)@1"; "slot 1"; "1 sensor slot" ]);
+      (subject, "dropout at=0.9 duration=0.1\nglitch at=0 duration=1 value=9 slot=2",
+       Some [ "encoder-glitch(+-9)@2"; "slot 2" ]);
+      (subject, "dropout at=0.9 duration=0.1 slot=0", None);
+      (subject, "overrun at=0.9 duration=0.1 value=100 slot=7", None);
+      (subject, "wdog-suppress at=0.9 duration=0.1 slot=3", None);
+      (subject, "jam at=0.9 duration=0.1 value=1", None);
+      (no_duty, "jam at=0.9 duration=0.1 value=1",
+       Some [ "actuator-jam(1)"; "no duty port" ]);
+      (no_duty, "saturation at=0.9 duration=0.1 value=0.5",
+       Some [ "actuator-saturation(0.5)"; "no duty port" ]);
+      (no_duty, "offset at=0.9 duration=0.1 value=3", None);
+    ]
+
 let test_campaign_stuck_reaches_safestop () =
   let r = campaign "sensor-stuck" in
   check_bool "all detected" true (Fault_campaign.all_detected r);
@@ -748,6 +876,7 @@ let suite =
       test_injector_determinism;
     Alcotest.test_case "injector: cache matches Fault.active" `Quick
       test_injector_cache_equivalence;
+    QCheck_alcotest.to_alcotest prop_non_drawing_seed_free;
     Alcotest.test_case "unarmed hooks are identity" `Quick test_unarmed_identity;
     Alcotest.test_case "MIL step allocation budget" `Quick test_step_allocation;
     Alcotest.test_case "diff lock-step allocation budget" `Quick
@@ -762,6 +891,8 @@ let suite =
       test_parallel_campaign_matches_sequential;
     Alcotest.test_case "campaign: run sizes validated" `Quick
       test_run_sizes_validated;
+    Alcotest.test_case "campaign: fault ports validated" `Quick
+      test_fault_ports_validated;
     Alcotest.test_case "campaign: stuck sensor reaches SafeStop" `Quick
       test_campaign_stuck_reaches_safestop;
     Alcotest.test_case "campaign: timing faults bite the watchdog" `Quick
