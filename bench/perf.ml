@@ -232,8 +232,9 @@ let bench_json () =
   in
   (* P11: campaign scaling — the 64-seed encoder-dropout campaign run
      through the seed sweep at --jobs 1 (on this domain) and --jobs 4
-     (the work-stealing pool), as `ecsd faultsim` runs them. The
-     speedup is whatever this machine's cores allow (recorded next to
+     (this domain and three spawned ones sharing one seed counter,
+     Exec_pool.map), as `ecsd faultsim` runs them. The speedup is
+     whatever this machine's cores allow (recorded next to
      [domains_available] so the number can be judged); the merged
      report must be identical either way, which is asserted here. *)
   let scaling_seeds = if quick () then 16 else 64 in
@@ -242,13 +243,12 @@ let bench_json () =
     fst (Servo_system.faultsim_subject ~scenario:fault_scn ())
   in
   let campaign jobs =
-    Seed_sweep.with_jobs jobs (fun pool ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Fault_campaign.sweep ~t_end:scaling_t_end ~seeds:scaling_seeds
-            ?pool ~scenario:fault_scn mk_subject
-        in
-        (r, Unix.gettimeofday () -. t0))
+    let t0 = Unix.gettimeofday () in
+    let r =
+      Fault_campaign.sweep ~t_end:scaling_t_end ~seeds:scaling_seeds ~jobs
+        ~scenario:fault_scn mk_subject
+    in
+    (r, Unix.gettimeofday () -. t0)
   in
   let r1, wall1 = campaign 1 in
   let r4, wall4 = campaign 4 in

@@ -194,9 +194,12 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Shard the campaign across $(docv) worker domains (default 1: \
-           run serially on this domain). The merged report is identical \
-           whatever $(docv) is — only wall_s, the elapsed time, differs.")
+          (Printf.sprintf
+             "Shard the campaign across $(docv) domains (default 1: run \
+              serially on this domain; at most %d, the OCaml runtime's \
+              domain limit). The merged report is identical whatever \
+              $(docv) is — only wall_s, the elapsed time, differs."
+             Exec_pool.max_jobs))
 
 (* ---- inspect ---- *)
 
@@ -524,8 +527,7 @@ let diff mcu period fixed model_name steps ulp opt engine scenario_ref
       let abort msg = finish (); die "%s" msg in
       let sweep =
         try
-          Seed_sweep.with_jobs jobs @@ fun pool ->
-          Seed_sweep.run ?pool ~on_run ~seeds ~track:scn.Fault_scenario.sname
+          Seed_sweep.run ~jobs ~on_run ~seeds ~track:scn.Fault_scenario.sname
             ~label:("diff:" ^ scn.Fault_scenario.sname)
             ~subject:(subject abort) ~plan:ignore
             (fun () s seed -> run ~seed s)
@@ -777,8 +779,7 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
     in
     let r =
       try
-        Seed_sweep.with_jobs jobs @@ fun pool ->
-        Fault_campaign.sweep ~t_end ~seeds ?pool ~scenario
+        Fault_campaign.sweep ~t_end ~seeds ~jobs ~scenario
           ~on_run:(fun rr -> on_run rr.Fault_campaign.seed rr)
           ?policy mk_subject
       with Supervise.Bad_request msg ->
@@ -955,8 +956,10 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   let t0 = Obs.now_ns () in
-  let workers = if jobs >= 1 then jobs else Domain.recommended_domain_count () in
-  let pool = Exec_pool.create ~workers () in
+  let pool =
+    try Exec_pool.create ?workers:(if jobs >= 1 then Some jobs else None) ()
+    with Supervise.Bad_request msg -> die "%s" msg
+  in
   let lock = Mutex.create () in
   let drained = Condition.create () in
   let pending = ref 0 in
@@ -1154,8 +1157,11 @@ let serve_cmd =
       value & opt int 0
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains (default 0: one per recommended domain, i.e. \
-             the machine's cores).")
+            (Printf.sprintf
+               "Worker domains (default 0: one per recommended domain, i.e. \
+                the machine's cores; at most %d, the OCaml runtime's domain \
+                limit)."
+               Exec_pool.max_jobs))
   in
   let heartbeat =
     Arg.(
@@ -1268,8 +1274,8 @@ let analyze_cmd =
 
 let check_models = [ "servo"; "closed-loop"; "plant"; "isr-demo" ]
 
-(* Several models shard over a domain pool like `diff --seeds`: each
-   worker builds its own model (compiles dedup through the cache) and
+(* Several models shard over --jobs domains like `diff --seeds`: each
+   domain builds its own model (compiles dedup through the cache) and
    the reports print in argument order, so stdout and the JSON file are
    byte-identical whatever --jobs is. *)
 let check mcu period fixed model_name preemptive rules suppress jobs json
@@ -1339,10 +1345,8 @@ let check mcu period fixed model_name preemptive rules suppress jobs json
   let names = Array.of_list model_names in
   let n = Array.length names in
   let reports =
-    if jobs <= 1 || n <= 1 then Array.init n (fun i -> check_one names.(i))
-    else
-      Exec_pool.with_pool ~workers:(min jobs n) (fun pool ->
-          Exec_pool.run_map pool ~chunk:1 n (fun i -> check_one names.(i)))
+    try Exec_pool.map ~jobs n (fun () i -> check_one names.(i))
+    with Supervise.Bad_request msg -> die "%s" msg
   in
   Array.iter (fun r -> print_string (Check.render r)) reports;
   (match json with

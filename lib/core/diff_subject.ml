@@ -20,6 +20,12 @@ let make ~config ?(steps = 1000) ?(float_mode = Silvm_diff.Exact)
   if steps < 0 then
     Seed_sweep.bad_request "step count must be >= 0, got %d" steps;
   let subject name ?plant ?stimulus ~project comp =
+    (* the injector perturbs the generated code's sensor slots only *)
+    Option.iter
+      (Fault_scenario.check_hooks
+         ~sensor_slots:(List.length (Target.sensor_slots comp.Compile.model))
+         ~duty:false)
+      scenario;
     let run seed =
       let injector = Option.map (injector ~seed) scenario in
       Silvm_diff.run ~steps ~float_mode ~opt ~engine

@@ -29,7 +29,10 @@ val make :
     [steps] (default 1000), [float_mode] (default
     {!Silvm_diff.Exact}), [opt] and [engine] (default
     {!Silvm_diff.Compiled}) are as in {!Silvm_diff.run}.
-    @raise Supervise.Bad_request when [steps < 0].
+    @raise Supervise.Bad_request when [steps < 0], or when [scenario]
+    has a fault the generated code's sensor slots cannot take: a sensor
+    fault on a slot the model lacks, or any actuator fault
+    ({!Fault_scenario.check_hooks}).
     @raise Invalid_argument when the servo's bean project does not
     verify. *)
 

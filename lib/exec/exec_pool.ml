@@ -1,228 +1,28 @@
-(* Work-stealing domain pool.
+(* Domain parallelism: one parallel map for the campaigns, one
+   long-lived worker queue for serve.
 
-   One deque per worker domain (Chase-Lev: owner LIFO, thieves FIFO)
-   plus a mutex-guarded injector queue for work submitted from outside
-   the pool. Fork-join work ([run_map]) divides its index range
-   recursively: each split pushes one half to the executing worker's
-   own deque and recurses on the other, so parallelism materialises
-   exactly as fast as idle workers steal — the classic Cilk shape.
+   A campaign item (one seed run, one model's check) takes milliseconds,
+   and a run has at most a few dozen of them, so [map] needs no
+   scheduler: the domains take indices from one atomic counter until it
+   runs out, and each result lands in its own slot. *)
 
-   Sleeping is conservative: a worker that finds nothing spins through
-   a few scavenging rounds, publishes its observability sink, then
-   blocks on a condition variable. Producers broadcast only when a
-   sleeper is registered, so the steady-state hot path (busy workers
-   trading tasks through deques) takes no lock. *)
+(* OCaml 5.1 runs at most [Max_domains] domains at once (caml/domain.h:
+   128 on 64-bit hosts, 16 on 32-bit ones), the calling domain
+   included *)
+let max_jobs = (if Sys.word_size = 64 then 128 else 16) - 1
 
-type task = unit -> unit
+let check_jobs jobs =
+  if jobs > max_jobs then
+    raise
+      (Supervise.Bad_request
+         (Printf.sprintf
+            "--jobs %d: at most %d (the OCaml runtime runs at most %d \
+             domains, this one included)"
+            jobs max_jobs (max_jobs + 1)))
 
-type t = {
-  workers : int;
-  deques : task Wsdeque.t array;
-  injector : task Queue.t; (* guarded by [lock] *)
-  lock : Mutex.t;
-  work_cond : Condition.t;
-  mutable live : bool;
-  mutable domains : unit Domain.t array;
-  sleepers : int Atomic.t;
-  mutable on_task_error : (exn -> unit) option;
-  c_tasks : Obs.counter;
-  c_task_errors : Obs.counter;
-  c_steals : Obs.counter;
-  h_task : Obs.hist;  (* per-task latency, seconds *)
-}
-
-(* which pool + worker slot the current domain belongs to, if any *)
-let self_key : (t * int) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let wake_all pool =
-  if Atomic.get pool.sleepers > 0 then begin
-    Mutex.lock pool.lock;
-    Condition.broadcast pool.work_cond;
-    Mutex.unlock pool.lock
-  end
-
-let submit pool task =
-  Mutex.lock pool.lock;
-  Queue.push task pool.injector;
-  if Obs.enabled () then
-    Obs.set_gauge "exec.injector_depth" (float_of_int (Queue.length pool.injector));
-  Condition.broadcast pool.work_cond;
-  Mutex.unlock pool.lock
-
-(* push from inside a task: to the executing worker's own deque when we
-   are on a pool worker, through the injector otherwise *)
-let push_task pool task =
-  match !(Domain.DLS.get self_key) with
-  | Some (p, w) when p == pool ->
-      Wsdeque.push pool.deques.(w) task;
-      wake_all pool
-  | _ -> submit pool task
-
-let take_injector pool =
-  if Queue.is_empty pool.injector then None
-  else begin
-    Mutex.lock pool.lock;
-    let r = Queue.take_opt pool.injector in
-    Mutex.unlock pool.lock;
-    r
-  end
-
-let steal_round pool w =
-  let n = pool.workers in
-  let rec go i =
-    if i >= n then None
-    else
-      match Wsdeque.steal pool.deques.((w + i) mod n) with
-      | Some _ as r ->
-          Obs.add pool.c_steals 1;
-          r
-      | None -> go (i + 1)
-  in
-  go 1
-
-let find_task pool w =
-  match Wsdeque.pop pool.deques.(w) with
-  | Some _ as r -> r
-  | None -> (
-      match take_injector pool with
-      | Some _ as r -> r
-      | None -> steal_round pool w)
-
-let run_task pool task =
-  Obs.add pool.c_tasks 1;
-  (* a task must not kill its worker; fork-join wrappers catch and
-     re-raise on the joining domain, so anything arriving here escaped
-     a fire-and-forget submission — count it, route it through the
-     error hook (or stderr), keep serving. Submitted jobs can no
-     longer vanish silently. *)
-  try task ()
-  with e ->
-    Obs.add pool.c_task_errors 1;
-    (match pool.on_task_error with
-    | Some hook -> ( try hook e with _ -> ())
-    | None ->
-        prerr_endline
-          ("exec_pool: uncaught exception in task: " ^ Printexc.to_string e))
-
-let run_task_timed pool task =
-  if Obs.enabled () then begin
-    let t0 = Obs.now_ns () in
-    run_task pool task;
-    let d = (Obs.now_ns () -. t0) *. 1e-9 in
-    Obs.record pool.h_task d;
-    d
-  end
-  else begin
-    run_task pool task;
-    0.0
-  end
-
-let has_visible_work pool w =
-  (not (Queue.is_empty pool.injector))
-  || Array.exists (fun d -> Wsdeque.size d > 0) pool.deques
-  || Wsdeque.size pool.deques.(w) > 0
-
-let worker_loop pool w () =
-  Domain.DLS.get self_key := Some (pool, w);
-  let spin_budget = 64 in
-  (* utilization = task time / wall time since the worker started; the
-     gauge is refreshed whenever the worker goes idle *)
-  let t_start = Obs.now_ns () in
-  let busy = ref 0.0 in
-  let rec loop spins =
-    if pool.live then begin
-      match find_task pool w with
-      | Some task ->
-          busy := !busy +. run_task_timed pool task;
-          loop spin_budget
-      | None ->
-          if spins > 0 then begin
-            Domain.cpu_relax ();
-            loop (spins - 1)
-          end
-          else begin
-            (* going idle: hand our sink to the spawning domain *)
-            if Obs.enabled () then begin
-              let total = (Obs.now_ns () -. t_start) *. 1e-9 in
-              if total > 0.0 then
-                Obs.set_gauge
-                  (Printf.sprintf "exec.util.w%d" w)
-                  (!busy /. total)
-            end;
-            Obs.publish ();
-            Mutex.lock pool.lock;
-            Atomic.incr pool.sleepers;
-            (* rescan under the lock: a producer that saw sleepers = 0
-               before our increment must have completed its push, which
-               this scan observes; one that sees > 0 will broadcast and
-               the broadcast serialises behind this critical section *)
-            if pool.live && not (has_visible_work pool w) then
-              Condition.wait pool.work_cond pool.lock;
-            Atomic.decr pool.sleepers;
-            Mutex.unlock pool.lock;
-            loop spin_budget
-          end
-    end
-  in
-  loop spin_budget;
-  Obs.publish ()
-
-let create ?workers () =
-  let workers =
-    match workers with
-    | Some n when n >= 1 -> n
-    | Some _ -> invalid_arg "Exec_pool.create: workers must be >= 1"
-    | None -> Domain.recommended_domain_count ()
-  in
-  let pool =
-    {
-      workers;
-      deques = Array.init workers (fun _ -> Wsdeque.create ());
-      injector = Queue.create ();
-      lock = Mutex.create ();
-      work_cond = Condition.create ();
-      live = true;
-      domains = [||];
-      sleepers = Atomic.make 0;
-      on_task_error = None;
-      c_tasks = Obs.counter "exec.tasks";
-      c_task_errors = Obs.counter "exec.task_errors";
-      c_steals = Obs.counter "exec.steals";
-      h_task = Obs.hist "exec.task_s";
-    }
-  in
-  pool.domains <-
-    Array.init workers (fun w -> Domain.spawn (worker_loop pool w));
-  pool
-
-let shutdown pool =
-  if pool.live then begin
-    Mutex.lock pool.lock;
-    pool.live <- false;
-    Condition.broadcast pool.work_cond;
-    Mutex.unlock pool.lock;
-    Array.iter Domain.join pool.domains
-  end
-
-let size pool = pool.workers
-let set_error_hook pool hook = pool.on_task_error <- Some hook
-
-let queue_depth pool =
-  Mutex.lock pool.lock;
-  let n = Queue.length pool.injector in
-  Mutex.unlock pool.lock;
-  n
-
-let with_pool ?workers f =
-  let pool = create ?workers () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-(* ---- fork-join map ---- *)
-
+(* keep the lowest-index failure: deterministic whichever domain's
+   exception lost the race *)
 let record_failure failed i e bt =
-  (* keep the lowest-index failure: deterministic regardless of which
-     leaf's exception lost the race *)
   let rec go () =
     let cur = Atomic.get failed in
     let better = match cur with None -> true | Some (j, _, _) -> i < j in
@@ -231,61 +31,128 @@ let record_failure failed i e bt =
   in
   go ()
 
-let run_map pool ?(chunk = 1) ?(on_error = `Abort) n f =
-  if n < 0 then invalid_arg "Exec_pool.run_map";
-  if chunk < 1 then invalid_arg "Exec_pool.run_map: chunk";
+let map ~jobs n f =
+  if n < 0 then invalid_arg "Exec_pool.map";
+  check_jobs jobs;
   if n = 0 then [||]
+  else if jobs <= 1 || n = 1 then Array.init n (f ())
   else begin
     let results = Array.make n None in
-    let remaining = Atomic.make n in
+    let next = Atomic.make 0 in
     let failed = Atomic.make None in
-    let bm = Mutex.create () and bc = Condition.create () in
-    let finish k =
-      if Atomic.fetch_and_add remaining (-k) = k then begin
-        Mutex.lock bm;
-        Condition.signal bc;
-        Mutex.unlock bm
-      end
+    let work () =
+      (* this domain's [f ()], built on its first item *)
+      let g = lazy (f ()) in
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          (match Lazy.force g i with
+          | v -> results.(i) <- Some v
+          | exception e ->
+              record_failure failed i e (Printexc.get_raw_backtrace ()));
+          loop ()
+        end
+      in
+      loop ()
     in
-    let leaf i =
-      match f i with
-      | v -> results.(i) <- Some v
-      | exception e -> (
-          match on_error with
-          | `Abort -> record_failure failed i e (Printexc.get_raw_backtrace ())
-          | `Record handler -> (
-              (* the handler turns the exception into slot [i]'s record;
-                 its value depends only on (i, e), so the merged array
-                 is deterministic under any schedule *)
-              match handler i e with
-              | v -> results.(i) <- Some v
-              | exception e2 ->
-                  record_failure failed i e2 (Printexc.get_raw_backtrace ())))
+    (* a spawned domain publishes its sink before the join releases the
+       caller, whose snapshot then holds its counts; a spawn refused by
+       the runtime (nested maps past its domain cap) leaves the items to
+       the domains already running *)
+    let rec spawn k =
+      if k = 0 then []
+      else
+        match Domain.spawn (fun () -> work (); Obs.publish ()) with
+        | d -> d :: spawn (k - 1)
+        | exception Failure _ -> []
     in
-    let rec range lo hi () =
-      if hi - lo <= chunk then begin
-        for i = lo to hi - 1 do
-          leaf i
-        done;
-        (* publish before the barrier releases so the joining domain's
-           snapshot includes this leaf's counts *)
-        if Obs.enabled () then Obs.publish ();
-        finish (hi - lo)
-      end
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        push_task pool (range mid hi);
-        range lo mid ()
-      end
-    in
-    submit pool (range 0 n);
-    Mutex.lock bm;
-    while Atomic.get remaining > 0 do
-      Condition.wait bc bm
-    done;
-    Mutex.unlock bm;
+    let domains = spawn (min jobs n - 1) in
+    work ();
+    List.iter Domain.join domains;
     (match Atomic.get failed with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
+    Array.map Option.get results
+  end
+
+(* ---- serve's queue ---- *)
+
+type t = {
+  queue : (unit -> unit) Queue.t;  (* guarded by [lock] *)
+  lock : Mutex.t;
+  nonempty : Condition.t;
+  mutable live : bool;
+  mutable domains : unit Domain.t array;
+  mutable on_task_error : (exn -> unit) option;
+}
+
+let c_tasks = Obs.counter "exec.tasks"
+let c_task_errors = Obs.counter "exec.task_errors"
+let h_task = Obs.hist "exec.task_s"
+
+(* a task must not kill its worker: anything escaping it is counted and
+   routed through the error hook (or stderr), and the worker keeps
+   serving *)
+let run_task pool task =
+  Obs.add c_tasks 1;
+  let t0 = Obs.now_ns () in
+  (try task ()
+   with e -> (
+     Obs.add c_task_errors 1;
+     match pool.on_task_error with
+     | Some hook -> ( try hook e with _ -> ())
+     | None ->
+         prerr_endline
+           ("exec_pool: uncaught exception in task: " ^ Printexc.to_string e)));
+  if Obs.enabled () then Obs.record h_task ((Obs.now_ns () -. t0) *. 1e-9);
+  Obs.publish ()
+
+let rec worker pool () =
+  Mutex.lock pool.lock;
+  while pool.live && Queue.is_empty pool.queue do
+    Condition.wait pool.nonempty pool.lock
+  done;
+  (* after [shutdown], pending tasks are dropped *)
+  let task = if pool.live then Queue.take_opt pool.queue else None in
+  Mutex.unlock pool.lock;
+  match task with
+  | Some task ->
+      run_task pool task;
+      worker pool ()
+  | None -> ()
+
+let create ?workers () =
+  let workers =
+    match workers with
+    | Some n when n >= 1 -> n
+    | Some _ -> invalid_arg "Exec_pool.create: workers must be >= 1"
+    | None -> min max_jobs (Domain.recommended_domain_count ())
+  in
+  check_jobs workers;
+  let pool =
+    {
+      queue = Queue.create ();
+      lock = Mutex.create ();
+      nonempty = Condition.create ();
+      live = true;
+      domains = [||];
+      on_task_error = None;
+    }
+  in
+  pool.domains <- Array.init workers (fun _ -> Domain.spawn (worker pool));
+  pool
+
+let submit pool task =
+  Mutex.protect pool.lock (fun () ->
+      Queue.push task pool.queue;
+      Condition.signal pool.nonempty)
+
+let set_error_hook pool hook = pool.on_task_error <- Some hook
+
+let shutdown pool =
+  if pool.live then begin
+    Mutex.protect pool.lock (fun () ->
+        pool.live <- false;
+        Condition.broadcast pool.nonempty);
+    Array.iter Domain.join pool.domains
   end

@@ -1,58 +1,56 @@
-(** Work-stealing domain pool: the campaign job engine.
+(** Domain parallelism: {!map} for campaigns, a worker queue for serve.
 
-    A fixed set of worker domains, one {!Wsdeque} each, plus an
-    injector queue for outside submissions. Two front doors:
+    - {!map} — evaluate [n] independent items across up to [jobs]
+      domains and return the results in index order ([ecsd faultsim],
+      [ecsd diff --seeds], [ecsd check]). Results land in their slots
+      whichever domain computed them, so the output is the same whatever
+      [jobs] is.
+    - {!create}/{!submit} — a fixed set of worker domains serving one
+      mutex-guarded queue of fire-and-forget tasks ([ecsd serve]'s entry
+      point; ordering is the caller's business).
 
-    - {!run_map} — fork-join: evaluate [f 0 .. f (n-1)] across the
-      pool and return the results in index order. The range splits
-      recursively through the deques, so load balances by stealing;
-      results land in their slots regardless of which domain computed
-      them, making the output deterministic under any schedule.
-    - {!submit} — fire-and-forget: queue a task for whichever worker
-      picks it up first ([ecsd serve]'s entry point; ordering is the
-      caller's business).
+    Spawned domains publish their observability sinks ({!Obs.publish})
+    before {!map} returns and after every queued task, so campaign
+    counters and histograms survive them. Flight's host-ring registry
+    keeps one ring per domain that recorded a span, so every {!map}
+    that records spans leaves one ring per domain it spawned: fine for
+    the one map a CLI command runs, which is why serve, a long-lived
+    process, keeps its workers instead. *)
 
-    Workers publish their observability sinks ({!Obs.publish}) when a
-    fork-join leaf completes and when they go idle, so campaign
-    counters and histograms survive the pool. *)
+val max_jobs : int
+(** The most domains a [jobs] count may ask for: the OCaml runtime's
+    domain limit ([Max_domains] in [caml/domain.h], 128 on 64-bit
+    hosts) less the calling domain. *)
+
+val check_jobs : int -> unit
+(** @raise Supervise.Bad_request when [jobs > max_jobs]. {!map} and
+    {!create} check before they spawn anything. *)
+
+val map : jobs:int -> int -> (unit -> int -> 'a) -> 'a array
+(** [map ~jobs n f] is [[| g 0; ...; g (n-1) |]] where each domain
+    taking items has its own [g = f ()], built on that domain before its
+    first item (a domain that takes none builds none): the place for
+    per-domain mutable state such as a simulation subject.
+
+    With [jobs <= 1] or [n <= 1] everything runs on this domain.
+    Otherwise [min jobs n - 1] domains are spawned; they and this domain
+    take indices from one shared counter, and all are joined before
+    [map] returns.
+
+    Every item runs; if any raised, the exception of the {e lowest}
+    failing index is re-raised afterwards — the same under any
+    schedule.
+
+    @raise Supervise.Bad_request when [jobs > max_jobs].
+    @raise Invalid_argument when [n < 0]. *)
 
 type t
+(** Serve's worker pool. *)
 
 val create : ?workers:int -> unit -> t
 (** Spawn [workers] domains (default
-    [Domain.recommended_domain_count ()]). *)
-
-val with_pool : ?workers:int -> (t -> 'a) -> 'a
-(** [create], run, always {!shutdown}. *)
-
-val shutdown : t -> unit
-(** Stop accepting scheduled work, wake every worker and join their
-    domains. Idempotent. Pending injector tasks are dropped; in-flight
-    tasks complete. *)
-
-val size : t -> int
-(** Number of worker domains. *)
-
-val run_map :
-  t ->
-  ?chunk:int ->
-  ?on_error:[ `Abort | `Record of int -> exn -> 'a ] ->
-  int ->
-  (int -> 'a) ->
-  'a array
-(** [run_map pool n f] evaluates [f] at [0..n-1] on the pool and
-    returns [[| f 0; ...; f (n-1) |]]. Blocks the calling domain until
-    all leaves finish. [chunk] (default 1) is the largest index range
-    one leaf executes serially.
-
-    [on_error] decides what a raising [f i] does to the campaign:
-    - [`Abort] (default): the exception of the {e lowest} failing index
-      is re-raised here after all leaves have finished — deterministic
-      under any schedule.
-    - [`Record handler]: slot [i] gets [handler i e] instead, so the
-      campaign completes with per-item error records; the merged array
-      stays deterministic because the record depends only on [(i, e)].
-      An exception escaping the handler itself aborts as above. *)
+    [Domain.recommended_domain_count ()], capped at {!max_jobs}).
+    @raise Supervise.Bad_request when [workers > max_jobs]. *)
 
 val submit : t -> (unit -> unit) -> unit
 (** Queue one task. An exception escaping it is counted
@@ -64,6 +62,7 @@ val set_error_hook : t -> (exn -> unit) -> unit
     stderr. The hook runs on the worker domain that ran the task and
     must synchronize its own state; exceptions it raises are dropped. *)
 
-val queue_depth : t -> int
-(** Tasks sitting in the injector queue (submitted, not yet picked up)
-    — the backpressure signal for bounded-queue admission. *)
+val shutdown : t -> unit
+(** Stop taking tasks, wake every worker and join their domains.
+    Idempotent. Queued tasks not yet taken are dropped; running tasks
+    complete. *)

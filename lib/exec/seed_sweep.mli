@@ -1,5 +1,5 @@
 (** The one seed sweep of every campaign: run a per-seed body for seeds
-    1..N, sequentially or sharded over an {!Exec_pool}, and return the
+    1..N, on this domain or sharded by {!Exec_pool.map}, and return the
     outcomes in seed order.
 
     [ecsd faultsim] ({!Fault_campaign}), serve's [faultsim] job and
@@ -22,7 +22,7 @@ type ('p, 'r) t = {
 }
 
 val run :
-  ?pool:Exec_pool.t ->
+  ?jobs:int ->
   ?policy:Supervise.policy ->
   ?on_run:(int -> 'r -> unit) ->
   seeds:int ->
@@ -38,23 +38,21 @@ val run :
     seeds 1..[seeds]. Each seed's run starts its own flight track
     [(seed, track)].
 
-    - Without [pool] the seeds run in order on this domain, all on the
-      one subject. With [pool] they are sharded by {!Exec_pool.run_map}
-      and every domain builds its own subject through [subject], so the
-      subject's mutable state stays domain-local; a body's result must
+    - With [jobs] (default 1) above 1 the seeds are sharded by
+      {!Exec_pool.map} over up to [jobs] domains. This domain's seeds
+      run on the subject [plan] saw; every other domain that takes a
+      seed builds its own through [subject], on its first seed, so the
+      subject's mutable state stays domain-local. A body's result must
       therefore depend only on the seed, not on what ran before on the
       subject (a body may reuse work an earlier seed left on it, as
       [Fault_campaign] does, if the result stays the same).
     - Without [policy] a raising body aborts the sweep (the lowest
-      failing seed's exception, under a pool). With [policy] each seed
+      failing seed's exception). With [policy] each seed
       runs under {!Supervise.supervise} with label [label ^ ":seed" ^ N]
       and a failure becomes that seed's [Error] outcome.
     - [on_run seed r] fires after each successful seed, on the domain
-      that ran it: under a pool it must synchronize its own state.
+      that ran it: with [jobs] above 1 it must synchronize its own
+      state.
 
-    @raise Supervise.Bad_request when [seeds < 1]. *)
-
-val with_jobs : int -> (Exec_pool.t option -> 'a) -> 'a
-(** [with_jobs n f] is [f None] when [n <= 1] (run on this domain), or
-    [f (Some pool)] over a pool of [n] workers that is shut down
-    afterwards — the meaning of every campaign's [--jobs]. *)
+    @raise Supervise.Bad_request when [seeds < 1] or
+    [jobs > Exec_pool.max_jobs], before [subject] is called. *)

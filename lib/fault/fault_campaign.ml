@@ -209,7 +209,7 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
     wdog_bites;
   }
 
-let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?pool
+let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
     ~scenario mk_subject =
   let name = scenario.Fault_scenario.sname in
   (* the run sizes, from the subject's control period *)
@@ -227,27 +227,14 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?pool
     if steps < 1 then
       Seed_sweep.bad_request
         "t_end must span at least one %g s step, got %g" period t_end;
-    (* a fault on a port the subject does not hook would inject nothing *)
-    let slots = Array.length subject.ports.sensor_ports in
-    List.iter
-      (fun fl ->
-        let kind = fl.Fault.kind in
-        if Fault.is_sensor kind && (fl.Fault.slot < 0 || fl.Fault.slot >= slots)
-        then
-          Seed_sweep.bad_request
-            "fault %s: sensor slot %d does not exist (the subject has %d \
-             sensor slot%s)"
-            (Fault.name fl) fl.Fault.slot slots
-            (if slots = 1 then "" else "s");
-        if Fault.is_actuator kind && subject.ports.duty_port = None then
-          Seed_sweep.bad_request "fault %s: the subject has no duty port"
-            (Fault.name fl))
-      scenario.Fault_scenario.faults;
+    Fault_scenario.check_hooks
+      ~sensor_slots:(Array.length subject.ports.sensor_ports)
+      ~duty:(subject.ports.duty_port <> None) scenario;
     let wdog_timeout = Option.value wdog_timeout ~default:(8.0 *. period) in
     (period, steps, wdog_timeout)
   in
   let s =
-    Seed_sweep.run ?pool ?policy
+    Seed_sweep.run ?jobs ?policy
       ?on_run:(Option.map (fun f _ r -> f r) on_run)
       ~seeds ~track:name ~label:("faultsim:" ^ name)
       ~subject:(fun () -> (mk_subject (), ref None))

@@ -66,7 +66,7 @@ val sweep :
   ?wdog_timeout:float ->
   ?on_run:(run_result -> unit) ->
   ?policy:Supervise.policy ->
-  ?pool:Exec_pool.t ->
+  ?jobs:int ->
   scenario:Fault_scenario.t ->
   (unit -> subject) ->
   result
@@ -79,13 +79,12 @@ val sweep :
     step's cycle budget so a long enough burst starves the watchdog
     exactly as it would on the bench.
 
-    - Without [pool] every run uses one subject built on this domain.
-      With [pool] the seeds shard over the pool's workers, each domain
-      building its own subject through the factory. Results merge in
-      seed order, so
-      the report equals the sequential one field-for-field except
-      [wall_s] (set [ECSD_WALL_ZERO=1] to zero that too and compare
-      bytes).
+    - With [jobs] (default 1) at 1 every run uses one subject built on
+      this domain. Above 1 the seeds shard over up to [jobs] domains
+      ({!Seed_sweep.run}), each other domain building its own subject
+      through the factory. Results merge in seed order, so the report
+      equals the sequential one field-for-field except [wall_s] (set
+      [ECSD_WALL_ZERO=1] to zero that too and compare bytes).
     - A run is the same bits for every seed up to the first step at
       which a fault that samples the injector's RNG is on
       ({!Fault_inject.draws}); for a scenario with no such fault that is
@@ -107,13 +106,14 @@ val sweep :
       failing seed lands in [failures] instead of aborting the campaign,
       and [on_run] fires only for successful runs. Supervised outcomes
       (chaos decisions, backoff jitter) are pure functions of (seed,
-      attempt), so the report stays byte-identical across pool sizes.
+      attempt), so the report stays byte-identical whatever [jobs] is.
       Without a [policy] any exception propagates.
 
-    @raise Supervise.Bad_request when [seeds < 1], when [t_end] is not
-    finite or shorter than one control period, or when a sensor fault's
-    slot is not one of the subject's [sensor_ports] or an actuator fault
-    meets a subject without a [duty_port]. *)
+    @raise Supervise.Bad_request when [seeds < 1], when
+    [jobs > Exec_pool.max_jobs], when [t_end] is not finite or shorter
+    than one control period, or when a sensor fault's slot is not one of
+    the subject's [sensor_ports] or an actuator fault meets a subject
+    without a [duty_port] ({!Fault_scenario.check_hooks}). *)
 
 val run :
   ?t_end:float ->

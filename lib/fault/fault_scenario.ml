@@ -182,3 +182,20 @@ let active_names s ~time =
   List.filter_map
     (fun f -> if Fault.active f ~time then Some (Fault.name f) else None)
     s.faults
+
+(* a fault on a port the subject does not hook would inject nothing *)
+let check_hooks ~sensor_slots ~duty s =
+  List.iter
+    (fun fl ->
+      let kind = fl.Fault.kind in
+      if Fault.is_sensor kind && (fl.Fault.slot < 0 || fl.Fault.slot >= sensor_slots)
+      then
+        Seed_sweep.bad_request
+          "fault %s: sensor slot %d does not exist (the subject has %d \
+           sensor slot%s)"
+          (Fault.name fl) fl.Fault.slot sensor_slots
+          (if sensor_slots = 1 then "" else "s");
+      if Fault.is_actuator kind && not duty then
+        Seed_sweep.bad_request "fault %s: the subject has no duty port"
+          (Fault.name fl))
+    s.faults

@@ -46,3 +46,10 @@ val clear_time : t -> horizon:float -> float
 
 val active_names : t -> time:float -> string list
 (** Names of the faults whose windows cover [time]. *)
+
+val check_hooks : sensor_slots:int -> duty:bool -> t -> unit
+(** Refuse a scenario with a fault its subject would never inject: a
+    sensor fault on a slot outside [0 .. sensor_slots - 1], or an
+    actuator fault when the subject has no commanded [duty] to perturb.
+    @raise Supervise.Bad_request naming the fault (and the slot
+    count). *)

@@ -113,6 +113,14 @@ let is_actuator_kind = function
   | "PE_Pwm" | "PE_BitIO_Out" | "PE_Dac" | "AR_Pwm" | "AR_Dio_Out" -> true
   | _ -> false
 
+(* PIL buffer slots: one direction's peripheral blocks, numbered in
+   model order *)
+let slots is_kind m =
+  List.filter (fun b -> is_kind (Model.spec_of m b).Block.kind) (Model.blocks m)
+  |> List.mapi (fun i b -> (b, i))
+
+let sensor_slots m = slots is_sensor_kind m
+
 let is_autosar_kind kind =
   String.length kind >= 3 && String.sub kind 0 3 = "AR_"
 
@@ -154,18 +162,7 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
   let u_struct = name ^ "_U" and y_struct = name ^ "_Y" in
   let sig_field b p = Printf.sprintf "%s_o%d" (bname b) p in
   let sig_expr (b, p) = Field (Var b_struct, sig_field b p) in
-  (* PIL buffer slots, in model order *)
-  let sensor_slots = ref [] and actuator_slots = ref [] in
-  List.iter
-    (fun b ->
-      let spec = Model.spec_of m b in
-      if is_sensor_kind spec.Block.kind then
-        sensor_slots := (b, List.length !sensor_slots) :: !sensor_slots
-      else if is_actuator_kind spec.Block.kind then
-        actuator_slots := (b, List.length !actuator_slots) :: !actuator_slots)
-    all_blocks;
-  let sensor_slots = List.rev !sensor_slots in
-  let actuator_slots = List.rev !actuator_slots in
+  let sensor_slots = sensor_slots m and actuator_slots = slots is_actuator_kind m in
   (* per-block emission *)
   let srcs = Compile.signal_sources comp in
   let b_fields = ref [] and dw_fields = ref [] in

@@ -52,6 +52,11 @@ val is_sensor_kind : string -> bool
 val is_actuator_kind : string -> bool
 (** Peripheral output kinds (PWM, DAC, digital out). *)
 
+val sensor_slots : Model.t -> (Model.blk * int) list
+(** The model's peripheral input blocks and their PIL buffer slots, in
+    model order: the [sensor_slots] of the schedule {!generate} builds
+    for it. *)
+
 type artifacts = {
   model_h : C_ast.cunit;
   model_c : C_ast.cunit;

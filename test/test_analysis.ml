@@ -328,10 +328,10 @@ let test_rule_selection () =
   Alcotest.(check bool) "overflow retained" true
     (List.exists (fun f -> f.Diag.rule = "FXP002") report.Check.findings)
 
-(* `ecsd check MODELS --jobs N` shards models over a domain pool; the
+(* `ecsd check MODELS --jobs N` shards models over N domains; the
    rendered reports must be byte-identical to the serial run whatever
    the worker count. Exercised here at the library level: the same
-   Check.run per model, serial vs Exec_pool, compared as one string. *)
+   Check.run per model, serial vs Exec_pool.map, compared as one string. *)
 let test_check_jobs_byte_identical () =
   let check_one name =
     match name with
@@ -351,9 +351,8 @@ let test_check_jobs_byte_identical () =
   let serial = render (Array.map check_one names) in
   let pooled =
     render
-      (Exec_pool.with_pool ~workers:3 (fun pool ->
-           Exec_pool.run_map pool ~chunk:1 (Array.length names) (fun i ->
-               check_one names.(i))))
+      (Exec_pool.map ~jobs:3 (Array.length names) (fun () i ->
+           check_one names.(i)))
   in
   Alcotest.(check string) "jobs 1 vs 3 byte-identical" serial pooled
 

@@ -320,8 +320,8 @@ let row scenario (x : Fault_campaign.run_result) =
     Int64.bits_of_float x.residual_rms,
     x.wdog_bites )
 
-let campaign ?pool ?(t_end = 2.0) ?(seeds = 8) scenario =
-  Fault_campaign.sweep ~t_end ~seeds ?pool ~scenario (fun () ->
+let campaign ?jobs ?(t_end = 2.0) ?(seeds = 8) scenario =
+  Fault_campaign.sweep ~t_end ~seeds ?jobs ~scenario (fun () ->
       fst (Servo_system.faultsim_subject ~scenario ()))
 
 let check_golden (r : Fault_campaign.result) =
@@ -387,12 +387,11 @@ let test_prefix_simulated_once () =
         Alcotest.failf "%s: 8-seed campaign ran %d Sim steps (> %d)" name n
           max_steps;
       Alcotest.(check (list int)) (name ^ ": fault counters") faults counted;
-      Exec_pool.with_pool ~workers:2 (fun pool ->
-          let r, _, counted = counting (fun () -> campaign ~pool scenario) in
-          check_golden r;
-          Alcotest.(check (list int))
-            (name ^ ": fault counters, 2 workers")
-            faults counted))
+      let r, _, counted = counting (fun () -> campaign ~jobs:2 scenario) in
+      check_golden r;
+      Alcotest.(check (list int))
+        (name ^ ": fault counters, 2 workers")
+        faults counted)
     [
       (builtin "encoder-dropout", 2000, [ 1208; 0; 0; 0 ]);
       (builtin "sensor-stuck", 2000, [ 1208; 0; 0; 0 ]);
@@ -408,10 +407,10 @@ let test_prefix_simulated_once () =
 (* encoder_dropout.fault: a dropout from 0.9 s, then noise from 1.05 s,
    so the checkpoint lands as the dropout clears and the noise fires.
    The 5 unrecovered 1.2 s runs' bundles are pinned by digest (taken
-   before any checkpointing), at --jobs 1 and under a pool. *)
+   before any checkpointing), at --jobs 1 and 2. *)
 let test_mixed_capture_digest () =
   let scenario = example "encoder_dropout" in
-  let digest ?pool () =
+  let digest ?jobs () =
     Flight.reset ();
     Flight.set_enabled true;
     Fun.protect
@@ -419,14 +418,13 @@ let test_mixed_capture_digest () =
         Flight.set_enabled false;
         Flight.reset ())
     @@ fun () ->
-    ignore (campaign ?pool ~t_end:1.2 ~seeds:5 scenario);
+    ignore (campaign ?jobs ~t_end:1.2 ~seeds:5 scenario);
     check_int "bundles" 5 (List.length (Flight.captures ()));
     Digest.to_hex (Digest.string (Flight.captures_jsonl ()))
   in
   let golden = "e2bb1d0ed8b41ad2f288a7d3ce570529" in
   Alcotest.(check string) "bundle digest" golden (digest ());
-  Exec_pool.with_pool ~workers:2 (fun pool ->
-      Alcotest.(check string) "bundle digest, 2 workers" golden (digest ~pool ()))
+  Alcotest.(check string) "bundle digest, 2 workers" golden (digest ~jobs:2 ())
 
 let suite =
   [

@@ -1,155 +1,26 @@
-(* The campaign job engine: Chase-Lev deque laws (sequential and under
-   4 domains), fork-join pool semantics, the compile cache, and the
-   deterministic observability-sink merge. *)
+(* The campaign job engine: Exec_pool.map (index order, lowest-index
+   errors, per-domain state, nesting, the --jobs bound), serve's worker
+   queue, the compile cache, and the deterministic observability-sink
+   merge. *)
 
 let () = Random.self_init ()
 
-(* ---- wsdeque, owner-only: push/pop is LIFO, steal is FIFO ---- *)
-
-let test_deque_lifo () =
-  let q = Wsdeque.create ~capacity:2 () in
-  for i = 1 to 100 do
-    Wsdeque.push q i
-  done;
-  Alcotest.(check int) "size" 100 (Wsdeque.size q);
-  for i = 100 downto 1 do
-    Alcotest.(check (option int)) "pop order" (Some i) (Wsdeque.pop q)
-  done;
-  Alcotest.(check (option int)) "empty pop" None (Wsdeque.pop q);
-  Alcotest.(check (option int)) "empty steal" None (Wsdeque.steal q)
-
-let test_deque_steal_fifo () =
-  let q = Wsdeque.create () in
-  for i = 1 to 50 do
-    Wsdeque.push q i
-  done;
-  for i = 1 to 20 do
-    Alcotest.(check (option int)) "steal order" (Some i) (Wsdeque.steal q)
-  done;
-  (* owner pops the newest of what remains *)
-  Alcotest.(check (option int)) "pop after steals" (Some 50) (Wsdeque.pop q)
-
-(* qcheck: any interleaving of owner pushes and pops behaves like a
-   stack over the not-yet-stolen suffix; we model with a list *)
-let test_deque_model =
-  QCheck.Test.make ~count:500 ~name:"wsdeque sequential model"
-    QCheck.(list (int_bound 2))
-    (fun ops ->
-      let q = Wsdeque.create ~capacity:1 () in
-      let stack = ref [] and fifo = ref [] and next = ref 0 in
-      List.iter
-        (fun op ->
-          match op with
-          | 0 ->
-              incr next;
-              Wsdeque.push q !next;
-              stack := !next :: !stack
-          | 1 -> (
-              let expect =
-                match !stack with
-                | [] -> None
-                | x :: rest ->
-                    stack := rest;
-                    Some x
-              in
-              match (Wsdeque.pop q, expect) with
-              | Some a, Some b when a = b -> ()
-              | None, None -> ()
-              | _ -> QCheck.Test.fail_report "pop mismatch")
-          | _ -> (
-              (* steal takes the oldest unstolen = last of !stack *)
-              let expect =
-                match List.rev !stack with
-                | [] -> None
-                | x :: rest_rev ->
-                    stack := List.rev rest_rev;
-                    fifo := x :: !fifo;
-                    Some x
-              in
-              match (Wsdeque.steal q, expect) with
-              | Some a, Some b when a = b -> ()
-              | None, None -> ()
-              | _ -> QCheck.Test.fail_report "steal mismatch"))
-        ops;
-      true)
-
-(* ---- wsdeque under 4 domains: one owner pushing/popping, three
-   thieves stealing; every pushed element is consumed exactly once ---- *)
-
-let test_deque_domains () =
-  let n = 20_000 in
-  let q = Wsdeque.create () in
-  let seen = Array.make (n + 1) 0 in
-  let seen_mutex = Mutex.create () in
-  let done_ = Atomic.make false in
-  let stolen = Atomic.make 0 in
-  let thief () =
-    let local = ref [] in
-    let rec go () =
-      match Wsdeque.steal q with
-      | Some v ->
-          local := v :: !local;
-          Atomic.incr stolen;
-          go ()
-      | None -> if not (Atomic.get done_) then go ()
-    in
-    go ();
-    Mutex.lock seen_mutex;
-    List.iter (fun v -> seen.(v) <- seen.(v) + 1) !local;
-    Mutex.unlock seen_mutex
-  in
-  let thieves = Array.init 3 (fun _ -> Domain.spawn thief) in
-  let popped = ref [] in
-  for i = 1 to n do
-    Wsdeque.push q i;
-    if i mod 3 = 0 then
-      match Wsdeque.pop q with
-      | Some v -> popped := v :: !popped
-      | None -> ()
-  done;
-  (* drain what the thieves left behind *)
-  let rec drain () =
-    match Wsdeque.pop q with
-    | Some v ->
-        popped := v :: !popped;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set done_ true;
-  Array.iter Domain.join thieves;
-  Mutex.lock seen_mutex;
-  List.iter (fun v -> seen.(v) <- seen.(v) + 1) !popped;
-  Mutex.unlock seen_mutex;
-  for i = 1 to n do
-    if seen.(i) <> 1 then
-      Alcotest.failf "element %d consumed %d times" i seen.(i)
-  done;
-  Alcotest.(check bool) "thieves participated" true (Atomic.get stolen > 0)
-
-(* ---- pool: run_map determinism, ordering, nesting, errors ---- *)
+(* ---- map: results by index, errors, per-domain state ---- *)
 
 let test_pool_map () =
-  Exec_pool.with_pool ~workers:4 @@ fun pool ->
-  let r = Exec_pool.run_map pool 1000 (fun i -> i * i) in
+  let r = Exec_pool.map ~jobs:4 1000 (fun () i -> i * i) in
   Alcotest.(check int) "length" 1000 (Array.length r);
   Array.iteri
     (fun i v -> if v <> i * i then Alcotest.failf "slot %d: %d" i v)
     r;
-  (* a second batch on the same pool *)
-  let r2 = Exec_pool.run_map pool 10 (fun i -> i + 1) in
-  Alcotest.(check (array int)) "second batch" [| 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 |] r2;
-  Alcotest.(check (array int)) "empty" [||] (Exec_pool.run_map pool 0 (fun i -> i))
-
-let test_pool_chunked () =
-  Exec_pool.with_pool ~workers:2 @@ fun pool ->
-  let r = Exec_pool.run_map pool ~chunk:7 100 (fun i -> 2 * i) in
-  Array.iteri (fun i v -> if v <> 2 * i then Alcotest.failf "slot %d" i) r
+  Alcotest.(check (array int)) "fewer items than jobs" [| 1; 2; 3 |]
+    (Exec_pool.map ~jobs:4 3 (fun () i -> i + 1));
+  Alcotest.(check (array int)) "empty" [||]
+    (Exec_pool.map ~jobs:4 0 (fun () i -> i))
 
 let test_pool_error () =
-  Exec_pool.with_pool ~workers:3 @@ fun pool ->
   match
-    Exec_pool.run_map pool 50 (fun i ->
+    Exec_pool.map ~jobs:3 50 (fun () i ->
         if i mod 7 = 3 then failwith (Printf.sprintf "boom %d" i) else i)
   with
   | _ -> Alcotest.fail "expected exception"
@@ -157,8 +28,60 @@ let test_pool_error () =
       (* lowest failing index wins, deterministically *)
       Alcotest.(check string) "first failure" "boom 3" msg
 
+exception Item of int
+
+(* any size, job count and failing set: [map] is the sequential
+   [Array.init], or raises the lowest failing index's exception; and
+   each domain that takes an item builds its [f ()] once *)
+let prop_map_is_init =
+  QCheck.Test.make ~count:200 ~name:"map = Array.init, lowest failure wins"
+    QCheck.(
+      triple (int_range 0 200) (int_range 1 4) (small_list (int_bound 200)))
+    (fun (n, jobs, failing) ->
+      let g i = if List.mem i failing then raise (Item i) else (7 * i) + 1 in
+      let outcome run = match run () with a -> Ok a | exception Item i -> Error i in
+      let built = Atomic.make 0 in
+      let got =
+        outcome (fun () ->
+            Exec_pool.map ~jobs n (fun () ->
+                Atomic.incr built;
+                g))
+      in
+      got = outcome (fun () -> Array.init n g)
+      && Atomic.get built <= min jobs n)
+
+let test_map_nested () =
+  let r =
+    Exec_pool.map ~jobs:3 6 (fun () i ->
+        Array.fold_left ( + ) 0 (Exec_pool.map ~jobs:3 (i + 1) (fun () j -> j)))
+  in
+  Alcotest.(check (array int)) "inner sums" [| 0; 1; 3; 6; 10; 15 |] r
+
+(* a --jobs count past the runtime's domain limit is a bad request,
+   refused before anything is built or spawned (one seed: even without
+   the check no domain would start) *)
+let test_jobs_bound () =
+  Exec_pool.check_jobs Exec_pool.max_jobs;
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: --jobs %d accepted" what (Exec_pool.max_jobs + 1)
+    | exception Supervise.Bad_request _ -> ()
+  in
+  refused "check_jobs" (fun () -> Exec_pool.check_jobs (Exec_pool.max_jobs + 1));
+  refused "map" (fun () ->
+      Exec_pool.map ~jobs:(Exec_pool.max_jobs + 1) 1 (fun () i -> i));
+  refused "seed sweep" (fun () ->
+      Seed_sweep.run ~jobs:(Exec_pool.max_jobs + 1) ~seeds:1 ~track:"t"
+        ~label:"t"
+        ~subject:(fun () -> Alcotest.fail "subject built")
+        ~plan:ignore
+        (fun () () _ -> ()))
+
+(* ---- serve's queue ---- *)
+
 let test_pool_submit () =
-  Exec_pool.with_pool ~workers:2 @@ fun pool ->
+  let pool = Exec_pool.create ~workers:2 () in
+  Fun.protect ~finally:(fun () -> Exec_pool.shutdown pool) @@ fun () ->
   let hits = Atomic.make 0 in
   let total = 200 in
   let m = Mutex.create () and c = Condition.create () in
@@ -334,7 +257,7 @@ let test_export_merge_deterministic =
       && List.map (fun (n, s) -> (n, s.Obs.hs_count)) (hists fwd)
          = List.map (fun (n, s) -> (n, s.Obs.hs_count)) (hists rev))
 
-(* workers' published counts reach the spawning domain's snapshot *)
+(* spawned domains' published counts reach the caller's snapshot *)
 let test_publish_across_domains () =
   Obs.reset ();
   Obs.set_enabled true;
@@ -344,24 +267,22 @@ let test_publish_across_domains () =
       Obs.reset ())
     (fun () ->
       let c = Obs.counter "pub.xdomain" in
-      Exec_pool.with_pool ~workers:4 (fun pool ->
-          ignore
-            (Exec_pool.run_map pool 100 (fun i ->
-                 Obs.add c 1;
-                 i)));
+      ignore
+        (Exec_pool.map ~jobs:4 100 (fun () i ->
+             Obs.add c 1;
+             i));
       Alcotest.(check int) "all increments visible" 100 (Obs.counter_value c))
 
 let qt t = QCheck_alcotest.to_alcotest t
 
 let suite =
   [
-    Alcotest.test_case "wsdeque LIFO pop" `Quick test_deque_lifo;
-    Alcotest.test_case "wsdeque FIFO steal" `Quick test_deque_steal_fifo;
-    qt test_deque_model;
-    Alcotest.test_case "wsdeque 4-domain consume-once" `Quick test_deque_domains;
     Alcotest.test_case "pool run_map" `Quick test_pool_map;
-    Alcotest.test_case "pool chunked" `Quick test_pool_chunked;
     Alcotest.test_case "pool lowest-index error" `Quick test_pool_error;
+    qt prop_map_is_init;
+    Alcotest.test_case "map nested in an item" `Quick test_map_nested;
+    Alcotest.test_case "jobs past the domain limit refused" `Quick
+      test_jobs_bound;
     Alcotest.test_case "pool submit" `Quick test_pool_submit;
     Alcotest.test_case "compile cache dedup" `Quick test_compile_cache;
     Alcotest.test_case "compile cache simulates" `Quick

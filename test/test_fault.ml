@@ -550,9 +550,8 @@ let test_parallel_campaign_matches_sequential () =
   let subject, _ = Servo_system.faultsim_subject ~scenario () in
   let seq = Fault_campaign.run ~t_end:0.4 ~seeds:6 ~scenario subject in
   let par =
-    Exec_pool.with_pool ~workers:3 (fun pool ->
-        Fault_campaign.sweep ~t_end:0.4 ~seeds:6 ~pool ~scenario (fun () ->
-            fst (Servo_system.faultsim_subject ~scenario ())))
+    Fault_campaign.sweep ~t_end:0.4 ~seeds:6 ~jobs:3 ~scenario (fun () ->
+        fst (Servo_system.faultsim_subject ~scenario ()))
   in
   check_int "same number of runs" 6 (List.length par.Fault_campaign.runs);
   check_bool "identical run lists" true
@@ -569,10 +568,10 @@ let test_parallel_campaign_matches_sequential () =
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let sweep_diffs ?pool () =
+  let sweep_diffs ?jobs () =
     Flight.reset ();
     let s =
-      Seed_sweep.run ?pool ~seeds:6 ~track:"noise-burst" ~label:"diff"
+      Seed_sweep.run ?jobs ~seeds:6 ~track:"noise-burst" ~label:"diff"
         ~subject:(fun () ->
           Result.get_ok
             (Diff_subject.make ~config:Servo_system.default_config ~steps:1000
@@ -600,9 +599,7 @@ let test_parallel_campaign_matches_sequential () =
       Flight.reset ())
   @@ fun () ->
   let seq, seq_bundles = sweep_diffs () in
-  let par, par_bundles =
-    Exec_pool.with_pool ~workers:3 (fun pool -> sweep_diffs ~pool ())
-  in
+  let par, par_bundles = sweep_diffs ~jobs:3 () in
   check_int "diff: one report per seed" 6 (List.length par);
   check_bool "diff: identical report lists" true (seq = par);
   check_bool "diff: every seed diverged at the forced step" true
@@ -658,6 +655,23 @@ let test_run_sizes_validated () =
   check_int "rejected before any subject is built" 0 !built;
   let config = Servo_system.default_config in
   bad "diff steps -5" (fun () -> Diff_subject.make ~config ~steps:(-5) "servo");
+  (* the diff injector perturbs the generated code's sensor slots, and
+     nothing else: a fault it cannot inject is refused before any
+     lock-step *)
+  let diff_fault line =
+    match Fault_scenario.of_string ~name:"t" line with
+    | Ok scenario -> fun () -> Diff_subject.make ~config ~scenario "servo"
+    | Error e -> Alcotest.fail e
+  in
+  (match diff_fault "stuck at=0.9 duration=0.15 slot=99" () with
+  | exception Supervise.Bad_request msg ->
+      check_bool "diff slot 99 names the slot count" true
+        (Astring_contains.contains msg "slot 99"
+        && Astring_contains.contains msg "2 sensor slots")
+  | _ -> Alcotest.fail "diff: a fault on sensor slot 99 was accepted");
+  bad "diff actuator fault" (diff_fault "jam at=0.9 duration=0.1 value=1");
+  check_bool "diff sensor slot 1 accepted" true
+    (Result.is_ok (diff_fault "stuck at=0.9 duration=0.15 slot=1" ()));
   (match Diff_subject.make ~config ~steps:0 "isr-demo" with
   | Ok s ->
       check_string "isr-demo report name" "isr_demo" (Diff_subject.name s);

@@ -100,13 +100,7 @@ let run_campaign ~workers ~tracks ~events ~capacity =
     Flight.capture ~reason:(Printf.sprintf "end of run %d" id);
     id
   in
-  (if workers <= 1 then
-     for i = 0 to tracks - 1 do
-       ignore (work i)
-     done
-   else
-     Exec_pool.with_pool ~workers (fun pool ->
-         ignore (Exec_pool.run_map pool tracks work)));
+  ignore (Exec_pool.map ~jobs:workers tracks (fun () -> work));
   let bundles = Flight.captures () in
   let jsonl = Flight.captures_jsonl () in
   Flight.reset ();

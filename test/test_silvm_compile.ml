@@ -381,11 +381,7 @@ let run_case i =
         d.Silvm_diff.d_step d.Silvm_diff.d_block d.Silvm_diff.d_port
         d.Silvm_diff.d_mil d.Silvm_diff.d_sil
 
-let run_battery ~jobs count =
-  if jobs <= 1 then Array.init count run_case
-  else
-    Exec_pool.with_pool ~workers:jobs (fun pool ->
-        Exec_pool.run_map pool count run_case)
+let run_battery ~jobs count = Exec_pool.map ~jobs count (fun () -> run_case)
 
 let test_sharded_fuzz_battery () =
   let count = Test_silvm.fuzz_count in
@@ -463,28 +459,26 @@ let test_compile_cache_mutation_recompiles () =
   check_int "two distinct compilations" 2 misses
 
 let test_compile_cache_run_map () =
-  (* repeated submissions of the same content hash across a pool: the
+  (* repeated submissions of the same content hash across domains: the
      model-level Compile_cache and the SIL closure cache both dedup —
      worker races may duplicate a first compile but never one per job.
      A bean project is mutable (code generation re-resolves it), so each
      domain builds its own servo, as the CLI's seed sweep does *)
   Compile_cache.clear ();
   Silvm_compile.cache_clear ();
-  let servo = Domain.DLS.new_key (fun () -> Servo_system.build ()) in
   let jobs = 4 and n = 12 in
   let results =
-    Exec_pool.with_pool ~workers:jobs (fun pool ->
-        Exec_pool.run_map pool n (fun i ->
-            let b = Domain.DLS.get servo in
-            let comp = Compile_cache.compile b.Servo_system.controller in
-            let app =
-              Silvm_app.create ~name:"servo"
-                ~project:b.Servo_system.project comp
-            in
-            Silvm_app.initialize app;
-            Silvm_app.set_sensor app 0 (i * 100);
-            Silvm_app.step app;
-            Silvm_app.actuator app 0))
+    Exec_pool.map ~jobs n (fun () ->
+        let b = Servo_system.build () in
+        fun i ->
+          let comp = Compile_cache.compile b.Servo_system.controller in
+          let app =
+            Silvm_app.create ~name:"servo" ~project:b.Servo_system.project comp
+          in
+          Silvm_app.initialize app;
+          Silvm_app.set_sensor app 0 (i * 100);
+          Silvm_app.step app;
+          Silvm_app.actuator app 0)
   in
   check_int "all jobs ran" n (Array.length results);
   let mhits, mmisses, _ = Compile_cache.stats () in

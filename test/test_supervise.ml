@@ -1,7 +1,7 @@
 (* Supervised execution: the error taxonomy, deadline cancellation,
-   retry/backoff determinism, seeded orchestrator chaos, run_map error
-   recording, the pool error hook, and the supervised fault campaign's
-   jobs-count independence. *)
+   retry/backoff determinism, seeded orchestrator chaos, map's
+   lowest-index abort, the pool error hook, and the supervised fault
+   campaign's jobs-count independence. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -218,44 +218,12 @@ let test_chaos_under_supervise () =
       check_string "same outcome class" (cls a) (cls b);
       check_int "same attempts" a.Supervise.attempts b.Supervise.attempts)
 
-(* ---- run_map error recording ---- *)
-
-type item = Value of int | Failed of int * string
-
-let record_map workers =
-  Exec_pool.with_pool ~workers (fun pool ->
-      Exec_pool.run_map pool
-        ~on_error:(`Record (fun i e -> Failed (i, Printexc.to_string e)))
-        20
-        (fun i ->
-          if i = 3 || i = 7 then failwith (Printf.sprintf "seed %d died" i);
-          Value (i * i)))
-
-let test_run_map_record () =
-  let r1 = record_map 1 in
-  let r4 = record_map 4 in
-  check_int "campaign completes" 20 (Array.length r4);
-  let crashed =
-    Array.to_list r4
-    |> List.filter_map (function Failed (i, _) -> Some i | Value _ -> None)
-  in
-  Alcotest.(check (list int)) "exactly seeds 3 and 7 crashed" [ 3; 7 ] crashed;
-  Array.iteri
-    (fun i x ->
-      match x with
-      | Value v -> check_int "square" (i * i) v
-      | Failed (i', msg) ->
-          check_int "index recorded" i i';
-          check_bool "message recorded" true
-            (msg = Printf.sprintf "Failure(\"seed %d died\")" i))
-    r4;
-  check_bool "byte-identical --jobs 1 vs 4" true (r1 = r4)
+(* ---- map: a raising item aborts with the lowest index ---- *)
 
 let test_run_map_abort_still_raises () =
   match
-    Exec_pool.with_pool ~workers:4 (fun pool ->
-        Exec_pool.run_map pool 20 (fun i ->
-            if i >= 5 then failwith (Printf.sprintf "die %d" i) else i))
+    Exec_pool.map ~jobs:4 20 (fun () i ->
+        if i >= 5 then failwith (Printf.sprintf "die %d" i) else i)
   with
   | _ -> Alcotest.fail "abort mode should re-raise"
   | exception Failure msg ->
@@ -266,7 +234,10 @@ let test_run_map_abort_still_raises () =
 
 let test_submit_error_hook () =
   let seen = Atomic.make [] in
-  Exec_pool.with_pool ~workers:2 (fun pool ->
+  let pool = Exec_pool.create ~workers:2 () in
+  Fun.protect
+    ~finally:(fun () -> Exec_pool.shutdown pool)
+    (fun () ->
       Exec_pool.set_error_hook pool (fun e ->
           let rec push () =
             let cur = Atomic.get seen in
@@ -286,8 +257,8 @@ let test_submit_error_hook () =
       while Atomic.get done_ < 10 do
         Domain.cpu_relax ()
       done);
-  (* [with_pool] has shut the pool down and joined its workers, so every
-     hook call has returned *)
+  (* [shutdown] has joined the workers, so every hook call has
+     returned *)
   check_int "hook saw every failure" 5 (List.length (Atomic.get seen));
   check_bool "worker survived and kept serving" true
     (List.for_all (fun m -> m = "Failure(\"task boom\")") (Atomic.get seen))
@@ -320,9 +291,8 @@ let test_campaign_supervised_identical () =
     Fault_campaign.run ~t_end:0.3 ~seeds:6 ~scenario ~policy (mk_subject ())
   in
   let par =
-    Exec_pool.with_pool ~workers:4 (fun pool ->
-        Fault_campaign.sweep ~t_end:0.3 ~seeds:6 ~pool ~scenario ~policy
-          mk_subject)
+    Fault_campaign.sweep ~t_end:0.3 ~seeds:6 ~jobs:4 ~scenario ~policy
+      mk_subject
   in
   let doc r = Bench_json.to_string (Fault_campaign.to_json ~model:"servo" r) in
   check_string "byte-identical report, 1 vs 4 workers" (doc seq) (doc par);
@@ -399,7 +369,6 @@ let suite =
       test_chaos_decide_deterministic;
     Alcotest.test_case "chaos outcome deterministic" `Quick
       test_chaos_under_supervise;
-    Alcotest.test_case "run_map record mode" `Quick test_run_map_record;
     Alcotest.test_case "run_map abort mode" `Quick
       test_run_map_abort_still_raises;
     Alcotest.test_case "submit error hook" `Quick test_submit_error_hook;
