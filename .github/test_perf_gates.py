@@ -1,0 +1,75 @@
+"""Tests of the CI perf gates' decision rules on fixed samples.
+
+    python3 .github/test_perf_gates.py
+"""
+
+import os
+import sys
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import perf_gates  # noqa: E402
+
+
+class Quartiles(unittest.TestCase):
+    def test_seven_runs(self):
+        self.assertEqual(perf_gates.quartiles([7, 1, 6, 2, 5, 3, 4]),
+                         (2.5, 4, 5.5))
+
+    def test_interpolates_between_runs(self):
+        q1, med, q3 = perf_gates.quartiles([1.0, 2.0, 3.0, 4.0])
+        self.assertAlmostEqual(q1, 1.75)
+        self.assertAlmostEqual(med, 2.5)
+        self.assertAlmostEqual(q3, 3.25)
+
+    def test_one_run(self):
+        self.assertEqual(perf_gates.quartiles([2.0]), (2.0, 2.0, 2.0))
+
+
+class RatioVerdict(unittest.TestCase):
+    # seven recorder-overhead ratios as a 2-core host reads them
+    HOST = [0.93, 0.98, 1.00, 1.02, 1.03, 1.04, 1.05]
+
+    def test_pass(self):
+        self.assertEqual(perf_gates.ratio_verdict(self.HOST, 1.05), "pass")
+
+    def test_fail(self):
+        busy = [r * 1.3 for r in self.HOST]
+        self.assertEqual(perf_gates.ratio_verdict(busy, 1.05), "fail")
+
+    def test_spread_too_wide_is_unresolved(self):
+        wide = [0.80, 0.90, 1.00, 1.04, 1.08, 1.20, 1.30]
+        self.assertEqual(perf_gates.ratio_verdict(wide, 1.05), "unresolved")
+
+    def test_median_over_bound_alone_does_not_fail(self):
+        # the lower quartile decides a failure, not the median
+        xs = [1.00, 1.02, 1.04, 1.06, 1.07, 1.08, 1.09]
+        self.assertEqual(perf_gates.ratio_verdict(xs, 1.05), "unresolved")
+
+
+class RegressionVerdict(unittest.TestCase):
+    BASE = [1.00, 1.10, 1.05, 0.95, 1.20, 1.02, 0.98]
+
+    def test_pass_within_bound(self):
+        head = [x * 1.2 for x in self.BASE]
+        self.assertEqual(
+            perf_gates.regression_verdict(self.BASE, head, 1.25), "pass")
+
+    def test_fail_when_every_head_run_is_slower(self):
+        head = [1.6, 1.7, 1.5, 1.65, 1.8, 1.55, 1.62]
+        self.assertEqual(
+            perf_gates.regression_verdict(self.BASE, head, 1.25), "fail")
+
+    def test_overlapping_runs_are_unresolved(self):
+        head = [1.6, 1.7, 1.1, 1.65, 1.8, 1.55, 1.62]
+        self.assertEqual(
+            perf_gates.regression_verdict(self.BASE, head, 1.25), "unresolved")
+
+    def test_faster_head_passes(self):
+        head = [x * 0.5 for x in self.BASE]
+        self.assertEqual(
+            perf_gates.regression_verdict(self.BASE, head, 1.25), "pass")
+
+
+if __name__ == "__main__":
+    unittest.main()

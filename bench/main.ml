@@ -1,15 +1,12 @@
 (* The experiment harness: regenerates every table- and figure-shaped
    result of the paper's evaluation (see DESIGN.md's per-experiment index
    and EXPERIMENTS.md for paper-vs-measured), then runs the bechamel
-   performance benches.
+   micro-benches perfbench has no layer for (P2, P4, P5).
 
    Usage:
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- e5 e6   -- selected experiments only
-     dune exec bench/main.exe -- --list  -- list experiment names
-
-   The perf experiment also writes BENCH_perf.json (see Bench_json);
-   ECSD_BENCH_STEPS / ECSD_BENCH_QUICK shrink it for CI smoke runs. *)
+     dune exec bench/main.exe -- --list  -- list experiment names *)
 
 let experiments =
   [

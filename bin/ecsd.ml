@@ -1039,10 +1039,9 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
     incr pending;
     Mutex.unlock lock;
     Exec_pool.submit pool (fun () ->
-        Flight.begin_track ~id ~name:line;
         let t_start = Obs.now_ns () in
         let fields =
-          Serve_job.run ~policy ~killed ~config:cfg ~stats:run_stats line
+          Serve_job.run ~id ~policy ~killed ~config:cfg ~stats:run_stats line
         in
         Obs.record_named "serve.job_s" ((Obs.now_ns () -. t_start) *. 1e-9);
         (* publish before emit so the heartbeat taken there (and any
@@ -1198,10 +1197,11 @@ let serve_cmd =
        ~doc:
          "Campaign queue mode: read jobs from stdin (one per line: \
           $(b,faultsim SCENARIO [SEEDS [T_END]]), $(b,diff MODEL [STEPS \
-          [SCENARIO [SEED [ENGINE]]]]) or $(b,stats)), run them on a work-stealing \
-          domain pool and stream one JSON result line per job on stdout, \
-          in submission order. Blank lines and $(b,#) comments are \
-          skipped. Every job runs supervised: $(b,--deadline-s) bounds \
+          [SCENARIO [SEED [ENGINE]]]]) or $(b,stats)), run them on a pool \
+          of worker domains sharing one job queue and stream one JSON \
+          result line per job on stdout, in submission order. Blank \
+          lines and $(b,#) comments are skipped. Every job runs \
+          supervised: $(b,--deadline-s) bounds \
           its runtime, transient failures retry up to $(b,--retries) \
           times with deterministic backoff, and failures come back as \
           structured records — $(b,\"class\") is one of bad_request | \

@@ -4,9 +4,8 @@ type report = {
   notes : string list;
 }
 
-(* per-pass self-profiling: each analysis pass gets an Obs span (flame
-   view) and a profile.check.<pass>_s histogram (--profile table,
-   BENCH_perf.json) *)
+(* per-pass self-profiling: each analysis pass gets a span (flame view)
+   and a profile.check.<pass>_s histogram (--profile table) *)
 let pass name f =
   if not (Obs.enabled ()) then f ()
   else begin

@@ -33,10 +33,15 @@ let scenario_or_fail s =
   | Ok scn -> scn
   | Error e -> raise (Supervise.Bad_request e)
 
-let run_faultsim ~config scn_ref seeds t_end =
+(* job [id]'s seed [s] records under track [(id + 1) lsl 32 + s]: past
+   every job's own track [id], and apart from every other job's seeds *)
+let run_faultsim ~config ~id scn_ref seeds t_end =
   let scenario = scenario_or_fail scn_ref in
   let subject, _ = Servo_system.faultsim_subject ~config ~scenario () in
-  let r = Fault_campaign.run ~t_end ~seeds ~scenario subject in
+  let r =
+    Fault_campaign.run ~t_end ~seeds ~track_base:((id + 1) lsl 32) ~scenario
+      subject
+  in
   let recovered = Fault_campaign.all_recovered r in
   [
     ("job", Str "faultsim");
@@ -79,7 +84,7 @@ let run_diff ~config model steps scn_ref seed engine =
    supervised envelope; sizes are validated by the campaign driver and
    the diff subject when the job runs. Omitted trailing arguments take
    their defaults. *)
-let parse ~config ~stats line =
+let parse ~config ~id ~stats line =
   let usage what = Error (Printf.sprintf "%s (expected: %s)" what usage) in
   let arg what conv s k =
     match conv s with
@@ -94,7 +99,7 @@ let parse ~config ~stats line =
   | "faultsim" :: scn :: args when List.length args <= 2 ->
       arg "seed count" int_of_string_opt (nth args 0 "5") @@ fun seeds ->
       arg "t_end" float_of_string_opt (nth args 1 "2.0") @@ fun t_end ->
-      Ok (fun () -> run_faultsim ~config scn seeds t_end)
+      Ok (fun () -> run_faultsim ~config ~id scn seeds t_end)
   | "diff" :: model :: args when List.length args <= 4 -> (
       arg "step count" int_of_string_opt (nth args 0 "1000") @@ fun steps ->
       let scn = match nth args 1 "-" with "-" -> None | s -> Some s in
@@ -107,8 +112,9 @@ let parse ~config ~stats line =
           usage (Printf.sprintf "bad engine %S (compiled|interp|both)" eng))
   | _ -> usage "bad job line"
 
-let run ?killed ~policy ~config ~stats line =
-  match parse ~config ~stats line with
+let run ?killed ~id ~policy ~config ~stats line =
+  Flight.begin_track ~id ~name:line;
+  match parse ~config ~id ~stats line with
   | Error msg ->
       error_fields ~job:"error" ~attempts:0
         (Supervise.Crashed (Supervise.Bad_request msg))

@@ -16,15 +16,19 @@ val error_fields : job:string -> attempts:int -> Supervise.error -> fields
 
 val run :
   ?killed:bool Atomic.t ->
+  id:int ->
   policy:Supervise.policy ->
   config:Servo_system.config ->
   stats:(unit -> fields) ->
   string ->
   fields
-(** [run ~policy ~config ~stats line] parses [line] and runs its job
+(** [run ~id ~policy ~config ~stats line] starts flight track [id]
+    (the job's), parses [line] and runs its job
     under {!Supervise.supervise} with [policy] (the label is the line,
     so chaos and jitter decisions depend on the request alone).
     Malformed lines and out-of-range sizes (seeds < 1, steps < 0, a
     non-finite or sub-period t_end) are [bad_request] records with exit
     2; [stats] runs the caller's introspection job. [killed] is the
-    shutdown flag that sheds in-flight jobs. *)
+    shutdown flag that sheds in-flight jobs. A [faultsim] job's seeds
+    record under tracks of their own, apart from every other job's, so
+    each of its unrecovered seeds leaves a bundle. *)

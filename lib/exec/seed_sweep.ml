@@ -14,8 +14,8 @@ type ('p, 'r) t = {
   wall_s : float;
 }
 
-let run ?(jobs = 1) ?policy ?(on_run = fun _ _ -> ()) ~seeds ~track ~label
-    ~subject ~plan body =
+let run ?(jobs = 1) ?policy ?(on_run = fun _ _ -> ()) ?(track_base = 0) ~seeds
+    ~track ~label ~subject ~plan body =
   if seeds < 1 then bad_request "seed count must be >= 1, got %d" seeds;
   Exec_pool.check_jobs jobs;
   (* the warm-up: this domain's subject, before any other domain starts *)
@@ -26,7 +26,7 @@ let run ?(jobs = 1) ?policy ?(on_run = fun _ _ -> ()) ~seeds ~track ~label
     let seed = i + 1 in
     let go () =
       (* inside the envelope: a retried attempt restarts the track *)
-      Flight.begin_track ~id:seed ~name:track;
+      Flight.begin_track ~id:(track_base + seed) ~name:track;
       body plan s seed
     in
     let o =

@@ -25,6 +25,7 @@ val run :
   ?jobs:int ->
   ?policy:Supervise.policy ->
   ?on_run:(int -> 'r -> unit) ->
+  ?track_base:int ->
   seeds:int ->
   track:string ->
   label:string ->
@@ -36,7 +37,8 @@ val run :
     subject, computes [plan] from it (validating run sizes there raises
     before any seed runs), then evaluates [body plan subject seed] for
     seeds 1..[seeds]. Each seed's run starts its own flight track
-    [(seed, track)].
+    [(track_base + seed, track)] ([track_base] defaults to 0: the
+    track id is the seed).
 
     - With [jobs] (default 1) above 1 the seeds are sharded by
       {!Exec_pool.map} over up to [jobs] domains. This domain's seeds

@@ -210,7 +210,7 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
   }
 
 let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
-    ~scenario mk_subject =
+    ?track_base ~scenario mk_subject =
   let name = scenario.Fault_scenario.sname in
   (* the run sizes, from the subject's control period *)
   let plan subject =
@@ -234,7 +234,7 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
     (period, steps, wdog_timeout)
   in
   let s =
-    Seed_sweep.run ?jobs ?policy
+    Seed_sweep.run ?jobs ?policy ?track_base
       ?on_run:(Option.map (fun f _ r -> f r) on_run)
       ~seeds ~track:name ~label:("faultsim:" ^ name)
       ~subject:(fun () -> (mk_subject (), ref None))
@@ -268,9 +268,10 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
     wall_s = Telemetry.wall s.Seed_sweep.wall_s;
   }
 
-let run ?t_end ?seeds ?wdog_timeout ?on_run ?policy ~scenario subject =
-  sweep ?t_end ?seeds ?wdog_timeout ?on_run ?policy ~scenario (fun () ->
-      subject)
+let run ?t_end ?seeds ?wdog_timeout ?on_run ?policy ?track_base ~scenario
+    subject =
+  sweep ?t_end ?seeds ?wdog_timeout ?on_run ?policy ?track_base ~scenario
+    (fun () -> subject)
 
 let throughput ?scenario ~steps subject =
   Sim.reset subject.sim;

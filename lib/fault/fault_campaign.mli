@@ -67,6 +67,7 @@ val sweep :
   ?on_run:(run_result -> unit) ->
   ?policy:Supervise.policy ->
   ?jobs:int ->
+  ?track_base:int ->
   scenario:Fault_scenario.t ->
   (unit -> subject) ->
   result
@@ -108,6 +109,9 @@ val sweep :
       (chaos decisions, backoff jitter) are pure functions of (seed,
       attempt), so the report stays byte-identical whatever [jobs] is.
       Without a [policy] any exception propagates.
+    - Seed [s] records its flight track under id [track_base + s]
+      ([track_base] defaults to 0), so campaigns run side by side in one
+      process (serve's jobs) keep their bundles apart.
 
     @raise Supervise.Bad_request when [seeds < 1], when
     [jobs > Exec_pool.max_jobs], when [t_end] is not finite or shorter
@@ -121,6 +125,7 @@ val run :
   ?wdog_timeout:float ->
   ?on_run:(run_result -> unit) ->
   ?policy:Supervise.policy ->
+  ?track_base:int ->
   scenario:Fault_scenario.t ->
   subject ->
   result
@@ -128,8 +133,8 @@ val run :
 
 val throughput : ?scenario:Fault_scenario.t -> steps:int -> subject -> float
 (** Steps per second over a fresh run, armed with [scenario] when given
-    and unarmed otherwise — the P10 bench measuring the injection
-    hooks' overhead. *)
+    and unarmed otherwise: perfbench's [fault.armed_ratio] measures the
+    injection hooks' overhead with it. *)
 
 val all_detected : result -> bool
 val all_recovered : result -> bool

@@ -579,7 +579,7 @@ let subst_global_loads (cands : (string * Mir.expr) list)
 (* ---- per-function driver ---- *)
 
 (* per-pass self-profiling; accumulated across every optimized function,
-   read back via --profile and BENCH_perf.json *)
+   read back via --profile *)
 let timed name f =
   if not (Obs.enabled ()) then f ()
   else begin

@@ -236,28 +236,6 @@ let member key = function
   | Obj l -> List.assoc_opt key l
   | _ -> None
 
-(* ---------- the BENCH document ---------- *)
-
-let summary_json (hs : Obs.hist_summary) =
-  Obj
-    [
-      ("count", Int hs.Obs.hs_count);
-      ("min", Float hs.Obs.hs_min);
-      ("max", Float hs.Obs.hs_max);
-      ("mean", Float hs.Obs.hs_mean);
-      ("p50", Float hs.Obs.hs_p50);
-      ("p95", Float hs.Obs.hs_p95);
-      ("p99", Float hs.Obs.hs_p99);
-    ]
-
-let of_snapshot (snap : Obs.snapshot) =
-  [
-    ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) snap.Obs.counters));
-    ("gauges", Obj (List.map (fun (k, v) -> (k, Float v)) snap.Obs.gauges));
-    ( "histograms",
-      Obj (List.map (fun (k, hs) -> (k, summary_json hs)) snap.Obs.hists) );
-  ]
-
 let git_rev () =
   match Sys.getenv_opt "ECSD_GIT_REV" with
   | Some r when r <> "" -> r
@@ -271,19 +249,6 @@ let git_rev () =
         | Unix.WEXITED 0, rev when rev <> "" -> rev
         | _ -> "unknown"
       with _ -> "unknown")
-
-let bench ~name ~steps ~wall_s ?(extra = []) snap =
-  Obj
-    ([
-       ("name", Str name);
-       ("git_rev", Str (git_rev ()));
-       ("steps", Int steps);
-       ("wall_s", Float wall_s);
-       ( "steps_per_s",
-         Float (if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0) );
-     ]
-    @ extra
-    @ of_snapshot snap)
 
 let write ~path v =
   let oc = open_out path in

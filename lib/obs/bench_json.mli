@@ -1,20 +1,8 @@
-(** Machine-readable benchmark results.
+(** The JSON of every machine-readable report the environment writes
+    (FAULT, DIFF and CHECK reports, serve records, flight bundles).
 
-    Serialises a run's {!Obs.snapshot} to the [BENCH_<name>.json] schema
-    that tracks the repo's perf trajectory:
-
-    {v
-    { "name": "perf", "git_rev": "abc1234", "steps": 200000,
-      "wall_s": 1.43, "steps_per_s": 139860.1,
-      "counters": {"sim.steps": 200000, ...},
-      "gauges": {...},
-      "histograms": {"sim.ode.substep_s":
-          {"count":..,"min":..,"max":..,"mean":..,"p50":..,"p95":..,"p99":..},
-        ...} }
-    v}
-
-    Ships its own tiny JSON value type, printer and parser so the bench
-    harness and tests can round-trip results without external deps. *)
+    Ships its own tiny JSON value type, printer and parser so reports
+    and tests can round-trip without external deps. *)
 
 type t =
   | Null
@@ -42,20 +30,8 @@ val parse : string -> t
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] otherwise. *)
 
-val of_snapshot : Obs.snapshot -> (string * t) list
-(** The [counters]/[gauges]/[histograms] fields. *)
-
 val git_rev : unit -> string
 (** [ECSD_GIT_REV] env override, else [git rev-parse --short HEAD],
     else ["unknown"]. *)
-
-val bench :
-  name:string ->
-  steps:int ->
-  wall_s:float ->
-  ?extra:(string * t) list ->
-  Obs.snapshot ->
-  t
-(** Build the full benchmark document (computes [steps_per_s]). *)
 
 val write : path:string -> t -> unit

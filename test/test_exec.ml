@@ -277,7 +277,8 @@ let qt t = QCheck_alcotest.to_alcotest t
 
 let suite =
   [
-    Alcotest.test_case "pool run_map" `Quick test_pool_map;
+    Alcotest.test_case "pool map lands results by index" `Quick
+      test_pool_map;
     Alcotest.test_case "pool lowest-index error" `Quick test_pool_error;
     qt prop_map_is_init;
     Alcotest.test_case "map nested in an item" `Quick test_map_nested;

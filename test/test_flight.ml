@@ -222,6 +222,29 @@ let test_reused_track_id () =
   Alcotest.(check string) "same bundle as the first campaign" first
     (Flight.captures_jsonl ())
 
+(* two serve faultsim jobs with the same unrecovered seed each leave a
+   bundle: a job's seeds record under tracks of their own *)
+let test_serve_jobs_own_bundles () =
+  with_flight @@ fun () ->
+  let line = "faultsim sensor-stuck 1 1.0" in
+  List.iter
+    (fun id ->
+      let fields =
+        Serve_job.run ~id ~policy:Supervise.default_policy
+          ~config:Servo_system.default_config ~stats:(fun () -> []) line
+      in
+      Alcotest.(check string) "unrecovered" "1"
+        (Bench_json.to_string (List.assoc "exit" fields)))
+    [ 0; 1 ];
+  match Flight.captures () with
+  | [ a; b ] ->
+      Alcotest.(check (list int)) "one track per job's seed"
+        [ (1 lsl 32) + 1; (2 lsl 32) + 1 ]
+        [ a.Flight.b_track; b.Flight.b_track ];
+      Alcotest.(check int) "same run, same events"
+        (List.length a.Flight.b_events) (List.length b.Flight.b_events)
+  | bs -> Alcotest.failf "expected two bundles, got %d" (List.length bs)
+
 (* a supervised retry restarts its seed's track: the bundle holds the
    retry's events, not the failed attempt's as well *)
 let test_supervised_retry () =
@@ -339,6 +362,8 @@ let suite =
       test_telemetry_exports;
     Alcotest.test_case "reused track id captures one recording" `Quick
       test_reused_track_id;
+    Alcotest.test_case "serve faultsim jobs keep their own bundles" `Quick
+      test_serve_jobs_own_bundles;
     Alcotest.test_case "supervised retry captures the retry" `Quick
       test_supervised_retry;
     Alcotest.test_case "host spans never change a capture" `Quick

@@ -390,6 +390,35 @@ let test_opt_misra_clean () =
   in
   check_int "no new MISRA findings under --opt" 0 (List.length findings)
 
+(* --opt never grows the generated code: the servo's model and main
+   units, float and Q15, have no more lines with the optimizer than
+   without it *)
+let test_opt_no_more_loc () =
+  List.iter
+    (fun variant ->
+      let config = { Servo_system.default_config with Servo_system.variant } in
+      let b = Servo_system.build ~config () in
+      let comp = Compile.compile b.Servo_system.controller in
+      let loc opt =
+        let arts =
+          Target.generate ~opt ~name:"servo" ~project:b.Servo_system.project
+            comp
+        in
+        List.fold_left
+          (fun n u ->
+            String.fold_left
+              (fun n c -> if c = '\n' then n + 1 else n)
+              n (C_print.print_unit u))
+          0
+          [ arts.Target.model_c; arts.Target.main_c ]
+      in
+      let noopt = loc false and opt = loc true in
+      check_bool
+        (Printf.sprintf "0 < %d lines with --opt <= %d without" opt noopt)
+        true
+        (0 < opt && opt <= noopt))
+    [ Servo_system.Float_pid; Servo_system.Fixed_pid ]
+
 (* ---------------- MIR <-> C differential property ----------------
 
    Random well-typed straight-line programs over scalar locals:
@@ -673,6 +702,8 @@ let suite =
       test_branch_elimination;
     Alcotest.test_case "opt: fixed servo stays MISRA-clean" `Quick
       test_opt_misra_clean;
+    Alcotest.test_case "opt: servo C no longer than without" `Quick
+      test_opt_no_more_loc;
     qtest prop_mir_c_roundtrip;
     qtest prop_opt_preserves_semantics;
   ]

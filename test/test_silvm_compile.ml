@@ -458,7 +458,7 @@ let test_compile_cache_mutation_recompiles () =
   let _, misses = Silvm_compile.cache_stats () in
   check_int "two distinct compilations" 2 misses
 
-let test_compile_cache_run_map () =
+let test_compile_cache_map () =
   (* repeated submissions of the same content hash across domains: the
      model-level Compile_cache and the SIL closure cache both dedup —
      worker races may duplicate a first compile but never one per job.
@@ -596,8 +596,8 @@ let suite =
       test_compile_cache_dedup;
     Alcotest.test_case "compile cache: mutated model recompiles" `Quick
       test_compile_cache_mutation_recompiles;
-    Alcotest.test_case "compile cache: run_map submissions dedup" `Quick
-      test_compile_cache_run_map;
+    Alcotest.test_case "compile caches dedup across map domains" `Quick
+      test_compile_cache_map;
     Alcotest.test_case "unsupported 64-bit helpers fail lazily" `Quick
       test_lazy_unsupported_functions;
     Alcotest.test_case "SIL units lift with no opaque nodes" `Quick

@@ -220,7 +220,7 @@ let test_chaos_under_supervise () =
 
 (* ---- map: a raising item aborts with the lowest index ---- *)
 
-let test_run_map_abort_still_raises () =
+let test_map_abort_still_raises () =
   match
     Exec_pool.map ~jobs:4 20 (fun () i ->
         if i >= 5 then failwith (Printf.sprintf "die %d" i) else i)
@@ -311,7 +311,7 @@ let test_campaign_supervised_identical () =
    and out-of-range sizes are bad requests (exit 2), never a crash *)
 let test_serve_line_classification () =
   let run line =
-    Serve_job.run ~policy:Supervise.default_policy
+    Serve_job.run ~id:0 ~policy:Supervise.default_policy
       ~config:Servo_system.default_config
       ~stats:(fun () -> [ ("job", Bench_json.Str "stats"); ("exit", Bench_json.Int 0) ])
       line
@@ -369,8 +369,8 @@ let suite =
       test_chaos_decide_deterministic;
     Alcotest.test_case "chaos outcome deterministic" `Quick
       test_chaos_under_supervise;
-    Alcotest.test_case "run_map abort mode" `Quick
-      test_run_map_abort_still_raises;
+    Alcotest.test_case "map re-raises the lowest failure" `Quick
+      test_map_abort_still_raises;
     Alcotest.test_case "submit error hook" `Quick test_submit_error_hook;
     Alcotest.test_case "supervised campaign jobs-independent" `Quick
       test_campaign_supervised_identical;
