@@ -51,6 +51,24 @@ let prop_random_models_restore =
       let sim = Sim.create (Compile.compile ~default_dt:0.01 model) in
       replays sim (all_ports model) ~k ~m)
 
+(* the continuous states live on the engine's state vector *)
+let prop_cont_models_restore =
+  QCheck2.Test.make
+    ~name:"save/restore replays random continuous diagrams bit for bit"
+    ~count:30
+    QCheck2.Gen.(
+      quad (int_range 1 10000) (int_range 1 16) (int_range 0 60)
+        (int_range 1 40))
+    (fun (seed, size, k, m) ->
+      let model =
+        Test_model_fuzz.random_dag_of Test_cstate.palette ~seed ~size
+      in
+      let sim =
+        Sim.create ~solver_substeps:Test_cstate.substeps
+          (Compile.compile ~default_dt:Test_cstate.dt model)
+      in
+      replays sim (all_ports model) ~k ~m)
+
 (* armed with a fault whose hooks draw nothing, so a replay across the
    0.9 s window exercises the supervisor and the mode chart too *)
 let prop_servo_restore =
@@ -429,6 +447,7 @@ let test_mixed_capture_digest () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_random_models_restore;
+    QCheck_alcotest.to_alcotest prop_cont_models_restore;
     QCheck_alcotest.to_alcotest prop_servo_restore;
     Alcotest.test_case "mode chart block replays across toggles" `Quick
       test_mode_chart_restore;

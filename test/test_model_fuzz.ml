@@ -27,9 +27,10 @@ let palette rng =
     ]
     ()
 
-(* Build a random acyclic diagram: every input wired to an earlier
-   block's output; terminates sources-first so inputs always exist. *)
-let random_dag ~seed ~size =
+(* Build a random acyclic diagram from [palette]: every input wired to
+   an earlier block's output; terminates sources-first so inputs always
+   exist. *)
+let random_dag_of palette ~seed ~size =
   let rng = Random.State.make [| seed |] in
   let m = Model.create (Printf.sprintf "fuzz%d" seed) in
   let outputs = ref [] in
@@ -49,6 +50,8 @@ let random_dag ~seed ~size =
     done
   done;
   m
+
+let random_dag = random_dag_of palette
 
 let prop_dag_simulates_finite =
   QCheck2.Test.make ~name:"random acyclic diagrams compile and stay finite"
