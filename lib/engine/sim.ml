@@ -26,14 +26,38 @@ let probe_buf_push pb t v =
   pb.pb_v.(pb.pb_len) <- v;
   pb.pb_len <- pb.pb_len + 1
 
-(* Continuous-state integration, planned once at [create]: the owners of
-   continuous states with their offsets in the packed state [x], one
-   reusable slice per owner for [set_cstate], and the RK4 workspace. *)
+(* A block the engine evaluates through floats, planned at [create]:
+   one with a float kernel, or a continuous-rate one without (the
+   adapter, which runs its boxed [out]). [y] holds the block's outputs
+   as floats: what its Value row reads as floats, or newer during a
+   solver stage, when only [boxed] blocks write their rows. *)
+type fblock = {
+  fb : int;  (* block index *)
+  kern : Block.kernel option;  (* [None]: the adapter *)
+  off : int;  (* state owners: offset in the state vector *)
+  u : float array;  (* kernel inputs *)
+  y : float array;
+  boxes : Value.t array;  (* scratch to box [y] into the row *)
+  live_k : int array;  (* kernel inputs driven at continuous rate ... *)
+  live_y : float array array;  (* ... read from their driver's [y] *)
+  live_p : int array;
+  held_k : int array;  (* kernel inputs held over a step, read from rows *)
+  feeds_adapter : bool;  (* an adapter reads its row at every stage *)
+  mutable boxed : bool;
+      (* write the row at every evaluation: it feeds an adapter, or a
+         port carries a fault hook or an override *)
+}
+
+(* Continuous-state integration, planned once at [create]: the packed
+   state vector, advanced in place, and the one kernel [Ode.rk4_into]
+   calls at every stage. *)
 type integ = {
-  cowners : int array;  (* owners of continuous states, in order *)
-  offs : int array;  (* each owner's offset in [x] *)
-  slices : float array array;  (* each owner's state, handed to set_cstate *)
-  x : float array;  (* packed state, advanced in place *)
+  fidx : int array;  (* per block: its index in [fbs], -1 when none *)
+  fbs : fblock array;
+  cont : fblock array;  (* the continuous-rate blocks, in order *)
+  owners : fblock array;  (* the state owners, in order ... *)
+  okern : Block.kernel array;  (* ... and their kernels *)
+  x : float array;
   ws : Ode.rk4_ws;
 }
 
@@ -54,8 +78,6 @@ type t = {
   rates : Sample_time.resolved array;  (* the distinct rates of [order] *)
   order_rate : int array;  (* per [order] entry: its block's rate in [rates] *)
   rate_hit : bool array;  (* per rate: whether it hits this step *)
-  cont_order : int array;
-      (* the continuous-rate blocks of [order]: the minor pass *)
   mutable now : float;
   mutable nstep : int;
   probes : (int * int, probe_buf) Hashtbl.t;
@@ -112,15 +134,67 @@ let write_outputs t i outs =
       sg.(p) <- (match hk.(p) with Some h -> h ~time:t.now v | None -> v)
     done
 
+(* [y] from the row, as a reader of the row sees it *)
+let readback t fb =
+  let sg = t.signals.(fb.fb) and y = fb.y in
+  for p = 0 to Array.length y - 1 do
+    y.(p) <- Value.to_float sg.(p)
+  done
+
+(* box [y] into the row, through overrides and fault hooks *)
+let publish t fb =
+  let y = fb.y and bx = fb.boxes in
+  for p = 0 to Array.length y - 1 do
+    bx.(p) <- Value.F y.(p)
+  done;
+  write_outputs t fb.fb bx;
+  readback t fb
+
+let read_held t fb =
+  let u = fb.u and hk = fb.held_k in
+  let ss = t.src_sig.(fb.fb) and sp = t.src_port.(fb.fb) in
+  for j = 0 to Array.length hk - 1 do
+    let k = hk.(j) in
+    u.(k) <- Value.to_float ss.(k).(sp.(k))
+  done
+
+let read_live fb =
+  let u = fb.u and lk = fb.live_k and ly = fb.live_y and lp = fb.live_p in
+  for j = 0 to Array.length lk - 1 do
+    u.(lk.(j)) <- ly.(j).(lp.(j))
+  done
+
+(* one evaluation of a float-planned block at the states in [x];
+   [publish] writes the row whatever [boxed] says *)
+let eval t fb ~minor ~publish:pub time x =
+  match fb.kern with
+  | Some k ->
+      read_live fb;
+      k.Block.outputs x fb.off fb.u fb.y;
+      if pub || fb.boxed then publish t fb
+  | None ->
+      let i = fb.fb in
+      write_outputs t i (t.behs.(i).Block.out ~minor ~time (gather t i));
+      readback t fb
+
+(* block [i]'s outputs at a major step or in a function-call group *)
+let major_out t i =
+  let f = t.integ.fidx.(i) in
+  if f < 0 then
+    write_outputs t i (t.behs.(i).Block.out ~minor:false ~time:t.now (gather t i))
+  else begin
+    let fb = t.integ.fbs.(f) in
+    read_held t fb;
+    eval t fb ~minor:false ~publish:true t.now t.integ.x
+  end
+
 let exec_group t gi =
   let order =
     if gi < Array.length t.group_exec then t.group_exec.(gi) else [||]
   in
   if gi < Array.length t.group_counters then Obs.add t.group_counters.(gi) 1;
   for k = 0 to Array.length order - 1 do
-    let i = order.(k) in
-    write_outputs t i
-      (t.behs.(i).Block.out ~minor:false ~time:t.now (gather t i))
+    major_out t order.(k)
   done;
   for k = 0 to Array.length order - 1 do
     let i = order.(k) in
@@ -135,32 +209,39 @@ let fire_event t targets k =
   if k >= 0 && k < Array.length targets && targets.(k) >= 0 then
     exec_group t targets.(k)
 
-let minor_pass t time =
-  let co = t.cont_order in
-  for k = 0 to Array.length co - 1 do
-    let i = co.(k) in
-    write_outputs t i (t.behs.(i).Block.out ~minor:true ~time (gather t i))
+(* dx/dt at [(time, x)]: re-evaluate the continuous subgraph at the
+   stage state, discrete outputs being held, then every owner's
+   derivatives *)
+let stage t time x dx =
+  let g = t.integ in
+  let cs = g.cont in
+  for j = 0 to Array.length cs - 1 do
+    eval t cs.(j) ~minor:true ~publish:false time x
+  done;
+  let os = g.owners and ks = g.okern in
+  for j = 0 to Array.length os - 1 do
+    let fb = os.(j) in
+    read_live fb;
+    ks.(j).Block.deriv time x fb.off fb.u dx
   done
 
-let unpack t x =
-  let g = t.integ in
-  for j = 0 to Array.length g.cowners - 1 do
-    let s = g.slices.(j) in
-    Array.blit x g.offs.(j) s 0 (Array.length s);
-    t.behs.(g.cowners.(j)).Block.set_cstate s
-  done
+let set_boxed t fb =
+  let i = fb.fb in
+  fb.boxed <-
+    fb.feeds_adapter
+    || Array.length t.hooks.(i) > 0
+    || Array.exists Option.is_some t.overrides.(i)
 
-(* dx/dt at [(time, x)]: re-evaluate the continuous subgraph (minor
-   pass) at the stage state, discrete outputs being held *)
-let deriv_into t time x dx =
+(* the owners' initial conditions into the state vector, and every
+   [y] from its row *)
+let init_states t =
   let g = t.integ in
-  unpack t x;
-  minor_pass t time;
-  for j = 0 to Array.length g.cowners - 1 do
-    let i = g.cowners.(j) in
-    let d = t.behs.(i).Block.deriv ~time (gather t i) in
-    Array.blit d 0 dx g.offs.(j) (Array.length g.slices.(j))
-  done
+  Array.iteri
+    (fun j fb ->
+      let x0 = g.okern.(j).Block.x0 in
+      Array.blit x0 0 g.x fb.off (Array.length x0))
+    g.owners;
+  Array.iter (readback t) g.fbs
 
 let create ?(solver_substeps = 1) comp =
   if solver_substeps < 1 then invalid_arg "Sim.create: solver_substeps";
@@ -228,22 +309,73 @@ let create ?(solver_substeps = 1) comp =
          (Array.to_list order))
   in
   let integ =
-    let cowners =
-      Array.of_list
-        (List.filter (fun i -> behs.(i).Block.ncstates > 0) (Array.to_list order))
+    let is_cont = Array.make n false in
+    Array.iter (fun i -> is_cont.(i) <- true) cont_order;
+    let planned =
+      List.filter
+        (fun i -> is_cont.(i) || behs.(i).Block.kernel <> None)
+        (Array.to_list order)
     in
-    let sizes = Array.map (fun i -> behs.(i).Block.ncstates) cowners in
-    let offs = Array.make (Array.length sizes) 0 in
-    for j = 1 to Array.length sizes - 1 do
-      offs.(j) <- offs.(j - 1) + sizes.(j - 1)
-    done;
-    let total = Array.fold_left ( + ) 0 sizes in
+    let fidx = Array.make n (-1) in
+    List.iteri (fun f i -> fidx.(i) <- f) planned;
+    let nx i =
+      match behs.(i).Block.kernel with
+      | Some k -> Array.length k.Block.x0
+      | None -> 0
+    in
+    let offs = Array.make n 0 and total = ref 0 in
+    List.iter
+      (fun i ->
+        offs.(i) <- !total;
+        total := !total + nx i)
+      planned;
+    let ys = Array.make n [||] in
+    List.iter (fun i -> ys.(i) <- Array.make (Array.length signals.(i)) 0.0) planned;
+    (* an adapter reads the rows of its drivers at every stage *)
+    let feeds_adapter = Array.make n false in
+    Array.iter
+      (fun i ->
+        if behs.(i).Block.kernel = None then
+          Array.iter (fun (sb, _) -> feeds_adapter.(bi sb) <- true) srcs.(i))
+      cont_order;
+    let fbs =
+      Array.of_list
+        (List.map
+           (fun i ->
+             let src = srcs.(i) in
+             let ks = List.init (Array.length src) Fun.id in
+             let live, held =
+               match behs.(i).Block.kernel with
+               | None -> ([], [])
+               | Some _ ->
+                   List.partition (fun k -> is_cont.(bi (fst src.(k)))) ks
+             in
+             {
+               fb = i;
+               kern = behs.(i).Block.kernel;
+               off = offs.(i);
+               u = Array.make (Array.length src) 0.0;
+               y = ys.(i);
+               boxes = Array.make (Array.length signals.(i)) (Value.F 0.0);
+               live_k = Array.of_list live;
+               live_y = Array.of_list (List.map (fun k -> ys.(bi (fst src.(k)))) live);
+               live_p = Array.of_list (List.map (fun k -> snd src.(k)) live);
+               held_k = Array.of_list held;
+               feeds_adapter = feeds_adapter.(i);
+               boxed = feeds_adapter.(i);
+             })
+           planned)
+    in
+    let owners = List.filter (fun fb -> nx fb.fb > 0) (Array.to_list fbs) in
+    let x = Array.make !total 0.0 in
     {
-      cowners;
-      offs;
-      slices = Array.map (fun k -> Array.make k 0.0) sizes;
-      x = Array.make total 0.0;
-      ws = Ode.rk4_workspace total;
+      fidx;
+      fbs;
+      cont = Array.map (fun i -> fbs.(fidx.(i))) cont_order;
+      owners = Array.of_list owners;
+      okern = Array.of_list (List.map (fun fb -> Option.get fb.kern) owners);
+      x;
+      ws = Ode.rk4_workspace !total;
     }
   in
   let n_groups =
@@ -276,13 +408,12 @@ let create ?(solver_substeps = 1) comp =
       rates = Array.of_list rates;
       order_rate;
       rate_hit = Array.make (List.length rates) false;
-      cont_order;
       now = 0.0;
       nstep = 0;
       probes = Hashtbl.create 8;
       events_this_step = 0;
       integ;
-      deriv = (fun time x dx -> deriv_into t time x dx);
+      deriv = (fun time x dx -> stage t time x dx);
       solver_substeps;
       group_exec;
       group_counters;
@@ -290,6 +421,7 @@ let create ?(solver_substeps = 1) comp =
     }
   in
   t_ref := Some t;
+  init_states t;
   t
 
 let reset t =
@@ -301,6 +433,7 @@ let reset t =
         t.signals.(bi b).(p) <- Value.zero t.comp.Compile.out_types.(bi b).(p)
       done)
     (Model.blocks t.comp.Compile.model);
+  init_states t;
   Hashtbl.iter (fun _ pb -> pb.pb_len <- 0) t.probes;
   t.now <- 0.0;
   t.nstep <- 0
@@ -356,6 +489,7 @@ let restore t sn =
     (fun i row -> Array.blit row 0 t.signals.(i) 0 (Array.length row))
     sn.sn_signals;
   Array.blit sn.sn_x 0 t.integ.x 0 (Array.length sn.sn_x);
+  Array.iter (readback t) t.integ.fbs;
   Hashtbl.iter
     (fun k pb ->
       match List.find_opt (fun (k', _, _) -> k' = k) sn.sn_probes with
@@ -400,11 +534,14 @@ let sample_hits t =
    planned state vector. *)
 let integrate t =
   let g = t.integ in
-  if Array.length g.cowners > 0 then begin
-    let x = g.x in
-    for j = 0 to Array.length g.cowners - 1 do
-      let s = t.behs.(g.cowners.(j)).Block.get_cstate () in
-      Array.blit s 0 x g.offs.(j) (Array.length s)
+  if Array.length g.owners > 0 then begin
+    let x = g.x and cs = g.cont and os = g.owners in
+    (* discrete outputs are held over the step *)
+    for j = 0 to Array.length cs - 1 do
+      read_held t cs.(j)
+    done;
+    for j = 0 to Array.length os - 1 do
+      read_held t os.(j)
     done;
     (* sub-stepping keeps stiff continuous dynamics (e.g. the motor's
        electrical pole) stable when the discrete base rate is slow *)
@@ -420,10 +557,12 @@ let integrate t =
       for i = 0 to n - 1 do
         Ode.rk4_into g.ws t.deriv (t.now +. (float_of_int i *. h)) x h
       done;
-    unpack t x;
     (* leave the continuous signals consistent with the final state, not
        with the solver's last stage evaluation *)
-    minor_pass t (t.now +. t.comp.Compile.base_dt)
+    let time = t.now +. t.comp.Compile.base_dt in
+    for j = 0 to Array.length cs - 1 do
+      eval t cs.(j) ~minor:true ~publish:true time x
+    done
   end
 
 let record_probes t fr =
@@ -458,10 +597,7 @@ let step t =
   sample_hits t;
   let order = t.order and hits = t.rate_hit and rate = t.order_rate in
   for k = 0 to Array.length order - 1 do
-    let i = order.(k) in
-    if hits.(rate.(k)) then
-      write_outputs t i
-        (t.behs.(i).Block.out ~minor:false ~time:t.now (gather t i))
+    if hits.(rate.(k)) then major_out t order.(k)
   done;
   for k = 0 to Array.length order - 1 do
     let i = order.(k) in
@@ -494,8 +630,15 @@ let trace_named t name p = trace t (Model.find t.comp.Compile.model name, p)
 let fire_group t g = exec_group t (Model.group_index g)
 
 let override_output t (b, p) v =
-  t.overrides.(bi b).(p) <- v;
-  match v with Some v -> t.signals.(bi b).(p) <- v | None -> ()
+  let i = bi b in
+  t.overrides.(i).(p) <- v;
+  (match v with Some v -> t.signals.(i).(p) <- v | None -> ());
+  let f = t.integ.fidx.(i) in
+  if f >= 0 then begin
+    let fb = t.integ.fbs.(f) in
+    set_boxed t fb;
+    readback t fb
+  end
 
 let set_fault_hook t hooks =
   let n = Array.length t.signals in
@@ -516,6 +659,7 @@ let set_fault_hook t hooks =
                (Model.block_name t.comp.Compile.model b) p)
       | None -> fresh.(i).(p) <- Some h)
     hooks;
-  Array.blit fresh 0 t.hooks 0 n
+  Array.blit fresh 0 t.hooks 0 n;
+  Array.iter (set_boxed t) t.integ.fbs
 
 let step_events t = t.events_this_step

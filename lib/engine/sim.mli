@@ -5,23 +5,33 @@
     discrete update pass, then integrates all continuous states over the
     step with classical RK4 (minor steps re-evaluate only the continuous
     subgraph, with discrete outputs held — Simulink fixed-step
-    semantics). Events fired by blocks execute their function-call group
-    immediately and atomically, reproducing the event-driven tasks of the
-    paper's execution model (§5). *)
+    semantics). The engine owns the continuous states: one packed
+    vector, advanced in place, which each block's float kernel
+    ({!Block.kernel}) reads at a planned offset. Events fired by blocks
+    execute their function-call group immediately and atomically,
+    reproducing the event-driven tasks of the paper's execution model
+    (§5). *)
 
 type t
 
 val create : ?solver_substeps:int -> Compile.t -> t
 (** Instantiate every block behaviour and plan the step once: per-block
     input slots, each block's index among the model's distinct rates
-    (a step evaluates each rate's sample hit once), the continuous-rate
-    sub-order and the RK4 (ode4) workspace. [solver_substeps] (default
-    1) integrates the continuous states with that many sub-steps per
-    major step — needed when a slow discrete base rate meets fast
-    continuous dynamics (stiffness). *)
+    (a step evaluates each rate's sample hit once) and the
+    continuous-time kernel: the state vector with each owner's offset,
+    float arrays for the signals between continuous blocks, and the RK4
+    (ode4) workspace. A continuous-rate block without a float kernel
+    runs its boxed [out] at every stage, and so does a kernel whose row
+    it reads or whose ports carry a fault hook or an override; every
+    other continuous output reaches its Value row once a step, after
+    the last stage. [solver_substeps] (default 1) integrates the
+    continuous states with that many sub-steps per major step — needed
+    when a slow discrete base rate meets fast continuous dynamics
+    (stiffness). *)
 
 val reset : t -> unit
-(** Back to time zero and initial block states. *)
+(** Back to time zero, every behaviour's [reset], and each kernel's
+    initial conditions ([x0]) into the state vector. *)
 
 type snapshot
 (** A captured simulation state: see {!save}. *)

@@ -11,13 +11,16 @@ type ctx = {
   out_dtypes : Dtype.t array;
 }
 
+type kernel = {
+  x0 : float array;
+  outputs : float array -> int -> float array -> float array -> unit;
+  deriv : float -> float array -> int -> float array -> float array -> unit;
+}
+
 type beh = {
-  ncstates : int;
   out : minor:bool -> time:float -> Value.t array -> Value.t array;
   update : time:float -> Value.t array -> unit;
-  deriv : time:float -> Value.t array -> float array;
-  get_cstate : unit -> float array;
-  set_cstate : float array -> unit;
+  kernel : kernel option;
   reset : unit -> unit;
   save : unit -> unit -> unit;
 }
@@ -36,12 +39,9 @@ type spec = {
 
 let no_beh_state =
   {
-    ncstates = 0;
     out = (fun ~minor:_ ~time:_ _ -> [||]);
     update = (fun ~time:_ _ -> ());
-    deriv = (fun ~time:_ _ -> [||]);
-    get_cstate = (fun () -> [||]);
-    set_cstate = (fun _ -> ());
+    kernel = None;
     reset = (fun () -> ());
     save = (fun () () -> ());
   }

@@ -26,33 +26,54 @@ type ctx = {
   out_dtypes : Dtype.t array;  (** resolved output port types *)
 }
 
+(** A block's continuous-time float kernel. The engine owns the
+    continuous states: it packs every owner's states into one vector,
+    gives each owner a planned offset [off] in it, and hands the kernel
+    whichever vector holds the states being evaluated (the integrated
+    state or an RK4 stage state). Inputs [u] and outputs [y] are floats,
+    indexed by port, in engine-owned arrays valid only during the call.
+    A kernel keeps no state of its own. *)
+type kernel = {
+  x0 : float array;
+      (** initial conditions; its length is the number of continuous
+          states ([[||]] for a stateless kernel). The engine writes them
+          at creation and at [Sim.reset], and saves and restores the
+          states with its vector: the behaviour's [reset] and [save] do
+          not see them. *)
+  outputs : float array -> int -> float array -> float array -> unit;
+      (** [outputs x off u y] writes every output into [y] from the
+          states at [x.(off) ..] and the inputs [u]. *)
+  deriv : float -> float array -> int -> float array -> float array -> unit;
+      (** [deriv time x off u dx] writes d/dt of the states at
+          [x.(off) ..] into [dx.(off) ..]; never called for a stateless
+          kernel. *)
+}
+
 (** Simulation behaviour of one block instance. All arrays indexed by
-    port. The input array handed to [out], [update] and [deriv] is owned
-    by the engine, which refills it before every call: it is valid only
-    during the call, and a behaviour must copy what it keeps. The same
-    holds for the state array handed to [set_cstate]. *)
+    port. The input array handed to [out] and [update] is owned by the
+    engine, which refills it before every call: it is valid only during
+    the call, and a behaviour must copy what it keeps. *)
 type beh = {
-  ncstates : int;  (** number of continuous states *)
   out : minor:bool -> time:float -> Value.t array -> Value.t array;
       (** compute outputs from inputs; [minor] marks solver sub-steps where
-          discrete state must not be touched *)
+          discrete state must not be touched. Not called for a behaviour
+          with a [kernel]. *)
   update : time:float -> Value.t array -> unit;
       (** advance discrete state after all outputs of the step are up *)
-  deriv : time:float -> Value.t array -> float array;
-      (** derivatives of the continuous states (length [ncstates]) *)
-  get_cstate : unit -> float array;
-  set_cstate : float array -> unit;
+  kernel : kernel option;
+      (** the float kernel, which the engine evaluates in place of [out]
+          at every step and every solver stage; the only way to own
+          continuous states *)
   reset : unit -> unit;  (** back to initial conditions *)
   save : unit -> unit -> unit;
       (** [save ()] captures the behaviour's current state — everything
-          [reset] would overwrite, continuous states included — and
-          returns a restorer that puts that state back. The restorer
-          can be called any number of times, after any steps or resets
-          in between, and the behaviour then continues bit-identically
-          to how it continued from the capture. A behaviour that
-          overrides [reset] must override [save] too ([Sim.save]
-          refuses a model that holds one that does not); the stateless
-          default captures nothing. *)
+          [reset] would overwrite — and returns a restorer that puts that
+          state back. The restorer can be called any number of times,
+          after any steps or resets in between, and the behaviour then
+          continues bit-identically to how it continued from the capture.
+          A behaviour that overrides [reset] must override [save] too
+          ([Sim.save] refuses a model that holds one that does not); the
+          stateless default captures nothing. *)
 }
 
 (** Static block definition. *)

@@ -29,11 +29,11 @@ let x_i = 0
 let x_w = 1
 let x_theta = 2
 
-let[@inline] deriv_into p ~u ~tau_load x dx =
-  let i = x.(x_i) and w = x.(x_w) in
-  dx.(x_i) <- (u -. (p.ra *. i) -. (p.ke *. w)) /. p.la;
-  dx.(x_w) <- ((p.kt *. i) -. (p.b *. w) -. tau_load) /. p.j;
-  dx.(x_theta) <- w
+let[@inline] deriv_into p ~u ~tau_load x off dx =
+  let i = x.(off + x_i) and w = x.(off + x_w) in
+  dx.(off + x_i) <- (u -. (p.ra *. i) -. (p.ke *. w)) /. p.la;
+  dx.(off + x_w) <- ((p.kt *. i) -. (p.b *. w) -. tau_load) /. p.j;
+  dx.(off + x_theta) <- w
 
 (* The RK4 workspace and the right-hand side, built once. The inputs
    live in [drive] ([| u; tau_load |], held over a step) so that setting
@@ -46,7 +46,7 @@ type stepper = {
 
 let stepper p =
   let drive = Array.make 2 0.0 in
-  let rhs _t x dx = deriv_into p ~u:drive.(0) ~tau_load:drive.(1) x dx in
+  let rhs _t x dx = deriv_into p ~u:drive.(0) ~tau_load:drive.(1) x 0 dx in
   { ws = Ode.rk4_workspace 3; drive; rhs }
 
 let advance st ~u ~tau_load ~h x =

@@ -42,10 +42,11 @@ val x_w : int
 val x_theta : int
 
 val deriv_into :
-  params -> u:float -> tau_load:float -> float array -> float array -> unit
-(** [deriv_into p ~u ~tau_load x dx] writes [d/dt] of the state [x] at
-    input voltage [u] and load torque [tau_load] into [dx]: [di/dt],
-    [dw/dt] and [dtheta/dt = w]. *)
+  params -> u:float -> tau_load:float -> float array -> int -> float array ->
+  unit
+(** [deriv_into p ~u ~tau_load x off dx] writes [d/dt] of the state at
+    [x.(off) ..] at input voltage [u] and load torque [tau_load] into
+    [dx.(off) ..]: [di/dt], [dw/dt] and [dtheta/dt = w]. *)
 
 type stepper
 (** One motor's RK4 workspace and right-hand side, built once: an

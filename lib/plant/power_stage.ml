@@ -11,9 +11,9 @@ let ideal ~u_supply =
 let bipolar ~u_supply =
   { u_supply; dead_time_frac = 0.0; r_on = 0.0; bipolar = true }
 
-let clamp01 x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x
+let[@inline] clamp01 x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x
 
-let output_voltage t ~duty ~i =
+let[@inline] output_voltage t ~duty ~i =
   let d = clamp01 duty in
   let d_eff = Float.max 0.0 (d -. t.dead_time_frac) in
   let u_ideal =

@@ -10,16 +10,15 @@ let integrator ?(init = 0.0) ?(k = 1.0) () =
     event_outs = [||];
     make =
       (fun _ctx ->
-        let x = ref init in
         {
           Block.no_beh_state with
-          ncstates = 1;
-          out = (fun ~minor:_ ~time:_ _ -> [| Value.F !x |]);
-          deriv = (fun ~time:_ ins -> [| k *. Value.to_float ins.(0) |]);
-          get_cstate = (fun () -> [| !x |]);
-          set_cstate = (fun s -> x := s.(0));
-          reset = (fun () -> x := init);
-          save = (fun () -> let v = !x in fun () -> x := v);
+          kernel =
+            Some
+              {
+                Block.x0 = [| init |];
+                outputs = (fun x off _ y -> y.(0) <- x.(off));
+                deriv = (fun _ _ off u dx -> dx.(off) <- k *. u.(0));
+              };
         });
   }
 
@@ -48,33 +47,30 @@ let state_space ~a ~b ~c ?(d = 0.0) () =
     event_outs = [||];
     make =
       (fun _ctx ->
-        let x = Array.make n 0.0 in
         {
           Block.no_beh_state with
-          ncstates = n;
-          out =
-            (fun ~minor:_ ~time:_ ins ->
-              let y = ref (d *. Value.to_float ins.(0)) in
-              for i = 0 to n - 1 do
-                y := !y +. (c.(i) *. x.(i))
-              done;
-              [| Value.F !y |]);
-          deriv =
-            (fun ~time:_ ins ->
-              let u = Value.to_float ins.(0) in
-              Array.init n (fun i ->
-                  let acc = ref (b.(i) *. u) in
-                  for j = 0 to n - 1 do
-                    acc := !acc +. (a.(i).(j) *. x.(j))
-                  done;
-                  !acc));
-          get_cstate = (fun () -> Array.copy x);
-          set_cstate = (fun s -> Array.blit s 0 x 0 n);
-          reset = (fun () -> Array.fill x 0 n 0.0);
-          save =
-            (fun () ->
-              let s = Array.copy x in
-              fun () -> Array.blit s 0 x 0 n);
+          kernel =
+            Some
+              {
+                Block.x0 = Array.make n 0.0;
+                outputs =
+                  (fun x off u y ->
+                    let acc = ref (d *. u.(0)) in
+                    for i = 0 to n - 1 do
+                      acc := !acc +. (c.(i) *. x.(off + i))
+                    done;
+                    y.(0) <- !acc);
+                deriv =
+                  (fun _ x off u dx ->
+                    let u = u.(0) in
+                    for i = 0 to n - 1 do
+                      let acc = ref (b.(i) *. u) in
+                      for j = 0 to n - 1 do
+                        acc := !acc +. (a.(i).(j) *. x.(off + j))
+                      done;
+                      dx.(off + i) <- !acc
+                    done);
+              };
         });
   }
 

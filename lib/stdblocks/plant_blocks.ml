@@ -38,45 +38,59 @@ let dc_motor ?(params = Dc_motor.default) ?(load = Load_profile.No_load) () =
     event_outs = [||];
     make =
       (fun _ctx ->
-        let x = [| 0.0; 0.0; 0.0 |] in
-        (* in [Dc_motor]'s layout: i, w, theta *)
         {
           Block.no_beh_state with
-          ncstates = 3;
-          out =
-            (fun ~minor:_ ~time:_ _ ->
-              [| Value.F x.(1); Value.F x.(2); Value.F x.(0) |]);
-          deriv =
-            (fun ~time ins ->
-              let u = Value.to_float ins.(0) in
-              let tau = Load_profile.torque load ~time ~w:x.(Dc_motor.x_w) in
-              let dx = Array.make 3 0.0 in
-              Dc_motor.deriv_into p ~u ~tau_load:tau x dx;
-              dx);
-          get_cstate = (fun () -> Array.copy x);
-          set_cstate = (fun s -> Array.blit s 0 x 0 3);
-          reset = (fun () -> Array.fill x 0 3 0.0);
-          save =
-            (fun () ->
-              let s = Array.copy x in
-              fun () -> Array.blit s 0 x 0 3);
+          kernel =
+            Some
+              {
+                Block.x0 = [| 0.0; 0.0; 0.0 |];
+                (* in [Dc_motor]'s layout: i, w, theta *)
+                outputs =
+                  (fun x off _ y ->
+                    y.(0) <- x.(off + Dc_motor.x_w);
+                    y.(1) <- x.(off + Dc_motor.x_theta);
+                    y.(2) <- x.(off + Dc_motor.x_i));
+                deriv =
+                  (fun time x off u dx ->
+                    let tau =
+                      Load_profile.torque load ~time ~w:x.(off + Dc_motor.x_w)
+                    in
+                    Dc_motor.deriv_into p ~u:u.(0) ~tau_load:tau x off dx);
+              };
         });
   }
 
 let power_stage stage =
-  Block.stateless ~kind:"PowerStage"
-    ~params:
+  {
+    Block.kind = "PowerStage";
+    params =
       [
         ("u_supply", Param.Float stage.Power_stage.u_supply);
         ("dead_time_frac", Param.Float stage.Power_stage.dead_time_frac);
         ("r_on", Param.Float stage.Power_stage.r_on);
         ("bipolar", Param.Bool stage.Power_stage.bipolar);
-      ]
-    ~n_in:2 ~n_out:1
-    ~out_types:[| Block.Fixed_type Dtype.Double |]
-    (fun _ctx ins ->
-      let duty = Value.to_float ins.(0) and i = Value.to_float ins.(1) in
-      [| Value.F (Power_stage.output_voltage stage ~duty ~i) |])
+      ];
+    n_in = 2;
+    n_out = 1;
+    feedthrough = [| true; true |];
+    out_types = [| Block.Fixed_type Dtype.Double |];
+    sample = Sample_time.Inherited;
+    event_outs = [||];
+    make =
+      (fun _ctx ->
+        {
+          Block.no_beh_state with
+          kernel =
+            Some
+              {
+                Block.x0 = [||];
+                outputs =
+                  (fun _ _ u y ->
+                    y.(0) <- Power_stage.output_voltage stage ~duty:u.(0) ~i:u.(1));
+                deriv = (fun _ _ _ _ _ -> ());
+              };
+        });
+  }
 
 let encoder_counts ?(enc = Encoder.create ()) () =
   Block.stateless ~kind:"EncoderCounts"
