@@ -318,13 +318,13 @@ let faultsim_subject ?(config = default_config) ~scenario () =
       (fun acc f ->
         match f.Fault.kind with
         | Fault.Load_torque torque ->
-            let stop =
+            let at = f.Fault.at and duration = f.Fault.duration in
+            let window =
               match f.Fault.every with
-              | None -> f.Fault.at +. f.Fault.duration
-              | Some _ -> infinity
+              | None -> Load_profile.Pulse { start = at; stop = at +. duration; torque }
+              | Some every -> Load_profile.Periodic { at; every; duration; torque }
             in
-            Load_profile.Sum
-              [ acc; Load_profile.Pulse { start = f.Fault.at; stop; torque } ]
+            Load_profile.Sum [ acc; window ]
         | _ -> acc)
       config.load scenario.Fault_scenario.faults
   in

@@ -24,6 +24,20 @@ let load_torque_expr ps w =
               Bin (">=", Var "model_time", flt (Param.float ps "load_start")),
               Bin ("<", Var "model_time", flt (Param.float ps "load_stop")) ),
           flt (Param.float ps "load_tau"), flt 0.0 )
+  | Some "periodic" ->
+      let at = flt (Param.float ps "load_at") in
+      Ternary
+        ( Bin
+            ( "&&",
+              Bin (">=", Var "model_time", at),
+              Bin
+                ( "<",
+                  Call
+                    ( "fmod",
+                      [ Bin ("-", Var "model_time", at);
+                        flt (Param.float ps "load_every") ] ),
+                  flt (Param.float ps "load_duration") ) ),
+          flt (Param.float ps "load_tau"), flt 0.0 )
   | Some _ -> flt 0.0 (* composite profiles have no C realisation *)
 
 let emit_builtin ~dt g spec =

@@ -8,6 +8,10 @@ type t =
       (** torque applied from time [at] on — the disturbance-rejection
           workload of experiment E1 *)
   | Pulse of { start : float; stop : float; torque : float }
+  | Periodic of { at : float; every : float; duration : float; torque : float }
+      (** torque applied in the windows [[at + k*every, at + k*every +
+          duration)], k >= 0: exactly when a {!Fault} with [every] is
+          active ([time >= at && Float.rem (time - at) every < duration]) *)
   | Sum of t list
 
 val torque : t -> time:float -> w:float -> float

@@ -14,6 +14,10 @@ let load_params load =
   | Load_profile.Pulse { start; stop; torque } ->
       [ ("load", Param.String "pulse"); ("load_start", Param.Float start);
         ("load_stop", Param.Float stop); ("load_tau", Param.Float torque) ]
+  | Load_profile.Periodic { at; every; duration; torque } ->
+      [ ("load", Param.String "periodic"); ("load_at", Param.Float at);
+        ("load_every", Param.Float every); ("load_duration", Param.Float duration);
+        ("load_tau", Param.Float torque) ]
   | Load_profile.Sum _ -> [ ("load", Param.String "composite") ]
 
 let dc_motor ?(params = Dc_motor.default) ?(load = Load_profile.No_load) () =

@@ -245,10 +245,11 @@ let test_campaign_bundles () =
   | bs -> Alcotest.failf "expected 3 bundles, got %d" (List.length bs)
 
 (* Every run row of the seven built-in scenarios and the two
-   examples/*.fault x 8 seeds (2 s), captured before any
-   checkpointing: scenario, seed, detected,
-   detection_s, recovered, recovery_s, steps degraded / safe-stopped,
-   max mode, residual RMS, watchdog bites; floats as their bits. *)
+   examples/*.fault x 8 seeds (2 s), captured before any checkpointing
+   (brownout's re-taken when its load spike became periodic instead of
+   a constant load from 0.5 s): scenario, seed, detected, detection_s,
+   recovered, recovery_s, steps degraded / safe-stopped, max mode,
+   residual RMS, watchdog bites; floats as their bits. *)
 let golden =
   [
     ("encoder-dropout", 1, true, Some 0x0000000000000000L, true, Some 0x3f9a9fbe76c8b440L, 141, 25, 2, 0x3fbd785b231a6a39L, 0);
@@ -307,14 +308,14 @@ let golden =
     ("wdog-suppress", 6, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f01e8fdb2ddL, 12);
     ("wdog-suppress", 7, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f01e8fdb2ddL, 12);
     ("wdog-suppress", 8, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f01e8fdb2ddL, 12);
-    ("brownout", 1, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
-    ("brownout", 2, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
-    ("brownout", 3, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
-    ("brownout", 4, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
-    ("brownout", 5, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
-    ("brownout", 6, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
-    ("brownout", 7, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
-    ("brownout", 8, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fbd9f1dc78d6365L, 12);
+    ("brownout", 1, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fc64e6d8e5a7e0cL, 12);
+    ("brownout", 2, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fc64e6d8e5a7e0cL, 12);
+    ("brownout", 3, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fc64e6d8e5a7e0cL, 12);
+    ("brownout", 4, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fc64e6d8e5a7e0cL, 12);
+    ("brownout", 5, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fc64e6d8e5a7e0cL, 12);
+    ("brownout", 6, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fc64e6d8e5a7e0cL, 12);
+    ("brownout", 7, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fc64e6d8e5a7e0cL, 12);
+    ("brownout", 8, true, None, true, Some 0x0000000000000000L, 0, 0, 0, 0x3fc64e6d8e5a7e0cL, 12);
     ("encoder_dropout", 1, true, Some 0x0000000000000000L, true, Some 0x3f989374bc6a7f00L, 389, 25, 2, 0x3fbd785b231a6a39L, 0);
     ("encoder_dropout", 2, true, Some 0x0000000000000000L, true, Some 0x3f978d4fdf3b6440L, 388, 25, 2, 0x3fbd785b231a6a39L, 0);
     ("encoder_dropout", 3, true, Some 0x0000000000000000L, true, Some 0x3f99999999999980L, 390, 25, 2, 0x3fbd785b231a6a39L, 0);

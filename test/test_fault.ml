@@ -130,6 +130,38 @@ let test_example_scenarios () =
       | Error e -> Alcotest.failf "%s: %s" f e)
     [ "brownout.fault"; "encoder_dropout.fault" ]
 
+(* brownout.fault's load spike recurs with its window: 2e-3 N.m in
+   [0.5, 0.53), none at 0.6 s, again in [0.9, 0.93) *)
+let test_periodic_load () =
+  let scenario =
+    match Fault_scenario.load "../examples/brownout.fault" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let _, built = Servo_system.faultsim_subject ~scenario () in
+  let load = built.Servo_system.config.Servo_system.load in
+  List.iter
+    (fun (time, expected) ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "torque at %g s" time)
+        expected
+        (Load_profile.torque load ~time ~w:0.0))
+    [ (0.51, 2.0e-3); (0.6, 0.0); (0.91, 2.0e-3) ]
+
+let prop_periodic_load_window =
+  QCheck2.Test.make ~name:"periodic load torque is on exactly when its fault is"
+    ~count:500
+    QCheck2.Gen.(
+      quad (float_range 0.0 1.0) (float_range 0.001 0.5) (float_range 0.0 1.0)
+        (float_range 0.0 3.0))
+    (fun (at, duration, slack, time) ->
+      let every = duration *. (1.0 +. slack) in
+      let f = Fault.make ~every ~at ~duration (Fault.Load_torque 1.0) in
+      let load =
+        Load_profile.Periodic { at; every; duration; torque = 1.0 }
+      in
+      Fault.active f ~time = (Load_profile.torque load ~time ~w:0.0 = 1.0))
+
 let test_builtins () =
   List.iter
     (fun name ->
@@ -884,6 +916,8 @@ let suite =
     Alcotest.test_case "scenario errors" `Quick test_scenario_errors;
     Alcotest.test_case "scenario bad values" `Quick test_scenario_bad_values;
     Alcotest.test_case "example scenarios parse" `Quick test_example_scenarios;
+    Alcotest.test_case "brownout load spike recurs" `Quick test_periodic_load;
+    QCheck_alcotest.to_alcotest prop_periodic_load_window;
     Alcotest.test_case "builtin scenarios" `Quick test_builtins;
     Alcotest.test_case "injector: sensor kinds" `Quick test_injector_sensor;
     Alcotest.test_case "injector: seeds and actuators" `Quick

@@ -51,6 +51,25 @@ let test_compiles_with_gcc () =
           (sh dir "gcc -c sim_main.c -o sim.o 2>> gcc.log" = 0
            || (ignore (Sys.command (Printf.sprintf "cat %s/gcc.log 1>&2" dir)); false)))
 
+(* a periodic load profile reaches the generated plant as an fmod
+   window, and the unit still compiles *)
+let test_periodic_load_compiles () =
+  let load =
+    Load_profile.Periodic { at = 0.5; every = 0.4; duration = 0.03; torque = 2e-3 }
+  in
+  let m =
+    Servo_system.plant_model { Servo_system.default_config with load }
+  in
+  let a = Sim_target.generate ~name:"servo" (Compile.compile ~default_dt:1e-4 m) in
+  check_bool "fmod window" true
+    (contains (C_print.print_unit a.Sim_target.plant_c) "fmod(");
+  if have_gcc then
+    with_tmpdir (fun dir ->
+        ignore (Sim_target.write_to_dir a ~dir);
+        check_bool "plant compiles" true
+          (sh dir "gcc -c -Wall -Werror servo_plant.c -o plant.o 2> gcc.log" = 0
+           || (ignore (Sys.command (Printf.sprintf "cat %s/gcc.log 1>&2" dir)); false)))
+
 let test_generated_plant_matches_ocaml () =
   if not have_gcc then ()
   else
@@ -240,6 +259,8 @@ let suite =
       test_generated_tf_plant_matches_ocaml;
     Alcotest.test_case "simulator structure" `Quick test_structure;
     Alcotest.test_case "simulator compiles (gcc)" `Quick test_compiles_with_gcc;
+    Alcotest.test_case "periodic load compiles (gcc)" `Quick
+      test_periodic_load_compiles;
     Alcotest.test_case "generated plant == OCaml sim" `Quick
       test_generated_plant_matches_ocaml;
     Alcotest.test_case "embedded code compiles (gcc)" `Quick test_embedded_code_compiles;
