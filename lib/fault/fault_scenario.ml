@@ -142,7 +142,11 @@ let of_string ~name text =
           | Error e -> Error e)
   in
   match go 1 [] lines with
-  | Ok { faults = []; _ } -> Error "scenario declares no faults"
+  | Ok { faults = []; _ } ->
+      (* every error names a line: here, the one the input ends on *)
+      Error
+        (Printf.sprintf "line %d: end of scenario with no faults declared"
+           (List.length lines))
   | r -> r
 
 let load path =

@@ -28,7 +28,9 @@ val builtins : t list
 val builtin : string -> t option
 
 val of_string : name:string -> string -> (t, string) result
-(** Parse the [.fault] line format. Errors name the offending line. *)
+(** Parse the [.fault] line format. Never raises, on any byte string:
+    every error begins ["line N: "], with N the offending line or, for
+    a scenario that declares no fault, the line the input ends on. *)
 
 val load : string -> (t, string) result
 (** Read a [.fault] file; the scenario is named after the basename. *)

@@ -162,6 +162,128 @@ let prop_periodic_load_window =
       in
       Fault.active f ~time = (Load_profile.torque load ~time ~w:0.0 = 1.0))
 
+(* ---- untrusted .fault input ---- *)
+
+(* [Ok _], or an [Error] that begins "line N:" with N a line of [text] *)
+let parses_or_names_line text =
+  match Fault_scenario.of_string ~name:"fuzz" text with
+  | Ok _ -> true
+  | Error e -> (
+      let lines = List.length (String.split_on_char '\n' text) in
+      match Scanf.sscanf_opt e "line %d: " Fun.id with
+      | Some n -> n >= 1 && n <= lines
+      | None -> QCheck2.Test.fail_reportf "error names no line: %S" e)
+  | exception ex ->
+      QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string ex)
+
+let prop_fault_bytes =
+  QCheck2.Test.make ~name:".fault parser: random bytes" ~count:500
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 120))
+    parses_or_names_line
+
+let example_texts =
+  lazy
+    (List.map
+       (fun f -> In_channel.with_open_bin ("../examples/" ^ f) In_channel.input_all)
+       [ "brownout.fault"; "encoder_dropout.fault" ])
+
+(* values that sit on the edges of the number and range checks *)
+let edge_values =
+  [ "nan"; "inf"; "-inf"; "-1"; "0"; "-0"; "1e300"; "0x10"; "1_0"; ""; "=";
+    "4611686018427387904"; "-4611686018427387905"; "0.5"; "1e-320"; "2." ]
+
+type edit =
+  | Set_byte of int * char
+  | Drop_byte of int
+  | Insert_byte of int * char
+  | Drop_line of int
+  | Dup_line of int
+  | Swap_lines of int * int
+  | Set_value of int * string  (* the value of the [n]th key=value *)
+
+let apply text = function
+  | Set_byte (i, c) ->
+      if text = "" then text
+      else
+        let b = Bytes.of_string text in
+        Bytes.set b (i mod Bytes.length b) c;
+        Bytes.to_string b
+  | Drop_byte i ->
+      if text = "" then text
+      else
+        let i = i mod String.length text in
+        String.sub text 0 i ^ String.sub text (i + 1) (String.length text - i - 1)
+  | Insert_byte (i, c) ->
+      let i = i mod (String.length text + 1) in
+      String.sub text 0 i ^ String.make 1 c
+      ^ String.sub text i (String.length text - i)
+  | (Drop_line _ | Dup_line _ | Swap_lines _) as e ->
+      let a = Array.of_list (String.split_on_char '\n' text) in
+      let n = Array.length a in
+      let l =
+        match e with
+        | Drop_line i -> List.filteri (fun j _ -> j <> i mod n) (Array.to_list a)
+        | Dup_line i ->
+            List.concat_map
+              (fun (j, s) -> if j = i mod n then [ s; s ] else [ s ])
+              (List.mapi (fun j s -> (j, s)) (Array.to_list a))
+        | Swap_lines (i, j) ->
+            let i = i mod n and j = j mod n in
+            let t = a.(i) in
+            a.(i) <- a.(j);
+            a.(j) <- t;
+            Array.to_list a
+        | _ -> assert false
+      in
+      String.concat "\n" l
+  | Set_value (k, v) ->
+      let toks = String.split_on_char '=' text in
+      let n = List.length toks - 1 in
+      if n = 0 then text
+      else
+        let k = 1 + (k mod n) in
+        (* token k starts with the value after the k-th '=' *)
+        String.concat "="
+          (List.mapi
+             (fun j t ->
+               if j <> k then t
+               else
+                 let stop =
+                   match String.index_from_opt t 0 ' ', String.index_from_opt t 0 '\n' with
+                   | Some a, Some b -> min a b
+                   | Some a, None | None, Some a -> a
+                   | None, None -> String.length t
+                 in
+                 v ^ String.sub t stop (String.length t - stop))
+             toks)
+
+let edit_gen =
+  QCheck2.Gen.(
+    let pos = int_bound 10_000 in
+    oneof
+      [
+        map2 (fun i c -> Set_byte (i, c)) pos char;
+        map (fun i -> Drop_byte i) pos;
+        map2 (fun i c -> Insert_byte (i, c)) pos char;
+        map (fun i -> Drop_line i) pos;
+        map (fun i -> Dup_line i) pos;
+        map2 (fun i j -> Swap_lines (i, j)) pos pos;
+        map2 (fun k v -> Set_value (k, v)) pos (oneofl edge_values);
+      ])
+
+let prop_fault_mutations =
+  QCheck2.Test.make ~name:".fault parser: mutated examples" ~count:1000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      map2
+        (fun which edits ->
+          let base = List.nth (Lazy.force example_texts) (if which then 0 else 1) in
+          List.fold_left apply base edits)
+        bool
+        (list_size (int_range 1 6) edit_gen))
+    parses_or_names_line
+
 let test_builtins () =
   List.iter
     (fun name ->
@@ -918,6 +1040,8 @@ let suite =
     Alcotest.test_case "example scenarios parse" `Quick test_example_scenarios;
     Alcotest.test_case "brownout load spike recurs" `Quick test_periodic_load;
     QCheck_alcotest.to_alcotest prop_periodic_load_window;
+    QCheck_alcotest.to_alcotest prop_fault_bytes;
+    QCheck_alcotest.to_alcotest prop_fault_mutations;
     Alcotest.test_case "builtin scenarios" `Quick test_builtins;
     Alcotest.test_case "injector: sensor kinds" `Quick test_injector_sensor;
     Alcotest.test_case "injector: seeds and actuators" `Quick
