@@ -12,9 +12,11 @@ Run from the root of a built source checkout. GATE is any of
                --on-error record` runs with and without `--deadline-s
                3600`: the cancellation poll costs under 5 %;
   regression   this checkout against the one at --base-dir (a checkout of
-               the base commit): traced engine.step_us and silvm.step_us,
-               and the wall time of `ecsd diff servo --steps 5000 --engine
-               interp`, may not grow by more than 25 %;
+               the base commit): traced engine.step_us, silvm.step_us and
+               engine.closed_loop_step_us (the MIL servo with its
+               continuous plant), and the wall time of `ecsd diff servo
+               --steps 5000 --engine interp`, may not grow by more than
+               25 %;
   compiled     paired `ecsd diff servo --steps 5000` wall times: the
                compiled SIL engine is faster than the reference engine;
   scaling      `ecsd faultsim --scenario noise-burst --seeds 64 --jobs J`
@@ -202,7 +204,8 @@ class Gates:
         print(f"regression: this checkout against {self.base_dir}, fail when "
               f"the median grows past x{REGRESSION_BOUND} and every run is slower")
         runs = self.traced_runs()
-        for m in ("engine.step_us", "silvm.step_us"):
+        for m in ("engine.step_us", "silvm.step_us",
+                  "engine.closed_loop_step_us"):
             base = [r[m] for r in runs["base"]]
             head = [r[m] for r in runs["head"]]
             show(f"{m} base", base, " us")
