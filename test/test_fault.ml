@@ -537,11 +537,12 @@ let words_per_step ?armed () =
 let test_step_allocation () =
   let unarmed = words_per_step () in
   let armed = words_per_step ~armed:(builtin "sensor-stuck") () in
-  (* measured 1043 words with OCaml 5.1 (RK4, 5 sub-steps: 20 derivative
-     stages per step), nearly all of it the behaviours' fresh output and
-     derivative arrays; a step that re-derived its inputs, arities and
-     continuous order every call allocated 3356 *)
-  let budget = Float.min (1.25 *. 1043.0) (3356.0 /. 2.0) in
+  (* measured 441 words with OCaml 5.1 (RK4, 5 sub-steps: 20 derivative
+     stages per step), with the plant integrated in place by its float
+     kernels; 803 when every stage boxed the plant's outputs and
+     returned fresh derivative arrays, and 3356 for a step that
+     re-derived its inputs, arities and continuous order every call *)
+  let budget = Float.min (1.25 *. 441.0) (803.0 /. 1.5) in
   if unarmed > budget then
     Alcotest.failf "unarmed step allocates %.0f minor words, budget %.0f"
       unarmed budget;
