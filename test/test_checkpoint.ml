@@ -448,7 +448,6 @@ let test_mixed_capture_digest () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_random_models_restore;
-    QCheck_alcotest.to_alcotest prop_cont_models_restore;
     QCheck_alcotest.to_alcotest prop_servo_restore;
     Alcotest.test_case "mode chart block replays across toggles" `Quick
       test_mode_chart_restore;
@@ -464,4 +463,5 @@ let suite =
       test_prefix_simulated_once;
     Alcotest.test_case "campaign: mixed scenario bundles pinned" `Quick
       test_mixed_capture_digest;
+    QCheck_alcotest.to_alcotest prop_cont_models_restore;
   ]
