@@ -19,6 +19,11 @@ Run from the root of a built source checkout. GATE is any of
                25 %;
   compiled     paired `ecsd diff servo --steps 5000` wall times: the
                compiled SIL engine is faster than the reference engine;
+  restore      paired `ecsd faultsim --scenario sensor-stuck` runs with
+               `--seeds 8` and `--seeds 1`, each pair the total of 6
+               interleaved runs a side: a scenario that never draws from
+               the RNG simulates one run, and the seven restored seeds
+               cost under 8 % of the wall time;
   scaling      `ecsd faultsim --scenario noise-burst --seeds 64 --jobs J`
                for J = 1..nproc: reported, never gated;
 
@@ -46,8 +51,13 @@ SCALING_ROUNDS = 3
 RECORDER_BOUND = 1.05
 SUPERVISION_BOUND = 1.05
 REGRESSION_BOUND = 1.25
+RESTORE_BOUND = 1.08
+# a run takes ~10 ms, so a single pair reads a burst of host noise as a
+# ratio far from 1 either way
+RESTORE_RUNS = 6
 
-GATES = ("recorder", "supervision", "regression", "compiled", "scaling")
+GATES = ("recorder", "supervision", "regression", "compiled", "restore",
+         "scaling")
 
 
 # ---- decision rules (tested by test_perf_gates.py) ----
@@ -233,6 +243,20 @@ class Gates:
         show("interp", s["interp"], " s")
         self.ratio_gate("compiled / interp",
                         [c / i for c, i in zip(s["compiled"], s["interp"])], 1.0)
+
+    def restore(self):
+        print(f"restore: {PAIRS} pairs of faultsim sensor-stuck, --seeds 8 / "
+              f"--seeds 1, each the total of {RESTORE_RUNS} interleaved runs "
+              f"a side")
+        argv = [ecsd(ROOT), "faultsim", "--scenario", "sensor-stuck",
+                "--seeds"]
+        sides = {"8": lambda: wall(argv + ["8"], self.tmp),
+                 "1": lambda: wall(argv + ["1"], self.tmp)}
+        ratios = []
+        for _ in range(PAIRS):
+            s = interleaved(RESTORE_RUNS, sides)
+            ratios.append(sum(s["8"]) / sum(s["1"]))
+        self.ratio_gate("seeds 8 / seeds 1", ratios, RESTORE_BOUND)
 
     def scaling(self):
         nproc = len(os.sched_getaffinity(0))

@@ -77,6 +77,9 @@ type t = {
   order : int array;  (* [comp.order] as indices *)
   rates : Sample_time.resolved array;  (* the distinct rates of [order] *)
   order_rate : int array;  (* per [order] entry: its block's rate in [rates] *)
+  upd : int array;
+      (* the positions in [order] of the blocks whose [update] does
+         something: a stateless block's is [Block.no_beh_state]'s *)
   rate_hit : bool array;  (* per rate: whether it hits this step *)
   mutable now : float;
   mutable nstep : int;
@@ -89,6 +92,7 @@ type t = {
   group_exec : int array array;
       (* execution order per function-call group, indexed by
          [Model.group_index] *)
+  group_upd : int array array;  (* same, the blocks with an [update] *)
   group_counters : Obs.counter array;  (* same indexing *)
   hooks : hook option array array;
       (* per block, per output port: the installed fault hook; [||] for
@@ -98,7 +102,6 @@ type t = {
 (* process-wide engine metrics *)
 let c_steps = Obs.counter "sim.steps"
 let c_events = Obs.counter "sim.events"
-let h_substep = Obs.hist "sim.ode.substep_s"
 
 let bi = Model.blk_index
 
@@ -189,17 +192,17 @@ let major_out t i =
   end
 
 let exec_group t gi =
-  let order =
-    if gi < Array.length t.group_exec then t.group_exec.(gi) else [||]
-  in
-  if gi < Array.length t.group_counters then Obs.add t.group_counters.(gi) 1;
-  for k = 0 to Array.length order - 1 do
-    major_out t order.(k)
-  done;
-  for k = 0 to Array.length order - 1 do
-    let i = order.(k) in
-    t.behs.(i).Block.update ~time:t.now (gather t i)
-  done
+  if gi < Array.length t.group_exec then begin
+    let order = t.group_exec.(gi) and upd = t.group_upd.(gi) in
+    Obs.add t.group_counters.(gi) 1;
+    for k = 0 to Array.length order - 1 do
+      major_out t order.(k)
+    done;
+    for k = 0 to Array.length upd - 1 do
+      let i = upd.(k) in
+      t.behs.(i).Block.update ~time:t.now (gather t i)
+    done
+  end
 
 (* [targets.(k)]: the group wired to the firing block's event output
    [k], resolved at [create]; -1 when none is *)
@@ -291,6 +294,7 @@ let create ?(solver_substeps = 1) comp =
     (Model.blocks m);
   let srcs = Compile.signal_sources comp in
   let order = Array.map bi comp.Compile.order in
+  let has_update i = behs.(i).Block.update != Block.no_beh_state.Block.update in
   (* the distinct rates of [order], and each entry's index among them *)
   let rates =
     List.sort_uniq compare
@@ -387,6 +391,11 @@ let create ?(solver_substeps = 1) comp =
   List.iter
     (fun (g, order) -> group_exec.(Model.group_index g) <- Array.map bi order)
     comp.Compile.group_order;
+  let group_upd =
+    Array.map
+      (fun o -> Array.of_list (List.filter has_update (Array.to_list o)))
+      group_exec
+  in
   let group_counters =
     Array.init n_groups (fun _ -> Obs.counter "sim.group.unused")
   in
@@ -407,6 +416,11 @@ let create ?(solver_substeps = 1) comp =
       order;
       rates = Array.of_list rates;
       order_rate;
+      upd =
+        Array.of_list
+          (List.filter
+             (fun k -> has_update order.(k))
+             (List.init (Array.length order) Fun.id));
       rate_hit = Array.make (List.length rates) false;
       now = 0.0;
       nstep = 0;
@@ -416,6 +430,7 @@ let create ?(solver_substeps = 1) comp =
       deriv = (fun time x dx -> stage t time x dx);
       solver_substeps;
       group_exec;
+      group_upd;
       group_counters;
       hooks = Array.make n [||];
     }
@@ -547,16 +562,9 @@ let integrate t =
        electrical pole) stable when the discrete base rate is slow *)
     let n = t.solver_substeps in
     let h = t.comp.Compile.base_dt /. float_of_int n in
-    if Obs.enabled () then
-      for i = 0 to n - 1 do
-        let t0 = Obs.now_ns () in
-        Ode.rk4_into g.ws t.deriv (t.now +. (float_of_int i *. h)) x h;
-        Obs.record h_substep ((Obs.now_ns () -. t0) *. 1e-9)
-      done
-    else
-      for i = 0 to n - 1 do
-        Ode.rk4_into g.ws t.deriv (t.now +. (float_of_int i *. h)) x h
-      done;
+    for i = 0 to n - 1 do
+      Ode.rk4_into g.ws t.deriv (t.now +. (float_of_int i *. h)) x h
+    done;
     (* leave the continuous signals consistent with the final state, not
        with the solver's last stage evaluation *)
     let time = t.now +. t.comp.Compile.base_dt in
@@ -599,9 +607,13 @@ let step t =
   for k = 0 to Array.length order - 1 do
     if hits.(rate.(k)) then major_out t order.(k)
   done;
-  for k = 0 to Array.length order - 1 do
-    let i = order.(k) in
-    if hits.(rate.(k)) then t.behs.(i).Block.update ~time:t.now (gather t i)
+  let upd = t.upd in
+  for j = 0 to Array.length upd - 1 do
+    let k = upd.(j) in
+    if hits.(rate.(k)) then begin
+      let i = order.(k) in
+      t.behs.(i).Block.update ~time:t.now (gather t i)
+    end
   done;
   record_probes t fr;
   integrate t;

@@ -64,37 +64,63 @@ type metrics = {
    function of time alone. The first seed a domain runs leaves a
    checkpoint at that step — at the end of a run that never draws — and
    every later seed there restores it instead of simulating the shared
-   stretch again. What the stretch changed is all here, except the
-   virtual MCU, which is cheap to re-advance. *)
+   stretch again. What the stretch changed is all here, the virtual MCU
+   and its watchdog included. *)
 type checkpoint = {
   ck_sim : Sim.t;
   ck_scenario : Fault_scenario.t;
   ck_steps : int;  (* with the two above, fixes the stretch *)
   ck_prefix : int;  (* steps in the shared stretch *)
   ck_state : Sim.snapshot;
+  ck_mcu : unit -> unit;  (* restores the slot's machine and watchdog *)
   ck_metrics : metrics;
   ck_inj : Fault_inject.saved;
   ck_flight : Flight.segment;  (* the stretch's events, after the arm *)
 }
 
+(* The virtual MCU a domain's seeds share, like its [Sim]: a watchdog
+   expiry queued on the machine closes over the watchdog's record, so a
+   restore has to go back into these very objects. *)
+type board = {
+  machine : Machine.t;
+  wdog : Wdog_periph.t;
+  power_on : unit -> unit;  (* the state right after [Wdog_periph.enable] *)
+}
+
+type slot = { mutable board : board option; mutable ck : checkpoint option }
+
+let save_mcu machine wdog =
+  let m = Machine.save machine and w = Wdog_periph.save wdog in
+  fun () ->
+    m ();
+    w ()
+
+let slot_board slot subject ~wdog_timeout =
+  match slot.board with
+  | Some b -> b
+  | None ->
+      let machine = Machine.create subject.mcu in
+      let wdog = Wdog_periph.create machine ~timeout:wdog_timeout () in
+      Wdog_periph.enable wdog;
+      let b = { machine; wdog; power_on = save_mcu machine wdog } in
+      slot.board <- Some b;
+      b
+
 let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
   let sim = subject.sim in
   let inj = arm subject ~seed scenario in
   let flight_from = Flight.track_seq () in
-  let machine = Machine.create subject.mcu in
-  let wdog = Wdog_periph.create machine ~timeout:wdog_timeout () in
-  Wdog_periph.enable wdog;
+  let board = slot_board slot subject ~wdog_timeout in
+  let machine = board.machine and wdog = board.wdog in
   let period_cycles = Machine.cycles_of_time machine period in
   (* the virtual MCU lives the same period, stretched by any injected
      overrun; the watchdog is serviced at the end of the step unless
      the scenario eats the service call *)
-  let advance extra lost =
-    Machine.advance machine ~cycles:(period_cycles + extra);
-    if not lost then Wdog_periph.refresh wdog
-  in
   let mcu_step time =
     let extra = Fault_inject.overrun_cycles inj ~time in
-    advance extra (Fault_inject.wdog_suppressed inj ~time)
+    Machine.advance machine ~cycles:(period_cycles + extra);
+    if not (Fault_inject.wdog_suppressed inj ~time) then
+      Wdog_periph.refresh wdog
   in
   let onset = Fault_scenario.onset scenario in
   let first_draw = Fault_scenario.onset ~only:Fault_inject.draws scenario in
@@ -103,22 +129,18 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
   let tail = max 1 (steps / 8) in
   let tail_start = steps - tail in
   let m, start, fresh =
-    match !slot with
+    match slot.ck with
     | Some ck
       when ck.ck_sim == sim && ck.ck_scenario == scenario && ck.ck_steps = steps
       ->
-        let time = ref 0.0 in
-        for _ = 1 to ck.ck_prefix do
-          let extra, lost = Fault_inject.replay_timing inj ~time:!time in
-          advance extra lost;
-          time := !time +. period
-        done;
         Flight.replay ck.ck_flight;
         Fault_inject.restore inj ck.ck_inj;
         Sim.restore sim ck.ck_state;
+        ck.ck_mcu ();
         ({ ck.ck_metrics with sq = ck.ck_metrics.sq }, ck.ck_prefix, false)
     | _ ->
         Sim.reset sim;
+        board.power_on ();
         ( {
             first_nz = -1;
             last_nz = -1;
@@ -142,6 +164,7 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
           ck_steps = steps;
           ck_prefix = k;
           ck_state = Sim.save sim;
+          ck_mcu = save_mcu machine wdog;
           ck_metrics = { m with sq = m.sq };
           ck_inj = Fault_inject.save inj;
           ck_flight = Flight.since flight_from;
@@ -175,7 +198,7 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
     end
   done;
   if fresh && Option.is_none !built then checkpoint steps;
-  if Option.is_some !built then slot := !built;
+  if Option.is_some !built then slot.ck <- !built;
   disarm subject;
   let detection_s =
     if m.first_nz < 0 then None
@@ -237,7 +260,7 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
     Seed_sweep.run ?jobs ?policy ?track_base
       ?on_run:(Option.map (fun f _ r -> f r) on_run)
       ~seeds ~track:name ~label:("faultsim:" ^ name)
-      ~subject:(fun () -> (mk_subject (), ref None))
+      ~subject:(fun () -> (mk_subject (), { board = None; ck = None }))
       ~plan:(fun (subject, _) -> plan subject)
       (fun (period, steps, wdog_timeout) (subject, slot) seed ->
         one_run slot subject ~scenario ~seed ~steps ~period ~t_end

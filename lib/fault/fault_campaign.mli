@@ -4,8 +4,9 @@
     A campaign binds a scenario to a {e subject} — a closed-loop
     simulation plus the ports that carry its sensor codes, commanded
     duty, supervisor mode, measured speed and set-point — then runs it
-    once per seed with a fresh virtual MCU and watchdog alongside, and
-    reports recovery metrics per run: detection latency, recovery time
+    once per seed with a virtual MCU and watchdog alongside, each run
+    starting from their power-on state, and reports recovery metrics
+    per run: detection latency, recovery time
     after the fault clears, steps spent degraded / safe-stopped, the
     residual control error once nominal again, and watchdog bites. *)
 
@@ -91,12 +92,12 @@ val sweep :
       ({!Fault_inject.draws}); for a scenario with no such fault that is
       the whole run. A domain simulates that stretch once per sweep: its
       first seed runs in full and, once it completes, leaves a
-      checkpoint there ({!Sim.save}, the run metrics so far,
-      {!Fault_inject.save}, the stretch's flight events); every later
-      seed on that domain re-advances its own MCU and watchdog over the
-      stretch without recording, re-records those events under its own
-      track, restores the injector and the simulation, and simulates
-      only the rest. Results, flight bundles and the [fault.*] counters
+      checkpoint there ({!Sim.save}, {!Machine.save} and
+      {!Wdog_periph.save} of the domain's one virtual MCU, the run
+      metrics so far, {!Fault_inject.save}, the stretch's flight
+      events); every later seed on that domain re-records those events
+      under its own track, restores the injector, the simulation and
+      the MCU, and simulates only the rest. Results, flight bundles and the [fault.*] counters
       are those of simulating every step; [sim.steps] counts the steps
       simulated.
     - [on_run] fires after each completed run, on the domain that ran

@@ -244,14 +244,6 @@ let wdog_suppressed t ~time =
   end;
   s
 
-(* straight from the windows: the cache refresh would record fire/clear
-   edges the restored stretch already holds *)
-let replay_timing t ~time =
-  let active =
-    List.filter (fun fl -> Fault.active fl ~time) t.scn.Fault_scenario.faults
-  in
-  (overrun_of active, suppressed_of active)
-
 let comm_config t =
   List.find_map
     (fun fl ->

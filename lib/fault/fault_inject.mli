@@ -65,12 +65,6 @@ val overrun_cycles : t -> time:float -> int
 val wdog_suppressed : t -> time:float -> bool
 (** Whether the watchdog service call is lost at [time]. *)
 
-val replay_timing : t -> time:float -> int * bool
-(** {!overrun_cycles} and {!wdog_suppressed} at [time], read from the
-    fault windows alone: no Flight fire/clear event, no counter, and the
-    active-set cache is left as it is — to re-advance a virtual MCU over
-    a stretch whose events and counts a {!restore} already carries. *)
-
 val comm_config : t -> Faulty.config option
 (** The serial-line fault model, if the scenario carries one ([Comm]
     faults arm the line for the whole run — the window is ignored). *)

@@ -71,3 +71,14 @@ let pop t =
 let clear t =
   Array.fill t.heap 0 t.len dummy;
   t.len <- 0
+
+(* entries are immutable: the restorer shares them *)
+let save t =
+  let heap = Array.sub t.heap 0 t.len and next_seq = t.next_seq in
+  let len = Array.length heap in
+  fun () ->
+    clear t;
+    if Array.length t.heap < len then t.heap <- Array.make (max 64 len) dummy;
+    Array.blit heap 0 t.heap 0 len;
+    t.len <- len;
+    t.next_seq <- next_seq

@@ -18,3 +18,8 @@ val pop : t -> (int * (unit -> unit)) option
 (** Remove and return the earliest event. *)
 
 val clear : t -> unit
+
+val save : t -> unit -> unit
+(** Capture the queue now and return its restorer, callable any number
+    of times: each call puts back the pending events and the insertion
+    counter, so ties after it break exactly as after the capture. *)

@@ -267,3 +267,38 @@ let utilization t =
 
 let max_stack_bytes t = t.max_stack
 let busy_cycles t = t.busy_cycles
+
+(* a running record is mutable: the capture and every restore take
+   their own copy *)
+let copy_cpu = function
+  | Idle -> Idle
+  | Busy (r, stack) ->
+      let cp r = { r with remaining = r.remaining } in
+      Busy (cp r, List.map cp stack)
+
+let save t =
+  let evq = Evq.save t.evq in
+  let n_irqs = t.n_irqs in
+  let irqs = Array.map (fun v -> { v with enabled = v.enabled }) t.irqs in
+  let cpu = copy_cpu t.cpu in
+  let now = t.now and busy_cycles = t.busy_cycles and max_stack = t.max_stack in
+  fun () ->
+    evq ();
+    if t.n_irqs > n_irqs then t.irqs <- Array.sub t.irqs 0 n_irqs;
+    t.n_irqs <- n_irqs;
+    Array.iteri
+      (fun i s ->
+        let v = t.irqs.(i) in
+        v.enabled <- s.enabled;
+        v.pending <- s.pending;
+        v.pending_since <- s.pending_since;
+        v.dispatches <- s.dispatches;
+        v.overruns <- s.overruns;
+        v.response_cycles <- s.response_cycles;
+        v.exec_cycles <- s.exec_cycles;
+        v.completion_cycles <- s.completion_cycles)
+      irqs;
+    t.cpu <- copy_cpu cpu;
+    t.now <- now;
+    t.busy_cycles <- busy_cycles;
+    t.max_stack <- max_stack

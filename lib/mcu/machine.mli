@@ -88,3 +88,15 @@ val max_stack_bytes : t -> int
 (** High-water mark over nested contexts. *)
 
 val busy_cycles : t -> int
+
+(** {2 Checkpoints} *)
+
+val save : t -> unit -> unit
+(** Capture the machine now and return its restorer, callable any
+    number of times: each call puts back the clock, the pending events,
+    every vector's state and statistics, and the running and preempted
+    jobs, so the machine then continues bit for bit as it did after the
+    capture. The events are the same closures, so a restore is only
+    meaningful on this machine, next to the same peripherals (restore
+    theirs too, e.g. {!Wdog_periph.save}). Vectors registered after the
+    capture are dropped. *)

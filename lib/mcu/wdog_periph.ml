@@ -2,7 +2,6 @@ type t = {
   machine : Machine.t;
   timeout_cycles : int;
   mutable active : bool;
-  mutable deadline : int;
   mutable epoch : int;
   mutable bite_cb : unit -> unit;
   mutable bite_count : int;
@@ -14,7 +13,6 @@ let create machine ~timeout () =
     machine;
     timeout_cycles = Machine.cycles_of_time machine timeout;
     active = false;
-    deadline = 0;
     epoch = 0;
     bite_cb = (fun () -> ());
     bite_count = 0;
@@ -22,7 +20,6 @@ let create machine ~timeout () =
 
 let rec arm t =
   t.epoch <- t.epoch + 1;
-  t.deadline <- Machine.now_cycles t.machine + t.timeout_cycles;
   let epoch = t.epoch in
   Machine.schedule t.machine ~after:t.timeout_cycles (fun () ->
       (* only the newest arming may bite; refreshes invalidate the rest *)
@@ -47,3 +44,10 @@ let on_bite t f = t.bite_cb <- f
 let bites t = t.bite_count
 let enabled t = t.active
 let timeout_cycles t = t.timeout_cycles
+
+let save t =
+  let active = t.active and epoch = t.epoch and bite_count = t.bite_count in
+  fun () ->
+    t.active <- active;
+    t.epoch <- epoch;
+    t.bite_count <- bite_count

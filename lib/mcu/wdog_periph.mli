@@ -19,6 +19,12 @@ val refresh : t -> unit
 (** The service operation (the HAL's [Clear] method). Ignored while
     disabled. *)
 
+val save : t -> unit -> unit
+(** Capture the watchdog now and return its restorer, callable any
+    number of times. Its pending expiry is an event on the machine, so
+    restore the machine from a capture taken at the same instant
+    ({!Machine.save}). *)
+
 val on_bite : t -> (unit -> unit) -> unit
 (** Called at each expiry (the reset the real part would perform); the
     watchdog re-arms afterwards. *)

@@ -59,7 +59,8 @@ type beh = {
           discrete state must not be touched. Not called for a behaviour
           with a [kernel]. *)
   update : time:float -> Value.t array -> unit;
-      (** advance discrete state after all outputs of the step are up *)
+      (** advance discrete state after all outputs of the step are up.
+          The engine never calls [no_beh_state]'s, which does nothing. *)
   kernel : kernel option;
       (** the float kernel, which the engine evaluates in place of [out]
           at every step and every solver stage; the only way to own

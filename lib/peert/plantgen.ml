@@ -6,39 +6,42 @@ let in0 g = List.nth g.Blockgen.ins 0
 let out_ g i = List.nth g.Blockgen.outs i
 let out0 g = out_ g 0
 
-(* Load torque expression of the serialised {!Load_profile} (see
-   Plant_blocks.load_params); [w] is the current speed expression. *)
-let load_torque_expr ps w =
-  match Param.string_opt ps "load" with
+(* Load torque expression of the serialised {!Load_profile} under [key]
+   (see Plant_blocks.load_params); [w] is the current speed expression.
+   A [Sum] adds its parts left to right from 0, as [Load_profile.torque]
+   does, so the C sums in the same order. *)
+let rec load_torque_expr ?(key = "load") ps w =
+  let f k = flt (Param.float ps (key ^ "_" ^ k)) in
+  let at_or_after k = Bin (">=", Var "model_time", f k) in
+  match Param.string_opt ps key with
   | None | Some "none" -> flt 0.0
-  | Some "constant" -> flt (Param.float ps "load_tau")
-  | Some "viscous" -> Bin ("*", flt (Param.float ps "load_k"), w)
-  | Some "step" ->
-      Ternary
-        ( Bin (">=", Var "model_time", flt (Param.float ps "load_at")),
-          flt (Param.float ps "load_tau"), flt 0.0 )
+  | Some "constant" -> f "tau"
+  | Some "viscous" -> Bin ("*", f "k", w)
+  | Some "step" -> Ternary (at_or_after "at", f "tau", flt 0.0)
   | Some "pulse" ->
       Ternary
-        ( Bin
-            ( "&&",
-              Bin (">=", Var "model_time", flt (Param.float ps "load_start")),
-              Bin ("<", Var "model_time", flt (Param.float ps "load_stop")) ),
-          flt (Param.float ps "load_tau"), flt 0.0 )
+        ( Bin ("&&", at_or_after "start", Bin ("<", Var "model_time", f "stop")),
+          f "tau", flt 0.0 )
   | Some "periodic" ->
-      let at = flt (Param.float ps "load_at") in
       Ternary
         ( Bin
             ( "&&",
-              Bin (">=", Var "model_time", at),
+              at_or_after "at",
               Bin
                 ( "<",
-                  Call
-                    ( "fmod",
-                      [ Bin ("-", Var "model_time", at);
-                        flt (Param.float ps "load_every") ] ),
-                  flt (Param.float ps "load_duration") ) ),
-          flt (Param.float ps "load_tau"), flt 0.0 )
-  | Some _ -> flt 0.0 (* composite profiles have no C realisation *)
+                  Call ("fmod", [ Bin ("-", Var "model_time", f "at"); f "every" ]),
+                  f "duration" ) ),
+          f "tau", flt 0.0 )
+  | Some "sum" ->
+      List.fold_left
+        (fun acc i ->
+          Bin ("+", acc, load_torque_expr ~key:(key ^ "." ^ string_of_int i) ps w))
+        (flt 0.0)
+        (List.init (Param.int ps (key ^ "_n")) Fun.id)
+  | Some other ->
+      raise
+        (Target.Codegen_error
+           (Printf.sprintf "load profile %S has no C realisation" other))
 
 let emit_builtin ~dt g spec =
   let ps = spec.Block.params in

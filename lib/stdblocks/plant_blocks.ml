@@ -1,24 +1,25 @@
 (* Serialise the load profile into block parameters so the simulator
-   code generator can rebuild it; composite profiles fall back to the
-   closest simple form. *)
-let load_params load =
+   code generator can rebuild it. Each key hangs off [key]; the parts of
+   a [Sum] hang off [key ^ ".0"], [key ^ ".1"], ... *)
+let rec load_params ?(key = "load") load =
+  let kind k = (key, Param.String k) and f k x = (key ^ "_" ^ k, Param.Float x) in
   match load with
-  | Load_profile.No_load -> [ ("load", Param.String "none") ]
-  | Load_profile.Constant tau ->
-      [ ("load", Param.String "constant"); ("load_tau", Param.Float tau) ]
-  | Load_profile.Viscous k ->
-      [ ("load", Param.String "viscous"); ("load_k", Param.Float k) ]
-  | Load_profile.Step { at; torque } ->
-      [ ("load", Param.String "step"); ("load_at", Param.Float at);
-        ("load_tau", Param.Float torque) ]
+  | Load_profile.No_load -> [ kind "none" ]
+  | Load_profile.Constant tau -> [ kind "constant"; f "tau" tau ]
+  | Load_profile.Viscous k -> [ kind "viscous"; f "k" k ]
+  | Load_profile.Step { at; torque } -> [ kind "step"; f "at" at; f "tau" torque ]
   | Load_profile.Pulse { start; stop; torque } ->
-      [ ("load", Param.String "pulse"); ("load_start", Param.Float start);
-        ("load_stop", Param.Float stop); ("load_tau", Param.Float torque) ]
+      [ kind "pulse"; f "start" start; f "stop" stop; f "tau" torque ]
   | Load_profile.Periodic { at; every; duration; torque } ->
-      [ ("load", Param.String "periodic"); ("load_at", Param.Float at);
-        ("load_every", Param.Float every); ("load_duration", Param.Float duration);
-        ("load_tau", Param.Float torque) ]
-  | Load_profile.Sum _ -> [ ("load", Param.String "composite") ]
+      [ kind "periodic"; f "at" at; f "every" every; f "duration" duration;
+        f "tau" torque ]
+  | Load_profile.Sum parts ->
+      kind "sum"
+      :: (key ^ "_n", Param.Int (List.length parts))
+      :: List.concat
+           (List.mapi
+              (fun i p -> load_params ~key:(key ^ "." ^ string_of_int i) p)
+              parts)
 
 let dc_motor ?(params = Dc_motor.default) ?(load = Load_profile.No_load) () =
   let p = params in

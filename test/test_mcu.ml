@@ -349,6 +349,106 @@ let test_watchdog () =
   Machine.advance m ~cycles:(3 * Wdog_periph.timeout_cycles wd);
   check_int "quiet when disabled" before (Wdog_periph.bites wd)
 
+(* ---- save/restore: a restored machine continues bit for bit ---- *)
+
+type mop =
+  | Sched of int * int option  (* delay; the vector the event raises *)
+  | Raise of int
+  | Adv of int
+  | Refresh
+  | Wdog of bool  (* enable or disable the watchdog *)
+
+let gen_mop =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map2 (fun d v -> Sched (d, v)) (int_range 0 800) (opt (int_range 0 2)));
+        (2, map (fun v -> Raise v) (int_range 0 2));
+        (4, map (fun c -> Adv c) (int_range 0 700));
+        (1, return Refresh);
+        (1, map (fun on -> Wdog on) bool);
+      ])
+
+(* three vectors of rising cost and falling priority, and a watchdog of
+   1200 cycles whose bite raises the lowest vector; every job and event
+   appends to [log] *)
+type rig = {
+  m : Machine.t;
+  wd : Wdog_periph.t;
+  vecs : Machine.irq_id array;
+  log : (string * int) list ref;
+}
+
+let rig preemptive =
+  let m = Machine.create ~preemptive Mcu_db.mc56f8367 in
+  let log = ref [] in
+  let note s = log := (s, Machine.now_cycles m) :: !log in
+  let vecs =
+    Array.init 3 (fun i ->
+        let name = "v" ^ string_of_int i in
+        Machine.register_irq m ~name ~prio:i ~handler:(fun () ->
+            job ~stack:(8 * (i + 1)) name (60 + (90 * i)) (fun () -> note name)))
+  in
+  let wd = Wdog_periph.create m ~timeout:2e-5 () in
+  Wdog_periph.on_bite wd (fun () ->
+      note "bite";
+      Machine.raise_irq m vecs.(2));
+  Wdog_periph.enable wd;
+  { m; wd; vecs; log }
+
+let apply r = function
+  | Sched (after, v) ->
+      Machine.schedule r.m ~after (fun () ->
+          r.log := ("ev", Machine.now_cycles r.m) :: !(r.log);
+          Option.iter (fun v -> Machine.raise_irq r.m r.vecs.(v)) v)
+  | Raise v -> Machine.raise_irq r.m r.vecs.(v)
+  | Adv cycles -> Machine.advance r.m ~cycles
+  | Refresh -> Wdog_periph.refresh r.wd
+  | Wdog true -> Wdog_periph.enable r.wd
+  | Wdog false -> Wdog_periph.disable r.wd
+
+let observe r =
+  ( (Machine.now_cycles r.m, Wdog_periph.bites r.wd, Machine.busy r.m),
+    (Machine.max_stack_bytes r.m, Machine.busy_cycles r.m),
+    Array.map (Machine.stats_of r.m) r.vecs,
+    !(r.log) )
+
+(* k ops, save, m other ops, restore, then the same ops twice over from
+   the one save: both replays equal a machine that never went astray *)
+let prop_save_restore =
+  QCheck2.Test.make ~name:"save/restore replays random op sequences" ~count:300
+    QCheck2.Gen.(
+      pair bool
+        (triple
+           (list_size (int_range 0 30) gen_mop)
+           (list_size (int_range 0 30) gen_mop)
+           (list_size (int_range 1 30) gen_mop)))
+    (fun (preemptive, (before, astray, after)) ->
+      let run r =
+        r.log := [];
+        List.iter (apply r) after;
+        observe r
+      in
+      let reference =
+        let r = rig preemptive in
+        List.iter (apply r) before;
+        run r
+      in
+      let r = rig preemptive in
+      List.iter (apply r) before;
+      let restore =
+        let m = Machine.save r.m and w = Wdog_periph.save r.wd in
+        fun () ->
+          m ();
+          w ()
+      in
+      List.iter (apply r) astray;
+      restore ();
+      let first = run r in
+      restore ();
+      let second = run r in
+      first = reference && second = reference)
+
 let suite =
   [
     Alcotest.test_case "watchdog" `Quick test_watchdog;
@@ -377,4 +477,5 @@ let suite =
     Alcotest.test_case "sci timing" `Quick test_sci_timing;
     Alcotest.test_case "sci rx overrun" `Quick test_sci_rx_and_overrun;
     Alcotest.test_case "sci fifo overflow" `Quick test_sci_fifo_overflow;
+    QCheck_alcotest.to_alcotest prop_save_restore;
   ]

@@ -70,6 +70,48 @@ let test_periodic_load_compiles () =
           (sh dir "gcc -c -Wall -Werror servo_plant.c -o plant.o 2> gcc.log" = 0
            || (ignore (Sys.command (Printf.sprintf "cat %s/gcc.log 1>&2" dir)); false)))
 
+(* a Sum load reaches the generated plant as the sum of its parts (it
+   used to be serialised as a zero torque), and the unit compiles; a
+   load shape with no C form is refused instead of zeroed *)
+let test_sum_load_compiles () =
+  let load =
+    Load_profile.Sum
+      [
+        Load_profile.Step { at = 1.2; torque = 4e-3 };
+        Load_profile.Pulse { start = 0.9; stop = 0.95; torque = 2e-3 };
+      ]
+  in
+  let gen m = Sim_target.generate ~name:"servo" (Compile.compile ~default_dt:1e-4 m) in
+  let a = gen (Servo_system.plant_model { Servo_system.default_config with load }) in
+  let plant = C_print.print_unit a.Sim_target.plant_c in
+  check_bool "step part" true (contains plant "model_time >= 1.2");
+  check_bool "pulse part" true (contains plant "model_time < 0.9499");
+  check_bool "no zero torque" false (contains plant "motor_tau = 0.0;");
+  if have_gcc then
+    with_tmpdir (fun dir ->
+        ignore (Sim_target.write_to_dir a ~dir);
+        check_bool "plant compiles" true
+          (sh dir "gcc -c -Wall -Werror servo_plant.c -o plant.o 2> gcc.log" = 0
+           || (ignore (Sys.command (Printf.sprintf "cat %s/gcc.log 1>&2" dir)); false)));
+  let bogus = Model.create "bogus" in
+  let u = Model.add bogus ~name:"u" (Sources.constant 1.0) in
+  let motor = Plant_blocks.dc_motor () in
+  let motor =
+    Model.add bogus ~name:"motor"
+      {
+        motor with
+        Block.params =
+          List.map
+            (fun (k, v) -> if k = "load" then (k, Param.String "bogus") else (k, v))
+            motor.Block.params;
+      }
+  in
+  Model.connect bogus ~src:(u, 0) ~dst:(motor, 0);
+  match gen bogus with
+  | exception Target.Codegen_error msg ->
+      check_bool "names the shape" true (contains msg "bogus")
+  | _ -> Alcotest.fail "a load with no C form generated"
+
 let test_generated_plant_matches_ocaml () =
   if not have_gcc then ()
   else
@@ -261,6 +303,7 @@ let suite =
     Alcotest.test_case "simulator compiles (gcc)" `Quick test_compiles_with_gcc;
     Alcotest.test_case "periodic load compiles (gcc)" `Quick
       test_periodic_load_compiles;
+    Alcotest.test_case "sum load compiles (gcc)" `Quick test_sum_load_compiles;
     Alcotest.test_case "generated plant == OCaml sim" `Quick
       test_generated_plant_matches_ocaml;
     Alcotest.test_case "embedded code compiles (gcc)" `Quick test_embedded_code_compiles;
