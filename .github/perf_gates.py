@@ -20,7 +20,7 @@ Run from the root of a built source checkout. GATE is any of
   compiled     paired `ecsd diff servo --steps 5000` wall times: the
                compiled SIL engine is faster than the reference engine;
   restore      paired `ecsd faultsim --scenario sensor-stuck` runs with
-               `--seeds 8` and `--seeds 1`, each pair the total of 6
+               `--seeds 8` and `--seeds 1`, each pair the total of 10
                interleaved runs a side: a scenario that never draws from
                the RNG simulates one run, and the seven restored seeds
                cost under 8 % of the wall time;
@@ -54,7 +54,7 @@ REGRESSION_BOUND = 1.25
 RESTORE_BOUND = 1.08
 # a run takes ~10 ms, so a single pair reads a burst of host noise as a
 # ratio far from 1 either way
-RESTORE_RUNS = 6
+RESTORE_RUNS = 10
 
 GATES = ("recorder", "supervision", "regression", "compiled", "restore",
          "scaling")
