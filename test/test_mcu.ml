@@ -317,6 +317,41 @@ let test_mcu_db_entries () =
   let dsc = Cost_model.cycles_of_block Mcu_db.mc56f8367 gain Dtype.Double in
   check_bool "FPU double much cheaper" true (dsc > 5 * ppc)
 
+let test_mcu_db_pins () =
+  (* every part's pin list, names and order, pinned literally *)
+  let pins name =
+    match Mcu_db.find name with
+    | Some t -> t.Mcu_db.pins
+    | None -> Alcotest.failf "no part %s" name
+  in
+  List.iter
+    (fun (name, n, joined) ->
+      let ps = pins name in
+      check_int (name ^ " pin count") n (List.length ps);
+      Alcotest.(check string) (name ^ " pin names") joined (String.concat " " ps))
+    [
+      ( "MC56F8367", 24,
+        "GPIOA0 GPIOA1 GPIOA2 GPIOA3 GPIOA4 GPIOA5 GPIOA6 GPIOA7 GPIOB0 GPIOB1 \
+         GPIOB2 GPIOB3 GPIOB4 GPIOB5 GPIOB6 GPIOB7 GPIOC0 GPIOC1 GPIOC2 GPIOC3 \
+         GPIOC4 GPIOC5 GPIOC6 GPIOC7" );
+      ( "MC56F8323", 12,
+        "GPIOA0 GPIOA1 GPIOA2 GPIOA3 GPIOA4 GPIOA5 GPIOA6 GPIOA7 GPIOB0 GPIOB1 \
+         GPIOB2 GPIOB3" );
+      ( "MC9S12DP256", 24,
+        "PORTA0 PORTA1 PORTA2 PORTA3 PORTA4 PORTA5 PORTA6 PORTA7 PORTB0 PORTB1 \
+         PORTB2 PORTB3 PORTB4 PORTB5 PORTB6 PORTB7 PTT0 PTT1 PTT2 PTT3 PTT4 \
+         PTT5 PTT6 PTT7" );
+      ( "MCF5213", 20,
+        "PORTTC0 PORTTC1 PORTTC2 PORTTC3 PORTAN0 PORTAN1 PORTAN2 PORTAN3 \
+         PORTAN4 PORTAN5 PORTAN6 PORTAN7 PORTQS0 PORTQS1 PORTQS2 PORTQS3 \
+         PORTQS4 PORTQS5 PORTQS6 PORTQS7" );
+      ( "MPC5554", 32,
+        "ETPUA0 ETPUA1 ETPUA2 ETPUA3 ETPUA4 ETPUA5 ETPUA6 ETPUA7 ETPUA8 ETPUA9 \
+         ETPUA10 ETPUA11 ETPUA12 ETPUA13 ETPUA14 ETPUA15 EMIOS0 EMIOS1 EMIOS2 \
+         EMIOS3 EMIOS4 EMIOS5 EMIOS6 EMIOS7 EMIOS8 EMIOS9 EMIOS10 EMIOS11 \
+         EMIOS12 EMIOS13 EMIOS14 EMIOS15" );
+    ]
+
 let test_small_sibling_fits_servo () =
   (* the MC56F8323 still runs the full case study and fits its 8 KiB RAM *)
   let cfg = { Servo_system.default_config with Servo_system.mcu = Mcu_db.mc56f8323 } in
@@ -453,6 +488,7 @@ let suite =
   [
     Alcotest.test_case "watchdog" `Quick test_watchdog;
     Alcotest.test_case "mcu database" `Quick test_mcu_db_entries;
+    Alcotest.test_case "mcu database pins" `Quick test_mcu_db_pins;
     Alcotest.test_case "small sibling servo" `Quick test_small_sibling_fits_servo;
     Alcotest.test_case "event order" `Quick test_schedule_order;
     Alcotest.test_case "simultaneous fifo" `Quick test_simultaneous_events_fifo;
