@@ -38,7 +38,8 @@ type t = {
   pins : string list;
 }
 
-let gpio_pins prefix n = List.init n (fun i -> Printf.sprintf "%s%d" prefix i)
+(* The pin lists are written out in full: literal lists are static data,
+   so a process that never reads them (every [ecsd] start) builds none. *)
 
 let mc56f8367 =
   {
@@ -61,7 +62,11 @@ let mc56f8367 =
     dac = { dac_channels = 2; dac_resolutions = [ 12 ] };
     sci_count = 2;
     has_qdec = true;
-    pins = gpio_pins "GPIOA" 8 @ gpio_pins "GPIOB" 8 @ gpio_pins "GPIOC" 8;
+    pins =
+      [ "GPIOA0"; "GPIOA1"; "GPIOA2"; "GPIOA3"; "GPIOA4"; "GPIOA5"; "GPIOA6";
+        "GPIOA7"; "GPIOB0"; "GPIOB1"; "GPIOB2"; "GPIOB3"; "GPIOB4"; "GPIOB5";
+        "GPIOB6"; "GPIOB7"; "GPIOC0"; "GPIOC1"; "GPIOC2"; "GPIOC3"; "GPIOC4";
+        "GPIOC5"; "GPIOC6"; "GPIOC7" ];
   }
 
 let mc9s12dp256 =
@@ -85,7 +90,11 @@ let mc9s12dp256 =
     dac = { dac_channels = 0; dac_resolutions = [] };
     sci_count = 2;
     has_qdec = false;
-    pins = gpio_pins "PORTA" 8 @ gpio_pins "PORTB" 8 @ gpio_pins "PTT" 8;
+    pins =
+      [ "PORTA0"; "PORTA1"; "PORTA2"; "PORTA3"; "PORTA4"; "PORTA5"; "PORTA6";
+        "PORTA7"; "PORTB0"; "PORTB1"; "PORTB2"; "PORTB3"; "PORTB4"; "PORTB5";
+        "PORTB6"; "PORTB7"; "PTT0"; "PTT1"; "PTT2"; "PTT3"; "PTT4"; "PTT5";
+        "PTT6"; "PTT7" ];
   }
 
 let mcf5213 =
@@ -109,7 +118,11 @@ let mcf5213 =
     dac = { dac_channels = 1; dac_resolutions = [ 12 ] };
     sci_count = 3;
     has_qdec = true;
-    pins = gpio_pins "PORTTC" 4 @ gpio_pins "PORTAN" 8 @ gpio_pins "PORTQS" 8;
+    pins =
+      [ "PORTTC0"; "PORTTC1"; "PORTTC2"; "PORTTC3"; "PORTAN0"; "PORTAN1";
+        "PORTAN2"; "PORTAN3"; "PORTAN4"; "PORTAN5"; "PORTAN6"; "PORTAN7";
+        "PORTQS0"; "PORTQS1"; "PORTQS2"; "PORTQS3"; "PORTQS4"; "PORTQS5";
+        "PORTQS6"; "PORTQS7" ];
   }
 
 let mc56f8323 =
@@ -128,7 +141,9 @@ let mc56f8323 =
     pwm = { pwm_channels = 6; pwm_counter_bits = 15 };
     dac = { dac_channels = 1; dac_resolutions = [ 12 ] };
     sci_count = 1;
-    pins = gpio_pins "GPIOA" 8 @ gpio_pins "GPIOB" 4;
+    pins =
+      [ "GPIOA0"; "GPIOA1"; "GPIOA2"; "GPIOA3"; "GPIOA4"; "GPIOA5"; "GPIOA6";
+        "GPIOA7"; "GPIOB0"; "GPIOB1"; "GPIOB2"; "GPIOB3" ];
   }
 
 let mpc5554 =
@@ -154,7 +169,12 @@ let mpc5554 =
     dac = { dac_channels = 0; dac_resolutions = [] };
     sci_count = 2;
     has_qdec = true;
-    pins = gpio_pins "ETPUA" 16 @ gpio_pins "EMIOS" 16;
+    pins =
+      [ "ETPUA0"; "ETPUA1"; "ETPUA2"; "ETPUA3"; "ETPUA4"; "ETPUA5"; "ETPUA6";
+        "ETPUA7"; "ETPUA8"; "ETPUA9"; "ETPUA10"; "ETPUA11"; "ETPUA12";
+        "ETPUA13"; "ETPUA14"; "ETPUA15"; "EMIOS0"; "EMIOS1"; "EMIOS2";
+        "EMIOS3"; "EMIOS4"; "EMIOS5"; "EMIOS6"; "EMIOS7"; "EMIOS8"; "EMIOS9";
+        "EMIOS10"; "EMIOS11"; "EMIOS12"; "EMIOS13"; "EMIOS14"; "EMIOS15" ];
   }
 
 let all = [ mc56f8367; mc56f8323; mc9s12dp256; mcf5213; mpc5554 ]

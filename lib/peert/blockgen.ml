@@ -60,8 +60,9 @@ let cast_helper_of_dtype = function
    translation unit that may call them). Round half away from zero,
    saturate at the dtype's range, NaN maps to zero — C99 round() is
    exactly OCaml's Float.round, so an output routed through one of
-   these agrees bit for bit with the simulated signal. *)
-let cast_helpers =
+   these agrees bit for bit with the simulated signal. Built on call:
+   a process that generates no code never pays for the AST. *)
+let cast_helpers () =
   let mk cname ret lo hi =
     Func_def
       (func ~static:true
@@ -142,7 +143,7 @@ let used_cast_helpers stmts =
     (function
       | Func_def f -> List.mem f.fname used
       | _ -> false)
-    cast_helpers
+    (cast_helpers ())
 
 let time_var = Var "model_time"
 

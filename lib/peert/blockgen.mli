@@ -64,7 +64,7 @@ val cast_helper_of_dtype : Dtype.t -> string option
     (round half away from zero, saturate, NaN -> 0) for a quantised
     dtype; [None] for float and fixed-point dtypes. *)
 
-val cast_helpers : C_ast.item list
+val cast_helpers : unit -> C_ast.item list
 (** Static definitions of the pe_cast_* quantisation helpers, appended
     by the targets to every generated translation unit. *)
 

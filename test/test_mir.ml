@@ -577,7 +577,7 @@ let lower_to_c_unit vars body =
       vars
   in
   { C_ast.unit_name = "fuzz.c";
-    items = Target.fix_helpers @ Blockgen.cast_helpers @ probes }
+    items = Target.fix_helpers @ Blockgen.cast_helpers () @ probes }
 
 let mir_env = Mir_env.create []
 
