@@ -256,6 +256,15 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
     let wdog_timeout = Option.value wdog_timeout ~default:(8.0 *. period) in
     (period, steps, wdog_timeout)
   in
+  (* a scenario that never draws from the RNG is one run for every seed:
+     the first seed simulates it and the rest restore its checkpoint, so
+     a second domain would only simulate it again. A count past the
+     domain limit still goes through, for [Seed_sweep] to refuse. *)
+  let jobs =
+    if Fault_scenario.onset ~only:Fault_inject.draws scenario = infinity then
+      Option.map (fun j -> if j > Exec_pool.max_jobs then j else 1) jobs
+    else jobs
+  in
   let s =
     Seed_sweep.run ?jobs ?policy ?track_base
       ?on_run:(Option.map (fun f _ r -> f r) on_run)

@@ -97,9 +97,11 @@ val sweep :
       metrics so far, {!Fault_inject.save}, the stretch's flight
       events); every later seed on that domain re-records those events
       under its own track, restores the injector, the simulation and
-      the MCU, and simulates only the rest. Results, flight bundles and the [fault.*] counters
-      are those of simulating every step; [sim.steps] counts the steps
-      simulated.
+      the MCU, and simulates only the rest. A scenario with no such
+      fault runs on this domain whatever [jobs] is: its later seeds
+      simulate nothing, so another domain would only repeat the run.
+      Results, flight bundles and the [fault.*] counters are those of
+      simulating every step; [sim.steps] counts the steps simulated.
     - [on_run] fires after each completed run, on the domain that ran
       it (it must synchronize its own state) — the CLI uses it to keep a
       partial report it can flush if a later run dies.

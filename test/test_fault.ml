@@ -693,6 +693,34 @@ let test_campaign_dropout () =
    seeds are independent, results land in seed order, and each worker
    domain builds its own subject. Both bodies of the seed sweep are
    held to it: the MIL fault campaign and the MIL<->SIL diff. *)
+(* A scenario that never draws from the RNG is one run for every seed,
+   so it runs on one domain whatever the job count: at --jobs 4 it
+   reports what --jobs 1 does and simulates as many steps, one run's. *)
+let test_shared_campaign_one_domain () =
+  let scenario = builtin "wdog-suppress" in
+  let steps = Obs.counter "sim.steps" in
+  let campaign jobs =
+    let before = Obs.counter_value steps in
+    let r =
+      Fault_campaign.sweep ~t_end:1.5 ~seeds:6 ~jobs ~scenario (fun () ->
+          fst (Servo_system.faultsim_subject ~scenario ()))
+    in
+    (r, Obs.counter_value steps - before)
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let (one, n1), (four, n4) =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled was)
+      (fun () ->
+        let one = campaign 1 in
+        (one, campaign 4))
+  in
+  check_bool "jobs 4 report = jobs 1 report" true
+    (one.Fault_campaign.runs = four.Fault_campaign.runs);
+  check_int "one run simulated" one.Fault_campaign.steps_per_run n1;
+  check_int "jobs 4 sim.steps = jobs 1 sim.steps" n1 n4
+
 let test_parallel_campaign_matches_sequential () =
   let scenario =
     match Fault_scenario.find "encoder-dropout" with
@@ -1059,6 +1087,8 @@ let suite =
       test_campaign_dropout;
     Alcotest.test_case "campaign: parallel matches sequential" `Quick
       test_parallel_campaign_matches_sequential;
+    Alcotest.test_case "campaign: shared run on one domain" `Quick
+      test_shared_campaign_one_domain;
     Alcotest.test_case "campaign: run sizes validated" `Quick
       test_run_sizes_validated;
     Alcotest.test_case "campaign: fault ports validated" `Quick
