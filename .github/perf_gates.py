@@ -24,6 +24,11 @@ Run from the root of a built source checkout. GATE is any of
                interleaved runs a side: a scenario that never draws from
                the RNG simulates one run, and the seven restored seeds
                cost under 8 % of the wall time;
+  startup      paired `ecsd --version` spawns of this checkout and of the
+               one at --base-dir, each pair the total of 20 interleaved
+               spawns a side: a cold process of this checkout starts at
+               most 10 % slower than the base's (a dynamic PIE relink of
+               a static binary reads ~x1.2);
   scaling      `ecsd faultsim --scenario noise-burst --seeds 64 --jobs J`
                for J = 1..nproc: reported, never gated;
 
@@ -55,9 +60,12 @@ RESTORE_BOUND = 1.08
 # a run takes ~10 ms, so a single pair reads a burst of host noise as a
 # ratio far from 1 either way
 RESTORE_RUNS = 10
+STARTUP_BOUND = 1.10
+# a spawn takes ~2 ms, of which host noise moves a few tenths
+STARTUP_RUNS = 20
 
 GATES = ("recorder", "supervision", "regression", "compiled", "restore",
-         "scaling")
+         "startup", "scaling")
 
 
 # ---- decision rules (tested by test_perf_gates.py) ----
@@ -258,6 +266,19 @@ class Gates:
             ratios.append(sum(s["8"]) / sum(s["1"]))
         self.ratio_gate("seeds 8 / seeds 1", ratios, RESTORE_BOUND)
 
+    def startup(self):
+        print(f"startup: {PAIRS} pairs of ecsd --version, this checkout / "
+              f"{self.base_dir}, each the total of {STARTUP_RUNS} interleaved "
+              f"spawns a side")
+        sides = {"head": lambda: wall([ecsd(ROOT), "--version"], self.tmp),
+                 "base": lambda: wall([ecsd(self.base_dir), "--version"],
+                                      self.tmp)}
+        ratios = []
+        for _ in range(PAIRS):
+            s = interleaved(STARTUP_RUNS, sides)
+            ratios.append(sum(s["head"]) / sum(s["base"]))
+        self.ratio_gate("head / base", ratios, STARTUP_BOUND)
+
     def scaling(self):
         nproc = len(os.sched_getaffinity(0))
         print(f"scaling (report only): faultsim noise-burst --seeds 64, "
@@ -276,7 +297,7 @@ class Gates:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base-dir", help="a checkout of the base commit "
-                    "(needed by the regression gate)")
+                    "(needed by the regression and startup gates)")
     ap.add_argument("gates", nargs="*", metavar="GATE",
                     help=" | ".join(GATES) + " (default: all)")
     a = ap.parse_args()
@@ -285,9 +306,9 @@ def main():
         if n not in GATES:
             ap.error(f"unknown gate {n!r}")
     base = None
-    if "regression" in names:
+    if "regression" in names or "startup" in names:
         if not a.base_dir:
-            ap.error("the regression gate needs --base-dir")
+            ap.error("the regression and startup gates need --base-dir")
         base = os.path.abspath(a.base_dir)
         build(base)
     build(ROOT)

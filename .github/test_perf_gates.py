@@ -47,6 +47,29 @@ class RatioVerdict(unittest.TestCase):
         self.assertEqual(perf_gates.ratio_verdict(xs, 1.05), "unresolved")
 
 
+class StartupVerdict(unittest.TestCase):
+    # head / base totals of 20 `ecsd --version` spawns a side, 11 pairs
+    SAME = [0.97, 0.99, 1.00, 1.00, 1.01, 1.01, 1.02, 1.02, 1.03, 1.04, 1.06]
+
+    def test_unchanged_binary_passes(self):
+        self.assertEqual(
+            perf_gates.ratio_verdict(self.SAME, perf_gates.STARTUP_BOUND),
+            "pass")
+
+    def test_pie_relink_fails(self):
+        # a dynamic PIE binary against a static one: ~0.4 ms on ~2.1 ms
+        pie = [r * 1.2 for r in self.SAME]
+        self.assertEqual(
+            perf_gates.ratio_verdict(pie, perf_gates.STARTUP_BOUND), "fail")
+
+    def test_faster_head_passes(self):
+        # the static relink against a dynamic PIE base
+        static = [r / 1.25 for r in self.SAME]
+        self.assertEqual(
+            perf_gates.ratio_verdict(static, perf_gates.STARTUP_BOUND),
+            "pass")
+
+
 class RegressionVerdict(unittest.TestCase):
     BASE = [1.00, 1.10, 1.05, 0.95, 1.20, 1.02, 0.98]
 
