@@ -38,8 +38,8 @@ type t = {
   pins : string list;
 }
 
-(* The pin lists are written out in full: literal lists are static data,
-   so a process that never reads them (every [ecsd] start) builds none. *)
+(* The pin lists are written out in full: literal lists are static
+   data, so no process builds them at start-up. *)
 
 let mc56f8367 =
   {
