@@ -21,26 +21,7 @@ type t = {
   mutable delayed : int;
 }
 
-(* SplitMix64, the same deterministic generator the PIL co-simulator
-   uses for line-error injection *)
-let splitmix state =
-  state := Int64.add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let uniform t =
-  Int64.to_float (Int64.shift_right_logical (splitmix t.state) 11)
-  /. 9007199254740992.0
-
-let bits t n = Int64.to_int (Int64.logand (splitmix t.state) (Int64.of_int (n - 1)))
+let uniform t = Splitmix.unit_float (Splitmix.next t.state)
 
 let create cfg ~sink =
   {
@@ -67,7 +48,7 @@ let send t b =
   let b =
     if t.cfg.corrupt_rate > 0.0 && uniform t < t.cfg.corrupt_rate then begin
       t.corrupted <- t.corrupted + 1;
-      b lxor (1 lsl bits t 8)
+      b lxor 0x55
     end
     else b
   in

@@ -1,18 +1,21 @@
 (** Seeded fault injection for the framed RS-232 byte stream.
 
     Wraps any byte sink with a deterministic noise source: each byte
-    pushed through the wrapper may be bit-corrupted, dropped,
-    duplicated or held back one byte (reordered), with independent
-    per-byte probabilities drawn from a SplitMix64 generator. Every run
-    with the same seed injects the same fault pattern, so a CRC/framer
-    failure found under noise replays exactly.
+    pushed through the wrapper may be corrupted, dropped, duplicated or
+    held back one byte (reordered), with independent per-byte
+    probabilities drawn from a {!Splitmix} generator. Every run with the
+    same seed injects the same fault pattern, so a CRC/framer failure
+    found under noise replays exactly.
 
-    This is the line-noise model of the PIL/HIL serial link: use it to
-    prove the CRC16 + framing layer rejects (never mis-parses) damaged
-    frames and recovers on the next clean one. *)
+    This is the one line-noise model of the serial link: {!Pil_cosim}'s
+    [error_rate] sends its bytes through it, and the comm tests use it
+    to prove the CRC16 + framing layer rejects (never mis-parses)
+    damaged frames and recovers on the next clean one. *)
 
 type config = {
-  corrupt_rate : float;  (** probability a byte gets one bit flipped *)
+  corrupt_rate : float;
+      (** probability a byte is corrupted (XORed with [0x55]); one draw
+          per byte *)
   drop_rate : float;  (** probability a byte vanishes *)
   dup_rate : float;  (** probability a byte is sent twice *)
   delay_rate : float;

@@ -24,7 +24,9 @@ let make ~config ?(steps = 1000) ?(float_mode = Silvm_diff.Exact)
     Option.iter
       (Fault_scenario.check_hooks
          ~sensor_slots:(List.length (Target.sensor_slots comp.Compile.model))
-         ~duty:false)
+         ~refuse:(fun kind ->
+           if Fault.is_sensor kind then None
+           else Some "diff applies sensor faults only"))
       scenario;
     let run seed =
       let injector = Option.map (injector ~seed) scenario in

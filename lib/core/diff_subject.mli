@@ -31,8 +31,9 @@ val make :
     {!Silvm_diff.Compiled}) are as in {!Silvm_diff.run}.
     @raise Supervise.Bad_request when [steps < 0], or when [scenario]
     has a fault the generated code's sensor slots cannot take: a sensor
-    fault on a slot the model lacks, or any actuator fault
-    ({!Fault_scenario.check_hooks}).
+    fault on a slot the model lacks, or any fault of another kind
+    (actuator, load, overrun, watchdog), which the lock-step does not
+    apply ({!Fault_scenario.check_hooks}).
     @raise Invalid_argument when the servo's bean project does not
     verify. *)
 

@@ -35,14 +35,6 @@ type outcome = {
   max_overshoot : float;
 }
 
-let splitmix state =
-  state := Int64.add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let r = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_float (Int64.shift_right_logical r 11) /. 9007199254740992.0
-
 (* The loop runs on a fine sub-grid (64 ticks per control period) so that
    jittered sampling instants and delayed actuations land between
    controller invocations, exactly as on a loaded CPU. *)
@@ -63,7 +55,9 @@ let run cfg =
   let pending = ref [] in
   for k = 0 to n_periods - 1 do
     let t_k = float_of_int k *. cfg.period in
-    let jitter = cfg.jitter_frac *. cfg.period *. splitmix rng in
+    let jitter =
+      cfg.jitter_frac *. cfg.period *. Splitmix.unit_float (Splitmix.next rng)
+    in
     let sample_tick = (k * sub) + int_of_float (Float.round (jitter /. h)) in
     for i = 0 to sub - 1 do
       let tick = (k * sub) + i in

@@ -75,12 +75,6 @@ type 'a outcome = { result : ('a, error) result; attempts : int }
    the same hash is computed on every domain, so decisions derived here
    cannot depend on scheduling. ---- *)
 
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
 (* uniform in [0,1), 53 mantissa bits *)
 let rand_unit ~seed ~label ~attempt =
   let z =
@@ -88,7 +82,7 @@ let rand_unit ~seed ~label ~attempt =
       (Int64.mul (Int64.of_int seed) 0x9e3779b97f4a7c15L)
       (Int64.of_int ((Hashtbl.hash label * 2654435761) + attempt))
   in
-  Int64.to_float (Int64.shift_right_logical (mix64 z) 11) /. 9007199254740992.0
+  Splitmix.unit_float (Splitmix.mix z)
 
 let backoff_s policy ~label ~attempt =
   let nominal =

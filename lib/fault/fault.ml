@@ -1,7 +1,7 @@
 (* Fault models for robustness campaigns: what can go wrong between the
    controller and the physical world, each with a deterministic schedule
    (onset, duration, optional recurrence) so a seeded campaign replays
-   exactly. Byte-level communication faults delegate to Comm.Faulty. *)
+   exactly. *)
 
 type kind =
   | Sensor_stuck
@@ -14,7 +14,6 @@ type kind =
   | Load_torque of float
   | Overrun of int
   | Wdog_suppress
-  | Comm of Faulty.config
 
 type t = {
   kind : kind;
@@ -67,7 +66,6 @@ let kind_name = function
   | Load_torque x -> Printf.sprintf "load-torque(%g N.m)" x
   | Overrun n -> Printf.sprintf "overrun(+%d cycles)" n
   | Wdog_suppress -> "wdog-suppress"
-  | Comm c -> Printf.sprintf "comm(corrupt=%g)" c.Faulty.corrupt_rate
 
 let is_sensor = function
   | Sensor_stuck | Sensor_offset _ | Sensor_noise _ | Sensor_dropout

@@ -8,8 +8,8 @@
     controller and the physical world: sensor faults on the raw peripheral
     codes, actuator faults on the commanded duty, plant load surges, and
     timing faults (injected step overruns, suppressed watchdog service).
-    Byte-level communication faults are delegated to {!Faulty}, the
-    serial-line fault model of PR 3.
+    Serial-line byte faults are not a campaign kind: the PIL link's
+    [error_rate] models them.
 
     Every fault carries a deterministic schedule — an onset time, a
     duration and an optional recurrence period — so a campaign run with
@@ -30,9 +30,6 @@ type kind =
       (** the control step takes this many extra CPU cycles (a cache
           stall, a runaway interrupt) *)
   | Wdog_suppress  (** the watchdog service call is lost *)
-  | Comm of Faulty.config
-      (** serial-line byte faults, delegated to {!Faulty}; armed for the
-          whole run, ignoring the window *)
 
 type t = {
   kind : kind;

@@ -95,22 +95,23 @@ let save_mcu machine wdog =
     m ();
     w ()
 
-let slot_board slot subject ~wdog_timeout =
+(* the watchdog times out after 8 control periods without service *)
+let slot_board slot subject ~period =
   match slot.board with
   | Some b -> b
   | None ->
       let machine = Machine.create subject.mcu in
-      let wdog = Wdog_periph.create machine ~timeout:wdog_timeout () in
+      let wdog = Wdog_periph.create machine ~timeout:(8.0 *. period) () in
       Wdog_periph.enable wdog;
       let b = { machine; wdog; power_on = save_mcu machine wdog } in
       slot.board <- Some b;
       b
 
-let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
+let one_run slot subject ~scenario ~seed ~steps ~period ~t_end =
   let sim = subject.sim in
   let inj = arm subject ~seed scenario in
   let flight_from = Flight.track_seq () in
-  let board = slot_board slot subject ~wdog_timeout in
+  let board = slot_board slot subject ~period in
   let machine = board.machine and wdog = board.wdog in
   let period_cycles = Machine.cycles_of_time machine period in
   (* the virtual MCU lives the same period, stretched by any injected
@@ -232,8 +233,8 @@ let one_run slot subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
     wdog_bites;
   }
 
-let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
-    ?track_base ~scenario mk_subject =
+let sweep ?(t_end = 2.0) ?(seeds = 5) ?on_run ?policy ?jobs ?track_base
+    ~scenario mk_subject =
   let name = scenario.Fault_scenario.sname in
   (* the run sizes, from the subject's control period *)
   let plan subject =
@@ -250,11 +251,17 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
     if steps < 1 then
       Seed_sweep.bad_request
         "t_end must span at least one %g s step, got %g" period t_end;
+    (* sensor and duty faults go through the port hooks, overruns and
+       lost watchdog service through the virtual MCU, and load faults
+       through the subject's plant *)
     Fault_scenario.check_hooks
       ~sensor_slots:(Array.length subject.ports.sensor_ports)
-      ~duty:(subject.ports.duty_port <> None) scenario;
-    let wdog_timeout = Option.value wdog_timeout ~default:(8.0 *. period) in
-    (period, steps, wdog_timeout)
+      ~refuse:(fun kind ->
+        if Fault.is_actuator kind && subject.ports.duty_port = None then
+          Some "the subject has no duty port"
+        else None)
+      scenario;
+    (period, steps)
   in
   (* a scenario that never draws from the RNG is one run for every seed:
      the first seed simulates it and the rest restore its checkpoint, so
@@ -271,11 +278,10 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
       ~seeds ~track:name ~label:("faultsim:" ^ name)
       ~subject:(fun () -> (mk_subject (), { board = None; ck = None }))
       ~plan:(fun (subject, _) -> plan subject)
-      (fun (period, steps, wdog_timeout) (subject, slot) seed ->
-        one_run slot subject ~scenario ~seed ~steps ~period ~t_end
-          ~wdog_timeout)
+      (fun (period, steps) (subject, slot) seed ->
+        one_run slot subject ~scenario ~seed ~steps ~period ~t_end)
   in
-  let period, steps, _ = s.Seed_sweep.plan in
+  let period, steps = s.Seed_sweep.plan in
   let outcomes = Array.to_list s.Seed_sweep.outcomes in
   let runs, failures =
     List.partition_map
@@ -300,10 +306,8 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ?jobs
     wall_s = Telemetry.wall s.Seed_sweep.wall_s;
   }
 
-let run ?t_end ?seeds ?wdog_timeout ?on_run ?policy ?track_base ~scenario
-    subject =
-  sweep ?t_end ?seeds ?wdog_timeout ?on_run ?policy ?track_base ~scenario
-    (fun () -> subject)
+let run ?t_end ?seeds ?policy ?track_base ~scenario subject =
+  sweep ?t_end ?seeds ?policy ?track_base ~scenario (fun () -> subject)
 
 let throughput ?scenario ~steps subject =
   Sim.reset subject.sim;

@@ -22,6 +22,8 @@ type ports = {
 }
 
 type subject = { sim : Sim.t; ports : ports; mcu : Mcu_db.t }
+(** Load faults are the subject's own to apply: it folds them into its
+    plant, as {!Servo_system.faultsim_subject} does. *)
 
 type run_result = {
   seed : int;
@@ -64,7 +66,6 @@ val disarm : subject -> unit
 val sweep :
   ?t_end:float ->
   ?seeds:int ->
-  ?wdog_timeout:float ->
   ?on_run:(run_result -> unit) ->
   ?policy:Supervise.policy ->
   ?jobs:int ->
@@ -75,9 +76,8 @@ val sweep :
 (** Run the campaign through {!Seed_sweep.run}: [seeds] runs (seeds
     1..N, default 5) of [t_end] seconds (default 2.0) each, every run
     starting from a reset simulation — or from a checkpoint of one.
-    [wdog_timeout] defaults to 8
-    control periods. The watchdog is serviced once per control step
-    unless the scenario suppresses it; injected overruns stretch the
+    The watchdog times out after 8 control periods; it is serviced once
+    per control step unless the scenario suppresses it; injected overruns stretch the
     step's cycle budget so a long enough burst starves the watchdog
     exactly as it would on the bench.
 
@@ -125,8 +125,6 @@ val sweep :
 val run :
   ?t_end:float ->
   ?seeds:int ->
-  ?wdog_timeout:float ->
-  ?on_run:(run_result -> unit) ->
   ?policy:Supervise.policy ->
   ?track_base:int ->
   scenario:Fault_scenario.t ->

@@ -1,6 +1,6 @@
-(* Seeded fault injector. The randomness is a private SplitMix64 stream
-   (same idiom as the PIL byte-fault model) advanced only when a random
-   fault actually samples it, so runs with the same seed replay exactly. *)
+(* Seeded fault injector. The randomness is a private Splitmix stream
+   advanced only when a random fault actually samples it, so runs with
+   the same seed replay exactly. *)
 
 let c_sensor = Obs.counter "fault.sensor_perturbations"
 let c_actuator = Obs.counter "fault.actuator_perturbations"
@@ -95,17 +95,6 @@ let count_actuator t =
   t.n_actuator <- t.n_actuator + 1;
   Obs.add c_actuator 1
 
-let next t =
-  t.rng := Int64.add !(t.rng) 0x9E3779B97F4A7C15L;
-  let z = !(t.rng) in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 (* The kinds [sensor] applies by sampling the RNG — no wildcard, so a new
    kind has to be placed here. A run draws nothing before the first of
    these turns on. *)
@@ -113,11 +102,10 @@ let draws : Fault.kind -> bool = function
   | Fault.Sensor_noise _ | Fault.Encoder_glitch _ -> true
   | Fault.Sensor_stuck | Fault.Sensor_offset _ | Fault.Sensor_dropout
   | Fault.Actuator_saturation _ | Fault.Actuator_jam _ | Fault.Load_torque _
-  | Fault.Overrun _ | Fault.Wdog_suppress | Fault.Comm _ ->
+  | Fault.Overrun _ | Fault.Wdog_suppress ->
       false
 
-let uniform01 t =
-  Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+let uniform01 t = Splitmix.unit_float (Splitmix.next t.rng)
 
 (* uniform integer in [-n, n] *)
 let rand_pm t n =
@@ -210,12 +198,6 @@ let duty t ~time u =
       | _ -> u)
     u
 
-let load_torque t ~time =
-  fold_active t ~time
-    (fun acc fl ->
-      match fl.Fault.kind with Fault.Load_torque x -> acc +. x | _ -> acc)
-    0.0
-
 let overrun_of faults =
   List.fold_left
     (fun acc fl -> match fl.Fault.kind with Fault.Overrun c -> acc + c | _ -> acc)
@@ -243,12 +225,6 @@ let wdog_suppressed t ~time =
     Obs.add c_wdog 1
   end;
   s
-
-let comm_config t =
-  List.find_map
-    (fun fl ->
-      match fl.Fault.kind with Fault.Comm c -> Some c | _ -> None)
-    t.scn.Fault_scenario.faults
 
 let active_names t ~time = Fault_scenario.active_names t.scn ~time
 

@@ -3,11 +3,13 @@
     controller/world boundary.
 
     One injector = one armed run. All randomness (noise amplitudes,
-    glitch occurrences) comes from a SplitMix64 stream derived from the
+    glitch occurrences) comes from a {!Splitmix} stream derived from the
     seed, so a campaign run is replayed exactly by re-arming with the
-    same seed. The injector itself is engine-agnostic: the MIL engine
-    attaches it through {!sim_hook}, the SIL/PIL harnesses call
-    {!sensor} / {!overrun_cycles} / {!wdog_suppressed} directly.
+    same seed. The campaign attaches it to the MIL engine through
+    {!sim_hook} (sensor and duty ports) and charges {!overrun_cycles}
+    and {!wdog_suppressed} to its virtual MCU; the MIL <-> SIL diff
+    harness calls {!sensor} alone. Load faults are not applied here: the
+    campaign subject folds them into its plant's load profile.
 
     The per-query activity scan is hoisted out of the hot path: the
     injector caches the scenario-ordered active sublist together with
@@ -55,19 +57,12 @@ val sensor : t -> slot:int -> time:float -> int -> int
 val duty : t -> time:float -> float -> float
 (** Perturb the commanded actuator duty (jam / saturation). *)
 
-val load_torque : t -> time:float -> float
-(** Extra shaft load torque at [time] (sum of active [Load_torque]). *)
-
 val overrun_cycles : t -> time:float -> int
 (** Extra CPU cycles the control step burns at [time] (sum of active
     [Overrun] faults). *)
 
 val wdog_suppressed : t -> time:float -> bool
 (** Whether the watchdog service call is lost at [time]. *)
-
-val comm_config : t -> Faulty.config option
-(** The serial-line fault model, if the scenario carries one ([Comm]
-    faults arm the line for the whole run — the window is ignored). *)
 
 val active_names : t -> time:float -> string list
 

@@ -108,9 +108,6 @@ let parse_line lineno line =
               | "jam" -> need_value (fun x -> Fault.Actuator_jam x)
               | "load" -> need_value (fun x -> Fault.Load_torque x)
               | "overrun" -> need_int (fun n -> Fault.Overrun n)
-              | "comm" ->
-                  need_value (fun x ->
-                      Fault.Comm { Faulty.clean with Faulty.corrupt_rate = x })
               | k -> err "unknown fault kind %S" k |> Result.map (fun _ -> assert false)
             in
             let* at =
@@ -187,19 +184,19 @@ let active_names s ~time =
     (fun f -> if Fault.active f ~time then Some (Fault.name f) else None)
     s.faults
 
-(* a fault on a port the subject does not hook would inject nothing *)
-let check_hooks ~sensor_slots ~duty s =
+(* a fault the subject does not apply would inject nothing *)
+let check_hooks ~sensor_slots ~refuse s =
   List.iter
     (fun fl ->
       let kind = fl.Fault.kind in
+      Option.iter
+        (fun why -> Seed_sweep.bad_request "fault %s: %s" (Fault.name fl) why)
+        (refuse kind);
       if Fault.is_sensor kind && (fl.Fault.slot < 0 || fl.Fault.slot >= sensor_slots)
       then
         Seed_sweep.bad_request
           "fault %s: sensor slot %d does not exist (the subject has %d \
            sensor slot%s)"
           (Fault.name fl) fl.Fault.slot sensor_slots
-          (if sensor_slots = 1 then "" else "s");
-      if Fault.is_actuator kind && not duty then
-        Seed_sweep.bad_request "fault %s: the subject has no duty port"
-          (Fault.name fl))
+          (if sensor_slots = 1 then "" else "s"))
     s.faults

@@ -11,10 +11,10 @@
     v}
 
     Kinds: [stuck], [dropout], [offset], [noise], [glitch], [saturation],
-    [jam], [load], [overrun], [wdog-suppress], [comm]. [value] is the
-    kind's magnitude (counts for sensor kinds, duty for actuator kinds,
-    N.m for [load], CPU cycles for [overrun], corrupt probability for
-    [comm]); kinds without a magnitude ignore it. Every number must be
+    [jam], [load], [overrun], [wdog-suppress]. [value] is the kind's
+    magnitude (counts for sensor kinds, duty for actuator kinds, N.m for
+    [load], CPU cycles for [overrun]); kinds without a magnitude ignore
+    it. Every number must be
     finite; [slot] and the counts of [offset], [noise], [glitch] and
     [overrun] must be whole numbers in int range, and all but the
     [offset] count non-negative. *)
@@ -49,9 +49,11 @@ val clear_time : t -> horizon:float -> float
 val active_names : t -> time:float -> string list
 (** Names of the faults whose windows cover [time]. *)
 
-val check_hooks : sensor_slots:int -> duty:bool -> t -> unit
+val check_hooks :
+  sensor_slots:int -> refuse:(Fault.kind -> string option) -> t -> unit
 (** Refuse a scenario with a fault its subject would never inject: a
-    sensor fault on a slot outside [0 .. sensor_slots - 1], or an
-    actuator fault when the subject has no commanded [duty] to perturb.
-    @raise Supervise.Bad_request naming the fault (and the slot
-    count). *)
+    kind for which [refuse] gives the reason the subject does not apply
+    it, or a sensor fault on a slot outside [0 .. sensor_slots - 1].
+    Every engine that runs a scenario checks it here before any step.
+    @raise Supervise.Bad_request naming the fault and the reason (or
+    the slot count). *)

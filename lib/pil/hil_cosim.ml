@@ -24,8 +24,7 @@ type 'p result = {
 let is_kind k b m = (Model.spec_of m b).Block.kind = k
 
 let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
-    ?(background_load = 0.0) ?watchdog ?(overrun_inject = fun _ -> 0)
-    ?(wdog_suppress = fun _ -> false) ~mcu ~schedule ~controller ~plant
+    ?(background_load = 0.0) ?watchdog ~mcu ~schedule ~controller ~plant
     ~advance ~angle_of ~observe ~encoder ~periods () =
   Flight.span "hil.run" @@ fun () ->
   let comp = Sim.compiled controller in
@@ -59,12 +58,9 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
   let wdog =
     Option.map (fun timeout -> Wdog_periph.create machine ~timeout ()) watchdog
   in
-  let period_ref = ref 0 in
   let run_step () =
-    (* service the watchdog first, as the generated step's prologue does
-       — unless the campaign scenario eats the service call *)
-    if not (wdog_suppress (Machine.now machine)) then
-      Option.iter Wdog_periph.refresh wdog;
+    (* service the watchdog first, as the generated step's prologue does *)
+    Option.iter Wdog_periph.refresh wdog;
     (* read the position register exactly as the generated code does *)
     List.iter
       (fun b ->
@@ -97,7 +93,7 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
     Machine.register_irq machine ~name:"TI1" ~prio:2 ~handler:(fun () ->
         {
           Machine.jname = "model_step";
-          cycles = step_cost + overrun_inject !period_ref;
+          cycles = step_cost;
           action = run_step;
           stack_bytes = schedule.Target.isr_stack_bytes;
         })
@@ -135,7 +131,6 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
   for k = 0 to periods - 1 do
     Flight.span_begin "hil.period";
     Obs.add c_periods 1;
-    period_ref := k;
     for i = 0 to substeps - 1 do
       let t = (float_of_int k *. period) +. (float_of_int i *. slice) in
       Machine.run_until_time machine t;
@@ -180,9 +175,8 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
     trace = List.rev !trace;
   }
 
-let servo_run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
-    ?wdog_suppress ~built_mcu ~schedule ~controller ~motor ~load ~encoder
-    ~periods () =
+let servo_run ?preemptive ?button ?background_load ?watchdog ~built_mcu
+    ~schedule ~controller ~motor ~load ~encoder ~periods () =
   let stage = Power_stage.ideal ~u_supply:motor.Dc_motor.u_max in
   let st = Dc_motor.stepper motor in
   let time = ref 0.0 in
@@ -193,8 +187,8 @@ let servo_run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
     time := !time +. dt
   in
   let r =
-    run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
-      ?wdog_suppress ~mcu:built_mcu ~schedule ~controller
+    run ?preemptive ?button ?background_load ?watchdog ~mcu:built_mcu
+      ~schedule ~controller
       ~plant:(Array.make 3 0.0) ~advance
       ~angle_of:(fun x -> x.(Dc_motor.x_theta))
       ~observe:(fun x ->

@@ -41,8 +41,6 @@ val run :
   ?button:(float -> bool) ->
   ?background_load:float ->
   ?watchdog:float ->
-  ?overrun_inject:(int -> int) ->
-  ?wdog_suppress:(float -> bool) ->
   mcu:Mcu_db.t ->
   schedule:Target.schedule ->
   controller:Sim.t ->
@@ -59,10 +57,7 @@ val run :
     competing background ISR consuming that fraction of the CPU, for
     stress runs. [watchdog] arms a {!Wdog_periph} with that timeout; the
     control step refreshes it exactly as generated code calls
-    [WD1_Clear], so starved steps show up as bites. [overrun_inject]
-    returns extra CPU cycles charged to the given period's control step;
-    [wdog_suppress] makes the step skip the watchdog service at the
-    given time — both are fault-injection taps (default inactive).
+    [WD1_Clear], so starved steps show up as bites.
     @raise Invalid_argument when the timer bean's period is unattainable
     on the MCU. *)
 
@@ -71,8 +66,6 @@ val servo_run :
   ?button:(float -> bool) ->
   ?background_load:float ->
   ?watchdog:float ->
-  ?overrun_inject:(int -> int) ->
-  ?wdog_suppress:(float -> bool) ->
   built_mcu:Mcu_db.t ->
   schedule:Target.schedule ->
   controller:Sim.t ->

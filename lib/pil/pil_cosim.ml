@@ -41,18 +41,14 @@ let wire_bytes_per_period ~schedule =
   in
   pkt ns + pkt na
 
-(* SplitMix64 for deterministic line-error injection. *)
-let splitmix state =
-  state := Int64.add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+(* the target's SCI ISR costs in CPU cycles: taking one received byte,
+   and starting the reply once a frame is complete *)
+let rx_isr_cycles = 80
+let tx_isr_cycles = 40
 
-let run ?(baud = 115200) ?(rx_isr_cycles = 80) ?(tx_isr_cycles = 40)
-    ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1) ?(dup_frames = false)
-    ?(overrun_inject = fun _ -> 0) ~mcu ~schedule ~controller ~plant ~driver
-    ~periods () =
+let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
+    ?(dup_frames = false) ~mcu ~schedule ~controller ~plant ~driver ~periods
+    () =
   Flight.span "pil.run" @@ fun () ->
   let comp = Sim.compiled controller in
   let m = comp.Compile.model in
@@ -171,16 +167,12 @@ let run ?(baud = 115200) ?(rx_isr_cycles = 80) ?(tx_isr_cycles = 40)
           float_of_int (start - (!period_index * period_cycles))
           /. mcu.Mcu_db.f_cpu_hz
           :: !start_offsets;
-        (* an injected overrun models a transient stall (cache miss
-           burst, runaway higher-priority work) stretching this period's
-           step *)
-        let stall = overrun_inject !period_index in
-        let exec_s = float_of_int (step_cost + stall) /. mcu.Mcu_db.f_cpu_hz in
+        let exec_s = float_of_int step_cost /. mcu.Mcu_db.f_cpu_hz in
         Obs.record h_exec exec_s;
         exec_samples := exec_s :: !exec_samples;
         {
           Machine.jname = "pil_step";
-          cycles = rx_isr_cycles + step_cost + stall + tx_isr_cycles;
+          cycles = rx_isr_cycles + step_cost + tx_isr_cycles;
           action = (fun () -> do_step pkt);
           stack_bytes = schedule.Target.isr_stack_bytes;
         }
@@ -196,18 +188,18 @@ let run ?(baud = 115200) ?(rx_isr_cycles = 80) ?(tx_isr_cycles = 40)
   in
   Sci_periph.on_rx sci (fun _ -> Machine.raise_irq machine rx_irq);
   (* --- co-simulation loop --- *)
-  let rng = ref (Int64.of_int seed) in
-  let corrupt b =
-    if error_rate > 0.0 then begin
-      let u =
-        Int64.to_float (Int64.shift_right_logical (splitmix rng) 11)
-        /. 9007199254740992.0
-      in
-      if u < error_rate then b lxor 0x55 else b
-    end
-    else b
-  in
+  (* the line: byte i of a period's sensor frame arrives one frame time
+     after byte i - 1, through the serial-line noise model *)
   let byte_cycles = Sci_periph.byte_cycles sci in
+  let wire_cycle = ref 0 in
+  let line =
+    Faulty.create { Faulty.clean with Faulty.corrupt_rate = error_rate }
+      ~sink:(fun b ->
+        let cycle = !wire_cycle in
+        wire_cycle := cycle + byte_cycles;
+        Machine.schedule_at machine ~cycle (fun () ->
+            Sci_periph.deliver_byte sci b))
+  in
   let overruns = ref 0 in
   let trace = ref [] in
   let last_actuators =
@@ -230,12 +222,8 @@ let run ?(baud = 115200) ?(rx_isr_cycles = 80) ?(tx_isr_cycles = 40)
     let pkt = { Packet.ptype = Packet.ptype_sensor; seq = k land 0xFF; payload } in
     let wire = Packet.encode pkt in
     let wire = if dup_frames then wire @ wire else wire in
-    List.iteri
-      (fun i b ->
-        let b = corrupt b in
-        Machine.schedule_at machine ~cycle:(t_k + (i * byte_cycles)) (fun () ->
-            Sci_periph.deliver_byte sci b))
-      wire;
+    wire_cycle := t_k;
+    Faulty.send_all line wire;
     (* let the period elapse on the target *)
     Machine.advance_to machine ~cycle:(t_k + period_cycles);
     (match !pending_actuators with

@@ -49,13 +49,9 @@ type result = {
 
 val run :
   ?baud:int ->
-  ?rx_isr_cycles:int ->
-  ?tx_isr_cycles:int ->
   ?preemptive:bool ->
   ?error_rate:float ->
-  ?seed:int ->
   ?dup_frames:bool ->
-  ?overrun_inject:(int -> int) ->
   mcu:Mcu_db.t ->
   schedule:Target.schedule ->
   controller:Sim.t ->
@@ -66,14 +62,14 @@ val run :
   result
 (** Run [periods] control periods. [baud] defaults to 115200 (the
     paper's RS-232 link; sweep it for experiment E5). [error_rate] is a
-    per-byte corruption probability on the line (deterministic PRNG with
-    [seed]), exercising the CRC path. [dup_frames] transmits every
-    sensor frame twice, exercising the target's sequence-number
-    deduplication (a duplicated frame must not step the controller
-    twice). [preemptive] configures the interrupt controller (E7
-    ablation). [overrun_inject] returns extra CPU cycles charged to the
-    given period's control step (fault-injection campaigns use it to
-    provoke deadline misses; default none).
+    per-byte corruption probability on the sensor frames, applied by
+    {!Faulty} (seed 1, so a run replays exactly), exercising the CRC
+    path. [dup_frames] transmits every sensor frame twice, exercising
+    the target's sequence-number deduplication (a duplicated frame must
+    not step the controller twice). [preemptive] configures the
+    interrupt controller (E7 ablation). The target's SCI receive ISR
+    costs 80 cycles a byte; the one that completes a frame also runs
+    the step and spends 40 more starting the reply.
     @raise Invalid_argument when a period cannot even carry the two
     packets at the given baud rate (the feasibility boundary — the error
     message carries the minimum period). *)

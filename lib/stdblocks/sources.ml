@@ -81,14 +81,6 @@ let setpoint_schedule entries =
       Array.iteri (fun i ti -> if t >= ti then v := values.(i)) times;
       !v)
 
-(* SplitMix64, kept local for reproducibility independent of Stdlib.Random. *)
-let splitmix_next state =
-  state := Int64.add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 let uniform_noise ?(seed = 42) ?(lo = -1.0) ?(hi = 1.0) () =
   {
     Block.kind = "UniformNoise";
@@ -109,8 +101,7 @@ let uniform_noise ?(seed = 42) ?(lo = -1.0) ?(hi = 1.0) () =
         let state = ref (Int64.of_int seed) in
         let current = ref 0.0 in
         let draw () =
-          let bits = Int64.shift_right_logical (splitmix_next state) 11 in
-          let u = Int64.to_float bits /. 9007199254740992.0 in
+          let u = Splitmix.unit_float (Splitmix.next state) in
           lo +. (u *. (hi -. lo))
         in
         {

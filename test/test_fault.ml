@@ -409,9 +409,6 @@ let gen_kind =
         map (fun x -> Fault.Load_torque x) (float_range 0.0 0.01);
         map (fun n -> Fault.Overrun n) (int_range 0 100_000);
         return Fault.Wdog_suppress;
-        map
-          (fun r -> Fault.Comm { Faulty.clean with corrupt_rate = r })
-          (float_range 0.0 0.5);
       ])
 
 (* times on the 1 ms control grid, so queries land on window edges *)
@@ -861,8 +858,8 @@ let test_run_sizes_validated () =
     (Diff_subject.make ~config "nosuch"
     = Error (Diff_subject.Unknown_model "nosuch"))
 
-(* a fault on a port the subject does not hook is a bad request naming
-   the fault and the slot count, not a campaign that injects nothing *)
+(* a fault its subject does not apply is a bad request naming the fault
+   and the reason (or the slot count), not a run that injects nothing *)
 let test_fault_ports_validated () =
   let subject, _ =
     Servo_system.faultsim_subject ~scenario:(scn []) ()
@@ -874,15 +871,24 @@ let test_fault_ports_validated () =
         { subject.Fault_campaign.ports with Fault_campaign.duty_port = None };
     }
   in
+  let campaign subject scenario =
+    ignore (Fault_campaign.run ~t_end:0.01 ~seeds:1 ~scenario subject)
+  in
+  (* the diff lock-step perturbs the generated code's sensor codes only *)
+  let diff scenario =
+    ignore
+      (Diff_subject.make ~config:Servo_system.default_config ~steps:0
+         ~scenario "servo")
+  in
   List.iter
-    (fun (subject, line, expect) ->
+    (fun (run, line, expect) ->
       let scenario =
         match Fault_scenario.of_string ~name:"t" line with
         | Ok s -> s
         | Error e -> Alcotest.failf "%s: %s" line e
       in
-      match Fault_campaign.run ~t_end:0.01 ~seeds:1 ~scenario subject with
-      | _ -> if expect <> None then Alcotest.failf "%s: accepted" line
+      match run scenario with
+      | () -> if expect <> None then Alcotest.failf "%s: accepted" line
       | exception Supervise.Bad_request msg -> (
           match expect with
           | None -> Alcotest.failf "%s: rejected (%s)" line msg
@@ -894,21 +900,71 @@ let test_fault_ports_validated () =
                     true (contains part msg))
                 parts))
     [
-      (subject, "stuck at=0.9 duration=0.15 slot=99",
+      (campaign subject, "stuck at=0.9 duration=0.15 slot=99",
        Some [ "sensor-stuck@99"; "slot 99"; "1 sensor slot" ]);
-      (subject, "noise at=0.9 duration=0.1 value=5 slot=1",
+      (campaign subject, "noise at=0.9 duration=0.1 value=5 slot=1",
        Some [ "sensor-noise(+-5)@1"; "slot 1"; "1 sensor slot" ]);
-      (subject, "dropout at=0.9 duration=0.1\nglitch at=0 duration=1 value=9 slot=2",
+      (campaign subject,
+       "dropout at=0.9 duration=0.1\nglitch at=0 duration=1 value=9 slot=2",
        Some [ "encoder-glitch(+-9)@2"; "slot 2" ]);
-      (subject, "dropout at=0.9 duration=0.1 slot=0", None);
-      (subject, "overrun at=0.9 duration=0.1 value=100 slot=7", None);
-      (subject, "wdog-suppress at=0.9 duration=0.1 slot=3", None);
-      (subject, "jam at=0.9 duration=0.1 value=1", None);
-      (no_duty, "jam at=0.9 duration=0.1 value=1",
+      (campaign subject, "dropout at=0.9 duration=0.1 slot=0", None);
+      (campaign subject, "overrun at=0.9 duration=0.1 value=100 slot=7", None);
+      (campaign subject, "wdog-suppress at=0.9 duration=0.1 slot=3", None);
+      (campaign subject, "jam at=0.9 duration=0.1 value=1", None);
+      (campaign no_duty, "jam at=0.9 duration=0.1 value=1",
        Some [ "actuator-jam(1)"; "no duty port" ]);
-      (no_duty, "saturation at=0.9 duration=0.1 value=0.5",
+      (campaign no_duty, "saturation at=0.9 duration=0.1 value=0.5",
        Some [ "actuator-saturation(0.5)"; "no duty port" ]);
-      (no_duty, "offset at=0.9 duration=0.1 value=3", None);
+      (campaign no_duty, "offset at=0.9 duration=0.1 value=3", None);
+      (diff, "saturation at=0.9 duration=0.1 value=0.5",
+       Some [ "actuator-saturation(0.5)"; "sensor faults only" ]);
+      (diff, "jam at=0.9 duration=0.1 value=1",
+       Some [ "actuator-jam(1)"; "sensor faults only" ]);
+      (diff, "load at=0.9 duration=0.1 value=0.01",
+       Some [ "load-torque(0.01 N.m)"; "sensor faults only" ]);
+      (diff, "overrun at=0.9 duration=0.1 value=600000",
+       Some [ "overrun(+600000 cycles)"; "sensor faults only" ]);
+      (diff, "stuck at=0.9 duration=0.15\nwdog-suppress at=0.9 duration=0.1",
+       Some [ "wdog-suppress [0.9,1)"; "sensor faults only" ]);
+      (diff, "glitch at=0.9 duration=0.1 value=9 slot=1", None);
+    ]
+
+(* every kind word the .fault grammar accepts changes a campaign run
+   when its window covers the run's end, against the same line
+   scheduled after the run: no kind parses and then injects nothing *)
+let test_every_kind_applied () =
+  let row line =
+    Result.map
+      (fun scenario ->
+        let subject, _ = Servo_system.faultsim_subject ~scenario () in
+        (Fault_campaign.run ~t_end:1.6 ~seeds:1 ~scenario subject)
+          .Fault_campaign.runs)
+      (Fault_scenario.of_string ~name:"t" line)
+  in
+  List.iter
+    (fun (kind, value, applied) ->
+      let line at = Printf.sprintf "%s at=%s duration=0.4 %s" kind at value in
+      match (row (line "1.2"), row (line "100"), applied) with
+      | Ok during, Ok after, true ->
+          check_bool (kind ^ " changes the run") true (during <> after)
+      | Error e, _, false ->
+          check_bool (kind ^ " refused at its line") true
+            (contains "line 1: unknown fault kind" e)
+      | Ok _, _, false -> Alcotest.failf "%s: accepted" kind
+      | Error e, _, true | _, Error e, _ -> Alcotest.failf "%s: %s" kind e)
+    [
+      ("stuck", "", true);
+      ("dropout", "", true);
+      ("offset", "value=500", true);
+      ("noise", "value=400", true);
+      ("glitch", "value=5000", true);
+      ("saturation", "value=0.05", true);
+      ("jam", "value=-1", true);
+      ("load", "value=0.05", true);
+      ("overrun", "value=600000", true);
+      ("wdog-suppress", "", true);
+      (* serial-line noise belongs to the PIL link, not to a campaign *)
+      ("comm", "value=0.5", false);
     ]
 
 let test_campaign_stuck_reaches_safestop () =
@@ -1003,32 +1059,6 @@ let test_wdog_rearm () =
   Machine.advance machine ~cycles:(4 * half);
   check_bool "bites again after re-arm" true (Wdog_periph.bites wd > n1)
 
-let test_hil_wdog_under_injected_overruns () =
-  let cfg = Servo_system.default_config in
-  let b = Servo_system.build ~config:cfg () in
-  let comp = Compile.compile b.Servo_system.controller in
-  let arts = Target.generate ~name:"servo" ~project:b.Servo_system.project comp in
-  let run ?overrun_inject () =
-    let controller = Sim.create (Compile.compile b.Servo_system.controller) in
-    Hil_cosim.servo_run ~watchdog:3e-3 ?overrun_inject
-      ~built_mcu:cfg.Servo_system.mcu ~schedule:arts.Target.schedule ~controller
-      ~motor:cfg.Servo_system.motor ~load:cfg.Servo_system.load
-      ~encoder:(Encoder.create ~lines_per_rev:cfg.Servo_system.encoder_lines ())
-      ~periods:300 ()
-  in
-  let clean = run () in
-  check_int "no bites uninjected" 0
-    clean.Hil_cosim.profile.Hil_cosim.watchdog_bites;
-  (* a 100-period burst of +4 ms per step starves a 3 ms watchdog *)
-  let cycles_4ms = 4 * 60_000 in
-  let faulted =
-    run ~overrun_inject:(fun k -> if k >= 100 && k < 200 then cycles_4ms else 0) ()
-  in
-  let p = faulted.Hil_cosim.profile in
-  check_bool "injected overruns recorded" true (p.Hil_cosim.overruns > 0);
-  check_bool "watchdog bites under overrun burst" true
-    (p.Hil_cosim.watchdog_bites > 0)
-
 (* ---- CON004 ---- *)
 
 let test_con004 () =
@@ -1091,6 +1121,8 @@ let suite =
       test_shared_campaign_one_domain;
     Alcotest.test_case "campaign: run sizes validated" `Quick
       test_run_sizes_validated;
+    Alcotest.test_case "campaign: every fault kind is applied" `Quick
+      test_every_kind_applied;
     Alcotest.test_case "campaign: fault ports validated" `Quick
       test_fault_ports_validated;
     Alcotest.test_case "campaign: stuck sensor reaches SafeStop" `Quick
@@ -1101,7 +1133,5 @@ let suite =
     Alcotest.test_case "MIL vs SIL bit-exact under fault" `Quick
       test_diff_under_fault;
     Alcotest.test_case "watchdog re-arms after bite" `Quick test_wdog_rearm;
-    Alcotest.test_case "HIL watchdog bites under injected overruns" `Quick
-      test_hil_wdog_under_injected_overruns;
     Alcotest.test_case "CON004 watchdog service path" `Quick test_con004;
   ]
