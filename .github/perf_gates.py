@@ -29,6 +29,11 @@ Run from the root of a built source checkout. GATE is any of
                spawns a side: a cold process of this checkout starts at
                most 10 % slower than the base's (a dynamic PIE relink of
                a static binary reads ~x1.2);
+  metrics      paired `ecsd faultsim --scenario noise-burst --seeds 8` runs
+               with and without `--metrics`, each pair the total of 10
+               interleaved runs a side: collecting the metrics and spans
+               costs under 5 %; the same ratio of `ecsd diff servo
+               --steps 5000 --opt` is reported, not gated;
   scaling      `ecsd faultsim --scenario noise-burst --seeds 64 --jobs J`
                for J = 1..nproc: reported, never gated;
 
@@ -63,9 +68,12 @@ RESTORE_RUNS = 10
 STARTUP_BOUND = 1.10
 # a spawn takes ~2 ms, of which host noise moves a few tenths
 STARTUP_RUNS = 20
+METRICS_BOUND = 1.05
+# a run takes ~25 ms: as for restore, one pair of runs reads host noise
+METRICS_RUNS = 10
 
 GATES = ("recorder", "supervision", "regression", "compiled", "restore",
-         "startup", "scaling")
+         "startup", "metrics", "scaling")
 
 
 # ---- decision rules (tested by test_perf_gates.py) ----
@@ -177,6 +185,15 @@ class Gates:
         print(f"  -> {name}: {verdict.upper()}")
         self.verdicts.append((name, verdict))
 
+    def total_ratios(self, runs, a, b):
+        """PAIRS ratios of the total wall time of `runs` interleaved runs
+        of the thunk a to that of b."""
+        ratios = []
+        for _ in range(PAIRS):
+            s = interleaved(runs, {"a": a, "b": b})
+            ratios.append(sum(s["a"]) / sum(s["b"]))
+        return ratios
+
     def ratio_gate(self, name, ratios, bound):
         show(name, ratios)
         q1, med, _ = quartiles(ratios)
@@ -258,26 +275,41 @@ class Gates:
               f"a side")
         argv = [ecsd(ROOT), "faultsim", "--scenario", "sensor-stuck",
                 "--seeds"]
-        sides = {"8": lambda: wall(argv + ["8"], self.tmp),
-                 "1": lambda: wall(argv + ["1"], self.tmp)}
-        ratios = []
-        for _ in range(PAIRS):
-            s = interleaved(RESTORE_RUNS, sides)
-            ratios.append(sum(s["8"]) / sum(s["1"]))
+        ratios = self.total_ratios(RESTORE_RUNS,
+                                   lambda: wall(argv + ["8"], self.tmp),
+                                   lambda: wall(argv + ["1"], self.tmp))
         self.ratio_gate("seeds 8 / seeds 1", ratios, RESTORE_BOUND)
 
     def startup(self):
         print(f"startup: {PAIRS} pairs of ecsd --version, this checkout / "
               f"{self.base_dir}, each the total of {STARTUP_RUNS} interleaved "
               f"spawns a side")
-        sides = {"head": lambda: wall([ecsd(ROOT), "--version"], self.tmp),
-                 "base": lambda: wall([ecsd(self.base_dir), "--version"],
-                                      self.tmp)}
-        ratios = []
-        for _ in range(PAIRS):
-            s = interleaved(STARTUP_RUNS, sides)
-            ratios.append(sum(s["head"]) / sum(s["base"]))
+        ratios = self.total_ratios(
+            STARTUP_RUNS,
+            lambda: wall([ecsd(ROOT), "--version"], self.tmp),
+            lambda: wall([ecsd(self.base_dir), "--version"], self.tmp))
         self.ratio_gate("head / base", ratios, STARTUP_BOUND)
+
+    def metrics(self):
+        print(f"metrics: {PAIRS} pairs of faultsim noise-burst --seeds 8 "
+              f"(gated) and of diff servo --steps 5000 --opt (reported), "
+              f"with / without --metrics, each the total of {METRICS_RUNS} "
+              f"interleaved runs a side")
+        for name, argv, gated in (
+                ("faultsim", ["faultsim", "--scenario", "noise-burst",
+                              "--seeds", "8"], True),
+                ("diff", ["diff", "servo", "--steps", "5000", "--opt"],
+                 False)):
+            argv = [ecsd(ROOT)] + argv
+            ratios = self.total_ratios(
+                METRICS_RUNS,
+                lambda: wall(argv + ["--metrics"], self.tmp),
+                lambda: wall(argv, self.tmp))
+            if gated:
+                self.ratio_gate(f"{name} --metrics / plain", ratios,
+                                METRICS_BOUND)
+            else:
+                show(f"{name} --metrics / plain (report only)", ratios)
 
     def scaling(self):
         nproc = len(os.sched_getaffinity(0))

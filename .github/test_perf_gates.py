@@ -70,6 +70,25 @@ class StartupVerdict(unittest.TestCase):
             "pass")
 
 
+class MetricsVerdict(unittest.TestCase):
+    # faultsim noise-burst --seeds 8, --metrics / plain totals of 10 runs
+    # a side, 11 pairs on a 2-core host: spans per run, and spans per step
+    PER_RUN = [1.003, 0.9886, 0.9517, 0.9839, 0.9942, 1.016, 1.001, 1.011,
+               0.9843, 1.03, 1.024]
+    PER_STEP = [1.145, 1.138, 1.182, 1.098, 1.194, 1.129, 1.17, 1.126, 1.235,
+                1.079, 1.14]
+
+    def test_spans_per_run_pass(self):
+        self.assertEqual(
+            perf_gates.ratio_verdict(self.PER_RUN, perf_gates.METRICS_BOUND),
+            "pass")
+
+    def test_spans_per_step_fail(self):
+        self.assertEqual(
+            perf_gates.ratio_verdict(self.PER_STEP, perf_gates.METRICS_BOUND),
+            "fail")
+
+
 class RegressionVerdict(unittest.TestCase):
     BASE = [1.00, 1.10, 1.05, 0.95, 1.20, 1.02, 0.98]
 

@@ -111,9 +111,9 @@ let profile_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Collect the tool's self-profiling timers (per-pass analysis \
-           and codegen timing, compiled-SIL phase timing) and print them \
-           as a calls/total/mean/max table afterwards.")
+          "Time the tool's own passes (analysis passes, code generation, \
+           MIR optimization, compiled-SIL compilation, each run) and \
+           print the spans as a calls/total/mean/max summary afterwards.")
 
 let with_obs ?(profile = false) trace metrics f =
   let active = trace <> None || metrics || profile in
@@ -129,13 +129,13 @@ let with_obs ?(profile = false) trace metrics f =
       | None -> ());
       if metrics then begin
         print_newline ();
-        print_string (Obs_report.metrics_table (Obs.snapshot ()));
-        print_newline ();
-        print_string (Obs_report.flame_summary (Flight.spans ()))
+        print_string (Obs_report.metrics_table (Obs.snapshot ()))
       end;
-      if profile then begin
+      if metrics || profile then begin
         print_newline ();
-        print_string (Obs_report.profile_table (Obs.snapshot ()))
+        print_string
+          (Obs_report.flame_summary ~dropped:(Flight.spans_dropped ())
+             (Flight.spans ()))
       end
     end
   in

@@ -4,18 +4,8 @@ type report = {
   notes : string list;
 }
 
-(* per-pass self-profiling: each analysis pass gets a span (flame view)
-   and a profile.check.<pass>_s histogram (--profile table) *)
-let pass name f =
-  if not (Obs.enabled ()) then f ()
-  else begin
-    let t0 = Obs.now_ns () in
-    let r = Flight.span ("check." ^ name) f in
-    Obs.record_named
-      ("profile.check." ^ name ^ "_s")
-      ((Obs.now_ns () -. t0) *. 1e-9);
-    r
-  end
+(* per-pass self-profiling: each analysis pass is a span *)
+let pass name f = Flight.span ("check." ^ name) f
 
 let run ?rules ?(suppress = []) ?(preemptive = false) ?project m =
   Flight.span "analysis.check" @@ fun () ->

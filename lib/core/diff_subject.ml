@@ -24,8 +24,8 @@ let make ~config ?(steps = 1000) ?(float_mode = Silvm_diff.Exact)
     Option.iter
       (Fault_scenario.check_hooks
          ~sensor_slots:(List.length (Target.sensor_slots comp.Compile.model))
-         ~refuse:(fun kind ->
-           if Fault.is_sensor kind then None
+         ~refuse:(fun f ->
+           if Fault.is_sensor f.Fault.kind then None
            else Some "diff applies sensor faults only"))
       scenario;
     let run seed =

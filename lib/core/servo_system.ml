@@ -313,6 +313,11 @@ let solver_substeps_for built comp =
 let faultsim_subject ?(config = default_config) ~scenario () =
   (* plant-side load faults fold into the load profile — the MIL plant
      computes its shaft torque internally, not through a signal port *)
+  let loads =
+    List.filter
+      (fun f -> match f.Fault.kind with Fault.Load_torque _ -> true | _ -> false)
+      scenario.Fault_scenario.faults
+  in
   let load =
     List.fold_left
       (fun acc f ->
@@ -347,6 +352,7 @@ let faultsim_subject ?(config = default_config) ~scenario () =
           setpoint_port = Some (find built.setpoint_block, 0);
         };
       mcu = cfg.mcu;
+      loads;
     }
   in
   (subject, built)

@@ -88,7 +88,8 @@ val faultsim_subject :
   Fault_campaign.subject * built
 (** Build the servo closed loop as a fault-campaign subject: forces
     [with_supervisor] on, folds the scenario's [Load_torque] faults into
-    the plant's load profile, and maps the campaign ports (sensor slot 0
+    the plant's load profile (and lists them as the subject's [loads]),
+    and maps the campaign ports (sensor slot 0
     = the quadrature count, the duty junction, the supervisor mode, the
     motor speed and the set-point). *)
 

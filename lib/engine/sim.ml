@@ -593,7 +593,6 @@ let step t =
   (* supervision fuel point: a deadline or kill on the ambient token
      abandons the run between steps, where all state is reset-able *)
   Cancel.poll ();
-  Flight.span_begin "sim.step";
   (* one ring fetch per step, shared with the probe burst below *)
   let fr = if Flight.enabled () then Some (Flight.recorder ()) else None in
   (match fr with
@@ -619,11 +618,10 @@ let step t =
   integrate t;
   t.now <- t.now +. t.comp.Compile.base_dt;
   t.nstep <- t.nstep + 1;
-  Obs.add c_steps 1;
-  Flight.bump t.events_this_step;
-  Flight.span_end ()
+  Obs.add c_steps 1
 
 let run t ?(steps = max_int) ~until () =
+  Flight.span "sim.run" @@ fun () ->
   let n = ref 0 in
   while t.now < until -. 1e-12 && !n < steps do
     step t;

@@ -9,7 +9,12 @@ type ports = {
   setpoint_port : (Model.blk * int) option;
 }
 
-type subject = { sim : Sim.t; ports : ports; mcu : Mcu_db.t }
+type subject = {
+  sim : Sim.t;
+  ports : ports;
+  mcu : Mcu_db.t;
+  loads : Fault.t list;
+}
 
 type run_result = {
   seed : int;
@@ -256,10 +261,14 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?on_run ?policy ?jobs ?track_base
        through the subject's plant *)
     Fault_scenario.check_hooks
       ~sensor_slots:(Array.length subject.ports.sensor_ports)
-      ~refuse:(fun kind ->
-        if Fault.is_actuator kind && subject.ports.duty_port = None then
-          Some "the subject has no duty port"
-        else None)
+      ~refuse:(fun f ->
+        match f.Fault.kind with
+        | Fault.Load_torque _ when not (List.mem f subject.loads) ->
+            Some "the subject's plant was built without it"
+        | kind when Fault.is_actuator kind && subject.ports.duty_port = None
+          ->
+            Some "the subject has no duty port"
+        | _ -> None)
       scenario;
     (period, steps)
   in
@@ -279,7 +288,8 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?on_run ?policy ?jobs ?track_base
       ~subject:(fun () -> (mk_subject (), { board = None; ck = None }))
       ~plan:(fun (subject, _) -> plan subject)
       (fun (period, steps) (subject, slot) seed ->
-        one_run slot subject ~scenario ~seed ~steps ~period ~t_end)
+        Flight.span "fault.run" (fun () ->
+            one_run slot subject ~scenario ~seed ~steps ~period ~t_end))
   in
   let period, steps = s.Seed_sweep.plan in
   let outcomes = Array.to_list s.Seed_sweep.outcomes in

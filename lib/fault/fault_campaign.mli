@@ -21,9 +21,15 @@ type ports = {
       (** reference for the residual error ([None] = reference 0) *)
 }
 
-type subject = { sim : Sim.t; ports : ports; mcu : Mcu_db.t }
-(** Load faults are the subject's own to apply: it folds them into its
-    plant, as {!Servo_system.faultsim_subject} does. *)
+type subject = {
+  sim : Sim.t;
+  ports : ports;
+  mcu : Mcu_db.t;
+  loads : Fault.t list;
+      (** the load faults folded into the plant, as
+          {!Servo_system.faultsim_subject} does: the only ones a campaign
+          on this subject can apply *)
+}
 
 type run_result = {
   seed : int;
@@ -119,8 +125,9 @@ val sweep :
     @raise Supervise.Bad_request when [seeds < 1], when
     [jobs > Exec_pool.max_jobs], when [t_end] is not finite or shorter
     than one control period, or when a sensor fault's slot is not one of
-    the subject's [sensor_ports] or an actuator fault meets a subject
-    without a [duty_port] ({!Fault_scenario.check_hooks}). *)
+    the subject's [sensor_ports], an actuator fault meets a subject
+    without a [duty_port] or a load fault is not one of the subject's
+    [loads] ({!Fault_scenario.check_hooks}). *)
 
 val run :
   ?t_end:float ->

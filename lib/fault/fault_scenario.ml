@@ -191,7 +191,7 @@ let check_hooks ~sensor_slots ~refuse s =
       let kind = fl.Fault.kind in
       Option.iter
         (fun why -> Seed_sweep.bad_request "fault %s: %s" (Fault.name fl) why)
-        (refuse kind);
+        (refuse fl);
       if Fault.is_sensor kind && (fl.Fault.slot < 0 || fl.Fault.slot >= sensor_slots)
       then
         Seed_sweep.bad_request

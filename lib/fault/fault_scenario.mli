@@ -50,9 +50,9 @@ val active_names : t -> time:float -> string list
 (** Names of the faults whose windows cover [time]. *)
 
 val check_hooks :
-  sensor_slots:int -> refuse:(Fault.kind -> string option) -> t -> unit
+  sensor_slots:int -> refuse:(Fault.t -> string option) -> t -> unit
 (** Refuse a scenario with a fault its subject would never inject: a
-    kind for which [refuse] gives the reason the subject does not apply
+    fault for which [refuse] gives the reason the subject does not apply
     it, or a sensor fault on a slot outside [0 .. sensor_slots - 1].
     Every engine that runs a scenario checks it here before any step.
     @raise Supervise.Bad_request naming the fault and the reason (or

@@ -578,17 +578,6 @@ let subst_global_loads (cands : (string * Mir.expr) list)
 
 (* ---- per-function driver ---- *)
 
-(* per-pass self-profiling; accumulated across every optimized function,
-   read back via --profile *)
-let timed name f =
-  if not (Obs.enabled ()) then f ()
-  else begin
-    let t0 = Obs.now_ns () in
-    let r = f () in
-    Obs.record_named name ((Obs.now_ns () -. t0) *. 1e-9);
-    r
-  end
-
 let optimize env (f : C_ast.func) (body : Mir.stmt list) : Mir.stmt list =
   let base =
     List.map (fun (cty, n) -> (n, Mir_env.vty_of_cty env cty)) f.C_ast.args
@@ -599,13 +588,13 @@ let optimize env (f : C_ast.func) (body : Mir.stmt list) : Mir.stmt list =
      the bound only guards against a pathological ping-pong. *)
   let rec settle round body =
     let _, folded =
-      timed "profile.mir.fold_s" (fun () -> fold_stmts env base body)
+      Flight.span "mir.fold" (fun () -> fold_stmts env base body)
     in
     let propagated =
-      timed "profile.mir.propagate_s" (fun () -> propagate env folded)
+      Flight.span "mir.propagate" (fun () -> propagate env folded)
     in
     if propagated = folded || round >= 8 then folded
     else settle (round + 1) propagated
   in
   let settled = settle 1 body in
-  timed "profile.mir.dce_s" (fun () -> dce settled)
+  Flight.span "mir.dce" (fun () -> dce settled)

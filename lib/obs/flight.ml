@@ -29,9 +29,9 @@
    - Bundles carry only virtual time (step index, simulated seconds), never
      wall-clock, so byte-comparison across runs and job counts is exact.
 
-   - Host spans (the tool timing itself) are events of the same ring type,
-     kept in a second per-domain ring: on the track ring they would move
-     the positional eviction that decides what a capture keeps. *)
+   - Host spans (the tool timing itself) are events of the same type, kept
+     per domain apart from the ring: on it they would move the positional
+     eviction that decides what a capture keeps. *)
 
 type kind = Step | Signal | Fault | Engine | Mark | Span
 
@@ -44,14 +44,13 @@ let kind_name = function
   | Span -> "span"
 
 (* slot encoding: 0 = empty; recorders store 1=step 2=signal 3=fault
-   4=engine 5=mark 6=span directly *)
+   4=engine 5=mark directly *)
 let kind_of_code = function
   | 1 -> Step
   | 2 -> Signal
   | 3 -> Fault
   | 4 -> Engine
-  | 5 -> Mark
-  | _ -> Span
+  | _ -> Mark
 
 type event = {
   ev_kind : kind;
@@ -291,21 +290,20 @@ let clear_captures () =
 
 (* -- host spans ---------------------------------------------------------- *)
 
-(* Spans time the tool itself. Each domain keeps its open spans on a
-   fixed stack and records a closed one into its own host ring, created
-   on the domain's first span (so a run without Obs allocates none) and
-   registered once, under a mutex, so {!spans} can read it after the
-   domain has joined. *)
+(* Spans time the tool itself, a few per run or pass. Each domain counts
+   its open spans and keeps its newest [host_capacity] closed ones in its
+   own queue, created on the domain's first span and registered once,
+   under a mutex, so {!spans} can read it after the domain has joined.
+   A queue grows with what it holds: a run with few spans pays for few,
+   not for a preallocated ring of [host_capacity] slots. *)
 
 let host_capacity = 8192
-let max_depth = 64
 
 type host = {
-  hr : ring;  (* track = the domain id, seq = spans closed *)
-  stack_name : string array;
-  stack_t0 : float array;
-  stack_cnt : int array;
-  mutable depth : int;
+  dom : int;
+  closed : event Queue.t;  (* oldest first *)
+  mutable dropped : int;  (* closed spans evicted from [closed] *)
+  mutable depth : int;  (* spans open on the domain *)
 }
 
 let host_mutex = Mutex.create ()
@@ -313,87 +311,71 @@ let hosts : host list ref = ref []
 
 let host_key =
   Domain.DLS.new_key (fun () ->
-      let hr = ring_create host_capacity in
-      hr.track <- (Domain.self () :> int);
       let h =
         {
-          hr;
-          stack_name = Array.make max_depth "";
-          stack_t0 = Array.make max_depth 0.0;
-          stack_cnt = Array.make max_depth 0;
+          dom = (Domain.self () :> int);
+          closed = Queue.create ();
+          dropped = 0;
           depth = 0;
         }
       in
       Mutex.protect host_mutex (fun () -> hosts := h :: !hosts);
       h)
 
-let host () = Domain.DLS.get host_key
-
-let span_begin name =
-  if Obs.enabled () then begin
-    let h = host () in
-    let d = h.depth in
-    if d < max_depth then begin
-      h.stack_name.(d) <- name;
-      h.stack_cnt.(d) <- 0;
-      h.stack_t0.(d) <- Obs.now_ns ()
-    end;
-    h.depth <- d + 1
-  end
-
 (* one Span event: time = start and value = duration, in host seconds;
-   step = nesting depth, arg = the bump count *)
-let span_end () =
-  if Obs.enabled () then begin
-    let h = host () in
-    if h.depth > 0 then begin
-      let d = h.depth - 1 in
-      h.depth <- d;
-      if d < max_depth then begin
-        let t0 = h.stack_t0.(d) in
-        record_track h.hr 6 d (t0 *. 1e-9)
-          ((Obs.now_ns () -. t0) *. 1e-9)
-          h.stack_cnt.(d) h.stack_name.(d)
-      end
-    end
-  end
-
+   step = nesting depth, seq = spans the domain closed before it. Obs may
+   have been switched off meanwhile (a flush at exit): the span is then
+   lost. *)
 let span name f =
   if not (Obs.enabled ()) then f ()
   else begin
-    span_begin name;
-    Fun.protect ~finally:span_end f
+    let h = Domain.DLS.get host_key in
+    let d = h.depth in
+    h.depth <- d + 1;
+    let t0 = Obs.now_ns () in
+    Fun.protect f ~finally:(fun () ->
+        h.depth <- d;
+        if Obs.enabled () then begin
+          Queue.add
+            {
+              ev_kind = Span;
+              ev_track = h.dom;
+              ev_seq = h.dropped + Queue.length h.closed;
+              ev_step = d;
+              ev_time = t0 *. 1e-9;
+              ev_value = (Obs.now_ns () -. t0) *. 1e-9;
+              ev_arg = 0;
+              ev_label = name;
+            }
+            h.closed;
+          if Queue.length h.closed > host_capacity then begin
+            ignore (Queue.take h.closed);
+            h.dropped <- h.dropped + 1
+          end
+        end)
   end
 
-let bump n =
-  if Obs.enabled () then begin
-    let h = host () in
-    let d = h.depth - 1 in
-    if d >= 0 && d < max_depth then h.stack_cnt.(d) <- h.stack_cnt.(d) + n
-  end
+let host_events h = List.of_seq (Queue.to_seq h.closed)
 
-(* the last [host_capacity] spans of a host ring, oldest first *)
-let host_events h =
-  let r = h.hr in
-  let n = min r.seq r.cap in
-  List.init n (fun k -> event_at r ((r.next - n + k + r.cap) mod r.cap))
-
-let host_rings () =
+let hosts_by_domain () =
   List.sort
-    (fun a b -> compare a.hr.track b.hr.track)
+    (fun a b -> compare a.dom b.dom)
     (Mutex.protect host_mutex (fun () -> !hosts))
 
-let spans () = List.concat_map host_events (host_rings ())
+let spans () = List.concat_map host_events (hosts_by_domain ())
+
+let spans_dropped () =
+  List.fold_left (fun acc h -> acc + h.dropped) 0 (hosts_by_domain ())
 
 let reset () =
   clear_captures ();
   Domain.DLS.set ring_key (ring_create !default_capacity);
   List.iter
     (fun h ->
-      h.hr.next <- 0;
-      h.hr.seq <- 0;
+      Queue.clear h.closed;
+      h.dropped <- 0;
       h.depth <- 0)
-    (host_rings ())
+    (hosts_by_domain ())
 
 (* -- export -------------------------------------------------------------- *)
 
@@ -470,10 +452,8 @@ let chrome ~process ~origin lanes =
                 (* host time: nanosecond resolution is all there is *)
                 Printf.sprintf
                   "{\"name\":%s,\"cat\":\"span\",\"ph\":\"X\",\"ts\":%.3f,\
-                   \"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"depth\":%d,\
-                   \"count\":%d}}"
+                   \"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"depth\":%d}}"
                   (str e.ev_label) ts (e.ev_value *. 1e6) tid e.ev_step
-                  e.ev_arg
             | _ ->
                 Printf.sprintf
                   "{\"name\":%s,\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\
@@ -499,15 +479,16 @@ let captures_chrome () =
        (captures ()))
 
 (* host spans: one lane per domain, host time from the earliest span,
-   which [wall_start] places on the wall clock *)
+   which [wall_start] places on the wall clock; [dropped] counts the
+   spans evicted, when there are any *)
 let spans_chrome () =
   let lanes =
     List.filter_map
       (fun h ->
         match host_events h with
         | [] -> None
-        | evs -> Some (h.hr.track, evs))
-      (host_rings ())
+        | evs -> Some (h.dom, evs))
+      (hosts_by_domain ())
     |> List.mapi (fun i (dom, evs) ->
            (i + 1, Printf.sprintf "domain %d" dom, evs))
   in
@@ -518,10 +499,13 @@ let spans_chrome () =
         List.fold_left (fun acc e -> Float.min acc e.ev_time) acc evs)
       now lanes
   in
+  let dropped = spans_dropped () in
   chrome
     ~process:
-      (Printf.sprintf "\"name\":\"ecsd\",\"wall_start\":%.6f"
-         (Unix.gettimeofday () -. (now -. origin)))
+      (Printf.sprintf "\"name\":\"ecsd\",\"wall_start\":%.6f%s"
+         (Unix.gettimeofday () -. (now -. origin))
+         (if dropped > 0 then Printf.sprintf ",\"dropped\":%d" dropped
+          else ""))
     ~origin lanes
 
 let dump path s =

@@ -15,7 +15,7 @@
     cache, closure compilation) are scheduling-dependent and live on the
     pseudo-track {!engine_track}, which is never captured into bundles.
     Bundles carry only virtual time (step index, simulated seconds);
-    host spans (below) live on a second ring and never enter one. *)
+    host spans (below) are kept apart and never enter one. *)
 
 type kind = Step | Signal | Fault | Engine | Mark | Span
 
@@ -96,8 +96,8 @@ val captures : unit -> bundle list
 val clear_captures : unit -> unit
 
 val reset : unit -> unit
-(** Clear captures, replace the calling domain's ring and empty every
-    host ring. Call it while no other domain records. *)
+(** Clear captures, replace the calling domain's ring and drop every
+    domain's host spans. Call it while no other domain records. *)
 
 (** {2 Re-recording a stretch of a track}
 
@@ -125,26 +125,23 @@ val replay : segment -> unit
 
 (** {2 Host spans}
 
-    The tool timing itself, switched by {!Obs.enabled} (not {!enabled}).
-    Spans nest on a 64-deep stack per domain (no allocation per span); a
-    closed span is one [Span] event — label = name, time = start, value
-    = duration (host seconds), step = depth, arg = {!bump} count — in the
-    domain's host ring of the newest 8192, created on its first span. *)
-
-val span_begin : string -> unit
-val span_end : unit -> unit
+    The tool timing itself, switched by {!Obs.enabled} (not {!enabled}),
+    at the granularity of a run or a pass, never of a step: a per-step
+    count is an {!Obs} counter. A closed span is one [Span] event —
+    label = name, time = start, value = duration (host seconds), step =
+    nesting depth — kept with the domain's newest 8192 (older ones are
+    evicted, and counted). *)
 
 val span : string -> (unit -> 'a) -> 'a
-(** [span name f] = begin; f (); end — exception-safe closure form for
-    cold paths (use begin/end pairs in hot loops). *)
-
-val bump : int -> unit
-(** Add to the innermost open span's count (e.g. events fired during this
-    step). No-op outside any span. *)
+(** [span name f] times [f ()] as span [name], exceptions included. *)
 
 val spans : unit -> event list
 (** Every domain's host spans, by domain id, each oldest first (in
     completion order). Read them after the recording domains joined. *)
+
+val spans_dropped : unit -> int
+(** Spans evicted since the last {!reset}: closed, but
+    missing from {!spans}. *)
 
 (** {2 Export} *)
 
@@ -158,7 +155,8 @@ val captures_chrome : unit -> string
 
 val spans_chrome : unit -> string
 (** The same writer over {!spans}: one lane per domain, "X" events in µs
-    after the earliest span, which the metadata's [wall_start] dates. *)
+    after the earliest span, which the metadata's [wall_start] dates; the
+    metadata's [dropped] gives {!spans_dropped} when it is not 0. *)
 
 val write_captures : prefix:string -> (string * string) option
 (** Write [<prefix>.jsonl] and [<prefix>_trace.json] if any bundles were

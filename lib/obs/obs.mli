@@ -4,9 +4,9 @@
     (execution times, response latency, jitter, memory). This module
     gives the environment itself the same treatment: process-wide
     counters / gauges / log-scale latency histograms, and snapshot/export
-    APIs consumed by {!Bench_json}, the [ecsd --metrics/--profile] flags
+    APIs consumed by {!Bench_json}, the [ecsd --metrics] flag
     and the bench harness. Nestable timed spans are [Flight.span] events
-    on the host ring; {!enabled} switches them along with the metrics.
+    kept per domain; {!enabled} switches them along with the metrics.
 
     Everything is disabled by default and strictly zero-cost when
     disabled: each entry point checks {!enabled} once and the disabled

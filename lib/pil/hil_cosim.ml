@@ -129,7 +129,6 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
   let slice = period /. float_of_int substeps in
   let trace = ref [] in
   for k = 0 to periods - 1 do
-    Flight.span_begin "hil.period";
     Obs.add c_periods 1;
     for i = 0 to substeps - 1 do
       let t = (float_of_int k *. period) +. (float_of_int i *. slice) in
@@ -142,8 +141,7 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
       | None -> ())
     done;
     Machine.run_until_time machine (float_of_int (k + 1) *. period);
-    trace := (float_of_int (k + 1) *. period, observe plant) :: !trace;
-    Flight.span_end ()
+    trace := (float_of_int (k + 1) *. period, observe plant) :: !trace
   done;
   let st = Machine.stats_of machine ctrl_irq in
   let to_s c = c /. mcu.Mcu_db.f_cpu_hz in

@@ -206,7 +206,6 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
     ref (Array.make (List.length schedule.Target.actuator_slots) 0)
   in
   for k = 0 to periods - 1 do
-    Flight.span_begin "pil.period";
     Obs.add c_periods 1;
     period_index := k;
     let t_k = k * period_cycles in
@@ -243,8 +242,7 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
         Obs.add c_frame_holds 1);
     driver.apply_actuators plant !last_actuators;
     driver.advance plant ~dt:period;
-    trace := (float_of_int (k + 1) *. period, driver.observe plant) :: !trace;
-    Flight.span_end ()
+    trace := (float_of_int (k + 1) *. period, driver.observe plant) :: !trace
   done;
   let summary_or_zero l =
     match l with

@@ -8,10 +8,9 @@ type agg = {
   mutable calls : int;
   mutable total_s : float;
   mutable max_s : float;
-  mutable count : int;
 }
 
-let flame_summary events =
+let flame_summary ?(dropped = 0) events =
   let spans = List.filter (fun e -> e.Flight.ev_kind = Flight.Span) events in
   if spans = [] then "no spans recorded\n"
   else begin
@@ -25,15 +24,14 @@ let flame_summary events =
           match Hashtbl.find_opt tbl key with
           | Some a -> a
           | None ->
-              let a = { calls = 0; total_s = 0.0; max_s = 0.0; count = 0 } in
+              let a = { calls = 0; total_s = 0.0; max_s = 0.0 } in
               Hashtbl.replace tbl key a;
               order := key :: !order;
               a
         in
         a.calls <- a.calls + 1;
         a.total_s <- a.total_s +. e.ev_value;
-        if e.ev_value > a.max_s then a.max_s <- e.ev_value;
-        a.count <- a.count + e.ev_arg)
+        if e.ev_value > a.max_s then a.max_s <- e.ev_value)
       spans;
     let root_total =
       List.fold_left
@@ -69,6 +67,8 @@ let flame_summary events =
              (fmt_time_s (a.total_s /. float_of_int a.calls))
              (fmt_time_s a.max_s) share))
       keys;
+    if dropped > 0 then
+      Buffer.add_string b (Printf.sprintf "%d older spans dropped\n" dropped);
     Buffer.contents b
   end
 
@@ -106,36 +106,3 @@ let metrics_table (snap : Obs.snapshot) =
       snap.Obs.hists
   end;
   if Buffer.length b = 0 then "no metrics recorded\n" else Buffer.contents b
-
-(* self-profiling view: the profile.* histograms recorded by the
-   per-pass/per-phase timing hooks, with aggregate totals — the
-   --profile rendering *)
-let profile_table (snap : Obs.snapshot) =
-  let prefix = "profile." in
-  let is_profile k =
-    String.length k > String.length prefix
-    && String.sub k 0 (String.length prefix) = prefix
-  in
-  let rows =
-    List.filter (fun (k, hs) -> is_profile k && hs.Obs.hs_count > 0)
-      snap.Obs.hists
-  in
-  if rows = [] then "no profile samples recorded (is --profile on?)\n"
-  else begin
-    let b = Buffer.create 512 in
-    Buffer.add_string b
-      (Printf.sprintf "%-36s %8s %12s %12s %12s\n" "pass" "calls" "total"
-         "mean" "max");
-    List.iter
-      (fun (k, hs) ->
-        let name = String.sub k (String.length prefix)
-            (String.length k - String.length prefix)
-        in
-        let total = hs.Obs.hs_mean *. float_of_int hs.Obs.hs_count in
-        Buffer.add_string b
-          (Printf.sprintf "%-36s %8d %12s %12s %12s\n" name hs.Obs.hs_count
-             (fmt_time_s total) (fmt_time_s hs.Obs.hs_mean)
-             (fmt_time_s hs.Obs.hs_max)))
-      rows;
-    Buffer.contents b
-  end

@@ -2,15 +2,13 @@
     summary of host spans and a metrics table for {!Obs} snapshots — the
     terminal counterpart of the Chrome-trace JSON export. *)
 
-val flame_summary : Flight.event list -> string
+val flame_summary : ?dropped:int -> Flight.event list -> string
 (** Aggregate the [Span] events ({!Flight.spans}) by (nesting depth,
     name): calls, total/mean/max time and share of the outermost total,
-    indented by depth. Other kinds are ignored. *)
+    indented by depth, then one line for the [dropped] spans
+    ({!Flight.spans_dropped}) when there are any. Other kinds are
+    ignored. The [--metrics] and [--profile] span view. *)
 
 val metrics_table : Obs.snapshot -> string
 (** Counters, gauges and histogram summaries (latency columns rendered
     in engineering units). *)
-
-val profile_table : Obs.snapshot -> string
-(** The [profile.*] histograms (per-pass / per-phase self-timing hooks)
-    as a calls/total/mean/max table — the [--profile] rendering. *)

@@ -73,16 +73,7 @@ let c_sil_steps = Obs.counter "silvm.steps"
 
 let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
     ~project comp =
-  let arts =
-    if Obs.enabled () then begin
-      let t0 = Obs.now_ns () in
-      let arts = Target.generate ~mode ~opt ~name ~project comp in
-      Obs.record_named "profile.silvm.codegen_s"
-        ((Obs.now_ns () -. t0) *. 1e-9);
-      arts
-    end
-    else Target.generate ~mode ~opt ~name ~project comp
-  in
+  let arts = Target.generate ~mode ~opt ~name ~project comp in
   let h = arts.Target.model_h and c = arts.Target.model_c in
   let backend =
     match engine with

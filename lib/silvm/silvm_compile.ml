@@ -914,11 +914,7 @@ let compile_cached (units : cunit list) : code =
       Mutex.unlock cache_mutex;
       Obs.add c_misses 1;
       Flight.engine ("silvm.compile " ^ String.sub key 0 8);
-      let t0 = if Obs.enabled () then Obs.now_ns () else 0.0 in
-      let code = compile units in
-      if Obs.enabled () then
-        Obs.record_named "profile.silvm.compile_s"
-          ((Obs.now_ns () -. t0) *. 1e-9);
+      let code = Flight.span "silvm.compile" (fun () -> compile units) in
       Mutex.lock cache_mutex;
       Hashtbl.replace cache key code;
       Mutex.unlock cache_mutex;

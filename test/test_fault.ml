@@ -864,6 +864,15 @@ let test_fault_ports_validated () =
   let subject, _ =
     Servo_system.faultsim_subject ~scenario:(scn []) ()
   in
+  (* load faults are folded into the plant when the subject is built *)
+  let built_for line =
+    match Fault_scenario.of_string ~name:"built" line with
+    | Ok scenario -> fst (Servo_system.faultsim_subject ~scenario ())
+    | Error e -> Alcotest.failf "%s: %s" line e
+  in
+  let load = "load at=1.2 duration=0.4 value=0.05" in
+  let dropout_subject = built_for "dropout at=100 duration=0.4"
+  and load_subject = built_for load in
   let no_duty =
     {
       subject with
@@ -916,6 +925,12 @@ let test_fault_ports_validated () =
       (campaign no_duty, "saturation at=0.9 duration=0.1 value=0.5",
        Some [ "actuator-saturation(0.5)"; "no duty port" ]);
       (campaign no_duty, "offset at=0.9 duration=0.1 value=3", None);
+      (campaign dropout_subject, load,
+       Some [ "load-torque(0.05 N.m)"; "built without it" ]);
+      (campaign subject, load, Some [ "load-torque(0.05 N.m)" ]);
+      (campaign load_subject, load, None);
+      (campaign load_subject, "load at=1.2 duration=0.4 value=0.06",
+       Some [ "load-torque(0.06 N.m)"; "built without it" ]);
       (diff, "saturation at=0.9 duration=0.1 value=0.5",
        Some [ "actuator-saturation(0.5)"; "sensor faults only" ]);
       (diff, "jam at=0.9 duration=0.1 value=1",

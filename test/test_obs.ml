@@ -77,9 +77,7 @@ let test_hist_edge_cases () =
 let test_span_nesting () =
   with_obs @@ fun () ->
   Flight.span "outer" (fun () ->
-      Flight.bump 2;
       Flight.span "inner" (fun () ->
-          Flight.bump 5;
           ignore (Sys.opaque_identity (Array.make 10 0)));
       Flight.span "inner2" (fun () -> ()));
   match Flight.spans () with
@@ -93,8 +91,6 @@ let test_span_nesting () =
            [ inner; inner2; outer ]);
       Alcotest.(check int) "inner depth" 1 inner.Flight.ev_step;
       Alcotest.(check int) "outer depth" 0 outer.Flight.ev_step;
-      Alcotest.(check int) "inner per-span count" 5 inner.Flight.ev_arg;
-      Alcotest.(check int) "outer per-span count" 2 outer.Flight.ev_arg;
       Alcotest.(check bool) "outer contains inner (start)" true
         (outer.Flight.ev_time <= inner.Flight.ev_time);
       Alcotest.(check bool) "outer at least as long" true
@@ -105,7 +101,8 @@ let test_span_nesting () =
            [ inner; inner2; outer ])
   | sps -> Alcotest.failf "expected three spans, got %d" (List.length sps)
 
-(* the host ring keeps the newest 8192 spans, oldest evicted first *)
+(* the host ring keeps the newest 8192 spans, oldest evicted first, and
+   the trace and the flame summary say how many it dropped *)
 let test_span_ring_eviction () =
   with_obs @@ fun () ->
   for i = 1 to 8200 do
@@ -115,7 +112,20 @@ let test_span_ring_eviction () =
   Alcotest.(check int) "ring keeps capacity" 8192 (List.length sps);
   Alcotest.(check string) "oldest surviving" "9" (List.hd sps).Flight.ev_label;
   Alcotest.(check string) "newest" "8200"
-    (List.nth sps 8191).Flight.ev_label
+    (List.nth sps 8191).Flight.ev_label;
+  Alcotest.(check int) "evicted spans counted" 8 (Flight.spans_dropped ());
+  (match Bench_json.parse (Flight.spans_chrome ()) with
+  | Bench_json.Arr (meta :: _) ->
+      Alcotest.(check bool) "trace metadata gives the drop" true
+        (Option.bind (Bench_json.member "args" meta) (Bench_json.member "dropped")
+        = Some (Bench_json.Int 8))
+  | _ -> Alcotest.fail "trace is not a JSON array");
+  Alcotest.(check bool) "flame summary gives the drop" true
+    (Astring_contains.contains
+       (Obs_report.flame_summary ~dropped:(Flight.spans_dropped ()) sps)
+       "8 older spans dropped\n");
+  Flight.reset ();
+  Alcotest.(check int) "reset clears the drop" 0 (Flight.spans_dropped ())
 
 let test_chrome_trace_parses () =
   with_obs @@ fun () ->
@@ -159,12 +169,10 @@ let test_disabled_path_no_alloc () =
   for _ = 1 to 10_000 do
     Obs.add c 1;
     Obs.record h 1.0;
-    Flight.span_begin "x";
-    Flight.bump 1;
-    Flight.span_end ()
+    Flight.span "x" ignore
   done;
   let after = Gc.minor_words () in
-  (* 50k disabled calls: any per-call allocation would show as >= 10k
+  (* 30k disabled calls: any per-call allocation would show as >= 10k
      words; the slack absorbs the boxing of the two Gc readings *)
   Alcotest.(check bool) "no observable allocation" true (after -. before < 256.0);
   Alcotest.(check int) "counter untouched" 0 (Obs.counter_value c);
@@ -248,6 +256,42 @@ let test_flame_and_metrics_render () =
   Alcotest.(check bool) "table lists histogram" true
     (Astring_contains.contains table "render.h")
 
+(* [--profile] is the span summary: every analysis pass of a servo
+   check, and the generate / MIR / compile passes of an optimized diff *)
+let test_profile_lists_passes () =
+  let lists what f names =
+    with_obs @@ fun () ->
+    f ();
+    let flame = Obs_report.flame_summary (Flight.spans ()) in
+    List.iter
+      (fun n ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s profile lists %s" what n)
+          true
+          (Astring_contains.contains flame (" " ^ n ^ " ")))
+      names
+  in
+  let built = Servo_system.build () in
+  lists "check servo"
+    (fun () ->
+      ignore
+        (Check.run ~project:built.Servo_system.project
+           built.Servo_system.controller))
+    [ "check.compile"; "check.lint"; "check.range"; "check.concurrency";
+      "check.codegen"; "check.misra" ];
+  (* a cached compile would time no silvm.compile *)
+  Silvm_compile.cache_clear ();
+  lists "diff servo --opt"
+    (fun () ->
+      match
+        Diff_subject.make ~config:Servo_system.default_config ~steps:200
+          ~opt:true "servo"
+      with
+      | Ok s -> ignore (Diff_subject.run s)
+      | Error _ -> Alcotest.fail "servo is a known model")
+    [ "peert.generate"; "silvm.compile"; "mir.fold"; "mir.propagate";
+      "mir.dce" ]
+
 let suite =
   [
     Alcotest.test_case "histogram uniform quantiles" `Quick test_hist_uniform;
@@ -264,4 +308,6 @@ let suite =
       test_json_parser_rejects;
     Alcotest.test_case "flame + metrics render" `Quick
       test_flame_and_metrics_render;
+    Alcotest.test_case "profile lists the passes" `Quick
+      test_profile_lists_passes;
   ]
