@@ -42,15 +42,14 @@ let findings (arts : Target.artifacts) : Diag.finding list =
         let sats =
           Mir_range.analyze env f body
           |> List.map (fun (s : Mir_range.sat_fact) ->
-                 let lo_b, hi_b = s.Mir_range.bounds in
                  Diag.make ~rule:"MIR004" ~subject
-                   (Printf.sprintf
-                      "%s %s: `%s` has range [%g, %g] against bounds [%g, \
-                       %g]"
-                      s.Mir_range.op
-                      (Mir_range.verdict_name s.Mir_range.verdict)
-                      s.Mir_range.site s.Mir_range.arg.Mir_range.lo
-                      s.Mir_range.arg.Mir_range.hi lo_b hi_b))
+                   (Printf.sprintf "%s %s: `%s` has range %s against bounds %s"
+                      s.op
+                      (match s.verdict with
+                      | Itv.Never -> "never saturates"
+                      | Itv.May -> "may saturate"
+                      | Itv.Always -> "always saturates")
+                      s.site (Itv.to_string s.arg) (Itv.to_string s.bounds)))
         in
         dfa @ sats
       end)

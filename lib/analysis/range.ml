@@ -1,48 +1,7 @@
-type itv = { lo : float; hi : float }
-
-let itv lo hi = { lo; hi }
-let top = { lo = neg_infinity; hi = infinity }
-let point v = { lo = v; hi = v }
-let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
-let hull_pt a v = hull a (point v)
-let add a b = { lo = a.lo +. b.lo; hi = a.hi +. b.hi }
-let neg a = { lo = -.a.hi; hi = -.a.lo }
-let sub a b = add a (neg b)
-
-(* 0 * inf would be nan; the mathematically right product with a zero
-   factor is zero, which is also what the engine computes. *)
-let pmul a b = if a = 0.0 || b = 0.0 then 0.0 else a *. b
-
-let mul a b =
-  let c = [| pmul a.lo b.lo; pmul a.lo b.hi; pmul a.hi b.lo; pmul a.hi b.hi |] in
-  { lo = Array.fold_left Float.min c.(0) c; hi = Array.fold_left Float.max c.(0) c }
-
-let scale k a = mul (point k) a
-
-let div a b =
-  if b.lo <= 0.0 && b.hi >= 0.0 then top
-  else
-    let pdiv x y = if x = 0.0 then 0.0 else x /. y in
-    let c = [| pdiv a.lo b.lo; pdiv a.lo b.hi; pdiv a.hi b.lo; pdiv a.hi b.hi |] in
-    { lo = Array.fold_left Float.min c.(0) c;
-      hi = Array.fold_left Float.max c.(0) c }
-
-let abs_itv a =
-  if a.lo >= 0.0 then a
-  else if a.hi <= 0.0 then neg a
-  else { lo = 0.0; hi = Float.max (-.a.lo) a.hi }
-
-let meet_clamp ~min_v ~max_v a =
-  (* saturation semantics of [Value.of_float]: values outside the type
-     range land exactly on the nearest bound *)
-  if a.lo > max_v then point max_v
-  else if a.hi < min_v then point min_v
-  else { lo = Float.max a.lo min_v; hi = Float.min a.hi max_v }
-
 type t = {
   comp : Compile.t;
-  clamped : itv option array array;
-  raw : itv option array array;
+  clamped : Itv.t option array array;
+  raw : Itv.t option array array;
 }
 
 let dt_of comp b =
@@ -51,12 +10,14 @@ let dt_of comp b =
   | _ -> comp.Compile.base_dt
 
 let dtype_range dt =
-  (Dtype.min_float_value dt, Dtype.max_float_value dt)
+  Itv.make (Dtype.min_float_value dt) (Dtype.max_float_value dt)
+
+let hull_pt i v = Itv.hull i (Itv.point v)
 
 (* Transfer function: raw output intervals of one block from its input
    intervals. [None] is bottom (not yet computed); unknown kinds go to
    the full range of their declared output type, which is sound. *)
-let transfer comp b (ins : itv option array) : itv option array =
+let transfer comp b (ins : Itv.t option array) : Itv.t option array =
   let m = comp.Compile.model in
   let spec = Model.spec_of m b in
   let params = spec.Block.params in
@@ -67,31 +28,30 @@ let transfer comp b (ins : itv option array) : itv option array =
   let all_out i = Array.make n_out (Some i) in
   let need p k = match ins.(p) with Some i -> k i | None -> Array.make n_out None in
   let dt = dt_of comp b in
-  let top_of_type = Array.init n_out (fun p ->
-      let min_v, max_v = dtype_range (out_dt p) in
-      Some (itv min_v max_v))
-  in
+  let top_of_type = Array.init n_out (fun p -> Some (dtype_range (out_dt p))) in
   if n_out = 0 then [||]
   else
+    let open Itv in
     match spec.Block.kind with
     | "Constant" -> all_out (point (pf "value"))
     | "Step" -> all_out (hull (point (pf "before")) (point (pf "after")))
     | "Ramp" ->
-        let start = pf "start" and slope = pf "slope" in
+        (* 0 until the start time, then slope * (t - start) *)
+        let slope = pf "slope" in
         all_out
-          (if slope > 0.0 then itv start infinity
-           else if slope < 0.0 then itv neg_infinity start
-           else point start)
+          (if slope > 0.0 then make 0.0 infinity
+           else if slope < 0.0 then make neg_infinity 0.0
+           else point 0.0)
     | "Sine" ->
         let amp = Float.abs (pf "amp") and bias = pf "bias" in
-        all_out (itv (bias -. amp) (bias +. amp))
+        all_out (make (bias -. amp) (bias +. amp))
     | "Pulse" -> all_out (hull_pt (point (pf "amp")) 0.0)
     | "SetpointSchedule" ->
         (* the schedule outputs 0.0 before the first breakpoint *)
         let values = Param.floats params "values" in
         all_out (Array.fold_left hull_pt (point 0.0) values)
-    | "UniformNoise" -> all_out (itv (pf "lo") (pf "hi"))
-    | "Clock" -> all_out (itv 0.0 infinity)
+    | "UniformNoise" -> all_out (make (pf "lo") (pf "hi"))
+    | "Clock" -> all_out (make 0.0 infinity)
     | "Inport" -> top_of_type
     | "Outport" | "ZOH" | "Merge2" | "Cast" | "Abs" | "Neg" | "Min" | "Max"
     | "Sum" | "Gain" | "Product" | "Divide" | "MathFn" | "Switch"
@@ -102,16 +62,16 @@ let transfer comp b (ins : itv option array) : itv option array =
         | "Outport" | "ZOH" | "Cast" -> need 0 (fun i -> all_out i)
         | "Merge2" ->
             need 0 (fun a -> need 1 (fun b -> all_out (hull a b)))
-        | "Abs" -> need 0 (fun i -> all_out (abs_itv i))
+        | "Abs" -> need 0 (fun i -> all_out (abs i))
         | "Neg" -> need 0 (fun i -> all_out (neg i))
         | "Min" ->
             need 0 (fun a ->
                 need 1 (fun b ->
-                    all_out (itv (Float.min a.lo b.lo) (Float.min a.hi b.hi))))
+                    all_out (make (Float.min a.lo b.lo) (Float.min a.hi b.hi))))
         | "Max" ->
             need 0 (fun a ->
                 need 1 (fun b ->
-                    all_out (itv (Float.max a.lo b.lo) (Float.max a.hi b.hi))))
+                    all_out (make (Float.max a.lo b.lo) (Float.max a.hi b.hi))))
         | "Sum" ->
             let signs = Param.string params "signs" in
             let acc = ref (Some (point 0.0)) in
@@ -123,7 +83,7 @@ let transfer comp b (ins : itv option array) : itv option array =
                 | _ -> acc := None)
               signs;
             (match !acc with Some i -> all_out i | None -> Array.make n_out None)
-        | "Gain" -> need 0 (fun i -> all_out (scale (pf "k") i))
+        | "Gain" -> need 0 (fun i -> all_out (mul (point (pf "k")) i))
         | "Product" ->
             let acc = ref (Some (point 1.0)) in
             Array.iteri
@@ -136,31 +96,31 @@ let transfer comp b (ins : itv option array) : itv option array =
         | "Divide" -> need 0 (fun a -> need 1 (fun b -> all_out (div a b)))
         | "MathFn" -> (
             match Param.string params "fn" with
-            | "sin" | "cos" -> all_out (itv (-1.0) 1.0)
-            | "exp" -> need 0 (fun i -> all_out (itv (exp i.lo) (exp i.hi)))
+            | "sin" | "cos" -> all_out (make (-1.0) 1.0)
+            | "exp" -> need 0 (fun i -> all_out (make (exp i.lo) (exp i.hi)))
             | "sqrt" ->
-                need 0 (fun i -> all_out (itv 0.0 (sqrt (Float.max 0.0 i.hi))))
+                need 0 (fun i -> all_out (make 0.0 (sqrt (Float.max 0.0 i.hi))))
             | "log" ->
                 need 0 (fun i ->
-                    if i.lo > 0.0 then all_out (itv (log i.lo) (log i.hi))
+                    if i.lo > 0.0 then all_out (make (log i.lo) (log i.hi))
                     else all_out top)
             | _ -> top_of_type)
         | "Switch" -> need 0 (fun a -> need 2 (fun b -> all_out (hull a b)))
-        | "Saturation" -> all_out (itv (pf "lo") (pf "hi"))
+        | "Saturation" -> all_out (make (pf "lo") (pf "hi"))
         | "Quantizer" ->
             let q = pf "interval" in
-            need 0 (fun i -> all_out (itv (i.lo -. (q /. 2.0)) (i.hi +. (q /. 2.0))))
+            need 0 (fun i -> all_out (make (i.lo -. (q /. 2.0)) (i.hi +. (q /. 2.0))))
         | "DeadZone" ->
             let lo = pf "lo" and hi = pf "hi" in
             need 0 (fun i ->
-                all_out (itv (Float.min 0.0 (i.lo -. lo)) (Float.max 0.0 (i.hi -. hi))))
-        | "Sign" -> all_out (itv (-1.0) 1.0)
+                all_out (make (Float.min 0.0 (i.lo -. lo)) (Float.max 0.0 (i.hi -. hi))))
+        | "Sign" -> all_out (make (-1.0) 1.0)
         | "CoulombFriction" ->
             let l = Float.abs (pf "level") in
-            need 0 (fun i -> all_out (itv (i.lo -. l) (i.hi +. l)))
+            need 0 (fun i -> all_out (make (i.lo -. l) (i.hi +. l)))
         | "Backlash" ->
             let w = pf "width" in
-            need 0 (fun i -> all_out (hull_pt (itv (i.lo -. w) (i.hi +. w)) 0.0))
+            need 0 (fun i -> all_out (hull_pt (make (i.lo -. w) (i.hi +. w)) 0.0))
         | "UnitDelay" ->
             let init = point (pf "init") in
             all_out (match ins.(0) with Some i -> hull init i | None -> init)
@@ -176,7 +136,7 @@ let transfer comp b (ins : itv option array) : itv option array =
             need 0 (fun i ->
                 let h = hull_pt i 0.0 in
                 let w = k *. (h.hi -. h.lo) /. dt in
-                all_out (itv (-.w) w))
+                all_out (make (-.w) w))
         | "RateLimiter" | "MovingAverage" ->
             need 0 (fun i -> all_out (hull_pt i 0.0))
         | "EncoderSpeed" ->
@@ -184,18 +144,18 @@ let transfer comp b (ins : itv option array) : itv option array =
             let cpr = Param.int params "counts_per_rev" in
             let k = 2.0 *. Float.pi /. float_of_int cpr in
             let w = 32768.0 *. k /. dt in
-            all_out (itv (-.w) w)
+            all_out (make (-.w) w)
         | _ -> assert false)
     | "DiscreteIntegrator" ->
-        all_out (hull_pt (itv (pf "lo") (pf "hi")) (pf "init"))
-    | "Pid" -> all_out (itv (pf "u_min") (pf "u_max"))
+        all_out (hull_pt (make (pf "lo") (pf "hi")) (pf "init"))
+    | "Pid" -> all_out (make (pf "u_min") (pf "u_max"))
     | "FixPid" ->
         (* the Q-format accumulator clamps u/out_scale to +-2.0 *)
         let s = pf "out_scale" in
         all_out
-          (itv (Float.max (pf "u_min") (-2.0 *. s))
+          (make (Float.max (pf "u_min") (-2.0 *. s))
              (Float.min (pf "u_max") (2.0 *. s)))
-    | "Compare" | "Logic" -> all_out (itv 0.0 1.0)
+    | "Compare" | "Logic" -> all_out (make 0.0 1.0)
     | "Relay" ->
         all_out (hull (point (pf "on_value")) (point (pf "off_value")))
     | "Lookup1D" | "Lookup1DNearest" ->
@@ -204,10 +164,10 @@ let transfer comp b (ins : itv option array) : itv option array =
         else all_out (Array.fold_left hull_pt (point ys.(0)) ys)
     | "PE_Adc" | "AR_Adc" -> (
         match Param.int_opt params "max_code" with
-        | Some mc -> all_out (itv 0.0 (float_of_int mc))
+        | Some mc -> all_out (make 0.0 (float_of_int mc))
         | None -> top_of_type)
-    | "PE_Pwm" | "AR_Pwm" -> all_out (itv 0.0 1.0)
-    | "PE_BitIO_In" | "AR_BitIO_In" -> all_out (itv 0.0 1.0)
+    | "PE_Pwm" | "AR_Pwm" -> all_out (make 0.0 1.0)
+    | "PE_BitIO_In" | "AR_BitIO_In" -> all_out (make 0.0 1.0)
     | _ -> top_of_type
 
 (* The fixpoint engine is the shared [Dataflow.Round_robin] solver
@@ -217,7 +177,7 @@ let transfer comp b (ins : itv option array) : itv option array =
    diameter has been exceeded is in a feedback loop and goes straight
    to the type bound. *)
 module Row = struct
-  type t = itv option array
+  type t = Itv.t option array
 
   let equal = ( = )
 end
@@ -237,16 +197,15 @@ let analyze comp =
         | Some (sb, sp) -> (get pos.(Model.blk_index sb)).(sp)
         | None -> None)
   in
-  let clamp_port b p i =
+  let clamp_port b p (i : Itv.t) =
     let dt = comp.Compile.out_types.(Model.blk_index b).(p) in
-    let min_v, max_v = dtype_range dt in
     (* an integer-typed port stores a rounding of the computed value;
        [floor, ceil] covers truncation and round-to-nearest alike *)
     let i =
-      if Dtype.is_integer dt then itv (Float.floor i.lo) (Float.ceil i.hi)
+      if Dtype.is_integer dt then Itv.make (Float.floor i.lo) (Float.ceil i.hi)
       else i
     in
-    meet_clamp ~min_v ~max_v i
+    Itv.clamp ~bounds:(dtype_range dt) i
   in
   let widen_after = n + 2 in
   let max_rounds = (2 * n) + 8 in
@@ -262,7 +221,7 @@ let analyze comp =
         | Some iv ->
             let iv = clamp_port b p iv in
             let joined =
-              match cur.(p) with None -> iv | Some c -> hull c iv
+              match cur.(p) with None -> iv | Some c -> Itv.hull c iv
             in
             if cur.(p) <> Some joined then
               next.(p) <-
@@ -272,10 +231,7 @@ let analyze comp =
                      let c =
                        match cur.(p) with Some c -> c | None -> joined
                      in
-                     clamp_port b p
-                       (itv
-                          (if joined.lo < c.lo then neg_infinity else joined.lo)
-                          (if joined.hi > c.hi then infinity else joined.hi))))
+                     clamp_port b p (Itv.widen ~old:c joined)))
       outs;
     next
   in
@@ -303,8 +259,6 @@ let analyze comp =
 let interval t (b, p) = t.clamped.(Model.blk_index b).(p)
 let raw_interval t (b, p) = t.raw.(Model.blk_index b).(p)
 
-let pp_itv i = Printf.sprintf "[%g, %g]" i.lo i.hi
-
 let findings t =
   let comp = t.comp in
   let m = comp.Compile.model in
@@ -322,22 +276,21 @@ let findings t =
           | None -> ()
           | Some r ->
               let dt = comp.Compile.out_types.(bi).(p) in
-              let min_v, max_v = dtype_range dt in
-              if Float.is_finite min_v || Float.is_finite max_v then
-                if r.lo > max_v || r.hi < min_v then
-                  emit
-                    (Diag.make ~rule:"FXP003" ~subject:name
-                       (Printf.sprintf
-                          "output %d range %s lies entirely outside %s range \
-                           [%g, %g]; the cast always saturates"
-                          p (pp_itv r) (Dtype.to_string dt) min_v max_v))
-                else if r.lo < min_v || r.hi > max_v then
-                  emit
-                    (Diag.make ~rule:"FXP001" ~subject:name
-                       (Printf.sprintf
-                          "output %d range %s exceeds %s range [%g, %g]; \
-                           generated code saturates"
-                          p (pp_itv r) (Dtype.to_string dt) min_v max_v)))
+              let bounds = dtype_range dt in
+              let says rule verb effect =
+                emit
+                  (Diag.make ~rule ~subject:name
+                     (Printf.sprintf "output %d range %s %s %s range %s; %s" p
+                        (Itv.to_string r) verb (Dtype.to_string dt)
+                        (Itv.to_string bounds) effect))
+              in
+              (* an unbounded (float) type never saturates *)
+              match Itv.classify ~bounds r with
+              | Itv.Always ->
+                  says "FXP003" "lies entirely outside"
+                    "the cast always saturates"
+              | Itv.May -> says "FXP001" "exceeds" "generated code saturates"
+              | Itv.Never -> ())
         t.raw.(bi);
       (* FXP002: fixed-point PID normalisation *)
       (if spec.Block.kind = "FixPid" then
@@ -360,7 +313,8 @@ let findings t =
                             (Printf.sprintf
                                "input %s (%d) range %s exceeds %s at \
                                 in_scale %g: representable span is [%g, %g]"
-                               input p (pp_itv i) (Qformat.to_string qf) s
+                               input p (Itv.to_string i)
+                               (Qformat.to_string qf) s
                                (qmin *. s) (qmax *. s))))
                [ "sp"; "pv" ]
          | _ -> ());
@@ -372,7 +326,8 @@ let findings t =
             | Some i when i.lo <= 0.0 && i.hi >= 0.0 ->
                 emit
                   (Diag.make ~rule:"FXP004" ~subject:name
-                     (Printf.sprintf "divisor range %s contains zero" (pp_itv i)))
+                     (Printf.sprintf "divisor range %s contains zero"
+                        (Itv.to_string i)))
             | _ -> ())
         | None -> ())
     (Model.blocks m);

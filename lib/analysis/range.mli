@@ -15,19 +15,17 @@
     normalisation overflows the paper's E2 experiment statically
     (FXP002). *)
 
-type itv = { lo : float; hi : float }
-
 type t
 
 val analyze : Compile.t -> t
 (** Run the interval fixpoint over a compiled model. *)
 
-val interval : t -> Model.blk * int -> itv option
+val interval : t -> Model.blk * int -> Itv.t option
 (** Clamped interval of an output port; [None] when the port is
     unreachable (bottom). Sound for simulation: any value the engine
     produces on this port lies within. *)
 
-val raw_interval : t -> Model.blk * int -> itv option
+val raw_interval : t -> Model.blk * int -> Itv.t option
 (** The pre-clamp interval the block arithmetic can produce before
     [Value.of_float] saturation. *)
 

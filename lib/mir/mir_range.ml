@@ -2,40 +2,23 @@
    prover built on it.
 
    The domain is a map from canonical place paths to closed float
-   intervals; a missing key means "anything representable in the
+   intervals ({!Itv}); a missing key means "anything representable in the
    place's type". The solver is the generic worklist engine
    ([Dataflow.Solve]) with interval widening after a few visits of the
    same node, so loop counters converge without walking the whole
    int32 range.
 
    The prover classifies every [Esat16] / [Esat_add32] / [Equantize]
-   site against the stabilised intervals:
-
-   - [Never]:  the clamp can never change the value (discharged)
-   - [Always]: the clamp fires on every execution (confirmed)
-   - [May]:    the range straddles a saturation bound
-
-   Intervals over-approximate the reachable values, so [Never] and
-   [Always] are sound claims; [May] is the honest "cannot prove". *)
-
-type itv = { lo : float; hi : float }
-
-let top = { lo = neg_infinity; hi = infinity }
-
-(* normalise: a NaN bound means an infinity was involved upstream *)
-let mk lo hi =
-  if Float.is_nan lo || Float.is_nan hi then top else { lo; hi }
-
-let const x = mk x x
-let hull a b = mk (Float.min a.lo b.lo) (Float.max a.hi b.hi)
-let is_finite i = Float.is_finite i.lo && Float.is_finite i.hi
+   site against the stabilised intervals with {!Itv.classify}: [Never]
+   (the clamp can never change the value), [Always] (it fires on every
+   execution) or [May]. *)
 
 module Smap = Map.Make (String)
 
 (* [None] is the unreachable (bottom) state; a present map binds the
    place paths about which something is known *)
 module L = struct
-  type t = itv Smap.t option
+  type t = Itv.t Smap.t option
 
   let bottom = None
 
@@ -54,7 +37,9 @@ module L = struct
         Some
           (Smap.merge
              (fun _ x y ->
-               match (x, y) with Some x, Some y -> Some (hull x y) | _ -> None)
+               match (x, y) with
+               | Some x, Some y -> Some (Itv.hull x y)
+               | _ -> None)
              a b)
 end
 
@@ -70,54 +55,39 @@ let widen ~old ~next =
            (fun k ni ->
              match Smap.find_opt k o with
              | None -> None (* key appeared late: give it up *)
-             | Some oi ->
-                 let lo = if ni.lo < oi.lo then neg_infinity else ni.lo in
-                 let hi = if ni.hi > oi.hi then infinity else ni.hi in
-                 Some (mk lo hi))
+             | Some oi -> Some (Itv.widen ~old:oi ni))
            n)
   | Some _, None -> None
 
 (* ---- sat-site verdicts ---- *)
 
-type verdict = Never | May | Always
-
-let verdict_name = function
-  | Never -> "never saturates"
-  | May -> "may saturate"
-  | Always -> "always saturates"
-
 type sat_fact = {
   op : string;  (** helper name: pe_sat16 / pe_sat_add32 / pe_cast_* *)
   site : string;  (** C spelling of the whole saturating expression *)
-  verdict : verdict;
-  arg : itv;  (** stabilised interval of the saturand *)
-  bounds : float * float;  (** the clamp bounds of the op *)
+  verdict : Itv.verdict;
+  arg : Itv.t;  (** stabilised interval of the saturand *)
+  bounds : Itv.t;  (** the clamp bounds of the op *)
 }
 
 (* round half away from zero, as the generated helpers do *)
 let round_ha x =
   if x >= 0.0 then Float.floor (x +. 0.5) else Float.ceil (x -. 0.5)
 
-let classify ~rounded (i : itv) (lo_b, hi_b) : verdict =
-  let r = if rounded then mk (round_ha i.lo) (round_ha i.hi) else i in
-  if is_finite r && r.lo >= lo_b && r.hi <= hi_b then Never
-  else if (Float.is_finite r.lo && r.lo > hi_b)
-          || (Float.is_finite r.hi && r.hi < lo_b)
-  then Always
-  else May
+let rounded (i : Itv.t) = Itv.make (round_ha i.lo) (round_ha i.hi)
 
 (* ---- abstract evaluation ---- *)
 
 type ctx = {
   env : Mir_env.t;
   locals : (string * Mir_env.vty) list;
-  mutable record : (Mir.expr -> string -> verdict -> itv -> float * float -> unit) option;
+  mutable record :
+    (Mir.expr -> string -> Itv.verdict -> Itv.t -> Itv.t -> unit) option;
 }
 
-let place_range ctx p =
-  Mir_env.ty_range (Mir_env.scalar_of_vty (Mir_env.place_vty ctx.env ctx.locals p))
+let ty_itv ty = let lo, hi = Mir_env.ty_range ty in Itv.make lo hi
 
-let ty_itv ty = let lo, hi = Mir_env.ty_range ty in mk lo hi
+let place_range ctx p =
+  ty_itv (Mir_env.scalar_of_vty (Mir_env.place_vty ctx.env ctx.locals p))
 
 (* helpers the generated code calls that cannot write memory *)
 let pure_call f =
@@ -126,90 +96,59 @@ let pure_call f =
      | "pe_sat16" | "pe_sat_add32" | "pe_mul_shift" -> true
      | _ -> false)
 
-let rec eval_itv ctx (state : itv Smap.t) (e : Mir.expr) : itv =
+let rec eval_itv ctx (state : Itv.t Smap.t) (e : Mir.expr) : Itv.t =
   let ev = eval_itv ctx state in
   let ty_of e = Mir_env.ty_of_expr ctx.env ctx.locals e in
   (* wrap semantics: when a result may leave its C type's range the
      sound answer is the whole type range *)
-  let wrap e i =
-    let lo, hi = Mir_env.ty_range (ty_of e) in
-    if i.lo >= lo && i.hi <= hi then i else mk lo hi
-  in
+  let wrap e i = Itv.wrap ~bounds:(ty_itv (ty_of e)) i in
   match e with
-  | Mir.Kint (n, _) -> const (Float.of_int n)
-  | Mir.Kfloat x -> const x
+  | Mir.Kint (n, _) -> Itv.point (Float.of_int n)
+  | Mir.Kfloat x -> Itv.point x
   | Mir.Load p -> (
-      let root = Mir.place_root p in
-      if Mir_env.is_volatile ctx.env root then
-        let lo, hi = place_range ctx p in
-        mk lo hi
+      if Mir_env.is_volatile ctx.env (Mir.place_root p) then place_range ctx p
       else
         match Mir.place_path p with
         | Some path when Smap.mem path state -> Smap.find path state
-        | _ ->
-            let lo, hi = place_range ctx p in
-            mk lo hi)
-  | Mir.Eun (Mir.Neg, a) ->
-      let i = ev a in
-      wrap e (mk (-.i.hi) (-.i.lo))
-  | Mir.Eun (Mir.Lnot, _) -> mk 0.0 1.0
+        | _ -> place_range ctx p)
+  | Mir.Eun (Mir.Neg, a) -> wrap e (Itv.neg (ev a))
+  | Mir.Eun (Mir.Lnot, _) -> Itv.make 0.0 1.0
   | Mir.Ebin (op, a, b) -> (
       let ia = ev a and ib = ev b in
       match op with
-      | Mir.Add -> wrap e (mk (ia.lo +. ib.lo) (ia.hi +. ib.hi))
-      | Mir.Sub -> wrap e (mk (ia.lo -. ib.hi) (ia.hi -. ib.lo))
-      | Mir.Mul ->
-          let c = [ ia.lo *. ib.lo; ia.lo *. ib.hi; ia.hi *. ib.lo; ia.hi *. ib.hi ] in
-          wrap e (mk (List.fold_left Float.min infinity c)
-                    (List.fold_left Float.max neg_infinity c))
-      | Mir.Div ->
-          if ib.lo <= 0.0 && ib.hi >= 0.0 then ty_itv (ty_of e)
-          else
-            let c = [ ia.lo /. ib.lo; ia.lo /. ib.hi; ia.hi /. ib.lo; ia.hi /. ib.hi ] in
-            wrap e (mk (List.fold_left Float.min infinity c)
-                      (List.fold_left Float.max neg_infinity c))
+      | Mir.Add -> wrap e (Itv.add ia ib)
+      | Mir.Sub -> wrap e (Itv.sub ia ib)
+      | Mir.Mul -> wrap e (Itv.mul ia ib)
+      | Mir.Div -> wrap e (Itv.div ia ib)
       | Mir.Eq | Mir.Ne | Mir.Lt | Mir.Gt | Mir.Le | Mir.Ge | Mir.Land
       | Mir.Lor ->
-          mk 0.0 1.0
+          Itv.make 0.0 1.0
       | Mir.Mod | Mir.Shl | Mir.Shr | Mir.Band | Mir.Bor | Mir.Bxor ->
           ty_itv (ty_of e))
   | Mir.Ecast (_, a) ->
-      let i = ev a in
-      let lo, hi = Mir_env.ty_range (ty_of e) in
-      (* in-range conversions are exact; otherwise the wrap (or f32
-         rounding) can produce anything representable *)
-      if is_finite i && i.lo >= lo && i.hi <= hi then i else mk lo hi
+      (* in-range conversions are exact; otherwise the wrap can produce
+         anything representable *)
+      wrap e (ev a)
   | Mir.Equantize (k, a) ->
       let i = ev a in
-      let bounds = Mir.qkind_bounds k in
+      let bounds = let lo, hi = Mir.qkind_bounds k in Itv.make lo hi in
+      (* the rounding path only applies to float saturands; an
+         integer-typed argument is already integral *)
+      let r = match ty_of a with Mir.Tf32 | Mir.Tf64 -> rounded i | _ -> i in
       record_site ctx e (Mir.qkind_name k)
-        (if k = Mir.Qb then May
-         else
-           (* the rounding path only applies to float saturands; an
-              integer-typed argument is already integral *)
-           classify ~rounded:(match ty_of a with
-                              | Mir.Tf32 | Mir.Tf64 -> true
-                              | _ -> false)
-             i bounds)
+        (if k = Mir.Qb then Itv.May else Itv.classify ~bounds r)
         i bounds;
-      if k = Mir.Qb then mk 0.0 1.0
-      else
-        let lo_b, hi_b = bounds in
-        let r = mk (round_ha i.lo) (round_ha i.hi) in
-        if is_finite r then mk (Float.max lo_b r.lo) (Float.min hi_b r.hi)
-        else mk lo_b hi_b
+      if k = Mir.Qb then bounds else Itv.clamp ~bounds (rounded i)
   | Mir.Esat16 a ->
       let i = ev a in
-      let bounds = (-32768.0, 32767.0) in
-      record_site ctx e "pe_sat16" (classify ~rounded:false i bounds) i bounds;
-      mk (Float.max (-32768.0) i.lo) (Float.min 32767.0 i.hi)
+      let bounds = ty_itv Mir.i16 in
+      record_site ctx e "pe_sat16" (Itv.classify ~bounds i) i bounds;
+      Itv.clamp ~bounds i
   | Mir.Esat_add32 (a, b) ->
-      let ia = ev a and ib = ev b in
-      let s = mk (ia.lo +. ib.lo) (ia.hi +. ib.hi) in
-      let bounds = (-2147483648.0, 2147483647.0) in
-      record_site ctx e "pe_sat_add32" (classify ~rounded:false s bounds) s
-        bounds;
-      mk (Float.max (-2147483648.0) s.lo) (Float.min 2147483647.0 s.hi)
+      let s = Itv.add (ev a) (ev b) in
+      let bounds = ty_itv Mir.i32 in
+      record_site ctx e "pe_sat_add32" (Itv.classify ~bounds s) s bounds;
+      Itv.clamp ~bounds s
   | Mir.Emul_shift (a, b, s) ->
       ignore (ev a); ignore (ev b); ignore (ev s);
       ty_itv Mir.i32
@@ -218,18 +157,13 @@ let rec eval_itv ctx (state : itv Smap.t) (e : Mir.expr) : itv =
       (* libm results are at least bounded for a few shapes *)
       (match f with
       | "fabs" -> (
-          match args with
-          | [ a ] ->
-              let i = ev a in
-              if is_finite i then mk 0.0 (Float.max (Float.abs i.lo) (Float.abs i.hi))
-              else mk 0.0 infinity
-          | _ -> top)
-      | "sin" | "cos" -> mk (-1.0) 1.0
+          match args with [ a ] -> Itv.abs (ev a) | _ -> Itv.top)
+      | "sin" | "cos" -> Itv.make (-1.0) 1.0
       | _ -> ty_itv (Mir_env.ty_of_expr ctx.env ctx.locals e))
   | Mir.Eselect (c, a, b) ->
       ignore (ev c);
-      hull (ev a) (ev b)
-  | Mir.Eopaque _ -> top
+      Itv.hull (ev a) (ev b)
+  | Mir.Eopaque _ -> Itv.top
 
 and record_site ctx e op verdict i bounds =
   match ctx.record with
@@ -276,7 +210,7 @@ let exec_expr ctx state e =
   let state = if impure_call e then Smap.empty else state in
   (i, state)
 
-let exec_atom ctx (state : itv Smap.t) (at : Mir_cfg.atom) : itv Smap.t =
+let exec_atom ctx (state : Itv.t Smap.t) (at : Mir_cfg.atom) : Itv.t Smap.t =
   match at.Mir_cfg.a with
   | Mir_cfg.A_cond c ->
       let _, state = exec_expr ctx state c in
@@ -288,9 +222,7 @@ let exec_atom ctx (state : itv Smap.t) (at : Mir_cfg.atom) : itv Smap.t =
           let ty =
             Mir_env.scalar_of_vty (Mir_env.var_vty ctx.env ctx.locals n)
           in
-          let lo, hi = Mir_env.ty_range ty in
-          let i = if i.lo >= lo && i.hi <= hi then i else mk lo hi in
-          Smap.add n i state
+          Smap.add n (Itv.wrap ~bounds:(ty_itv ty) i) state
       | Mir.Sdecl (_, n, None) -> Smap.remove n state
       | Mir.Sassign (p, e) -> (
           let i, state = exec_expr ctx state e in
@@ -299,9 +231,7 @@ let exec_atom ctx (state : itv Smap.t) (at : Mir_cfg.atom) : itv Smap.t =
           else
             match Mir.place_path p with
             | Some path ->
-                let lo, hi = place_range ctx p in
-                let i = if i.lo >= lo && i.hi <= hi then i else mk lo hi in
-                Smap.add path i state
+                Smap.add path (Itv.wrap ~bounds:(place_range ctx p) i) state
             | None -> havoc_root root state)
       | Mir.Sexpr e ->
           let _, state = exec_expr ctx state e in
@@ -311,10 +241,9 @@ let exec_atom ctx (state : itv Smap.t) (at : Mir_cfg.atom) : itv Smap.t =
           | Some path -> (
               match Smap.find_opt path state with
               | Some i ->
-                  let lo, hi = place_range ctx p in
-                  let n = mk (i.lo +. 1.0) (i.hi +. 1.0) in
                   Smap.add path
-                    (if n.lo >= lo && n.hi <= hi then n else mk lo hi)
+                    (Itv.wrap ~bounds:(place_range ctx p)
+                       (Itv.add i (Itv.point 1.0)))
                     state
               | None -> state)
           | None -> havoc_root (Mir.place_root p) state)

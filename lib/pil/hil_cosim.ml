@@ -23,7 +23,10 @@ type 'p result = {
 
 let is_kind k b m = (Model.spec_of m b).Block.kind = k
 
-let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
+(* plant/peripheral coupling steps per control period *)
+let substeps = 16
+
+let run ?(preemptive = false) ?(button = fun _ -> false)
     ?(background_load = 0.0) ?watchdog ~mcu ~schedule ~controller ~plant
     ~advance ~angle_of ~observe ~encoder ~periods () =
   Flight.span "hil.run" @@ fun () ->

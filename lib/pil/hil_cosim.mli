@@ -37,7 +37,6 @@ type 'p result = {
 
 val run :
   ?preemptive:bool ->
-  ?substeps:int ->
   ?button:(float -> bool) ->
   ?background_load:float ->
   ?watchdog:float ->
@@ -52,12 +51,12 @@ val run :
   periods:int ->
   unit ->
   'p result
-(** [substeps] (default 16) is the plant/peripheral coupling granularity
-    within one control period. [background_load] (default 0) adds a
-    competing background ISR consuming that fraction of the CPU, for
-    stress runs. [watchdog] arms a {!Wdog_periph} with that timeout; the
-    control step refreshes it exactly as generated code calls
-    [WD1_Clear], so starved steps show up as bites.
+(** The plant and the peripherals are coupled 16 times per control
+    period. [background_load] (default 0) adds a competing background
+    ISR consuming that fraction of the CPU, for stress runs. [watchdog]
+    arms a {!Wdog_periph} with that timeout; the control step refreshes
+    it exactly as generated code calls [WD1_Clear], so starved steps
+    show up as bites.
     @raise Invalid_argument when the timer bean's period is unattainable
     on the MCU. *)
 

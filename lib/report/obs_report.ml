@@ -4,69 +4,75 @@ let fmt_time_s s =
   else if s >= 1e-6 then Printf.sprintf "%.2f us" (s *. 1e6)
   else Printf.sprintf "%.0f ns" (s *. 1e9)
 
-type agg = {
+(* one node per path of span names from the outermost span *)
+type node = {
   mutable calls : int;
   mutable total_s : float;
   mutable max_s : float;
+  kids : (string, node) Hashtbl.t;
 }
+
+let node () = { calls = 0; total_s = 0.0; max_s = 0.0; kids = Hashtbl.create 4 }
 
 let flame_summary ?(dropped = 0) events =
   let spans = List.filter (fun e -> e.Flight.ev_kind = Flight.Span) events in
   if spans = [] then "no spans recorded\n"
   else begin
-    let tbl : (int * string, agg) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
-    (* first-seen order, by completion time, gives a stable listing *)
+    let root = node () in
+    (* A span's parent is the next span one level up to complete after
+       it on the same domain. Walking newest first, that is the last
+       span seen at the depth above; a span whose parent is still open
+       is listed at the top. *)
+    let last = Hashtbl.create 16 in
     List.iter
       (fun (e : Flight.event) ->
-        let key = (e.ev_step, e.ev_label) in
-        let a =
-          match Hashtbl.find_opt tbl key with
-          | Some a -> a
-          | None ->
-              let a = { calls = 0; total_s = 0.0; max_s = 0.0 } in
-              Hashtbl.replace tbl key a;
-              order := key :: !order;
-              a
+        let parent =
+          Option.value ~default:root
+            (Hashtbl.find_opt last (e.ev_track, e.ev_step - 1))
         in
-        a.calls <- a.calls + 1;
-        a.total_s <- a.total_s +. e.ev_value;
-        if e.ev_value > a.max_s then a.max_s <- e.ev_value)
-      spans;
+        let n =
+          match Hashtbl.find_opt parent.kids e.ev_label with
+          | Some n -> n
+          | None ->
+              let n = node () in
+              Hashtbl.replace parent.kids e.ev_label n;
+              n
+        in
+        Hashtbl.replace last (e.ev_track, e.ev_step) n;
+        n.calls <- n.calls + 1;
+        n.total_s <- n.total_s +. e.ev_value;
+        if e.ev_value > n.max_s then n.max_s <- e.ev_value)
+      (List.rev spans);
     let root_total =
       List.fold_left
         (fun acc (e : Flight.event) ->
           if e.ev_step = 0 then acc +. e.ev_value else acc)
         0.0 spans
     in
-    let keys =
-      List.sort
-        (fun (d1, n1) (d2, n2) ->
-          if d1 <> d2 then compare d1 d2
-          else
-            let t k n = (Hashtbl.find tbl (k, n)).total_s in
-            compare (t d2 n2) (t d1 n1))
-        (List.rev !order)
-    in
     let b = Buffer.create 512 in
     Buffer.add_string b
-      (Printf.sprintf "%-40s %10s %12s %12s %12s %7s\n" "span (by depth)"
-         "calls" "total" "mean" "max" "share");
-    List.iter
-      (fun (d, name) ->
-        let a = Hashtbl.find tbl (d, name) in
-        let label = String.make (2 * d) ' ' ^ name in
-        let share =
-          if root_total > 0.0 then
-            Printf.sprintf "%5.1f %%" (100.0 *. a.total_s /. root_total)
-          else "-"
-        in
-        Buffer.add_string b
-          (Printf.sprintf "%-40s %10d %12s %12s %12s %7s\n" label a.calls
-             (fmt_time_s a.total_s)
-             (fmt_time_s (a.total_s /. float_of_int a.calls))
-             (fmt_time_s a.max_s) share))
-      keys;
+      (Printf.sprintf "%-40s %10s %12s %12s %12s %7s\n" "span" "calls"
+         "total" "mean" "max" "share");
+    (* depth first, each span's children by total time, largest first *)
+    let rec print depth parent =
+      Hashtbl.fold (fun name n acc -> (name, n) :: acc) parent.kids []
+      |> List.sort (fun (x, m) (y, n) ->
+             match compare n.total_s m.total_s with 0 -> compare x y | c -> c)
+      |> List.iter (fun (name, n) ->
+             let share =
+               if root_total > 0.0 then
+                 Printf.sprintf "%5.1f %%" (100.0 *. n.total_s /. root_total)
+               else "-"
+             in
+             Buffer.add_string b
+               (Printf.sprintf "%-40s %10d %12s %12s %12s %7s\n"
+                  (String.make (2 * depth) ' ' ^ name)
+                  n.calls (fmt_time_s n.total_s)
+                  (fmt_time_s (n.total_s /. float_of_int n.calls))
+                  (fmt_time_s n.max_s) share);
+             print (depth + 1) n)
+    in
+    print 0 root;
     if dropped > 0 then
       Buffer.add_string b (Printf.sprintf "%d older spans dropped\n" dropped);
     Buffer.contents b

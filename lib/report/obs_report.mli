@@ -3,9 +3,11 @@
     terminal counterpart of the Chrome-trace JSON export. *)
 
 val flame_summary : ?dropped:int -> Flight.event list -> string
-(** Aggregate the [Span] events ({!Flight.spans}) by (nesting depth,
-    name): calls, total/mean/max time and share of the outermost total,
-    indented by depth, then one line for the [dropped] spans
+(** Aggregate the [Span] events ({!Flight.spans}) by their path of
+    names from the outermost span: calls, total/mean/max time and share
+    of the outermost total, each span indented under its parent (the
+    next span one level up to complete after it on the same domain),
+    then one line for the [dropped] spans
     ({!Flight.spans_dropped}) when there are any. Other kinds are
     ignored. The [--metrics] and [--profile] span view. *)
 

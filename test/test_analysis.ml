@@ -74,6 +74,14 @@ let palette rng =
       (fun () -> Discrete_blocks.moving_average 3);
       (fun () -> Discrete_blocks.zoh ~period:0.01 ());
       (fun () -> Math_blocks.cast Dtype.Int16);
+      (fun () ->
+        let slope = g (QCheck2.Gen.float_range 0.1 2.0) in
+        Sources.ramp
+          ~start:(g (QCheck2.Gen.float_range 0.01 0.49))
+          ~slope:(if Random.State.bool rng then slope else -.slope)
+          ());
+      (fun () -> Sources.clock);
+      (fun () -> Math_blocks.divide);
     ]
     ()
 
@@ -121,7 +129,7 @@ let prop_intervals_sound =
         (fun port ->
           match Range.interval ranges port with
           | None -> false (* executed ports must not be bottom *)
-          | Some { Range.lo; hi } ->
+          | Some { Itv.lo; hi } ->
               let tol =
                 1e-6
                 *. Float.max 1.0
@@ -134,6 +142,42 @@ let prop_intervals_sound =
                   || (v >= lo -. tol && v <= hi +. tol))
                 (Sim.trace sim port))
         ports)
+
+(* Clock / (Ramp + 1) has infinite bounds on both operands; its
+   quotient, scaled and cast to Int16, still gets a NaN-free interval and
+   the cast an FXP001 *)
+let test_unbounded_quotient () =
+  let m = Model.create "quotient" in
+  let add spec = Model.add m spec in
+  let clock = add Sources.clock and ramp = add (Sources.ramp ~slope:1.0 ()) in
+  let one = add (Sources.constant 1.0) and sum = add (Math_blocks.sum "++") in
+  let div = add Math_blocks.divide and gain = add (Math_blocks.gain 4e4) in
+  let cast = add (Math_blocks.cast Dtype.Int16) in
+  List.iter
+    (fun (src, dst) -> Model.connect m ~src ~dst)
+    [ ((ramp, 0), (sum, 0)); ((one, 0), (sum, 1)); ((clock, 0), (div, 0));
+      ((sum, 0), (div, 1)); ((div, 0), (gain, 0)); ((gain, 0), (cast, 0)) ];
+  let ranges = Range.analyze (Compile.compile ~default_dt:0.01 m) in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun get ->
+          match get ranges (b, 0) with
+          | Some { Itv.lo; hi } ->
+              Alcotest.(check bool)
+                (Model.block_name m b ^ " has no NaN bound")
+                false
+                (Float.is_nan lo || Float.is_nan hi)
+          | None -> Alcotest.fail "reachable port is bottom")
+        [ Range.interval; Range.raw_interval ])
+    [ clock; ramp; one; sum; div; gain; cast ];
+  Alcotest.(check (list string))
+    "the cast may saturate" [ "FXP001" ]
+    (List.filter_map
+       (fun f ->
+         if f.Diag.subject = Model.block_name m cast then Some f.Diag.rule
+         else None)
+       (Range.findings ranges))
 
 (* ---- the seeded Q15 overflow on the fixed-point servo (E2) ---- *)
 
@@ -360,6 +404,7 @@ let suite =
   [
     Alcotest.test_case "diagnose collects" `Quick test_diagnose_collects;
     Alcotest.test_case "diagnose loop" `Quick test_diagnose_loop;
+    Alcotest.test_case "unbounded quotient" `Quick test_unbounded_quotient;
     QCheck_alcotest.to_alcotest prop_intervals_sound;
     Alcotest.test_case "FXP002 servo overflow" `Quick test_fxp002_servo;
     Alcotest.test_case "suppression" `Quick test_fxp_suppression;

@@ -231,7 +231,7 @@ let test_sat_prover () =
       ]
   in
   (match v1 with
-  | [ ("pe_sat16", Mir_range.Never) ] -> ()
+  | [ ("pe_sat16", Itv.Never) ] -> ()
   | _ -> Alcotest.fail "expected a single Never verdict");
   (* constant outside int16: provably always saturates *)
   let v2 =
@@ -245,7 +245,7 @@ let test_sat_prover () =
       ]
   in
   (match v2 with
-  | [ ("pe_sat16", Mir_range.Always) ] -> ()
+  | [ ("pe_sat16", Itv.Always) ] -> ()
   | _ -> Alcotest.fail "expected a single Always verdict");
   (* unknown external value: may saturate *)
   let v3 =
@@ -258,9 +258,36 @@ let test_sat_prover () =
           ];
       ]
   in
-  match v3 with
-  | [ ("pe_sat16", Mir_range.May) ] -> ()
-  | _ -> Alcotest.fail "expected a single May verdict"
+  (match v3 with
+  | [ ("pe_sat16", Itv.May) ] -> ()
+  | _ -> Alcotest.fail "expected a single May verdict");
+  (* a clamp of an argument wholly outside its bounds lands on the
+     bound: b is 0, so c = 0 is reachable and the second site may not
+     saturate *)
+  let v4 =
+    sat_verdicts
+      [
+        one_func
+          [
+            Decl (I32, "a", Some (Int_lit 70000));
+            Decl
+              ( I32,
+                "b",
+                Some (Bin ("-", Call ("pe_sat16", [ Var "a" ]), Int_lit 32767))
+              );
+            Decl
+              ( I32,
+                "c",
+                Some
+                  (Ternary
+                     (Call ("unknown_sensor", []), Var "b", Int_lit 40000)) );
+            Return (Some (Call ("pe_sat16", [ Var "c" ])));
+          ];
+      ]
+  in
+  match v4 with
+  | [ ("pe_sat16", Itv.Always); ("pe_sat16", Itv.May) ] -> ()
+  | _ -> Alcotest.fail "expected Always, then May"
 
 (* the MIR rules surface through Check.run with their catalogue IDs *)
 let test_mir_rules_in_check () =

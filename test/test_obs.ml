@@ -257,19 +257,39 @@ let test_flame_and_metrics_render () =
     (Astring_contains.contains table "render.h")
 
 (* [--profile] is the span summary: every analysis pass of a servo
-   check, and the generate / MIR / compile passes of an optimized diff *)
+   check, and the generate / MIR / compile passes of an optimized diff,
+   each listed under the span it ran in *)
 let test_profile_lists_passes () =
-  let lists what f names =
+  let lists what f nested =
     with_obs @@ fun () ->
     f ();
     let flame = Obs_report.flame_summary (Flight.spans ()) in
+    (* each listed span with its parent: the nearest line above it that
+       is indented less *)
+    let rows =
+      List.filter_map
+        (fun line ->
+          if String.length line < 40 then None
+          else
+            let label = String.sub line 0 40 in
+            let name = String.trim label in
+            Some (String.index label name.[0], name))
+        (List.tl (String.split_on_char '\n' flame))
+    in
+    let rec parents above = function
+      | [] -> []
+      | (indent, name) :: rest ->
+          let above = List.filter (fun (i, _) -> i < indent) above in
+          let parent = match above with (_, p) :: _ -> p | [] -> "" in
+          (name, parent) :: parents ((indent, name) :: above) rest
+    in
+    let parents = parents [] rows in
     List.iter
-      (fun n ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s profile lists %s" what n)
-          true
-          (Astring_contains.contains flame (" " ^ n ^ " ")))
-      names
+      (fun (parent, n) ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "%s profile lists %s under %s" what n parent)
+          (Some parent) (List.assoc_opt n parents))
+      nested
   in
   let built = Servo_system.build () in
   lists "check servo"
@@ -277,8 +297,11 @@ let test_profile_lists_passes () =
       ignore
         (Check.run ~project:built.Servo_system.project
            built.Servo_system.controller))
-    [ "check.compile"; "check.lint"; "check.range"; "check.concurrency";
-      "check.codegen"; "check.misra" ];
+    (List.map
+       (fun n -> ("analysis.check", n))
+       [ "check.compile"; "check.lint"; "check.range"; "check.concurrency";
+         "check.codegen"; "check.misra" ]
+    @ [ ("check.codegen", "peert.generate") ]);
   (* a cached compile would time no silvm.compile *)
   Silvm_compile.cache_clear ();
   lists "diff servo --opt"
@@ -289,8 +312,9 @@ let test_profile_lists_passes () =
       with
       | Ok s -> ignore (Diff_subject.run s)
       | Error _ -> Alcotest.fail "servo is a known model")
-    [ "peert.generate"; "silvm.compile"; "mir.fold"; "mir.propagate";
-      "mir.dce" ]
+    [ ("silvm.diff", "peert.generate"); ("silvm.diff", "silvm.compile");
+      ("peert.generate", "mir.fold"); ("peert.generate", "mir.propagate");
+      ("peert.generate", "mir.dce") ]
 
 let suite =
   [

@@ -82,6 +82,57 @@ let prop_cast_idempotent =
       let v = Value.of_float dt x in
       Value.equal v (Value.cast dt v))
 
+(* ---- Itv: the interval domain of the range analyses ---- *)
+
+(* a finite point and an interval around it whose bounds may be
+   infinite; the point is 0 often enough to meet 0 * inf *)
+let gen_member =
+  QCheck2.Gen.(
+    let reach = oneof [ return 0.0; float_range 0.0 1e3; return infinity ] in
+    map3
+      (fun x dlo dhi -> ({ Itv.lo = x -. dlo; hi = x +. dhi }, x))
+      (oneof [ return 0.0; float_range (-1e3) 1e3 ])
+      reach reach)
+
+let valid (i : Itv.t) = i.lo <= i.hi (* false on a NaN bound too *)
+let holds (i : Itv.t) v = valid i && i.lo <= v && v <= i.hi
+
+let prop_itv_sound =
+  QCheck2.Test.make ~name:"Itv ops contain the ops on their points"
+    QCheck2.Gen.(triple gen_member gen_member gen_member)
+    (fun ((a, x), (b, y), (c, _)) ->
+      holds (Itv.add a b) (x +. y)
+      && holds (Itv.sub a b) (x -. y)
+      && holds (Itv.neg a) (-.x)
+      && holds (Itv.mul a b) (x *. y)
+      && (y = 0.0 || holds (Itv.div a b) (x /. y))
+      && holds (Itv.abs a) (Float.abs x)
+      && holds (Itv.hull a b) x
+      && holds (Itv.hull a b) y
+      && holds (Itv.clamp ~bounds:c a) (Float.max c.lo (Float.min c.hi x))
+      && holds (Itv.widen ~old:a b) y
+      && valid (Itv.wrap ~bounds:c a))
+
+(* integer end points: the integers of an interval meet, or lie inside,
+   the bounds exactly when its reals do *)
+let prop_itv_classify =
+  QCheck2.Test.make ~name:"Itv.classify agrees with its points"
+    QCheck2.Gen.(
+      pair
+        (pair (int_range (-20) 20) (int_range 0 10))
+        (pair (int_range (-20) 20) (int_range 0 10)))
+    (fun ((lo, w), (blo, bw)) ->
+      let itv lo w = Itv.make (float_of_int lo) (float_of_int (lo + w)) in
+      let bounds = itv blo bw in
+      let inside =
+        List.init (w + 1) (fun k -> holds bounds (float_of_int (lo + k)))
+      in
+      Itv.classify ~bounds (itv lo w)
+      =
+      if List.for_all Fun.id inside then Itv.Never
+      else if List.exists Fun.id inside then Itv.May
+      else Itv.Always)
+
 let suite =
   [
     Alcotest.test_case "dtype storage" `Quick test_dtype_storage;
@@ -94,4 +145,6 @@ let suite =
     Alcotest.test_case "of_int float rejection" `Quick test_of_int_rejects_floats;
     QCheck_alcotest.to_alcotest prop_of_float_within_type_bounds;
     QCheck_alcotest.to_alcotest prop_cast_idempotent;
+    QCheck_alcotest.to_alcotest prop_itv_sound;
+    QCheck_alcotest.to_alcotest prop_itv_classify;
   ]
