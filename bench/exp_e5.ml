@@ -30,19 +30,19 @@ let run () =
   Table.add_rows t
     [
       [ "controller execution";
-        Printf.sprintf "%.1f us/step" (p.Pil_cosim.controller_exec.Stats.mean *. 1e6) ];
+        Printf.sprintf "%.1f us/step" (p.Pil_cosim.controller_exec *. 1e6) ];
       [ "ISR-to-reply latency p50/p95/max";
         Printf.sprintf "%.0f / %.0f / %.0f us"
           (p.Pil_cosim.response_latency.Stats.p50 *. 1e6)
           (p.Pil_cosim.response_latency.Stats.p95 *. 1e6)
           (p.Pil_cosim.response_latency.Stats.max *. 1e6) ];
       [ "sampling jitter (peak-to-peak)";
-        Printf.sprintf "%.1f us" (p.Pil_cosim.step_start_jitter *. 1e6) ];
+        Printf.sprintf "%.1f us" (p.Pil_cosim.target.Machine.start_jitter *. 1e6) ];
       [ "communication";
         Printf.sprintf "%d B/period = %.2f ms on the wire"
           p.Pil_cosim.comm_bytes_per_period (p.Pil_cosim.comm_time_per_period *. 1e3) ];
-      [ "CPU utilisation"; Table.cell_pct p.Pil_cosim.cpu_utilization ];
-      [ "stack high-water"; Printf.sprintf "%d B" p.Pil_cosim.max_stack_bytes ];
+      [ "CPU utilisation"; Table.cell_pct p.Pil_cosim.target.Machine.utilization ];
+      [ "stack high-water"; Printf.sprintf "%d B" p.Pil_cosim.target.Machine.max_stack_bytes ];
       [ "deadline overruns"; string_of_int p.Pil_cosim.overruns ];
       [ "CRC errors"; string_of_int p.Pil_cosim.crc_errors ];
     ];
@@ -90,7 +90,7 @@ let run () =
               Printf.sprintf "%.2f ms" (p.Pil_cosim.comm_time_per_period *. 1e3);
               "yes";
               Printf.sprintf "%.2f ms" (p.Pil_cosim.response_latency.Stats.p50 *. 1e3);
-              Printf.sprintf "%.0f us" (p.Pil_cosim.step_start_jitter *. 1e6);
+              Printf.sprintf "%.0f us" (p.Pil_cosim.target.Machine.start_jitter *. 1e6);
             ]
       | exception Invalid_argument _ ->
           Table.add_row t [ string_of_int baud; "> 4.75 ms"; "NO"; "-"; "-" ])
@@ -157,20 +157,20 @@ let run () =
   Table.add_rows t
     [
       [ "controller execution";
-        Printf.sprintf "%.1f us" (p.Pil_cosim.controller_exec.Stats.mean *. 1e6);
-        Printf.sprintf "%.1f us" (hp.Hil_cosim.controller_exec.Stats.mean *. 1e6) ];
+        Printf.sprintf "%.1f us" (p.Pil_cosim.controller_exec *. 1e6);
+        Printf.sprintf "%.1f us" (hp.Hil_cosim.controller_exec *. 1e6) ];
       [ "actuation latency p50";
         Printf.sprintf "%.0f us (comm-bound)"
           (p.Pil_cosim.response_latency.Stats.p50 *. 1e6);
         Printf.sprintf "%.1f us (exec only)"
-          (hp.Hil_cosim.controller_exec.Stats.p50 *. 1e6) ];
+          (hp.Hil_cosim.controller_exec *. 1e6) ];
       [ "release jitter p2p";
-        Printf.sprintf "%.1f us" (p.Pil_cosim.step_start_jitter *. 1e6);
-        Printf.sprintf "%.2f us" (hp.Hil_cosim.release_jitter *. 1e6) ];
-      [ "CPU utilisation"; Table.cell_pct p.Pil_cosim.cpu_utilization;
-        Table.cell_pct hp.Hil_cosim.cpu_utilization ];
+        Printf.sprintf "%.1f us" (p.Pil_cosim.target.Machine.start_jitter *. 1e6);
+        Printf.sprintf "%.2f us" (hp.Hil_cosim.target.Machine.release_jitter *. 1e6) ];
+      [ "CPU utilisation"; Table.cell_pct p.Pil_cosim.target.Machine.utilization;
+        Table.cell_pct hp.Hil_cosim.target.Machine.utilization ];
       [ "overruns"; string_of_int p.Pil_cosim.overruns;
-        string_of_int hp.Hil_cosim.overruns ];
+        string_of_int hp.Hil_cosim.target.Machine.overruns ];
     ];
   Table.print t;
   (match List.rev

@@ -35,15 +35,7 @@ let scenario ~preemptive ~bg_load =
   Timer_periph.on_overflow bg_timer (fun () -> Machine.raise_irq machine bg_irq);
   Timer_periph.start bg_timer;
   Machine.run_until_time machine 0.5;
-  let st = Machine.stats_of machine ctrl_irq in
-  let to_us c = c /. mcu.Mcu_db.f_cpu_hz *. 1e6 in
-  let resp = List.map to_us st.Machine.response_cycles in
-  let summary = Stats.summarize resp in
-  ( summary,
-    Stats.jitter resp,
-    st.Machine.overruns,
-    Machine.utilization machine,
-    Machine.max_stack_bytes machine )
+  Machine.profile machine ctrl_irq ~period:ctrl_period
 
 let run () =
   print_endline "==================================================================";
@@ -59,7 +51,7 @@ let run () =
     (fun bg_load ->
       List.iter
         (fun preemptive ->
-          let summary, jitter, overruns, util, stack = scenario ~preemptive ~bg_load in
+          let p = scenario ~preemptive ~bg_load in
           (* the static counterpart: worst-case release delay from
              response-time analysis (response minus own execution) *)
           let ctrl_wcet = (2800.0 +. 20.0) /. mcu.Mcu_db.f_cpu_hz in
@@ -84,13 +76,13 @@ let run () =
             [
               Table.cell_pct bg_load;
               (if preemptive then "preemptive" else "non-preemptive");
-              Table.cell_f ~dec:1 summary.Stats.p50;
-              Table.cell_f ~dec:1 summary.Stats.p95;
-              Table.cell_f ~dec:1 jitter;
+              Table.cell_f ~dec:1 (p.Machine.release.Stats.p50 *. 1e6);
+              Table.cell_f ~dec:1 (p.Machine.release.Stats.p95 *. 1e6);
+              Table.cell_f ~dec:1 (p.Machine.release_jitter *. 1e6);
               Table.cell_f ~dec:1 bound;
-              string_of_int overruns;
-              Table.cell_pct util;
-              string_of_int stack;
+              string_of_int p.Machine.overruns;
+              Table.cell_pct p.Machine.utilization;
+              string_of_int p.Machine.max_stack_bytes;
             ])
         [ false; true ])
     [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9 ];

@@ -331,20 +331,20 @@ let pil mcu period fixed baud periods trace metrics =
   | exception Invalid_argument msg -> die "PIL infeasible: %s" msg
   | r ->
       let p = r.Pil_cosim.profile in
-      Printf.printf "periods            : %d\n" p.Pil_cosim.periods;
+      Printf.printf "periods            : %d\n" periods;
       Printf.printf "exec time          : %.1f us\n"
-        (p.Pil_cosim.controller_exec.Stats.mean *. 1e6);
+        (p.Pil_cosim.controller_exec *. 1e6);
       Printf.printf "latency p50/p95    : %.0f / %.0f us\n"
         (p.Pil_cosim.response_latency.Stats.p50 *. 1e6)
         (p.Pil_cosim.response_latency.Stats.p95 *. 1e6);
       Printf.printf "sampling jitter    : %.1f us\n"
-        (p.Pil_cosim.step_start_jitter *. 1e6);
+        (p.Pil_cosim.target.Machine.start_jitter *. 1e6);
       Printf.printf "comm               : %d B = %.2f ms per period\n"
         p.Pil_cosim.comm_bytes_per_period
         (p.Pil_cosim.comm_time_per_period *. 1e3);
       Printf.printf "utilisation        : %.1f %%\n"
-        (100.0 *. p.Pil_cosim.cpu_utilization);
-      Printf.printf "stack high-water   : %d B\n" p.Pil_cosim.max_stack_bytes;
+        (100.0 *. p.Pil_cosim.target.Machine.utilization);
+      Printf.printf "stack high-water   : %d B\n" p.Pil_cosim.target.Machine.max_stack_bytes;
       Printf.printf "overruns           : %d\n" p.Pil_cosim.overruns;
       (match List.rev (Servo_system.pil_speed_trace r.Pil_cosim.trace) with
       | (_, w) :: _ -> Printf.printf "final speed        : %.2f rad/s\n" w

@@ -32,18 +32,18 @@ let () =
   Table.add_rows t
     [
       [ "controller execution (mean)";
-        Printf.sprintf "%.1f us" (p.Pil_cosim.controller_exec.Stats.mean *. 1e6) ];
+        Printf.sprintf "%.1f us" (p.Pil_cosim.controller_exec *. 1e6) ];
       [ "response latency p50 / p95";
         Printf.sprintf "%.0f / %.0f us"
           (p.Pil_cosim.response_latency.Stats.p50 *. 1e6)
           (p.Pil_cosim.response_latency.Stats.p95 *. 1e6) ];
       [ "sampling jitter (p2p)";
-        Printf.sprintf "%.1f us" (p.Pil_cosim.step_start_jitter *. 1e6) ];
+        Printf.sprintf "%.1f us" (p.Pil_cosim.target.Machine.start_jitter *. 1e6) ];
       [ "comm per period";
         Printf.sprintf "%d bytes = %.2f ms" p.Pil_cosim.comm_bytes_per_period
           (p.Pil_cosim.comm_time_per_period *. 1e3) ];
-      [ "CPU utilisation"; Table.cell_pct p.Pil_cosim.cpu_utilization ];
-      [ "stack high-water"; Printf.sprintf "%d B" p.Pil_cosim.max_stack_bytes ];
+      [ "CPU utilisation"; Table.cell_pct p.Pil_cosim.target.Machine.utilization ];
+      [ "stack high-water"; Printf.sprintf "%d B" p.Pil_cosim.target.Machine.max_stack_bytes ];
       [ "deadline overruns"; string_of_int p.Pil_cosim.overruns ];
     ];
   Table.print t;

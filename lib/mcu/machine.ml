@@ -14,21 +14,15 @@ type irq = {
   mutable enabled : bool;
   mutable pending : bool;
   mutable pending_since : int;
-  mutable dispatches : int;
   mutable overruns : int;
-  mutable response_cycles : float list;
-  mutable exec_cycles : float list;
-  mutable completion_cycles : int list;
 }
 
 type running = {
   rjob : job;
-  rirq : irq_id option;
+  entry : int;  (* the job's row in the log *)
   rprio : int;
   mutable remaining : int;
   mutable resumed_at : int;
-  raised_at : int;
-  started_at : int;
 }
 
 type cpu_state = Idle | Busy of running * running list
@@ -43,8 +37,19 @@ type t = {
   base_stack : int;
   mutable now : int;
   mutable busy_cycles : int;
-  mutable max_stack : int;
+  mutable log : int array;  (* [stride] ints per dispatch, oldest first *)
+  mutable n_jobs : int;
 }
+
+(* a log row: the vector, its raise, the job's start and finish (-1
+   while it runs), its cycle budget and the stack depth at its start *)
+let stride = 6
+let f_vec = 0
+let f_raised = 1
+let f_started = 2
+let f_finished = 3
+let f_budget = 4
+let f_depth = 5
 
 let create ?(preemptive = false) ?(base_stack = 64) mcu =
   {
@@ -57,7 +62,8 @@ let create ?(preemptive = false) ?(base_stack = 64) mcu =
     base_stack;
     now = 0;
     busy_cycles = 0;
-    max_stack = base_stack;
+    log = [||];
+    n_jobs = 0;
   }
 
 let traits t = t.mcu
@@ -82,11 +88,7 @@ let register_irq t ~name ~prio ~handler =
       enabled = true;
       pending = false;
       pending_since = 0;
-      dispatches = 0;
       overruns = 0;
-      response_cycles = [];
-      exec_cycles = [];
-      completion_cycles = [];
     }
   in
   t.irqs <- Array.append t.irqs [| v |];
@@ -128,22 +130,13 @@ let stack_depth t =
 let start_irq t id =
   let v = t.irqs.(id) in
   v.pending <- false;
-  v.dispatches <- v.dispatches + 1;
   let job = v.handler () in
   let total =
     t.mcu.Mcu_db.irq_latency_cycles + job.cycles + t.mcu.Mcu_db.irq_exit_cycles
   in
-  v.response_cycles <- float_of_int (t.now - v.pending_since) :: v.response_cycles;
+  let entry = t.n_jobs in
   let r =
-    {
-      rjob = job;
-      rirq = Some id;
-      rprio = v.prio;
-      remaining = total;
-      resumed_at = t.now;
-      raised_at = v.pending_since;
-      started_at = t.now;
-    }
+    { rjob = job; entry; rprio = v.prio; remaining = total; resumed_at = t.now }
   in
   (match t.cpu with
   | Idle -> t.cpu <- Busy (r, [])
@@ -151,7 +144,22 @@ let start_irq t id =
       (* preemption: suspend the current job *)
       cur.remaining <- cur.remaining - (t.now - cur.resumed_at);
       t.cpu <- Busy (r, cur :: stack));
-  t.max_stack <- Stdlib.max t.max_stack (stack_depth t)
+  if (entry + 1) * stride > Array.length t.log then begin
+    (* the first 1024 rows at once: a PIL run of 100 periods takes about
+       1000, and each outgrown array stays resident until a major GC *)
+    let rows = Stdlib.max 1024 (2 * t.n_jobs) in
+    let log = Array.make (rows * stride) 0 in
+    Array.blit t.log 0 log 0 (entry * stride);
+    t.log <- log
+  end;
+  let o = entry * stride in
+  t.log.(o + f_vec) <- id;
+  t.log.(o + f_raised) <- v.pending_since;
+  t.log.(o + f_started) <- t.now;
+  t.log.(o + f_finished) <- -1;
+  t.log.(o + f_budget) <- job.cycles;
+  t.log.(o + f_depth) <- stack_depth t;
+  t.n_jobs <- entry + 1
 
 let rec try_dispatch t =
   match highest_pending t with
@@ -170,12 +178,7 @@ let rec try_dispatch t =
           end)
 
 let complete_job t r =
-  (match r.rirq with
-  | Some id ->
-      let v = t.irqs.(id) in
-      v.exec_cycles <- float_of_int (t.now - r.started_at) :: v.exec_cycles;
-      v.completion_cycles <- t.now :: v.completion_cycles
-  | None -> ());
+  t.log.((r.entry * stride) + f_finished) <- t.now;
   r.rjob.action ()
 
 let advance_to t ~cycle:target =
@@ -244,29 +247,62 @@ let advance t ~cycles = advance_to t ~cycle:(t.now + cycles)
 let run_until_time t s = advance_to t ~cycle:(cycles_of_time t s)
 let busy t = match t.cpu with Busy _ -> true | Idle -> false
 
-type irq_stats = {
-  dispatches : int;
-  overruns : int;
-  response_cycles : float list;
-  exec_cycles : float list;
-  completion_cycles : int list;
+let busy_cycles t = t.busy_cycles
+
+type entry = {
+  vector : irq_id;
+  raised : int;
+  started : int;
+  finished : int;
+  budget : int;
+  depth : int;
 }
 
-let stats_of t id =
-  let v = t.irqs.(id) in
+let log t =
+  Array.init t.n_jobs (fun i ->
+      let f k = t.log.((i * stride) + k) in
+      {
+        vector = f f_vec;
+        raised = f f_raised;
+        started = f f_started;
+        finished = f f_finished;
+        budget = f f_budget;
+        depth = f f_depth;
+      })
+
+type profile = {
+  release : Stats.summary;
+  release_jitter : float;
+  start_jitter : float;
+  utilization : float;
+  max_stack_bytes : int;
+  overruns : int;
+}
+
+let profile ?budget t id ~period =
+  let seconds c = float_of_int c /. t.mcu.Mcu_db.f_cpu_hz in
+  let releases = ref [] and offsets = ref [] and stack = ref t.base_stack in
+  for i = 0 to t.n_jobs - 1 do
+    let f k = t.log.((i * stride) + k) in
+    stack := Stdlib.max !stack (f f_depth);
+    let selected =
+      match budget with Some b -> f f_budget = b | None -> true
+    in
+    if f f_vec = id && selected then begin
+      releases := seconds (f f_started - f f_raised) :: !releases;
+      offsets := seconds (f f_started mod period) :: !offsets
+    end
+  done;
   {
-    dispatches = v.dispatches;
-    overruns = v.overruns;
-    response_cycles = v.response_cycles;
-    exec_cycles = v.exec_cycles;
-    completion_cycles = v.completion_cycles;
+    release = Stats.summary_or_zero !releases;
+    release_jitter = Stats.jitter !releases;
+    start_jitter = Stats.jitter !offsets;
+    utilization =
+      (if t.now = 0 then 0.0
+       else float_of_int t.busy_cycles /. float_of_int t.now);
+    max_stack_bytes = !stack;
+    overruns = t.irqs.(id).overruns;
   }
-
-let utilization t =
-  if t.now = 0 then 0.0 else float_of_int t.busy_cycles /. float_of_int t.now
-
-let max_stack_bytes t = t.max_stack
-let busy_cycles t = t.busy_cycles
 
 (* a running record is mutable: the capture and every restore take
    their own copy *)
@@ -281,7 +317,7 @@ let save t =
   let n_irqs = t.n_irqs in
   let irqs = Array.map (fun v -> { v with enabled = v.enabled }) t.irqs in
   let cpu = copy_cpu t.cpu in
-  let now = t.now and busy_cycles = t.busy_cycles and max_stack = t.max_stack in
+  let now = t.now and busy_cycles = t.busy_cycles and n_jobs = t.n_jobs in
   fun () ->
     evq ();
     if t.n_irqs > n_irqs then t.irqs <- Array.sub t.irqs 0 n_irqs;
@@ -292,13 +328,16 @@ let save t =
         v.enabled <- s.enabled;
         v.pending <- s.pending;
         v.pending_since <- s.pending_since;
-        v.dispatches <- s.dispatches;
-        v.overruns <- s.overruns;
-        v.response_cycles <- s.response_cycles;
-        v.exec_cycles <- s.exec_cycles;
-        v.completion_cycles <- s.completion_cycles)
+        v.overruns <- s.overruns)
       irqs;
     t.cpu <- copy_cpu cpu;
+    (* the jobs running at the capture run again: unfinish their rows *)
+    (match cpu with
+    | Busy (r, stack) ->
+        List.iter
+          (fun r -> t.log.((r.entry * stride) + f_finished) <- -1)
+          (r :: stack)
+    | Idle -> ());
+    t.n_jobs <- n_jobs;
     t.now <- now;
-    t.busy_cycles <- busy_cycles;
-    t.max_stack <- max_stack
+    t.busy_cycles <- busy_cycles

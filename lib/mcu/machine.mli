@@ -69,23 +69,46 @@ val run_until_time : t -> float -> unit
 val busy : t -> bool
 (** Whether a job is currently executing. *)
 
-(** {2 Measurements (the PIL profiling data of §6)} *)
+(** {2 Measurements (the PIL profiling data of §6)}
 
-type irq_stats = {
-  dispatches : int;
-  overruns : int;  (** raises that found the vector still pending *)
-  response_cycles : float list;
-      (** raise-to-start latency of each dispatch, newest first *)
-  exec_cycles : float list;  (** start-to-finish, including entry/exit *)
-  completion_cycles : int list;  (** absolute completion times *)
+    The machine logs every dispatch as one row: the vector, the cycle it
+    was raised, the cycles its job started and finished, the job's cycle
+    budget and the stack depth its start reached. The log grows with the
+    run (six ints a job). Everything the PIL and HIL stages and the
+    scheduling experiments report about target jobs is {!profile}, one
+    fold over it. *)
+
+type entry = {
+  vector : irq_id;
+  raised : int;  (** cycle the vector was raised *)
+  started : int;  (** cycle the job was dispatched *)
+  finished : int;
+      (** completion cycle, entry and exit included; [-1] while it runs *)
+  budget : int;  (** the job's [cycles] *)
+  depth : int;  (** stack depth in bytes once the job started *)
 }
 
-val stats_of : t -> irq_id -> irq_stats
-val utilization : t -> float
-(** Busy fraction of the elapsed cycles. *)
+val log : t -> entry array
+(** Every dispatch so far, oldest first. *)
 
-val max_stack_bytes : t -> int
-(** High-water mark over nested contexts. *)
+type profile = {
+  release : Stats.summary;
+      (** the vector's release delays, raise to start, in seconds; a job
+          still running counts *)
+  release_jitter : float;  (** their peak-to-peak, seconds *)
+  start_jitter : float;
+      (** peak-to-peak of the job starts' offsets within the period grid,
+          seconds *)
+  utilization : float;  (** busy fraction of the machine's elapsed cycles *)
+  max_stack_bytes : int;  (** the machine's stack high-water mark *)
+  overruns : int;  (** raises that found the vector still pending *)
+}
+
+val profile : ?budget:int -> t -> irq_id -> period:int -> profile
+(** Fold the log over one vector's jobs, or over those of them whose
+    budget is [budget]; [period] (cycles) is the grid the start offsets
+    are taken in, from cycle 0. Utilisation and the stack high-water are
+    the machine's. *)
 
 val busy_cycles : t -> int
 
@@ -94,7 +117,8 @@ val busy_cycles : t -> int
 val save : t -> unit -> unit
 (** Capture the machine now and return its restorer, callable any
     number of times: each call puts back the clock, the pending events,
-    every vector's state and statistics, and the running and preempted
+    every vector's state, the job log's length (a row of a job then
+    running reads it as running again), and the running and preempted
     jobs, so the machine then continues bit for bit as it did after the
     capture. The events are the same closures, so a restore is only
     meaningful on this machine, next to the same peripherals (restore

@@ -66,16 +66,38 @@ let non_preemptive tasks =
       if level_u > 1.0 then
         { task = t; response = infinity; schedulable = false }
       else
-      (* queueing until the task starts; own execution follows unpreempted *)
-      let f w =
-        blocking
-        +. List.fold_left
-             (fun acc j ->
-               acc +. ((Float.floor (w /. j.period) +. 1.0) *. j.wcet))
-             0.0 hp
+      let horizon = 1000.0 *. t.period in
+      (* a later job of the level-i busy period can respond later than
+         the first (Davis, Burns, Bril & Lukkien 2007), so every job q
+         of it is analysed: queueing until job q starts, with q earlier
+         jobs of its own ahead; its execution follows unpreempted *)
+      let busy =
+        iterate ~horizon
+          (fun w ->
+            blocking
+            +. List.fold_left
+                 (fun acc j -> acc +. (Float.ceil (w /. j.period) *. j.wcet))
+                 0.0 (t :: hp))
+          t.wcet
       in
-      let start = iterate ~horizon:(1000.0 *. t.period) f blocking in
-      let response = if Float.is_finite start then start +. t.wcet else infinity in
+      let start q =
+        iterate ~horizon
+          (fun w ->
+            blocking
+            +. (float_of_int q *. t.wcet)
+            +. List.fold_left
+                 (fun acc j ->
+                   acc +. ((Float.floor (w /. j.period) +. 1.0) *. j.wcet))
+                 0.0 hp)
+          (blocking +. (float_of_int q *. t.wcet))
+      in
+      let response =
+        if not (Float.is_finite busy) then infinity
+        else
+          List.init (int_of_float (Float.ceil (busy /. t.period))) (fun q ->
+              start q -. (float_of_int q *. t.period) +. t.wcet)
+          |> List.fold_left Float.max 0.0
+      in
       { task = t; response; schedulable = response <= t.period +. 1e-12 })
     tasks
 

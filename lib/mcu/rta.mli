@@ -39,7 +39,9 @@ val non_preemptive : task list -> verdict list
 (** The non-preemptive variant: each response additionally suffers the
     longest lower-priority execution already in flight (blocking term),
     and interference accumulates until the task {e starts} rather than
-    finishes. *)
+    finishes. Every job of the level-i busy period is analysed, not only
+    the first: a job pushed back by its predecessor's non-preemptable
+    run can respond later (Davis, Burns, Bril & Lukkien 2007). *)
 
 val analyze :
   preemptive:bool -> task list -> (verdict list, string) result

@@ -86,8 +86,33 @@ type ctx = {
 
 let ty_itv ty = let lo, hi = Mir_env.ty_range ty in Itv.make lo hi
 
-let place_range ctx p =
-  ty_itv (Mir_env.scalar_of_vty (Mir_env.place_vty ctx.env ctx.locals p))
+let place_ty ctx p =
+  Mir_env.scalar_of_vty (Mir_env.place_vty ctx.env ctx.locals p)
+
+let place_range ctx p = ty_itv (place_ty ctx p)
+
+(* the f32 interval around [i]: each bound rounds to its nearest f32,
+   then one f32 step outward when that crossed it, so whatever rounding
+   the conversion does stays inside *)
+let to_f32 (i : Itv.t) =
+  let near x = Int32.float_of_bits (Int32.bits_of_float x) in
+  let step r ~up =
+    if r = 0.0 then (if up then 1.0 else -1.0) *. Int32.float_of_bits 1l
+    else
+      let b = Int32.bits_of_float r in
+      Int32.float_of_bits
+        (if (r > 0.0) = up then Int32.succ b else Int32.pred b)
+  in
+  let lo = near i.lo and hi = near i.hi in
+  Itv.make
+    (if lo > i.lo then step lo ~up:false else lo)
+    (if hi < i.hi then step hi ~up:true else hi)
+
+(* a value converted to [ty]: wrapped into its range, and rounded when
+   [ty] is f32 *)
+let convert ty i =
+  let i = Itv.wrap ~bounds:(ty_itv ty) i in
+  match ty with Mir.Tf32 -> to_f32 i | _ -> i
 
 (* helpers the generated code calls that cannot write memory *)
 let pure_call f =
@@ -126,9 +151,10 @@ let rec eval_itv ctx (state : Itv.t Smap.t) (e : Mir.expr) : Itv.t =
       | Mir.Mod | Mir.Shl | Mir.Shr | Mir.Band | Mir.Bor | Mir.Bxor ->
           ty_itv (ty_of e))
   | Mir.Ecast (_, a) ->
-      (* in-range conversions are exact; otherwise the wrap can produce
-         anything representable *)
-      wrap e (ev a)
+      (* in-range integer and f64 conversions are exact, an f32 one
+         rounds; out of range the wrap can produce anything
+         representable *)
+      convert (ty_of e) (ev a)
   | Mir.Equantize (k, a) ->
       let i = ev a in
       let bounds = let lo, hi = Mir.qkind_bounds k in Itv.make lo hi in
@@ -222,7 +248,7 @@ let exec_atom ctx (state : Itv.t Smap.t) (at : Mir_cfg.atom) : Itv.t Smap.t =
           let ty =
             Mir_env.scalar_of_vty (Mir_env.var_vty ctx.env ctx.locals n)
           in
-          Smap.add n (Itv.wrap ~bounds:(ty_itv ty) i) state
+          Smap.add n (convert ty i) state
       | Mir.Sdecl (_, n, None) -> Smap.remove n state
       | Mir.Sassign (p, e) -> (
           let i, state = exec_expr ctx state e in
@@ -230,8 +256,7 @@ let exec_atom ctx (state : Itv.t Smap.t) (at : Mir_cfg.atom) : Itv.t Smap.t =
           if Mir_env.is_volatile ctx.env root then state
           else
             match Mir.place_path p with
-            | Some path ->
-                Smap.add path (Itv.wrap ~bounds:(place_range ctx p) i) state
+            | Some path -> Smap.add path (convert (place_ty ctx p) i) state
             | None -> havoc_root root state)
       | Mir.Sexpr e ->
           let _, state = exec_expr ctx state e in

@@ -1,18 +1,6 @@
-(* deployment-stage metrics, mirrors the Pil_cosim set *)
-let h_release = Obs.hist "hil.release_latency_s"
-let h_exec = Obs.hist "hil.exec_s"
-let c_periods = Obs.counter "hil.periods"
-let c_overruns = Obs.counter "hil.overruns"
-let c_wdog_bites = Obs.counter "hil.watchdog_bites"
-
 type profile = {
-  periods : int;
-  controller_exec : Stats.summary;
-  release_jitter : float;
-  release_latency : Stats.summary;
-  cpu_utilization : float;
-  max_stack_bytes : int;
-  overruns : int;
+  target : Machine.profile;
+  controller_exec : float;
   watchdog_bites : int;
 }
 
@@ -57,7 +45,6 @@ let run ?(preemptive = false) ?(button = fun _ -> false)
     List.fold_left (fun acc (_, c) -> acc + c) 0 schedule.Target.group_cycle_map
   in
   let step_cost = schedule.Target.total_step_cycles + group_cost in
-  let exec_samples = ref [] in
   let wdog =
     Option.map (fun timeout -> Wdog_periph.create machine ~timeout ()) watchdog
   in
@@ -87,10 +74,7 @@ let run ?(preemptive = false) ?(button = fun _ -> false)
         let ratio = Value.to_float (Sim.value controller (b, 0)) in
         Pwm_periph.set_ratio16 pwm
           (int_of_float (Float.round (ratio *. 65535.0))))
-      pwm_blocks;
-    let exec_s = float_of_int step_cost /. mcu.Mcu_db.f_cpu_hz in
-    Obs.record h_exec exec_s;
-    exec_samples := exec_s :: !exec_samples
+      pwm_blocks
   in
   let ctrl_irq =
     Machine.register_irq machine ~name:"TI1" ~prio:2 ~handler:(fun () ->
@@ -132,7 +116,6 @@ let run ?(preemptive = false) ?(button = fun _ -> false)
   let slice = period /. float_of_int substeps in
   let trace = ref [] in
   for k = 0 to periods - 1 do
-    Obs.add c_periods 1;
     for i = 0 to substeps - 1 do
       let t = (float_of_int k *. period) +. (float_of_int i *. slice) in
       Machine.run_until_time machine t;
@@ -146,30 +129,13 @@ let run ?(preemptive = false) ?(button = fun _ -> false)
     Machine.run_until_time machine (float_of_int (k + 1) *. period);
     trace := (float_of_int (k + 1) *. period, observe plant) :: !trace
   done;
-  let st = Machine.stats_of machine ctrl_irq in
-  let to_s c = c /. mcu.Mcu_db.f_cpu_hz in
-  let releases = List.map to_s st.Machine.response_cycles in
-  List.iter (Obs.record h_release) releases;
-  Obs.add c_overruns st.Machine.overruns;
-  Obs.add c_wdog_bites
-    (match wdog with Some w -> Wdog_periph.bites w | None -> 0);
-  let summary_or_zero l =
-    match l with
-    | [] ->
-        { Stats.n = 0; mean = 0.0; stdev = 0.0; min = 0.0; max = 0.0;
-          p50 = 0.0; p95 = 0.0; p99 = 0.0 }
-    | _ -> Stats.summarize l
-  in
   {
     profile =
       {
-        periods;
-        controller_exec = summary_or_zero !exec_samples;
-        release_jitter = Stats.jitter releases;
-        release_latency = summary_or_zero releases;
-        cpu_utilization = Machine.utilization machine;
-        max_stack_bytes = Machine.max_stack_bytes machine;
-        overruns = st.Machine.overruns;
+        target =
+          Machine.profile machine ctrl_irq
+            ~period:(Machine.cycles_of_time machine period);
+        controller_exec = float_of_int step_cost /. mcu.Mcu_db.f_cpu_hz;
         watchdog_bites =
           (match wdog with Some w -> Wdog_periph.bites w | None -> 0);
       };

@@ -8,24 +8,23 @@
     Unlike {!Pil_cosim}, nothing is redirected: the deployment build's
     execution model runs on the virtual MCU with its real peripherals —
     the TimerInt bean's {!Timer_periph} raises the periodic interrupt,
-    the controller reads the {!Qdec_periph} position register and the
-    {!Gpio_periph} button pin, and writes the {!Pwm_periph} duty register,
-    whose ratio drives the plant continuously between interrupts. The
-    remaining gap to silicon is the block-level cycle cost model.
+    the controller reads the {!Qdec_periph} position register and writes
+    the {!Pwm_periph} duty register, whose ratio drives the plant
+    continuously between interrupts. The button input is no peripheral:
+    the run sets the controller's button blocks from its [button]
+    closure at every step. The remaining gap to silicon is the
+    block-level cycle cost model.
 
     The rig is shaped for the paper's servo case study (PWM out,
     quadrature + button in); the coupling callbacks keep the plant model
     generic. *)
 
 type profile = {
-  periods : int;
-  controller_exec : Stats.summary;  (** seconds per step *)
-  release_jitter : float;
-      (** peak-to-peak variation of the control ISR release, s *)
-  release_latency : Stats.summary;  (** timer tick to ISR start *)
-  cpu_utilization : float;
-  max_stack_bytes : int;
-  overruns : int;  (** timer ticks that found the previous step running *)
+  target : Machine.profile;
+      (** the fold over the control ISR's jobs: release delays (timer
+          tick to ISR start) and their jitter, utilisation, stack, and
+          overruns (ticks that found the previous step still pending) *)
+  controller_exec : float;  (** seconds per step *)
   watchdog_bites : int;
       (** expiries of the optional watchdog (0 when none is armed) *)
 }

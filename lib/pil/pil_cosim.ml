@@ -1,11 +1,3 @@
-(* co-simulation metrics: the same quantities the paper's PIL stage
-   measures on the target, as process-wide histograms/counters *)
-let h_latency = Obs.hist "pil.response_latency_s"
-let h_exec = Obs.hist "pil.exec_s"
-let c_periods = Obs.counter "pil.periods"
-let c_overruns = Obs.counter "pil.overruns"
-let c_frame_holds = Obs.counter "pil.frame_holds"
-
 type 'p plant_driver = {
   read_sensors : 'p -> time:float -> int array;
   apply_actuators : 'p -> int array -> unit;
@@ -14,14 +6,11 @@ type 'p plant_driver = {
 }
 
 type profile = {
-  periods : int;
-  controller_exec : Stats.summary;
+  target : Machine.profile;
+  controller_exec : float;
   response_latency : Stats.summary;
-  step_start_jitter : float;
   comm_bytes_per_period : int;
   comm_time_per_period : float;
-  cpu_utilization : float;
-  max_stack_bytes : int;
   overruns : int;
   crc_errors : int;
   sci_rx_overruns : int;
@@ -124,9 +113,7 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
   in
   Sci_periph.on_tx_byte sci (fun b -> Framer.feed host_framer b);
   (* target framer and step execution *)
-  let exec_samples = ref [] and start_offsets = ref [] in
   let latencies = ref [] in
-  let period_index = ref 0 in
   let target_pending = ref None in
   (* the target accepts one step per sequence number: a frame the line
      duplicated (or the host retransmitted) must not step the
@@ -142,7 +129,6 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
           target_pending := Some pkt
         end)
   in
-  let rx_irq =
   let do_step pkt =
     apply_sensors pkt.Packet.payload;
     Sim.step controller;
@@ -156,23 +142,17 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
     in
     ignore (Sci_periph.send_bytes sci (Packet.encode reply))
   in
+  (* the job that completes a frame also runs the step *)
+  let step_job_cycles = rx_isr_cycles + step_cost + tx_isr_cycles in
   let handler () =
     let byte = Sci_periph.read_data sci in
     Framer.feed target_framer byte;
     match !target_pending with
     | Some pkt ->
         target_pending := None;
-        let start = Machine.now_cycles machine in
-        start_offsets :=
-          float_of_int (start - (!period_index * period_cycles))
-          /. mcu.Mcu_db.f_cpu_hz
-          :: !start_offsets;
-        let exec_s = float_of_int step_cost /. mcu.Mcu_db.f_cpu_hz in
-        Obs.record h_exec exec_s;
-        exec_samples := exec_s :: !exec_samples;
         {
           Machine.jname = "pil_step";
-          cycles = rx_isr_cycles + step_cost + tx_isr_cycles;
+          cycles = step_job_cycles;
           action = (fun () -> do_step pkt);
           stack_bytes = schedule.Target.isr_stack_bytes;
         }
@@ -184,8 +164,7 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
           stack_bytes = 32;
         }
   in
-    Machine.register_irq machine ~name:"SCI_RX" ~prio:2 ~handler
-  in
+  let rx_irq = Machine.register_irq machine ~name:"SCI_RX" ~prio:2 ~handler in
   Sci_periph.on_rx sci (fun _ -> Machine.raise_irq machine rx_irq);
   (* --- co-simulation loop --- *)
   (* the line: byte i of a period's sensor frame arrives one frame time
@@ -206,8 +185,6 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
     ref (Array.make (List.length schedule.Target.actuator_slots) 0)
   in
   for k = 0 to periods - 1 do
-    Obs.add c_periods 1;
-    period_index := k;
     let t_k = k * period_cycles in
     Machine.advance_to machine ~cycle:t_k;
     reply_complete_cycle := None;
@@ -231,39 +208,26 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
         pending_actuators := None;
         (match !reply_complete_cycle with
         | Some c ->
-            let lat = float_of_int (c - t_k) /. mcu.Mcu_db.f_cpu_hz in
-            Obs.record h_latency lat;
-            latencies := lat :: !latencies
+            latencies :=
+              (float_of_int (c - t_k) /. mcu.Mcu_db.f_cpu_hz) :: !latencies
         | None -> ())
     | None ->
         (* no reply this period: the host holds the last actuator frame *)
-        incr overruns;
-        Obs.add c_overruns 1;
-        Obs.add c_frame_holds 1);
+        incr overruns);
     driver.apply_actuators plant !last_actuators;
     driver.advance plant ~dt:period;
     trace := (float_of_int (k + 1) *. period, driver.observe plant) :: !trace
   done;
-  let summary_or_zero l =
-    match l with
-    | [] ->
-        {
-          Stats.n = 0; mean = 0.0; stdev = 0.0; min = 0.0; max = 0.0;
-          p50 = 0.0; p95 = 0.0; p99 = 0.0;
-        }
-    | _ -> Stats.summarize l
-  in
   {
     profile =
       {
-        periods;
-        controller_exec = summary_or_zero !exec_samples;
-        response_latency = summary_or_zero !latencies;
-        step_start_jitter = Stats.jitter !start_offsets;
+        target =
+          Machine.profile machine rx_irq ~budget:step_job_cycles
+            ~period:period_cycles;
+        controller_exec = float_of_int step_cost /. mcu.Mcu_db.f_cpu_hz;
+        response_latency = Stats.summary_or_zero !latencies;
         comm_bytes_per_period = wire_bytes;
         comm_time_per_period = comm_time;
-        cpu_utilization = Machine.utilization machine;
-        max_stack_bytes = Machine.max_stack_bytes machine;
         overruns = !overruns;
         crc_errors = Framer.crc_errors target_framer;
         sci_rx_overruns = Sci_periph.rx_overruns sci;

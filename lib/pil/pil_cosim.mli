@@ -26,17 +26,16 @@ type 'p plant_driver = {
 }
 
 type profile = {
-  periods : int;
-  controller_exec : Stats.summary;  (** seconds per step, on the target *)
+  target : Machine.profile;
+      (** the fold over the jobs that ran a step: their start jitter
+          within the control period, CPU utilisation and stack *)
+  controller_exec : float;  (** seconds per step, on the target *)
   response_latency : Stats.summary;
-      (** period start to actuator-reply completion, seconds *)
-  step_start_jitter : float;
-      (** peak-to-peak variation of step start within the period, s *)
+      (** period start to the host's receipt of the actuator reply,
+          seconds *)
   comm_bytes_per_period : int;
   comm_time_per_period : float;  (** wire time of both packets, seconds *)
-  cpu_utilization : float;
-  max_stack_bytes : int;
-  overruns : int;  (** periods whose reply missed the deadline *)
+  overruns : int;  (** periods without a reply: the host holds the last *)
   crc_errors : int;
   sci_rx_overruns : int;
 }

@@ -50,6 +50,12 @@ let summarize l =
         p99 = percentile a 0.99;
       }
 
+let summary_or_zero = function
+  | [] ->
+      { n = 0; mean = 0.0; stdev = 0.0; min = 0.0; max = 0.0; p50 = 0.0;
+        p95 = 0.0; p99 = 0.0 }
+  | l -> summarize l
+
 let jitter l =
   match l with
   | [] -> 0.0

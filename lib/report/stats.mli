@@ -15,6 +15,9 @@ type summary = {
 val summarize : float list -> summary
 (** @raise Invalid_argument on an empty sample list. *)
 
+val summary_or_zero : float list -> summary
+(** [summarize], or a summary of zeros for an empty sample list. *)
+
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in 0..1 over an ascending-sorted array,
     with linear interpolation. *)

@@ -31,15 +31,15 @@ let test_hil_converges_at_1khz () =
 let test_hil_profile () =
   let _, r = run_hil Servo_system.default_config ~periods:500 in
   let p = r.Hil_cosim.profile in
-  check_int "no overruns" 0 p.Hil_cosim.overruns;
+  check_int "no overruns" 0 p.Hil_cosim.target.Machine.overruns;
   check_bool "exec ~46 us" true
-    (p.Hil_cosim.controller_exec.Stats.mean > 20e-6
-     && p.Hil_cosim.controller_exec.Stats.mean < 100e-6);
+    (p.Hil_cosim.controller_exec > 20e-6
+     && p.Hil_cosim.controller_exec < 100e-6);
   check_bool "release latency ~0 when idle" true
-    (p.Hil_cosim.release_latency.Stats.p95 < 1e-6);
+    (p.Hil_cosim.target.Machine.release.Stats.p95 < 1e-6);
   check_bool "utilization a few %" true
-    (p.Hil_cosim.cpu_utilization > 0.01 && p.Hil_cosim.cpu_utilization < 0.2);
-  check_bool "stack tracked" true (p.Hil_cosim.max_stack_bytes > 96)
+    (p.Hil_cosim.target.Machine.utilization > 0.01 && p.Hil_cosim.target.Machine.utilization < 0.2);
+  check_bool "stack tracked" true (p.Hil_cosim.target.Machine.max_stack_bytes > 96)
 
 let test_hil_background_load_jitter () =
   (* a competing ISR delays the non-preemptive control step *)
@@ -48,8 +48,8 @@ let test_hil_background_load_jitter () =
     run_hil Servo_system.default_config ~periods:400 ~background_load:0.5
   in
   check_bool "loaded jitter larger" true
-    (loaded.Hil_cosim.profile.Hil_cosim.release_jitter
-     > quiet.Hil_cosim.profile.Hil_cosim.release_jitter +. 1e-6);
+    (loaded.Hil_cosim.profile.Hil_cosim.target.Machine.release_jitter
+     > quiet.Hil_cosim.profile.Hil_cosim.target.Machine.release_jitter +. 1e-6);
   (* but the loop still works *)
   match List.rev (speed_of loaded.Hil_cosim.trace) with
   | (_, w) :: _ -> check_bool "still regulates" true (Float.abs (w -. 50.0) < 10.0)

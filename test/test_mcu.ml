@@ -40,10 +40,21 @@ let test_irq_dispatch_and_latency () =
   check_int "completion includes entry+exit latency"
     (50 + t.Mcu_db.irq_latency_cycles + 100 + t.Mcu_db.irq_exit_cycles)
     !done_at;
-  let stats = Machine.stats_of m irq in
-  check_int "one dispatch" 1 stats.Machine.dispatches;
-  check_float 1e-9 "zero response delay when idle" 0.0
-    (List.hd stats.Machine.response_cycles)
+  match Machine.log m with
+  | [| e |] ->
+      check_bool "logged vector" true (e.Machine.vector = irq);
+      check_int "zero release delay when idle" 0
+        (e.Machine.started - e.Machine.raised);
+      check_int "finish logged" !done_at e.Machine.finished;
+      check_int "budget logged" 100 e.Machine.budget
+  | _ -> Alcotest.fail "expected one dispatch"
+
+(* the last start of a vector's jobs minus its raise, in cycles *)
+let last_release m irq =
+  Array.fold_left
+    (fun acc e ->
+      if e.Machine.vector = irq then e.Machine.started - e.Machine.raised else acc)
+    (-1) (Machine.log m)
 
 let test_priority_order () =
   let m = mk () in
@@ -83,9 +94,8 @@ let test_nonpreemptive_blocks_high_prio () =
   Machine.schedule m ~after:0 (fun () -> Machine.raise_irq m blocker);
   Machine.schedule m ~after:100 (fun () -> Machine.raise_irq m hi);
   Machine.advance m ~cycles:3000;
-  let stats = Machine.stats_of m hi in
   (* the high-priority ISR had to wait for the blocker to finish *)
-  check_bool "blocked > 800 cycles" true (List.hd stats.Machine.response_cycles > 800.0)
+  check_bool "blocked > 800 cycles" true (last_release m hi > 800)
 
 let test_preemptive_interrupts_low_prio () =
   let m = Machine.create ~preemptive:true Mcu_db.mc56f8367 in
@@ -103,9 +113,7 @@ let test_preemptive_interrupts_low_prio () =
   Machine.advance m ~cycles:3000;
   Alcotest.(check (list string)) "high finishes first" [ "hi"; "blk" ]
     (List.rev !order);
-  let stats = Machine.stats_of m hi in
-  check_bool "response is just the latency" true
-    (List.hd stats.Machine.response_cycles < 5.0)
+  check_bool "response is just the latency" true (last_release m hi < 5)
 
 let test_overrun_counted () =
   let m = mk () in
@@ -117,7 +125,7 @@ let test_overrun_counted () =
       Machine.raise_irq m irq;
       Machine.raise_irq m irq);
   Machine.advance m ~cycles:100;
-  check_int "overrun" 1 (Machine.stats_of m irq).Machine.overruns
+  check_int "overrun" 1 (Machine.profile m irq ~period:100).Machine.overruns
 
 let test_utilization_and_stack () =
   let m = mk () in
@@ -127,9 +135,10 @@ let test_utilization_and_stack () =
   in
   Machine.schedule m ~after:0 (fun () -> Machine.raise_irq m irq);
   Machine.advance m ~cycles:1000;
+  let p = Machine.profile m irq ~period:1000 in
   check_bool "utilization ~50%" true
-    (Machine.utilization m > 0.45 && Machine.utilization m < 0.55);
-  check_int "stack watermark" (64 + 100) (Machine.max_stack_bytes m)
+    (p.Machine.utilization > 0.45 && p.Machine.utilization < 0.55);
+  check_int "stack watermark" (64 + 100) p.Machine.max_stack_bytes
 
 let test_disabled_irq_not_dispatched () =
   let m = mk () in
@@ -244,30 +253,6 @@ let test_qdec_requires_hardware () =
   match Qdec_periph.create m () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "HCS12 has no decoder"
-
-let test_gpio () =
-  let m = mk () in
-  let g = Gpio_periph.create m in
-  let pin_in = List.hd Mcu_db.mc56f8367.Mcu_db.pins in
-  let pin_out = List.nth Mcu_db.mc56f8367.Mcu_db.pins 1 in
-  Gpio_periph.configure g ~pin:pin_in Gpio_periph.Input;
-  Gpio_periph.configure g ~pin:pin_out Gpio_periph.Output;
-  let level = ref false in
-  Gpio_periph.connect_input g ~pin:pin_in (fun () -> !level);
-  check_bool "reads low" false (Gpio_periph.read g ~pin:pin_in);
-  level := true;
-  check_bool "reads high" true (Gpio_periph.read g ~pin:pin_in);
-  let changes = ref 0 in
-  Gpio_periph.on_change g ~pin:pin_out (fun _ -> incr changes);
-  Gpio_periph.write g ~pin:pin_out true;
-  Gpio_periph.write g ~pin:pin_out true;
-  check_int "change fires once" 1 !changes;
-  (match Gpio_periph.write g ~pin:pin_in true with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "write to input accepted");
-  match Gpio_periph.configure g ~pin:pin_in Gpio_periph.Input with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "double claim accepted"
 
 let test_sci_timing () =
   let m = mk () in
@@ -444,8 +429,9 @@ let apply r = function
 
 let observe r =
   ( (Machine.now_cycles r.m, Wdog_periph.bites r.wd, Machine.busy r.m),
-    (Machine.max_stack_bytes r.m, Machine.busy_cycles r.m),
-    Array.map (Machine.stats_of r.m) r.vecs,
+    Machine.busy_cycles r.m,
+    Array.map (fun v -> Machine.profile r.m v ~period:500) r.vecs,
+    Machine.log r.m,
     !(r.log) )
 
 (* k ops, save, m other ops, restore, then the same ops twice over from
@@ -509,7 +495,6 @@ let suite =
     Alcotest.test_case "pwm validation" `Quick test_pwm_validation;
     Alcotest.test_case "qdec wrap" `Quick test_qdec_wrap_diff;
     Alcotest.test_case "qdec hw check" `Quick test_qdec_requires_hardware;
-    Alcotest.test_case "gpio" `Quick test_gpio;
     Alcotest.test_case "sci timing" `Quick test_sci_timing;
     Alcotest.test_case "sci rx overrun" `Quick test_sci_rx_and_overrun;
     Alcotest.test_case "sci fifo overflow" `Quick test_sci_fifo_overflow;

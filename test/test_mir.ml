@@ -285,9 +285,24 @@ let test_sat_prover () =
           ];
       ]
   in
-  match v4 with
+  (match v4 with
   | [ ("pe_sat16", Itv.Always); ("pe_sat16", Itv.May) ] -> ()
-  | _ -> Alcotest.fail "expected Always, then May"
+  | _ -> Alcotest.fail "expected Always, then May");
+  (* a double -> f32 conversion rounds: 32767.49999 becomes 32767.5 in
+     f32, which the cast helper rounds to 32768 and saturates *)
+  let v5 =
+    sat_verdicts
+      [
+        one_func
+          [
+            Decl (Float_t, "f", Some (Cast_to (Float_t, Float_lit 32767.49999)));
+            Return (Some (Call ("pe_cast_i16", [ Var "f" ])));
+          ];
+      ]
+  in
+  match v5 with
+  | [ ("pe_cast_i16", Itv.May) ] -> ()
+  | _ -> Alcotest.fail "expected May through the f32 rounding"
 
 (* the MIR rules surface through Check.run with their catalogue IDs *)
 let test_mir_rules_in_check () =

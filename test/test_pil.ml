@@ -58,16 +58,16 @@ let test_pil_profile_contents () =
   let _, r = run_pil ~periods:200 () in
   let p = r.Pil_cosim.profile in
   check_bool "exec time plausible" true
-    (p.Pil_cosim.controller_exec.Stats.mean > 1e-6
-     && p.Pil_cosim.controller_exec.Stats.mean < 1e-3);
+    (p.Pil_cosim.controller_exec > 1e-6
+     && p.Pil_cosim.controller_exec < 1e-3);
   check_bool "latency after comm" true
     (p.Pil_cosim.response_latency.Stats.p50 > p.Pil_cosim.comm_time_per_period /. 2.0);
   check_bool "latency within period" true
     (p.Pil_cosim.response_latency.Stats.max < 5e-3);
   check_int "no overruns" 0 p.Pil_cosim.overruns;
   check_int "no crc errors" 0 p.Pil_cosim.crc_errors;
-  check_bool "stack watermark measured" true (p.Pil_cosim.max_stack_bytes > 96);
-  check_bool "cpu mostly idle" true (p.Pil_cosim.cpu_utilization < 0.2)
+  check_bool "stack watermark measured" true (p.Pil_cosim.target.Machine.max_stack_bytes > 96);
+  check_bool "cpu mostly idle" true (p.Pil_cosim.target.Machine.utilization < 0.2)
 
 let test_pil_baud_feasibility () =
   (* at 9600 baud the two packets cannot fit into 5 ms *)

@@ -42,6 +42,17 @@ let test_non_preemptive_blocking () =
   | [ v; _ ] -> check_float 1e-9 "non-preemptive: blocked" 6.0 v.Rta.response
   | _ -> Alcotest.fail "arity"
 
+let test_non_preemptive_later_job () =
+  (* t3's second job waits for t2's second and t1's third, released just
+     before it could start: 3.4999 after its release, past its first
+     job's 3 (Davis, Burns, Bril & Lukkien 2007) *)
+  let tasks = [ t "t1" 2.4999 1.0 1; t "t2" 3.5 1.0 2; t "t3" 3.5001 1.0 3 ] in
+  match Rta.non_preemptive tasks with
+  | [ _; _; v3 ] ->
+      check_float 1e-9 "R3 from the second job" 3.4999 v3.Rta.response;
+      check_bool "schedulable" true v3.Rta.schedulable
+  | _ -> Alcotest.fail "arity"
+
 let test_analyze_messages () =
   let bad = [ t "ctrl" 1.0 0.9 1; t "bg" 2.0 1.0 2 ] in
   (match Rta.analyze ~preemptive:true bad with
@@ -59,57 +70,103 @@ let test_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero period accepted"
 
-(* The soundness check: the analytical worst case must dominate every
-   response the virtual MCU actually produces, in both policies. *)
-let observed_worst_response ~preemptive =
-  let mcu = Mcu_db.mc56f8367 in
-  let machine = Machine.create ~preemptive mcu in
-  let mk_task name prio cycles ch period_s =
-    let irq =
-      Machine.register_irq machine ~name ~prio ~handler:(fun () ->
-          { Machine.jname = name; cycles; action = (fun () -> ()); stack_bytes = 16 })
-    in
-    let timer = Timer_periph.create machine ~channel:ch in
-    (* pick prescaler 1 when it fits the 16-bit counter, else 16 *)
-    let cycles_p = Machine.cycles_of_time machine period_s in
-    let prescaler = if cycles_p <= 65536 then 1 else 16 in
-    Timer_periph.configure timer ~prescaler ~modulo:(cycles_p / prescaler);
-    Timer_periph.on_overflow timer (fun () -> Machine.raise_irq machine irq);
-    Timer_periph.start timer;
-    irq
-  in
-  (* ctrl: 1 ms period, 150 us wcet, high prio; bg: 0.7 ms, 250 us, low *)
-  let ctrl = mk_task "ctrl" 1 9000 0 1e-3 in
-  let _bg = mk_task "bg" 5 15000 1 0.7e-3 in
-  Machine.run_until_time machine 0.5;
-  let st = Machine.stats_of machine ctrl in
-  let f_cpu = mcu.Mcu_db.f_cpu_hz in
-  let lat = float_of_int mcu.Mcu_db.irq_latency_cycles /. f_cpu in
-  let exit_c = float_of_int mcu.Mcu_db.irq_exit_cycles /. f_cpu in
-  (* observed response = release delay + entry latency + execution + exit *)
-  List.fold_left
-    (fun acc r -> Float.max acc ((r /. f_cpu) +. lat +. (9000.0 /. f_cpu) +. exit_c))
-    0.0 st.Machine.response_cycles
+(* The soundness check: on random task sets, under each policy in which
+   [Rta] calls the set schedulable, every job the virtual MCU runs
+   responds within its task's bound. A response is read from the job log as
+   finish minus raise; the WCET handed to [Rta] carries the MCU's
+   interrupt entry and exit cycles. Periods fit the 16-bit timer at
+   prescaler 1, and the list order is the priority order. *)
+let mcu = Mcu_db.mc56f8367
+let f_cpu = mcu.Mcu_db.f_cpu_hz
+let entry_exit = mcu.Mcu_db.irq_latency_cycles + mcu.Mcu_db.irq_exit_cycles
 
-let test_rta_bounds_machine () =
-  let tasks = [ t "ctrl" 1e-3 (9020.0 /. 60e6) 1; t "bg" 0.7e-3 (15020.0 /. 60e6) 5 ] in
-  let bound_np =
-    match Rta.non_preemptive tasks with v :: _ -> v.Rta.response | [] -> nan
+(* (period, budget) in cycles per task: periods within a factor 1.6
+   of each other and loads up to 0.45 a task, so that many sets sit near
+   the schedulability boundary, where a later job of a busy period can
+   respond later than the first *)
+let gen_task_set =
+  QCheck2.Gen.(
+    int_range 2000 40000 >>= fun base ->
+    list_size (int_range 2 3) (pair (int_range 1000 1600) (int_range 20 450))
+    >|= List.map (fun (stretch, load) ->
+            let period = base * stretch / 1000 in
+            (period, Stdlib.max 50 (period * load / 1000))))
+
+let tasks_of set =
+  List.mapi
+    (fun i (period, cycles) ->
+      t (Printf.sprintf "t%d" i)
+        (float_of_int period /. f_cpu)
+        (float_of_int (cycles + entry_exit) /. f_cpu)
+        (i + 1))
+    set
+
+(* the jobs whose response exceeds their task's bound, and the raises
+   lost to a still-pending vector: none when the bound is sound *)
+let violations ~preemptive set verdicts =
+  let machine = Machine.create ~preemptive mcu in
+  let tasks =
+    List.mapi
+      (fun i ((period, cycles), v) ->
+        let name = v.Rta.task.Rta.tname in
+        let irq =
+          Machine.register_irq machine ~name ~prio:(i + 1) ~handler:(fun () ->
+              { Machine.jname = name; cycles; action = (fun () -> ());
+                stack_bytes = 16 })
+        in
+        let timer = Timer_periph.create machine ~channel:i in
+        Timer_periph.configure timer ~prescaler:1 ~modulo:period;
+        Timer_periph.on_overflow timer (fun () -> Machine.raise_irq machine irq);
+        Timer_periph.start timer;
+        (* the first jobs are all released at cycle 0, together *)
+        Machine.raise_irq machine irq;
+        (irq, (period, v.Rta.response)))
+      (List.combine set verdicts)
   in
-  let bound_p =
-    match Rta.preemptive tasks with v :: _ -> v.Rta.response | [] -> nan
+  Machine.advance_to machine ~cycle:(40 * 65536);
+  let late e =
+    let bound = snd (List.assoc e.Machine.vector tasks) in
+    let response =
+      float_of_int (e.Machine.finished - e.Machine.raised) /. f_cpu
+    in
+    if e.Machine.finished >= 0 && response > bound +. 1e-12 then
+      Some
+        (Printf.sprintf "%s raised at %d: %.2f us > %.2f us"
+           (Machine.irq_name machine e.Machine.vector)
+           e.Machine.raised (response *. 1e6) (bound *. 1e6))
+    else None
   in
-  let obs_np = observed_worst_response ~preemptive:false in
-  let obs_p = observed_worst_response ~preemptive:true in
-  check_bool
-    (Printf.sprintf "non-preemptive bound sound (%.1f us >= %.1f us)"
-       (bound_np *. 1e6) (obs_np *. 1e6))
-    true (bound_np >= obs_np);
-  check_bool
-    (Printf.sprintf "preemptive bound sound (%.1f us >= %.1f us)"
-       (bound_p *. 1e6) (obs_p *. 1e6))
-    true (bound_p >= obs_p);
-  check_bool "preemption helps the high-priority task" true (bound_p < bound_np)
+  let lost (irq, (period, _)) =
+    match (Machine.profile machine irq ~period).Machine.overruns with
+    | 0 -> None
+    | n -> Some (Printf.sprintf "%s: %d overruns" (Machine.irq_name machine irq) n)
+  in
+  List.filter_map late (Array.to_list (Machine.log machine))
+  @ List.filter_map lost tasks
+
+let prop_rta_bounds_machine =
+  QCheck2.Test.make ~name:"RTA bounds the machine" ~count:500
+    ~print:(fun set ->
+      String.concat "; "
+        (List.map (fun (p, c) -> Printf.sprintf "T=%d C=%d" p c) set))
+    gen_task_set
+    (fun set ->
+      let periods = List.map fst set in
+      QCheck2.assume
+        (List.length (List.sort_uniq compare periods) = List.length periods);
+      let check preemptive =
+        match Rta.analyze ~preemptive (tasks_of set) with
+        | Ok verdicts -> Some (violations ~preemptive set verdicts)
+        | Error _ -> None
+      in
+      match (check false, check true) with
+      | None, None -> QCheck2.assume_fail ()
+      | np, p -> (
+          match (Option.value np ~default:[], Option.value p ~default:[]) with
+          | [], [] -> true
+          | v_np, v_p ->
+              QCheck2.Test.fail_reportf "non-preemptive: %s\npreemptive: %s"
+                (String.concat ", " v_np) (String.concat ", " v_p)))
 
 let suite =
   [
@@ -117,7 +174,8 @@ let suite =
     Alcotest.test_case "preemptive textbook" `Quick test_preemptive_textbook;
     Alcotest.test_case "overload diverges" `Quick test_preemptive_overload_diverges;
     Alcotest.test_case "non-preemptive blocking" `Quick test_non_preemptive_blocking;
+    Alcotest.test_case "non-preemptive later job" `Quick test_non_preemptive_later_job;
     Alcotest.test_case "analyze messages" `Quick test_analyze_messages;
     Alcotest.test_case "validation" `Quick test_validation;
-    Alcotest.test_case "RTA bounds the machine" `Quick test_rta_bounds_machine;
+    QCheck_alcotest.to_alcotest prop_rta_bounds_machine;
   ]
