@@ -6,10 +6,6 @@ under bin/, bench/, examples/ and perfbench/ through lib/. A lib module
 the walk never reaches is code that no command, experiment or benchmark
 runs: wire it into one, or delete it with its unit tests.
 
-EXCEPTIONS are the modules known to be unreached (ROADMAP item 14). The
-list may only shrink: an exception that is reached, or no longer
-exists, fails too.
-
 Run from the repository root:  python3 .github/lib_reach.py
 """
 
@@ -19,12 +15,6 @@ import subprocess
 import sys
 
 ROOTS = ["bin", "bench", "examples", "perfbench"]
-EXCEPTIONS = {
-    "Pe_workspace": "ROADMAP item 14: back `inspect` with it, or delete it",
-    "Freqresp": "ROADMAP item 14: print margins in `analyze`, or delete it",
-    "Adc_periph": "ROADMAP item 14: run isr-demo through HIL, or delete it",
-    "Table_blocks": "ROADMAP item 14: delete it unless a built-in model uses it",
-}
 
 
 def sources(top):
@@ -71,20 +61,12 @@ def main():
         lib_deps.setdefault(module_of(f), set()).update(deps[f])
     reached = reach({m for f in root_files for m in deps[f]}, lib_deps)
     by_tests = reach({m for f in test_files for m in deps[f]}, lib_deps)
-    unreached = set(lib_deps) - reached
-    errors = []
-    for m in sorted(unreached - set(EXCEPTIONS)):
+    unreached = sorted(set(lib_deps) - reached)
+    for m in unreached:
         how = "only from test/" if m in by_tests else "from nowhere"
-        errors.append(f"{m} is reachable {how}: wire it into a command or delete it")
-    for m in sorted(set(EXCEPTIONS) - unreached):
-        state = "is now reached" if m in lib_deps else "is gone"
-        errors.append(f"{m} {state}: drop it from EXCEPTIONS")
-    for m in sorted(unreached & set(EXCEPTIONS)):
-        print(f"known: {m} ({EXCEPTIONS[m]})")
-    for e in errors:
-        print(f"error: {e}")
+        print(f"error: {m} is reachable {how}: wire it into a command or delete it")
     print(f"{len(reached)} of {len(lib_deps)} lib modules reached from {', '.join(ROOTS)}")
-    return 1 if errors else 0
+    return 1 if unreached else 0
 
 
 if __name__ == "__main__":

@@ -11,11 +11,6 @@
     error). Signals wider than the MCU word cannot be read atomically
     regardless (CON003). *)
 
-type context = Periodic | Isr of Model.group
-
-val context_of : Model.t -> Model.blk -> context
-val context_name : Model.t -> context -> string
-
 val findings :
   ?preemptive:bool -> ?word_bits:int -> Compile.t -> Diag.finding list
 (** [preemptive] defaults to [false], the policy of the generated code

@@ -109,9 +109,6 @@ let parse_suppression s =
       else if valid_rule rule then Ok { s_subject = subject; s_rule = rule }
       else Error (Printf.sprintf "unknown rule %S in suppression" rule)
 
-let suppression_to_string s =
-  if s.s_subject = "*" then s.s_rule else s.s_subject ^ ":" ^ s.s_rule
-
 let apply_suppressions sups findings =
   List.map
     (fun f ->

@@ -28,16 +28,11 @@ type rule_info = {
 val catalogue : rule_info list
 (** Every rule the engine can emit, in ID order. *)
 
-val rule_info : string -> rule_info
-(** @raise Invalid_argument on an ID absent from the {!catalogue}. *)
-
 val make : rule:string -> subject:string -> string -> finding
 (** Build a finding with the rule's default severity.
     @raise Invalid_argument on an unknown rule ID. *)
 
 val severity_to_string : severity -> string
-val severity_rank : severity -> int
-(** [0] for [Error] (most severe), then [1], [2]. *)
 
 val compare_finding : finding -> finding -> int
 (** Severity first, then rule ID, then subject — the report order. *)
@@ -54,8 +49,6 @@ type suppression = { s_subject : string; s_rule : string }
 
 val parse_suppression : string -> (suppression, string) result
 (** Parse ["subject:RULE"] or ["RULE"] (any subject). *)
-
-val suppression_to_string : suppression -> string
 
 val apply_suppressions : suppression list -> finding list -> finding list
 (** Mark (not drop) matching findings as [suppressed]. *)

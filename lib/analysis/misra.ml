@@ -313,8 +313,6 @@ let lint_unit_in env cu =
         | _ -> [])
       cu.items
 
-let lint_unit cu = lint_unit_in (build_env [ cu ]) cu
-
 let lint units =
   (* one environment over the whole translation set: macros, typedefs
      and structs live in shared headers (PE_Types.h, <model>.h) *)

@@ -18,5 +18,4 @@
     - MIS005: verbatim [Raw]/[Raw_item] text escapes the analysis
       (informational). *)
 
-val lint_unit : C_ast.cunit -> Diag.finding list
 val lint : C_ast.cunit list -> Diag.finding list

@@ -158,10 +158,6 @@ let transfer comp b (ins : Itv.t option array) : Itv.t option array =
     | "Compare" | "Logic" -> all_out (make 0.0 1.0)
     | "Relay" ->
         all_out (hull (point (pf "on_value")) (point (pf "off_value")))
-    | "Lookup1D" | "Lookup1DNearest" ->
-        let ys = Param.floats params "ys" in
-        if Array.length ys = 0 then top_of_type
-        else all_out (Array.fold_left hull_pt (point ys.(0)) ys)
     | "PE_Adc" | "AR_Adc" -> (
         match Param.int_opt params "max_code" with
         | Some mc -> all_out (make 0.0 (float_of_int mc))

@@ -1,8 +1,8 @@
 (** Fixed-point range analysis: abstract interpretation over intervals.
 
     Propagates a [[lo, hi]] interval for every output port through the
-    block graph — sources, gains, sums, delays, saturations, lookup
-    tables, peripheral blocks — iterating to a fixpoint with widening
+    block graph — sources, gains, sums, delays, saturations,
+    peripheral blocks — iterating to a fixpoint with widening
     for feedback loops. Every interval is then clamped to the port's
     data-type range, which matches the engine's semantics exactly:
     [Value.of_float] saturates at the type bounds, so a simulated

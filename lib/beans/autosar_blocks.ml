@@ -6,7 +6,6 @@ let rekind kind spec = { spec with Block.kind }
 let timer_int bean = rekind "AR_TimerInt" (Periph_blocks.timer_int bean)
 let adc bean = rekind "AR_Adc" (Periph_blocks.adc bean)
 let pwm bean = rekind "AR_Pwm" (Periph_blocks.pwm bean)
-let dio_out bean = rekind "AR_Dio_Out" (Periph_blocks.bit_io_out bean)
 let dio_in bean = rekind "AR_Dio_In" (Periph_blocks.bit_io_in bean)
 let icu_position bean = rekind "AR_Icu" (Periph_blocks.quad_decoder bean)
 

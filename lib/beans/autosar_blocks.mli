@@ -22,7 +22,6 @@ val pwm : Bean.t -> Block.spec
 (** Pwm channel driven through [Pwm_SetDutyCycle] (0x0000..0x8000 duty
     domain per the AUTOSAR PWM driver spec; the emitter rescales). *)
 
-val dio_out : Bean.t -> Block.spec
 val dio_in : Bean.t -> Block.spec
 val icu_position : Bean.t -> Block.spec
 (** Quadrature position via the Icu driver's edge counter. *)

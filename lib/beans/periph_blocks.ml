@@ -107,36 +107,6 @@ let pwm bean =
         });
   }
 
-let bit_io_out bean =
-  require_valid bean;
-  let init =
-    match bean.Bean.config with
-    | Bean.Bit_io { direction = Bean.Out_pin; init; _ } -> init
-    | _ -> invalid_arg "Periph_blocks.bit_io_out: not an output BitIO bean"
-  in
-  {
-    Block.kind = "PE_BitIO_Out";
-    params = [ bean_param bean; ("init", Param.Bool init) ];
-    n_in = 1;
-    n_out = 1;
-    feedthrough = [| true |];
-    out_types = [| Block.Fixed_type Dtype.Bool |];
-    sample = Sample_time.Inherited;
-    event_outs = [||];
-    make =
-      (fun _ctx ->
-        let latch = ref init in
-        {
-          Block.no_beh_state with
-          out =
-            (fun ~minor ~time:_ ins ->
-              if not minor then latch := Value.to_bool ins.(0);
-              [| Value.of_bool !latch |]);
-          reset = (fun () -> latch := init);
-          save = (fun () -> let v = !latch in fun () -> latch := v);
-        });
-  }
-
 let bit_io_in bean =
   require_valid bean;
   (match bean.Bean.config with

@@ -32,9 +32,6 @@ val pwm : Bean.t -> Block.spec
     0..1, quantised to the carrier's counter resolution — feed it to the
     {!Plant_blocks.power_stage}. *)
 
-val bit_io_out : Bean.t -> Block.spec
-(** Input: boolean; output: the pin latch (boolean). *)
-
 val bit_io_in : Bean.t -> Block.spec
 (** Input: the external world's boolean (plant side); output: debounced
     pin reading. *)

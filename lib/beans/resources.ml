@@ -85,8 +85,6 @@ let release_owner t owner =
   in
   List.iter (Hashtbl.remove t.table) keys
 
-let owner_of t kind idx = Hashtbl.find_opt t.table (key kind idx)
-
 let claims t =
   Hashtbl.fold (fun k o acc -> (k, o) :: acc) t.table []
   |> List.sort Stdlib.compare

@@ -29,6 +29,5 @@ val claim :
 val release_owner : t -> string -> unit
 (** Return everything a bean held (bean deletion in the project). *)
 
-val owner_of : t -> kind -> int -> string option
 val claims : t -> (string * string) list
 (** [(resource description, owner)] pairs, for the project report. *)

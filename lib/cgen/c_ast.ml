@@ -88,7 +88,6 @@ let ( *! ) a b = Bin ("*", a, b)
 let ( /! ) a b = Bin ("/", a, b)
 let ( >>! ) a n = Bin (">>", a, Int_lit n)
 let ( <<! ) a n = Bin ("<<", a, Int_lit n)
-let assign lhs rhs = Assign (lhs, rhs)
 
 let func ?(static = false) ?comment ret fname args body =
   { ret; fname; args; body; fcomment = comment; static }

@@ -88,7 +88,6 @@ val ( *! ) : expr -> expr -> expr
 val ( /! ) : expr -> expr -> expr
 val ( >>! ) : expr -> int -> expr
 val ( <<! ) : expr -> int -> expr
-val assign : expr -> expr -> stmt
 val func :
   ?static:bool -> ?comment:string -> cty -> string -> (cty * string) list ->
   stmt list -> func

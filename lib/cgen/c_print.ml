@@ -65,9 +65,20 @@ and expr_to_string e =
   | Cast_to (t, e) -> Printf.sprintf "(%s)%s" (string_of_cty t) (sub 80 e)
   | Bin (op, a, b) ->
       let p = prec_of_bin op in
+      (* operands that precedence binds but gcc's -Wparentheses wants
+         bracketed: an additive operand of a shift, an && operand of || *)
+      let clarify = function
+        | Bin (("+" | "-"), _, _) -> op = "<<" || op = ">>"
+        | Bin ("&&", _, _) -> op = "||"
+        | _ -> false
+      in
       (* left associative: right child needs parens at equal precedence *)
-      Printf.sprintf "%s %s %s" (sub p a) op
-        (paren_if (expr_prec b <= p && expr_prec b < 90) (expr_to_string b))
+      Printf.sprintf "%s %s %s"
+        (paren_if (expr_prec a < p || clarify a) (expr_to_string a))
+        op
+        (paren_if
+           ((expr_prec b <= p && expr_prec b < 90) || clarify b)
+           (expr_to_string b))
   | Ternary (c, a, b) ->
       Printf.sprintf "%s ? %s : %s" (sub 1 c) (expr_to_string a) (expr_to_string b)
 

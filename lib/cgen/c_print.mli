@@ -1,13 +1,5 @@
 (** C pretty-printer for {!C_ast}. *)
 
-val string_of_cty : C_ast.cty -> string
-(** Type name as used in declarations (arrays/pointers are handled by
-    {!decl_string}). *)
-
-val decl_string : C_ast.cty -> string -> string
-(** Full declarator, e.g. [decl_string (Arr (U16, 4)) "buf"] is
-    ["uint16_t buf[4]"]. *)
-
 val expr_to_string : C_ast.expr -> string
 (** Expression with minimal but safe parenthesisation. *)
 

@@ -32,9 +32,6 @@ type t
 val create : config -> sink:(int -> unit) -> t
 (** [create cfg ~sink] wraps [sink] with the fault model. *)
 
-val send : t -> int -> unit
-(** Push one byte through the channel. *)
-
 val send_all : t -> int list -> unit
 
 val flush : t -> unit

@@ -36,7 +36,6 @@ let save t =
     t.d_prev <- d_prev
 
 let ts t = t.ts
-let gains_of t = t.g
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 

@@ -35,7 +35,6 @@ val save : t -> unit -> unit
     error and derivative) and returns a restorer for it. *)
 
 val ts : t -> float
-val gains_of : t -> gains
 
 val step : t -> sp:float -> pv:float -> float
 (** One control period: set-point [sp], process value [pv]; returns the

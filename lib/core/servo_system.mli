@@ -77,10 +77,6 @@ val build : ?config:config -> unit -> built
 (** Construct and verify everything.
     @raise Invalid_argument when the bean project does not verify. *)
 
-val solver_substeps_for : built -> Compile.t -> int
-(** Solver sub-steps keeping the motor's electrical pole stable at the
-    configured control rate. *)
-
 val faultsim_subject :
   ?config:config ->
   scenario:Fault_scenario.t ->

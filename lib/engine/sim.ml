@@ -637,7 +637,6 @@ let trace t (b, p) =
   | None -> raise Not_found
 
 let trace_named t name p = trace t (Model.find t.comp.Compile.model name, p)
-let fire_group t g = exec_group t (Model.group_index g)
 
 let override_output t (b, p) v =
   let i = bi b in

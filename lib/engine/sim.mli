@@ -78,10 +78,6 @@ val trace : t -> Model.blk * int -> (float * float) list
 
 val trace_named : t -> string -> int -> (float * float) list
 
-val fire_group : t -> Model.group -> unit
-(** Manually fire a function-call group (used by test harnesses and the
-    PIL target executive). *)
-
 val override_output : t -> Model.blk * int -> Value.t option -> unit
 (** Force an output port to a fixed value (or release it with [None]) —
     the mechanism the PIL harness uses to redirect peripheral blocks to

@@ -83,7 +83,6 @@ type t = {
   nonempty : Condition.t;
   mutable live : bool;
   mutable domains : unit Domain.t array;
-  mutable on_task_error : (exn -> unit) option;
 }
 
 let c_tasks = Obs.counter "exec.tasks"
@@ -91,19 +90,15 @@ let c_task_errors = Obs.counter "exec.task_errors"
 let h_task = Obs.hist "exec.task_s"
 
 (* a task must not kill its worker: anything escaping it is counted and
-   routed through the error hook (or stderr), and the worker keeps
-   serving *)
-let run_task pool task =
+   printed to stderr, and the worker keeps serving *)
+let run_task task =
   Obs.add c_tasks 1;
   let t0 = Obs.now_ns () in
   (try task ()
-   with e -> (
+   with e ->
      Obs.add c_task_errors 1;
-     match pool.on_task_error with
-     | Some hook -> ( try hook e with _ -> ())
-     | None ->
-         prerr_endline
-           ("exec_pool: uncaught exception in task: " ^ Printexc.to_string e)));
+     prerr_endline
+       ("exec_pool: uncaught exception in task: " ^ Printexc.to_string e));
   if Obs.enabled () then Obs.record h_task ((Obs.now_ns () -. t0) *. 1e-9);
   Obs.publish ()
 
@@ -117,7 +112,7 @@ let rec worker pool () =
   Mutex.unlock pool.lock;
   match task with
   | Some task ->
-      run_task pool task;
+      run_task task;
       worker pool ()
   | None -> ()
 
@@ -136,7 +131,6 @@ let create ?workers () =
       nonempty = Condition.create ();
       live = true;
       domains = [||];
-      on_task_error = None;
     }
   in
   pool.domains <- Array.init workers (fun _ -> Domain.spawn (worker pool));
@@ -146,8 +140,6 @@ let submit pool task =
   Mutex.protect pool.lock (fun () ->
       Queue.push task pool.queue;
       Condition.signal pool.nonempty)
-
-let set_error_hook pool hook = pool.on_task_error <- Some hook
 
 let shutdown pool =
   if pool.live then begin

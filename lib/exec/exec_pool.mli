@@ -54,13 +54,8 @@ val create : ?workers:int -> unit -> t
 
 val submit : t -> (unit -> unit) -> unit
 (** Queue one task. An exception escaping it is counted
-    ([exec.task_errors]) and routed to the pool's error hook — or
-    stderr when none is set — and the worker keeps serving. *)
-
-val set_error_hook : t -> (exn -> unit) -> unit
-(** Route exceptions escaping {!submit}ted tasks to [hook] instead of
-    stderr. The hook runs on the worker domain that ran the task and
-    must synchronize its own state; exceptions it raises are dropped. *)
+    ([exec.task_errors]) and printed to stderr, and the worker keeps
+    serving. *)
 
 val shutdown : t -> unit
 (** Stop taking tasks, wake every worker and join their domains.

@@ -4,7 +4,7 @@
     paper's PIL setup (§6). It models what the PIL experiments measure —
     CPU occupancy, interrupt dispatch with priorities and entry/exit
     latency, optional preemption, and stack usage — while on-chip
-    peripherals ({!Timer_periph}, {!Adc_periph}, {!Sci_periph}, …)
+    peripherals ({!Timer_periph}, {!Pwm_periph}, {!Sci_periph}, …)
     schedule events and raise interrupts against it. Work executes as
     {e jobs}: named cycle budgets with a completion action, the cost
     coming from the generated code's {!Cost_model}. *)

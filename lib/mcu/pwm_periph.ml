@@ -24,9 +24,6 @@ let set_period_counts t n =
   t.period <- n;
   if t.duty > n then t.duty <- n
 
-let set_duty_counts t n =
-  t.duty <- if n < 0 then 0 else if n > t.period then t.period else n
-
 let set_ratio16 t r =
   let r = if r < 0 then 0 else if r > 65535 then 65535 else r in
   t.duty <- r * t.period / 65535

@@ -11,9 +11,6 @@ val create : Machine.t -> channel:int -> unit -> t
 val set_period_counts : t -> int -> unit
 (** @raise Invalid_argument beyond the counter width. *)
 
-val set_duty_counts : t -> int -> unit
-(** Clamped to the period register. *)
-
 val set_ratio16 : t -> int -> unit
 (** The Processor Expert PWM bean's [SetRatio16] method: duty as
     0..65535 mapped onto the period register. *)

@@ -4,7 +4,6 @@ type t = {
   fifo_depth : int;
   tx_fifo : int Queue.t;
   mutable tx_shifting : bool;
-  mutable tx_done_cb : unit -> unit;
   mutable tx_wire : int -> unit;
   mutable rx_cb : int -> unit;
   mutable rx_data : int;
@@ -21,7 +20,6 @@ let create machine ?(fifo_depth = 64) ~baud () =
     fifo_depth;
     tx_fifo = Queue.create ();
     tx_shifting = false;
-    tx_done_cb = (fun () -> ());
     tx_wire = (fun _ -> ());
     rx_cb = (fun _ -> ());
     rx_data = 0;
@@ -40,9 +38,7 @@ let byte_seconds t = 10.0 /. float_of_int t.baud
 
 let rec shift_next t =
   match Queue.take_opt t.tx_fifo with
-  | None ->
-      t.tx_shifting <- false;
-      t.tx_done_cb ()
+  | None -> t.tx_shifting <- false
   | Some byte ->
       t.tx_shifting <- true;
       Machine.schedule t.machine ~after:(byte_cycles t) (fun () ->
@@ -67,7 +63,6 @@ let send_byte t b =
 let send_bytes t bytes =
   List.fold_left (fun acc b -> if send_byte t b then acc + 1 else acc) 0 bytes
 
-let on_tx_complete t f = t.tx_done_cb <- f
 let tx_busy t = t.tx_shifting || not (Queue.is_empty t.tx_fifo)
 let tx_lost t = t.tx_lost
 

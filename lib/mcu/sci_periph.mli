@@ -33,9 +33,6 @@ val on_tx_byte : t -> (int -> unit) -> unit
     register, with the byte — the hook the serial-line model attaches
     to. *)
 
-val on_tx_complete : t -> (unit -> unit) -> unit
-(** Fired when the last queued frame finished shifting out. *)
-
 val tx_busy : t -> bool
 val tx_lost : t -> int
 

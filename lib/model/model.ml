@@ -89,24 +89,6 @@ let connect_event t ~src:(sb, ep) g =
     err "model %s: event %s:%d already wired" t.mname se.bname ep;
   Hashtbl.replace t.events (sb, ep) g
 
-let remove_block t b =
-  let e = entry t b in
-  Hashtbl.remove t.entries b;
-  Hashtbl.remove t.by_name e.bname;
-  t.order <- List.filter (fun x -> x <> b) t.order;
-  let dead_wires =
-    Hashtbl.fold
-      (fun (db, dp) (sb, _) acc ->
-        if db = b || sb = b then ((db, dp)) :: acc else acc)
-      t.wires []
-  in
-  List.iter (Hashtbl.remove t.wires) dead_wires;
-  let dead_events =
-    Hashtbl.fold (fun (sb, ep) _ acc -> if sb = b then (sb, ep) :: acc else acc)
-      t.events []
-  in
-  List.iter (Hashtbl.remove t.events) dead_events
-
 let blocks t = List.rev t.order
 let spec_of t b = (entry t b).spec
 let block_name t b = (entry t b).bname

@@ -45,12 +45,6 @@ val connect_event : t -> src:blk * int -> group -> unit
     a group. Multiple events may target the same group; one event drives at
     most one group. *)
 
-val remove_block : t -> blk -> unit
-(** Delete a block: its data wires (both directions), event wiring and
-    group membership go with it. Consumers that lose their driver must be
-    re-wired before {!Compile.compile} accepts the model again. Handles to
-    the removed block become invalid. *)
-
 (** {2 Interrogation} *)
 
 val blocks : t -> blk list

@@ -30,6 +30,5 @@ val int_opt : t -> string -> int option
 val dtype_opt : t -> string -> Dtype.t option
 val string_opt : t -> string -> string option
 
-val pp_value : Format.formatter -> value -> unit
 val to_string : t -> string
 (** One-line [k=v, ...] rendering for reports and error messages. *)

@@ -21,8 +21,6 @@ type reason = Deadline | Killed
 
 exception Cancelled of reason
 
-let reason_name = function Deadline -> "deadline" | Killed -> "killed"
-
 type token = {
   deadline_ns : float;  (* absolute, Obs.now_ns scale; infinity = none *)
   killed : bool Atomic.t;

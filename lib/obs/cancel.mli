@@ -13,8 +13,6 @@ type reason =
 
 exception Cancelled of reason
 
-val reason_name : reason -> string
-
 type token
 
 val make : ?deadline_s:float -> ?killed:bool Atomic.t -> unit -> token

@@ -43,9 +43,6 @@ val set_capacity : int -> unit
 
 val capacity : unit -> int
 
-val engine_track : int
-(** Pseudo-track ([-1]) for compile/cache events; excluded from bundles. *)
-
 val begin_track : id:int -> name:string -> unit
 (** Start (or resume) logical track [id] on the calling domain and reset
     its per-track sequence counter. *)

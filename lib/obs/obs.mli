@@ -118,7 +118,6 @@ module Export : sig
   val of_local : unit -> t
   (** Snapshot the calling domain's sink (published data excluded). *)
 
-  val of_published : unit -> t
   val merge : t -> t -> t
 
   val counters : t -> (string * int) list
@@ -126,7 +125,4 @@ module Export : sig
 
   val gauges : t -> (string * float) list
   val hists : t -> (string * hist_summary) list
-
-  val absorb : t -> unit
-  (** Fold an export into the published aggregate. *)
 end

@@ -137,13 +137,13 @@ let rec calls_in_stmt acc = function
   | Block b -> List.fold_left calls_in_stmt acc b
   | Decl (_, _, None) | Return None | Comment _ | Raw _ -> acc
 
-let used_cast_helpers stmts =
+let used_helpers helpers stmts =
   let used = List.fold_left calls_in_stmt [] stmts in
   List.filter
     (function
       | Func_def f -> List.mem f.fname used
       | _ -> false)
-    (cast_helpers ())
+    helpers
 
 let time_var = Var "model_time"
 
@@ -915,44 +915,6 @@ let emit_builtin g spec =
                         Ternary (Bin ("<", in0 g, flt 0.0), flt (-.level), flt 0.0) ) ) );
           ];
       }
-  | "Lookup1D" ->
-      let xs = Param.floats ps "xs" and ys = Param.floats ps "ys" in
-      let n = Array.length xs in
-      let xs_tab = g.name ^ "_xs" and ys_tab = g.name ^ "_ys" in
-      {
-        nothing with
-        state_fields = [];
-        init = [];
-        step =
-          [
-            Comment (Printf.sprintf "piecewise-linear lookup, %d breakpoints" n);
-            Raw
-              (Printf.sprintf
-                 "{ static const double %s[%d] = {%s};\n\
-                 \  static const double %s[%d] = {%s};\n\
-                 \  double x = %s;\n\
-                 \  if (x <= %s[0]) { %s = %s[0]; }\n\
-                 \  else if (x >= %s[%d]) { %s = %s[%d]; }\n\
-                 \  else { int lo = 0, hi = %d;\n\
-                 \    while (hi - lo > 1) { int mid = (lo + hi) / 2;\n\
-                 \      if (%s[mid] <= x) lo = mid; else hi = mid; }\n\
-                 \    %s = %s[lo] + (%s[hi] - %s[lo]) * (x - %s[lo]) / (%s[hi] - %s[lo]); } }"
-                 xs_tab n
-                 (String.concat ", "
-                    (Array.to_list (Array.map (Printf.sprintf "%.17g") xs)))
-                 ys_tab n
-                 (String.concat ", "
-                    (Array.to_list (Array.map (Printf.sprintf "%.17g") ys)))
-                 (C_print.expr_to_string (in0 g))
-                 xs_tab
-                 (C_print.expr_to_string (out0 g))
-                 ys_tab xs_tab (n - 1)
-                 (C_print.expr_to_string (out0 g))
-                 ys_tab (n - 1) (n - 1) xs_tab
-                 (C_print.expr_to_string (out0 g))
-                 ys_tab ys_tab ys_tab xs_tab xs_tab xs_tab);
-          ];
-      }
   | "Inport" ->
       let idx = Param.int ps "index" in
       { nothing with step = [ Assign (out0 g, g.ext_in idx) ] }
@@ -991,7 +953,7 @@ let emit_builtin g spec =
             Assign (out0 g, g.state "held");
           ];
       }
-  | "PE_TimerInt" | "PE_Serial" -> nothing
+  | "PE_TimerInt" -> nothing
   | "PE_Adc" -> (
       let bean = bean_of ps in
       match g.mode with
@@ -1129,29 +1091,6 @@ let emit_builtin g spec =
                       (I32, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g))) );
               ];
           })
-  | "PE_BitIO_Out" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Expr (call (bean ^ "_PutVal") [ in0 g ]);
-                Assign (out0 g, in0 g);
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                    Cast_to (U16, in0 g) );
-                Assign (out0 g, in0 g);
-              ];
-          })
   | "PE_BitIO_In" -> (
       let bean = bean_of ps in
       match g.mode with
@@ -1226,34 +1165,6 @@ let emit_builtin g spec =
                   ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
                     Cast_to (U16, in0 g) );
                 Assign (out0 g, Bin ("/", Cast_to (Double_t, in0 g), flt 65535.0));
-              ];
-          })
-  | "AR_Dio_Out" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Expr
-                  (call "Dio_WriteChannel"
-                     [
-                       Var ("DioChannel_" ^ bean);
-                       Ternary (in0 g, Var "STD_HIGH", Var "STD_LOW");
-                     ]);
-                Assign (out0 g, in0 g);
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                    Cast_to (U16, in0 g) );
-                Assign (out0 g, in0 g);
               ];
           })
   | "AR_Dio_In" -> (
@@ -1377,6 +1288,6 @@ let supported spec =
   else
     match spec.Block.kind with
     | "Integrator" | "TransferFcn" | "StateSpace" | "FirstOrder" | "DcMotor"
-    | "PowerStage" | "EncoderCounts" | "ThermalPlant" ->
+    | "PowerStage" | "ThermalPlant" ->
         false
     | _ -> true

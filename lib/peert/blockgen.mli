@@ -68,10 +68,10 @@ val cast_helpers : unit -> C_ast.item list
 (** Static definitions of the pe_cast_* quantisation helpers, appended
     by the targets to every generated translation unit. *)
 
-val used_cast_helpers : C_ast.stmt list -> C_ast.item list
-(** The subset of {!cast_helpers} referenced by the given statements
-    (the plant simulator compiles host-side with -Werror, where an
-    unused static function is fatal). *)
+val used_helpers : C_ast.item list -> C_ast.stmt list -> C_ast.item list
+(** [used_helpers helpers stmts] is the subset of the static [helpers]
+    (such as {!cast_helpers}) the statements call: an unused static
+    function is a warning under [-Wall], fatal with [-Werror]. *)
 
 val sanitize : string -> string
 (** Make a model block name usable as a C identifier chunk. *)

@@ -3,9 +3,9 @@ type op_mix = {
   muls : int;
   divs : int;
   compares : int;
-  memops : int;
-  calls : int;
-  fn_evals : int;
+  memops : int;  (* loads/stores of signals and states *)
+  calls : int;  (* function-call overheads (bean methods etc.) *)
+  fn_evals : int;  (* elementary function evaluations (sin, exp, ...) *)
 }
 
 let zero_mix =
@@ -15,8 +15,7 @@ let mix_of_block spec dtype =
   ignore dtype;
   let m = zero_mix in
   match spec.Block.kind with
-  | "Constant" | "Inport" | "Outport" | "ZOH" | "Terminator" | "PE_BitIO_Out"
-  | "PE_BitIO_In" ->
+  | "Constant" | "Inport" | "Outport" | "ZOH" | "Terminator" | "PE_BitIO_In" ->
       { m with memops = 2 }
   | "Gain" -> { m with muls = 1; memops = 2 }
   | "Sum" ->
@@ -51,11 +50,6 @@ let mix_of_block spec dtype =
   | "Relay" | "Switch" -> { m with compares = 1; memops = 4 }
   | "CoulombFriction" -> { m with compares = 1; adds = 1; muls = 1; memops = 2 }
   | "Backlash" -> { m with compares = 2; adds = 2; memops = 3 }
-  | "Lookup1D" | "Lookup1DNearest" ->
-      let n = Array.length (Param.floats spec.Block.params "xs") in
-      (* binary search + one interpolation *)
-      let log2n = int_of_float (ceil (log (float_of_int n) /. log 2.0)) in
-      { m with compares = log2n; adds = 2; muls = 1; divs = 1; memops = log2n + 4 }
   | "Step" | "Ramp" | "Pulse" | "SetpointSchedule" | "Clock" ->
       { m with compares = 1; memops = 2 }
   | "Sine" -> { m with fn_evals = 1; muls = 2; adds = 2; memops = 2 }
@@ -98,7 +92,7 @@ let cycles_of_block mcu spec dtype =
 let stack_bytes_of_block spec =
   match spec.Block.kind with
   | "Pid" | "FixPid" | "DiscreteTransferFcn" -> 24
-  | "Lookup1D" | "Lookup1DNearest" | "MovingAverage" -> 16
+  | "MovingAverage" -> 16
   | "MathFn" | "Sine" -> 32
   | "PE_Adc" | "PE_Pwm" | "PE_QuadDec" -> 12
   | _ -> 8

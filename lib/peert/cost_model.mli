@@ -11,28 +11,10 @@
     numbers are engineering estimates; the *relative* behaviour (float
     vs. fixed, 16- vs 32-bit) is what the experiments rely on. *)
 
-type op_mix = {
-  adds : int;
-  muls : int;
-  divs : int;
-  compares : int;
-  memops : int;  (** loads/stores of signals and states *)
-  calls : int;  (** function-call overheads (bean methods etc.) *)
-  fn_evals : int;  (** elementary function evaluations (sin, exp, ...) *)
-}
-
-val zero_mix : op_mix
-
-val mix_of_block : Block.spec -> Dtype.t -> op_mix
-(** Operation mix of one step of a block whose arithmetic runs at the
-    given data type. *)
-
-val cycles_of_mix : Mcu_db.t -> Dtype.t -> op_mix -> int
-(** Charge a mix at a data type on a CPU. *)
-
 val cycles_of_block : Mcu_db.t -> Block.spec -> Dtype.t -> int
-(** [cycles_of_mix] of [mix_of_block], plus the per-block dispatch
-    overhead. *)
+(** Cycles of one step of a block whose arithmetic runs at the given
+    data type: its operation mix charged at the CPU's costs, plus the
+    per-block dispatch overhead. *)
 
 val stack_bytes_of_block : Block.spec -> int
 (** Worst-case stack the block's generated step needs (locals +

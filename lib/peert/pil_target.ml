@@ -1,6 +1,6 @@
 open C_ast
 
-let comm_runtime_unit ?(api = `Pe) ~name ~serial_bean ~n_sensors ~n_actuators () =
+let comm_runtime_unit ~api ~hal ~name ~serial_bean ~n_sensors ~n_actuators =
   (* the serial primitives differ between the two block-set variants *)
   let send_char, recv_stmt, rx_handler, hal_header =
     match api with
@@ -122,7 +122,14 @@ void %s(void) {
   in
   {
     unit_name = "pil_rt.c";
-    items = [ Include_local (name ^ ".h"); Include_local hal_header; Raw_item rt ];
+    items =
+      [ Include_local (name ^ ".h"); Include_local hal_header ]
+      @ (match api with
+        | `Pe ->
+            Target.hal_protos hal
+              [ serial_bean ^ "_SendChar"; serial_bean ^ "_RecvChar" ]
+        | `Autosar -> [])
+      @ [ Raw_item rt ];
   }
 
 let generate ?(opt = false) ~name ~project comp =
@@ -151,5 +158,8 @@ let generate ?(opt = false) ~name ~project comp =
   in
   let n_sensors = List.length a.Target.schedule.Target.sensor_slots in
   let n_actuators = List.length a.Target.schedule.Target.actuator_slots in
-  let rt = comm_runtime_unit ~api ~name ~serial_bean ~n_sensors ~n_actuators () in
+  let rt =
+    comm_runtime_unit ~api ~hal:a.Target.hal ~name ~serial_bean ~n_sensors
+      ~n_actuators
+  in
   { a with Target.hal = a.Target.hal @ [ rt ] }

@@ -16,12 +16,3 @@ val generate :
     model unit, default off).
     @raise Target.Codegen_error additionally when the bean project has no
     AsynchroSerial bean to carry the PIL link. *)
-
-val comm_runtime_unit :
-  ?api:[ `Pe | `Autosar ] ->
-  name:string -> serial_bean:string -> n_sensors:int -> n_actuators:int ->
-  unit -> C_ast.cunit
-(** The generated [pil_rt.c]: receive ISR, framing state machine, CRC,
-    sensor unpacking, step invocation and actuator reply. [api] selects
-    the serial primitives: PE bean methods ([AS1_SendChar]) or the
-    AUTOSAR variant's [CddUart] driver (default [`Pe]). *)

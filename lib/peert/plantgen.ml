@@ -266,24 +266,6 @@ let emit_builtin ~dt g spec =
                       Bin ("*", flt r_on, List.nth g.Blockgen.ins 1) ) );
             ];
         }
-  | "EncoderCounts" ->
-      let cpr = 4 * Param.int ps "lines_per_rev" in
-      Blockgen.
-        {
-          nothing with
-          step =
-            [
-              Assign
-                ( out0 g,
-                  Cast_to
-                    ( I32,
-                      call "floor"
-                        [
-                          Bin ("*", Bin ("/", in0 g, flt (2.0 *. Float.pi)),
-                               flt (float_of_int cpr));
-                        ] ) );
-            ];
-        }
   | "ThermalPlant" ->
       (* exact exponential update of the linear thermal model *)
       let c_th = pf "c_th" and r_th = pf "r_th" in
@@ -320,6 +302,6 @@ let emit ~dt g spec = emit_builtin ~dt g spec
 let supported_sim spec =
   match spec.Block.kind with
   | "Integrator" | "FirstOrder" | "TransferFcn" | "StateSpace" | "DcMotor"
-  | "PowerStage" | "EncoderCounts" | "ThermalPlant" ->
+  | "PowerStage" | "ThermalPlant" ->
       true
   | _ -> Blockgen.supported spec

@@ -12,7 +12,7 @@
 val emit : dt:float -> Blockgen.gctx -> Block.spec -> Blockgen.gen
 (** Emit the simulator realisation of a plant block at the simulator step
     [dt]. Kinds covered: Integrator, FirstOrder, TransferFcn, StateSpace,
-    DcMotor, PowerStage, EncoderCounts, ThermalPlant; anything else
+    DcMotor, PowerStage, ThermalPlant; anything else
     falls through to {!Blockgen.emit}. *)
 
 val supported_sim : Block.spec -> bool

@@ -123,7 +123,8 @@ let generate ~name ?(baud = 115200) ?n_sensors ?n_actuators ?sim_step comp =
           Global { gty = Double_t; gname = "model_time"; ginit = Some (flt 0.0);
                    volatile = false; static = true };
         ]
-        @ Blockgen.used_cast_helpers (!init_stmts @ !step_stmts @ !update_stmts)
+        @ Blockgen.used_helpers (Blockgen.cast_helpers ())
+            (!init_stmts @ !step_stmts @ !update_stmts)
         @ [
           Func_def
             (func ~comment:"plant initial conditions" Void

@@ -109,8 +109,21 @@ let is_sensor_kind = function
       true
   | _ -> false
 
+(* Declarations of the HAL functions named [names], taken from their
+   definitions: C99 has no implicit function declarations. *)
+let hal_protos hal names =
+  List.concat_map
+    (fun u ->
+      List.filter_map
+        (function
+          | Func_def f when List.mem f.fname names ->
+              Some (Proto { f with body = []; fcomment = None })
+          | _ -> None)
+        u.items)
+    hal
+
 let is_actuator_kind = function
-  | "PE_Pwm" | "PE_BitIO_Out" | "PE_Dac" | "AR_Pwm" | "AR_Dio_Out" -> true
+  | "PE_Pwm" | "PE_Dac" | "AR_Pwm" -> true
   | _ -> false
 
 (* PIL buffer slots: one direction's peripheral blocks, numbered in
@@ -400,8 +413,8 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
              [ Global { gty = Double_t; gname = "model_time";
                         ginit = Some (flt 0.0); volatile = false; static = true } ]
            else [])
-        @ fix_helpers
-        @ Blockgen.used_cast_helpers
+        @ Blockgen.used_helpers
+            (fix_helpers @ Blockgen.cast_helpers ())
             (!init_stmts @ !const_stmts @ step_body
             @ List.concat_map
                 (fun (_, order) ->
@@ -514,6 +527,10 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
           | _ -> [])
         (Bean_project.beans project)
   in
+  let hal =
+    if uses_autosar then Autosar_code.hal_units project
+    else Bean_project.hal_units project
+  in
   let main_c =
     {
       unit_name = "main.c";
@@ -521,6 +538,12 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
         (Include_local (name ^ ".h")
          :: (if uses_autosar then [ Include_local "Mcal.h" ]
              else [ Include_local "PE_Types.h" ]))
+        @ (if uses_autosar then []
+           else
+             hal_protos hal
+               (List.filter_map
+                  (function Expr (Call (f, _)) -> Some f | _ -> None)
+                  bean_inits))
         @ [
           Item_comment
             (Printf.sprintf
@@ -545,10 +568,6 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
                    ]));
           ];
     }
-  in
-  let hal =
-    if uses_autosar then Autosar_code.hal_units project
-    else Bean_project.hal_units project
   in
   let cc, cflags =
     match mcu.Mcu_db.family with

@@ -42,15 +42,16 @@ type schedule = {
 
 val fix_helpers : C_ast.item list
 (** Static definitions of the saturating fixed-point helpers
-    ([pe_sat16], [pe_sat_add32], [pe_mul_shift]) emitted alongside
-    fixed-point controller code; exposed so tests can load them into
-    the SIL interpreter next to hand-built units. *)
+    ([pe_sat16], [pe_sat_add32], [pe_mul_shift]), emitted into the
+    model unit when its code calls them; exposed so tests can load them
+    into the SIL interpreter next to hand-built units. *)
 
-val is_sensor_kind : string -> bool
-(** Peripheral input kinds (ADC, quadrature decoder, digital in). *)
+val hal_protos : C_ast.cunit list -> string list -> C_ast.item list
+(** Prototypes of the functions named in the list that the HAL units
+    define, in HAL order: the declarations a unit calling them needs. *)
 
 val is_actuator_kind : string -> bool
-(** Peripheral output kinds (PWM, DAC, digital out). *)
+(** Peripheral output kinds (PWM, DAC). *)
 
 val sensor_slots : Model.t -> (Model.blk * int) list
 (** The model's peripheral input blocks and their PIL buffer slots, in

@@ -84,8 +84,6 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
         | "PE_Pwm" | "AR_Pwm" ->
             let ratio = Value.to_float (Sim.value controller (b, 0)) in
             int_of_float (Float.round (ratio *. 65535.0)) land 0xFFFF
-        | "PE_BitIO_Out" | "AR_Dio_Out" ->
-            if Value.to_bool (Sim.value controller (b, 0)) then 1 else 0
         | "PE_Dac" ->
             (* the DAC block outputs volts; ship the raw code instead *)
             (match Model.driver m (b, 0) with

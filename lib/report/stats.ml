@@ -63,8 +63,3 @@ let jitter l =
       let mn = List.fold_left Float.min x l in
       let mx = List.fold_left Float.max x l in
       mx -. mn
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.6g sd=%.3g min=%.6g p50=%.6g p95=%.6g p99=%.6g max=%.6g" s.n
-    s.mean s.stdev s.min s.p50 s.p95 s.p99 s.max

@@ -28,5 +28,3 @@ val stdev : float list -> float
 val jitter : float list -> float
 (** Peak-to-peak variation, [max - min]; the paper's notion of sampling
     jitter observed during PIL simulation (§6). *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -36,8 +36,6 @@ let is_integer = function
   | Int8 | Uint8 | Int16 | Uint16 | Int32 | Uint32 -> true
   | _ -> false
 
-let is_fixed = function Fix _ -> true | _ -> false
-
 let bits = function
   | Double -> 64
   | Single -> 32

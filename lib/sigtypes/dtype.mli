@@ -24,7 +24,6 @@ val to_string : t -> string
 
 val is_float : t -> bool
 val is_integer : t -> bool
-val is_fixed : t -> bool
 
 val bits : t -> int
 (** Storage width in bits (8 for [Bool], matching a C [unsigned char]). *)

@@ -97,15 +97,6 @@ let power_stage stage =
         });
   }
 
-let encoder_counts ?(enc = Encoder.create ()) () =
-  Block.stateless ~kind:"EncoderCounts"
-    ~params:[ ("lines_per_rev", Param.Int (Encoder.lines_per_rev enc)) ]
-    ~n_in:1 ~n_out:1
-    ~out_types:[| Block.Fixed_type Dtype.Int32 |]
-    (fun _ctx ins ->
-      let theta = Value.to_float ins.(0) in
-      [| Value.of_int Dtype.Int32 (Encoder.count_of_angle enc ~theta) |])
-
 let thermal_plant ?(params = Thermal.default) () =
   let p = params in
   {

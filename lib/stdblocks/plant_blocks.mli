@@ -11,10 +11,6 @@ val power_stage : Power_stage.t -> Block.spec
 (** Inputs: 0 duty ratio (0..1), 1 armature current (A, for the resistive
     drop). Output: averaged bridge voltage (V). *)
 
-val encoder_counts : ?enc:Encoder.t -> unit -> Block.spec
-(** Ideal quadrature-decoder count of a shaft angle input; output int32
-    count — what the MCU's decoder register would read. *)
-
 val thermal_plant : ?params:Thermal.params -> unit -> Block.spec
 (** Discrete-exact first-order thermal plant; input heater power (W),
     output temperature (degC). Runs at the model base rate. *)

@@ -310,9 +310,13 @@ let test_free_counter_block () =
 
 let test_dac_end_to_end () =
   (* bean -> block -> simulation -> HAL codegen, plus the no-DAC part *)
-  let w = Pe_workspace.create ~name:"dacapp" Mcu_db.mc56f8367 in
-  let dac = Pe_workspace.add_dac w ~resolution:12 () in
-  let m = Pe_workspace.model w in
+  let p = Bean_project.create mcu in
+  let bean =
+    Bean_project.add p
+      (Bean.make ~name:"DA1" (Bean.Dac { channel = None; resolution = 12; vref = 3.3 }))
+  in
+  let m = Model.create "dacapp" in
+  let dac = Model.add m ~name:"DA1" (Periph_blocks.dac bean) in
   let code = Model.add m ~name:"code" (Sources.constant ~dtype:Dtype.Uint16 2048.0) in
   Model.connect m ~src:(code, 0) ~dst:(dac, 0);
   let sim = Sim.create (Compile.compile ~default_dt:1e-3 m) in
@@ -323,19 +327,19 @@ let test_dac_end_to_end () =
     (Value.to_float (Sim.value_named sim "DA1" 0));
   (* generated application calls the bean method *)
   let a =
-    Target.generate ~name:"dacapp" ~project:(Pe_workspace.project w)
+    Target.generate ~name:"dacapp" ~project:p
       (Compile.compile ~default_dt:1e-3 m)
   in
   check_bool "SetValue call" true
     (Astring_contains.contains (C_print.print_unit a.Target.model_c)
        "DA1_SetValue(");
-  let hal = Bean_project.hal_units (Pe_workspace.project w) in
+  let hal = Bean_project.hal_units p in
   let da1 = List.find (fun u -> u.C_ast.unit_name = "DA1.c") hal in
   check_bool "HAL clamps" true
     (Astring_contains.contains (C_print.print_unit da1) "4095");
   (* a part without a DAC rejects the bean with a diagnosis *)
-  let p = Bean_project.create Mcu_db.mc9s12dp256 in
-  let b = Bean_project.add p (Bean.make ~name:"DA1" (Bean.Dac { channel = None; resolution = 12; vref = 3.3 })) in
+  let hcs12 = Bean_project.create Mcu_db.mc9s12dp256 in
+  let b = Bean_project.add hcs12 (Bean.make ~name:"DA1" (Bean.Dac { channel = None; resolution = 12; vref = 3.3 })) in
   check_bool "HCS12 has no DAC" false (Bean.is_valid b);
   check_bool "diagnosed" true
     (List.exists (fun e -> Astring_contains.contains e "no DAC") b.Bean.errors)

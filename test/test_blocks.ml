@@ -203,24 +203,6 @@ let test_backlash () =
   let outs = run_sequence spec (fun k -> [| 0.0; 1.0; 0.8; 0.0 |].(k)) 4 in
   Alcotest.(check (list (float 1e-12))) "play" [ 0.0; 0.5; 0.5; 0.5 ] outs
 
-let test_lookup1d () =
-  check_float 1e-12 "interior" 15.0
-    (Value.to_float
-       (run_block (Table_blocks.lookup1d ~xs:[| 0.0; 1.0; 2.0 |] ~ys:[| 10.0; 20.0; 40.0 |])
-          [ 0.5 ]));
-  check_float 1e-12 "clamped low" 10.0
-    (Value.to_float
-       (run_block (Table_blocks.lookup1d ~xs:[| 0.0; 1.0 |] ~ys:[| 10.0; 20.0 |]) [ -5.0 ]));
-  check_float 1e-12 "nearest" 20.0
-    (Value.to_float
-       (run_block (Table_blocks.lookup1d_nearest ~xs:[| 0.0; 1.0 |] ~ys:[| 10.0; 20.0 |])
-          [ 0.7 ]))
-
-let test_lookup_validation () =
-  Alcotest.check_raises "non-monotone"
-    (Invalid_argument "Table_blocks: xs must be strictly increasing") (fun () ->
-      ignore (Table_blocks.lookup1d ~xs:[| 0.0; 0.0 |] ~ys:[| 1.0; 2.0 |]))
-
 let test_discrete_tf_block () =
   let outs =
     run_sequence
@@ -293,8 +275,6 @@ let suite =
     Alcotest.test_case "nonlinear blocks" `Quick test_nonlinear_blocks;
     Alcotest.test_case "relay hysteresis" `Quick test_relay_hysteresis;
     Alcotest.test_case "backlash" `Quick test_backlash;
-    Alcotest.test_case "lookup1d" `Quick test_lookup1d;
-    Alcotest.test_case "lookup validation" `Quick test_lookup_validation;
     Alcotest.test_case "discrete tf block" `Quick test_discrete_tf_block;
     Alcotest.test_case "noise bounds" `Quick test_noise_bounds;
     Alcotest.test_case "merge2" `Quick test_merge2;

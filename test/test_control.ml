@@ -259,109 +259,8 @@ let test_max_deviation_and_divergence () =
   check_bool "divergence" true (Metrics.diverged [ (0.0, 1e9) ]);
   check_bool "nan divergence" true (Metrics.diverged [ (0.0, nan) ])
 
-(* ---------- Frequency response ---------- *)
-
-let test_freqresp_first_order () =
-  (* ZOH-discretised k/(tau s + 1): at w = 1/tau the continuous magnitude
-     is k/sqrt(2); the discrete one matches closely well below Nyquist *)
-  let k = 2.0 and tau = 0.05 and ts = 1e-3 in
-  let tf = Ztransfer.zoh_first_order ~k ~tau ~ts in
-  let w = 1.0 /. tau in
-  Alcotest.(check (float 0.05)) "corner magnitude"
-    (20.0 *. log10 (k /. sqrt 2.0))
-    (Freqresp.magnitude_db tf ~ts ~w);
-  Alcotest.(check (float 1.0)) "corner phase" (-45.0) (Freqresp.phase_deg tf ~ts ~w);
-  (* dc-ish magnitude *)
-  Alcotest.(check (float 0.01)) "low-frequency gain" (20.0 *. log10 k)
-    (Freqresp.magnitude_db tf ~ts ~w:0.1)
-
-let test_freqresp_validation () =
-  let tf = Ztransfer.create ~num:[| 1.0 |] ~den:[| 1.0; -0.5 |] in
-  match Freqresp.eval tf ~ts:1e-3 ~w:(Float.pi /. 1e-3) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "Nyquist accepted"
-
-let test_bode_shape () =
-  let tf = Ztransfer.zoh_first_order ~k:1.0 ~tau:0.05 ~ts:1e-3 in
-  let pts = Freqresp.bode tf ~ts:1e-3 ~n:50 () in
-  Alcotest.(check int) "points" 50 (List.length pts);
-  (* magnitude decreases monotonically for a first-order lag *)
-  let mags = List.map (fun (_, m, _) -> m) pts in
-  check_bool "monotone decreasing" true
-    (List.for_all2 (fun a b -> a >= b -. 1e-9) (List.filteri (fun i _ -> i < 49) mags)
-       (List.tl mags))
-
-let test_margins_of_servo_loop () =
-  (* open loop = PI * ZOH plant of the servo speed loop *)
-  let motor = Dc_motor.default in
-  let k_dc = motor.Dc_motor.kt /. ((motor.Dc_motor.ra *. motor.Dc_motor.b) +. (motor.Dc_motor.ke *. motor.Dc_motor.kt)) in
-  let tau_m = Dc_motor.mechanical_time_constant motor in
-  let ts = 1e-3 in
-  let plant = Ztransfer.zoh_first_order ~k:k_dc ~tau:tau_m ~ts in
-  let kp, ki = Tuning.pi_for_dc_motor_speed motor ~closed_loop_tau:0.02 () in
-  let pi_tf =
-    Ztransfer.create ~num:[| kp +. (ki *. ts); -.kp |] ~den:[| 1.0; -1.0 |]
-  in
-  let conv a b =
-    let la = Array.length a and lb = Array.length b in
-    let r = Array.make (la + lb - 1) 0.0 in
-    for i = 0 to la - 1 do
-      for j = 0 to lb - 1 do
-        r.(i + j) <- r.(i + j) +. (a.(i) *. b.(j))
-      done
-    done;
-    r
-  in
-  let loop =
-    Ztransfer.create
-      ~num:(conv (Ztransfer.num pi_tf) (Ztransfer.num plant))
-      ~den:(conv (Ztransfer.den pi_tf) (Ztransfer.den plant))
-  in
-  let m = Freqresp.margins ~loop ~ts in
-  (* IMC tuning with lambda = 20 ms: crossover near 1/lambda = 50 rad/s,
-     healthy phase margin, large gain margin *)
-  check_bool "crossover near 50 rad/s" true
-    (m.Freqresp.gain_crossover > 30.0 && m.Freqresp.gain_crossover < 70.0);
-  check_bool "phase margin healthy" true
-    (m.Freqresp.phase_margin_deg > 60.0 && m.Freqresp.phase_margin_deg < 100.0);
-  check_bool "gain margin large" true (m.Freqresp.gain_margin_db > 20.0)
-
-let test_margins_detect_fragile_loop () =
-  (* crank the gain up 50x: the margins must shrink drastically *)
-  let ts = 1e-3 in
-  let plant = Ztransfer.zoh_first_order ~k:19.8 ~tau:0.012 ~ts in
-  let loop_of kp =
-    let pi_tf = Ztransfer.create ~num:[| kp; -.kp *. 0.98 |] ~den:[| 1.0; -1.0 |] in
-    let conv a b =
-      let la = Array.length a and lb = Array.length b in
-      let r = Array.make (la + lb - 1) 0.0 in
-      for i = 0 to la - 1 do
-        for j = 0 to lb - 1 do
-          r.(i + j) <- r.(i + j) +. (a.(i) *. b.(j))
-        done
-      done;
-      r
-    in
-    Ztransfer.create
-      ~num:(conv (Ztransfer.num pi_tf) (Ztransfer.num plant))
-      ~den:(conv (Ztransfer.den pi_tf) (Ztransfer.den plant))
-  in
-  let tame = Freqresp.margins ~loop:(loop_of 0.03) ~ts in
-  let hot = Freqresp.margins ~loop:(loop_of 0.3) ~ts in
-  check_bool "hot loop loses phase margin" true
-    (hot.Freqresp.phase_margin_deg < tame.Freqresp.phase_margin_deg -. 10.0);
-  (* at 50x the crossover leaves the sampled band entirely: no margin to
-     report, which margins encodes as infinity with nan crossovers *)
-  let wild = Freqresp.margins ~loop:(loop_of 1.5) ~ts in
-  check_bool "no crossover at wild gain" true (Float.is_nan wild.Freqresp.gain_crossover)
-
 let suite =
   [
-    Alcotest.test_case "freqresp first order" `Quick test_freqresp_first_order;
-    Alcotest.test_case "freqresp validation" `Quick test_freqresp_validation;
-    Alcotest.test_case "bode shape" `Quick test_bode_shape;
-    Alcotest.test_case "servo loop margins" `Quick test_margins_of_servo_loop;
-    Alcotest.test_case "fragile loop margins" `Quick test_margins_detect_fragile_loop;
     Alcotest.test_case "pid proportional" `Quick test_pid_proportional_only;
     Alcotest.test_case "pid integral" `Quick test_pid_integral_accumulates;
     Alcotest.test_case "pid anti-windup" `Quick test_pid_saturation_and_antiwindup;

@@ -183,42 +183,6 @@ let test_timer_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized modulo accepted"
 
-let test_adc_conversion () =
-  let m = mk () in
-  let adc = Adc_periph.create m ~resolution:12 () in
-  Adc_periph.connect_input adc ~channel:2 (fun () -> 1.65);
-  let eoc = ref 0 in
-  Adc_periph.on_end_of_conversion adc (fun () -> incr eoc);
-  Adc_periph.start_conversion adc ~channel:2;
-  check_bool "busy during conversion" true (Adc_periph.busy adc);
-  Machine.advance m ~cycles:200;
-  check_int "eoc fired" 1 !eoc;
-  check_bool "not busy after" false (Adc_periph.busy adc);
-  (* 1.65 V of 3.3 V full scale at 12 bits = mid code *)
-  check_int "mid code" 2048 (Adc_periph.read_raw adc);
-  check_int "channel" 2 (Adc_periph.read_channel adc)
-
-let test_adc_quantization_clamp () =
-  let m = mk () in
-  let adc = Adc_periph.create m ~resolution:12 () in
-  check_int "over range clamps" 4095 (Adc_periph.quantize adc 5.0);
-  check_int "under range clamps" 0 (Adc_periph.quantize adc (-1.0));
-  check_float 1e-9 "code to volts roundtrip" 3.3 (Adc_periph.code_to_volts adc 4095)
-
-let test_adc_busy_drop () =
-  let m = mk () in
-  let adc = Adc_periph.create m ~resolution:12 () in
-  Adc_periph.start_conversion adc ~channel:0;
-  Adc_periph.start_conversion adc ~channel:1;
-  check_int "second start dropped" 1 (Adc_periph.dropped_starts adc);
-  ignore m
-
-let test_adc_resolution_validation () =
-  let m = mk () in
-  match Adc_periph.create m ~resolution:10 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "56F8367 has no 10-bit mode"
-
 let test_pwm () =
   let m = mk () in
   let pwm = Pwm_periph.create m ~channel:0 () in
@@ -487,10 +451,6 @@ let suite =
     Alcotest.test_case "irq enable/disable" `Quick test_disabled_irq_not_dispatched;
     Alcotest.test_case "timer periph" `Quick test_timer_periph;
     Alcotest.test_case "timer validation" `Quick test_timer_validation;
-    Alcotest.test_case "adc conversion" `Quick test_adc_conversion;
-    Alcotest.test_case "adc quantization" `Quick test_adc_quantization_clamp;
-    Alcotest.test_case "adc busy drop" `Quick test_adc_busy_drop;
-    Alcotest.test_case "adc resolution check" `Quick test_adc_resolution_validation;
     Alcotest.test_case "pwm" `Quick test_pwm;
     Alcotest.test_case "pwm validation" `Quick test_pwm_validation;
     Alcotest.test_case "qdec wrap" `Quick test_qdec_wrap_diff;

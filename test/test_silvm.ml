@@ -310,8 +310,8 @@ let test_servo_sil_golden () =
 
    Known SIL non-goals the generators deliberately avoid (the
    authoritative list, referenced from the README): UniformNoise (the
-   engine-side RNG is not part of the generated application), Lookup1D
-   in Raw mode, Single-typed signals end-to-end, the fixed-point PID's
+   engine-side RNG is not part of the generated application),
+   Single-typed signals end-to-end, the fixed-point PID's
    pe_mul_shift rounding mode, 64-bit unsigned arithmetic, and
    multirate regrouping. Diagrams containing these still generate code;
    they are just not claimed bit-exact and not drawn by the fuzzers. *)

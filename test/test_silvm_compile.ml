@@ -408,8 +408,10 @@ let test_sharded_fuzz_jobs_identity () =
 
 (* ---------------- compile-once caching ---------------- *)
 
-let servo_units () =
-  let b = Servo_system.build () in
+let servo_units ?(variant = Servo_system.Float_pid) () =
+  let b =
+    Servo_system.build ~config:{ Servo_system.default_config with Servo_system.variant } ()
+  in
   let comp = Compile.compile b.Servo_system.controller in
   let arts =
     Target.generate ~mode:Blockgen.Pil ~name:"servo"
@@ -492,11 +494,13 @@ let test_compile_cache_map () =
 (* ---------------- unsupported constructs stay lazy ---------------- *)
 
 let test_lazy_unsupported_functions () =
-  (* the emitted pe_* helper bodies declare int64_t locals, outside the
-     compiled subset; compilation of the unit must still succeed (their
-     call sites are intrinsics) and the failure must only surface if
-     such a function is actually invoked *)
-  let code = Silvm_compile.compile_cached (servo_units ()) in
+  (* the pe_* helper bodies the Q15 controller's unit carries declare
+     int64_t locals, outside the compiled subset; compilation of the
+     unit must still succeed (their call sites are intrinsics) and the
+     failure must only surface if such a function is actually invoked *)
+  let code =
+    Silvm_compile.compile_cached (servo_units ~variant:Servo_system.Fixed_pid ())
+  in
   let st = Silvm_compile.instantiate code in
   ignore (Silvm_compile.call code st "servo_initialize" []);
   ignore (Silvm_compile.call code st "servo_step" []);

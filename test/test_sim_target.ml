@@ -18,6 +18,21 @@ let with_tmpdir f =
 
 let sh dir cmd = Sys.command (Printf.sprintf "cd %s && %s" (Filename.quote dir) cmd)
 
+(* gcc -c every written .c file as C99 with all warnings as errors; a
+   failure prints gcc's log *)
+let check_c_compiles dir files =
+  List.iter
+    (fun f ->
+      let f = Filename.basename f in
+      if Filename.check_suffix f ".c" then
+        check_bool (f ^ " compiles") true
+          (sh dir
+             (Printf.sprintf
+                "gcc -std=c99 -Wall -Wextra -Werror -c -I. %s -o /dev/null 2> gcc.log" f)
+           = 0
+           || (ignore (Sys.command (Printf.sprintf "echo '== %s =='; cat %s/gcc.log 1>&2" f dir)); false)))
+    files
+
 let plant_artifacts () =
   let m = Servo_system.plant_model Servo_system.default_config in
   let comp = Compile.compile ~default_dt:1e-4 m in
@@ -165,17 +180,7 @@ let test_embedded_code_compiles () =
         let b = Servo_system.build () in
         let comp = Compile.compile b.Servo_system.controller in
         let a = Target.generate ~name:"servo" ~project:b.Servo_system.project comp in
-        let files = Target.write_to_dir a ~dir in
-        let c_files =
-          List.filter (fun f -> Filename.check_suffix f ".c") files
-          |> List.map Filename.basename
-        in
-        List.iter
-          (fun f ->
-            check_bool (f ^ " compiles") true
-              (sh dir (Printf.sprintf "gcc -c -I. %s -o /dev/null 2> gcc.log" f) = 0
-               || (ignore (Sys.command (Printf.sprintf "echo '== %s =='; cat %s/gcc.log 1>&2" f dir)); false)))
-          c_files)
+        check_c_compiles dir (Target.write_to_dir a ~dir))
 
 let test_pil_code_compiles () =
   if not have_gcc then ()
@@ -185,17 +190,7 @@ let test_pil_code_compiles () =
         let b = Servo_system.build ~config:cfg () in
         let comp = Compile.compile b.Servo_system.controller in
         let a = Pil_target.generate ~name:"servo" ~project:b.Servo_system.project comp in
-        let files = Target.write_to_dir a ~dir in
-        let c_files =
-          List.filter (fun f -> Filename.check_suffix f ".c") files
-          |> List.map Filename.basename
-        in
-        List.iter
-          (fun f ->
-            check_bool (f ^ " compiles") true
-              (sh dir (Printf.sprintf "gcc -c -I. %s -o /dev/null 2> gcc.log" f) = 0
-               || (ignore (Sys.command (Printf.sprintf "echo '== %s =='; cat %s/gcc.log 1>&2" f dir)); false)))
-          c_files)
+        check_c_compiles dir (Target.write_to_dir a ~dir))
 
 let test_autosar_pil_code_compiles () =
   if not have_gcc then ()
@@ -209,17 +204,7 @@ let test_autosar_pil_code_compiles () =
         let b = Servo_system.build ~config:cfg () in
         let comp = Compile.compile b.Servo_system.controller in
         let a = Pil_target.generate ~name:"servo" ~project:b.Servo_system.project comp in
-        let files = Target.write_to_dir a ~dir in
-        let c_files =
-          List.filter (fun f -> Filename.check_suffix f ".c") files
-          |> List.map Filename.basename
-        in
-        List.iter
-          (fun f ->
-            check_bool (f ^ " compiles") true
-              (sh dir (Printf.sprintf "gcc -c -I. %s -o /dev/null 2> gcc.log" f) = 0
-               || (ignore (Sys.command (Printf.sprintf "echo '== %s =='; cat %s/gcc.log 1>&2" f dir)); false)))
-          c_files)
+        check_c_compiles dir (Target.write_to_dir a ~dir))
 
 let test_autosar_code_compiles () =
   if not have_gcc then ()
@@ -232,17 +217,30 @@ let test_autosar_code_compiles () =
         let b = Servo_system.build ~config:cfg () in
         let comp = Compile.compile b.Servo_system.controller in
         let a = Target.generate ~name:"servo" ~project:b.Servo_system.project comp in
-        let files = Target.write_to_dir a ~dir in
-        let c_files =
-          List.filter (fun f -> Filename.check_suffix f ".c") files
-          |> List.map Filename.basename
+        check_c_compiles dir (Target.write_to_dir a ~dir))
+
+(* every unit `ecsd codegen` writes, float or --fixed, with or without
+   --pil and --opt *)
+let test_codegen_warning_free () =
+  if have_gcc then
+    List.iter
+      (fun variant ->
+        let b =
+          Servo_system.build
+            ~config:{ Servo_system.default_config with Servo_system.variant } ()
         in
+        let project = b.Servo_system.project in
+        let comp = Compile.compile b.Servo_system.controller in
         List.iter
-          (fun f ->
-            check_bool (f ^ " compiles") true
-              (sh dir (Printf.sprintf "gcc -c -I. %s -o /dev/null 2> gcc.log" f) = 0
-               || (ignore (Sys.command (Printf.sprintf "echo '== %s =='; cat %s/gcc.log 1>&2" f dir)); false)))
-          c_files)
+          (fun (pil, opt) ->
+            with_tmpdir (fun dir ->
+                let a =
+                  if pil then Pil_target.generate ~opt ~name:"servo" ~project comp
+                  else Target.generate ~opt ~name:"servo" ~project comp
+                in
+                check_c_compiles dir (Target.write_to_dir a ~dir)))
+          [ (false, false); (false, true); (true, false); (true, true) ])
+      [ Servo_system.Float_pid; Servo_system.Fixed_pid ]
 
 let test_generated_tf_plant_matches_ocaml () =
   (* the held-input RK4 emitter (TransferFcn/StateSpace) against the
@@ -308,6 +306,8 @@ let suite =
       test_generated_plant_matches_ocaml;
     Alcotest.test_case "embedded code compiles (gcc)" `Quick test_embedded_code_compiles;
     Alcotest.test_case "PIL code compiles (gcc)" `Quick test_pil_code_compiles;
+    Alcotest.test_case "codegen is C99, warning-free (gcc)" `Quick
+      test_codegen_warning_free;
     Alcotest.test_case "AUTOSAR code compiles (gcc)" `Quick test_autosar_code_compiles;
     Alcotest.test_case "AUTOSAR PIL code compiles (gcc)" `Quick
       test_autosar_pil_code_compiles;

@@ -230,38 +230,36 @@ let test_map_abort_still_raises () =
       (* lowest failing index wins, whatever the schedule *)
       check_string "deterministic abort" "die 5" msg
 
-(* ---- submit error hook ---- *)
+(* ---- an exception escaping a submitted task ---- *)
 
 let test_submit_error_hook () =
-  let seen = Atomic.make [] in
-  let pool = Exec_pool.create ~workers:2 () in
+  Obs.reset ();
+  Obs.set_enabled true;
   Fun.protect
-    ~finally:(fun () -> Exec_pool.shutdown pool)
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
     (fun () ->
-      Exec_pool.set_error_hook pool (fun e ->
-          let rec push () =
-            let cur = Atomic.get seen in
-            if not (Atomic.compare_and_set seen cur (Printexc.to_string e :: cur))
-            then push ()
-          in
-          push ());
-      let done_ = Atomic.make 0 in
-      for i = 1 to 10 do
-        Exec_pool.submit pool (fun () ->
-            Fun.protect
-              ~finally:(fun () -> Atomic.incr done_)
-              (fun () -> if i mod 2 = 0 then failwith "task boom"))
-      done;
-      (* every task has started its [finally]; its hook call may still
-         be running on the worker *)
-      while Atomic.get done_ < 10 do
-        Domain.cpu_relax ()
-      done);
-  (* [shutdown] has joined the workers, so every hook call has
-     returned *)
-  check_int "hook saw every failure" 5 (List.length (Atomic.get seen));
-  check_bool "worker survived and kept serving" true
-    (List.for_all (fun m -> m = "Failure(\"task boom\")") (Atomic.get seen))
+      let ran = Atomic.make 0 in
+      let pool = Exec_pool.create ~workers:2 () in
+      Fun.protect
+        ~finally:(fun () -> Exec_pool.shutdown pool)
+        (fun () ->
+          for i = 1 to 10 do
+            Exec_pool.submit pool (fun () ->
+                Fun.protect
+                  ~finally:(fun () -> Atomic.incr ran)
+                  (fun () -> if i mod 2 = 0 then failwith "task boom"))
+          done;
+          while Atomic.get ran < 10 do
+            Domain.cpu_relax ()
+          done);
+      (* [shutdown] has joined the workers: every task's counts are
+         published *)
+      check_int "workers survived and ran every task" 10
+        (Obs.counter_value (Obs.counter "exec.tasks"));
+      check_int "every failure counted" 5
+        (Obs.counter_value (Obs.counter "exec.task_errors")))
 
 (* ---- supervised campaign: jobs-count independence ---- *)
 
