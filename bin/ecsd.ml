@@ -145,7 +145,8 @@ let with_obs ?(profile = false) trace metrics f =
     (* a `die` mid-run still flushes the trace and tables *)
     register_exit_flush finish
   end;
-  let code = f () in
+  (* a run size out of range is the user's error: exit 2 naming it *)
+  let code = try f () with Supervise.Bad_request msg -> die "%s" msg in
   if active then finish ();
   code
 
@@ -249,7 +250,10 @@ let mil_cmd =
   let t_end =
     Arg.(
       value & opt float 1.6
-      & info [ "t-end" ] ~docv:"SECONDS" ~doc:"Simulation horizon.")
+      & info [ "t-end" ] ~docv:"SECONDS"
+          ~doc:
+            "Simulation horizon: finite, and at least one simulation step \
+             once rounded to whole steps.")
   in
   let csv =
     Arg.(
@@ -380,7 +384,6 @@ let scenario_or_die ref_ =
    marks the sweep complete (or failed before any seed ran: no partial
    report then either). *)
 let partial_report path ~head ~seeds row =
-  let lock = Mutex.create () in
   let completed = ref [] in
   let finished = ref false in
   Option.iter
@@ -402,9 +405,7 @@ let partial_report path ~head ~seeds row =
             Printf.eprintf "partial JSON report written to %s\n%!" path
           end))
     path;
-  let on_run seed r =
-    Mutex.protect lock (fun () -> completed := (seed, r) :: !completed)
-  in
+  let on_run seed r = completed := (seed, r) :: !completed in
   (on_run, fun () -> finished := true)
 
 let diff mcu period fixed model_name steps ulp opt engine scenario_ref
@@ -923,15 +924,8 @@ let faultsim_cmd =
 
 (* ---- serve ---- *)
 
-(* Long-running campaign queue: one job per stdin line, sharded over the
-   worker pool, one JSON result line per job on stdout. Results stream
-   in submission order (a reorder buffer holds finished jobs whose
-   predecessors are still running), so the output is a deterministic
-   function of the input whatever the pool schedule does. *)
-
 let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
-    queue_hw =
-  let cfg = config mcu period fixed in
+    queue =
   (* serve always runs instrumented: the registry feeds the heartbeat
      lines, the `stats` job and the --prom snapshot; the flight recorder
      captures forensics of any diverging or unrecovered job *)
@@ -940,13 +934,9 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
   enable_flight no_flight;
   validate_chaos ();
   let policy = policy_of_flags ~deadline_s ~retries in
-  (* Graceful degradation: the first SIGINT/SIGTERM stops intake and
-     drains the jobs already admitted; a second one flips [killed], so
-     in-flight jobs cancel at their next fuel point and report as shed.
-     OCaml 5 delivers signals on an arbitrary domain, so the handler
-     only sets flags — the read loop polls [draining] (it reads stdin
-     through select for exactly this reason) and Cancel tokens poll
-     [killed]. *)
+  (* The first SIGINT/SIGTERM drains the queue, a second one sheds the
+     jobs in flight. OCaml 5 delivers signals on an arbitrary domain, so
+     the handler only sets flags, which the loop and Cancel tokens poll. *)
   let draining = Atomic.make false in
   let killed = Atomic.make false in
   let on_signal _ =
@@ -955,198 +945,15 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
   in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  let t0 = Obs.now_ns () in
-  let pool =
-    try Exec_pool.create ?workers:(if jobs >= 1 then Some jobs else None) ()
-    with Supervise.Bad_request msg -> die "%s" msg
-  in
-  let lock = Mutex.create () in
-  let drained = Condition.create () in
-  let pending = ref 0 in
-  let jobs_done = ref 0 in
-  let next_out = ref 0 in
-  let ready : (int, string) Hashtbl.t = Hashtbl.create 64 in
-  let emit id line =
-    Mutex.lock lock;
-    Hashtbl.replace ready id line;
-    let rec drain () =
-      match Hashtbl.find_opt ready !next_out with
-      | Some l ->
-          print_endline l;
-          flush stdout;
-          Hashtbl.remove ready !next_out;
-          incr next_out;
-          drain ()
-      | None -> ()
-    in
-    drain ();
-    decr pending;
-    incr jobs_done;
-    if heartbeat > 0 && !jobs_done mod heartbeat = 0 then begin
-      (* interleaves with result lines but is itself one JSON line, so
-         line-by-line consumers stay happy; distinguished by the
-         "heartbeat":true field (result lines carry "id") *)
-      print_endline
-        (Telemetry.heartbeat_line ~jobs_done:!jobs_done ~inflight:!pending
-           ~wall_s:((Obs.now_ns () -. t0) *. 1e-9));
-      flush stdout
-    end;
-    Condition.broadcast drained;
-    Mutex.unlock lock
-  in
-  let open Bench_json in
-  (* live introspection of the metrics registry, as a queue job so it
-     serialises with the real work in submission order *)
-  let run_stats () =
-    let snap = Obs.snapshot () in
-    let done_now =
-      Mutex.lock lock;
-      let d = !jobs_done in
-      Mutex.unlock lock;
-      d
-    in
-    [
-      ("job", Str "stats");
-      ("jobs_done", Int done_now);
-      ("wall_s", Float (Telemetry.wall ((Obs.now_ns () -. t0) *. 1e-9)));
-      ( "counters",
-        Obj
-          (List.filter_map
-             (fun (k, v) -> if v = 0 then None else Some (k, Int v))
-             snap.Obs.counters) );
-      ("gauges", Obj (List.map (fun (k, v) -> (k, Float v)) snap.Obs.gauges));
-      ( "hists",
-        Obj
-          (List.filter_map
-             (fun (k, hs) ->
-               if hs.Obs.hs_count = 0 then None
-               else
-                 Some
-                   ( k,
-                     Obj
-                       [
-                         ("count", Int hs.Obs.hs_count);
-                         ("p50", Float hs.Obs.hs_p50);
-                         ("p95", Float hs.Obs.hs_p95);
-                         ("max", Float hs.Obs.hs_max);
-                       ] ))
-             snap.Obs.hists) );
-      ("exit", Int 0);
-    ]
-  in
-  let submit_job id line =
-    Mutex.lock lock;
-    incr pending;
-    Mutex.unlock lock;
-    Exec_pool.submit pool (fun () ->
-        let t_start = Obs.now_ns () in
-        let fields =
-          Serve_job.run ~id ~policy ~killed ~config:cfg ~stats:run_stats line
-        in
-        Obs.record_named "serve.job_s" ((Obs.now_ns () -. t_start) *. 1e-9);
-        (* publish before emit so the heartbeat taken there (and any
-           later `stats` job) sees this job's latency sample *)
-        Obs.publish ();
-        emit id (to_string (Obj (("id", Int id) :: fields))))
-  in
-  (* Bounded queue: past the high-water mark of admitted-but-unfinished
-     jobs the server sheds instead of buffering without bound — the
-     shed record streams back in order like any result, so the client
-     sees the backpressure immediately and can re-submit. *)
-  let shed_job id =
-    Supervise.record_shed ();
-    Mutex.lock lock;
-    incr pending;
-    Mutex.unlock lock;
-    emit id
-      (to_string
-         (Obj
-            (("id", Int id)
-            :: Serve_job.error_fields ~job:"shed" ~attempts:0 Supervise.Shed)))
-  in
-  let admit id line =
-    let backlog =
-      Mutex.lock lock;
-      let p = !pending in
-      Mutex.unlock lock;
-      p
-    in
-    if queue_hw > 0 && backlog >= queue_hw then shed_job id else submit_job id line
-  in
-  (* The read loop polls stdin through select so a drain signal is
-     noticed within 200 ms even with no input flowing ([input_line]
-     would block until the next line). Lines are reassembled from raw
-     reads; a trailing unterminated line still runs at EOF. *)
-  let inbuf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let submit_lines id =
-    let data = Buffer.contents inbuf in
-    Buffer.clear inbuf;
-    let n = String.length data in
-    let id = ref id in
-    let start = ref 0 in
-    (try
-       while not (Atomic.get draining) do
-         match String.index_from data !start '\n' with
-         | exception Not_found -> raise Exit
-         | nl ->
-             let l = String.trim (String.sub data !start (nl - !start)) in
-             start := nl + 1;
-             if l <> "" && l.[0] <> '#' then begin
-               admit !id l;
-               incr id
-             end
-       done
-     with Exit -> ());
-    (* keep the partial tail for the next read *)
-    if !start < n then Buffer.add_substring inbuf data !start (n - !start);
-    !id
-  in
-  let rec read_loop id =
-    if not (Atomic.get draining) then
-      match Unix.select [ Unix.stdin ] [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_loop id
-      | [], _, _ -> read_loop id
-      | _ -> (
-          match Unix.read Unix.stdin chunk 0 (Bytes.length chunk) with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_loop id
-          | 0 ->
-              (* EOF: run any unterminated final line *)
-              if Buffer.length inbuf > 0 then begin
-                Buffer.add_char inbuf '\n';
-                ignore (submit_lines id)
-              end
-          | n ->
-              Buffer.add_subbytes inbuf chunk 0 n;
-              read_loop (submit_lines id))
-  in
-  read_loop 0;
-  if Atomic.get draining then begin
-    Printf.eprintf
-      "draining: intake stopped, %d job(s) in flight (signal again to shed \
-       them)\n\
-       %!"
-      (let () = Mutex.lock lock in
-       let p = !pending in
-       Mutex.unlock lock;
-       p);
-    (* forensics of the interrupted session: dump the rings so the
-       flight bundle below records what every job was doing *)
-    if Flight.enabled () then
-      Flight.capture ~reason:"serve: drain on signal"
-  end;
-  (* shutdown drops queued injector tasks, so drain first *)
-  Mutex.lock lock;
-  while !pending > 0 do
-    Condition.wait drained lock
-  done;
-  Mutex.unlock lock;
-  Exec_pool.shutdown pool;
-  (match prom with
-  | Some path ->
+  (try
+     Serve.loop ~draining ~killed ~config:(config mcu period fixed) ~jobs
+       ~heartbeat ~policy ~queue ~out:print_endline Unix.stdin
+   with Supervise.Bad_request msg -> die "%s" msg);
+  Option.iter
+    (fun path ->
       writing (fun () -> Telemetry.write_prometheus ~path);
-      Printf.eprintf "prometheus snapshot written to %s\n%!" path
-  | None -> ());
+      Printf.eprintf "prometheus snapshot written to %s\n%!" path)
+    prom;
   write_flight_bundle "serve";
   0
 
@@ -1298,20 +1105,12 @@ let check mcu period fixed model_name preemptive rules suppress jobs json
           m)
     model_names;
   let rules =
-    match rules with
-    | None -> None
-    | Some list ->
-        let pats = String.split_on_char ',' list |> List.map String.trim in
-        List.iter
-          (fun r ->
-            if
-              not
-                (List.exists
-                   (fun ri -> ri.Diag.id = r || ri.Diag.family = r)
-                   Diag.catalogue)
-            then die "unknown rule %S in --rules" r)
-          pats;
-        Some pats
+    Option.map
+      (fun list ->
+        match Diag.parse_rules list with
+        | Ok pats -> pats
+        | Error msg -> die "%s in --rules" msg)
+      rules
   in
   let suppress =
     List.map
@@ -1344,10 +1143,7 @@ let check mcu period fixed model_name preemptive rules suppress jobs json
   in
   let names = Array.of_list model_names in
   let n = Array.length names in
-  let reports =
-    try Exec_pool.map ~jobs n (fun () i -> check_one names.(i))
-    with Supervise.Bad_request msg -> die "%s" msg
-  in
+  let reports = Exec_pool.map ~jobs n (fun () i -> check_one names.(i)) in
   Array.iter (fun r -> print_string (Check.render r)) reports;
   (match json with
   | Some path ->

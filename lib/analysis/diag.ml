@@ -92,12 +92,17 @@ let rule_selected ?rules id =
   | None -> true
   | Some pats -> List.exists (fun p -> matches_rule p id) pats
 
+let valid_rule r = List.exists (fun ri -> ri.id = r || ri.family = r) catalogue
+
+let parse_rules list =
+  let pats = String.split_on_char ',' list |> List.map String.trim in
+  match List.find_opt (fun r -> not (valid_rule r)) pats with
+  | None -> Ok pats
+  | Some r -> Error (Printf.sprintf "unknown rule %S" r)
+
 type suppression = { s_subject : string; s_rule : string }
 
 let parse_suppression s =
-  let valid_rule r =
-    List.exists (fun ri -> ri.id = r || ri.family = r) catalogue
-  in
   match String.index_opt s ':' with
   | None ->
       if valid_rule s then Ok { s_subject = "*"; s_rule = s }

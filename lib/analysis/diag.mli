@@ -43,6 +43,10 @@ val rule_selected : ?rules:string list -> string -> bool
 (** [rule_selected ~rules id] is true when [rules] is absent, or
     contains [id] itself or its family prefix (["FXP"]). *)
 
+val parse_rules : string -> (string list, string) result
+(** Parse ["FXP,CON001"]: [Ok] the trimmed items when each is a
+    {!catalogue} ID or family, else [Error] naming the first that is not. *)
+
 type suppression = { s_subject : string; s_rule : string }
 (** [s_subject] is a subject to match exactly or ["*"] for any;
     [s_rule] is a rule ID or family prefix. *)

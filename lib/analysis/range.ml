@@ -163,7 +163,6 @@ let transfer comp b (ins : Itv.t option array) : Itv.t option array =
         | Some mc -> all_out (make 0.0 (float_of_int mc))
         | None -> top_of_type)
     | "PE_Pwm" | "AR_Pwm" -> all_out (make 0.0 1.0)
-    | "PE_BitIO_In" | "AR_BitIO_In" -> all_out (make 0.0 1.0)
     | _ -> top_of_type
 
 (* The fixpoint engine is the shared [Dataflow.Round_robin] solver

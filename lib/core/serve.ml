@@ -1,4 +1,5 @@
-(* One serve request line to its result record (see the interface). *)
+(* [ecsd serve]: job lines to result records, run on a domain pool (see
+   the interface). *)
 
 open Bench_json
 
@@ -12,14 +13,13 @@ let usage =
 let exit_code = function
   | Supervise.Timeout _ -> 3
   | Supervise.Crashed (Supervise.Bad_request _) -> 2
-  | Supervise.Crashed _ -> 4
-  | Supervise.Transient _ -> 4
+  | Supervise.Crashed _ | Supervise.Transient _ -> 4
   | Supervise.Poisoned _ -> 5
   | Supervise.Shed -> 6
 
-let error_fields ~job ~attempts err =
+let error_fields ~attempts err =
   [
-    ("job", Str job);
+    ("job", Str (match err with Supervise.Shed -> "shed" | _ -> "error"));
     ("class", Str (Supervise.error_class err));
     ("error", Str (Supervise.error_message err));
     ("attempts", Int attempts);
@@ -112,12 +112,11 @@ let parse ~config ~id ~stats line =
           usage (Printf.sprintf "bad engine %S (compiled|interp|both)" eng))
   | _ -> usage "bad job line"
 
-let run ?killed ~id ~policy ~config ~stats line =
+let job ?killed ~id ~policy ~config ~stats line =
   Flight.begin_track ~id ~name:line;
   match parse ~config ~id ~stats line with
   | Error msg ->
-      error_fields ~job:"error" ~attempts:0
-        (Supervise.Crashed (Supervise.Bad_request msg))
+      error_fields ~attempts:0 (Supervise.Crashed (Supervise.Bad_request msg))
   | Ok thunk -> (
       (* the supervised envelope: deadline, retry/backoff, chaos,
          kill-on-second-signal; never raises, so the worker always
@@ -128,7 +127,130 @@ let run ?killed ~id ~policy ~config ~stats line =
           if o.Supervise.attempts > 1 then
             fields @ [ ("attempts", Int o.Supervise.attempts) ]
           else fields
-      | Error (Supervise.Shed as err) ->
-          error_fields ~job:"shed" ~attempts:o.Supervise.attempts err
-      | Error err ->
-          error_fields ~job:"error" ~attempts:o.Supervise.attempts err)
+      | Error err -> error_fields ~attempts:o.Supervise.attempts err)
+
+(* ---- the queue ---- *)
+
+let split data =
+  match String.rindex_opt data '\n' with
+  | None -> ([], data)
+  | Some nl ->
+      ( String.split_on_char '\n' (String.sub data 0 nl)
+        |> List.map String.trim
+        |> List.filter (fun l -> l <> "" && l.[0] <> '#'),
+        String.sub data (nl + 1) (String.length data - nl - 1) )
+
+(* [ready] holds the records of finished jobs whose predecessors are
+   still running, so the output is a function of the input whatever the
+   pool schedule does *)
+type emitter = {
+  out : string -> unit;
+  heartbeat : int;
+  t0 : float;
+  lock : Mutex.t;
+  ready : (int, string) Hashtbl.t;
+  mutable next : int;  (* the id output next *)
+  mutable pending : int;
+}
+
+let emitter ~heartbeat out =
+  {
+    out;
+    heartbeat;
+    t0 = Obs.now_ns ();
+    lock = Mutex.create ();
+    ready = Hashtbl.create 64;
+    next = 0;
+    pending = 0;
+  }
+
+let locked e f = Mutex.protect e.lock (fun () -> f e)
+let wall_s e = (Obs.now_ns () -. e.t0) *. 1e-9
+
+(* every completed record is either output or waiting in [ready] *)
+let finished e = e.next + Hashtbl.length e.ready
+
+let admit e =
+  locked e @@ fun e ->
+  e.pending <- e.pending + 1;
+  e.pending - 1
+
+let complete e id record =
+  locked e @@ fun e ->
+  Hashtbl.replace e.ready id record;
+  while Hashtbl.mem e.ready e.next do
+    e.out (Hashtbl.find e.ready e.next);
+    Hashtbl.remove e.ready e.next;
+    e.next <- e.next + 1
+  done;
+  e.pending <- e.pending - 1;
+  (* one JSON line among the results, told apart by its "heartbeat"
+     field (result lines carry "id") *)
+  if e.heartbeat > 0 && finished e mod e.heartbeat = 0 then
+    e.out
+      (Telemetry.heartbeat_line ~jobs_done:(finished e) ~inflight:e.pending
+         ~wall_s:(wall_s e))
+
+let record id fields = to_string (Obj (("id", Int id) :: fields))
+
+let loop ?(draining = Atomic.make false) ?killed ~config ~jobs ~heartbeat
+    ~policy ~queue ~out input =
+  let e = emitter ~heartbeat out in
+  let pool =
+    Exec_pool.create ?workers:(if jobs >= 1 then Some jobs else None) ()
+  in
+  (* a queue job, so it serialises with the real work in submission
+     order *)
+  let stats () =
+    Telemetry.stats ~jobs_done:(locked e finished) ~wall_s:(wall_s e)
+  in
+  (* a shed record streams back in order like any result, so the client
+     sees the backpressure at once and can re-submit *)
+  let admit_line id line =
+    let backlog = admit e in
+    if queue > 0 && backlog >= queue then begin
+      Supervise.record_shed ();
+      complete e id (record id (error_fields ~attempts:0 Supervise.Shed))
+    end
+    else
+      Exec_pool.submit pool (fun () ->
+          let t_start = Obs.now_ns () in
+          let fields = job ?killed ~id ~policy ~config ~stats line in
+          Obs.record_named "serve.job_s" ((Obs.now_ns () -. t_start) *. 1e-9);
+          (* publish before completing, so the heartbeat taken there
+             (and any later `stats` job) sees this job's latency *)
+          Obs.publish ();
+          complete e id (record id fields))
+  in
+  let rec admit_all id = function
+    | line :: rest when not (Atomic.get draining) ->
+        admit_line id line;
+        admit_all (id + 1) rest
+    | _ -> id
+  in
+  (* select, so a drain is noticed within 200 ms even with no input
+     flowing *)
+  let chunk = Bytes.create 4096 in
+  let rec read id tail =
+    if not (Atomic.get draining) then
+      match Unix.select [ input ] [] [] 0.2 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read id tail
+      | [], _, _ -> read id tail
+      | _ -> (
+          match Unix.read input chunk 0 (Bytes.length chunk) with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> read id tail
+          | 0 -> ignore (admit_all id (fst (split (tail ^ "\n"))))
+          | n ->
+              let lines, tail = split (tail ^ Bytes.sub_string chunk 0 n) in
+              read (admit_all id lines) tail)
+  in
+  read 0 "";
+  if Atomic.get draining then begin
+    Printf.eprintf
+      "draining: intake stopped, %d job(s) in flight (signal again to shed \
+       them)\n%!"
+      (locked e (fun e -> e.pending));
+    (* so the flight bundle records what every job was doing *)
+    Flight.capture ~reason:"serve: drain on signal"
+  end;
+  Exec_pool.shutdown pool

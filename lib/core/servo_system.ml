@@ -360,6 +360,7 @@ let faultsim_subject ?(config = default_config) ~scenario () =
 let mil_run built ~t_end =
   let comp = Compile.compile built.closed_loop in
   let sim = Sim.create ~solver_substeps:(solver_substeps_for built comp) comp in
+  ignore (Seed_sweep.horizon_steps ~period:(Sim.base_dt sim) t_end);
   Sim.probe_named sim built.speed_block 0;
   Sim.probe_named sim built.duty_block 0;
   Sim.run sim ~until:t_end ();

@@ -92,7 +92,9 @@ val faultsim_subject :
 val mil_run :
   built -> t_end:float -> (float * float) list * (float * float) list
 (** Closed-loop MIL simulation: returns the (time, speed) and
-    (time, duty-ratio) trajectories. *)
+    (time, duty-ratio) trajectories.
+    @raise Supervise.Bad_request when [t_end] fails
+    {!Seed_sweep.horizon_steps}, before any step. *)
 
 val mil_speed_at : built -> t_end:float -> float
 (** Final speed of a MIL run (convergence checks). *)

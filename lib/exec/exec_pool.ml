@@ -107,8 +107,8 @@ let rec worker pool () =
   while pool.live && Queue.is_empty pool.queue do
     Condition.wait pool.nonempty pool.lock
   done;
-  (* after [shutdown], pending tasks are dropped *)
-  let task = if pool.live then Queue.take_opt pool.queue else None in
+  (* after [shutdown], the queued tasks still run *)
+  let task = Queue.take_opt pool.queue in
   Mutex.unlock pool.lock;
   match task with
   | Some task ->

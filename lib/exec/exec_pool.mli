@@ -58,6 +58,5 @@ val submit : t -> (unit -> unit) -> unit
     serving. *)
 
 val shutdown : t -> unit
-(** Stop taking tasks, wake every worker and join their domains.
-    Idempotent. Queued tasks not yet taken are dropped; running tasks
-    complete. *)
+(** Let the workers finish every queued task, then join their domains.
+    Idempotent; no task may be submitted after it. *)

@@ -8,6 +8,19 @@
 let bad_request fmt =
   Printf.ksprintf (fun msg -> raise (Supervise.Bad_request msg)) fmt
 
+let horizon_steps ~period t_end =
+  if not (Float.is_finite t_end) then
+    bad_request "t_end must be finite, got %g" t_end;
+  (* rounding a ratio past [max_int] to int would overflow *)
+  let ratio = (t_end /. period) +. 0.5 in
+  if ratio >= float_of_int max_int then
+    bad_request "t_end %g s is %.3g steps of %g s, more than the %d-step limit"
+      t_end ratio period max_int;
+  let steps = int_of_float ratio in
+  if steps < 1 then
+    bad_request "t_end must span at least one %g s step, got %g" period t_end;
+  steps
+
 type ('p, 'r) t = {
   plan : 'p;
   outcomes : (int * 'r Supervise.outcome) array;
@@ -22,6 +35,7 @@ let run ?(jobs = 1) ?policy ?(on_run = fun _ _ -> ()) ?(track_base = 0) ~seeds
   let warm = subject () in
   let plan = plan warm in
   let caller = Domain.self () in
+  let on_run_lock = Mutex.create () in
   let one s i =
     let seed = i + 1 in
     let go () =
@@ -37,7 +51,9 @@ let run ?(jobs = 1) ?policy ?(on_run = fun _ _ -> ()) ?(track_base = 0) ~seeds
             ~label:(Printf.sprintf "%s:seed%d" label seed)
             go
     in
-    (match o.Supervise.result with Ok r -> on_run seed r | Error _ -> ());
+    (match o.Supervise.result with
+    | Ok r -> Mutex.protect on_run_lock (fun () -> on_run seed r)
+    | Error _ -> ());
     (seed, o)
   in
   let t0 = Obs.now_ns () in

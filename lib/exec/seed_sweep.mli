@@ -14,6 +14,12 @@ val bad_request : ('a, unit, string, 'b) format4 -> 'a
     way a run size out of range is reported, so the CLI turns it into an
     [error:] line with exit 2 and [serve] into a [bad_request] record. *)
 
+val horizon_steps : period:float -> float -> int
+(** [horizon_steps ~period t_end] is the number of whole [period] steps
+    a run of [t_end] seconds takes, rounded to nearest: the one check of
+    a simulation horizon. @raise Supervise.Bad_request when [t_end] is
+    not finite, rounds to no step, or to more than [max_int] steps. *)
+
 type ('p, 'r) t = {
   plan : 'p;  (** what [plan] derived from this domain's subject *)
   outcomes : (int * 'r Supervise.outcome) array;
@@ -53,8 +59,8 @@ val run :
       runs under {!Supervise.supervise} with label [label ^ ":seed" ^ N]
       and a failure becomes that seed's [Error] outcome.
     - [on_run seed r] fires after each successful seed, on the domain
-      that ran it: with [jobs] above 1 it must synchronize its own
-      state.
+      that ran it, one call at a time: calls never overlap, whatever
+      [jobs] is.
 
     @raise Supervise.Bad_request when [seeds < 1] or
     [jobs > Exec_pool.max_jobs], before [subject] is called. *)

@@ -244,18 +244,7 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?on_run ?policy ?jobs ?track_base
   (* the run sizes, from the subject's control period *)
   let plan subject =
     let period = Sim.base_dt subject.sim in
-    if not (Float.is_finite t_end) then
-      Seed_sweep.bad_request "t_end must be finite, got %g" t_end;
-    (* rounding a ratio past [max_int] to int would overflow *)
-    let ratio = (t_end /. period) +. 0.5 in
-    if ratio >= float_of_int max_int then
-      Seed_sweep.bad_request
-        "t_end %g s is %.3g steps of %g s, more than the %d-step limit" t_end
-        ratio period max_int;
-    let steps = int_of_float ratio in
-    if steps < 1 then
-      Seed_sweep.bad_request
-        "t_end must span at least one %g s step, got %g" period t_end;
+    let steps = Seed_sweep.horizon_steps ~period t_end in
     (* sensor and duty faults go through the port hooks, overruns and
        lost watchdog service through the virtual MCU, and load faults
        through the subject's plant *)

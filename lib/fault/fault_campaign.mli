@@ -109,8 +109,8 @@ val sweep :
       Results, flight bundles and the [fault.*] counters are those of
       simulating every step; [sim.steps] counts the steps simulated.
     - [on_run] fires after each completed run, on the domain that ran
-      it (it must synchronize its own state) — the CLI uses it to keep a
-      partial report it can flush if a later run dies.
+      it, one call at a time — the CLI uses it to keep a partial report
+      it can flush if a later run dies.
     - [policy] turns on supervised execution: each seed's run gets a
       {!Supervise} deadline/retry envelope (and any configured chaos), a
       failing seed lands in [failures] instead of aborting the campaign,

@@ -150,13 +150,14 @@ let load path =
   match open_in path with
   | exception Sys_error m -> Error m
   | ic ->
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
+      (* a path that opens but does not read (a directory) names itself
+         in the error too *)
+      let text = try Ok (In_channel.input_all ic) with Sys_error m -> Error m in
+      close_in_noerr ic;
       let name = Filename.remove_extension (Filename.basename path) in
       Result.map_error
         (fun e -> Printf.sprintf "%s: %s" path e)
-        (of_string ~name text)
+        (Result.bind text (of_string ~name))
 
 let find ref_ =
   match builtin ref_ with

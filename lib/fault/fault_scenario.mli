@@ -33,7 +33,9 @@ val of_string : name:string -> string -> (t, string) result
     a scenario that declares no fault, the line the input ends on. *)
 
 val load : string -> (t, string) result
-(** Read a [.fault] file; the scenario is named after the basename. *)
+(** Read a [.fault] file; the scenario is named after the basename. A
+    path that cannot be opened or read (a directory) is an [Error]
+    naming it. *)
 
 val find : string -> (t, string) result
 (** Resolve a built-in scenario name, else a file path. The error lists

@@ -1,5 +1,6 @@
 (* Live-metrics export on top of the Obs registry: Prometheus-style text
-   exposition and the JSONL heartbeat lines `ecsd serve` emits.
+   exposition, and the JSONL heartbeat lines and `stats` records `ecsd
+   serve` emits.
 
    Named [Telemetry] rather than [Metrics]: every library here is built
    with (wrapped false) and lib/control already owns the [Metrics] module
@@ -50,44 +51,59 @@ let prometheus () =
   Buffer.contents b
 
 let write_prometheus ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (prometheus ()))
+  Out_channel.with_open_text path (fun oc -> output_string oc (prometheus ()))
 
 (* Heartbeat line for serve's stdout. All wall-derived fields go through
    {!wall} so ECSD_WALL_ZERO keeps the stream byte-comparable. *)
-let heartbeat ~jobs_done ~inflight ~wall_s =
-  let js =
-    match
-      List.assoc_opt "serve.job_s" (Obs.snapshot ()).Obs.hists
-    with
-    | Some hs -> hs
-    | None ->
-        {
-          Obs.hs_count = 0;
-          hs_min = 0.0;
-          hs_max = 0.0;
-          hs_mean = 0.0;
-          hs_p50 = 0.0;
-          hs_p95 = 0.0;
-          hs_p99 = 0.0;
-        }
-  in
-  let w = wall wall_s in
-  Bench_json.Obj
-    [
-      ("heartbeat", Bench_json.Bool true);
-      ("jobs_done", Bench_json.Int jobs_done);
-      ("inflight", Bench_json.Int inflight);
-      ("wall_s", Bench_json.Float w);
-      ( "jobs_per_s",
-        Bench_json.Float
-          (if w > 0.0 then float_of_int jobs_done /. w else 0.0) );
-      ("job_p50_s", Bench_json.Float (wall js.Obs.hs_p50));
-      ("job_p95_s", Bench_json.Float (wall js.Obs.hs_p95));
-      ("job_max_s", Bench_json.Float (wall js.Obs.hs_max));
-    ]
-
 let heartbeat_line ~jobs_done ~inflight ~wall_s =
-  Bench_json.to_string (heartbeat ~jobs_done ~inflight ~wall_s)
+  let job_s = List.assoc_opt "serve.job_s" (Obs.snapshot ()).Obs.hists in
+  let job_q f = Bench_json.Float (wall (Option.fold ~none:0.0 ~some:f job_s)) in
+  let w = wall wall_s in
+  Bench_json.to_string
+    (Bench_json.Obj
+       [
+         ("heartbeat", Bench_json.Bool true);
+         ("jobs_done", Bench_json.Int jobs_done);
+         ("inflight", Bench_json.Int inflight);
+         ("wall_s", Bench_json.Float w);
+         ( "jobs_per_s",
+           Bench_json.Float
+             (if w > 0.0 then float_of_int jobs_done /. w else 0.0) );
+         ("job_p50_s", job_q (fun hs -> hs.Obs.hs_p50));
+         ("job_p95_s", job_q (fun hs -> hs.Obs.hs_p95));
+         ("job_max_s", job_q (fun hs -> hs.Obs.hs_max));
+       ])
+
+(* The record of serve's `stats` job: the non-zero counters, the gauges
+   and the non-empty histograms' quantiles. *)
+let stats ~jobs_done ~wall_s =
+  let open Bench_json in
+  let snap = Obs.snapshot () in
+  [
+    ("job", Str "stats");
+    ("jobs_done", Int jobs_done);
+    ("wall_s", Float (wall wall_s));
+    ( "counters",
+      Obj
+        (List.filter_map
+           (fun (k, v) -> if v = 0 then None else Some (k, Int v))
+           snap.Obs.counters) );
+    ("gauges", Obj (List.map (fun (k, v) -> (k, Float v)) snap.Obs.gauges));
+    ( "hists",
+      Obj
+        (List.filter_map
+           (fun (k, hs) ->
+             if hs.Obs.hs_count = 0 then None
+             else
+               Some
+                 ( k,
+                   Obj
+                     [
+                       ("count", Int hs.Obs.hs_count);
+                       ("p50", Float hs.Obs.hs_p50);
+                       ("p95", Float hs.Obs.hs_p95);
+                       ("max", Float hs.Obs.hs_max);
+                     ] ))
+           snap.Obs.hists) );
+    ("exit", Int 0);
+  ]

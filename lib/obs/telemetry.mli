@@ -1,5 +1,6 @@
-(** Live-metrics export: Prometheus text exposition and `ecsd serve`
-    heartbeat lines, both built from the {!Obs} registry snapshot.
+(** Live-metrics export: Prometheus text exposition, and `ecsd serve`'s
+    heartbeat lines and [stats] records, all built from the {!Obs}
+    registry snapshot.
 
     (Named [Telemetry] because lib/control, also [(wrapped false)],
     already owns the module name [Metrics].) *)
@@ -8,9 +9,6 @@ val wall : float -> float
 (** Identity, or [0.0] when [ECSD_WALL_ZERO] is set — keeps wall-derived
     fields byte-comparable across runs. *)
 
-val sanitize : string -> string
-(** Dotted registry name to a Prometheus-legal name fragment. *)
-
 val prometheus : unit -> string
 (** The current snapshot as Prometheus text: counters, gauges, and
     histograms as summaries (q0.5/q0.95/q0.99, [_sum], [_count]), each
@@ -18,9 +16,11 @@ val prometheus : unit -> string
 
 val write_prometheus : path:string -> unit
 
-val heartbeat : jobs_done:int -> inflight:int -> wall_s:float -> Bench_json.t
-(** One heartbeat record: job throughput plus the [serve.job_s] latency
-    summary. Wall-derived fields respect [ECSD_WALL_ZERO]. *)
-
 val heartbeat_line : jobs_done:int -> inflight:int -> wall_s:float -> string
-(** {!heartbeat} as one compact JSON line (no trailing newline). *)
+(** One heartbeat record as a compact JSON line (no trailing newline):
+    job throughput plus the [serve.job_s] latency summary.
+    Wall-derived fields respect [ECSD_WALL_ZERO]. *)
+
+val stats : jobs_done:int -> wall_s:float -> (string * Bench_json.t) list
+(** The fields of serve's [stats] record: the non-zero counters, the
+    gauges and each non-empty histogram's count, p50, p95 and max. *)

@@ -372,6 +372,44 @@ let test_rule_selection () =
   Alcotest.(check bool) "overflow retained" true
     (List.exists (fun f -> f.Diag.rule = "FXP002") report.Check.findings)
 
+(* --rules is user input: any byte string is Ok with catalogue rules
+   only, or an Error, never an exception *)
+let prop_parse_rules =
+  let known ri = [ ri.Diag.id; ri.Diag.family ] in
+  let names = List.concat_map known Diag.catalogue in
+  QCheck2.Test.make ~name:"--rules: any bytes parse to catalogue rules or an error"
+    ~count:1000 ~print:QCheck2.Print.string
+    QCheck2.Gen.(
+      oneof
+        [
+          string;
+          map (String.concat ",")
+            (list_size (int_range 1 4)
+               (oneof
+                  [ oneofl names; map (fun n -> " " ^ n ^ "\t") (oneofl names);
+                    string_small ]));
+        ])
+    (fun s ->
+      match Diag.parse_rules s with
+      | Ok pats -> pats <> [] && List.for_all (fun p -> List.mem p names) pats
+      | Error _ -> true)
+
+let test_parse_rules () =
+  let show = function
+    | Ok l -> "Ok " ^ String.concat "|" l
+    | Error e -> "Error " ^ e
+  in
+  List.iter
+    (fun (input, want) ->
+      Alcotest.(check string) input want (show (Diag.parse_rules input)))
+    [
+      (" FXP , CON001", "Ok FXP|CON001");
+      ("MIS005", "Ok MIS005");
+      ("FXP,bogus,XXX", "Error unknown rule \"bogus\"");
+      ("FXP,", "Error unknown rule \"\"");
+      ("", "Error unknown rule \"\"");
+    ]
+
 (* `ecsd check MODELS --jobs N` shards models over N domains; the
    rendered reports must be byte-identical to the serial run whatever
    the worker count. Exercised here at the library level: the same
@@ -413,6 +451,8 @@ let suite =
     Alcotest.test_case "MISRA generated units" `Quick test_misra_generated_clean;
     Alcotest.test_case "render + JSON" `Quick test_render_and_json;
     Alcotest.test_case "rule selection" `Quick test_rule_selection;
+    Alcotest.test_case "--rules parsing" `Quick test_parse_rules;
+    QCheck_alcotest.to_alcotest prop_parse_rules;
     Alcotest.test_case "check --jobs is byte-identical" `Quick
       test_check_jobs_byte_identical;
   ]

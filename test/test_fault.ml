@@ -297,6 +297,15 @@ let test_builtins () =
   | Error e ->
       check_bool "error lists builtins" true (contains "encoder-dropout" e)
 
+(* a path that exists but does not read as a file is an error naming it,
+   not an exception *)
+let test_scenario_directory () =
+  let dir = Filename.temp_dir "ecsd" "scenario" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  match Fault_scenario.find dir with
+  | Ok _ -> Alcotest.fail "a directory loaded as a scenario"
+  | Error e -> check_bool "error names the path" true (contains dir e)
+
 (* ---- the seeded injector ---- *)
 
 let scn faults = { Fault_scenario.sname = "test"; faults }
@@ -1114,6 +1123,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fault_bytes;
     QCheck_alcotest.to_alcotest prop_fault_mutations;
     Alcotest.test_case "builtin scenarios" `Quick test_builtins;
+    Alcotest.test_case "scenario path is a directory" `Quick
+      test_scenario_directory;
     Alcotest.test_case "injector: sensor kinds" `Quick test_injector_sensor;
     Alcotest.test_case "injector: seeds and actuators" `Quick
       test_injector_determinism;

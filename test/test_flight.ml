@@ -230,7 +230,7 @@ let test_serve_jobs_own_bundles () =
   List.iter
     (fun id ->
       let fields =
-        Serve_job.run ~id ~policy:Supervise.default_policy
+        Serve.job ~id ~policy:Supervise.default_policy
           ~config:Servo_system.default_config ~stats:(fun () -> []) line
       in
       Alcotest.(check string) "unrecovered" "1"

@@ -309,7 +309,7 @@ let test_campaign_supervised_identical () =
    and out-of-range sizes are bad requests (exit 2), never a crash *)
 let test_serve_line_classification () =
   let run line =
-    Serve_job.run ~id:0 ~policy:Supervise.default_policy
+    Serve.job ~id:0 ~policy:Supervise.default_policy
       ~config:Servo_system.default_config
       ~stats:(fun () -> [ ("job", Bench_json.Str "stats"); ("exit", Bench_json.Int 0) ])
       line
@@ -319,12 +319,16 @@ let test_serve_line_classification () =
     | Some v -> Bench_json.to_string v
     | None -> "missing"
   in
+  (* a scenario path that is a directory *)
+  let dir = Filename.temp_dir "ecsd" "scenario" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
   List.iter
     (fun line ->
       let fs = run line in
       check_string (line ^ ": class") "\"bad_request\"" (field "class" fs);
       check_string (line ^ ": exit") "2" (field "exit" fs))
     [
+      "faultsim " ^ dir ^ " 1";
       "bogus job line";
       "faultsim nosuch-scenario";
       "faultsim encoder-dropout 4 notafloat";
