@@ -383,7 +383,10 @@ type pil_plant = {
   motor : Dc_motor.stepper;
   x : float array;  (* the motor state, in [Dc_motor]'s layout *)
   io : pil_io;
-  button : float -> bool;
+  sensors : int array;
+      (* what [read_sensors] returns: the quadrature count, then the
+         mode button when the controller has one; a PIL run never
+         presses it *)
 }
 
 let pil_plant built =
@@ -394,10 +397,12 @@ let pil_plant built =
     motor = Dc_motor.stepper built.config.motor;
     x = Array.make 3 0.0;
     io = { duty = 0.0; time = 0.0 };
-    button = (fun _ -> false);
+    sensors = Array.make (if built.config.with_mode_logic then 2 else 1) 0;
   }
 
-(* sub-step the electrical dynamics inside one control period *)
+(* sub-step the electrical dynamics inside one control period; the
+   power stage, load and motor step inline, so a period allocates
+   nothing *)
 let pil_substeps = 8
 
 let pil_advance p ~dt =
@@ -412,16 +417,13 @@ let pil_advance p ~dt =
     io.time <- io.time +. h
   done
 
-let pil_driver built =
-  let with_btn = built.config.with_mode_logic in
+let pil_driver _built =
   {
     Pil_cosim.read_sensors =
       (fun p ~time:_ ->
-        let count =
-          Encoder.count_of_angle p.enc ~theta:p.x.(Dc_motor.x_theta) land 0xFFFF
-        in
-        if with_btn then [| count; (if p.button p.io.time then 1 else 0) |]
-        else [| count |]);
+        p.sensors.(0) <-
+          Encoder.count_of_angle p.enc ~theta:p.x.(Dc_motor.x_theta) land 0xFFFF;
+        p.sensors);
     apply_actuators =
       (fun p acts ->
         if Array.length acts > 0 then

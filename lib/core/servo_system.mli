@@ -106,7 +106,8 @@ type pil_plant
 val pil_plant : built -> pil_plant
 val pil_driver : built -> pil_plant Pil_cosim.plant_driver
 (** Driver matching the controller's PIL slot layout (quadrature count
-    and button in, PWM ratio out). *)
+    and button in, PWM ratio out). [read_sensors] returns the plant's
+    own array, and a period (read, apply, advance) allocates nothing. *)
 
 val pil_speed_trace :
   (float * (string * float) list) list -> (float * float) list

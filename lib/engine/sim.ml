@@ -86,8 +86,9 @@ type t = {
   probes : (int * int, probe_buf) Hashtbl.t;
   mutable events_this_step : int;
   integ : integ;
-  deriv : float -> float array -> float array -> unit;
-      (* the ODE right-hand side over [integ.x], built once *)
+  deriv : float array -> float array -> unit;
+      (* the ODE right-hand side over [integ.x], built once; the stage
+         time is [Ode.stage_time integ.ws] *)
   solver_substeps : int;
   group_exec : int array array;
       (* execution order per function-call group, indexed by
@@ -427,7 +428,7 @@ let create ?(solver_substeps = 1) comp =
       probes = Hashtbl.create 8;
       events_this_step = 0;
       integ;
-      deriv = (fun time x dx -> stage t time x dx);
+      deriv = (fun x dx -> stage t (Ode.stage_time integ.ws) x dx);
       solver_substeps;
       group_exec;
       group_upd;

@@ -125,8 +125,9 @@ let begin_track ~id ~name =
   end
 
 (* hot path: one bounds check avoided per field via unsafe stores; the slot
-   index is (next mod cap) by construction *)
-let record r code track seq step time value arg label =
+   index is (next mod cap) by construction. Inline, like [record_track],
+   so that an event costs its recorder's one call *)
+let[@inline] record r code track seq step time value arg label =
   let i = r.next in
   Array.unsafe_set r.kinds i code;
   Array.unsafe_set r.tracks i track;
@@ -139,7 +140,7 @@ let record r code track seq step time value arg label =
   let j = i + 1 in
   r.next <- (if j = r.cap then 0 else j)
 
-let record_track r code step time value arg label =
+let[@inline] record_track r code step time value arg label =
   let s = r.seq in
   r.seq <- s + 1;
   record r code r.track s step time value arg label

@@ -75,7 +75,9 @@ let heartbeat_line ~jobs_done ~inflight ~wall_s =
        ])
 
 (* The record of serve's `stats` job: the non-zero counters, the gauges
-   and the non-empty histograms' quantiles. *)
+   and the non-empty histograms' quantiles. A histogram of seconds
+   ([serve.job_s], [exec.task_s], ...) holds wall times, so its
+   quantiles go through {!wall}; its count does not. *)
 let stats ~jobs_done ~wall_s =
   let open Bench_json in
   let snap = Obs.snapshot () in
@@ -95,14 +97,17 @@ let stats ~jobs_done ~wall_s =
            (fun (k, hs) ->
              if hs.Obs.hs_count = 0 then None
              else
+               let q =
+                 if String.ends_with ~suffix:"_s" k then wall else Fun.id
+               in
                Some
                  ( k,
                    Obj
                      [
                        ("count", Int hs.Obs.hs_count);
-                       ("p50", Float hs.Obs.hs_p50);
-                       ("p95", Float hs.Obs.hs_p95);
-                       ("max", Float hs.Obs.hs_max);
+                       ("p50", Float (q hs.Obs.hs_p50));
+                       ("p95", Float (q hs.Obs.hs_p95));
+                       ("max", Float (q hs.Obs.hs_max));
                      ] ))
            snap.Obs.hists) );
     ("exit", Int 0);

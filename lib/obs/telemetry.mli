@@ -23,4 +23,6 @@ val heartbeat_line : jobs_done:int -> inflight:int -> wall_s:float -> string
 
 val stats : jobs_done:int -> wall_s:float -> (string * Bench_json.t) list
 (** The fields of serve's [stats] record: the non-zero counters, the
-    gauges and each non-empty histogram's count, p50, p95 and max. *)
+    gauges and each non-empty histogram's count, p50, p95 and max. The
+    quantiles of a histogram of seconds (named [*_s]) are wall times and
+    respect [ECSD_WALL_ZERO]. *)

@@ -13,34 +13,43 @@ type rk4_ws = {
   k3 : float array;
   k4 : float array;
   xs : float array;  (* stage state *)
+  ts : float array;  (* [| stage time |] *)
 }
 
 let rk4_workspace n =
   let z () = Array.make n 0.0 in
-  { k1 = z (); k2 = z (); k3 = z (); k4 = z (); xs = z () }
+  { k1 = z (); k2 = z (); k3 = z (); k4 = z (); xs = z (); ts = [| 0.0 |] }
+
+let[@inline] stage_time ws = Array.unsafe_get ws.ts 0
 
 (* The one RK4 tableau in the tree. Each stage state is written into
    [ws.xs] with the same float operations as [axpy], so [step Rk4], which
    runs it on a fresh workspace, is bit-identical to a fresh-array RK4.
    The loops stay inline: a helper taking the stage coefficient would box
-   it on every call. *)
-let rk4_into ws f t x h =
+   it on every call. The stage time goes to [f] through [ws.ts], not as
+   an argument, and the whole step inlines into its caller: neither
+   boxes a float. *)
+let[@inline] rk4_into ws f t x h =
   let n = Array.length x in
-  let { k1; k2; k3; k4; xs } = ws in
+  let { k1; k2; k3; k4; xs; ts } = ws in
   let h2 = h /. 2.0 in
-  f t x k1;
+  ts.(0) <- t;
+  f x k1;
   for i = 0 to n - 1 do
     xs.(i) <- x.(i) +. (h2 *. k1.(i))
   done;
-  f (t +. h2) xs k2;
+  ts.(0) <- t +. h2;
+  f xs k2;
   for i = 0 to n - 1 do
     xs.(i) <- x.(i) +. (h2 *. k2.(i))
   done;
-  f (t +. h2) xs k3;
+  ts.(0) <- t +. h2;
+  f xs k3;
   for i = 0 to n - 1 do
     xs.(i) <- x.(i) +. (h *. k3.(i))
   done;
-  f (t +. h) xs k4;
+  ts.(0) <- t +. h;
+  f xs k4;
   let h6 = h /. 6.0 in
   for i = 0 to n - 1 do
     x.(i) <-
@@ -60,9 +69,8 @@ let step m f t x h =
   | Rk4 ->
       let n = Array.length x in
       let x' = Array.copy x in
-      rk4_into (rk4_workspace n)
-        (fun t x d -> Array.blit (f t x) 0 d 0 n)
-        t x' h;
+      let ws = rk4_workspace n in
+      rk4_into ws (fun x d -> Array.blit (f (stage_time ws) x) 0 d 0 n) t x' h;
       x'
 
 let integrate m f ~t0 ~t1 ~h x0 =

@@ -19,6 +19,8 @@
     (16-bit raw values, exactly what the wire carries). *)
 type 'p plant_driver = {
   read_sensors : 'p -> time:float -> int array;
+      (** the plant's sensor words now; the array may be the plant's
+          own, valid until the next call *)
   apply_actuators : 'p -> int array -> unit;
   advance : 'p -> dt:float -> unit;
   observe : 'p -> (string * float) list;

@@ -41,15 +41,17 @@ let[@inline] deriv_into p ~u ~tau_load x off dx =
 type stepper = {
   ws : Ode.rk4_ws;
   drive : float array;
-  rhs : float -> float array -> float array -> unit;
+  rhs : float array -> float array -> unit;
 }
 
 let stepper p =
   let drive = Array.make 2 0.0 in
-  let rhs _t x dx = deriv_into p ~u:drive.(0) ~tau_load:drive.(1) x 0 dx in
+  let rhs x dx = deriv_into p ~u:drive.(0) ~tau_load:drive.(1) x 0 dx in
   { ws = Ode.rk4_workspace 3; drive; rhs }
 
-let advance st ~u ~tau_load ~h x =
+(* inline, with [Ode.rk4_into] inline in it: the caller's [u],
+   [tau_load] and [h] reach the workspace unboxed *)
+let[@inline] advance st ~u ~tau_load ~h x =
   st.drive.(0) <- u;
   st.drive.(1) <- tau_load;
   Ode.rk4_into st.ws st.rhs 0.0 x h

@@ -24,7 +24,7 @@ let signals t ~theta =
   let index = rev_frac < 0.25 /. float_of_int t.lines in
   (a, b, index)
 
-let count_of_angle t ~theta =
+let[@inline] count_of_angle t ~theta =
   int_of_float (Float.floor (theta /. two_pi *. float_of_int (counts_per_rev t)))
 
 let angle_of_count t c = float_of_int c *. two_pi /. float_of_int (counts_per_rev t)

@@ -7,9 +7,10 @@ type t =
   | Periodic of { at : float; every : float; duration : float; torque : float }
   | Sum of t list
 
-let rec torque t ~time ~w =
+(* the torque of one profile that is not a [Sum] ([Sum]'s is [fold]'s) *)
+let[@inline] leaf t ~time ~w =
   match t with
-  | No_load -> 0.0
+  | No_load | Sum _ -> 0.0
   | Constant tau -> tau
   | Viscous k -> k *. w
   | Step { at; torque = tau } -> if time >= at then tau else 0.0
@@ -18,4 +19,13 @@ let rec torque t ~time ~w =
   | Periodic { at; every; duration; torque = tau } ->
       if time >= at && Float.rem (time -. at) every < duration then tau
       else 0.0
-  | Sum l -> List.fold_left (fun acc p -> acc +. torque p ~time ~w) 0.0 l
+
+let rec fold t ~time ~w =
+  match t with
+  | Sum l -> List.fold_left (fun acc p -> acc +. fold p ~time ~w) 0.0 l
+  | t -> leaf t ~time ~w
+
+(* inline, so that a plant sub-step on a single profile passes its time
+   and speed and gets its torque unboxed; a [Sum] takes the fold *)
+let[@inline] torque t ~time ~w =
+  match t with Sum _ -> fold t ~time ~w | t -> leaf t ~time ~w

@@ -33,8 +33,12 @@ type t = {
           immediate-and-atomic group execution of the MIL engine),
           resolved at [create] *)
   mutable steps : int;
-  mutable time : float;
+  clock : clock;
 }
+
+(* the application clock, in an all-float record so that advancing it
+   stores the float unboxed *)
+and clock = { mutable time : float }
 
 type trace =
   (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array2.t
@@ -114,7 +118,16 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
   in
   let step_fn = entry backend (name ^ "_step") in
   let app =
-    { backend; name; comp; arts; step_fn; events; steps = 0; time = 0.0 }
+    {
+      backend;
+      name;
+      comp;
+      arts;
+      step_fn;
+      events;
+      steps = 0;
+      clock = { time = 0.0 };
+    }
   in
   (* free-running counter beans read the clock through an external *)
   List.iter
@@ -128,7 +141,7 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
         | Some (Param.String bean), Some (Param.Float tick) ->
             register_external backend (bean ^ "_GetCounterValue") (fun _ ->
                 let count =
-                  int_of_float (Float.floor (app.time /. tick)) land 0xFFFF
+                  int_of_float (Float.floor (app.clock.time /. tick)) land 0xFFFF
                 in
                 Mir_eval.Vi (u16, Int64.of_int count))
         | _ -> ())
@@ -137,7 +150,7 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
 
 let initialize app =
   app.steps <- 0;
-  app.time <- 0.0;
+  app.clock.time <- 0.0;
   entry app.backend (app.name ^ "_initialize") ()
 
 let rec fire steps = function
@@ -153,12 +166,12 @@ let rec fire steps = function
 let step app =
   Cancel.poll ();
   if Flight.enabled () then
-    Flight.step_mark_r (Flight.recorder ()) ~step:app.steps ~time:app.time
+    Flight.step_mark_r (Flight.recorder ()) ~step:app.steps ~time:app.clock.time
       app.name;
   app.step_fn ();
   fire app.steps app.events;
   app.steps <- app.steps + 1;
-  app.time <- app.time +. app.comp.Compile.base_dt;
+  app.clock.time <- app.clock.time +. app.comp.Compile.base_dt;
   Obs.add c_sil_steps 1
 
 let xchg buf slot = Mir.Pindex (Mir.Pvar buf, Mir.Kint (slot, Mir.Dec))
@@ -175,6 +188,18 @@ let actuator app slot =
   | Interp m ->
       Int64.to_int (Mir_eval.to_int64 (Mir_eval.read m (xchg "pil_actuator_buf" slot)))
   | Compiled { st; _ } -> Silvm_compile.actuator st slot
+
+let read_actuators app acts =
+  match app.backend with
+  | Interp _ ->
+      for slot = 0 to Array.length acts - 1 do
+        acts.(slot) <- actuator app slot
+      done
+  | Compiled { st; _ } ->
+      let buf = Silvm_compile.actuator_buf st in
+      for slot = 0 to Array.length acts - 1 do
+        acts.(slot) <- Bigarray.Array1.get buf slot
+      done
 
 type probe =
   | Compiled_probe of Silvm_compile.typed * Silvm_compile.st

@@ -71,6 +71,10 @@ val set_sensor : t -> int -> int -> unit
 val actuator : t -> int -> int
 (** [actuator app slot] reads [pil_actuator_buf[slot]]. *)
 
+val read_actuators : t -> int array -> unit
+(** [read_actuators app acts] reads [pil_actuator_buf[0 ..]] into
+    [acts], straight from the exchange buffer on the compiled engine. *)
+
 (** A block-output field [<name>_B.<block>_o<p>] of the generated
     signals structure, resolved once so that reading it per step costs
     no name building or lookup: on the compiled engine a typed getter

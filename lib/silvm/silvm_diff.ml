@@ -118,31 +118,35 @@ let compared_signals comp =
       List.init spec.Block.n_out (fun p -> (b, p)))
     blocks
 
-(* feed one step's raw sensor codes to both sides; the MIL port each
-   slot overrides and the code's conversion are resolved once *)
+(* feed one step's raw sensor codes to both sides. The plan is flat
+   arrays, resolved once: per schedule slot, the MIL port it overrides
+   and the code's conversion *)
 let injector_for sim apps schedule =
   let m = (Sim.compiled sim).Compile.model in
-  let plan =
-    List.map
-      (fun (b, slot) ->
-        ( (b, 0),
-          slot,
-          match (Model.spec_of m b).Block.kind with
-          | "PE_Adc" | "AR_Adc" -> Value.of_int Dtype.Uint16
-          | "PE_QuadDec" | "AR_Icu" -> Value.of_int Dtype.Int32
-          | "PE_BitIO_In" | "AR_Dio_In" -> fun v -> Value.of_bool (v <> 0)
-          | k ->
-              fun _ -> failwith ("Silvm_diff: unexpected sensor block kind " ^ k)
-        ))
-      schedule.Target.sensor_slots
-  in
-  fun sensors ->
-    List.iter
-      (fun (port, slot, conv) ->
-        let v = sensors.(slot) in
-        Sim.override_output sim port (Some (conv v));
-        List.iter (fun app -> Silvm_app.set_sensor app slot v) apps)
+  let plan = Array.of_list schedule.Target.sensor_slots in
+  let ports = Array.map (fun (b, _) -> (b, 0)) plan
+  and slots = Array.map snd plan
+  and convs =
+    Array.map
+      (fun (b, _) ->
+        match (Model.spec_of m b).Block.kind with
+        | "PE_Adc" | "AR_Adc" -> Value.of_int Dtype.Uint16
+        | "PE_QuadDec" | "AR_Icu" -> Value.of_int Dtype.Int32
+        | "PE_BitIO_In" | "AR_Dio_In" -> fun v -> Value.of_bool (v <> 0)
+        | k ->
+            fun _ -> failwith ("Silvm_diff: unexpected sensor block kind " ^ k))
       plan
+  in
+  let apps = Array.of_list apps in
+  fun sensors ->
+    for j = 0 to Array.length slots - 1 do
+      let slot = slots.(j) in
+      let v = sensors.(slot) in
+      Sim.override_output sim ports.(j) (Some (convs.(j) v));
+      for a = 0 to Array.length apps - 1 do
+        Silvm_app.set_sensor apps.(a) slot v
+      done
+    done
 
 (* bit-for-bit equality between the two SIL engines: same type, same
    canonical integer, same float bits ([compare] would identify -0.
@@ -164,6 +168,11 @@ let forced_divergence_at () =
   | Some s -> int_of_string_opt s
   | None -> None
 
+(* the engine timers read the clock on one lock-step in this many (a
+   power of two), step 0 included: each read costs as much as a few
+   percent of a lock-step *)
+let sample_every = 16
+
 let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled)
     ?plant ?stimulus ?injector ~name ~project comp =
   Flight.span "silvm.diff" @@ fun () ->
@@ -184,92 +193,97 @@ let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled
   Option.iter Silvm_app.initialize shadow;
   let sched = Silvm_app.schedule app in
   let inject = injector_for sim (app :: Option.to_list shadow) sched in
-  (* every compared block output, resolved before the loop: its SIL
-     probe, its comparator and the shadow engine's probe *)
-  let signals =
-    compared_signals comp
-    |> List.map (fun bp ->
-           let probe = Silvm_app.probe app bp in
-           let shadow_probe =
-             Option.map (fun sh -> Silvm_app.probe sh bp) shadow
-           in
-           (bp, probe, agree float_mode probe, shadow_probe))
-    |> Array.of_list
+  (* every compared block output, resolved before the loop into flat
+     arrays: its MIL port, its SIL probe and comparator, and the shadow
+     engine's probe *)
+  let ports = Array.of_list (compared_signals comp) in
+  let probes = Array.map (Silvm_app.probe app) ports in
+  let agrees = Array.map (agree float_mode) probes in
+  let shadow_probes =
+    Option.map (fun sh -> Array.map (Silvm_app.probe sh) ports) shadow
   in
   let acts = Array.make (List.length sched.Target.actuator_slots) 0 in
   let m = comp.Compile.model in
   let base = comp.Compile.base_dt in
-  let mil_ns = ref 0.0 and sil_ns = ref 0.0 in
+  let mil_ns = ref 0.0 and sil_ns = ref 0.0 and samples = ref 0 in
   let steps_done = ref 0 in
   let force_at = forced_divergence_at () in
   (* one recorder fetch for the whole run, not one per sensor event *)
   let fr = if Flight.enabled () then Some (Flight.recorder ()) else None in
-  let perturb k time s =
+  let read =
+    match plant, stimulus with
+    | Some (Plant (p, d)), _ ->
+        Some (fun k -> d.Pil_cosim.read_sensors p ~time:(float_of_int k *. base))
+    | None, Some f -> Some f
+    | None, None -> None
+  in
+  (* the step's time is boxed only for what takes it *)
+  let perturb k s =
+    let time = float_of_int k *. base in
     let s =
       match injector with Some i -> i.inj_sensors ~step:k ~time s | None -> s
     in
     (match fr with
     | Some r ->
-        Array.iteri
-          (fun slot v ->
-            Flight.signal_r r ~step:k ~time ~port:slot ~value:(float_of_int v)
-              "sensor")
-          s
+        for slot = 0 to Array.length s - 1 do
+          Flight.signal_r r ~step:k ~time ~port:slot
+            ~value:(float_of_int s.(slot)) "sensor"
+        done
     | None -> ());
     s
   in
-  let diverged k time d_block d_port d_mil d_sil =
+  let diverged k d_block d_port d_mil d_sil =
+    let time = float_of_int k *. base in
     let d_faults =
       match injector with Some i -> i.inj_active ~time | None -> []
     in
     Stop { d_step = k; d_time = time; d_block; d_port; d_mil; d_sil; d_faults }
   in
-  let mismatch k time (b, p) = diverged k time (Model.block_name m b) p in
+  let mismatch k (b, p) = diverged k (Model.block_name m b) p in
   let result =
     try
       for k = 0 to steps - 1 do
-        let time = float_of_int k *. base in
-        (match plant, stimulus with
-        | Some (Plant (p, d)), _ ->
-            inject (perturb k time (d.Pil_cosim.read_sensors p ~time))
-        | None, Some f -> inject (perturb k time (f k))
-        | None, None -> ());
-        let t0 = Obs.now_ns () in
-        Sim.step sim;
-        let t1 = Obs.now_ns () in
-        Silvm_app.step app;
-        let t2 = Obs.now_ns () in
-        mil_ns := !mil_ns +. (t1 -. t0);
-        sil_ns := !sil_ns +. (t2 -. t1);
+        (match read with Some read -> inject (perturb k (read k)) | None -> ());
+        if k land (sample_every - 1) = 0 then begin
+          let t0 = Obs.now_ns () in
+          Sim.step sim;
+          let t1 = Obs.now_ns () in
+          Silvm_app.step app;
+          let t2 = Obs.now_ns () in
+          mil_ns := !mil_ns +. (t1 -. t0);
+          sil_ns := !sil_ns +. (t2 -. t1);
+          incr samples
+        end
+        else begin
+          Sim.step sim;
+          Silvm_app.step app
+        end;
         Option.iter Silvm_app.step shadow;
         (match force_at with
-        | Some k' when k = k' ->
-            raise (diverged k time "__forced" 0 "forced" "forced")
+        | Some k' when k = k' -> raise (diverged k "__forced" 0 "forced" "forced")
         | _ -> ());
-        for i = 0 to Array.length signals - 1 do
-          let port, probe, agree, shadow = Array.unsafe_get signals i in
+        for i = 0 to Array.length ports - 1 do
+          let port = Array.unsafe_get ports i in
           let mil = Sim.value sim port in
-          if not (agree mil) then
+          if not ((Array.unsafe_get agrees i) mil) then
             raise
-              (mismatch k time port (mil_to_string mil)
-                 (Mir_eval.to_string (Silvm_app.probe_value probe)));
-          match shadow with
+              (mismatch k port (mil_to_string mil)
+                 (Mir_eval.to_string (Silvm_app.probe_value probes.(i))));
+          match shadow_probes with
           | None -> ()
-          | Some sh ->
-              let sil = Silvm_app.probe_value probe
-              and isil = Silvm_app.probe_value sh in
+          | Some shs ->
+              let sil = Silvm_app.probe_value probes.(i)
+              and isil = Silvm_app.probe_value shs.(i) in
               if not (sil_bits_equal sil isil) then
                 raise
-                  (mismatch k time port
+                  (mismatch k port
                      ("interp:" ^ Mir_eval.to_string isil)
                      (Mir_eval.to_string sil))
         done;
         incr steps_done;
         match plant with
         | Some (Plant (p, d)) ->
-            for slot = 0 to Array.length acts - 1 do
-              acts.(slot) <- Silvm_app.actuator app slot
-            done;
+            Silvm_app.read_actuators app acts;
             d.Pil_cosim.apply_actuators p acts;
             d.Pil_cosim.advance p ~dt:base
         | None -> ()
@@ -289,11 +303,16 @@ let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled
       end;
       Some d
   in
+  (* the sampled engine times, scaled to the lock-steps run *)
+  let scale =
+    if !samples = 0 then 0.0
+    else float_of_int !steps_done /. float_of_int !samples
+  in
   {
     steps_run = !steps_done;
     steps_requested = steps;
-    signals = Array.length signals;
+    signals = Array.length ports;
     divergence = result;
-    mil_seconds = !mil_ns *. 1e-9;
-    sil_seconds = !sil_ns *. 1e-9;
+    mil_seconds = !mil_ns *. 1e-9 *. scale;
+    sil_seconds = !sil_ns *. 1e-9 *. scale;
   }

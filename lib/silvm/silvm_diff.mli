@@ -37,10 +37,14 @@ type report = {
   steps_requested : int;
   signals : int;  (** block output signals compared per step *)
   divergence : divergence option;
-  mil_seconds : float;  (** monotonic wall time spent in [Sim.step] *)
+  mil_seconds : float;
+      (** monotonic wall time spent in [Sim.step], estimated from every
+          16th lock-step (step 0 included) and scaled to [steps_run];
+          [0.] when no lock-step completed *)
   sil_seconds : float;
       (** monotonic wall time spent stepping the SIL engine (the shadow
-          reference engine of {!Both} excluded) *)
+          reference engine of {!Both} excluded), estimated as
+          [mil_seconds] is *)
 }
 
 type plant = Plant : 'p * 'p Pil_cosim.plant_driver -> plant

@@ -148,6 +148,65 @@ let prop_encoder_angle_roundtrip =
       let back = Encoder.angle_of_count e c in
       theta -. back >= -.1e-9 && theta -. back < (2.0 *. Float.pi /. 400.0) +. 1e-9)
 
+(* the general fold [Load_profile.torque] had before its inline
+   fast path for a single profile: the specification it must keep *)
+let rec reference_torque t ~time ~w =
+  match t with
+  | Load_profile.No_load -> 0.0
+  | Constant tau -> tau
+  | Viscous k -> k *. w
+  | Step { at; torque = tau } -> if time >= at then tau else 0.0
+  | Pulse { start; stop; torque = tau } ->
+      if time >= start && time < stop then tau else 0.0
+  | Periodic { at; every; duration; torque = tau } ->
+      if time >= at && Float.rem (time -. at) every < duration then tau
+      else 0.0
+  | Sum l ->
+      List.fold_left (fun acc p -> acc +. reference_torque p ~time ~w) 0.0 l
+
+let gen_profile =
+  let open QCheck2.Gen in
+  let f = float_range (-2.0) 2.0 and pos = float_range 0.0 2.0 in
+  let leaf =
+    oneof
+      [
+        return Load_profile.No_load;
+        map (fun t -> Load_profile.Constant t) f;
+        map (fun k -> Load_profile.Viscous k) f;
+        map2 (fun at torque -> Load_profile.Step { at; torque }) pos f;
+        map3
+          (fun start d torque ->
+            Load_profile.Pulse { start; stop = start +. d; torque })
+          pos pos f;
+        map3
+          (fun (at, every) duration torque ->
+            Load_profile.Periodic { at; every; duration; torque })
+          (pair pos (oneof [ float_range 1e-3 0.5; return 0.0 ])) pos f;
+      ]
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Load_profile.Sum l)
+                   (list_size (int_bound 4) (self (n - 1))) );
+             ])
+
+let prop_torque_fast_path =
+  QCheck2.Test.make
+    ~name:"load torque: the inline path gives the general fold's bits"
+    ~count:1000
+    QCheck2.Gen.(
+      triple gen_profile (float_range (-1.0) 5.0) (float_range (-500.0) 500.0))
+    (fun (p, time, w) ->
+      Int64.equal
+        (Int64.bits_of_float (Load_profile.torque p ~time ~w))
+        (Int64.bits_of_float (reference_torque p ~time ~w)))
+
 let suite =
   [
     Alcotest.test_case "motor steady state" `Quick test_motor_steady_state;
@@ -166,4 +225,5 @@ let suite =
     Alcotest.test_case "load profiles" `Quick test_load_profiles;
     QCheck_alcotest.to_alcotest prop_encoder_count_monotone;
     QCheck_alcotest.to_alcotest prop_encoder_angle_roundtrip;
+    QCheck_alcotest.to_alcotest prop_torque_fast_path;
   ]

@@ -191,7 +191,36 @@ let prop_worker_survives =
            [ (slow ^ "stats\n", 0); (next ^ "\n", 2) ]
          = [ 3; 6; 0 ])
 
+(* under ECSD_WALL_ZERO a serve stream is byte-comparable, its `stats`
+   record included: the job-latency histogram is wall time *)
+let test_stats_wall_zero () =
+  let obs = Obs.enabled () in
+  Unix.putenv "ECSD_WALL_ZERO" "1";
+  Fun.protect ~finally:(fun () ->
+      Unix.putenv "ECSD_WALL_ZERO" "";
+      Obs.reset ();
+      Obs.set_enabled obs)
+  @@ fun () ->
+  let run () =
+    Obs.reset ();
+    Obs.set_enabled true;
+    Silvm_compile.cache_clear ();
+    with_file "diff servo 5\nfaultsim sensor-stuck 1 0.01\nstats\n"
+      (run_loop ~jobs:1)
+  in
+  let first = run () in
+  let stats =
+    List.find (fun l -> Astring_contains.contains l "\"hists\"") first
+  in
+  Alcotest.(check bool) "stats records a job-latency histogram" true
+    (Astring_contains.contains stats "serve.job_s");
+  Alcotest.(check (list string)) "two runs print the same bytes" first (run ())
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_split_chunking; prop_emitter_order; prop_loop_records;
       prop_worker_survives ]
+  @ [
+      Alcotest.test_case "stats: wall times zeroed under ECSD_WALL_ZERO"
+        `Quick test_stats_wall_zero;
+    ]

@@ -417,6 +417,45 @@ let test_servo_diff_opt () =
   run Servo_system.Float_pid "servo float --opt";
   run Servo_system.Fixed_pid "servo fixed --opt"
 
+(* the engine timers read the clock on one lock-step in 16, step 0
+   always: the scaled times stay finite and non-negative at every run
+   length around a sampling boundary, and for a run that diverges at
+   its first step *)
+let test_sampled_rates () =
+  let b = Servo_system.build () in
+  let comp = Compile.compile b.Servo_system.controller in
+  let run steps =
+    Silvm_diff.run ~steps
+      ~plant:
+        (Silvm_diff.Plant
+           (Servo_system.pil_plant b, Servo_system.pil_driver b))
+      ~name:"servo" ~project:b.Servo_system.project comp
+  in
+  let check what (r : Silvm_diff.report) =
+    List.iter
+      (fun (which, s) ->
+        if not (Float.is_finite s && s >= 0.0) then
+          Alcotest.failf "%s: %s = %g" what which s;
+        if r.Silvm_diff.steps_run = 0 then
+          Alcotest.(check (float 0.0)) (what ^ ": no lock-step, no time") 0.0 s)
+      [ ("mil_seconds", r.Silvm_diff.mil_seconds);
+        ("sil_seconds", r.Silvm_diff.sil_seconds) ]
+  in
+  List.iter
+    (fun steps ->
+      let r = run steps in
+      check_int "steps run" steps r.Silvm_diff.steps_run;
+      check (Printf.sprintf "--steps %d" steps) r)
+    [ 0; 1; 15; 16; 17 ];
+  Unix.putenv "ECSD_DIVERGE_AT" "0";
+  let r =
+    Fun.protect ~finally:(fun () -> Unix.putenv "ECSD_DIVERGE_AT" "")
+    @@ fun () -> run 20
+  in
+  check_bool "divergence forced at step 0" true
+    (Option.map (fun d -> d.Silvm_diff.d_step) r.Silvm_diff.divergence = Some 0);
+  check "divergence at step 0" r
+
 let prop_int_dag_opt_bit_exact =
   QCheck2.Test.make
     ~name:
@@ -493,6 +532,8 @@ let suite =
       test_servo_sil_golden;
     Alcotest.test_case "servo: MIL vs optimized SIL, zero divergence" `Quick
       test_servo_diff_opt;
+    Alcotest.test_case "diff: sampled engine rates stay finite" `Quick
+      test_sampled_rates;
     qtest prop_dag_mil_sil_bit_exact;
     qtest prop_int_dag_mil_sil_bit_exact;
     qtest prop_int_dag_opt_bit_exact;
