@@ -14,9 +14,10 @@ Run from the root of a built source checkout. GATE is any of
   regression   this checkout against the one at --base-dir (a checkout of
                the base commit): traced engine.step_us, silvm.step_us and
                engine.closed_loop_step_us (the MIL servo with its
-               continuous plant), and the wall time of `ecsd diff servo
-               --steps 5000 --engine interp`, may not grow by more than
-               25 %;
+               continuous plant), and the wall times of `ecsd diff servo
+               --steps 5000 --engine interp` and of `ecsd pil` (320
+               control periods over the virtual MCU's serial link), each
+               side's runs interleaved, may not grow by more than 25 %;
   compiled     paired `ecsd diff servo --steps 5000` wall times: the
                compiled SIL engine is faster than the reference engine;
   restore      paired `ecsd faultsim --scenario sensor-stuck` runs with
@@ -246,15 +247,19 @@ class Gates:
             show(f"{m} base", base, " us")
             show(f"{m} head", head, " us")
             self.record(m, regression_verdict(base, head, REGRESSION_BOUND))
-        argv = ["diff", "servo", "--steps", "5000", "--engine", "interp"]
-        s = interleaved(TRACED_RUNS, {
-            "base": lambda: wall([ecsd(self.base_dir)] + argv, self.tmp),
-            "head": lambda: wall([ecsd(ROOT)] + argv, self.tmp),
-        })
-        show("diff --engine interp base", s["base"], " s")
-        show("diff --engine interp head", s["head"], " s")
-        self.record("diff --engine interp wall",
-                    regression_verdict(s["base"], s["head"], REGRESSION_BOUND))
+        for name, argv in (
+                ("diff --engine interp",
+                 ["diff", "servo", "--steps", "5000", "--engine", "interp"]),
+                ("pil", ["pil"])):
+            s = interleaved(TRACED_RUNS, {
+                "base": lambda: wall([ecsd(self.base_dir)] + argv, self.tmp),
+                "head": lambda: wall([ecsd(ROOT)] + argv, self.tmp),
+            })
+            show(f"{name} base", s["base"], " s")
+            show(f"{name} head", s["head"], " s")
+            self.record(f"{name} wall",
+                        regression_verdict(s["base"], s["head"],
+                                           REGRESSION_BOUND))
 
     def compiled(self):
         print(f"compiled: {TRACED_RUNS} interleaved pairs of diff servo "

@@ -24,12 +24,16 @@ let bench_machine =
 
 (* P4: comm path: packet encode + framer decode roundtrip *)
 let bench_comm =
-  let payload = List.init 16 (fun i -> i * 7 land 0xFF) in
+  let pkt =
+    Packet.make ~ptype:1 ~seq:0
+      (String.init 16 (fun i -> Char.chr (i * 7 land 0xFF)))
+  in
+  let wire = Bytes.create Packet.max_wire in
   let sink = Framer.create ~on_packet:(fun _ -> ()) in
   Test.make ~name:"P4 packet encode + frame decode (16 B payload)"
     (Staged.stage (fun () ->
-         Framer.feed_all sink
-           (Packet.encode { Packet.ptype = 1; seq = 0; payload })))
+         let len = Packet.encode_into pkt wire in
+         Framer.feed_sub sink wire ~pos:0 ~len))
 
 (* P5: controller arithmetic, float vs Q15 *)
 let bench_pid_float =

@@ -6,5 +6,7 @@ val init : int
 val update : int -> int -> int
 (** [update crc byte] folds one byte (0..255) into the register. *)
 
-val of_bytes : int list -> int
+val of_sub : Bytes.t -> pos:int -> len:int -> int
+(** The CRC of the [len] bytes from [pos]. *)
+
 val of_string : string -> int

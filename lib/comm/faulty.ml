@@ -14,7 +14,7 @@ type t = {
   cfg : config;
   sink : int -> unit;
   state : int64 ref;
-  mutable held : int option;  (** a byte delayed past its successor *)
+  mutable held : int;  (** a byte delayed past its successor, or -1 *)
   mutable corrupted : int;
   mutable dropped : int;
   mutable duplicated : int;
@@ -28,21 +28,24 @@ let create cfg ~sink =
     cfg;
     sink;
     state = ref (Int64.of_int cfg.seed);
-    held = None;
+    held = -1;
     corrupted = 0;
     dropped = 0;
     duplicated = 0;
     delayed = 0;
   }
 
+let flush t =
+  let h = t.held in
+  if h >= 0 then begin
+    t.held <- -1;
+    t.sink h
+  end
+
 let emit t b =
   t.sink b;
   (* a held-back byte goes out right after the byte that overtook it *)
-  match t.held with
-  | Some h ->
-      t.held <- None;
-      t.sink h
-  | None -> ()
+  flush t
 
 let send t b =
   let b =
@@ -60,21 +63,19 @@ let send t b =
     emit t b
   end
   else if
-    t.cfg.delay_rate > 0.0 && t.held = None && uniform t < t.cfg.delay_rate
+    t.cfg.delay_rate > 0.0 && t.held < 0 && uniform t < t.cfg.delay_rate
   then begin
     t.delayed <- t.delayed + 1;
-    t.held <- Some b
+    t.held <- b
   end
   else emit t b
 
-let send_all t l = List.iter (send t) l
+let send_sub t buf ~pos ~len =
+  for i = pos to pos + len - 1 do
+    send t (Bytes.get_uint8 buf i)
+  done
 
-let flush t =
-  match t.held with
-  | Some h ->
-      t.held <- None;
-      t.sink h
-  | None -> ()
+let send_all t buf = send_sub t buf ~pos:0 ~len:(Bytes.length buf)
 
 let corrupted t = t.corrupted
 let dropped t = t.dropped

@@ -32,7 +32,11 @@ type t
 val create : config -> sink:(int -> unit) -> t
 (** [create cfg ~sink] wraps [sink] with the fault model. *)
 
-val send_all : t -> int list -> unit
+val send_sub : t -> Bytes.t -> pos:int -> len:int -> unit
+(** Push the [len] bytes of the buffer from [pos] through the channel,
+    in order. *)
+
+val send_all : t -> Bytes.t -> unit
 
 val flush : t -> unit
 (** Emit any byte still held back by a delay fault (end of stream). *)

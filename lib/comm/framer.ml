@@ -9,9 +9,10 @@ type state = Hunting | In_frame | In_escape
 type t = {
   on_packet : Packet.t -> unit;
   mutable state : state;
-  mutable buf : int list;  (* unstuffed frame bytes, reversed *)
+  buf : Bytes.t;  (* the unstuffed frame so far: header, payload, CRC *)
   mutable count : int;
-  mutable expected_len : int option;  (* payload length once the header is in *)
+  mutable expected : int;  (* the frame's length once the header is in, else -1 *)
+  frame : Packet.t;  (* what [on_packet] receives *)
   mutable crc_errors : int;
   mutable dropped : int;
   mutable ok : int;
@@ -21,49 +22,46 @@ let create ~on_packet =
   {
     on_packet;
     state = Hunting;
-    buf = [];
+    buf = Bytes.create (3 + Packet.max_payload + 2);
     count = 0;
-    expected_len = None;
+    expected = -1;
+    frame = Packet.create ();
     crc_errors = 0;
     dropped = 0;
     ok = 0;
   }
 
 let restart t =
-  t.buf <- [];
   t.count <- 0;
-  t.expected_len <- None
+  t.expected <- -1
 
 let finish_frame t =
-  let bytes = List.rev t.buf in
   restart t;
   t.state <- Hunting;
-  match bytes with
-  | ptype :: seq :: len :: rest when List.length rest = len + 2 ->
-      let payload = List.filteri (fun i _ -> i < len) rest in
-      let crc_bytes = List.filteri (fun i _ -> i >= len) rest in
-      let expected = Crc16.of_bytes (ptype :: seq :: len :: payload) in
-      (match crc_bytes with
-      | [ hi; lo ] when ((hi lsl 8) lor lo) = expected ->
-          t.ok <- t.ok + 1;
-          Obs.add c_frames_ok 1;
-          t.on_packet { Packet.ptype; seq; payload }
-      | _ ->
-          t.crc_errors <- t.crc_errors + 1;
-          Obs.add c_crc_errors 1)
-  | _ ->
-      t.crc_errors <- t.crc_errors + 1;
-      Obs.add c_crc_errors 1
+  let len = Bytes.get_uint8 t.buf 2 in
+  if Crc16.of_sub t.buf ~pos:0 ~len:(3 + len) = Bytes.get_uint16_be t.buf (3 + len)
+  then begin
+    t.ok <- t.ok + 1;
+    Obs.add c_frames_ok 1;
+    let f = t.frame in
+    f.Packet.ptype <- Bytes.get_uint8 t.buf 0;
+    f.Packet.seq <- Bytes.get_uint8 t.buf 1;
+    f.Packet.len <- len;
+    Bytes.blit t.buf 3 f.Packet.payload 0 len;
+    t.on_packet f
+  end
+  else begin
+    t.crc_errors <- t.crc_errors + 1;
+    Obs.add c_crc_errors 1
+  end
 
 let accept t byte =
-  t.buf <- byte :: t.buf;
+  Bytes.set_uint8 t.buf t.count byte;
   t.count <- t.count + 1;
   (* the third header byte is the payload length; the frame is complete at
      3 + len + 2 unstuffed bytes *)
-  if t.count = 3 then t.expected_len <- Some byte;
-  match t.expected_len with
-  | Some len when t.count = 3 + len + 2 -> finish_frame t
-  | _ -> ()
+  if t.count = 3 then t.expected <- 3 + byte + 2;
+  if t.count = t.expected then finish_frame t
 
 let feed t byte =
   let byte = byte land 0xFF in
@@ -94,7 +92,12 @@ let feed t byte =
       t.state <- In_frame;
       accept t (byte lxor 0x20)
 
-let feed_all t bytes = List.iter (feed t) bytes
+let feed_sub t buf ~pos ~len =
+  for i = pos to pos + len - 1 do
+    feed t (Bytes.get_uint8 buf i)
+  done
+
+let feed_all t buf = feed_sub t buf ~pos:0 ~len:(Bytes.length buf)
 let crc_errors t = t.crc_errors
 let dropped_bytes t = t.dropped
 let packets_ok t = t.ok

@@ -8,10 +8,14 @@
 type t
 
 val create : on_packet:(Packet.t -> unit) -> t
+(** [on_packet] receives the framer's own frame buffer, valid until the
+    next byte is fed: copy what must outlive it ({!Packet.blit}). *)
+
 val feed : t -> int -> unit
 (** Process one received byte. *)
 
-val feed_all : t -> int list -> unit
+val feed_sub : t -> Bytes.t -> pos:int -> len:int -> unit
+val feed_all : t -> Bytes.t -> unit
 
 val crc_errors : t -> int
 val dropped_bytes : t -> int

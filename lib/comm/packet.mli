@@ -6,9 +6,19 @@
     plant and controller "exchange the simulation data at the end of each
     simulation step"). Wire layout before stuffing:
 
-    {v SOF | type | seq | len | payload[len] | crc_hi | crc_lo v} *)
+    {v SOF | type | seq | len | payload[len] | crc_hi | crc_lo v}
 
-type t = { ptype : int; seq : int; payload : int list }
+    A packet is a reusable frame buffer: its payload has room for the
+    largest payload, and the link encodes into and decodes from frames
+    and wire buffers allocated once. *)
+
+type t = {
+  mutable ptype : int;
+  mutable seq : int;
+  mutable len : int;  (** payload bytes *)
+  payload : Bytes.t;
+      (** {!max_payload} bytes; the first [len] are the payload *)
+}
 
 val sof : int
 (** 0x7E frame delimiter. *)
@@ -30,28 +40,45 @@ val ptype_event : int
 val ptype_sync : int
 (** step synchronisation / handshake. *)
 
-val encode : t -> int list
-(** Serialise to wire bytes (stuffed, CRC appended).
-    @raise Invalid_argument if the payload exceeds 255 bytes or any byte
-    is out of 0..255. *)
+val max_payload : int
+(** 255: the length field is one byte. *)
+
+val max_wire : int
+(** Wire bytes of the largest packet with every byte stuffed: a buffer
+    this long holds any encoding. *)
+
+val create : unit -> t
+(** An empty frame (type, sequence and length 0). *)
+
+val make : ptype:int -> seq:int -> string -> t
+(** A fresh frame carrying the given payload.
+    @raise Invalid_argument if it exceeds {!max_payload} bytes. *)
+
+val blit : src:t -> dst:t -> unit
+(** Copy a frame's type, sequence and payload into another. *)
+
+val encode_into : t -> Bytes.t -> int
+(** Serialise to wire bytes (stuffed, CRC appended) at the start of the
+    buffer, returning their count; {!max_wire} bytes always suffice.
+    @raise Invalid_argument if [len] is outside 0..255, the type or the
+    sequence number outside 0..255, or the buffer too short. *)
+
+val encode : t -> Bytes.t
+(** [encode_into] a fresh buffer of exactly the wire length. *)
 
 val wire_length : t -> int
 (** Number of wire bytes [encode] produces (the comm-overhead metric). *)
 
-(** {2 Payload packing helpers (big endian)} *)
+(** {2 Payload packing (big endian)} *)
 
-val push_u16 : int -> int list -> int list
-(** Prepend a 16-bit value (two bytes) onto an accumulator list kept in
-    reverse order; use with {!finish_payload}. *)
+val set_u16 : t -> int -> int -> unit
+(** [set_u16 p off v] writes [v]'s low 16 bits at byte offset [off],
+    leaving [len] alone. *)
 
-val push_u8 : int -> int list -> int list
-val finish_payload : int list -> int list
-(** Reverse the accumulator into payload order. *)
+val get_u16 : t -> int -> int
+(** The 16-bit value at byte offset [off].
+    @raise Invalid_argument past the payload's [len] bytes. *)
 
-val take_u16 : int list -> int * int list
-(** Pop a 16-bit big-endian value. @raise Invalid_argument if short. *)
-
-val take_u8 : int list -> int * int list
 val u16_to_signed : int -> int
 (** Reinterpret a 16-bit value as two's-complement. *)
 

@@ -1,4 +1,5 @@
 type irq_id = int
+type event = int
 
 type job = {
   jname : string;
@@ -15,24 +16,25 @@ type irq = {
   mutable pending : bool;
   mutable pending_since : int;
   mutable overruns : int;
-}
-
-type running = {
-  rjob : job;
-  entry : int;  (* the job's row in the log *)
-  rprio : int;
+  (* the vector's job while it is on the CPU, running or preempted: a
+     vector cannot preempt itself, so it has at most one *)
+  mutable job : job;
+  mutable entry : int;  (* the job's row in the log *)
   mutable remaining : int;
   mutable resumed_at : int;
 }
 
-type cpu_state = Idle | Busy of running * running list
-
 type t = {
   mcu : Mcu_db.t;
   evq : Evq.t;
+  mutable events : (int -> unit) array;  (* event handlers, by [event] *)
+  mutable n_events : int;
   mutable irqs : irq array;
   mutable n_irqs : int;
-  mutable cpu : cpu_state;
+  (* the vectors on the CPU, the running one last: the jobs it preempted
+     lie below it *)
+  mutable stack : irq_id array;
+  mutable depth : int;
   preemptive : bool;
   base_stack : int;
   mutable now : int;
@@ -55,9 +57,12 @@ let create ?(preemptive = false) ?(base_stack = 64) mcu =
   {
     mcu;
     evq = Evq.create ();
+    events = [||];
+    n_events = 0;
     irqs = [||];
     n_irqs = 0;
-    cpu = Idle;
+    stack = [||];
+    depth = 0;
     preemptive;
     base_stack;
     now = 0;
@@ -71,13 +76,26 @@ let now_cycles t = t.now
 let now t = float_of_int t.now /. t.mcu.Mcu_db.f_cpu_hz
 let cycles_of_time t s = int_of_float (Float.round (s *. t.mcu.Mcu_db.f_cpu_hz))
 
-let schedule_at t ~cycle action =
-  if cycle < t.now then invalid_arg "Machine.schedule_at: past cycle";
-  Evq.push t.evq ~cycle action
+let on_event t f =
+  let ev = t.n_events in
+  if ev = Array.length t.events then begin
+    let events = Array.make (Stdlib.max 8 (2 * ev)) ignore in
+    Array.blit t.events 0 events 0 ev;
+    t.events <- events
+  end;
+  t.events.(ev) <- f;
+  t.n_events <- ev + 1;
+  ev
 
-let schedule t ~after action =
+let schedule_at t ~cycle ev arg =
+  if cycle < t.now then invalid_arg "Machine.schedule_at: past cycle";
+  Evq.push t.evq ~cycle ~handler:ev arg
+
+let schedule t ~after ev arg =
   if after < 0 then invalid_arg "Machine.schedule: negative delay";
-  Evq.push t.evq ~cycle:(t.now + after) action
+  Evq.push t.evq ~cycle:(t.now + after) ~handler:ev arg
+
+let no_job = { jname = ""; cycles = 0; action = ignore; stack_bytes = 0 }
 
 let register_irq t ~name ~prio ~handler =
   let v =
@@ -89,11 +107,16 @@ let register_irq t ~name ~prio ~handler =
       pending = false;
       pending_since = 0;
       overruns = 0;
+      job = no_job;
+      entry = 0;
+      remaining = 0;
+      resumed_at = 0;
     }
   in
   t.irqs <- Array.append t.irqs [| v |];
   let id = t.n_irqs in
   t.n_irqs <- id + 1;
+  if Array.length t.stack < t.n_irqs then t.stack <- Array.append t.stack [| 0 |];
   id
 
 let set_irq_enabled t id en = t.irqs.(id).enabled <- en
@@ -107,25 +130,26 @@ let raise_irq t id =
     v.pending_since <- t.now
   end
 
+(* the enabled pending vector of the lowest [prio], the first registered
+   among equals; -1 when none is pending *)
 let highest_pending t =
-  let best = ref None in
-  Array.iteri
-    (fun i v ->
-      if v.pending && v.enabled then
-        match !best with
-        | None -> best := Some i
-        | Some j -> if v.prio < t.irqs.(j).prio then best := Some i)
-    t.irqs;
+  let best = ref (-1) in
+  for i = 0 to t.n_irqs - 1 do
+    let v = t.irqs.(i) in
+    if v.pending && v.enabled && (!best < 0 || v.prio < t.irqs.(!best).prio)
+    then best := i
+  done;
   !best
 
+(* the running vector; only while [t.depth > 0] *)
+let running t = t.irqs.(t.stack.(t.depth - 1))
+
 let stack_depth t =
-  match t.cpu with
-  | Idle -> t.base_stack
-  | Busy (r, stack) ->
-      List.fold_left
-        (fun acc rr -> acc + rr.rjob.stack_bytes)
-        (t.base_stack + r.rjob.stack_bytes)
-        stack
+  let d = ref t.base_stack in
+  for k = 0 to t.depth - 1 do
+    d := !d + t.irqs.(t.stack.(k)).job.stack_bytes
+  done;
+  !d
 
 let start_irq t id =
   let v = t.irqs.(id) in
@@ -135,15 +159,17 @@ let start_irq t id =
     t.mcu.Mcu_db.irq_latency_cycles + job.cycles + t.mcu.Mcu_db.irq_exit_cycles
   in
   let entry = t.n_jobs in
-  let r =
-    { rjob = job; entry; rprio = v.prio; remaining = total; resumed_at = t.now }
-  in
-  (match t.cpu with
-  | Idle -> t.cpu <- Busy (r, [])
-  | Busy (cur, stack) ->
-      (* preemption: suspend the current job *)
-      cur.remaining <- cur.remaining - (t.now - cur.resumed_at);
-      t.cpu <- Busy (r, cur :: stack));
+  if t.depth > 0 then begin
+    (* preemption: suspend the current job *)
+    let cur = running t in
+    cur.remaining <- cur.remaining - (t.now - cur.resumed_at)
+  end;
+  v.job <- job;
+  v.entry <- entry;
+  v.remaining <- total;
+  v.resumed_at <- t.now;
+  t.stack.(t.depth) <- id;
+  t.depth <- t.depth + 1;
   if (entry + 1) * stride > Array.length t.log then begin
     (* the first 1024 rows at once: a PIL run of 100 periods takes about
        1000, and each outgrown array stays resident until a major GC *)
@@ -162,90 +188,74 @@ let start_irq t id =
   t.n_jobs <- entry + 1
 
 let rec try_dispatch t =
-  match highest_pending t with
-  | None -> ()
-  | Some id -> (
-      match t.cpu with
-      | Idle ->
-          start_irq t id;
-          (* a zero-cycle job would complete immediately; handled by the
-             main loop's completion check *)
-          ()
-      | Busy (cur, _) ->
-          if t.preemptive && t.irqs.(id).prio < cur.rprio then begin
-            start_irq t id;
-            try_dispatch t
-          end)
+  let id = highest_pending t in
+  if id >= 0 then
+    if t.depth = 0 then
+      (* a zero-cycle job would complete immediately; handled by the
+         main loop's completion check *)
+      start_irq t id
+    else if t.preemptive && t.irqs.(id).prio < (running t).prio then begin
+      start_irq t id;
+      try_dispatch t
+    end
 
-let complete_job t r =
+(* move the clock, accounting the running job's progress *)
+let progress t upto =
+  if t.depth > 0 then begin
+    let r = running t in
+    t.busy_cycles <- t.busy_cycles + (upto - r.resumed_at);
+    r.remaining <- r.remaining - (upto - r.resumed_at);
+    r.resumed_at <- upto
+  end;
+  t.now <- upto
+
+(* retire the running job at cycle [c] and resume the one below it *)
+let finish_at t c =
+  progress t c;
+  let r = running t in
+  t.depth <- t.depth - 1;
+  if t.depth > 0 then (running t).resumed_at <- t.now;
   t.log.((r.entry * stride) + f_finished) <- t.now;
-  r.rjob.action ()
+  r.job.action ();
+  try_dispatch t
+
+(* fire every event due at cycle [e] *)
+let fire_at t e =
+  progress t e;
+  while (not (Evq.is_empty t.evq)) && Evq.peek_cycle t.evq = e do
+    let ev = Evq.top_handler t.evq and arg = Evq.top_arg t.evq in
+    Evq.pop t.evq;
+    t.events.(ev) arg
+  done;
+  try_dispatch t
 
 let advance_to t ~cycle:target =
   if target < t.now then invalid_arg "Machine.advance_to: target in the past";
   (* interrupts enabled (or raised) outside of an advance are taken up
      front, before the clock moves *)
   try_dispatch t;
-  let progress upto =
-    (* account CPU busy time while moving the clock *)
-    (match t.cpu with
-    | Busy (r, _) ->
-        t.busy_cycles <- t.busy_cycles + (upto - r.resumed_at);
-        r.remaining <- r.remaining - (upto - r.resumed_at);
-        r.resumed_at <- upto
-    | Idle -> ());
-    t.now <- upto
-  in
-  let rec loop () =
-    let completion =
-      match t.cpu with
-      | Busy (r, _) -> Some (r.resumed_at + r.remaining)
-      | Idle -> None
+  let continue = ref true in
+  while !continue do
+    let c =
+      if t.depth > 0 then
+        let r = running t in
+        r.resumed_at + r.remaining
+      else max_int
     in
-    let next_ev = Evq.peek_cycle t.evq in
-    let next_ev = match next_ev with Some c when c <= target -> Some c | _ -> None in
-    let completion =
-      match completion with Some c when c <= target -> Some c | _ -> None
-    in
-    match (completion, next_ev) with
-    | None, None -> progress target
-    | Some c, Some e when c <= e -> finish_at c
-    | Some c, None -> finish_at c
-    | _, Some e ->
-        progress e;
-        (* fire all events at this cycle *)
-        let rec drain () =
-          match Evq.peek_cycle t.evq with
-          | Some c when c = e -> (
-              match Evq.pop t.evq with
-              | Some (_, action) ->
-                  action ();
-                  drain ()
-              | None -> ())
-          | _ -> ()
-        in
-        drain ();
-        try_dispatch t;
-        loop ()
-  and finish_at c =
-    progress c;
-    match t.cpu with
-    | Busy (r, stack) ->
-        (match stack with
-        | [] -> t.cpu <- Idle
-        | top :: rest ->
-            top.resumed_at <- t.now;
-            t.cpu <- Busy (top, rest));
-        complete_job t r;
-        try_dispatch t;
-        loop ()
-    | Idle -> assert false
-  in
-  loop ()
+    let has_c = t.depth > 0 && c <= target in
+    let e = Evq.peek_cycle t.evq in
+    let has_e = (not (Evq.is_empty t.evq)) && e <= target in
+    if has_c && ((not has_e) || c <= e) then finish_at t c
+    else if has_e then fire_at t e
+    else begin
+      progress t target;
+      continue := false
+    end
+  done
 
 let advance t ~cycles = advance_to t ~cycle:(t.now + cycles)
 let run_until_time t s = advance_to t ~cycle:(cycles_of_time t s)
-let busy t = match t.cpu with Busy _ -> true | Idle -> false
+let busy t = t.depth > 0
 
 let busy_cycles t = t.busy_cycles
 
@@ -283,14 +293,15 @@ let profile ?budget t id ~period =
   let seconds c = float_of_int c /. t.mcu.Mcu_db.f_cpu_hz in
   let releases = ref [] and offsets = ref [] and stack = ref t.base_stack in
   for i = 0 to t.n_jobs - 1 do
-    let f k = t.log.((i * stride) + k) in
-    stack := Stdlib.max !stack (f f_depth);
+    let o = i * stride in
+    stack := Stdlib.max !stack t.log.(o + f_depth);
     let selected =
-      match budget with Some b -> f f_budget = b | None -> true
+      match budget with Some b -> t.log.(o + f_budget) = b | None -> true
     in
-    if f f_vec = id && selected then begin
-      releases := seconds (f f_started - f f_raised) :: !releases;
-      offsets := seconds (f f_started mod period) :: !offsets
+    if t.log.(o + f_vec) = id && selected then begin
+      let started = t.log.(o + f_started) in
+      releases := seconds (started - t.log.(o + f_raised)) :: !releases;
+      offsets := seconds (started mod period) :: !offsets
     end
   done;
   {
@@ -304,19 +315,11 @@ let profile ?budget t id ~period =
     overruns = t.irqs.(id).overruns;
   }
 
-(* a running record is mutable: the capture and every restore take
-   their own copy *)
-let copy_cpu = function
-  | Idle -> Idle
-  | Busy (r, stack) ->
-      let cp r = { r with remaining = r.remaining } in
-      Busy (cp r, List.map cp stack)
-
 let save t =
   let evq = Evq.save t.evq in
   let n_irqs = t.n_irqs in
   let irqs = Array.map (fun v -> { v with enabled = v.enabled }) t.irqs in
-  let cpu = copy_cpu t.cpu in
+  let stack = Array.sub t.stack 0 t.depth in
   let now = t.now and busy_cycles = t.busy_cycles and n_jobs = t.n_jobs in
   fun () ->
     evq ();
@@ -328,16 +331,18 @@ let save t =
         v.enabled <- s.enabled;
         v.pending <- s.pending;
         v.pending_since <- s.pending_since;
-        v.overruns <- s.overruns)
+        v.overruns <- s.overruns;
+        v.job <- s.job;
+        v.entry <- s.entry;
+        v.remaining <- s.remaining;
+        v.resumed_at <- s.resumed_at)
       irqs;
-    t.cpu <- copy_cpu cpu;
-    (* the jobs running at the capture run again: unfinish their rows *)
-    (match cpu with
-    | Busy (r, stack) ->
-        List.iter
-          (fun r -> t.log.((r.entry * stride) + f_finished) <- -1)
-          (r :: stack)
-    | Idle -> ());
+    Array.blit stack 0 t.stack 0 (Array.length stack);
+    t.depth <- Array.length stack;
+    (* the jobs on the CPU at the capture run again: unfinish their rows *)
+    Array.iter
+      (fun id -> t.log.((irqs.(id).entry * stride) + f_finished) <- -1)
+      stack;
     t.n_jobs <- n_jobs;
     t.now <- now;
     t.busy_cycles <- busy_cycles

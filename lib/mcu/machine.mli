@@ -33,21 +33,36 @@ val now : t -> float
 val cycles_of_time : t -> float -> int
 (** Convert seconds to cycles (rounded). *)
 
-(** {2 Event scheduling (peripheral side)} *)
+(** {2 Event scheduling (peripheral side)}
 
-val schedule : t -> after:int -> (unit -> unit) -> unit
-(** Run an action [after] cycles from now (asynchronous hardware events;
-    the action runs regardless of CPU business). *)
+    An event is a handler registered once and an int argument given at
+    each scheduling: a peripheral registers its handlers when it is
+    created and schedules plain ints (a byte, a timer epoch) afterwards,
+    so the event queue holds no closures and scheduling or firing an
+    event allocates nothing. *)
 
-val schedule_at : t -> cycle:int -> (unit -> unit) -> unit
+type event
+
+val on_event : t -> (int -> unit) -> event
+(** Register a handler (asynchronous hardware events: the handler runs
+    regardless of CPU business). Registrations last for the machine's
+    lifetime, restores included. *)
+
+val schedule : t -> after:int -> event -> int -> unit
+(** [schedule t ~after ev arg] runs [ev]'s handler with [arg] [after]
+    cycles from now. Events due at the same cycle fire in the order
+    they were scheduled. *)
+
+val schedule_at : t -> cycle:int -> event -> int -> unit
 
 (** {2 Interrupts} *)
 
 val register_irq :
   t -> name:string -> prio:int -> handler:(unit -> job) -> irq_id
 (** Register a vector. Lower [prio] preempts/beats higher. The handler
-    closure builds the job at dispatch time, so its cost may depend on
-    state. *)
+    picks the job at dispatch time, so its cost may depend on state; a
+    handler that returns jobs it built once dispatches without
+    allocating. *)
 
 val set_irq_enabled : t -> irq_id -> bool -> unit
 val raise_irq : t -> irq_id -> unit
@@ -120,7 +135,9 @@ val save : t -> unit -> unit
     every vector's state, the job log's length (a row of a job then
     running reads it as running again), and the running and preempted
     jobs, so the machine then continues bit for bit as it did after the
-    capture. The events are the same closures, so a restore is only
-    meaningful on this machine, next to the same peripherals (restore
-    theirs too, e.g. {!Wdog_periph.save}). Vectors registered after the
-    capture are dropped. *)
+    capture. The capture is a copy of the event heap's arrays and of
+    the vectors' state. Pending events name this machine's handlers, so
+    a restore is only meaningful on this machine, next to the same
+    peripherals (restore theirs too, e.g. {!Wdog_periph.save}). Vectors
+    registered after the capture are dropped; event handlers are
+    kept. *)

@@ -10,7 +10,8 @@
 type t
 
 val create : Machine.t -> ?fifo_depth:int -> baud:int -> unit -> t
-(** [fifo_depth] is the software TX queue size (default 64). *)
+(** [fifo_depth] is the software TX queue size (default 64), a ring
+    allocated once. *)
 
 val baud : t -> int
 val byte_cycles : t -> int
@@ -25,8 +26,9 @@ val send_byte : t -> int -> bool
     counted). Transmission proceeds frame by frame on the machine's
     clock. *)
 
-val send_bytes : t -> int list -> int
-(** Queue many; returns how many were accepted. *)
+val send_sub : t -> Bytes.t -> pos:int -> len:int -> int
+(** Queue the [len] bytes of the buffer from [pos]; returns how many
+    were accepted. *)
 
 val on_tx_byte : t -> (int -> unit) -> unit
 (** Wire-side callback: fired when a frame has fully left the shift

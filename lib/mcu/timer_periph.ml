@@ -6,7 +6,19 @@ type t = {
   mutable callback : unit -> unit;
   mutable active : bool;
   mutable epoch : int;  (* invalidates in-flight scheduled ticks on stop *)
+  tick : Machine.event;  (* its argument: the epoch it was armed in *)
 }
+
+let period_cycles t = t.prescaler * t.modulo
+
+let schedule_tick t epoch =
+  Machine.schedule t.machine ~after:(period_cycles t) t.tick epoch
+
+let on_tick t epoch =
+  if t.active && t.epoch = epoch then begin
+    t.callback ();
+    schedule_tick t epoch
+  end
 
 let create machine ~channel =
   let traits = Machine.traits machine in
@@ -14,15 +26,22 @@ let create machine ~channel =
     invalid_arg
       (Printf.sprintf "Timer_periph.create: %s has no timer channel %d"
          traits.Mcu_db.name channel);
-  {
-    machine;
-    channel;
-    prescaler = 1;
-    modulo = 1;
-    callback = (fun () -> ());
-    active = false;
-    epoch = 0;
-  }
+  (* the handler needs the timer, the timer its event *)
+  let fire = ref ignore in
+  let t =
+    {
+      machine;
+      channel;
+      prescaler = 1;
+      modulo = 1;
+      callback = (fun () -> ());
+      active = false;
+      epoch = 0;
+      tick = Machine.on_event machine (fun epoch -> !fire epoch);
+    }
+  in
+  fire := on_tick t;
+  t
 
 let configure t ~prescaler ~modulo =
   let traits = Machine.traits t.machine in
@@ -39,17 +58,9 @@ let configure t ~prescaler ~modulo =
   t.modulo <- modulo
 
 let on_overflow t f = t.callback <- f
-let period_cycles t = t.prescaler * t.modulo
 
 let period_seconds t =
   float_of_int (period_cycles t) /. (Machine.traits t.machine).Mcu_db.f_cpu_hz
-
-let rec schedule_tick t epoch =
-  Machine.schedule t.machine ~after:(period_cycles t) (fun () ->
-      if t.active && t.epoch = epoch then begin
-        t.callback ();
-        schedule_tick t epoch
-      end)
 
 let start t =
   if not t.active then begin

@@ -5,29 +5,38 @@ type t = {
   mutable epoch : int;
   mutable bite_cb : unit -> unit;
   mutable bite_count : int;
+  bite : Machine.event;  (* its argument: the epoch it was armed in *)
 }
+
+let arm t =
+  t.epoch <- t.epoch + 1;
+  Machine.schedule t.machine ~after:t.timeout_cycles t.bite t.epoch
+
+(* only the newest arming may bite; refreshes invalidate the rest *)
+let on_bite_event t epoch =
+  if t.active && t.epoch = epoch then begin
+    t.bite_count <- t.bite_count + 1;
+    t.bite_cb ();
+    if t.active then arm t
+  end
 
 let create machine ~timeout () =
   if timeout <= 0.0 then invalid_arg "Wdog_periph.create: timeout";
-  {
-    machine;
-    timeout_cycles = Machine.cycles_of_time machine timeout;
-    active = false;
-    epoch = 0;
-    bite_cb = (fun () -> ());
-    bite_count = 0;
-  }
-
-let rec arm t =
-  t.epoch <- t.epoch + 1;
-  let epoch = t.epoch in
-  Machine.schedule t.machine ~after:t.timeout_cycles (fun () ->
-      (* only the newest arming may bite; refreshes invalidate the rest *)
-      if t.active && t.epoch = epoch then begin
-        t.bite_count <- t.bite_count + 1;
-        t.bite_cb ();
-        if t.active then arm t
-      end)
+  (* the handler needs the watchdog, the watchdog its event *)
+  let fire = ref ignore in
+  let t =
+    {
+      machine;
+      timeout_cycles = Machine.cycles_of_time machine timeout;
+      active = false;
+      epoch = 0;
+      bite_cb = (fun () -> ());
+      bite_count = 0;
+      bite = Machine.on_event machine (fun epoch -> !fire epoch);
+    }
+  in
+  fire := on_bite_event t;
+  t
 
 let enable t =
   if not t.active then begin

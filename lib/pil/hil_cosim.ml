@@ -76,14 +76,16 @@ let run ?(preemptive = false) ?(button = fun _ -> false)
           (int_of_float (Float.round (ratio *. 65535.0))))
       pwm_blocks
   in
+  let step_job =
+    {
+      Machine.jname = "model_step";
+      cycles = step_cost;
+      action = run_step;
+      stack_bytes = schedule.Target.isr_stack_bytes;
+    }
+  in
   let ctrl_irq =
-    Machine.register_irq machine ~name:"TI1" ~prio:2 ~handler:(fun () ->
-        {
-          Machine.jname = "model_step";
-          cycles = step_cost;
-          action = run_step;
-          stack_bytes = schedule.Target.isr_stack_bytes;
-        })
+    Machine.register_irq machine ~name:"TI1" ~prio:2 ~handler:(fun () -> step_job)
   in
   Timer_periph.on_overflow timer (fun () -> Machine.raise_irq machine ctrl_irq);
   Timer_periph.start timer;
@@ -92,10 +94,11 @@ let run ?(preemptive = false) ?(button = fun _ -> false)
   if background_load > 0.0 then begin
     let bg_period = Machine.cycles_of_time machine (period *. 0.73) in
     let bg_cost = int_of_float (background_load *. float_of_int bg_period) in
+    let bg_job =
+      { Machine.jname = "bg"; cycles = bg_cost; action = ignore; stack_bytes = 48 }
+    in
     let bg_irq =
-      Machine.register_irq machine ~name:"bg" ~prio:5 ~handler:(fun () ->
-          { Machine.jname = "bg"; cycles = bg_cost; action = (fun () -> ());
-            stack_bytes = 48 })
+      Machine.register_irq machine ~name:"bg" ~prio:5 ~handler:(fun () -> bg_job)
     in
     let bg_timer = Timer_periph.create machine ~channel:1 in
     let prescaler = List.hd mcu.Mcu_db.timer.Mcu_db.prescalers in

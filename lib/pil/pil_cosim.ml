@@ -22,13 +22,14 @@ type result = {
 }
 
 let wire_bytes_per_period ~schedule =
-  let ns = List.length schedule.Target.sensor_slots in
-  let na = List.length schedule.Target.actuator_slots in
   let pkt n =
-    Packet.wire_length
-      { Packet.ptype = 1; seq = 0; payload = List.init (2 * n) (fun _ -> 0) }
+    let p = Packet.create () in
+    p.Packet.ptype <- 1;
+    p.Packet.len <- 2 * n;
+    Packet.wire_length p
   in
-  pkt ns + pkt na
+  pkt (List.length schedule.Target.sensor_slots)
+  + pkt (List.length schedule.Target.actuator_slots)
 
 (* the target's SCI ISR costs in CPU cycles: taking one received byte,
    and starting the reply once a frame is complete *)
@@ -60,59 +61,70 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
   in
   let step_cost = schedule.Target.total_step_cycles + group_cost in
   (* --- target side --- *)
-  let sensor_kind b = (Model.spec_of m b).Block.kind in
-  let apply_sensors payload =
-    let values = ref payload in
-    List.iter
-      (fun (b, _slot) ->
-        let v, rest = Packet.take_u16 !values in
-        values := rest;
-        let value =
-          match sensor_kind b with
-          | "PE_Adc" | "AR_Adc" -> Value.of_int Dtype.Uint16 v
-          | "PE_QuadDec" | "AR_Icu" -> Value.of_int Dtype.Int32 v
-          | "PE_BitIO_In" | "AR_Dio_In" -> Value.of_bool (v <> 0)
-          | k -> failwith ("unexpected sensor block kind " ^ k)
-        in
-        Sim.override_output controller (b, 0) (Some value))
-      schedule.Target.sensor_slots
+  (* each slot's coding, resolved once: a sensor word's decoder, and
+     what an actuator slot ships *)
+  let kind b = (Model.spec_of m b).Block.kind in
+  let sensors =
+    Array.of_list
+      (List.map
+         (fun (b, _slot) ->
+           let port = (b, 0) in
+           let override v = Sim.override_output controller port (Some v) in
+           match kind b with
+           | "PE_Adc" | "AR_Adc" ->
+               fun w -> override (Value.of_int Dtype.Uint16 w)
+           | "PE_QuadDec" | "AR_Icu" ->
+               fun w -> override (Value.of_int Dtype.Int32 w)
+           | "PE_BitIO_In" | "AR_Dio_In" ->
+               fun w -> override (Value.of_bool (w <> 0))
+           | k -> fun _ -> failwith ("unexpected sensor block kind " ^ k))
+         schedule.Target.sensor_slots)
   in
-  let read_actuators () =
-    List.map
-      (fun (b, _slot) ->
-        match sensor_kind b with
-        | "PE_Pwm" | "AR_Pwm" ->
-            let ratio = Value.to_float (Sim.value controller (b, 0)) in
-            int_of_float (Float.round (ratio *. 65535.0)) land 0xFFFF
-        | "PE_Dac" ->
-            (* the DAC block outputs volts; ship the raw code instead *)
-            (match Model.driver m (b, 0) with
-            | Some src -> Value.to_int (Sim.value controller src) land 0xFFFF
-            | None -> 0)
-        | k -> failwith ("unexpected actuator block kind " ^ k))
-      schedule.Target.actuator_slots
+  let actuators =
+    Array.of_list
+      (List.map
+         (fun (b, _slot) ->
+           match kind b with
+           | "PE_Pwm" | "AR_Pwm" ->
+               let port = (b, 0) in
+               fun () ->
+                 let ratio = Value.to_float (Sim.value controller port) in
+                 int_of_float (Float.round (ratio *. 65535.0)) land 0xFFFF
+           | "PE_Dac" -> (
+               (* the DAC block outputs volts; ship the raw code instead *)
+               match Model.driver m (b, 0) with
+               | Some src ->
+                   fun () -> Value.to_int (Sim.value controller src) land 0xFFFF
+               | None -> fun () -> 0)
+           | k -> fun () -> failwith ("unexpected actuator block kind " ^ k))
+         schedule.Target.actuator_slots)
   in
-  (* host-side state *)
-  let pending_actuators = ref None in
-  let reply_complete_cycle = ref None in
+  let n_act = Array.length actuators in
+  (* the frames and wire buffers of both directions, reused every period *)
+  let sensor_pkt = Packet.create () and reply = Packet.create () in
+  let sensor_wire = Bytes.create Packet.max_wire in
+  let reply_wire = Bytes.create Packet.max_wire in
+  (* host-side state: the newest actuator reply and its arrival cycle *)
+  let replied = ref false in
+  let reply_acts = Array.make n_act 0 in
+  let reply_complete_cycle = ref (-1) in
   let host_framer =
     Framer.create ~on_packet:(fun pkt ->
         if pkt.Packet.ptype = Packet.ptype_actuator then begin
-          let rec take acc rest n =
-            if n = 0 then List.rev acc
-            else
-              let v, rest = Packet.take_u16 rest in
-              take (v :: acc) rest (n - 1)
-          in
-          let n = List.length schedule.Target.actuator_slots in
-          pending_actuators := Some (Array.of_list (take [] pkt.Packet.payload n));
-          reply_complete_cycle := Some (Machine.now_cycles machine)
+          for i = 0 to n_act - 1 do
+            reply_acts.(i) <- Packet.get_u16 pkt (2 * i)
+          done;
+          replied := true;
+          reply_complete_cycle := Machine.now_cycles machine
         end)
   in
   Sci_periph.on_tx_byte sci (fun b -> Framer.feed host_framer b);
   (* target framer and step execution *)
   let latencies = ref [] in
-  let target_pending = ref None in
+  (* the frame the next step job runs on: the SCI vector cannot preempt
+     itself, so no later frame lands in it before that job completes *)
+  let target_rx = Packet.create () in
+  let target_pending = ref false in
   (* the target accepts one step per sequence number: a frame the line
      duplicated (or the host retransmitted) must not step the
      controller twice *)
@@ -124,43 +136,46 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
           && pkt.Packet.seq <> !last_rx_seq
         then begin
           last_rx_seq := pkt.Packet.seq;
-          target_pending := Some pkt
+          Packet.blit ~src:pkt ~dst:target_rx;
+          target_pending := true
         end)
   in
-  let do_step pkt =
-    apply_sensors pkt.Packet.payload;
+  let do_step () =
+    for i = 0 to Array.length sensors - 1 do
+      sensors.(i) (Packet.get_u16 target_rx (2 * i))
+    done;
     Sim.step controller;
-    let acts = read_actuators () in
-    let payload =
-      Packet.finish_payload
-        (List.fold_left (fun acc v -> Packet.push_u16 v acc) [] acts)
-    in
-    let reply =
-      { Packet.ptype = Packet.ptype_actuator; seq = pkt.Packet.seq; payload }
-    in
-    ignore (Sci_periph.send_bytes sci (Packet.encode reply))
+    reply.Packet.ptype <- Packet.ptype_actuator;
+    reply.Packet.seq <- target_rx.Packet.seq;
+    reply.Packet.len <- 2 * n_act;
+    for i = 0 to n_act - 1 do
+      Packet.set_u16 reply (2 * i) (actuators.(i) ())
+    done;
+    let len = Packet.encode_into reply reply_wire in
+    ignore (Sci_periph.send_sub sci reply_wire ~pos:0 ~len)
   in
-  (* the job that completes a frame also runs the step *)
+  (* the job that completes a frame also runs the step; both jobs are
+     built once *)
   let step_job_cycles = rx_isr_cycles + step_cost + tx_isr_cycles in
+  let step_job =
+    {
+      Machine.jname = "pil_step";
+      cycles = step_job_cycles;
+      action = do_step;
+      stack_bytes = schedule.Target.isr_stack_bytes;
+    }
+  in
+  let rx_job =
+    { Machine.jname = "sci_rx"; cycles = rx_isr_cycles; action = ignore;
+      stack_bytes = 32 }
+  in
   let handler () =
-    let byte = Sci_periph.read_data sci in
-    Framer.feed target_framer byte;
-    match !target_pending with
-    | Some pkt ->
-        target_pending := None;
-        {
-          Machine.jname = "pil_step";
-          cycles = step_job_cycles;
-          action = (fun () -> do_step pkt);
-          stack_bytes = schedule.Target.isr_stack_bytes;
-        }
-    | None ->
-        {
-          Machine.jname = "sci_rx";
-          cycles = rx_isr_cycles;
-          action = (fun () -> ());
-          stack_bytes = 32;
-        }
+    Framer.feed target_framer (Sci_periph.read_data sci);
+    if !target_pending then begin
+      target_pending := false;
+      step_job
+    end
+    else rx_job
   in
   let rx_irq = Machine.register_irq machine ~name:"SCI_RX" ~prio:2 ~handler in
   Sci_periph.on_rx sci (fun _ -> Machine.raise_irq machine rx_irq);
@@ -168,51 +183,49 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
   (* the line: byte i of a period's sensor frame arrives one frame time
      after byte i - 1, through the serial-line noise model *)
   let byte_cycles = Sci_periph.byte_cycles sci in
+  let arrive = Machine.on_event machine (Sci_periph.deliver_byte sci) in
   let wire_cycle = ref 0 in
   let line =
     Faulty.create { Faulty.clean with Faulty.corrupt_rate = error_rate }
       ~sink:(fun b ->
         let cycle = !wire_cycle in
         wire_cycle := cycle + byte_cycles;
-        Machine.schedule_at machine ~cycle (fun () ->
-            Sci_periph.deliver_byte sci b))
+        Machine.schedule_at machine ~cycle arrive b)
   in
   let overruns = ref 0 in
   let trace = ref [] in
-  let last_actuators =
-    ref (Array.make (List.length schedule.Target.actuator_slots) 0)
-  in
+  let last_actuators = Array.make n_act 0 in
   for k = 0 to periods - 1 do
     let t_k = k * period_cycles in
     Machine.advance_to machine ~cycle:t_k;
-    reply_complete_cycle := None;
+    reply_complete_cycle := -1;
     (* compose and "transmit" the sensor packet: byte i arrives one frame
        time after it started on the wire *)
-    let sensors = driver.read_sensors plant ~time:(Machine.now machine) in
-    let payload =
-      Packet.finish_payload
-        (Array.fold_left (fun acc v -> Packet.push_u16 v acc) [] sensors)
-    in
-    let pkt = { Packet.ptype = Packet.ptype_sensor; seq = k land 0xFF; payload } in
-    let wire = Packet.encode pkt in
-    let wire = if dup_frames then wire @ wire else wire in
+    let words = driver.read_sensors plant ~time:(Machine.now machine) in
+    sensor_pkt.Packet.ptype <- Packet.ptype_sensor;
+    sensor_pkt.Packet.seq <- k land 0xFF;
+    for i = 0 to Array.length words - 1 do
+      Packet.set_u16 sensor_pkt (2 * i) words.(i)
+    done;
+    sensor_pkt.Packet.len <- 2 * Array.length words;
+    let len = Packet.encode_into sensor_pkt sensor_wire in
     wire_cycle := t_k;
-    Faulty.send_all line wire;
+    Faulty.send_sub line sensor_wire ~pos:0 ~len;
+    if dup_frames then Faulty.send_sub line sensor_wire ~pos:0 ~len;
     (* let the period elapse on the target *)
     Machine.advance_to machine ~cycle:(t_k + period_cycles);
-    (match !pending_actuators with
-    | Some acts ->
-        last_actuators := acts;
-        pending_actuators := None;
-        (match !reply_complete_cycle with
-        | Some c ->
-            latencies :=
-              (float_of_int (c - t_k) /. mcu.Mcu_db.f_cpu_hz) :: !latencies
-        | None -> ())
-    | None ->
-        (* no reply this period: the host holds the last actuator frame *)
-        incr overruns);
-    driver.apply_actuators plant !last_actuators;
+    if !replied then begin
+      Array.blit reply_acts 0 last_actuators 0 n_act;
+      replied := false;
+      if !reply_complete_cycle >= 0 then
+        latencies :=
+          (float_of_int (!reply_complete_cycle - t_k) /. mcu.Mcu_db.f_cpu_hz)
+          :: !latencies
+    end
+    else
+      (* no reply this period: the host holds the last actuator frame *)
+      incr overruns;
+    driver.apply_actuators plant last_actuators;
     driver.advance plant ~dt:period;
     trace := (float_of_int (k + 1) *. period, driver.observe plant) :: !trace
   done;

@@ -121,28 +121,46 @@ let fty_of_width = function `F32 -> Mir.Tf32 | `F64 -> Mir.Tf64
 
 (* ---------------- compiled expressions ---------------- *)
 
-(* every expression has a static type: an integer type or a double *)
-type cexp = CI of ity * (st -> int) | CF of (st -> float)
+(* every expression has a static type: an integer type or a double.
+   A plain float cell and a float constant are leaves the closure that
+   uses them reads in place: a float returned from a closure is boxed *)
+type cexp =
+  | CI of ity * (st -> int)
+  | CF of (st -> float)
+  | CFcell of int  (** a scalar slot of [st.floats] *)
+  | CFconst of float
+
+(* the numeric value as a double, inline in the reading closure
+   (canonical ints are exact in int64, so [float_of_int] equals the
+   reference's Int64.to_float) *)
+let[@inline] fread st = function
+  | CF f -> f st
+  | CFcell k -> Array.unsafe_get st.floats k
+  | CFconst x -> x
+  | CI (_, f) -> float_of_int (f st)
+
+(* the same as a closure *)
+let fl = function
+  | CF f -> f
+  | CFcell k -> fun st -> Array.unsafe_get st.floats k
+  | CFconst x -> fun _ -> x
+  | CI (_, f) -> fun st -> float_of_int (f st)
 
 (* boxed value, for call boundaries *)
 let value_of = function
   | CI (t, f) -> fun st -> Mir_eval.Vi (t, Int64.of_int (f st))
-  | CF f -> fun st -> Mir_eval.Vf (Mir.Tf64, f st)
-
-(* numeric value as a double (canonical ints are exact in int64, so
-   [float_of_int] equals the reference's Int64.to_float) *)
-let fl = function CF f -> f | CI (_, f) -> fun st -> float_of_int (f st)
+  | e -> fun st -> Mir_eval.Vf (Mir.Tf64, fread st e)
 
 let truth = function
   | CI (_, f) -> fun st -> f st <> 0
-  | CF f -> fun st -> f st <> 0.0
+  | e -> fun st -> fread st e <> 0.0
 
 (* Mir_eval.to_int64: used for array subscripts and shift counts *)
 let as_index = function
   | CI (_, f) -> f
-  | CF f ->
+  | e ->
       fun st ->
-        let x = f st in
+        let x = fread st e in
         if Float.is_nan x then 0
         else Int64.to_int (Int64.of_float (Float.trunc x))
 
@@ -152,7 +170,7 @@ let as_i32 = function
       if t.Mir.signed || t.Mir.bits < 32 then f
         (* canonical value of any narrower type is already in i32 range *)
       else fun st -> norm i32ty (f st)
-  | CF f -> fun st -> trunc_to i32ty (f st)
+  | e -> fun st -> trunc_to i32ty (fread st e)
 
 let burn st =
   st.fuel <- st.fuel - 1;
@@ -203,10 +221,12 @@ let rec new_storage g (vt : Mir_env.vty) : storage =
 (* ---------------- lvalues ---------------- *)
 
 (* getter plus a normalizing setter (the setter performs the reference
-   store's wrap / binary32 rounding) *)
+   store's wrap / binary32 rounding); a scalar float cell stays a slot,
+   so stores and loads reach it without a closure *)
 type lval =
   | LI of ity * (st -> int) * (st -> int -> unit)
   | LF of fwidth * (st -> float) * (st -> float -> unit)
+  | LFcell of fwidth * int
 
 let lval_of_storage = function
   | Sint (t, k) ->
@@ -214,18 +234,23 @@ let lval_of_storage = function
         ( t,
           (fun st -> Array.unsafe_get st.ints k),
           fun st x -> Array.unsafe_set st.ints k (norm t x) )
-  | Sflt (`F64, k) ->
+  | Sflt (w, k) -> LFcell (w, k)
+  | Sintarr _ | Sfltarr _ | Sstructv _ | Sxchg _ ->
+      unsupported "aggregate read as a value"
+
+(* a float lvalue as getter and setter *)
+let lf = function
+  | LFcell (`F64, k) ->
       LF
         ( `F64,
           (fun st -> Array.unsafe_get st.floats k),
           fun st x -> Array.unsafe_set st.floats k x )
-  | Sflt (`F32, k) ->
+  | LFcell (`F32, k) ->
       LF
         ( `F32,
           (fun st -> Array.unsafe_get st.floats k),
           fun st x -> Array.unsafe_set st.floats k (to_f32 x) )
-  | Sintarr _ | Sfltarr _ | Sstructv _ | Sxchg _ ->
-      unsupported "aggregate read as a value"
+  | lv -> lv
 
 let check_index len i =
   if i < 0 || i >= len then fail "index %d out of bounds (%d)" i len;
@@ -265,10 +290,11 @@ let index_lval stor (ix : st -> int) : lval =
 let store (lv : lval) (e : cexp) : st -> unit =
   match (lv, e) with
   | LI (_, _, set), CI (_, f) -> fun st -> set st (f st)
-  | LI (t, _, set), CF f -> fun st -> set st (trunc_to t (f st))
-  | LF (_, _, set), e ->
-      let f = fl e in
-      fun st -> set st (f st)
+  | LI (t, _, set), e -> fun st -> set st (trunc_to t (fread st e))
+  | LFcell (`F64, k), e -> fun st -> Array.unsafe_set st.floats k (fread st e)
+  | LFcell (`F32, k), e ->
+      fun st -> Array.unsafe_set st.floats k (to_f32 (fread st e))
+  | LF (_, _, set), e -> fun st -> set st (fread st e)
 
 (* ---------------- scalar constants ---------------- *)
 
@@ -276,7 +302,7 @@ let const_of_value = function
   | Mir_eval.Vi (t, v) when t.Mir.bits <= 32 ->
       let x = Int64.to_int v in
       CI (t, fun _ -> x)
-  | Mir_eval.Vf (_, x) -> CF (fun _ -> x)
+  | Mir_eval.Vf (_, x) -> CFconst x
   | Mir_eval.Vi _ -> unsupported "64-bit constant in compiled SIL"
 
 let int_lit n =
@@ -317,7 +343,7 @@ let rec compile_expr g (scope : scope) (e : Mir.expr) : cexp =
   match e with
   | Mir.Kint (n, Mir.Dec) -> int_lit n
   | Mir.Kint (n, Mir.Hex) -> hex_lit n
-  | Mir.Kfloat x -> CF (fun _ -> x)
+  | Mir.Kfloat x -> CFconst x
   | Mir.Load (Mir.Pvar v)
     when (not (Hashtbl.mem scope v)) && not (Hashtbl.mem g.globals v) -> (
       match Hashtbl.find_opt g.macros v with
@@ -326,13 +352,14 @@ let rec compile_expr g (scope : scope) (e : Mir.expr) : cexp =
   | Mir.Load p -> (
       match compile_lval g scope p with
       | LI (t, get, _) -> CI (t, get)
-      | LF (_, get, _) -> CF get)
+      | LF (_, get, _) -> CF get
+      | LFcell (_, k) -> CFcell k)
   | Mir.Eun (Mir.Neg, a) -> (
       match compile_expr g scope a with
       | CI (t, f) ->
           let t = promote_ity t in
           CI (t, fun st -> norm t (-f st))
-      | CF f -> CF (fun st -> -.f st))
+      | e -> CF (fun st -> -.fread st e))
   | Mir.Eun (Mir.Lnot, a) ->
       let tc = truth (compile_expr g scope a) in
       CI (i32ty, fun st -> if tc st then 0 else 1)
@@ -347,7 +374,7 @@ let rec compile_expr g (scope : scope) (e : Mir.expr) : cexp =
   | Mir.Ebin (op, a, b) ->
       compile_bin op (compile_expr g scope a) (compile_expr g scope b)
   | Mir.Ecast (cty, a) -> compile_cast g cty (compile_expr g scope a)
-  | Mir.Equantize (k, a) -> compile_quantize k (fl (compile_expr g scope a))
+  | Mir.Equantize (k, a) -> compile_quantize k (compile_expr g scope a)
   | Mir.Esat16 a ->
       let f = as_i32 (compile_expr g scope a) in
       CI
@@ -388,9 +415,7 @@ let rec compile_expr g (scope : scope) (e : Mir.expr) : cexp =
           let t = common_ity ta tb in
           let fa = conv_to t ta fa and fb = conv_to t tb fb in
           CI (t, fun st -> if tc st then fa st else fb st)
-      | ca, cb ->
-          let fa = fl ca and fb = fl cb in
-          CF (fun st -> if tc st then fa st else fb st))
+      | ca, cb -> CF (fun st -> if tc st then fread st ca else fread st cb))
   | Mir.Eopaque ce ->
       unsupported "opaque expression %s" (C_print.expr_to_string ce)
 
@@ -453,48 +478,48 @@ and compile_bin op (a : cexp) (b : cexp) : cexp =
       | Mir.Ge -> cmp (fun c -> c >= 0)
       | Mir.Land | Mir.Lor -> assert false)
   | _ -> (
-      let fa = fl a and fb = fl b in
+      (* operands evaluate right to left, as OCaml applies [+.] to two
+         closure calls *)
       match op with
-      | Mir.Add -> CF (fun st -> fa st +. fb st)
-      | Mir.Sub -> CF (fun st -> fa st -. fb st)
-      | Mir.Mul -> CF (fun st -> fa st *. fb st)
-      | Mir.Div -> CF (fun st -> fa st /. fb st)
-      | Mir.Lt -> CI (i32ty, fun st -> if fa st < fb st then 1 else 0)
-      | Mir.Le -> CI (i32ty, fun st -> if fa st <= fb st then 1 else 0)
-      | Mir.Gt -> CI (i32ty, fun st -> if fa st > fb st then 1 else 0)
-      | Mir.Ge -> CI (i32ty, fun st -> if fa st >= fb st then 1 else 0)
-      | Mir.Eq -> CI (i32ty, fun st -> if fa st = fb st then 1 else 0)
-      | Mir.Ne -> CI (i32ty, fun st -> if fa st <> fb st then 1 else 0)
+      | Mir.Add -> CF (fun st -> fread st a +. fread st b)
+      | Mir.Sub -> CF (fun st -> fread st a -. fread st b)
+      | Mir.Mul -> CF (fun st -> fread st a *. fread st b)
+      | Mir.Div -> CF (fun st -> fread st a /. fread st b)
+      | Mir.Lt -> CI (i32ty, fun st -> if fread st a < fread st b then 1 else 0)
+      | Mir.Le -> CI (i32ty, fun st -> if fread st a <= fread st b then 1 else 0)
+      | Mir.Gt -> CI (i32ty, fun st -> if fread st a > fread st b then 1 else 0)
+      | Mir.Ge -> CI (i32ty, fun st -> if fread st a >= fread st b then 1 else 0)
+      | Mir.Eq -> CI (i32ty, fun st -> if fread st a = fread st b then 1 else 0)
+      | Mir.Ne -> CI (i32ty, fun st -> if fread st a <> fread st b then 1 else 0)
       | _ ->
           let name = Mir.bop_name op in
           CF (fun _ -> fail "operator %s on float operands" name))
 
 and compile_cast g (ty : cty) (a : cexp) : cexp =
   match Mir_env.vty_of_cty g.env ty with
-  | Mir_env.Scalar Mir.Tf64 -> CF (fl a)
-  | Mir_env.Scalar Mir.Tf32 ->
-      let f = fl a in
-      CF (fun st -> to_f32 (f st))
+  | Mir_env.Scalar Mir.Tf64 -> (
+      match a with CI _ -> CF (fl a) | _ -> a)
+  | Mir_env.Scalar Mir.Tf32 -> CF (fun st -> to_f32 (fread st a))
   | Mir_env.Scalar (Mir.Tint t) when t.Mir.bits <= 32 -> (
       match a with
       | CI (ta, f) -> if ta = t then a else CI (t, fun st -> norm t (f st))
-      | CF f -> CI (t, fun st -> trunc_to t (f st)))
+      | a -> CI (t, fun st -> trunc_to t (fread st a)))
   | Mir_env.Scalar (Mir.Tint _) ->
       unsupported "64-bit cast in compiled SIL (reference engine only)"
   | _ when ty = Void -> a (* (void)e discards the value *)
   | _ -> unsupported "cast to a non-scalar type"
 
-and compile_quantize k (af : st -> float) : cexp =
+and compile_quantize k (a : cexp) : cexp =
   let t = Option.get (Mir_eval.ity_of_ty (Mir.qkind_ty k)) in
   match k with
-  | Mir.Qb -> CI (u8ty, fun st -> if af st <> 0.0 then 1 else 0)
+  | Mir.Qb -> CI (u8ty, fun st -> if fread st a <> 0.0 then 1 else 0)
   | _ ->
       let lo, hi = Mir.qkind_bounds k in
       let lo_i = trunc_to t lo and hi_i = trunc_to t hi in
       CI
         ( t,
           fun st ->
-            let x = af st in
+            let x = fread st a in
             if Float.is_nan x then 0
             else
               let r = Float.round x in
@@ -660,11 +685,13 @@ and compile_stmt g scope (s : Mir.stmt) : (st -> unit) option =
   | Mir.Sexpr e -> (
       match compile_expr g scope e with
       | CI (_, f) -> Some (fun st -> ignore (f st))
-      | CF f -> Some (fun st -> ignore (f st)))
+      | CF f -> Some (fun st -> ignore (f st))
+      | CFcell _ | CFconst _ -> None)
   | Mir.Sincr p -> (
-      match compile_lval g scope p with
+      match lf (compile_lval g scope p) with
       | LI (_, get, set) -> Some (fun st -> set st (get st + 1))
-      | LF (_, get, set) -> Some (fun st -> set st (get st +. 1.0)))
+      | LF (_, get, set) -> Some (fun st -> set st (get st +. 1.0))
+      | LFcell _ -> assert false)
   | Mir.Sif (c, t, e) ->
       let tc = truth (compile_expr g scope c) in
       let ft = compile_stmts g scope t in
@@ -707,9 +734,10 @@ and compile_stmts g scope (ss : Mir.stmt list) : st -> unit =
 (* a parameter store: the reference store's conversion of a boxed
    argument into the cell *)
 let value_setter stor =
-  match lval_of_storage stor with
+  match lf (lval_of_storage stor) with
   | LI (t, _, set) -> fun st v -> set st (int_of_value t v)
   | LF (_, _, set) -> fun st v -> set st (Mir_eval.to_double v)
+  | LFcell _ -> assert false
 
 let ret_cast g (ty : cty) : (value -> value) option =
   match Mir_env.vty_of_cty g.env ty with
@@ -875,9 +903,10 @@ type typed = TI of ity * (st -> int) | TF of Mir.ty * (st -> float)
 
 let reader (g : code) (e : C_ast.expr) : typed =
   let lval = compile_lval g (Hashtbl.create 1) in
-  match Option.map lval (Mir_of_c.lift_place e) with
+  match Option.map (fun p -> lf (lval p)) (Mir_of_c.lift_place e) with
   | Some (LI (t, get, _)) -> TI (t, get)
   | Some (LF (w, get, _)) -> TF (fty_of_width w, get)
+  | Some (LFcell _) -> assert false
   | None -> unsupported "expression is not an lvalue"
 
 (* ---------------- content-hashed compile cache ----------------

@@ -7,46 +7,57 @@ let test_crc_known_vector () =
   (* CRC-16/CCITT-FALSE of "123456789" is 0x29B1 *)
   check_int "check value" 0x29B1 (Crc16.of_string "123456789")
 
+let bytes l = Bytes.of_seq (Seq.map Char.chr (List.to_seq l))
+let pkt ptype seq payload = Packet.make ~ptype ~seq (Bytes.to_string (bytes payload))
+let ints p = List.init p.Packet.len (fun i -> Bytes.get_uint8 p.Packet.payload i)
+
+let same p q =
+  p.Packet.ptype = q.Packet.ptype && p.Packet.seq = q.Packet.seq && ints p = ints q
+
+(* the framer hands out its own frame: keep a copy *)
+let copy p =
+  let c = Packet.create () in
+  Packet.blit ~src:p ~dst:c;
+  c
+
 let test_crc_sensitivity () =
-  let a = Crc16.of_bytes [ 1; 2; 3 ] and b = Crc16.of_bytes [ 1; 2; 4 ] in
+  let a = Crc16.of_string "\001\002\003" and b = Crc16.of_string "\001\002\004" in
   check_bool "differs on single bit" true (a <> b);
-  let c = Crc16.of_bytes [ 2; 1; 3 ] in
+  let c = Crc16.of_string "\002\001\003" in
   check_bool "order sensitive" true (a <> c)
 
 let roundtrip pkt =
   let got = ref None in
-  let f = Framer.create ~on_packet:(fun p -> got := Some p) in
+  let f = Framer.create ~on_packet:(fun p -> got := Some (copy p)) in
   Framer.feed_all f (Packet.encode pkt);
   !got
 
 let test_packet_roundtrip () =
-  let pkt = { Packet.ptype = Packet.ptype_sensor; seq = 7; payload = [ 1; 2; 250 ] } in
+  let pkt = pkt Packet.ptype_sensor 7 [ 1; 2; 250 ] in
   match roundtrip pkt with
   | Some p ->
       check_int "type" pkt.Packet.ptype p.Packet.ptype;
       check_int "seq" pkt.Packet.seq p.Packet.seq;
-      Alcotest.(check (list int)) "payload" pkt.Packet.payload p.Packet.payload
+      Alcotest.(check (list int)) "payload" (ints pkt) (ints p)
   | None -> Alcotest.fail "no packet decoded"
 
 let test_stuffing_roundtrip () =
   (* payload containing both the flag and the escape byte *)
-  let pkt =
-    { Packet.ptype = Packet.ptype_actuator; seq = 0x7E;
-      payload = [ 0x7E; 0x7D; 0x00; 0x7E ] }
-  in
+  let pkt = pkt Packet.ptype_actuator 0x7E [ 0x7E; 0x7D; 0x00; 0x7E ] in
   let wire = Packet.encode pkt in
   (* no unescaped flags after the first byte *)
   check_bool "no inner SOF" true
-    (not (List.exists (fun b -> b = Packet.sof) (List.tl wire)));
+    (not (Bytes.contains_from wire 1 (Char.chr Packet.sof)));
   match roundtrip pkt with
-  | Some p -> Alcotest.(check (list int)) "payload" pkt.Packet.payload p.Packet.payload
+  | Some p -> Alcotest.(check (list int)) "payload" (ints pkt) (ints p)
   | None -> Alcotest.fail "no packet decoded"
 
 let test_corruption_detected () =
-  let pkt = { Packet.ptype = 1; seq = 1; payload = [ 10; 20; 30 ] } in
+  let pkt = pkt 1 1 [ 10; 20; 30 ] in
   let wire = Packet.encode pkt in
   (* flip a payload bit *)
-  let corrupted = List.mapi (fun i b -> if i = 5 then b lxor 0x40 else b) wire in
+  let corrupted = Bytes.copy wire in
+  Bytes.set_uint8 corrupted 5 (Bytes.get_uint8 wire 5 lxor 0x40);
   let got = ref None in
   let f = Framer.create ~on_packet:(fun p -> got := Some p) in
   Framer.feed_all f corrupted;
@@ -54,27 +65,27 @@ let test_corruption_detected () =
   check_int "crc error counted" 1 (Framer.crc_errors f)
 
 let test_resync_after_garbage () =
-  let pkt = { Packet.ptype = 2; seq = 9; payload = [ 5 ] } in
+  let pkt = pkt 2 9 [ 5 ] in
   let got = ref 0 in
   let f = Framer.create ~on_packet:(fun _ -> incr got) in
-  Framer.feed_all f [ 0x12; 0x34; 0x56 ];
+  Framer.feed_all f (bytes [ 0x12; 0x34; 0x56 ]);
   Framer.feed_all f (Packet.encode pkt);
   check_int "recovered" 1 !got;
   check_int "garbage counted" 3 (Framer.dropped_bytes f)
 
 let test_back_to_back_packets () =
-  let p1 = { Packet.ptype = 1; seq = 1; payload = [ 1; 2 ] } in
-  let p2 = { Packet.ptype = 2; seq = 2; payload = [ 3; 4 ] } in
+  let p1 = pkt 1 1 [ 1; 2 ] in
+  let p2 = pkt 2 2 [ 3; 4 ] in
   let got = ref [] in
-  let f = Framer.create ~on_packet:(fun p -> got := p :: !got) in
-  Framer.feed_all f (Packet.encode p1 @ Packet.encode p2);
+  let f = Framer.create ~on_packet:(fun p -> got := copy p :: !got) in
+  Framer.feed_all f (Bytes.cat (Packet.encode p1) (Packet.encode p2));
   check_int "both decoded" 2 (List.length !got);
   check_int "ok counter" 2 (Framer.packets_ok f)
 
 let test_truncated_frame_resync () =
-  let p1 = { Packet.ptype = 1; seq = 1; payload = [ 1; 2; 3; 4 ] } in
+  let p1 = pkt 1 1 [ 1; 2; 3; 4 ] in
   let wire = Packet.encode p1 in
-  let truncated = List.filteri (fun i _ -> i < List.length wire - 3) wire in
+  let truncated = Bytes.sub wire 0 (Bytes.length wire - 3) in
   let got = ref 0 in
   let f = Framer.create ~on_packet:(fun _ -> incr got) in
   Framer.feed_all f truncated;
@@ -83,29 +94,35 @@ let test_truncated_frame_resync () =
   check_int "recovered after truncation" 1 !got
 
 let test_payload_helpers () =
-  let acc = Packet.push_u16 0x1234 (Packet.push_u8 0xAB []) in
-  let payload = Packet.finish_payload acc in
-  Alcotest.(check (list int)) "layout" [ 0xAB; 0x12; 0x34 ] payload;
-  let v8, rest = Packet.take_u8 payload in
-  check_int "u8" 0xAB v8;
-  let v16, rest = Packet.take_u16 rest in
-  check_int "u16" 0x1234 v16;
-  check_bool "consumed" true (rest = []);
+  let p = Packet.create () in
+  Bytes.set_uint8 p.Packet.payload 0 0xAB;
+  Packet.set_u16 p 1 0x11234;
+  p.Packet.len <- 3;
+  Alcotest.(check (list int))
+    "layout, masked to 16 bits" [ 0xAB; 0x12; 0x34 ] (ints p);
+  check_int "u16" 0x1234 (Packet.get_u16 p 1);
+  check_bool "reads stop at len" true
+    (match Packet.get_u16 p 2 with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   check_int "signed" (-1) (Packet.u16_to_signed 0xFFFF);
   check_int "unsigned" 0xFFFF (Packet.signed_to_u16 (-1))
 
 let test_encode_validation () =
-  (match Packet.encode { Packet.ptype = 1; seq = 0; payload = [ 300 ] } with
+  (match Packet.encode (pkt 300 0 [ 1 ]) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "byte range unchecked");
-  match
-    Packet.encode { Packet.ptype = 1; seq = 0; payload = List.init 300 (fun _ -> 0) }
-  with
+  (match Packet.make ~ptype:1 ~seq:0 (String.make 300 '\000') with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "payload length unchecked"
+  | _ -> Alcotest.fail "payload length unchecked");
+  let p = Packet.create () in
+  p.Packet.len <- 300;
+  match Packet.encode p with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "payload length unchecked at encode"
 
 let test_wire_length () =
-  let pkt = { Packet.ptype = 1; seq = 0; payload = [ 1; 2; 3; 4 ] } in
+  let pkt = pkt 1 0 [ 1; 2; 3; 4 ] in
   (* SOF + type + seq + len + 4 payload + 2 crc = 10 when nothing stuffs *)
   check_bool "at least raw size" true (Packet.wire_length pkt >= 10)
 
@@ -114,7 +131,7 @@ let gen_packet =
     let* ptype = int_range 0 255 in
     let* seq = int_range 0 255 in
     let* payload = list_size (int_range 0 64) (int_range 0 255) in
-    return { Packet.ptype; seq; payload })
+    return (pkt ptype seq payload))
 
 let prop_roundtrip =
   QCheck2.Test.make ~name:"encode/decode roundtrip for arbitrary packets"
@@ -123,29 +140,26 @@ let prop_roundtrip =
       | Some p ->
           p.Packet.ptype = pkt.Packet.ptype
           && p.Packet.seq = pkt.Packet.seq
-          && p.Packet.payload = pkt.Packet.payload
+          && ints p = ints pkt
       | None -> false)
 
 let prop_byte_at_a_time =
   QCheck2.Test.make ~name:"framer is incremental (byte-at-a-time = batch)"
     ~count:100 gen_packet (fun pkt ->
       let got = ref None in
-      let f = Framer.create ~on_packet:(fun p -> got := Some p) in
-      List.iter (fun b -> Framer.feed f b) (Packet.encode pkt);
-      !got = Some pkt)
+      let f = Framer.create ~on_packet:(fun p -> got := Some (copy p)) in
+      Bytes.iter (fun b -> Framer.feed f (Char.code b)) (Packet.encode pkt);
+      match !got with Some p -> same p pkt | None -> false)
 
 (* ---- fault injection through the Faulty channel wrapper ---- *)
 
 (* payload derived from the sequence number, so a delivered packet can
    be checked against what was actually sent *)
 let pattern_packet seq =
-  {
-    Packet.ptype = Packet.ptype_sensor;
-    seq = seq land 0xFF;
-    payload = List.init 6 (fun i -> ((seq * 7) + (i * 31)) land 0xFF);
-  }
+  pkt Packet.ptype_sensor (seq land 0xFF)
+    (List.init 6 (fun i -> ((seq * 7) + (i * 31)) land 0xFF))
 
-let is_genuine p = p = pattern_packet p.Packet.seq
+let is_genuine p = same p (pattern_packet p.Packet.seq)
 
 (* acceptance bar: >= 1e5 frames at 1% per-byte corruption, and not one
    of them mis-parses -- every delivered packet is byte-identical to a
@@ -181,20 +195,21 @@ let test_no_misparse_under_corruption () =
 let test_resync_isolated_drop () =
   let wire seq = Packet.encode (pattern_packet seq) in
   let damaged = wire 1 in
-  List.iteri
-    (fun pos _ ->
-      let got = ref [] in
-      let f = Framer.create ~on_packet:(fun p -> got := p.Packet.seq :: !got) in
-      Framer.feed_all f (wire 0);
-      Framer.feed_all f (List.filteri (fun i _ -> i <> pos) damaged);
-      Framer.feed_all f (wire 2);
-      Framer.feed_all f (wire 3);
-      let seqs = List.rev !got in
-      check_bool
-        (Printf.sprintf "frames around a drop at byte %d decode" pos)
-        true
-        (List.mem 0 seqs && List.mem 2 seqs && List.mem 3 seqs))
-    damaged
+  let n = Bytes.length damaged in
+  for pos = 0 to n - 1 do
+    let got = ref [] in
+    let f = Framer.create ~on_packet:(fun p -> got := p.Packet.seq :: !got) in
+    Framer.feed_all f (wire 0);
+    Framer.feed_sub f damaged ~pos:0 ~len:pos;
+    Framer.feed_sub f damaged ~pos:(pos + 1) ~len:(n - pos - 1);
+    Framer.feed_all f (wire 2);
+    Framer.feed_all f (wire 3);
+    let seqs = List.rev !got in
+    check_bool
+      (Printf.sprintf "frames around a drop at byte %d decode" pos)
+      true
+      (List.mem 0 seqs && List.mem 2 seqs && List.mem 3 seqs)
+  done
 
 (* and the aggregate claim under random drops: each drop event costs at
    most two frames (the damaged one and the one being hunted through), so

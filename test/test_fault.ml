@@ -583,12 +583,14 @@ let words_per_lockstep () =
 
 let test_lockstep_allocation () =
   let w = words_per_lockstep () in
-  (* measured 264 words with OCaml 5.1 in the release build, 362 in a
-     dev build (no inlining across modules) and 442 before the harness
-     kept its plan in flat arrays and the PIL plant stopped allocating;
-     the lock-step allocated 1366 while the PIL plant rebuilt its state,
-     RK4 closure and workspace every motor sub-step *)
-  let budget = 300.0 in
+  (* measured 202 words with OCaml 5.1 in the release build; 264 while
+     the compiled SIL step read every float cell and constant through a
+     closure that boxed it, 362 in a dev build (no inlining across
+     modules) and 442 before the harness kept its plan in flat arrays
+     and the PIL plant stopped allocating; the lock-step allocated 1366
+     while the PIL plant rebuilt its state, RK4 closure and workspace
+     every motor sub-step *)
+  let budget = 1.25 *. 202.0 in
   if w > budget then
     Alcotest.failf "a diff lock-step allocates %.0f minor words, budget %.0f" w
       budget
@@ -618,6 +620,44 @@ let test_pil_plant_allocation () =
      [Dc_motor.step] calls a period *)
   if w > 0.0 then
     Alcotest.failf "a PIL plant period allocates %.1f minor words, budget 0" w
+
+(* minor words per control period of [Pil_cosim.run] on the servo as
+   [ecsd pil] runs it (5 ms period): the difference of a 600- and a
+   100-period run, so the link's and the machine's setup cancel *)
+let words_per_pil_period () =
+  let cfg =
+    { Servo_system.default_config with Servo_system.control_period = 5e-3 }
+  in
+  let b = Servo_system.build ~config:cfg () in
+  let comp = Compile.compile b.Servo_system.controller in
+  let a = Pil_target.generate ~name:"servo" ~project:b.Servo_system.project comp in
+  let words periods =
+    let controller = Sim.create comp in
+    let plant = Servo_system.pil_plant b and driver = Servo_system.pil_driver b in
+    let w0 = Gc.minor_words () in
+    let r =
+      Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~schedule:a.Target.schedule
+        ~controller ~plant ~driver ~periods ()
+    in
+    let w = Gc.minor_words () -. w0 in
+    check_int "no overruns" 0 r.Pil_cosim.profile.Pil_cosim.overruns;
+    w
+  in
+  quiet (fun () ->
+      ignore (words 10);
+      let short = words 100 in
+      (words 600 -. short) /. 500.0)
+
+let test_pil_period_allocation () =
+  let w = words_per_pil_period () in
+  (* measured 193 words with OCaml 5.1 in the release build: the
+     controller's [Sim.step] (123), the plant trace (42), the sensor
+     overrides and the profile's samples; 2071 when every event was a
+     closure, every IRQ dispatch a record and every frame an int list *)
+  let budget = 1.25 *. 193.0 in
+  if w > budget then
+    Alcotest.failf "a PIL period allocates %.0f minor words, budget %.0f" w
+      budget
 
 let test_hooked_ports () =
   let subject, built = Servo_system.faultsim_subject ~scenario:(scn []) () in
@@ -1139,6 +1179,8 @@ let suite =
     Alcotest.test_case "MIL step allocation budget" `Quick test_step_allocation;
     Alcotest.test_case "diff lock-step allocation budget" `Quick
       test_lockstep_allocation;
+    Alcotest.test_case "PIL period allocation budget" `Quick
+      test_pil_period_allocation;
     Alcotest.test_case "PIL plant allocation budget" `Quick
       test_pil_plant_allocation;
     Alcotest.test_case "fault hooks see only their ports" `Quick

@@ -9,21 +9,26 @@ let mk () = Machine.create Mcu_db.mc56f8367
 let job ?(stack = 16) name cycles action =
   { Machine.jname = name; cycles; action; stack_bytes = stack }
 
+(* an event that raises [irq] *)
+let raiser m irq = Machine.on_event m (fun _ -> Machine.raise_irq m irq)
+
 let test_schedule_order () =
   let m = mk () in
   let log = ref [] in
-  Machine.schedule m ~after:100 (fun () -> log := "b" :: !log);
-  Machine.schedule m ~after:50 (fun () -> log := "a" :: !log);
-  Machine.schedule m ~after:150 (fun () -> log := "c" :: !log);
+  let ev = Machine.on_event m (fun c -> log := Char.chr c :: !log) in
+  Machine.schedule m ~after:100 ev (Char.code 'b');
+  Machine.schedule m ~after:50 ev (Char.code 'a');
+  Machine.schedule m ~after:150 ev (Char.code 'c');
   Machine.advance m ~cycles:200;
-  Alcotest.(check (list string)) "event order" [ "a"; "b"; "c" ] (List.rev !log);
+  Alcotest.(check (list char)) "event order" [ 'a'; 'b'; 'c' ] (List.rev !log);
   check_int "time advanced" 200 (Machine.now_cycles m)
 
 let test_simultaneous_events_fifo () =
   let m = mk () in
   let log = ref [] in
-  Machine.schedule m ~after:10 (fun () -> log := 1 :: !log);
-  Machine.schedule m ~after:10 (fun () -> log := 2 :: !log);
+  let ev = Machine.on_event m (fun i -> log := i :: !log) in
+  Machine.schedule m ~after:10 ev 1;
+  Machine.schedule m ~after:10 ev 2;
   Machine.advance m ~cycles:20;
   Alcotest.(check (list int)) "fifo at same cycle" [ 1; 2 ] (List.rev !log)
 
@@ -34,7 +39,7 @@ let test_irq_dispatch_and_latency () =
     Machine.register_irq m ~name:"t" ~prio:1 ~handler:(fun () ->
         job "work" 100 (fun () -> done_at := Machine.now_cycles m))
   in
-  Machine.schedule m ~after:50 (fun () -> Machine.raise_irq m irq);
+  Machine.schedule m ~after:50 (raiser m irq) 0;
   Machine.advance m ~cycles:1000;
   let t = Machine.traits m in
   check_int "completion includes entry+exit latency"
@@ -72,10 +77,13 @@ let test_priority_order () =
     Machine.register_irq m ~name:"blk" ~prio:9 ~handler:(fun () ->
         job "blk" 500 (fun () -> log := "blk" :: !log))
   in
-  Machine.schedule m ~after:1 (fun () -> Machine.raise_irq m blocker);
-  Machine.schedule m ~after:10 (fun () ->
-      Machine.raise_irq m lo;
-      Machine.raise_irq m hi);
+  Machine.schedule m ~after:1 (raiser m blocker) 0;
+  let both =
+    Machine.on_event m (fun _ ->
+        Machine.raise_irq m lo;
+        Machine.raise_irq m hi)
+  in
+  Machine.schedule m ~after:10 both 0;
   Machine.advance m ~cycles:2000;
   Alcotest.(check (list string)) "priority after blocker" [ "blk"; "hi"; "lo" ]
     (List.rev !log)
@@ -91,8 +99,8 @@ let test_nonpreemptive_blocks_high_prio () =
     Machine.register_irq m ~name:"hi" ~prio:1 ~handler:(fun () ->
         job "hi" 10 (fun () -> hi_start := Machine.now_cycles m))
   in
-  Machine.schedule m ~after:0 (fun () -> Machine.raise_irq m blocker);
-  Machine.schedule m ~after:100 (fun () -> Machine.raise_irq m hi);
+  Machine.schedule m ~after:0 (raiser m blocker) 0;
+  Machine.schedule m ~after:100 (raiser m hi) 0;
   Machine.advance m ~cycles:3000;
   (* the high-priority ISR had to wait for the blocker to finish *)
   check_bool "blocked > 800 cycles" true (last_release m hi > 800)
@@ -108,8 +116,8 @@ let test_preemptive_interrupts_low_prio () =
     Machine.register_irq m ~name:"hi" ~prio:1 ~handler:(fun () ->
         job "hi" 10 (fun () -> order := "hi" :: !order))
   in
-  Machine.schedule m ~after:0 (fun () -> Machine.raise_irq m blocker);
-  Machine.schedule m ~after:100 (fun () -> Machine.raise_irq m hi);
+  Machine.schedule m ~after:0 (raiser m blocker) 0;
+  Machine.schedule m ~after:100 (raiser m hi) 0;
   Machine.advance m ~cycles:3000;
   Alcotest.(check (list string)) "high finishes first" [ "hi"; "blk" ]
     (List.rev !order);
@@ -121,9 +129,12 @@ let test_overrun_counted () =
     Machine.register_irq m ~name:"x" ~prio:1 ~handler:(fun () -> job "x" 10 (fun () -> ()))
   in
   (* raise twice without giving the CPU a chance to dispatch *)
-  Machine.schedule m ~after:5 (fun () ->
-      Machine.raise_irq m irq;
-      Machine.raise_irq m irq);
+  let twice =
+    Machine.on_event m (fun _ ->
+        Machine.raise_irq m irq;
+        Machine.raise_irq m irq)
+  in
+  Machine.schedule m ~after:5 twice 0;
   Machine.advance m ~cycles:100;
   check_int "overrun" 1 (Machine.profile m irq ~period:100).Machine.overruns
 
@@ -133,7 +144,7 @@ let test_utilization_and_stack () =
     Machine.register_irq m ~name:"x" ~prio:1 ~handler:(fun () ->
         job ~stack:100 "x" 480 (fun () -> ()))
   in
-  Machine.schedule m ~after:0 (fun () -> Machine.raise_irq m irq);
+  Machine.schedule m ~after:0 (raiser m irq) 0;
   Machine.advance m ~cycles:1000;
   let p = Machine.profile m irq ~period:1000 in
   check_bool "utilization ~50%" true
@@ -148,7 +159,7 @@ let test_disabled_irq_not_dispatched () =
         job "x" 10 (fun () -> ran := true))
   in
   Machine.set_irq_enabled m irq false;
-  Machine.schedule m ~after:5 (fun () -> Machine.raise_irq m irq);
+  Machine.schedule m ~after:5 (raiser m irq) 0;
   Machine.advance m ~cycles:100;
   check_bool "not run while disabled" false !ran;
   (* enabling later releases the pending interrupt *)
@@ -252,7 +263,8 @@ let test_sci_rx_and_overrun () =
 let test_sci_fifo_overflow () =
   let m = mk () in
   let sci = Sci_periph.create m ~fifo_depth:2 ~baud:9600 () in
-  ignore (Sci_periph.send_bytes sci [ 1; 2; 3; 4 ]);
+  let four = Bytes.of_string "\001\002\003\004" in
+  ignore (Sci_periph.send_sub sci four ~pos:0 ~len:4);
   check_bool "lost bytes counted" true (Sci_periph.tx_lost sci >= 1);
   ignore m
 
@@ -360,6 +372,7 @@ type rig = {
   m : Machine.t;
   wd : Wdog_periph.t;
   vecs : Machine.irq_id array;
+  ev : Machine.event;  (* its argument: the vector it raises, or -1 *)
   log : (string * int) list ref;
 }
 
@@ -378,13 +391,16 @@ let rig preemptive =
       note "bite";
       Machine.raise_irq m vecs.(2));
   Wdog_periph.enable wd;
-  { m; wd; vecs; log }
+  let ev =
+    Machine.on_event m (fun v ->
+        note "ev";
+        if v >= 0 then Machine.raise_irq m vecs.(v))
+  in
+  { m; wd; vecs; ev; log }
 
 let apply r = function
   | Sched (after, v) ->
-      Machine.schedule r.m ~after (fun () ->
-          r.log := ("ev", Machine.now_cycles r.m) :: !(r.log);
-          Option.iter (fun v -> Machine.raise_irq r.m r.vecs.(v)) v)
+      Machine.schedule r.m ~after r.ev (Option.value v ~default:(-1))
   | Raise v -> Machine.raise_irq r.m r.vecs.(v)
   | Adv cycles -> Machine.advance r.m ~cycles
   | Refresh -> Wdog_periph.refresh r.wd
@@ -434,6 +450,99 @@ let prop_save_restore =
       let second = run r in
       first = reference && second = reference)
 
+(* ---- the event queue against a stably sorted reference list ---- *)
+
+type qop = Push of int (* cycle *) | Pop
+
+(* few distinct cycles, so most pushes tie with a pending event *)
+let gen_qops n =
+  QCheck2.Gen.(
+    list_size (int_range 0 n)
+      (frequency [ (3, map (fun c -> Push c) (int_range 0 5)); (2, return Pop) ]))
+
+(* apply [ops] to [q], the [k]-th push carrying argument [!next + k];
+   the popped (cycle, handler, argument) triples, in order *)
+let apply_q q next ops =
+  List.fold_left
+    (fun popped op ->
+      match op with
+      | Push cycle ->
+          Evq.push q ~cycle ~handler:(cycle * 7) !next;
+          incr next;
+          popped
+      | Pop when Evq.is_empty q -> popped
+      | Pop ->
+          let e = (Evq.peek_cycle q, Evq.top_handler q, Evq.top_arg q) in
+          Evq.pop q;
+          e :: popped)
+    [] ops
+  |> List.rev
+
+let drain q =
+  let rec go acc =
+    if Evq.is_empty q then List.rev acc
+    else begin
+      let e = (Evq.peek_cycle q, Evq.top_handler q, Evq.top_arg q) in
+      Evq.pop q;
+      go (e :: acc)
+    end
+  in
+  go []
+
+(* the reference: the pending events in push order; a pop takes the head
+   of their stable sort by cycle *)
+let reference ops =
+  let pending = ref [] and next = ref 0 and popped = ref [] in
+  let take () =
+    match List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) !pending with
+    | ((_, _, arg) as e) :: _ ->
+        pending := List.filter (fun (_, _, a) -> a <> arg) !pending;
+        popped := e :: !popped
+    | [] -> ()
+  in
+  List.iter
+    (function
+      | Push cycle ->
+          pending := !pending @ [ (cycle, cycle * 7, !next) ];
+          incr next
+      | Pop -> take ())
+    ops;
+  let before_drain = List.rev !popped in
+  popped := [];
+  while !pending <> [] do
+    take ()
+  done;
+  (before_drain, List.rev !popped)
+
+let prop_evq_order =
+  QCheck2.Test.make ~name:"event queue pops in stable (cycle, push) order"
+    ~count:300 (gen_qops 200) (fun ops ->
+      let q = Evq.create () in
+      let popped = apply_q q (ref 0) ops in
+      let rest = drain q in
+      (popped, rest) = reference ops)
+
+(* a save, other pushes and pops, a restore: the queue replays what it
+   would have done after the save, ties with fresh pushes included *)
+let prop_evq_save =
+  QCheck2.Test.make ~name:"event queue save/restore replays the same order"
+    ~count:300
+    QCheck2.Gen.(triple (gen_qops 100) (gen_qops 100) (gen_qops 100))
+    (fun (before, astray, after) ->
+      let q = Evq.create () and next = ref 0 in
+      let pre = apply_q q next before in
+      let restore = Evq.save q and saved_next = !next in
+      let replay () =
+        restore ();
+        next := saved_next;
+        let popped = apply_q q next after in
+        (pre @ popped, drain q)
+      in
+      ignore (apply_q q next astray);
+      let first = replay () in
+      let second = replay () in
+      first = reference (before @ after) && second = first)
+
 let suite =
   [
     Alcotest.test_case "watchdog" `Quick test_watchdog;
@@ -459,4 +568,6 @@ let suite =
     Alcotest.test_case "sci rx overrun" `Quick test_sci_rx_and_overrun;
     Alcotest.test_case "sci fifo overflow" `Quick test_sci_fifo_overflow;
     QCheck_alcotest.to_alcotest prop_save_restore;
+    QCheck_alcotest.to_alcotest prop_evq_order;
+    QCheck_alcotest.to_alcotest prop_evq_save;
   ]
