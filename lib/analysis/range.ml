@@ -158,12 +158,14 @@ let transfer comp b (ins : Itv.t option array) : Itv.t option array =
     | "Compare" | "Logic" -> all_out (make 0.0 1.0)
     | "Relay" ->
         all_out (hull (point (pf "on_value")) (point (pf "off_value")))
-    | "PE_Adc" | "AR_Adc" -> (
-        match Param.int_opt params "max_code" with
-        | Some mc -> all_out (make 0.0 (float_of_int mc))
-        | None -> top_of_type)
-    | "PE_Pwm" | "AR_Pwm" -> all_out (make 0.0 1.0)
-    | _ -> top_of_type
+    | kind -> (
+        match Periph_blocks.classify kind with
+        | Some (Adc, _) -> (
+            match Param.int_opt params "max_code" with
+            | Some mc -> all_out (make 0.0 (float_of_int mc))
+            | None -> top_of_type)
+        | Some (Pwm, _) -> all_out (make 0.0 1.0)
+        | Some ((Timer_int | Bit_io_in | Quad_dec), _) | None -> top_of_type)
 
 (* The fixpoint engine is the shared [Dataflow.Round_robin] solver
    (Gauss–Seidel chaotic iteration in block order): one lattice row of

@@ -1,13 +1,10 @@
-(* Functionally identical to the PE block set: same behaviours, new kinds
-   so the code generator picks the MCAL emitters. *)
+(* Functionally identical to the PE block set: same behaviours, the
+   AUTOSAR kinds, so the code generator calls the MCAL API. *)
 
-let rekind kind spec = { spec with Block.kind }
+let rekind periph spec =
+  { spec with Block.kind = Periph_blocks.kind_of (periph, Periph_blocks.Autosar) }
 
-let timer_int bean = rekind "AR_TimerInt" (Periph_blocks.timer_int bean)
-let adc bean = rekind "AR_Adc" (Periph_blocks.adc bean)
-let pwm bean = rekind "AR_Pwm" (Periph_blocks.pwm bean)
-let dio_in bean = rekind "AR_Dio_In" (Periph_blocks.bit_io_in bean)
-let icu_position bean = rekind "AR_Icu" (Periph_blocks.quad_decoder bean)
-
-let is_autosar_kind kind =
-  String.length kind >= 3 && String.sub kind 0 3 = "AR_"
+let timer_int bean = rekind Timer_int (Periph_blocks.timer_int bean)
+let pwm bean = rekind Pwm (Periph_blocks.pwm bean)
+let dio_in bean = rekind Bit_io_in (Periph_blocks.bit_io_in bean)
+let icu_position bean = rekind Quad_dec (Periph_blocks.quad_decoder bean)

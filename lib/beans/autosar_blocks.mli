@@ -8,15 +8,13 @@
 
     Accordingly these constructors reuse the simulation behaviour of
     {!Periph_blocks} verbatim and differ only in the block kind, which
-    routes code generation to the MCAL-style emitters ([Adc_ReadGroup],
-    [Pwm_SetDutyCycle], [Dio_ReadChannel], [Gpt] notifications, [Icu] edge
-    counting) instead of bean method calls. *)
+    {!Periph_blocks.classify} reads as the [Autosar] API: the Hw arm of
+    each peripheral's one emitter then calls the MCAL driver
+    ([Pwm_SetDutyCycle], [Dio_ReadChannel], [Gpt] notifications, [Icu]
+    edge counting) instead of the bean method. *)
 
 val timer_int : Bean.t -> Block.spec
 (** Gpt channel: the periodic notification drives the scheduler. *)
-
-val adc : Bean.t -> Block.spec
-(** Adc group: conversion code out, group notification as the event. *)
 
 val pwm : Bean.t -> Block.spec
 (** Pwm channel driven through [Pwm_SetDutyCycle] (0x0000..0x8000 duty
@@ -25,6 +23,3 @@ val pwm : Bean.t -> Block.spec
 val dio_in : Bean.t -> Block.spec
 val icu_position : Bean.t -> Block.spec
 (** Quadrature position via the Icu driver's edge counter. *)
-
-val is_autosar_kind : string -> bool
-(** Whether a block kind belongs to this variant (kind prefix "AR_"). *)

@@ -1,3 +1,60 @@
+(* The peripheral block kinds of both block sets: the one place a kind
+   string is read or written. A block set is the API its Hw code calls;
+   the simulation behaviour of a peripheral is the same in both. Two
+   compiled matches rather than one association list: every consumer
+   classifies every block of a model, several times a code generation. *)
+
+type periph = Timer_int | Adc | Pwm | Bit_io_in | Quad_dec
+type api = Pe | Autosar
+
+let classify = function
+  | "PE_TimerInt" -> Some (Timer_int, Pe)
+  | "AR_TimerInt" -> Some (Timer_int, Autosar)
+  | "PE_Adc" -> Some (Adc, Pe)
+  | "PE_Pwm" -> Some (Pwm, Pe)
+  | "AR_Pwm" -> Some (Pwm, Autosar)
+  | "PE_BitIO_In" -> Some (Bit_io_in, Pe)
+  | "AR_Dio_In" -> Some (Bit_io_in, Autosar)
+  | "PE_QuadDec" -> Some (Quad_dec, Pe)
+  | "AR_Icu" -> Some (Quad_dec, Autosar)
+  | _ -> None
+
+let kind_of = function
+  | Timer_int, Pe -> "PE_TimerInt"
+  | Timer_int, Autosar -> "AR_TimerInt"
+  | Adc, Pe -> "PE_Adc"
+  | Adc, Autosar -> raise Not_found
+  | Pwm, Pe -> "PE_Pwm"
+  | Pwm, Autosar -> "AR_Pwm"
+  | Bit_io_in, Pe -> "PE_BitIO_In"
+  | Bit_io_in, Autosar -> "AR_Dio_In"
+  | Quad_dec, Pe -> "PE_QuadDec"
+  | Quad_dec, Autosar -> "AR_Icu"
+
+let model_api m =
+  if
+    List.exists
+      (fun b ->
+        match classify (Model.spec_of m b).Block.kind with
+        | Some (_, Autosar) -> true
+        | _ -> false)
+      (Model.blocks m)
+  then Autosar
+  else Pe
+
+let sensor_coding kind =
+  match classify kind with
+  | Some (Adc, _) -> Value.of_int Dtype.Uint16
+  | Some (Quad_dec, _) -> Value.of_int Dtype.Int32
+  | Some (Bit_io_in, _) -> fun w -> Value.of_bool (w <> 0)
+  | _ -> invalid_arg ("Periph_blocks.sensor_coding: no sensor kind " ^ kind)
+
+let actuator_coding kind =
+  match classify kind with
+  | Some (Pwm, _) ->
+      fun v -> int_of_float (Float.round (Value.to_float v *. 65535.0)) land 0xFFFF
+  | _ -> invalid_arg ("Periph_blocks.actuator_coding: no actuator kind " ^ kind)
+
 let require_valid bean =
   if not (Bean.is_valid bean) then
     invalid_arg
@@ -16,7 +73,7 @@ let timer_int bean =
     | _ -> invalid_arg "Periph_blocks.timer_int: not a TimerInt bean"
   in
   {
-    Block.kind = "PE_TimerInt";
+    Block.kind = kind_of (Timer_int, Pe);
     params = [ bean_param bean; ("period", Param.Float period) ];
     n_in = 0;
     n_out = 0;
@@ -38,7 +95,7 @@ let adc bean =
     | _ -> invalid_arg "Periph_blocks.adc: not an ADC bean"
   in
   {
-    Block.kind = "PE_Adc";
+    Block.kind = kind_of (Adc, Pe);
     params =
       [
         bean_param bean;
@@ -83,7 +140,7 @@ let pwm bean =
     | _ -> invalid_arg "Periph_blocks.pwm: not a PWM bean"
   in
   {
-    Block.kind = "PE_Pwm";
+    Block.kind = kind_of (Pwm, Pe);
     params = [ bean_param bean; ("period_counts", Param.Int period_counts) ];
     n_in = 1;
     n_out = 1;
@@ -113,7 +170,7 @@ let bit_io_in bean =
   | Bean.Bit_io { direction = Bean.In_pin; _ } -> ()
   | _ -> invalid_arg "Periph_blocks.bit_io_in: not an input BitIO bean");
   {
-    Block.kind = "PE_BitIO_In";
+    Block.kind = kind_of (Bit_io_in, Pe);
     params = [ bean_param bean ];
     n_in = 1;
     n_out = 1;
@@ -138,7 +195,7 @@ let quad_decoder bean =
   in
   let counts_per_rev = 4 * lines in
   {
-    Block.kind = "PE_QuadDec";
+    Block.kind = kind_of (Quad_dec, Pe);
     params = [ bean_param bean; ("counts_per_rev", Param.Int counts_per_rev) ];
     n_in = 1;
     n_out = 1;
@@ -159,64 +216,5 @@ let quad_decoder bean =
                   (Float.floor (theta /. two_pi *. float_of_int counts_per_rev))
               in
               [| Value.of_int Dtype.Int32 count |]);
-        });
-  }
-
-let free_counter bean =
-  require_valid bean;
-  let tick =
-    match bean.Bean.resolved with
-    | Some (Bean.R_free_cntr (sol, _)) -> sol.Expert.achieved_period
-    | _ -> invalid_arg "Periph_blocks.free_counter: not a FreeCntr bean"
-  in
-  {
-    Block.kind = "PE_FreeCntr";
-    params = [ bean_param bean; ("tick", Param.Float tick) ];
-    n_in = 0;
-    n_out = 1;
-    feedthrough = [||];
-    out_types = [| Block.Fixed_type Dtype.Uint16 |];
-    sample = Sample_time.Inherited;
-    event_outs = [||];
-    make =
-      (fun _ctx ->
-        {
-          Block.no_beh_state with
-          out =
-            (fun ~minor:_ ~time _ ->
-              let ticks = int_of_float (Float.floor (time /. tick)) in
-              [| Value.of_int Dtype.Uint16 (ticks land 0xFFFF) |]);
-        });
-  }
-
-let dac bean =
-  require_valid bean;
-  let vref, max_code =
-    match (bean.Bean.config, bean.Bean.resolved) with
-    | Bean.Dac { vref; _ }, Some (Bean.R_dac { max_code; _ }) -> (vref, max_code)
-    | _ -> invalid_arg "Periph_blocks.dac: not a DAC bean"
-  in
-  {
-    Block.kind = "PE_Dac";
-    params =
-      [ bean_param bean; ("vref", Param.Float vref);
-        ("max_code", Param.Int max_code) ];
-    n_in = 1;
-    n_out = 1;
-    feedthrough = [| true |];
-    out_types = [| Block.Fixed_type Dtype.Double |];
-    sample = Sample_time.Inherited;
-    event_outs = [||];
-    make =
-      (fun _ctx ->
-        {
-          Block.no_beh_state with
-          out =
-            (fun ~minor:_ ~time:_ ins ->
-              let code = Value.to_int ins.(0) in
-              let code =
-                if code < 0 then 0 else if code > max_code then max_code else code
-              in
-              [| Value.F (float_of_int code /. float_of_int max_code *. vref) |]);
         });
   }

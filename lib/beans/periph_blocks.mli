@@ -12,6 +12,38 @@
     base immediately and raises [Invalid_argument] on an unresolved or
     erroneous bean — the live verification of the Bean Inspector. *)
 
+type periph = Timer_int | Adc | Pwm | Bit_io_in | Quad_dec
+(** The peripheral a block stands for, whichever block set built it. *)
+
+type api = Pe | Autosar
+(** The block set: the API the block's Hw code calls (bean methods or
+    AUTOSAR MCAL drivers). The simulation behaviour, the PIL redirection
+    and the echo of an actuator's realised value do not depend on it. *)
+
+val classify : string -> (periph * api) option
+(** The one reading of a block kind: the peripheral and block set of a
+    block of this set or of {!Autosar_blocks}, [None] for every other
+    kind. *)
+
+val kind_of : periph * api -> string
+(** The block kind of a (peripheral, block set) pair; raises [Not_found]
+    for a pair no constructor builds (the AUTOSAR set has no ADC). *)
+
+val model_api : Model.t -> api
+(** The API a model's generated code calls: [Autosar] as soon as one of
+    its blocks belongs to the AUTOSAR set. *)
+
+val sensor_coding : string -> int -> Value.t
+(** [sensor_coding kind] is the MIL output of a sensor block (ADC,
+    quadrature decoder, input pin) for the raw word of its PIL buffer
+    slot: the coding every rig (PIL, SIL lock-step, HIL) overrides the
+    block with. Raises [Invalid_argument] if [kind] is no sensor. *)
+
+val actuator_coding : string -> Value.t -> int
+(** [actuator_coding kind] is the raw actuator word a rig ships for the
+    MIL output of an actuator block (the PWM's realised ratio, scaled to
+    ratio16). Raises [Invalid_argument] if [kind] is no actuator. *)
+
 val timer_int : Bean.t -> Block.spec
 (** Periodic interrupt bean block: no data ports, one event output
     ["OnInterrupt"] firing every (achieved) period — the trigger of the
@@ -40,13 +72,3 @@ val quad_decoder : Bean.t -> Block.spec
 (** Input: shaft angle (rad) from the motor model; output: x4-decoded
     position count (int32) exactly as the decoder register accumulates
     it. *)
-
-val dac : Bean.t -> Block.spec
-(** Input: output code (uint16); output: the analog voltage the pin
-    produces (double, volts), quantised to the DAC's resolution — the
-    analog-actuation counterpart of the PWM block. *)
-
-val free_counter : Bean.t -> Block.spec
-(** Free-running counter bean block: no inputs, outputs the elapsed tick
-    count wrapped at 16 bits — the time-stamp source the PIL profiling
-    reads ([FC1_GetCounterValue]). *)

@@ -14,7 +14,7 @@
      shadow of [--engine both] ([create]/[call]). It executes the lifted
      translation set of a generated application over one store: struct
      fields, fixed and variable array subscripts, the two PIL exchange
-     buffers, unit functions, externals, libm, macros and the loop fuel.
+     buffers, unit functions, libm, macros and the loop fuel.
      Undefined behaviour gets the run-time choices stated below.
 
    Integers are carried as a canonical [int64]: sign-extended when the
@@ -292,7 +292,6 @@ type t = {
   globals : (string, cell) Hashtbl.t;
   funcs : (string, C_ast.func * Mir.stmt list) Hashtbl.t;
   macros : (string, value) Hashtbl.t;
-  externals : (string, value list -> value) Hashtbl.t;
   mutable fuel : int;
   mutable stmts_executed : int;
 }
@@ -345,7 +344,6 @@ let m_create mode env =
     globals = Hashtbl.create 64;
     funcs = Hashtbl.create 32;
     macros;
-    externals = Hashtbl.create 8;
     fuel = loop_fuel_budget;
     stmts_executed = 0;
   }
@@ -440,7 +438,7 @@ and eval m fr (e : Mir.expr) : value =
       if m.mode = Fold then raise Nonconst;
       unsupported "opaque expression %s" (C_print.expr_to_string ce)
 
-(* ---- calls: unit functions, then externals, then libm ---- *)
+(* ---- calls: unit functions, then libm ---- *)
 
 (* a call in expression context; a void function yields int 0 *)
 and call_value m f vs =
@@ -473,16 +471,13 @@ and call_fn m fname (args : value list) : value option =
             | _ -> unsupported "%s: aggregate return" fname)
         | None -> fail "%s: fell off a non-void function" fname)
   | None -> (
-      match Hashtbl.find_opt m.externals fname with
-      | Some f -> Some (conv m.mode (call_ty m.env fname) (f args))
-      | None -> (
-          match (Mir_env.libm fname, args) with
-          | Some (Mir_env.F1 f), [ x ] -> Some (Vf (Mir.Tf64, f (to_double x)))
-          | Some (Mir_env.F2 f), [ x; y ] ->
-              Some (Vf (Mir.Tf64, f (to_double x) (to_double y)))
-          | Some (Mir_env.L1 f), [ x ] -> Some (vi i32 (f (to_double x)))
-          | Some _, _ -> fail "%s: wrong number of arguments" fname
-          | None, _ -> unsupported "call to unknown function %s" fname))
+      match (Mir_env.libm fname, args) with
+      | Some (Mir_env.F1 f), [ x ] -> Some (Vf (Mir.Tf64, f (to_double x)))
+      | Some (Mir_env.F2 f), [ x; y ] ->
+          Some (Vf (Mir.Tf64, f (to_double x) (to_double y)))
+      | Some (Mir_env.L1 f), [ x ] -> Some (vi i32 (f (to_double x)))
+      | Some _, _ -> fail "%s: wrong number of arguments" fname
+      | None, _ -> unsupported "call to unknown function %s" fname)
 
 (* ---- statements ---- *)
 
@@ -606,7 +601,6 @@ let create env (items : C_ast.item list) funcs =
     funcs;
   m
 
-let register_external m name f = Hashtbl.replace m.externals name f
 let has_func m name = Hashtbl.mem m.funcs name
 let stmts_executed m = m.stmts_executed
 

@@ -953,274 +953,97 @@ let emit_builtin g spec =
             Assign (out0 g, g.state "held");
           ];
       }
-  | "PE_TimerInt" -> nothing
-  | "PE_Adc" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Decl (U16, g.name ^ "_code", None);
-                Expr (call (bean ^ "_Measure") [ Int_lit 1 ]);
-                Expr (call (bean ^ "_GetValue") [ Un ("&", Var (g.name ^ "_code")) ]);
-                Assign (out0 g, Var (g.name ^ "_code"));
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Comment "PIL: peripheral read redirected to the comm buffer";
-                Assign (out0 g, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g)));
-              ];
-          })
-  | "PE_Pwm" -> (
-      let bean = bean_of ps in
-      let period_counts = Param.int ps "period_counts" in
-      (* SetRatio16 semantics including the integer duty counter: the
-         realised duty is quantised by the PWM period register, exactly
-         as the simulation bean models it *)
-      let r = Var (g.name ^ "_r") and dc = Var (g.name ^ "_dc") in
-      let echo write_stmts =
-        [ Decl (I32, g.name ^ "_r", Some (Cast_to (I32, in0 g))) ]
-        @ clamp_stmts_int r 0 65535
-        @ write_stmts
-        @ [
-            Decl
-              ( I32, g.name ^ "_dc",
-                Some
-                  (Bin
-                     ( "/",
-                       Bin ("*", r, Int_lit period_counts),
-                       Int_lit 65535 )) );
-            Assign
-              ( out0 g,
-                Bin
-                  ( "/",
-                    Cast_to (Double_t, dc),
-                    flt (float_of_int period_counts) ) );
-          ]
-      in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step = echo [ Expr (call (bean ^ "_SetRatio16") [ Cast_to (U16, r) ]) ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              echo
-                [
-                  Comment "PIL: peripheral write redirected to the comm buffer";
-                  Assign
-                    ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                      Cast_to (U16, r) );
-                ];
-          })
-  | "PE_FreeCntr" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          { nothing with
-            step = [ Assign (out0 g, call (bean ^ "_GetCounterValue") []) ] }
-      | Pil ->
-          (* time stamps stay local in PIL: the counter still runs *)
-          { nothing with
-            step = [ Assign (out0 g, call (bean ^ "_GetCounterValue") []) ] })
-  | "PE_Dac" -> (
-      let bean = bean_of ps in
-      let vref = pf "vref" and max_code = Param.int ps "max_code" in
-      (* clamp the code into the converter's range before writing, as
-         the simulation bean does *)
-      let r = Var (g.name ^ "_r") in
-      let echo write_stmts =
-        [ Decl (I32, g.name ^ "_r", Some (Cast_to (I32, in0 g))) ]
-        @ clamp_stmts_int r 0 max_code
-        @ write_stmts
-        @ [
-            Assign
-              ( out0 g,
-                Bin
-                  ( "*",
-                    Bin
-                      ( "/",
-                        Cast_to (Double_t, r),
-                        flt (float_of_int max_code) ),
-                    flt vref ) );
-          ]
-      in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step = echo [ Expr (call (bean ^ "_SetValue") [ Cast_to (U16, r) ]) ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              echo
-                [
-                  Assign
-                    ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                      Cast_to (U16, r) );
-                ];
-          })
-  | "PE_QuadDec" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [ Assign (out0 g, Cast_to (I32, call (bean ^ "_GetPosition") [])) ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to
-                      (I32, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g))) );
-              ];
-          })
-  | "PE_BitIO_In" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          { nothing with step = [ Assign (out0 g, call (bean ^ "_GetVal") []) ] }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to
-                      (U8, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g))) );
-              ];
-          })
-  (* ---- AUTOSAR block-set variant (section 8): same behaviour, MCAL API ---- *)
-  | "AR_TimerInt" -> nothing
-  | "AR_Adc" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Decl (Named "Adc_ValueGroupType", g.name ^ "_code", None);
-                Expr (call "Adc_StartGroupConversion" [ Var ("AdcGroup_" ^ bean) ]);
-                Expr
-                  (call "Adc_ReadGroup"
-                     [ Var ("AdcGroup_" ^ bean); Un ("&", Var (g.name ^ "_code")) ]);
-                Assign (out0 g, Var (g.name ^ "_code"));
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Comment "PIL: peripheral read redirected to the comm buffer";
-                Assign (out0 g, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g)));
-              ];
-          })
-  | "AR_Pwm" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Comment "rescale ratio16 into the AUTOSAR 0x0000..0x8000 duty domain";
-                Expr
-                  (call "Pwm_SetDutyCycle"
-                     [
-                       Var ("PwmChannel_" ^ bean);
-                       Cast_to
-                         (U16,
-                          Bin (">>",
-                               Bin ("*", Cast_to (U32, in0 g), Hex_lit 0x8000),
-                               Int_lit 16));
-                     ]);
-                Assign (out0 g, Bin ("/", Cast_to (Double_t, in0 g), flt 65535.0));
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                    Cast_to (U16, in0 g) );
-                Assign (out0 g, Bin ("/", Cast_to (Double_t, in0 g), flt 65535.0));
-              ];
-          })
-  | "AR_Dio_In" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Bin ("==", call "Dio_ReadChannel" [ Var ("DioChannel_" ^ bean) ],
-                         Var "STD_HIGH") );
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to (U8, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g))) );
-              ];
-          })
-  | "AR_Icu" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to
-                      (I32, call "Icu_GetEdgeNumbers" [ Var ("IcuChannel_" ^ bean) ]) );
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to
-                      (I32, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g))) );
-              ];
-          })
   | kind ->
       raise
         (Unsupported
            (Printf.sprintf
               "block kind %s has no embedded realisation (plant-side block?)" kind))
+
+(* One emitter per peripheral (Periph_blocks.classify). The block set
+   picks only the HAL call of the Hw arm; the PIL arm, which redirects
+   the access to the comm buffers, and the PWM's echo of its realised
+   duty are shared. *)
+let emit_periph g ps periph api =
+  let bean = bean_of ps in
+  let slot buf = Index (Var buf, Int_lit (pil_slot_exn g)) in
+  let step stmts = { nothing with step = stmts } in
+  match (periph, g.mode) with
+  | Periph_blocks.Timer_int, _ -> nothing
+  | Adc, Hw -> (
+      match api with
+      | Periph_blocks.Pe ->
+          step
+            [
+              Decl (U16, g.name ^ "_code", None);
+              Expr (call (bean ^ "_Measure") [ Int_lit 1 ]);
+              Expr (call (bean ^ "_GetValue") [ Un ("&", Var (g.name ^ "_code")) ]);
+              Assign (out0 g, Var (g.name ^ "_code"));
+            ]
+      | Autosar -> raise (Unsupported "the AUTOSAR block set has no ADC block"))
+  | Adc, Pil ->
+      step
+        [
+          Comment "PIL: peripheral read redirected to the comm buffer";
+          Assign (out0 g, slot "pil_sensor_buf");
+        ]
+  | Pwm, mode ->
+      let period_counts = Param.int ps "period_counts" in
+      (* SetRatio16 semantics including the integer duty counter: the
+         realised duty is quantised by the PWM period register, exactly
+         as the simulation bean models it *)
+      let r = Var (g.name ^ "_r") and dc = Var (g.name ^ "_dc") in
+      let write =
+        match (mode, api) with
+        | Hw, Pe -> [ Expr (call (bean ^ "_SetRatio16") [ Cast_to (U16, r) ]) ]
+        | Hw, Autosar ->
+            [
+              Comment "rescale ratio16 into the AUTOSAR 0x0000..0x8000 duty domain";
+              Expr
+                (call "Pwm_SetDutyCycle"
+                   [
+                     Var ("PwmChannel_" ^ bean);
+                     Cast_to
+                       ( U16,
+                         Bin
+                           ( ">>",
+                             Bin ("*", Cast_to (U32, r), Hex_lit 0x8000),
+                             Int_lit 16 ) );
+                   ]);
+            ]
+        | Pil, _ ->
+            [
+              Comment "PIL: peripheral write redirected to the comm buffer";
+              Assign (slot "pil_actuator_buf", Cast_to (U16, r));
+            ]
+      in
+      step
+        ([ Decl (I32, g.name ^ "_r", Some (Cast_to (I32, in0 g))) ]
+        @ clamp_stmts_int r 0 65535
+        @ write
+        @ [
+            Decl
+              ( I32, g.name ^ "_dc",
+                Some (Bin ("/", Bin ("*", r, Int_lit period_counts), Int_lit 65535)) );
+            Assign
+              (out0 g, Bin ("/", Cast_to (Double_t, dc), flt (float_of_int period_counts)));
+          ])
+  | Bit_io_in, mode ->
+      let level =
+        match (mode, api) with
+        | Hw, Pe -> call (bean ^ "_GetVal") []
+        | Hw, Autosar ->
+            Bin ("==", call "Dio_ReadChannel" [ Var ("DioChannel_" ^ bean) ], Var "STD_HIGH")
+        | Pil, _ -> Cast_to (U8, slot "pil_sensor_buf")
+      in
+      step [ Assign (out0 g, level) ]
+  | Quad_dec, mode ->
+      let count =
+        match (mode, api) with
+        | Hw, Pe -> call (bean ^ "_GetPosition") []
+        | Hw, Autosar -> call "Icu_GetEdgeNumbers" [ Var ("IcuChannel_" ^ bean) ]
+        | Pil, _ -> slot "pil_sensor_buf"
+      in
+      step [ Assign (out0 g, Cast_to (I32, count)) ]
 
 (* MIL quantises every integer/Bool-typed block output through
    Value.of_float (round half away from zero, saturate); a plain C
@@ -1279,7 +1102,10 @@ let emit g spec =
   let gen =
     match Hashtbl.find_opt custom spec.Block.kind with
     | Some f -> f g spec
-    | None -> emit_builtin g spec
+    | None -> (
+        match Periph_blocks.classify spec.Block.kind with
+        | Some (periph, api) -> emit_periph g spec.Block.params periph api
+        | None -> emit_builtin g spec)
   in
   quantize_outputs g gen
 

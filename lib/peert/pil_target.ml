@@ -4,12 +4,12 @@ let comm_runtime_unit ~api ~hal ~name ~serial_bean ~n_sensors ~n_actuators =
   (* the serial primitives differ between the two block-set variants *)
   let send_char, recv_stmt, rx_handler, hal_header =
     match api with
-    | `Pe ->
+    | Periph_blocks.Pe ->
         ( serial_bean ^ "_SendChar",
           Printf.sprintf "if (%s_RecvChar(&b) != ERR_OK) return;" serial_bean,
           serial_bean ^ "_OnRxChar",
           "PE_Types.h" )
-    | `Autosar ->
+    | Autosar ->
         ( "CddUart_Transmit",
           "if (CddUart_Receive(&b) != E_OK) return;",
           "CddUart_RxNotification_" ^ serial_bean,
@@ -125,10 +125,10 @@ void %s(void) {
     items =
       [ Include_local (name ^ ".h"); Include_local hal_header ]
       @ (match api with
-        | `Pe ->
+        | Periph_blocks.Pe ->
             Target.hal_protos hal
               [ serial_bean ^ "_SendChar"; serial_bean ^ "_RecvChar" ]
-        | `Autosar -> [])
+        | Autosar -> [])
       @ [ Raw_item rt ];
   }
 
@@ -146,16 +146,7 @@ let generate ?(opt = false) ~name ~project comp =
              "PIL target needs an AsynchroSerial bean for the communication line")
   in
   let a = Target.generate ~mode:Blockgen.Pil ~opt ~name ~project comp in
-  let api =
-    if
-      List.exists
-        (fun b ->
-          let k = (Model.spec_of comp.Compile.model b).Block.kind in
-          String.length k >= 3 && String.sub k 0 3 = "AR_")
-        (Model.blocks comp.Compile.model)
-    then `Autosar
-    else `Pe
-  in
+  let api = Periph_blocks.model_api comp.Compile.model in
   let n_sensors = List.length a.Target.schedule.Target.sensor_slots in
   let n_actuators = List.length a.Target.schedule.Target.actuator_slots in
   let rt =

@@ -104,10 +104,10 @@ let fix_helpers =
          ]);
   ]
 
-let is_sensor_kind = function
-  | "PE_Adc" | "PE_QuadDec" | "PE_BitIO_In" | "AR_Adc" | "AR_Icu" | "AR_Dio_In" ->
-      true
-  | _ -> false
+let is_sensor_kind kind =
+  match Periph_blocks.classify kind with
+  | Some ((Adc | Bit_io_in | Quad_dec), _) -> true
+  | Some ((Timer_int | Pwm), _) | None -> false
 
 (* Declarations of the HAL functions named [names], taken from their
    definitions: C99 has no implicit function declarations. *)
@@ -122,9 +122,10 @@ let hal_protos hal names =
         u.items)
     hal
 
-let is_actuator_kind = function
-  | "PE_Pwm" | "PE_Dac" | "AR_Pwm" -> true
-  | _ -> false
+let is_actuator_kind kind =
+  match Periph_blocks.classify kind with
+  | Some (Pwm, _) -> true
+  | Some ((Timer_int | Adc | Bit_io_in | Quad_dec), _) | None -> false
 
 (* PIL buffer slots: one direction's peripheral blocks, numbered in
    model order *)
@@ -134,18 +135,12 @@ let slots is_kind m =
 
 let sensor_slots m = slots is_sensor_kind m
 
-let is_autosar_kind kind =
-  String.length kind >= 3 && String.sub kind 0 3 = "AR_"
-
 (* ISR entry point a bean event maps to: PE events are
-   <bean>_<EventName>; the AUTOSAR variant uses driver notifications. *)
+   <bean>_<EventName>; the AUTOSAR timer is a Gpt driver notification. *)
 let event_handler_name ~kind ~bean ~event =
-  if is_autosar_kind kind then
-    match kind with
-    | "AR_TimerInt" -> "Gpt_Notification_" ^ bean
-    | "AR_Adc" -> "Adc_Notification_" ^ bean
-    | _ -> bean ^ "_" ^ event
-  else bean ^ "_" ^ event
+  match Periph_blocks.classify kind with
+  | Some (Timer_int, Autosar) -> "Gpt_Notification_" ^ bean
+  | _ -> bean ^ "_" ^ event
 
 (* codegen metrics: volume of generated output, across all targets *)
 let c_blocks_generated = Obs.counter "peert.blocks_generated"
@@ -343,9 +338,7 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
             comp.Compile.group_order;
     }
   in
-  let uses_autosar =
-    List.exists (fun b -> is_autosar_kind (Model.spec_of m b).Block.kind) all_blocks
-  in
+  let uses_autosar = Periph_blocks.model_api m = Periph_blocks.Autosar in
   (* PIL mode exchanges peripheral data through these buffers *)
   let pil_buffer_items =
     [
@@ -474,7 +467,9 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
       (fun b ->
         let spec = Model.spec_of m b in
         if
-          (spec.Block.kind = "PE_TimerInt" || spec.Block.kind = "AR_TimerInt")
+          (match Periph_blocks.classify spec.Block.kind with
+          | Some (Timer_int, _) -> true
+          | _ -> false)
           && Model.event_target m (b, 0) = None
         then Some (spec.Block.kind, Param.string spec.Block.params "bean")
         else None)

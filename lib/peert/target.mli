@@ -51,7 +51,7 @@ val hal_protos : C_ast.cunit list -> string list -> C_ast.item list
     define, in HAL order: the declarations a unit calling them needs. *)
 
 val is_actuator_kind : string -> bool
-(** Peripheral output kinds (PWM, DAC). *)
+(** Peripheral output kinds: the PWM of either block set. *)
 
 val sensor_slots : Model.t -> (Model.blk * int) list
 (** The model's peripheral input blocks and their PIL buffer slots, in

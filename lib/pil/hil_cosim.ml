@@ -9,8 +9,6 @@ type 'p result = {
   trace : (float * (string * float) list) list;
 }
 
-let is_kind k b m = (Model.spec_of m b).Block.kind = k
-
 (* plant/peripheral coupling steps per control period *)
 let substeps = 16
 
@@ -35,12 +33,19 @@ let run ?(preemptive = false) ?(button = fun _ -> false)
    with Invalid_argument _ -> Pwm_periph.set_period_counts pwm 200);
   let qdec = if mcu.Mcu_db.has_qdec then Some (Qdec_periph.create machine ()) else None in
   (* locate the peripheral blocks of the controller model *)
-  let find_kinds ks =
-    List.filter (fun b -> List.exists (fun k -> is_kind k b m) ks) (Model.blocks m)
+  let find periph coding =
+    List.filter_map
+      (fun b ->
+        let kind = (Model.spec_of m b).Block.kind in
+        match Periph_blocks.classify kind with
+        | Some (p, _) when p = periph -> Some (b, coding kind)
+        | _ -> None)
+      (Model.blocks m)
   in
-  let qdec_blocks = find_kinds [ "PE_QuadDec"; "AR_Icu" ] in
-  let btn_blocks = find_kinds [ "PE_BitIO_In"; "AR_Dio_In" ] in
-  let pwm_blocks = find_kinds [ "PE_Pwm"; "AR_Pwm" ] in
+  let sensor = Periph_blocks.sensor_coding in
+  let qdec_blocks = find Quad_dec sensor in
+  let btn_blocks = find Bit_io_in sensor in
+  let pwm_blocks = find Pwm Periph_blocks.actuator_coding in
   let group_cost =
     List.fold_left (fun acc (_, c) -> acc + c) 0 schedule.Target.group_cycle_map
   in
@@ -53,27 +58,25 @@ let run ?(preemptive = false) ?(button = fun _ -> false)
     Option.iter Wdog_periph.refresh wdog;
     (* read the position register exactly as the generated code does *)
     List.iter
-      (fun b ->
+      (fun (b, decode) ->
         let count =
           match qdec with
           | Some q -> Qdec_periph.read_position q
           | None ->
               Encoder.count_of_angle encoder ~theta:(angle_of plant) land 0xFFFF
         in
-        Sim.override_output controller (b, 0) (Some (Value.of_int Dtype.Int32 count)))
+        Sim.override_output controller (b, 0) (Some (decode count)))
       qdec_blocks;
     List.iter
-      (fun b ->
+      (fun (b, decode) ->
         Sim.override_output controller (b, 0)
-          (Some (Value.of_bool (button (Machine.now machine)))))
+          (Some (decode (Bool.to_int (button (Machine.now machine))))))
       btn_blocks;
     Sim.step controller;
     (* program the PWM duty register from the block's realised ratio *)
     List.iter
-      (fun b ->
-        let ratio = Value.to_float (Sim.value controller (b, 0)) in
-        Pwm_periph.set_ratio16 pwm
-          (int_of_float (Float.round (ratio *. 65535.0))))
+      (fun (b, encode) ->
+        Pwm_periph.set_ratio16 pwm (encode (Sim.value controller (b, 0))))
       pwm_blocks
   in
   let step_job =

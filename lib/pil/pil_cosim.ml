@@ -61,42 +61,23 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0)
   in
   let step_cost = schedule.Target.total_step_cycles + group_cost in
   (* --- target side --- *)
-  (* each slot's coding, resolved once: a sensor word's decoder, and
-     what an actuator slot ships *)
+  (* each slot's coding, resolved once: a sensor word's MIL value, and
+     the word an actuator slot ships *)
   let kind b = (Model.spec_of m b).Block.kind in
   let sensors =
     Array.of_list
       (List.map
          (fun (b, _slot) ->
-           let port = (b, 0) in
-           let override v = Sim.override_output controller port (Some v) in
-           match kind b with
-           | "PE_Adc" | "AR_Adc" ->
-               fun w -> override (Value.of_int Dtype.Uint16 w)
-           | "PE_QuadDec" | "AR_Icu" ->
-               fun w -> override (Value.of_int Dtype.Int32 w)
-           | "PE_BitIO_In" | "AR_Dio_In" ->
-               fun w -> override (Value.of_bool (w <> 0))
-           | k -> fun _ -> failwith ("unexpected sensor block kind " ^ k))
+           let port = (b, 0) and decode = Periph_blocks.sensor_coding (kind b) in
+           fun w -> Sim.override_output controller port (Some (decode w)))
          schedule.Target.sensor_slots)
   in
   let actuators =
     Array.of_list
       (List.map
          (fun (b, _slot) ->
-           match kind b with
-           | "PE_Pwm" | "AR_Pwm" ->
-               let port = (b, 0) in
-               fun () ->
-                 let ratio = Value.to_float (Sim.value controller port) in
-                 int_of_float (Float.round (ratio *. 65535.0)) land 0xFFFF
-           | "PE_Dac" -> (
-               (* the DAC block outputs volts; ship the raw code instead *)
-               match Model.driver m (b, 0) with
-               | Some src ->
-                   fun () -> Value.to_int (Sim.value controller src) land 0xFFFF
-               | None -> fun () -> 0)
-           | k -> fun () -> failwith ("unexpected actuator block kind " ^ k))
+           let port = (b, 0) and encode = Periph_blocks.actuator_coding (kind b) in
+           fun () -> encode (Sim.value controller port))
          schedule.Target.actuator_slots)
   in
   let n_act = Array.length actuators in

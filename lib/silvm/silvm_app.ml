@@ -57,11 +57,6 @@ let has_func backend fn =
   | Interp m -> Mir_eval.has_func m fn
   | Compiled { code; _ } -> Silvm_compile.has_func code fn
 
-let register_external backend fn f =
-  match backend with
-  | Interp m -> Mir_eval.register_external m fn f
-  | Compiled { st; _ } -> Silvm_compile.register_external st fn f
-
 (* a nullary model function as a callable, looked up once *)
 let entry backend fn =
   match backend with
@@ -129,23 +124,6 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
       clock = { time = 0.0 };
     }
   in
-  (* free-running counter beans read the clock through an external *)
-  List.iter
-    (fun b ->
-      let spec = Model.spec_of m b in
-      if String.equal spec.Block.kind "PE_FreeCntr" then
-        match
-          ( List.assoc_opt "bean" spec.Block.params,
-            List.assoc_opt "tick" spec.Block.params )
-        with
-        | Some (Param.String bean), Some (Param.Float tick) ->
-            register_external backend (bean ^ "_GetCounterValue") (fun _ ->
-                let count =
-                  int_of_float (Float.floor (app.clock.time /. tick)) land 0xFFFF
-                in
-                Mir_eval.Vi (u16, Int64.of_int count))
-        | _ -> ())
-    (Model.blocks m);
   app
 
 let initialize app =

@@ -32,10 +32,9 @@ val create :
 (** Generate the application for [comp] (default PIL variant), load the
     whole translation set into the chosen engine (default [`Compiled];
     identical compiled units share one compilation through the
-    content-hash cache) and wire up the free-running-counter bean
-    externals. [opt] enables the MIR optimization passes on the model
-    unit (default off); behaviour must be bit-exact either way — that is
-    what {!Silvm_diff.run} checks.
+    content-hash cache). [opt] enables the MIR optimization passes on
+    the model unit (default off); behaviour must be bit-exact either way
+    — that is what {!Silvm_diff.run} checks.
     @raise Target.Codegen_error when generation fails. *)
 
 val initialize : t -> unit

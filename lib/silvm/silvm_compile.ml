@@ -27,7 +27,7 @@
      already rounded through {!to_f32}, like the reference store);
    - every expression has a static C type and compiles to an unboxed
      [st -> int] or [st -> float] closure; {!Mir_eval.value} appears
-     only at call boundaries and externals;
+     only at call boundaries;
    - the PIL exchange buffers live in a [Bigarray] of unsigned 16-bit
      cells, so batched runs can snapshot actuator traces with no
      boxing and compare them vectorized. *)
@@ -50,7 +50,6 @@ type st = {
   floats : float array;
   sensor : ba16;  (** pil_sensor_buf *)
   actuator : ba16;  (** pil_actuator_buf *)
-  externals : (string, value list -> value) Hashtbl.t;
   mutable fuel : int;
 }
 
@@ -527,8 +526,7 @@ and compile_quantize k (a : cexp) : cexp =
               else if r <= lo then lo_i
               else trunc_to t r )
 
-(* calls resolve like the reference: unit functions, then externals
-   (registered per instance, after compilation), then libm *)
+(* calls resolve like the reference: unit functions, then libm *)
 and compile_call g scope f args : cexp =
   let cargs = List.map (compile_expr g scope) args in
   let vargs = Array.of_list (List.map value_of cargs) in
@@ -540,35 +538,21 @@ and compile_call g scope f args : cexp =
       CI (i32ty, fun st -> ignore (call st); 0)
     else typed_result (Mir_eval.call_ty g.env f) (fun st -> Option.get (call st))
   else
-    let external_or fallback st =
-      match Hashtbl.find_opt st.externals f with
-      | Some fn -> fn (values st)
-      | None -> fallback st
-    in
-    (* the libm fast path: an unboxed double unless an external of the
-       same name is registered *)
-    let external_or_double fallback =
-      CF
-        (fun st ->
-          match Hashtbl.find_opt st.externals f with
-          | Some ext -> Mir_eval.to_double (ext (values st))
-          | None -> fallback st)
-    in
+    (* the libm fast path: an unboxed double *)
     match (Mir_env.libm f, cargs) with
     | Some (Mir_env.F1 fn), [ a ] ->
         let fa = fl a in
-        external_or_double (fun st -> fn (fa st))
+        CF (fun st -> fn (fa st))
     | Some (Mir_env.F2 fn), [ a; b ] ->
         let fa = fl a and fb = fl b in
-        external_or_double (fun st -> fn (fa st) (fb st))
+        CF (fun st -> fn (fa st) (fb st))
     | Some (Mir_env.L1 fn), [ a ] ->
         let fa = fl a in
-        typed_result Mir.i32
-          (external_or (fun st -> Mir_eval.Vi (i32ty, fn (fa st))))
+        typed_result Mir.i32 (fun st -> Mir_eval.Vi (i32ty, fn (fa st)))
     | Some _, _ -> fail "%s: wrong number of arguments" f
     | None, _ ->
-        typed_result (Mir_eval.call_ty g.env f)
-          (external_or (fun _ -> unsupported "call to unknown function %s" f))
+        typed_result (Mir_eval.call_ty g.env f) (fun _ ->
+            unsupported "call to unknown function %s" f)
 
 (* invoke a compiled (or lazily failed) model function *)
 and call_fn g st fname (args : value list) : value option =
@@ -588,10 +572,7 @@ and call_fn g st fname (args : value list) : value option =
       | Some cast, Some v -> Some (cast v)
       | Some _, None -> fail "%s: fell off a non-void function" fname)
   | Some (Fn_fail msg) -> raise (Mir_eval.Unsupported msg)
-  | None -> (
-      match Hashtbl.find_opt st.externals fname with
-      | Some f -> Some (f args)
-      | None -> unsupported "call to unknown function %s" fname)
+  | None -> unsupported "call to unknown function %s" fname
 
 (* ---------------- places ---------------- *)
 
@@ -868,11 +849,9 @@ let instantiate (g : code) : st =
     floats;
     sensor = mk g.n_sensor;
     actuator = mk g.n_actuator;
-    externals = Hashtbl.create 8;
     fuel = Mir_eval.loop_fuel_budget;
   }
 
-let register_external st name f = Hashtbl.replace st.externals name f
 let has_func (g : code) name = Hashtbl.mem g.fns name
 
 let call (g : code) st fname args =

@@ -8,7 +8,7 @@
     immutable compiled
     [code] is shared — across instances, and across domains through the
     content-hashed {!compile_cached} — while each [st] instance owns its
-    own cells, exchange buffers and externals. *)
+    own cells and exchange buffers. *)
 
 type code
 (** immutable compiled program: layouts, initialisers, closures *)
@@ -41,11 +41,6 @@ val entry : code -> string -> st -> unit
     resolved once: the per-step entry points of a SIL run *)
 
 val has_func : code -> string -> bool
-
-val register_external :
-  st -> string -> (Mir_eval.value list -> Mir_eval.value) -> unit
-(** an external's value converts to the call's static type: its
-    declared return type, else int *)
 
 val set_sensor : st -> int -> int -> unit
 (** write a 16-bit word into [pil_sensor_buf] *)

@@ -128,13 +128,7 @@ let injector_for sim apps schedule =
   and slots = Array.map snd plan
   and convs =
     Array.map
-      (fun (b, _) ->
-        match (Model.spec_of m b).Block.kind with
-        | "PE_Adc" | "AR_Adc" -> Value.of_int Dtype.Uint16
-        | "PE_QuadDec" | "AR_Icu" -> Value.of_int Dtype.Int32
-        | "PE_BitIO_In" | "AR_Dio_In" -> fun v -> Value.of_bool (v <> 0)
-        | k ->
-            fun _ -> failwith ("Silvm_diff: unexpected sensor block kind " ^ k))
+      (fun (b, _) -> Periph_blocks.sensor_coding (Model.spec_of m b).Block.kind)
       plan
   in
   let apps = Array.of_list apps in

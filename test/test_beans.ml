@@ -287,52 +287,14 @@ let test_vector_table_routes_events () =
   check_bool "routes adc event" true (Astring_contains.contains src "AD1_OnEnd");
   check_bool "routes serial rx" true (Astring_contains.contains src "AS1_OnRxChar")
 
-let test_free_counter_block () =
-  let p = Bean_project.create mcu in
-  let fc =
-    Bean_project.add p (Bean.make ~name:"FC1" (Bean.Free_cntr { tick = 1e-5 }))
-  in
-  Alcotest.(check bool) "resolved" true (Bean.is_valid fc);
-  let m = Model.create "fc" in
-  let blk = Model.add m ~name:"fc" (Periph_blocks.free_counter fc) in
-  let z = Model.add m (Discrete_blocks.zoh ~period:1e-3 ()) in
-  Model.connect m ~src:(blk, 0) ~dst:(z, 0);
-  let sim = Sim.create (Compile.compile m) in
-  Sim.run sim ~until:10e-3 ();
-  (* at t = 9 ms (last executed step) the 10 us counter reads 900 *)
-  check_int "tick count" 900 (Value.to_int (Sim.value_named sim "fc" 0));
-  (* and its generated code reads the bean *)
-  let comp = Compile.compile m in
-  let a = Target.generate ~name:"fc" ~project:p comp in
-  check_bool "codegen reads the counter" true
-    (Astring_contains.contains (C_print.print_unit a.Target.model_c)
-       "FC1_GetCounterValue()")
-
-let test_dac_end_to_end () =
-  (* bean -> block -> simulation -> HAL codegen, plus the no-DAC part *)
+let test_dac_bean () =
+  (* the DAC bean's HAL, plus the no-DAC part *)
   let p = Bean_project.create mcu in
   let bean =
     Bean_project.add p
       (Bean.make ~name:"DA1" (Bean.Dac { channel = None; resolution = 12; vref = 3.3 }))
   in
-  let m = Model.create "dacapp" in
-  let dac = Model.add m ~name:"DA1" (Periph_blocks.dac bean) in
-  let code = Model.add m ~name:"code" (Sources.constant ~dtype:Dtype.Uint16 2048.0) in
-  Model.connect m ~src:(code, 0) ~dst:(dac, 0);
-  let sim = Sim.create (Compile.compile ~default_dt:1e-3 m) in
-  Sim.step sim;
-  (* mid code on a 12-bit 3.3 V DAC: 2048/4095 * 3.3 V *)
-  Alcotest.(check (float 1e-9)) "analog out"
-    (2048.0 /. 4095.0 *. 3.3)
-    (Value.to_float (Sim.value_named sim "DA1" 0));
-  (* generated application calls the bean method *)
-  let a =
-    Target.generate ~name:"dacapp" ~project:p
-      (Compile.compile ~default_dt:1e-3 m)
-  in
-  check_bool "SetValue call" true
-    (Astring_contains.contains (C_print.print_unit a.Target.model_c)
-       "DA1_SetValue(");
+  check_bool "resolved" true (Bean.is_valid bean);
   let hal = Bean_project.hal_units p in
   let da1 = List.find (fun u -> u.C_ast.unit_name = "DA1.c") hal in
   check_bool "HAL clamps" true
@@ -361,8 +323,7 @@ let test_watchdog_bean () =
 let suite =
   [
     Alcotest.test_case "watchdog bean" `Quick test_watchdog_bean;
-    Alcotest.test_case "dac end to end" `Quick test_dac_end_to_end;
-    Alcotest.test_case "free counter block" `Quick test_free_counter_block;
+    Alcotest.test_case "dac bean" `Quick test_dac_bean;
     Alcotest.test_case "timer solver exact" `Quick test_timer_solver_exact;
     Alcotest.test_case "timer solver rounding" `Quick test_timer_solver_rounding;
     Alcotest.test_case "timer range" `Quick test_timer_solver_range;
