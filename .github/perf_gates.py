@@ -114,7 +114,7 @@ def regression_verdict(base, head, bound):
 # ---- measurement ----
 
 def child_env():
-    # ECSD_* variables change what the program does (chaos, forced
+    # ECSD_* variables change what the program does (forced
     # divergence, ring size); every gate runs the program's defaults
     return {k: v for k, v in os.environ.items() if not k.startswith("ECSD_")}
 

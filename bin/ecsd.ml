@@ -502,6 +502,8 @@ let diff mcu period fixed model_name steps ulp opt engine scenario_ref
         match scenario with
         | Some s -> s
         | None ->
+            (* a seed count below 1 is wrong whatever the scenario *)
+            Seed_sweep.check_seeds seeds;
             die "--seeds %d: a seed sweep varies the fault stream; give --scenario"
               seeds
       in
@@ -665,19 +667,13 @@ let diff_cmd =
 
 (* ---- supervised execution, shared by faultsim and serve ---- *)
 
-(* Validate ECSD_CHAOS_SEED / ECSD_CHAOS_RATE before any job runs, so a
-   typo dies with a clear message instead of failing lazily inside a
-   worker domain mid-campaign. *)
-let validate_chaos () =
-  try ignore (Supervise.Chaos.enabled ())
-  with Invalid_argument msg -> die "%s" msg
-
-let policy_of_flags ~deadline_s ~retries =
-  let retries = Option.value retries ~default:2 in
+(* NaN compares false with everything, so it would silently mean no
+   deadline, like 0 *)
+let policy_of_flags ~deadline_s =
+  if Float.is_nan deadline_s || deadline_s < 0.0 then
+    die "--deadline-s must be >= 0 (0: no deadline), got %g" deadline_s;
   {
-    Supervise.default_policy with
     Supervise.deadline_s = (if deadline_s > 0.0 then Some deadline_s else None);
-    retries = (if retries >= 0 then retries else 0);
   }
 
 let deadline_arg =
@@ -688,25 +684,12 @@ let deadline_arg =
           "Per-job deadline: a job (one seed's run, or one serve job) \
            running longer than $(docv) is cancelled at the next engine \
            step and reported as a $(b,timeout) failure record. Default \
-           0: no deadline.")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Extra attempts for jobs that fail transiently (e.g. under \
-           injected chaos), with deterministic exponential backoff; a \
-           job still transient after all attempts is quarantined as \
-           $(b,poisoned). Default 2 (a supervised run: $(b,faultsim) \
-           takes it only with $(b,--on-error record)).")
+           0: no deadline; a negative or NaN $(docv) exits 2.")
 
 (* ---- faultsim ---- *)
 
 let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
-    on_error deadline_s retries list_scn json json_out no_flight trace metrics
-    =
+    on_error deadline_s list_scn json json_out no_flight trace metrics =
   if list_scn then begin
     List.iter
       (fun s ->
@@ -716,19 +699,12 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
     0
   end
   else begin
-    validate_chaos ();
-    (* only a supervised seed has a deadline, retries or chaos to apply:
-       abort mode would ignore them *)
-    if on_error = `Abort then begin
-      let needs_record what =
-        die "%s needs --on-error record (abort mode runs seeds unsupervised)"
-          what
-      in
-      if deadline_s > 0.0 then needs_record "--deadline-s";
-      if retries <> None then needs_record "--retries";
-      if Supervise.Chaos.enabled () then
-        needs_record "ECSD_CHAOS_SEED chaos"
-    end;
+    let policy = policy_of_flags ~deadline_s in
+    (* only a supervised seed has a deadline to apply: abort mode would
+       ignore it *)
+    if on_error = `Abort && policy.Supervise.deadline_s <> None then
+      die "--deadline-s needs --on-error record (abort mode runs seeds \
+           unsupervised)";
     with_obs trace metrics @@ fun () ->
     enable_flight no_flight;
     if model_name <> "servo" then
@@ -736,9 +712,7 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
     (* supervised mode: a failing seed becomes a failure row in the
        report instead of aborting the whole campaign *)
     let policy =
-      match on_error with
-      | `Abort -> None
-      | `Record -> Some (policy_of_flags ~deadline_s ~retries)
+      match on_error with `Abort -> None | `Record -> Some policy
     in
     let scenario = scenario_or_die scenario_ref in
     let mk_subject () =
@@ -825,11 +799,10 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
           (Supervise.error_class e) (Supervise.error_message e))
       r.Fault_campaign.failures;
     if policy <> None then
-      Printf.printf "supervision        : %d/%d seeds ok, %d failed, %d retries\n"
+      Printf.printf "supervision        : %d/%d seeds ok, %d failed\n"
         (List.length r.Fault_campaign.runs)
         seeds
-        (List.length r.Fault_campaign.failures)
-        r.Fault_campaign.retries_total;
+        (List.length r.Fault_campaign.failures);
     let detected = Fault_campaign.all_detected r in
     let recovered = Fault_campaign.all_recovered r in
     Printf.printf "detected           : %s\n" (if detected then "all runs" else "NOT ALL");
@@ -901,14 +874,12 @@ let faultsim_cmd =
             "What a failing seed does to the campaign. $(b,abort) \
              (default): the first failure kills the run, as before. \
              $(b,record): supervised execution — each seed runs under \
-             the $(b,--deadline-s)/$(b,--retries) envelope (and any \
-             $(b,ECSD_CHAOS_SEED) chaos), failures become per-seed \
+             the $(b,--deadline-s) envelope, failures become per-seed \
              rows in the report, and the campaign completes; exit 1 if \
              any seed failed or never recovered. Failure rows are \
              deterministic, so the report stays byte-identical across \
-             $(b,--jobs). $(b,--deadline-s), $(b,--retries) and \
-             $(b,ECSD_CHAOS_SEED) chaos need $(b,record): abort mode \
-             exits 2 on them.")
+             $(b,--jobs). $(b,--deadline-s) needs $(b,record): abort \
+             mode exits 2 on it.")
   in
   Cmd.v
     (Cmd.info "faultsim"
@@ -919,21 +890,19 @@ let faultsim_cmd =
           recovers)")
     Term.(
       const faultsim $ mcu_arg $ period_arg $ fixed_arg $ model_arg $ scenario
-      $ seeds $ t_end $ jobs_arg $ on_error $ deadline_arg $ retries_arg
-      $ list_scn $ json $ json_out $ no_flight_arg $ trace_arg $ metrics_arg)
+      $ seeds $ t_end $ jobs_arg $ on_error $ deadline_arg $ list_scn $ json
+      $ json_out $ no_flight_arg $ trace_arg $ metrics_arg)
 
 (* ---- serve ---- *)
 
-let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
-    queue =
+let serve mcu period fixed jobs heartbeat prom no_flight deadline_s queue =
   (* serve always runs instrumented: the registry feeds the heartbeat
      lines, the `stats` job and the --prom snapshot; the flight recorder
      captures forensics of any diverging or unrecovered job *)
   Obs.reset ();
   Obs.set_enabled true;
   enable_flight no_flight;
-  validate_chaos ();
-  let policy = policy_of_flags ~deadline_s ~retries in
+  let policy = policy_of_flags ~deadline_s in
   (* The first SIGINT/SIGTERM drains the queue, a second one sheds the
      jobs in flight. OCaml 5 delivers signals on an arbitrary domain, so
      the handler only sets flags, which the loop and Cancel tokens poll. *)
@@ -1008,20 +977,18 @@ let serve_cmd =
           of worker domains sharing one job queue and stream one JSON \
           result line per job on stdout, in submission order. Blank \
           lines and $(b,#) comments are skipped. Every job runs \
-          supervised: $(b,--deadline-s) bounds \
-          its runtime, transient failures retry up to $(b,--retries) \
-          times with deterministic backoff, and failures come back as \
-          structured records — $(b,\"class\") is one of bad_request | \
-          timeout | crashed | transient | poisoned | shed, and the \
-          per-job $(b,\"exit\") field is 0 success, 1 criterion failure \
+          supervised: $(b,--deadline-s) bounds its runtime, and failures \
+          come back as structured records — $(b,\"class\") is one of \
+          bad_request | timeout | crashed | shed, and the per-job \
+          $(b,\"exit\") field is 0 success, 1 criterion failure \
           (divergence or unrecovered run), 2 bad request, 3 timeout, 4 \
-          crash, 5 poisoned, 6 shed. SIGINT/SIGTERM stops intake and \
-          drains in-flight jobs, then flushes the $(b,--prom) snapshot \
+          crash, 6 shed. SIGINT/SIGTERM stops intake and drains \
+          in-flight jobs, then flushes the $(b,--prom) snapshot \
           and the flight bundle before exiting 0; a second signal sheds \
           the in-flight jobs too.")
     Term.(
       const serve $ mcu_arg $ period_arg $ fixed_arg $ jobs $ heartbeat $ prom
-      $ no_flight_arg $ deadline_arg $ retries_arg $ queue)
+      $ no_flight_arg $ deadline_arg $ queue)
 
 (* ---- analyze ---- *)
 

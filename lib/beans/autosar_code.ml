@@ -1,26 +1,9 @@
 open C_ast
 
-(* The same synthesised register scheme as Bean_code, so both HAL variants
-   drive "the same silicon". *)
-let base_of mcu kind =
-  let family_base =
-    match mcu.Mcu_db.family with
-    | "56F83xx" -> 0xF000
-    | "HCS12" -> 0x0040
-    | _ -> 0x4000_0000
-  in
-  let offset =
-    match kind with
-    | `Timer -> 0x0C0
-    | `Adc -> 0x180
-    | `Pwm -> 0x200
-    | `Gpio -> 0x2C0
-    | `Qdec -> 0x300
-    | `Sci -> 0x340
-  in
-  family_base + offset
-
-let reg name = Call ("REG16", [ Var name ])
+(* Bean_code's synthesised register map, so both HAL variants drive
+   "the same silicon" *)
+let base_of = Bean_code.base_of
+let reg = Bean_code.reg
 
 let symbolic_id b =
   match b.Bean.config with

@@ -9,6 +9,17 @@
     per family (base address + channel stride), which preserves the shape
     and size of the real HAL without copying vendor headers. *)
 
+val base_of :
+  Mcu_db.t ->
+  [< `Adc | `Dac | `Gpio | `Pwm | `Qdec | `Sci | `Timer | `Wdog ] ->
+  int
+(** The synthesised register map: the base address of a peripheral
+    class on the MCU's family (channels add their stride to it). The
+    AUTOSAR HAL ({!Autosar_code}) uses the same map. *)
+
+val reg : string -> C_ast.expr
+(** [REG16(addr)], the 16-bit register access at a literal address. *)
+
 val unit_of_bean : Mcu_db.t -> Bean.t -> C_ast.cunit
 (** @raise Invalid_argument when the bean is unresolved. *)
 

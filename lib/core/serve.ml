@@ -13,21 +13,19 @@ let usage =
 let exit_code = function
   | Supervise.Timeout _ -> 3
   | Supervise.Crashed (Supervise.Bad_request _) -> 2
-  | Supervise.Crashed _ | Supervise.Transient _ -> 4
-  | Supervise.Poisoned _ -> 5
+  | Supervise.Crashed _ -> 4
   | Supervise.Shed -> 6
 
-let error_fields ~attempts err =
+let error_fields err =
   [
     ("job", Str (match err with Supervise.Shed -> "shed" | _ -> "error"));
     ("class", Str (Supervise.error_class err));
     ("error", Str (Supervise.error_message err));
-    ("attempts", Int attempts);
     ("exit", Int (exit_code err));
   ]
 
 (* runtime request errors (unknown scenario/model, sizes out of range)
-   are bad requests: classified, never retried, worker survives *)
+   are bad requests: classified, the worker survives *)
 let scenario_or_fail s =
   match Fault_scenario.find s with
   | Ok scn -> scn
@@ -116,18 +114,14 @@ let job ?killed ~id ~policy ~config ~stats line =
   Flight.begin_track ~id ~name:line;
   match parse ~config ~id ~stats line with
   | Error msg ->
-      error_fields ~attempts:0 (Supervise.Crashed (Supervise.Bad_request msg))
+      error_fields (Supervise.Crashed (Supervise.Bad_request msg))
   | Ok thunk -> (
-      (* the supervised envelope: deadline, retry/backoff, chaos,
-         kill-on-second-signal; never raises, so the worker always
-         survives the job *)
+      (* the supervised envelope: deadline, kill-on-second-signal;
+         never raises, so the worker always survives the job *)
       let o = Supervise.supervise ~policy ?killed ~label:line thunk in
       match o.Supervise.result with
-      | Ok fields ->
-          if o.Supervise.attempts > 1 then
-            fields @ [ ("attempts", Int o.Supervise.attempts) ]
-          else fields
-      | Error err -> error_fields ~attempts:o.Supervise.attempts err)
+      | Ok fields -> fields
+      | Error err -> error_fields err)
 
 (* ---- the queue ---- *)
 
@@ -210,7 +204,7 @@ let loop ?(draining = Atomic.make false) ?killed ~config ~jobs ~heartbeat
     let backlog = admit e in
     if queue > 0 && backlog >= queue then begin
       Supervise.record_shed ();
-      complete e id (record id (error_fields ~attempts:0 Supervise.Shed))
+      complete e id (record id (error_fields Supervise.Shed))
     end
     else
       Exec_pool.submit pool (fun () ->

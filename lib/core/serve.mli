@@ -5,10 +5,9 @@
     A line names a job — [faultsim SCENARIO [SEEDS [T_END]]],
     [diff MODEL [STEPS [SCENARIO [SEED [ENGINE]]]]] or [stats]. Every
     failure is a structured record, never an exception: ["class"] is one
-    of [bad_request | timeout | crashed | transient | poisoned | shed],
-    and ["exit"] is 0 success, 1 criterion failure (divergence or
-    unrecovered run), 2 bad request, 3 timeout, 4 crash, 5 poisoned,
-    6 shed. *)
+    of [bad_request | timeout | crashed | shed], and ["exit"] is 0
+    success, 1 criterion failure (divergence or unrecovered run), 2 bad
+    request, 3 timeout, 4 crash, 6 shed (5 is retired, not reused). *)
 
 type fields = (string * Bench_json.t) list
 
@@ -22,9 +21,8 @@ val job :
   fields
 (** [job ~id ~policy ~config ~stats line] is the record of [line] but
     its ["id"]: on flight track [id], under {!Supervise.supervise} with
-    [policy] and label [line] (so chaos and jitter depend on the request
-    alone), shed if [killed] is set. Malformed lines and out-of-range
-    sizes are [bad_request] records; [stats] runs [stats]. A
+    [policy] and label [line], shed if [killed] is set. Malformed lines
+    and out-of-range sizes are [bad_request] records; [stats] runs [stats]. A
     [faultsim] job's seeds record under tracks apart from every other
     job's, so each unrecovered seed leaves a bundle. *)
 

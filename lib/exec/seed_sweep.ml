@@ -21,6 +21,9 @@ let horizon_steps ~period t_end =
     bad_request "t_end must span at least one %g s step, got %g" period t_end;
   steps
 
+let check_seeds seeds =
+  if seeds < 1 then bad_request "seed count must be >= 1, got %d" seeds
+
 type ('p, 'r) t = {
   plan : 'p;
   outcomes : (int * 'r Supervise.outcome) array;
@@ -29,7 +32,7 @@ type ('p, 'r) t = {
 
 let run ?(jobs = 1) ?policy ?(on_run = fun _ _ -> ()) ?(track_base = 0) ~seeds
     ~track ~label ~subject ~plan body =
-  if seeds < 1 then bad_request "seed count must be >= 1, got %d" seeds;
+  check_seeds seeds;
   Exec_pool.check_jobs jobs;
   (* the warm-up: this domain's subject, before any other domain starts *)
   let warm = subject () in
@@ -39,13 +42,12 @@ let run ?(jobs = 1) ?policy ?(on_run = fun _ _ -> ()) ?(track_base = 0) ~seeds
   let one s i =
     let seed = i + 1 in
     let go () =
-      (* inside the envelope: a retried attempt restarts the track *)
       Flight.begin_track ~id:(track_base + seed) ~name:track;
       body plan s seed
     in
     let o =
       match policy with
-      | None -> { Supervise.result = Ok (go ()); attempts = 1 }
+      | None -> { Supervise.result = Ok (go ()) }
       | Some policy ->
           Supervise.supervise ~policy
             ~label:(Printf.sprintf "%s:seed%d" label seed)

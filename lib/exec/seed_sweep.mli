@@ -20,6 +20,10 @@ val horizon_steps : period:float -> float -> int
     a simulation horizon. @raise Supervise.Bad_request when [t_end] is
     not finite, rounds to no step, or to more than [max_int] steps. *)
 
+val check_seeds : int -> unit
+(** The one check of a seed count, done by {!run} before anything runs.
+    @raise Supervise.Bad_request when it is below 1. *)
+
 type ('p, 'r) t = {
   plan : 'p;  (** what [plan] derived from this domain's subject *)
   outcomes : (int * 'r Supervise.outcome) array;

@@ -1,97 +1,44 @@
 (** Supervised job execution for campaigns and [ecsd serve].
 
     {!supervise} runs one job under a {!Cancel} token (deadline polled
-    at the engines' step-loop fuel points), retries transient failures
-    with deterministic exponential backoff + seeded jitter, quarantines
-    repeat offenders, and classifies every failure into a structured
-    taxonomy instead of letting it escape. Outcome-affecting decisions
-    (chaos injection, jitter) are pure functions of (seed, label,
-    attempt), so supervised campaign reports are byte-identical
-    whatever [--jobs] is.
+    at the engines' step-loop fuel points) and classifies every failure
+    into a structured taxonomy instead of letting it escape. Every job
+    is a deterministic simulation, so a failing job fails the same way
+    on every attempt: there is one attempt, and supervised campaign
+    reports are byte-identical whatever [--jobs] is.
 
     Named [Supervise] because the PEERT layer owns the top-level
     [Supervisor] module (the generated safe-state statechart). *)
 
 type error =
-  | Timeout of float  (** per-attempt deadline, seconds *)
-  | Crashed of exn  (** non-transient exception ([Bad_request] included) *)
-  | Transient of string  (** transient failure and [retries = 0] *)
-  | Poisoned of { attempts : int; last : string }
-      (** still transient after every allowed attempt — quarantined *)
+  | Timeout of float  (** the deadline, seconds *)
+  | Crashed of exn  (** the job raised ([Bad_request] included) *)
   | Shed  (** refused admission, or killed mid-flight by shutdown *)
 
-exception Transient_failure of string
-(** Raise from a job to classify its failure as transient (retryable). *)
-
 exception Bad_request of string
-(** Raise from a job to classify its failure as a malformed request;
-    never retried, reported with [error_class] ["bad_request"]. *)
+(** Raise from a job to classify its failure as a malformed request,
+    reported with [error_class] ["bad_request"]. *)
 
 val error_class : error -> string
 (** Stable class enum: ["timeout" | "crashed" | "bad_request" |
-    "transient" | "poisoned" | "shed"]. *)
+    "shed"]. *)
 
 val error_message : error -> string
 (** Deterministic human-readable detail (uses [Printexc.to_string] for
     [Crashed]). *)
 
-type policy = {
-  deadline_s : float option;  (** per-attempt deadline; [None] = none *)
-  retries : int;  (** extra attempts allowed for transient failures *)
-  backoff_base_s : float;  (** backoff before retry 1 (doubles each) *)
-  backoff_max_s : float;  (** backoff ceiling *)
-  jitter_seed : int;  (** seeds the deterministic jitter stream *)
-}
+type policy = { deadline_s : float option  (** [None] = no deadline *) }
 
 val default_policy : policy
-(** No deadline, 2 retries, 10 ms base backoff capped at 500 ms. *)
+(** No deadline. *)
 
-type 'a outcome = {
-  result : ('a, error) result;
-  attempts : int;  (** attempts actually made, >= 1 *)
-}
+type 'a outcome = { result : ('a, error) result }
 
 val supervise :
   ?policy:policy -> ?killed:bool Atomic.t -> label:string -> (unit -> 'a) -> 'a outcome
-(** Run [f] supervised. [label] identifies the job for chaos/jitter
-    determinism and flight-recorder marks; [killed] shares an external
-    kill flag (shutdown cancels in-flight jobs as [Shed]). Never
-    raises: every failure lands in [result]. *)
-
-val backoff_s : policy -> label:string -> attempt:int -> float
-(** The deterministic backoff before retrying [attempt] (0-based):
-    [min max (base * 2^attempt) * jitter(seed, label, attempt)] with
-    jitter in [0.5, 1.5). Exposed for tests and the bench. *)
-
-(** Orchestrator chaos: seeded fault injection against the executor
-    itself, proving the recovery invariants deterministically.
-    Enabled by [ECSD_CHAOS_SEED] (integer seed) with injection
-    probability [ECSD_CHAOS_RATE] (default 0.2), or programmatically
-    via {!Chaos.configure}. Injection only happens inside
-    {!supervise}d jobs. *)
-module Chaos : sig
-  type kind =
-    | Worker_crash  (** the job dies with {!Chaos_crash} → [Crashed] *)
-    | Job_delay  (** a 1–5 ms stall → exercises deadlines/backpressure *)
-    | Spurious_transient  (** {!Transient_failure} → exercises retry *)
-
-  val kind_name : kind -> string
-
-  exception Chaos_crash of string
-
-  val configure : seed:int -> rate:float -> unit
-  (** Override the environment (rate in [0,1]). *)
-
-  val disable : unit -> unit
-  val enabled : unit -> bool
-
-  val decide : label:string -> attempt:int -> kind option
-  (** The injection decision for one attempt — a pure function of
-      (seed, label, attempt); scheduling-independent by construction. *)
-
-  val apply : label:string -> attempt:int -> (unit -> 'a) -> 'a
-  (** Run [f] through this attempt's decision (used by {!supervise}). *)
-end
+(** Run [f] supervised. [label] names the job in flight-recorder marks;
+    [killed] shares an external kill flag (shutdown cancels in-flight
+    jobs as [Shed]). Never raises: every failure lands in [result]. *)
 
 val record_shed : unit -> unit
 (** Count one load-shedding refusal (the [supervisor.shed] counter) —

@@ -37,7 +37,6 @@ type result = {
   failures : (int * Supervise.error) list;
       (* supervised mode: seeds whose run ended in an error record
          instead of metrics, sorted by seed *)
-  retries_total : int;
   steps_per_run : int;
   wall_s : float;
 }
@@ -281,14 +280,13 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?on_run ?policy ?jobs ?track_base
             one_run slot subject ~scenario ~seed ~steps ~period ~t_end))
   in
   let period, steps = s.Seed_sweep.plan in
-  let outcomes = Array.to_list s.Seed_sweep.outcomes in
   let runs, failures =
     List.partition_map
       (fun (seed, o) ->
         match o.Supervise.result with
         | Ok r -> Either.Left r
         | Error e -> Either.Right (seed, e))
-      outcomes
+      (Array.to_list s.Seed_sweep.outcomes)
   in
   {
     scenario;
@@ -296,8 +294,6 @@ let sweep ?(t_end = 2.0) ?(seeds = 5) ?on_run ?policy ?jobs ?track_base
     period;
     runs;
     failures;
-    retries_total =
-      List.fold_left (fun a (_, o) -> a + o.Supervise.attempts - 1) 0 outcomes;
     steps_per_run = steps;
     (* the one timing-dependent field of the campaign document:
        ECSD_WALL_ZERO=1 zeroes it so CI can assert a --jobs N report
@@ -381,7 +377,8 @@ let to_json ~model r =
                    ("error", Str (Supervise.error_message e));
                  ])
              r.failures) );
-      ("retries_total", Int r.retries_total);
+      (* a job is never retried; the field keeps ecsd-fault-1 documents stable *)
+      ("retries_total", Int 0);
       ("all_detected", Bool (all_detected r));
       ("all_recovered", Bool (all_recovered r));
       ("detection_s", json_stats (List.filter_map (fun x -> x.detection_s) r.runs));

@@ -55,10 +55,8 @@ type result = {
   runs : run_result list;
   failures : (int * Supervise.error) list;
       (** supervised campaigns only: seeds whose run ended in an error
-          record (timeout, crash, poisoned, ...) instead of metrics, in
-          seed order. Empty when no policy is given. *)
-  retries_total : int;
-      (** total retry attempts spent across all seeds (supervised) *)
+          record (timeout, crash, ...) instead of metrics, in seed
+          order. Empty when no policy is given. *)
   steps_per_run : int;
   wall_s : float;
 }
@@ -112,11 +110,11 @@ val sweep :
       it, one call at a time — the CLI uses it to keep a partial report
       it can flush if a later run dies.
     - [policy] turns on supervised execution: each seed's run gets a
-      {!Supervise} deadline/retry envelope (and any configured chaos), a
-      failing seed lands in [failures] instead of aborting the campaign,
-      and [on_run] fires only for successful runs. Supervised outcomes
-      (chaos decisions, backoff jitter) are pure functions of (seed,
-      attempt), so the report stays byte-identical whatever [jobs] is.
+      {!Supervise} deadline envelope, a failing seed lands in
+      [failures] instead of aborting the campaign, and [on_run] fires
+      only for successful runs. A seed's failure is a function of the
+      seed, so the report stays byte-identical whatever [jobs] is
+      (unless a deadline, a wall-clock limit, fires).
       Without a [policy] any exception propagates.
     - Seed [s] records its flight track under id [track_base + s]
       ([track_base] defaults to 0), so campaigns run side by side in one

@@ -13,7 +13,7 @@
      per-track sequence number. When a run fails, [capture] walks the ring
      *on the executing domain*, newest first, through the current track's
      sequence numbers, so only this recording of the track id is kept (not
-     a retried or earlier run of the same id). Because eviction is
+     an earlier run of the same id). Because eviction is
      positional (slot i is simply overwritten), the surviving
      events of track S are always the last [min n_S cap] events S recorded —
      independent of whatever other tracks previously ran on the same domain.
@@ -255,10 +255,10 @@ let cap_mutex = Mutex.create ()
 let cap_tbl : (int, bundle) Hashtbl.t = Hashtbl.create 8
 
 (* A bundle is the current recording of the track, [since 0]: an earlier
-   recording of the same id (a retried seed, a serve worker's previous
+   recording of the same id (a rerun seed, a serve worker's previous
    job) is never mixed in. First capture per track wins: a run's first
    divergence is the forensic moment; later captures of the same track
-   (retries, later failures) are ignored so the bundle is stable. *)
+   are ignored so the bundle is stable. *)
 let capture ~reason =
   if !on then begin
     let r = ring () in

@@ -245,34 +245,32 @@ let test_serve_jobs_own_bundles () =
         (List.length a.Flight.b_events) (List.length b.Flight.b_events)
   | bs -> Alcotest.failf "expected two bundles, got %d" (List.length bs)
 
-(* a supervised retry restarts its seed's track: the bundle holds the
-   retry's events, not the failed attempt's as well *)
-let test_supervised_retry () =
+(* a seed run twice under one track id (two sweeps, like a serve
+   worker's successive jobs) restarts the track: the bundle holds the
+   second recording's events, not the first's as well *)
+let test_restarted_track () =
   with_flight @@ fun () ->
-  let attempts = ref 0 in
-  let policy =
-    { Supervise.default_policy with backoff_base_s = 0.0; backoff_max_s = 0.0 }
+  let sweep n =
+    let r =
+      Seed_sweep.run ~policy:Supervise.default_policy ~seeds:1 ~track:"rerun"
+        ~label:"rerun" ~subject:ignore ~plan:ignore (fun () () _ ->
+          for k = 0 to n - 1 do
+            Flight.step_mark ~step:k ~time:(float_of_int k *. 1e-3) "rerun"
+          done;
+          if n = 12 then Flight.capture ~reason:"rerun")
+    in
+    match r.Seed_sweep.outcomes with
+    | [| (1, { Supervise.result = Ok () }) |] -> ()
+    | _ -> Alcotest.fail "expected seed 1 to succeed"
   in
-  let r =
-    Seed_sweep.run ~policy ~seeds:1 ~track:"retry" ~label:"retry"
-      ~subject:ignore ~plan:ignore (fun () () _ ->
-        incr attempts;
-        let n = if !attempts = 1 then 20 else 12 in
-        for k = 0 to n - 1 do
-          Flight.step_mark ~step:k ~time:(float_of_int k *. 1e-3) "retry"
-        done;
-        if !attempts = 1 then raise (Supervise.Transient_failure "attempt 1");
-        Flight.capture ~reason:"retried")
-  in
-  (match r.Seed_sweep.outcomes with
-  | [| (1, { Supervise.result = Ok (); attempts = 2 }) |] -> ()
-  | _ -> Alcotest.fail "expected seed 1 to succeed on its second attempt");
+  sweep 20;
+  sweep 12;
   match Flight.captures () with
   | [ b ] ->
       Alcotest.(check int) "track" 1 b.Flight.b_track;
       Alcotest.(check int) "dropped" 0 b.Flight.b_dropped;
       Alcotest.(check (list int))
-        "the retry's seqs" (List.init 12 Fun.id)
+        "the second recording's seqs" (List.init 12 Fun.id)
         (List.map (fun e -> e.Flight.ev_seq) b.Flight.b_events)
   | bs -> Alcotest.failf "expected one bundle, got %d" (List.length bs)
 
@@ -364,8 +362,8 @@ let suite =
       test_reused_track_id;
     Alcotest.test_case "serve faultsim jobs keep their own bundles" `Quick
       test_serve_jobs_own_bundles;
-    Alcotest.test_case "supervised retry captures the retry" `Quick
-      test_supervised_retry;
+    Alcotest.test_case "rerun seed captures the last recording" `Quick
+      test_restarted_track;
     Alcotest.test_case "host spans never change a capture" `Quick
       test_spans_never_change_capture;
   ]

@@ -184,7 +184,7 @@ let prop_worker_survives =
     ~count:3 ~print:Print.string (Gen.oneofl real_jobs)
     (fun next ->
       let policy =
-        { Supervise.default_policy with Supervise.deadline_s = Some 0.3 }
+        { Supervise.deadline_s = Some 0.3 }
       in
       run_piped ~queue:0 ~policy [ (slow ^ next ^ "\n", 0) ] = [ 3; 0 ]
       && run_piped ~queue:1 ~policy

@@ -1,7 +1,6 @@
 (* Supervised execution: the error taxonomy, deadline cancellation,
-   retry/backoff determinism, seeded orchestrator chaos, map's
-   lowest-index abort, the pool error hook, and the supervised fault
-   campaign's jobs-count independence. *)
+   map's lowest-index abort, the pool error hook, and the supervised
+   seed sweep's jobs-count independence. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -41,64 +40,12 @@ let test_cancel_kill () =
 
 let test_supervise_ok () =
   let o = Supervise.supervise ~label:"ok" (fun () -> 41 + 1) in
-  check_int "attempts" 1 o.Supervise.attempts;
   match o.Supervise.result with
   | Ok v -> check_int "value" 42 v
   | Error _ -> Alcotest.fail "unexpected error"
 
-let test_supervise_transient_retry () =
-  let calls = ref 0 in
-  let o =
-    Supervise.supervise
-      ~policy:{ Supervise.default_policy with Supervise.backoff_base_s = 1e-4 }
-      ~label:"flaky"
-      (fun () ->
-        incr calls;
-        if !calls = 1 then raise (Supervise.Transient_failure "blip");
-        "recovered")
-  in
-  check_int "two attempts" 2 o.Supervise.attempts;
-  (match o.Supervise.result with
-  | Ok v -> check_string "recovered" "recovered" v
-  | Error _ -> Alcotest.fail "retry should have recovered");
-  check_int "job ran twice" 2 !calls
-
-let test_supervise_poisoned () =
-  let o =
-    Supervise.supervise
-      ~policy:
-        {
-          Supervise.default_policy with
-          Supervise.retries = 2;
-          backoff_base_s = 1e-4;
-        }
-      ~label:"always-transient"
-      (fun () -> raise (Supervise.Transient_failure "still down"))
-  in
-  check_int "all attempts spent" 3 o.Supervise.attempts;
-  match o.Supervise.result with
-  | Error (Supervise.Poisoned { attempts; last }) ->
-      check_int "poisoned after 3" 3 attempts;
-      check_string "last message" "still down" last;
-      check_string "class" "poisoned"
-        (Supervise.error_class (Supervise.Poisoned { attempts; last }))
-  | _ -> Alcotest.fail "expected Poisoned"
-
-let test_supervise_transient_no_retry () =
-  let o =
-    Supervise.supervise
-      ~policy:{ Supervise.default_policy with Supervise.retries = 0 }
-      ~label:"transient-0" (fun () ->
-        raise (Supervise.Transient_failure "blip"))
-  in
-  check_int "one attempt" 1 o.Supervise.attempts;
-  match o.Supervise.result with
-  | Error (Supervise.Transient msg) -> check_string "message" "blip" msg
-  | _ -> Alcotest.fail "expected Transient with retries = 0"
-
 let test_supervise_crashed () =
   let o = Supervise.supervise ~label:"boom" (fun () -> failwith "boom") in
-  check_int "no retry for crashes" 1 o.Supervise.attempts;
   match o.Supervise.result with
   | Error (Supervise.Crashed e as err) ->
       check_string "class" "crashed" (Supervise.error_class err);
@@ -120,7 +67,7 @@ let test_supervise_timeout () =
   let o =
     Supervise.supervise
       ~policy:
-        { Supervise.default_policy with Supervise.deadline_s = Some 0.02 }
+        { Supervise.deadline_s = Some 0.02 }
       ~label:"spin" (fun () ->
         while true do
           Cancel.poll ()
@@ -143,80 +90,6 @@ let test_supervise_shed_on_kill () =
   | Error (Supervise.Shed as err) ->
       check_string "class" "shed" (Supervise.error_class err)
   | _ -> Alcotest.fail "expected Shed"
-
-(* ---- deterministic backoff ---- *)
-
-let test_backoff_deterministic () =
-  let policy =
-    {
-      Supervise.default_policy with
-      Supervise.backoff_base_s = 0.01;
-      backoff_max_s = 0.5;
-      jitter_seed = 7;
-    }
-  in
-  for attempt = 0 to 5 do
-    let a = Supervise.backoff_s policy ~label:"job-x" ~attempt in
-    let b = Supervise.backoff_s policy ~label:"job-x" ~attempt in
-    Alcotest.(check (float 0.0)) "same (label, attempt) -> same backoff" a b;
-    (* jitter in [0.5, 1.5) around the clamped exponential *)
-    let base =
-      Float.min policy.Supervise.backoff_max_s
-        (policy.Supervise.backoff_base_s *. (2.0 ** float_of_int attempt))
-    in
-    check_bool "lower bound" true (a >= (0.5 *. base) -. 1e-12);
-    check_bool "upper bound" true (a <= policy.Supervise.backoff_max_s)
-  done;
-  let a = Supervise.backoff_s policy ~label:"job-x" ~attempt:1 in
-  let b = Supervise.backoff_s policy ~label:"job-y" ~attempt:1 in
-  check_bool "different labels jitter differently" true (a <> b)
-
-(* ---- seeded chaos ---- *)
-
-let with_chaos ~seed ~rate f =
-  Supervise.Chaos.configure ~seed ~rate;
-  Fun.protect ~finally:Supervise.Chaos.disable f
-
-let test_chaos_decide_deterministic () =
-  with_chaos ~seed:42 ~rate:1.0 (fun () ->
-      check_bool "enabled" true (Supervise.Chaos.enabled ());
-      for attempt = 0 to 9 do
-        let a = Supervise.Chaos.decide ~label:"L" ~attempt in
-        let b = Supervise.Chaos.decide ~label:"L" ~attempt in
-        check_bool "same decision twice" true (a = b);
-        check_bool "rate 1.0 always injects" true (a <> None)
-      done);
-  with_chaos ~seed:42 ~rate:0.0 (fun () ->
-      for attempt = 0 to 9 do
-        check_bool "rate 0.0 never injects" true
-          (Supervise.Chaos.decide ~label:"L" ~attempt = None)
-      done);
-  check_bool "disabled after" false (Supervise.Chaos.enabled ())
-
-let test_chaos_under_supervise () =
-  (* rate 1.0: every attempt gets an injection, so a supervised job
-     either times out on delays, retries through transients into
-     poisoning, or crashes — it never succeeds, and the outcome for a
-     fixed (seed, label) is always the same class *)
-  with_chaos ~seed:11 ~rate:1.0 (fun () ->
-      let run () =
-        Supervise.supervise
-          ~policy:
-            {
-              Supervise.default_policy with
-              Supervise.retries = 2;
-              backoff_base_s = 1e-4;
-            }
-          ~label:"chaotic" (fun () -> "fine")
-      in
-      let a = run () and b = run () in
-      let cls o =
-        match o.Supervise.result with
-        | Ok _ -> "ok"
-        | Error e -> Supervise.error_class e
-      in
-      check_string "same outcome class" (cls a) (cls b);
-      check_int "same attempts" a.Supervise.attempts b.Supervise.attempts)
 
 (* ---- map: a raising item aborts with the lowest index ---- *)
 
@@ -261,47 +134,35 @@ let test_submit_error_hook () =
       check_int "every failure counted" 5
         (Obs.counter_value (Obs.counter "exec.task_errors")))
 
-(* ---- supervised campaign: jobs-count independence ---- *)
+(* ---- supervised sweep: jobs-count independence ---- *)
 
-let test_campaign_supervised_identical () =
-  Unix.putenv "ECSD_WALL_ZERO" "1";
-  Fun.protect ~finally:(fun () ->
-      Unix.putenv "ECSD_WALL_ZERO" "";
-      Supervise.Chaos.disable ())
-  @@ fun () ->
-  Supervise.Chaos.configure ~seed:9 ~rate:0.6;
-  let scenario =
-    match Fault_scenario.find "encoder-dropout" with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
+(* two fixed seeds raise, one a crash and one a bad request: each
+   seed's outcome is the same whatever the domain count *)
+let test_sweep_supervised_identical () =
+  let outcomes jobs =
+    let s =
+      Seed_sweep.run ~jobs ~policy:Supervise.default_policy ~seeds:8
+        ~track:"raise" ~label:"raise" ~subject:ignore ~plan:ignore
+        (fun () () seed ->
+          if seed = 3 then failwith "seed 3";
+          if seed = 6 then raise (Supervise.Bad_request "seed 6");
+          seed * seed)
+    in
+    Array.to_list s.Seed_sweep.outcomes
+    |> List.map (fun (seed, o) ->
+           match o.Supervise.result with
+           | Ok v -> (seed, "ok", string_of_int v)
+           | Error e ->
+               (seed, Supervise.error_class e, Supervise.error_message e))
   in
-  let policy =
-    {
-      Supervise.default_policy with
-      Supervise.retries = 1;
-      backoff_base_s = 1e-4;
-    }
-  in
-  let mk_subject () =
-    fst (Servo_system.faultsim_subject ~scenario ())
-  in
-  let seq =
-    Fault_campaign.run ~t_end:0.3 ~seeds:6 ~scenario ~policy (mk_subject ())
-  in
-  let par =
-    Fault_campaign.sweep ~t_end:0.3 ~seeds:6 ~jobs:4 ~scenario ~policy
-      mk_subject
-  in
-  let doc r = Bench_json.to_string (Fault_campaign.to_json ~model:"servo" r) in
-  check_string "byte-identical report, 1 vs 4 workers" (doc seq) (doc par);
-  check_int "every seed accounted for" 6
-    (List.length seq.Fault_campaign.runs
-    + List.length seq.Fault_campaign.failures);
-  (* chaos at rate 0.6 with seed 9 provably perturbs this campaign:
-     either a failure row or a retry must have happened, else the test
-     would pass vacuously *)
-  check_bool "chaos actually did something" true
-    (seq.Fault_campaign.failures <> [] || seq.Fault_campaign.retries_total > 0)
+  let seq = outcomes 1 in
+  Alcotest.(check (list (triple int string string)))
+    "same outcomes, 1 vs 4 workers" seq (outcomes 4);
+  Alcotest.(check (list (triple int string string)))
+    "the two raising seeds"
+    [ (3, "crashed", Printexc.to_string (Failure "seed 3"));
+      (6, "bad_request", "seed 6") ]
+    (List.filter (fun (_, c, _) -> c <> "ok") seq)
 
 (* ---- serve request lines ---- *)
 
@@ -355,27 +216,15 @@ let suite =
     Alcotest.test_case "cancel deadline" `Quick test_cancel_deadline;
     Alcotest.test_case "cancel kill + slot restore" `Quick test_cancel_kill;
     Alcotest.test_case "supervise ok" `Quick test_supervise_ok;
-    Alcotest.test_case "transient retries then recovers" `Quick
-      test_supervise_transient_retry;
-    Alcotest.test_case "poisoned after retries exhausted" `Quick
-      test_supervise_poisoned;
-    Alcotest.test_case "transient with retries=0" `Quick
-      test_supervise_transient_no_retry;
     Alcotest.test_case "crashed" `Quick test_supervise_crashed;
     Alcotest.test_case "bad request" `Quick test_supervise_bad_request;
     Alcotest.test_case "deadline timeout" `Quick test_supervise_timeout;
     Alcotest.test_case "shed on kill" `Quick test_supervise_shed_on_kill;
-    Alcotest.test_case "deterministic backoff" `Quick
-      test_backoff_deterministic;
-    Alcotest.test_case "chaos decide deterministic" `Quick
-      test_chaos_decide_deterministic;
-    Alcotest.test_case "chaos outcome deterministic" `Quick
-      test_chaos_under_supervise;
     Alcotest.test_case "map re-raises the lowest failure" `Quick
       test_map_abort_still_raises;
     Alcotest.test_case "submit error hook" `Quick test_submit_error_hook;
-    Alcotest.test_case "supervised campaign jobs-independent" `Quick
-      test_campaign_supervised_identical;
+    Alcotest.test_case "supervised sweep jobs-independent" `Quick
+      test_sweep_supervised_identical;
     Alcotest.test_case "serve line classification" `Quick
       test_serve_line_classification;
   ]
