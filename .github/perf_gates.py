@@ -15,9 +15,11 @@ Run from the root of a built source checkout. GATE is any of
                the base commit): traced engine.step_us, silvm.step_us and
                engine.closed_loop_step_us (the MIL servo with its
                continuous plant), and the wall times of `ecsd diff servo
-               --steps 5000 --engine interp` and of `ecsd pil` (320
-               control periods over the virtual MCU's serial link), each
-               side's runs interleaved, may not grow by more than 25 %;
+               --steps 5000 --engine interp`, of `ecsd pil` (320
+               control periods over the virtual MCU's serial link) and of
+               `ecsd faultsim --scenario noise-burst --seeds 8` (the MIL
+               closed loop under injection), each side's runs
+               interleaved, may not grow by more than 25 %;
   compiled     paired `ecsd diff servo --steps 5000` wall times: the
                compiled SIL engine is faster than the reference engine;
   restore      paired `ecsd faultsim --scenario sensor-stuck` runs with
@@ -250,7 +252,9 @@ class Gates:
         for name, argv in (
                 ("diff --engine interp",
                  ["diff", "servo", "--steps", "5000", "--engine", "interp"]),
-                ("pil", ["pil"])):
+                ("pil", ["pil"]),
+                ("faultsim noise-burst",
+                 ["faultsim", "--scenario", "noise-burst", "--seeds", "8"])):
             s = interleaved(TRACED_RUNS, {
                 "base": lambda: wall([ecsd(self.base_dir)] + argv, self.tmp),
                 "head": lambda: wall([ecsd(ROOT)] + argv, self.tmp),

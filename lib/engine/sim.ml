@@ -30,7 +30,8 @@ let probe_buf_push pb t v =
    one with a float kernel, or a continuous-rate one without (the
    adapter, which runs its boxed [out]). [y] holds the block's outputs
    as floats: what its Value row reads as floats, or newer during a
-   solver stage, when only [boxed] blocks write their rows. *)
+   solver stage, when only blocks on the generic path write their
+   rows. *)
 type fblock = {
   fb : int;  (* block index *)
   kern : Block.kernel option;  (* [None]: the adapter *)
@@ -43,22 +44,34 @@ type fblock = {
   live_p : int array;
   held_k : int array;  (* kernel inputs held over a step, read from rows *)
   feeds_adapter : bool;  (* an adapter reads its row at every stage *)
-  mutable boxed : bool;
-      (* write the row at every evaluation: it feeds an adapter, or a
-         port carries a fault hook or an override *)
 }
 
 (* Continuous-state integration, planned once at [create]: the packed
-   state vector, advanced in place, and the one kernel [Ode.rk4_into]
-   calls at every stage. *)
+   state vector, advanced in place, and the RK4 workspace. *)
 type integ = {
   fidx : int array;  (* per block: its index in [fbs], -1 when none *)
   fbs : fblock array;
   cont : fblock array;  (* the continuous-rate blocks, in order *)
-  owners : fblock array;  (* the state owners, in order ... *)
-  okern : Block.kernel array;  (* ... and their kernels *)
+  owners : fblock array;  (* the state owners, in order *)
   x : float array;
   ws : Ode.rk4_ws;
+}
+
+(* The step as closures over each block's own arrays, built from the
+   installed hooks and overrides (see [plan]). *)
+type plan = {
+  outs : (unit -> unit) array;
+      (* per block: its outputs at a major step or in a function-call
+         group *)
+  upds : (unit -> unit) array;  (* per block: its [update] *)
+  major : (unit -> unit) array;  (* [outs] of [order] *)
+  update : (unit -> unit) array;  (* [upds] of [order] at [upd] *)
+  deriv : float array -> float array -> unit;
+      (* the RK4 stage: the continuous subgraph at the stage state, then
+         every owner's derivatives *)
+  final : (unit -> unit) array;
+      (* per continuous block: its outputs after the last stage, into
+         its row *)
 }
 
 type hook = time:float -> Value.t -> Value.t
@@ -86,9 +99,7 @@ type t = {
   probes : (int * int, probe_buf) Hashtbl.t;
   mutable events_this_step : int;
   integ : integ;
-  deriv : float array -> float array -> unit;
-      (* the ODE right-hand side over [integ.x], built once; the stage
-         time is [Ode.stage_time integ.ws] *)
+  mutable plan : plan;
   solver_substeps : int;
   group_exec : int array array;
       (* execution order per function-call group, indexed by
@@ -119,14 +130,16 @@ let block_name t i =
   let m = t.comp.Compile.model in
   Model.block_name m (List.find (fun b -> bi b = i) (Model.blocks m))
 
+let arity_error t i outs =
+  failwith
+    (Printf.sprintf "block %s returned %d outputs, expected %d"
+       (block_name t i) (Array.length outs) (Array.length t.signals.(i)))
+
 (* the arity check reads the signal row, sized from the block's spec *)
 let write_outputs t i outs =
   let sg = t.signals.(i) in
   let n = Array.length sg in
-  if Array.length outs <> n then
-    failwith
-      (Printf.sprintf "block %s returned %d outputs, expected %d"
-         (block_name t i) (Array.length outs) n);
+  if Array.length outs <> n then arity_error t i outs;
   let ov = t.overrides.(i) and hk = t.hooks.(i) in
   if Array.length hk = 0 then
     for p = 0 to n - 1 do
@@ -162,26 +175,27 @@ let read_held t fb =
     u.(k) <- Value.to_float ss.(k).(sp.(k))
   done
 
-let read_live fb =
+let[@inline] read_live fb =
   let u = fb.u and lk = fb.live_k and ly = fb.live_y and lp = fb.live_p in
   for j = 0 to Array.length lk - 1 do
     u.(lk.(j)) <- ly.(j).(lp.(j))
   done
 
-(* one evaluation of a float-planned block at the states in [x];
-   [publish] writes the row whatever [boxed] says *)
-let eval t fb ~minor ~publish:pub time x =
+(* one evaluation of a float-planned block at the states in [x], its row
+   written through overrides and hooks and read back *)
+let eval t fb ~minor time x =
   match fb.kern with
   | Some k ->
       read_live fb;
       k.Block.outputs x fb.off fb.u fb.y;
-      if pub || fb.boxed then publish t fb
+      publish t fb
   | None ->
       let i = fb.fb in
       write_outputs t i (t.behs.(i).Block.out ~minor ~time (gather t i));
       readback t fb
 
-(* block [i]'s outputs at a major step or in a function-call group *)
+(* block [i]'s outputs at a major step or in a function-call group, on
+   the generic path: every port through its override and hook *)
 let major_out t i =
   let f = t.integ.fidx.(i) in
   if f < 0 then
@@ -189,19 +203,141 @@ let major_out t i =
   else begin
     let fb = t.integ.fbs.(f) in
     read_held t fb;
-    eval t fb ~minor:false ~publish:true t.now t.integ.x
+    eval t fb ~minor:false t.now t.integ.x
   end
+
+(* [y] boxed into the row of a block without hooks or overrides, where
+   [publish] would read back the same floats *)
+let box_row sg y =
+  for p = 0 to Array.length y - 1 do
+    sg.(p) <- Value.F y.(p)
+  done
+
+(* The plan. A block whose ports carry no hook and no override, and
+   whose row no adapter reads, runs from arrays captured here: its
+   inputs copied from its drivers' rows or [y]s, its kernel or
+   behaviour called, its outputs written as they come. Any other block
+   (and every adapter) gets a closure that calls the generic path, so
+   there is one engine. [set_fault_hook] rebuilds the plan, and so does
+   [override_output] when a port switches between free and forced; a
+   new value on a forced port never does. *)
+let plan t =
+  let g = t.integ in
+  let x = g.x and tc = Ode.time_cell g.ws in
+  let generic i =
+    Array.length t.hooks.(i) > 0
+    || Array.exists Option.is_some t.overrides.(i)
+    || (let f = g.fidx.(i) in
+        f >= 0 && (g.fbs.(f).kern = None || g.fbs.(f).feeds_adapter))
+  in
+  let kernel fb = Option.get fb.kern in
+  let out i =
+    if generic i then fun () -> major_out t i
+    else
+      let f = g.fidx.(i) and sg = t.signals.(i) in
+      if f >= 0 then begin
+        let fb = g.fbs.(f) in
+        let k = kernel fb in
+        fun () ->
+          read_held t fb;
+          read_live fb;
+          k.Block.outputs x fb.off fb.u fb.y;
+          box_row sg fb.y
+      end
+      else
+        let beh = t.behs.(i) and ins = t.inputs.(i) in
+        let ss = t.src_sig.(i) and sp = t.src_port.(i) in
+        let n = Array.length sg in
+        fun () ->
+          for k = 0 to Array.length ins - 1 do
+            ins.(k) <- ss.(k).(sp.(k))
+          done;
+          let outs = beh.Block.out ~minor:false ~time:t.now ins in
+          if Array.length outs <> n then arity_error t i outs;
+          for p = 0 to n - 1 do
+            sg.(p) <- outs.(p)
+          done
+  in
+  let upd i =
+    let beh = t.behs.(i) and ins = t.inputs.(i) in
+    let ss = t.src_sig.(i) and sp = t.src_port.(i) in
+    fun () ->
+      for k = 0 to Array.length ins - 1 do
+        ins.(k) <- ss.(k).(sp.(k))
+      done;
+      beh.Block.update ~time:t.now ins
+  in
+  let n = Array.length t.signals in
+  let outs = Array.init n out and upds = Array.init n upd in
+  (* A stage evaluation of a continuous block at the stage state. A
+     kernel block's live inputs come from its drivers' [y]s, captured
+     here: one input (the common case) is one copy, without a loop or a
+     bounds check ([k0] is an input of the block, [sp] a port of its
+     driver, both checked by [Compile]). *)
+  let stage_out fb =
+    if generic fb.fb then fun x -> eval t fb ~minor:true tc.(0) x
+    else
+      let k = kernel fb and off = fb.off and u = fb.u and y = fb.y in
+      match (fb.live_k, fb.live_y, fb.live_p) with
+      | [| k0 |], [| sy |], [| sp |] ->
+          fun x ->
+            Array.unsafe_set u k0 (Array.unsafe_get sy sp);
+            k.Block.outputs x off u y
+      | _ ->
+          fun x ->
+            read_live fb;
+            k.Block.outputs x off u y
+  in
+  let stage_deriv fb =
+    let k = kernel fb and off = fb.off and u = fb.u in
+    match (fb.live_k, fb.live_y, fb.live_p) with
+    | [| k0 |], [| sy |], [| sp |] ->
+        fun x dx ->
+          Array.unsafe_set u k0 (Array.unsafe_get sy sp);
+          k.Block.deriv tc x off u dx
+    | _ ->
+        fun x dx ->
+          read_live fb;
+          k.Block.deriv tc x off u dx
+  in
+  let cs = Array.map stage_out g.cont and ds = Array.map stage_deriv g.owners in
+  let final fb =
+    let i = fb.fb in
+    if generic i then fun () ->
+      eval t fb ~minor:true (t.now +. t.comp.Compile.base_dt) x
+    else
+      let k = kernel fb and sg = t.signals.(i) in
+      fun () ->
+        read_live fb;
+        k.Block.outputs x fb.off fb.u fb.y;
+        box_row sg fb.y
+  in
+  {
+    outs;
+    upds;
+    major = Array.map (fun i -> outs.(i)) t.order;
+    update = Array.map (fun k -> upds.(t.order.(k))) t.upd;
+    deriv =
+      (fun x dx ->
+        for j = 0 to Array.length cs - 1 do
+          cs.(j) x
+        done;
+        for j = 0 to Array.length ds - 1 do
+          ds.(j) x dx
+        done);
+    final = Array.map final g.cont;
+  }
 
 let exec_group t gi =
   if gi < Array.length t.group_exec then begin
     let order = t.group_exec.(gi) and upd = t.group_upd.(gi) in
+    let { outs; upds; _ } = t.plan in
     Obs.add t.group_counters.(gi) 1;
     for k = 0 to Array.length order - 1 do
-      major_out t order.(k)
+      outs.(order.(k)) ()
     done;
     for k = 0 to Array.length upd - 1 do
-      let i = upd.(k) in
-      t.behs.(i).Block.update ~time:t.now (gather t i)
+      upds.(upd.(k)) ()
     done
   end
 
@@ -213,36 +349,13 @@ let fire_event t targets k =
   if k >= 0 && k < Array.length targets && targets.(k) >= 0 then
     exec_group t targets.(k)
 
-(* dx/dt at [(time, x)]: re-evaluate the continuous subgraph at the
-   stage state, discrete outputs being held, then every owner's
-   derivatives *)
-let stage t time x dx =
-  let g = t.integ in
-  let cs = g.cont in
-  for j = 0 to Array.length cs - 1 do
-    eval t cs.(j) ~minor:true ~publish:false time x
-  done;
-  let os = g.owners and ks = g.okern in
-  for j = 0 to Array.length os - 1 do
-    let fb = os.(j) in
-    read_live fb;
-    ks.(j).Block.deriv time x fb.off fb.u dx
-  done
-
-let set_boxed t fb =
-  let i = fb.fb in
-  fb.boxed <-
-    fb.feeds_adapter
-    || Array.length t.hooks.(i) > 0
-    || Array.exists Option.is_some t.overrides.(i)
-
 (* the owners' initial conditions into the state vector, and every
    [y] from its row *)
 let init_states t =
   let g = t.integ in
-  Array.iteri
-    (fun j fb ->
-      let x0 = g.okern.(j).Block.x0 in
+  Array.iter
+    (fun fb ->
+      let x0 = (Option.get fb.kern).Block.x0 in
       Array.blit x0 0 g.x fb.off (Array.length x0))
     g.owners;
   Array.iter (readback t) g.fbs
@@ -367,19 +480,16 @@ let create ?(solver_substeps = 1) comp =
                live_p = Array.of_list (List.map (fun k -> snd src.(k)) live);
                held_k = Array.of_list held;
                feeds_adapter = feeds_adapter.(i);
-               boxed = feeds_adapter.(i);
              })
            planned)
     in
     let owners = List.filter (fun fb -> nx fb.fb > 0) (Array.to_list fbs) in
-    let x = Array.make !total 0.0 in
     {
       fidx;
       fbs;
       cont = Array.map (fun i -> fbs.(fidx.(i))) cont_order;
       owners = Array.of_list owners;
-      okern = Array.of_list (List.map (fun fb -> Option.get fb.kern) owners);
-      x;
+      x = Array.make !total 0.0;
       ws = Ode.rk4_workspace !total;
     }
   in
@@ -405,7 +515,7 @@ let create ?(solver_substeps = 1) comp =
       group_counters.(Model.group_index g) <-
         Obs.counter ("sim.group." ^ Model.group_name m g))
     (Model.groups m);
-  let rec t =
+  let t =
     {
       comp;
       behs;
@@ -428,7 +538,8 @@ let create ?(solver_substeps = 1) comp =
       probes = Hashtbl.create 8;
       events_this_step = 0;
       integ;
-      deriv = (fun x dx -> stage t (Ode.stage_time integ.ws) x dx);
+      plan = { outs = [||]; upds = [||]; major = [||]; update = [||];
+               deriv = (fun _ _ -> ()); final = [||] };
       solver_substeps;
       group_exec;
       group_upd;
@@ -437,6 +548,7 @@ let create ?(solver_substeps = 1) comp =
     }
   in
   t_ref := Some t;
+  t.plan <- plan t;
   init_states t;
   t
 
@@ -551,8 +663,8 @@ let sample_hits t =
 let integrate t =
   let g = t.integ in
   if Array.length g.owners > 0 then begin
-    let x = g.x and cs = g.cont and os = g.owners in
     (* discrete outputs are held over the step *)
+    let cs = g.cont and os = g.owners in
     for j = 0 to Array.length cs - 1 do
       read_held t cs.(j)
     done;
@@ -561,16 +673,15 @@ let integrate t =
     done;
     (* sub-stepping keeps stiff continuous dynamics (e.g. the motor's
        electrical pole) stable when the discrete base rate is slow *)
-    let n = t.solver_substeps in
+    let n = t.solver_substeps and { deriv; final; _ } = t.plan in
     let h = t.comp.Compile.base_dt /. float_of_int n in
     for i = 0 to n - 1 do
-      Ode.rk4_into g.ws t.deriv (t.now +. (float_of_int i *. h)) x h
+      Ode.rk4_into g.ws deriv (t.now +. (float_of_int i *. h)) g.x h
     done;
     (* leave the continuous signals consistent with the final state, not
        with the solver's last stage evaluation *)
-    let time = t.now +. t.comp.Compile.base_dt in
-    for j = 0 to Array.length cs - 1 do
-      eval t cs.(j) ~minor:true ~publish:true time x
+    for j = 0 to Array.length final - 1 do
+      final.(j) ()
     done
   end
 
@@ -603,17 +714,14 @@ let step t =
   | None -> ());
   t.events_this_step <- 0;
   sample_hits t;
-  let order = t.order and hits = t.rate_hit and rate = t.order_rate in
-  for k = 0 to Array.length order - 1 do
-    if hits.(rate.(k)) then major_out t order.(k)
+  let { major; update; _ } = t.plan in
+  let hits = t.rate_hit and rate = t.order_rate in
+  for k = 0 to Array.length major - 1 do
+    if hits.(rate.(k)) then major.(k) ()
   done;
   let upd = t.upd in
   for j = 0 to Array.length upd - 1 do
-    let k = upd.(j) in
-    if hits.(rate.(k)) then begin
-      let i = order.(k) in
-      t.behs.(i).Block.update ~time:t.now (gather t i)
-    end
+    if hits.(rate.(upd.(j))) then update.(j) ()
   done;
   record_probes t fr;
   integrate t;
@@ -641,14 +749,12 @@ let trace_named t name p = trace t (Model.find t.comp.Compile.model name, p)
 
 let override_output t (b, p) v =
   let i = bi b in
+  let switched = Option.is_some t.overrides.(i).(p) <> Option.is_some v in
   t.overrides.(i).(p) <- v;
   (match v with Some v -> t.signals.(i).(p) <- v | None -> ());
   let f = t.integ.fidx.(i) in
-  if f >= 0 then begin
-    let fb = t.integ.fbs.(f) in
-    set_boxed t fb;
-    readback t fb
-  end
+  if f >= 0 then readback t t.integ.fbs.(f);
+  if switched then t.plan <- plan t
 
 let set_fault_hook t hooks =
   let n = Array.length t.signals in
@@ -670,6 +776,6 @@ let set_fault_hook t hooks =
       | None -> fresh.(i).(p) <- Some h)
     hooks;
   Array.blit fresh 0 t.hooks 0 n;
-  Array.iter (set_boxed t) t.integ.fbs
+  t.plan <- plan t
 
 let step_events t = t.events_this_step

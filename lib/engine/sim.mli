@@ -20,14 +20,16 @@ val create : ?solver_substeps:int -> Compile.t -> t
     (a step evaluates each rate's sample hit once) and the
     continuous-time kernel: the state vector with each owner's offset,
     float arrays for the signals between continuous blocks, and the RK4
-    (ode4) workspace. A continuous-rate block without a float kernel
-    runs its boxed [out] at every stage, and so does a kernel whose row
-    it reads or whose ports carry a fault hook or an override; every
-    other continuous output reaches its Value row once a step, after
-    the last stage. [solver_substeps] (default 1) integrates the
-    continuous states with that many sub-steps per major step — needed
-    when a slow discrete base rate meets fast continuous dynamics
-    (stiffness). *)
+    (ode4) workspace. The step itself is built here as closures over
+    each block's own arrays: one per block for the major pass and for
+    the update pass, and one RK4 stage function over the continuous
+    kernels. A continuous-rate block without a float kernel runs its
+    boxed [out] at every stage, and so does a kernel whose row it reads
+    or whose ports carry a fault hook or an override; every other
+    continuous output reaches its Value row once a step, after the last
+    stage. [solver_substeps] (default 1) integrates the continuous
+    states with that many sub-steps per major step — needed when a slow
+    discrete base rate meets fast continuous dynamics (stiffness). *)
 
 val reset : t -> unit
 (** Back to time zero, every behaviour's [reset], and each kernel's
@@ -81,7 +83,9 @@ val trace_named : t -> string -> int -> (float * float) list
 val override_output : t -> Model.blk * int -> Value.t option -> unit
 (** Force an output port to a fixed value (or release it with [None]) —
     the mechanism the PIL harness uses to redirect peripheral blocks to
-    communication buffers, as PEERT_PIL does in §6. *)
+    communication buffers, as PEERT_PIL does in §6. Switching a port
+    between forced and free re-plans the step; a new value for a port
+    already forced costs no more than the write. *)
 
 val set_fault_hook :
   t -> ((Model.blk * int) * (time:float -> Value.t -> Value.t)) list -> unit
@@ -89,7 +93,8 @@ val set_fault_hook :
     before ([[]] clears them all). Each hook perturbs the value written
     to its one output port (after {!override_output} overrides), at
     every write, with [time] the current major-step time. Ports are
-    resolved here, so a port without a hook pays nothing per write.
+    resolved and the step re-planned here, so a block without a hook
+    pays nothing per write.
     This is the MIL attachment point of the fault campaign subsystem.
     @raise Invalid_argument on a port outside the model's blocks or past
     a block's outputs, or on a port listed twice; the installed set is

@@ -14,7 +14,7 @@ type ctx = {
 type kernel = {
   x0 : float array;
   outputs : float array -> int -> float array -> float array -> unit;
-  deriv : float -> float array -> int -> float array -> float array -> unit;
+  deriv : float array -> float array -> int -> float array -> float array -> unit;
 }
 
 type beh = {

@@ -43,10 +43,11 @@ type kernel = {
   outputs : float array -> int -> float array -> float array -> unit;
       (** [outputs x off u y] writes every output into [y] from the
           states at [x.(off) ..] and the inputs [u]. *)
-  deriv : float -> float array -> int -> float array -> float array -> unit;
-      (** [deriv time x off u dx] writes d/dt of the states at
-          [x.(off) ..] into [dx.(off) ..]; never called for a stateless
-          kernel. *)
+  deriv : float array -> float array -> int -> float array -> float array -> unit;
+      (** [deriv tc x off u dx] writes d/dt of the states at
+          [x.(off) ..] into [dx.(off) ..], at the time [tc.(0)]: the
+          solver's stage-time cell, read in place so that no float is
+          boxed per stage. Never called for a stateless kernel. *)
 }
 
 (** Simulation behaviour of one block instance. All arrays indexed by

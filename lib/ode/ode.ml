@@ -20,7 +20,7 @@ let rk4_workspace n =
   let z () = Array.make n 0.0 in
   { k1 = z (); k2 = z (); k3 = z (); k4 = z (); xs = z (); ts = [| 0.0 |] }
 
-let[@inline] stage_time ws = Array.unsafe_get ws.ts 0
+let time_cell ws = ws.ts
 
 (* The one RK4 tableau in the tree. Each stage state is written into
    [ws.xs] with the same float operations as [axpy], so [step Rk4], which
@@ -70,7 +70,7 @@ let step m f t x h =
       let n = Array.length x in
       let x' = Array.copy x in
       let ws = rk4_workspace n in
-      rk4_into ws (fun x d -> Array.blit (f (stage_time ws) x) 0 d 0 n) t x' h;
+      rk4_into ws (fun x d -> Array.blit (f ws.ts.(0) x) 0 d 0 n) t x' h;
       x'
 
 let integrate m f ~t0 ~t1 ~h x0 =

@@ -22,16 +22,18 @@ type rk4_ws
 val rk4_workspace : int -> rk4_ws
 (** Workspace for states of length [n]. *)
 
-val stage_time : rk4_ws -> float
-(** The time of the stage {!rk4_into} is evaluating: what its [f] reads
-    in place of a time argument. *)
+val time_cell : rk4_ws -> float array
+(** The one-element array holding the time of the stage {!rk4_into} is
+    evaluating: what its [f] reads in place of a time argument. The
+    cell is the workspace's own, so a reader captured at setup reads
+    every stage's time without a float crossing a call. *)
 
 val rk4_into :
   rk4_ws -> (float array -> float array -> unit) -> float -> float array ->
   float -> unit
 (** [rk4_into ws f t x h] advances [x] in place from [t] to [t +. h] by
     classical RK4, allocating nothing itself. [f x dx] writes dx/dt at
-    [(stage_time ws, x)] into [dx]; the [x] it is given (the caller's
+    [((time_cell ws).(0), x)] into [dx]; the [x] it is given (the caller's
     array or the workspace's stage state) is only valid during the call.
     The step inlines into its caller, so [t], [h] and the stage times
     are never boxed. [step Rk4] is this function on a fresh workspace,

@@ -56,9 +56,10 @@ let dc_motor ?(params = Dc_motor.default) ?(load = Load_profile.No_load) () =
                     y.(1) <- x.(off + Dc_motor.x_theta);
                     y.(2) <- x.(off + Dc_motor.x_i));
                 deriv =
-                  (fun time x off u dx ->
+                  (fun tc x off u dx ->
                     let tau =
-                      Load_profile.torque load ~time ~w:x.(off + Dc_motor.x_w)
+                      Load_profile.torque load ~time:tc.(0)
+                        ~w:x.(off + Dc_motor.x_w)
                     in
                     Dc_motor.deriv_into p ~u:u.(0) ~tau_load:tau x off dx);
               };

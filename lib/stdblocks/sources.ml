@@ -16,7 +16,8 @@ let constant ?(dtype = Dtype.Double) value =
         { Block.no_beh_state with out = (fun ~minor:_ ~time:_ _ -> [| v |]) });
   }
 
-let time_source ~kind ~params f =
+(* a double source at the inherited rate, its behaviour from [make] *)
+let source ~kind ~params make =
   {
     Block.kind;
     params;
@@ -26,10 +27,12 @@ let time_source ~kind ~params f =
     out_types = [| Block.Fixed_type Dtype.Double |];
     sample = Sample_time.Inherited;
     event_outs = [||];
-    make =
-      (fun _ctx ->
-        { Block.no_beh_state with out = (fun ~minor:_ ~time _ -> [| dv (f time) |]) });
+    make;
   }
+
+let time_source ~kind ~params f =
+  source ~kind ~params (fun _ctx ->
+      { Block.no_beh_state with out = (fun ~minor:_ ~time _ -> [| dv (f time) |]) })
 
 let step ?(t_step = 0.0) ?(before = 0.0) ~after () =
   time_source ~kind:"Step"
@@ -74,54 +77,55 @@ let setpoint_schedule entries =
   let sorted = List.sort (fun (a, _) (b, _) -> Float.compare a b) entries in
   let times = Array.of_list (List.map fst sorted) in
   let values = Array.of_list (List.map snd sorted) in
-  time_source ~kind:"SetpointSchedule"
+  (* every output boxed once, and a plain loop: the last entry whose time
+     has come wins, as the entries are sorted *)
+  let zero = dv 0.0 and boxed = Array.map dv values in
+  source ~kind:"SetpointSchedule"
     ~params:[ ("times", Param.Floats times); ("values", Param.Floats values) ]
-    (fun t ->
-      let v = ref 0.0 in
-      Array.iteri (fun i ti -> if t >= ti then v := values.(i)) times;
-      !v)
+    (fun _ctx ->
+      {
+        Block.no_beh_state with
+        out =
+          (fun ~minor:_ ~time _ ->
+            let v = ref zero in
+            for i = 0 to Array.length times - 1 do
+              if time >= times.(i) then v := boxed.(i)
+            done;
+            [| !v |]);
+      })
 
 let uniform_noise ?(seed = 42) ?(lo = -1.0) ?(hi = 1.0) () =
-  {
-    Block.kind = "UniformNoise";
-    params =
+  source ~kind:"UniformNoise"
+    ~params:
       [
         ("seed", Param.Int seed);
         ("lo", Param.Float lo);
         ("hi", Param.Float hi);
-      ];
-    n_in = 0;
-    n_out = 1;
-    feedthrough = [||];
-    out_types = [| Block.Fixed_type Dtype.Double |];
-    sample = Sample_time.Inherited;
-    event_outs = [||];
-    make =
-      (fun _ctx ->
-        let state = ref (Int64.of_int seed) in
-        let current = ref 0.0 in
-        let draw () =
-          let u = Splitmix.unit_float (Splitmix.next state) in
-          lo +. (u *. (hi -. lo))
-        in
-        {
-          Block.no_beh_state with
-          out =
-            (fun ~minor ~time:_ _ ->
-              if not minor then current := draw ();
-              [| dv !current |]);
-          reset =
-            (fun () ->
-              state := Int64.of_int seed;
-              current := 0.0);
-          save =
-            (fun () ->
-              let st = !state and v = !current in
-              fun () ->
-                state := st;
-                current := v);
-        });
-  }
+      ]
+    (fun _ctx ->
+      let state = ref (Int64.of_int seed) in
+      let current = ref 0.0 in
+      let draw () =
+        let u = Splitmix.unit_float (Splitmix.next state) in
+        lo +. (u *. (hi -. lo))
+      in
+      {
+        Block.no_beh_state with
+        out =
+          (fun ~minor ~time:_ _ ->
+            if not minor then current := draw ();
+            [| dv !current |]);
+        reset =
+          (fun () ->
+            state := Int64.of_int seed;
+            current := 0.0);
+        save =
+          (fun () ->
+            let st = !state and v = !current in
+            fun () ->
+              state := st;
+              current := v);
+      })
 
 let clock =
   time_source ~kind:"Clock" ~params:[] (fun t -> t)

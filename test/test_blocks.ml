@@ -69,6 +69,34 @@ let test_setpoint_schedule () =
   check_float 1e-12 "first segment" 1.0 (Value.to_float (run_block ~n:2 spec []));
   check_float 1e-12 "second segment" 2.0 (Value.to_float (run_block ~n:7 spec []))
 
+(* minor words of 1000 calls of a source's [out], at boxed times that
+   cross every entry of the schedule below *)
+let out_words spec =
+  let ctx =
+    {
+      Block.base_dt = 1e-3;
+      block_dt = 1e-3;
+      fire = ignore;
+      in_dtypes = [||];
+      out_dtypes = [| Dtype.Double |];
+    }
+  in
+  let beh = spec.Block.make ctx in
+  let times = List.init 1000 (fun k -> float_of_int k *. 1e-3) in
+  let w0 = Gc.minor_words () in
+  List.iter (fun time -> ignore (beh.Block.out ~minor:false ~time [||])) times;
+  Gc.minor_words () -. w0
+
+(* the schedule runs in every step of every campaign *)
+let test_setpoint_schedule_allocation () =
+  let sched =
+    out_words
+      (Sources.setpoint_schedule [ (0.0, 50.0); (0.3, 120.0); (0.6, 80.0) ])
+  and step = out_words (Sources.step ~t_step:0.5 ~after:1.0 ()) in
+  if sched > step then
+    Alcotest.failf "1000 schedule outputs allocate %.0f minor words, Step %.0f"
+      sched step
+
 let test_pulse () =
   let outs = run_sequence (Discrete_blocks.zoh ~period:0.1 ()) (fun _ -> 0.0) 1 in
   ignore outs;
@@ -259,6 +287,8 @@ let suite =
   [
     Alcotest.test_case "sources" `Quick test_sources;
     Alcotest.test_case "setpoint schedule" `Quick test_setpoint_schedule;
+    Alcotest.test_case "setpoint schedule allocates no more than Step" `Quick
+      test_setpoint_schedule_allocation;
     Alcotest.test_case "pulse" `Quick test_pulse;
     Alcotest.test_case "math blocks" `Quick test_math_blocks;
     Alcotest.test_case "compare/logic" `Quick test_compare_logic;

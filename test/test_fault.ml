@@ -540,14 +540,16 @@ let words_per_step ?armed () =
 let test_step_allocation () =
   let unarmed = words_per_step () in
   let armed = words_per_step ~armed:(builtin "sensor-stuck") () in
-  (* measured 219 words with OCaml 5.1 in the release build (RK4, 5
-     sub-steps: 20 derivative stages per step), with the plant
-     integrated in place by its float kernels; 451 in a dev build, whose
-     -opaque stops every inlining across modules; 803 when every stage
-     boxed the plant's outputs and returned fresh derivative arrays, and
-     3356 for a step that re-derived its inputs, arities and continuous
-     order every call *)
-  let budget = 1.25 *. 219.0 in
+  (* measured 153 words with OCaml 5.1 in the release build (RK4, 5
+     sub-steps: 20 derivative stages per step), with the step planned
+     once as closures, the stage time read from the solver's cell and
+     the setpoint schedule boxing nothing per call; 219 while every
+     stage boxed its time and the schedule allocated a closure and a
+     ref a call; 451 in a dev build, whose -opaque stops every inlining
+     across modules; 803 when every stage boxed the plant's outputs and
+     returned fresh derivative arrays, and 3356 for a step that
+     re-derived its inputs, arities and continuous order every call *)
+  let budget = 1.25 *. 153.0 in
   if unarmed > budget then
     Alcotest.failf "unarmed step allocates %.0f minor words, budget %.0f"
       unarmed budget;
@@ -583,14 +585,15 @@ let words_per_lockstep () =
 
 let test_lockstep_allocation () =
   let w = words_per_lockstep () in
-  (* measured 202 words with OCaml 5.1 in the release build; 264 while
-     the compiled SIL step read every float cell and constant through a
-     closure that boxed it, 362 in a dev build (no inlining across
-     modules) and 442 before the harness kept its plan in flat arrays
-     and the PIL plant stopped allocating; the lock-step allocated 1366
-     while the PIL plant rebuilt its state, RK4 closure and workspace
-     every motor sub-step *)
-  let budget = 1.25 *. 202.0 in
+  (* measured 179 words with OCaml 5.1 in the release build; 202 before
+     the setpoint schedule of the MIL controller stopped allocating a
+     closure and a ref a step, 264 while the compiled SIL step read every
+     float cell and constant through a closure that boxed it, 362 in a
+     dev build (no inlining across modules) and 442 before the harness
+     kept its plan in flat arrays and the PIL plant stopped allocating;
+     the lock-step allocated 1366 while the PIL plant rebuilt its state,
+     RK4 closure and workspace every motor sub-step *)
+  let budget = 1.25 *. 179.0 in
   if w > budget then
     Alcotest.failf "a diff lock-step allocates %.0f minor words, budget %.0f" w
       budget

@@ -253,6 +253,89 @@ let test_override_output () =
   Sim.step sim;
   check_float "forced input" (-15.0) (Value.to_float (Sim.value_named sim "g2" 0))
 
+(* Hooks and overrides that come and go in the middle of a run, on a
+   discrete port ([dg], a Gain), a continuous-kernel one ([stage], a
+   PowerStage) and one an adapter reads ([motor] speed, into the
+   continuous-rate Gain [k]). The run must match, bit for bit, a fresh
+   simulation that had hooks on the same ports from step 0 doing the
+   same thing in the same windows: a step planned before a hook or an
+   override appeared would miss it. *)
+let test_plan_follows_hooks_and_overrides () =
+  let dt = 1e-3 in
+  let m = Model.create "replan" in
+  let add = Model.add m and connect = Model.connect m in
+  let src = add ~name:"src" (Sources.sine ~amp:0.3 ~freq_hz:20.0 ~bias:0.5 ()) in
+  let dg = add ~name:"dg" (Math_blocks.gain 0.9) in
+  let stage =
+    add ~name:"stage"
+      (Plant_blocks.power_stage
+         { Power_stage.u_supply = 24.0; dead_time_frac = 0.02; r_on = 0.1;
+           bipolar = false })
+  in
+  let motor = add ~name:"motor" (Plant_blocks.dc_motor ()) in
+  let k = add ~name:"k" (Math_blocks.gain 0.5) in
+  let integ = add ~name:"integ" (Continuous_blocks.integrator ()) in
+  let zoh = add ~name:"zoh" (Discrete_blocks.zoh ~period:dt ()) in
+  connect ~src:(src, 0) ~dst:(dg, 0);
+  connect ~src:(dg, 0) ~dst:(stage, 0);
+  connect ~src:(motor, 2) ~dst:(stage, 1);
+  connect ~src:(stage, 0) ~dst:(motor, 0);
+  connect ~src:(motor, 0) ~dst:(k, 0);
+  connect ~src:(k, 0) ~dst:(integ, 0);
+  connect ~src:(integ, 0) ~dst:(zoh, 0);
+  let comp = Compile.compile ~default_dt:dt m in
+  let rate b = comp.Compile.sample.(Model.blk_index b) in
+  check_bool "dg is discrete" true
+    (match rate dg with Sample_time.R_discrete _ -> true | _ -> false);
+  check_bool "k is an adapter" true (rate k = Sample_time.R_continuous);
+  let ports = [ (dg, 0); (stage, 0); (motor, 0) ] in
+  let forced = [ Value.F 0.2; Value.F 6.0; Value.F 40.0 ] in
+  let ovr_from = 20 and ovr_to = 60 and hook_from = 80 and hook_to = 120 in
+  let perturb ~time v =
+    Value.F (Value.to_float v +. (0.05 *. sin (time *. 300.0)))
+  in
+  let fresh () = Sim.create ~solver_substeps:5 comp in
+  let reference = fresh () and live = fresh () in
+  let step_of time = Float.to_int (Float.round (time /. dt)) in
+  Sim.set_fault_hook reference
+    (List.map2
+       (fun port f ->
+         ( port,
+           fun ~time v ->
+             let n = step_of time in
+             if n >= ovr_from && n < ovr_to then f
+             else if n >= hook_from && n < hook_to then perturb ~time v
+             else v ))
+       ports forced);
+  let bits v =
+    match v with
+    | Value.F x -> Int64.bits_of_float x
+    | v -> Int64.bits_of_float (Value.to_float v)
+  in
+  let all_ports =
+    List.concat_map
+      (fun b -> List.init (Model.spec_of m b).Block.n_out (fun p -> (b, p)))
+      (Model.blocks m)
+  in
+  for n = 0 to 149 do
+    if n = ovr_from then
+      List.iter2 (fun p f -> Sim.override_output live p (Some f)) ports forced;
+    if n = ovr_to then List.iter (fun p -> Sim.override_output live p None) ports;
+    if n = hook_from then
+      Sim.set_fault_hook live (List.map (fun p -> (p, perturb)) ports);
+    if n = hook_to then Sim.set_fault_hook live [];
+    Sim.step reference;
+    Sim.step live;
+    List.iter
+      (fun ((b, p) as port) ->
+        if bits (Sim.value reference port) <> bits (Sim.value live port) then
+          Alcotest.failf "step %d: %s:%d is %g, %g with the hooks from step 0"
+            n (Model.block_name m b) p
+            (Value.to_float (Sim.value live port))
+            (Value.to_float (Sim.value reference port)))
+      all_ports
+  done
+
 let test_reset_reproducibility () =
   let m = Model.create "rng" in
   let n = Model.add m ~name:"n" (Sources.uniform_noise ~seed:7 ()) in
@@ -368,6 +451,8 @@ let suite =
     Alcotest.test_case "function-call group" `Quick test_function_call_group;
     Alcotest.test_case "inline subsystem" `Quick test_inline_subsystem;
     Alcotest.test_case "override output (PIL hook)" `Quick test_override_output;
+    Alcotest.test_case "plan follows hooks and overrides mid-run" `Quick
+      test_plan_follows_hooks_and_overrides;
     Alcotest.test_case "reset reproducibility" `Quick test_reset_reproducibility;
     QCheck_alcotest.to_alcotest prop_sample_hits;
   ]
