@@ -38,7 +38,7 @@ let run () =
 
   (* the quantised gains the generator bakes into flash *)
   let fx =
-    Pid.Fixpoint.create ~ts:1e-3 ~fmt:Qformat.q15 ~in_scale:512.0
+    Pid.Fixpoint.create ~ts:1e-3 ~in_scale:512.0
       ~out_scale:Dc_motor.default.Dc_motor.u_max b_float.Servo_system.gains
   in
   let kp_q, ki_q, _ = Pid.Fixpoint.quantized_gains fx in

@@ -129,11 +129,11 @@ let run () =
       let g = Pid.gains ~kp:0.03 ~ki:2.5 () in
       let spec_f = Discrete_blocks.pid ~ts:1e-3 g in
       let spec_x =
-        Discrete_blocks.fix_pid ~ts:1e-3 ~fmt:Qformat.q15 ~in_scale:512.0
+        Discrete_blocks.fix_pid ~ts:1e-3 ~in_scale:512.0
           ~out_scale:24.0 g
       in
       let cf = Cost_model.cycles_of_block mcu spec_f Dtype.Double in
-      let cx = Cost_model.cycles_of_block mcu spec_x (Dtype.Fix Qformat.q15) in
+      let cx = Cost_model.cycles_of_block mcu spec_x Dtype.Int16 in
       Table.add_row t
         [
           mcu.Mcu_db.name;

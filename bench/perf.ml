@@ -45,7 +45,7 @@ let bench_pid_float =
 
 let bench_pid_fixed =
   let c =
-    Pid.Fixpoint.create ~ts:1e-3 ~fmt:Qformat.q15 ~in_scale:512.0 ~out_scale:24.0
+    Pid.Fixpoint.create ~ts:1e-3 ~in_scale:512.0 ~out_scale:24.0
       (Pid.gains ~kp:0.03 ~ki:2.5 ~u_min:0.0 ~u_max:24.0 ())
   in
   let x = ref 0.0 in

@@ -291,30 +291,27 @@ let findings t =
         t.raw.(bi);
       (* FXP002: fixed-point PID normalisation *)
       (if spec.Block.kind = "FixPid" then
-         match Param.dtype_opt spec.Block.params "fmt" with
-         | Some (Dtype.Fix qf) ->
-             let s = Param.float spec.Block.params "in_scale" in
-             let qmax = Qformat.max_value qf and qmin = Qformat.min_value qf in
-             List.iteri
-               (fun p input ->
-                 match
-                   match Model.driver m (b, p) with
-                   | Some (sb, sp) -> interval t (sb, sp)
-                   | None -> None
-                 with
-                 | None -> ()
-                 | Some i ->
-                     if i.hi /. s > qmax || i.lo /. s < qmin then
-                       emit
-                         (Diag.make ~rule:"FXP002" ~subject:name
-                            (Printf.sprintf
-                               "input %s (%d) range %s exceeds %s at \
-                                in_scale %g: representable span is [%g, %g]"
-                               input p (Itv.to_string i)
-                               (Qformat.to_string qf) s
-                               (qmin *. s) (qmax *. s))))
-               [ "sp"; "pv" ]
-         | _ -> ());
+         let s = Param.float spec.Block.params "in_scale" in
+         let qmin, qmax = Pid.Fixpoint.sig_range in
+         List.iteri
+           (fun p input ->
+             match
+               match Model.driver m (b, p) with
+               | Some (sb, sp) -> interval t (sb, sp)
+               | None -> None
+             with
+             | None -> ()
+             | Some i ->
+                 if i.hi /. s > qmax || i.lo /. s < qmin then
+                   emit
+                     (Diag.make ~rule:"FXP002" ~subject:name
+                        (Printf.sprintf
+                           "input %s (%d) range %s exceeds Q%d at in_scale \
+                            %g: representable span is [%g, %g]"
+                           input p (Itv.to_string i)
+                           Pid.Fixpoint.sig_frac_bits s
+                           (qmin *. s) (qmax *. s))))
+           [ "sp"; "pv" ]);
       (* FXP004: divisor range containing zero *)
       if spec.Block.kind = "Divide" then
         match Model.driver m (b, 1) with

@@ -21,11 +21,6 @@ let cty_of_dtype = function
   | Dtype.Uint16 -> U16
   | Dtype.Int32 -> I32
   | Dtype.Uint32 -> U32
-  | Dtype.Fix f as t ->
-      let bits = Dtype.bits t in
-      if f.Qformat.signed then
-        (match bits with 8 -> I8 | 16 -> I16 | _ -> I32)
-      else (match bits with 8 -> U8 | 16 -> U16 | _ -> U32)
 
 type expr =
   | Int_lit of int

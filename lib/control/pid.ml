@@ -62,34 +62,67 @@ let step t ~sp ~pv =
   clamp g.u_min g.u_max u_unsat
 
 module Fixpoint = struct
+  (* Q15 signals, the MC56F8367's native format (§7), and Q16.16
+     coefficients and accumulators in an int32, so that gains above 1.0
+     stay representable. Each rule below is the one the generated C
+     implements (Target.fix_helpers, Blockgen's pe_cast_i16). *)
+  let sig_frac_bits = 15
+  let coef_frac_bits = 16
+  let sig_min = -32768
+  let sig_max = 32767
+  let i32_min = -0x8000_0000
+  let i32_max = 0x7FFF_FFFF
+  let sig_range =
+    ( ldexp (float_of_int sig_min) (-sig_frac_bits),
+      ldexp (float_of_int sig_max) (-sig_frac_bits) )
+
+  (* round half away from zero, saturate into [lo, hi]; a NaN is a
+     modelling error, not a value *)
+  let[@inline] quantize frac_bits lo hi x =
+    let r = Float.round (ldexp x frac_bits) in
+    if Float.is_nan r then invalid_arg "Pid.Fixpoint: nan";
+    if r >= float_of_int hi then hi
+    else if r <= float_of_int lo then lo
+    else int_of_float r
+
+  (* pe_cast_i16 of x * 2^15 *)
+  let[@inline] quantize_sig x = quantize sig_frac_bits sig_min sig_max x
+
+  (* the coefficients Blockgen bakes into flash *)
+  let quantize_coef x = quantize coef_frac_bits i32_min i32_max x
+
+  (* pe_mul_shift: (a*b + 2^(s-1)) >> s, rounding a tie up, then the
+     int32_t conversion, which wraps. The PID's products stay below
+     2^49, so the native int holds the C int64_t exactly. *)
+  let[@inline] mul_shift a b s =
+    let r = ((a * b) + (1 lsl (s - 1))) asr s in
+    ((r - i32_min) land 0xFFFF_FFFF) + i32_min
+
+  (* pe_sat_add32 *)
+  let[@inline] sat_add32 a b =
+    let s = a + b in
+    if s > i32_max then i32_max else if s < i32_min then i32_min else s
+
   type fx = {
     gf : gains;
     tsf : float;
-    sig_fmt : Qformat.t;
-    acc_fmt : Qformat.t;
     in_scale : float;
     out_scale : float;
-    kp_q : Fixed.t;
-    ki_ts_q : Fixed.t;
-    kd_c1_q : Fixed.t;  (* Kd*N/(1+N*Ts), or Kd/Ts when n = 0 *)
-    d_decay_q : Fixed.t;  (* 1/(1+N*Ts) *)
-    u_min_q : Fixed.t;
-    u_max_q : Fixed.t;
-    mutable integ_q : Fixed.t;
-    mutable e_prev_q : Fixed.t;
-    mutable d_prev_q : Fixed.t;
+    kp_q : int;
+    ki_ts_q : int;
+    kd_c1_q : int;  (* Kd*N/(1+N*Ts), or Kd/Ts when n = 0 *)
+    d_decay_q : int;  (* 1/(1+N*Ts) *)
+    u_min_q : int;
+    u_max_q : int;
+    mutable integ_q : int;
+    mutable e_prev_q : int;
+    mutable d_prev_q : int;
   }
 
-  (* Coefficients and accumulators live in a 32-bit 16.16 format so that
-     gains above 1.0 remain representable while signals stay in the narrow
-     native format (Q15 on the MC56F8367). *)
-  let coef_fmt = Qformat.sfix 32 16
-
-  let create ~ts ~fmt ~in_scale ~out_scale g =
+  let create ~ts ~in_scale ~out_scale g =
     if ts <= 0.0 then invalid_arg "Pid.Fixpoint.create: ts";
     if in_scale <= 0.0 || out_scale <= 0.0 then
       invalid_arg "Pid.Fixpoint.create: scales must be positive";
-    let qc x = Fixed.of_float coef_fmt x in
     (* The controller consumes normalised signals: e_norm = e / in_scale,
        u_norm = u / out_scale. Gains are rescaled accordingly. *)
     let k = in_scale /. out_scale in
@@ -101,25 +134,24 @@ module Fixpoint = struct
     {
       gf = g;
       tsf = ts;
-      sig_fmt = fmt;
-      acc_fmt = coef_fmt;
       in_scale;
       out_scale;
-      kp_q = qc (g.kp *. k);
-      ki_ts_q = qc (g.ki *. ts *. k);
-      kd_c1_q = qc (kd_c1 *. k);
-      d_decay_q = qc (if g.n = 0.0 then 0.0 else 1.0 /. (1.0 +. (g.n *. ts)));
-      u_min_q = qc (Float.max (-2.0) (g.u_min /. out_scale));
-      u_max_q = qc (Float.min 2.0 (g.u_max /. out_scale));
-      integ_q = Fixed.zero coef_fmt;
-      e_prev_q = Fixed.zero fmt;
-      d_prev_q = Fixed.zero coef_fmt;
+      kp_q = quantize_coef (g.kp *. k);
+      ki_ts_q = quantize_coef (g.ki *. ts *. k);
+      kd_c1_q = quantize_coef (kd_c1 *. k);
+      d_decay_q =
+        quantize_coef (if g.n = 0.0 then 0.0 else 1.0 /. (1.0 +. (g.n *. ts)));
+      u_min_q = quantize_coef (Float.max (-2.0) (g.u_min /. out_scale));
+      u_max_q = quantize_coef (Float.min 2.0 (g.u_max /. out_scale));
+      integ_q = 0;
+      e_prev_q = 0;
+      d_prev_q = 0;
     }
 
   let reset f =
-    f.integ_q <- Fixed.zero f.acc_fmt;
-    f.e_prev_q <- Fixed.zero f.sig_fmt;
-    f.d_prev_q <- Fixed.zero f.acc_fmt
+    f.integ_q <- 0;
+    f.e_prev_q <- 0;
+    f.d_prev_q <- 0
 
   let save f =
     let integ = f.integ_q and e_prev = f.e_prev_q and d_prev = f.d_prev_q in
@@ -128,27 +160,32 @@ module Fixpoint = struct
       f.e_prev_q <- e_prev;
       f.d_prev_q <- d_prev
 
+  (* The generated step, statement for statement *)
   let step f ~sp ~pv =
-    let e_q = Fixed.of_float f.sig_fmt ((sp -. pv) /. f.in_scale) in
-    let p_q = Fixed.mul_to f.acc_fmt f.kp_q e_q in
-    let d_q =
-      if Fixed.raw f.kd_c1_q = 0 then Fixed.zero f.acc_fmt
-      else
-        let de = Fixed.sub (Fixed.convert f.acc_fmt e_q)
-            (Fixed.convert f.acc_fmt f.e_prev_q) in
-        let raw_d = Fixed.mul_to f.acc_fmt f.kd_c1_q de in
-        if Fixed.raw f.d_decay_q = 0 then raw_d
-        else Fixed.add (Fixed.mul f.d_prev_q f.d_decay_q) raw_d
+    let e = quantize_sig ((sp -. pv) /. f.in_scale) in
+    let acc = sat_add32 (mul_shift f.kp_q e sig_frac_bits) f.integ_q in
+    let acc =
+      if f.kd_c1_q = 0 then acc
+      else begin
+        let sh = coef_frac_bits - sig_frac_bits in
+        let de = (e lsl sh) - (f.e_prev_q lsl sh) in
+        let d =
+          sat_add32
+            (mul_shift f.kd_c1_q de coef_frac_bits)
+            (mul_shift f.d_decay_q f.d_prev_q coef_frac_bits)
+        in
+        f.d_prev_q <- d;
+        sat_add32 acc d
+      end
     in
-    let u_unsat = Fixed.add (Fixed.add p_q f.integ_q) d_q in
-    let saturating_up = Fixed.compare u_unsat f.u_max_q > 0 && Fixed.raw e_q > 0 in
-    let saturating_down = Fixed.compare u_unsat f.u_min_q < 0 && Fixed.raw e_q < 0 in
+    let saturating_up = acc > f.u_max_q && e > 0 in
+    let saturating_down = acc < f.u_min_q && e < 0 in
     if not (saturating_up || saturating_down) then
-      f.integ_q <- Fixed.add f.integ_q (Fixed.mul_to f.acc_fmt f.ki_ts_q e_q);
-    f.e_prev_q <- e_q;
-    f.d_prev_q <- d_q;
-    let u_q = Fixed.min (Fixed.max u_unsat f.u_min_q) f.u_max_q in
-    Fixed.to_float u_q *. f.out_scale
+      f.integ_q <- sat_add32 f.integ_q (mul_shift f.ki_ts_q e sig_frac_bits);
+    f.e_prev_q <- e;
+    let u = if acc > f.u_max_q then f.u_max_q else acc in
+    let u = if u < f.u_min_q then f.u_min_q else u in
+    ldexp (float_of_int u) (-coef_frac_bits) *. f.out_scale
 
   type raw_coefficients = {
     kp_raw : int;
@@ -163,25 +200,23 @@ module Fixpoint = struct
 
   let raw_coefficients f =
     {
-      kp_raw = Fixed.raw f.kp_q;
-      ki_ts_raw = Fixed.raw f.ki_ts_q;
-      kd_c1_raw = Fixed.raw f.kd_c1_q;
-      d_decay_raw = Fixed.raw f.d_decay_q;
-      u_min_raw = Fixed.raw f.u_min_q;
-      u_max_raw = Fixed.raw f.u_max_q;
-      coef_frac_bits = coef_fmt.Qformat.frac_bits;
-      sig_frac_bits = f.sig_fmt.Qformat.frac_bits;
+      kp_raw = f.kp_q;
+      ki_ts_raw = f.ki_ts_q;
+      kd_c1_raw = f.kd_c1_q;
+      d_decay_raw = f.d_decay_q;
+      u_min_raw = f.u_min_q;
+      u_max_raw = f.u_max_q;
+      coef_frac_bits;
+      sig_frac_bits;
     }
 
   let quantized_gains f =
     let k = f.in_scale /. f.out_scale in
-    ( Fixed.to_float f.kp_q /. k,
-      Fixed.to_float f.ki_ts_q /. f.tsf /. k,
+    let real q = ldexp (float_of_int q) (-coef_frac_bits) in
+    ( real f.kp_q /. k,
+      real f.ki_ts_q /. f.tsf /. k,
       (* report the realised Kd through the inverse of the c1 mapping *)
       (if f.gf.kd = 0.0 then 0.0
-       else if f.gf.n = 0.0 then Fixed.to_float f.kd_c1_q *. f.tsf /. k
-       else
-         Fixed.to_float f.kd_c1_q /. k
-         *. (1.0 +. (f.gf.n *. f.tsf))
-         /. f.gf.n) )
+       else if f.gf.n = 0.0 then real f.kd_c1_q *. f.tsf /. k
+       else real f.kd_c1_q /. k *. (1.0 +. (f.gf.n *. f.tsf)) /. f.gf.n) )
 end

@@ -42,16 +42,43 @@ val step : t -> sp:float -> pv:float -> float
 
 (** Fixed-point execution of the same law. Signals are scaled so that the
     physical range [(-scale, +scale)] maps onto the fixed-point range
-    [(-1, 1)]; on a 16-bit DSP this is the native Q15 regime. *)
+    [(-1, 1)]: Q15, the native regime of the 16-bit DSP of §7.
+    Coefficients and accumulators are Q16.16 in an int32. *)
 module Fixpoint : sig
   type fx
 
+  val sig_frac_bits : int
+  (** 15: a signal is Q15, a raw int16. *)
+
+  val coef_frac_bits : int
+  (** 16: coefficients and accumulators are Q16.16, a raw int32. *)
+
+  val sig_range : float * float
+  (** The real span of a Q15 signal, [(-1, 32767/32768)]. *)
+
+  (** The arithmetic of {!step}, rule for rule as the generated C states
+      it ([pe_cast_i16], [pe_mul_shift], [pe_sat_add32]). *)
+
+  val quantize_sig : float -> int
+  (** A real number as a raw Q15 value: [x * 2^15] rounded half away
+      from zero and saturated into [[-32768, 32767]].
+      @raise Invalid_argument on NaN. *)
+
+  val quantize_coef : float -> int
+  (** The same rule into Q16.16, saturated into the int32 range. *)
+
+  val mul_shift : int -> int -> int -> int
+  (** [mul_shift a b s] is [(a*b + 2^(s-1)) asr s] converted to int32:
+      a tie rounds up, an overflow wraps. [a*b] must fit in 62 bits. *)
+
+  val sat_add32 : int -> int -> int
+  (** Addition saturated at the int32 bounds. *)
+
   val create :
-    ts:float -> fmt:Qformat.t -> in_scale:float -> out_scale:float ->
-    gains -> fx
+    ts:float -> in_scale:float -> out_scale:float -> gains -> fx
   (** [in_scale] normalises [sp]/[pv], [out_scale] denormalises the
-      command. Gains are quantised to [fmt] at build time, exactly as the
-      code generator bakes them into flash constants. *)
+      command. Gains are quantised to Q16.16 at build time, exactly as
+      the code generator bakes them into flash constants. *)
 
   val reset : fx -> unit
 
@@ -59,9 +86,12 @@ module Fixpoint : sig
   (** As {!Pid.save}. *)
 
   val step : fx -> sp:float -> pv:float -> float
-  (** Physical-unit interface; all internal arithmetic is fixed-point with
-      saturation, matching the generated C code operation for
-      operation. *)
+  (** Physical-unit interface; all internal arithmetic is on raw
+      integers, operation for operation as the generated C computes it:
+      the error rounds half away from zero and saturates into Q15 (a NaN
+      raises [Invalid_argument]), a product [a*b] shifted right by [s]
+      is [(a*b + 2^(s-1)) asr s] converted to int32 (a tie rounds up, an
+      overflow wraps), and additions saturate at the int32 bounds. *)
 
   val quantized_gains : fx -> float * float * float
   (** The [kp, ki, kd] values actually realised after quantisation. *)

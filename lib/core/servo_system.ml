@@ -180,7 +180,7 @@ let build_controller cfg project gains =
     | Float_pid -> add ~name:"pid" (Discrete_blocks.pid ~ts gains)
     | Fixed_pid ->
         add ~name:"pid"
-          (Discrete_blocks.fix_pid ~ts ~fmt:Qformat.q15 ~in_scale:fixed_in_scale
+          (Discrete_blocks.fix_pid ~ts ~in_scale:fixed_in_scale
              ~out_scale:cfg.motor.Dc_motor.u_max gains)
   in
   let duty =

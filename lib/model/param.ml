@@ -27,7 +27,6 @@ let floats ps k = match find ps k with Floats a -> a | _ -> clash k "floats"
 let opt f ps k = match List.assoc_opt k ps with None -> None | Some _ -> Some (f ps k)
 let float_opt ps k = opt float ps k
 let int_opt ps k = opt int ps k
-let dtype_opt ps k = opt dtype ps k
 let string_opt ps k = opt string ps k
 
 let pp_value ppf = function

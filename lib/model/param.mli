@@ -27,7 +27,6 @@ val floats : t -> string -> float array
 
 val float_opt : t -> string -> float option
 val int_opt : t -> string -> int option
-val dtype_opt : t -> string -> Dtype.t option
 val string_opt : t -> string -> string option
 
 val to_string : t -> string

@@ -54,7 +54,7 @@ let cast_helper_of_dtype = function
   | Dtype.Uint16 -> Some "pe_cast_u16"
   | Dtype.Int32 -> Some "pe_cast_i32"
   | Dtype.Uint32 -> Some "pe_cast_u32"
-  | Dtype.Double | Dtype.Single | Dtype.Fix _ -> None
+  | Dtype.Double | Dtype.Single -> None
 
 (* The helper definitions themselves (appended to every generated
    translation unit that may call them). Round half away from zero,
@@ -585,17 +585,12 @@ let emit_builtin g spec =
           @ [ Assign (out0 g, u) ];
       }
   | "FixPid" ->
-      let fmt =
-        match Param.dtype ps "fmt" with
-        | Dtype.Fix f -> f
-        | _ -> failwith "FixPid: fmt param"
-      in
       let gains =
         Pid.gains ~kp:(pf "kp") ~ki:(pf "ki") ~kd:(pf "kd") ~n:(pf "n")
           ~u_min:(pf "u_min") ~u_max:(pf "u_max") ()
       in
       let fx =
-        Pid.Fixpoint.create ~ts:(pf "ts") ~fmt ~in_scale:(pf "in_scale")
+        Pid.Fixpoint.create ~ts:(pf "ts") ~in_scale:(pf "in_scale")
           ~out_scale:(pf "out_scale") gains
       in
       let c = Pid.Fixpoint.raw_coefficients fx in
@@ -604,8 +599,8 @@ let emit_builtin g spec =
       let coef_one = float_of_int (1 lsl c.Pid.Fixpoint.coef_frac_bits) in
       let e = Var (g.name ^ "_e") in
       let acc = Var (g.name ^ "_acc") in
-      (* Saturating helpers are emitted once per model by the target as
-         pe_sat16/pe_sat32; here we just call them. *)
+      (* Saturating helpers are emitted once per model by the target
+         (Target.fix_helpers, cast_helpers); here we just call them. *)
       {
         nothing with
         state_fields = [ (I32, "integ"); (I16, "e_prev"); (I32, "d_prev") ];
@@ -622,23 +617,20 @@ let emit_builtin g spec =
                  c.Pid.Fixpoint.sig_frac_bits
                  (32 - c.Pid.Fixpoint.coef_frac_bits)
                  c.Pid.Fixpoint.coef_frac_bits in_scale out_scale);
+            (* round half away from zero and saturate, as a double: a
+               conversion to an integer first would wrap a large error *)
             Decl
               ( I16, g.name ^ "_e",
                 Some
-                  (call "pe_sat16"
+                  (call "pe_cast_i16"
                      [
-                       Cast_to
-                         ( I32,
-                           call "lround"
-                             [
-                               Bin
-                                 ( "*",
-                                   Bin
-                                     ( "/",
-                                       Bin ("-", in0 g, List.nth g.ins 1),
-                                       flt in_scale ),
-                                   flt sig_one );
-                             ] );
+                       Bin
+                         ( "*",
+                           Bin
+                             ( "/",
+                               Bin ("-", in0 g, List.nth g.ins 1),
+                               flt in_scale ),
+                           flt sig_one );
                      ]) );
             (* p term in coefficient format: kp * e >> sig_frac *)
             Decl

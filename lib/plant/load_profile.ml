@@ -20,12 +20,26 @@ let[@inline] leaf t ~time ~w =
       if time >= at && Float.rem (time -. at) every < duration then tau
       else 0.0
 
-let rec fold t ~time ~w =
-  match t with
-  | Sum l -> List.fold_left (fun acc p -> acc +. fold p ~time ~w) 0.0 l
-  | t -> leaf t ~time ~w
+(* a [Sum]'s parts added left to right from 0.0, a nested [Sum] first
+   to its own total ([nested]); a loop over the list, so a part that is
+   not a [Sum] costs no closure and no boxed float *)
+let[@inline] sum parts ~nested ~time ~w =
+  let acc = ref 0.0 and rest = ref parts in
+  while match !rest with [] -> false | _ :: _ -> true do
+    match !rest with
+    | [] -> ()
+    | p :: tl ->
+        rest := tl;
+        acc :=
+          !acc
+          +. (match p with Sum _ -> nested p ~time ~w | p -> leaf p ~time ~w)
+  done;
+  !acc
 
-(* inline, so that a plant sub-step on a single profile passes its time
-   and speed and gets its torque unboxed; a [Sum] takes the fold *)
+let rec fold t ~time ~w =
+  match t with Sum l -> sum l ~nested:fold ~time ~w | t -> leaf t ~time ~w
+
+(* inline, so that a plant sub-step passes its time and speed and gets
+   its torque unboxed; only a nested [Sum] takes the fold *)
 let[@inline] torque t ~time ~w =
-  match t with Sum _ -> fold t ~time ~w | t -> leaf t ~time ~w
+  match t with Sum l -> sum l ~nested:fold ~time ~w | t -> leaf t ~time ~w

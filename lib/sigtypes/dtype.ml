@@ -8,13 +8,8 @@ type t =
   | Int32
   | Uint32
   | Bool
-  | Fix of Qformat.t
 
-let equal a b =
-  match (a, b) with
-  | Fix fa, Fix fb -> Qformat.equal fa fb
-  | Fix _, _ | _, Fix _ -> false
-  | a, b -> a = b
+let equal (a : t) b = a = b
 
 let to_string = function
   | Double -> "double"
@@ -26,7 +21,6 @@ let to_string = function
   | Int32 -> "int32"
   | Uint32 -> "uint32"
   | Bool -> "boolean"
-  | Fix f -> Qformat.to_string f
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
@@ -42,9 +36,6 @@ let bits = function
   | Int8 | Uint8 | Bool -> 8
   | Int16 | Uint16 -> 16
   | Int32 | Uint32 -> 32
-  | Fix f ->
-      let w = f.Qformat.word_bits in
-      if w <= 8 then 8 else if w <= 16 then 16 else if w <= 32 then 32 else 64
 
 let bytes t = bits t / 8
 
@@ -58,10 +49,6 @@ let c_name = function
   | Int32 -> "int32_t"
   | Uint32 -> "uint32_t"
   | Bool -> "uint8_t"
-  | Fix f as t ->
-      if f.Qformat.signed then
-        Printf.sprintf "int%d_t" (bits t)
-      else Printf.sprintf "uint%d_t" (bits t)
 
 let integer_range = function
   | Int8 -> Some (-128, 127)
@@ -70,13 +57,12 @@ let integer_range = function
   | Uint16 -> Some (0, 65535)
   | Int32 -> Some (-(1 lsl 31), (1 lsl 31) - 1)
   | Uint32 -> Some (0, (1 lsl 32) - 1)
-  | Double | Single | Bool | Fix _ -> None
+  | Double | Single | Bool -> None
 
 let min_float_value t =
   match t with
   | Double | Single -> neg_infinity
   | Bool -> 0.0
-  | Fix f -> Qformat.min_value f
   | _ -> (
       match integer_range t with
       | Some (lo, _) -> float_of_int lo
@@ -86,7 +72,6 @@ let max_float_value t =
   match t with
   | Double | Single -> infinity
   | Bool -> 1.0
-  | Fix f -> Qformat.max_value f
   | _ -> (
       match integer_range t with
       | Some (_, hi) -> float_of_int hi

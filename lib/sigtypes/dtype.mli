@@ -1,10 +1,10 @@
 (** Signal data types of the block-diagram language.
 
-    These mirror the Simulink built-in types plus fixed-point formats. The
-    paper stresses (§7) that the default [double] is inappropriate on a
-    16-bit MCU without an FPU and that an appropriate fixed-point
-    representation must be chosen and validated in the model; data types
-    therefore propagate through the diagram and into the generated C code. *)
+    These mirror the Simulink built-in types. The paper stresses (§7)
+    that the default [double] is inappropriate on a 16-bit MCU without an
+    FPU; data types therefore propagate through the diagram and into the
+    generated C code. The one fixed-point format, the Q15 PID's, is
+    [Pid.Fixpoint]'s and computes on plain integers. *)
 
 type t =
   | Double
@@ -16,7 +16,6 @@ type t =
   | Int32
   | Uint32
   | Bool
-  | Fix of Qformat.t  (** binary fixed point *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -32,11 +31,10 @@ val bytes : t -> int
 (** Storage width in bytes, as allocated in the generated code. *)
 
 val c_name : t -> string
-(** The C type name used by the code generator (stdint style; fixed-point
-    maps to the integer container type). *)
+(** The C type name used by the code generator (stdint style). *)
 
 val integer_range : t -> (int * int) option
-(** [Some (lo, hi)] for integer types, [None] for floats/fixed/bool. *)
+(** [Some (lo, hi)] for integer types, [None] for floats and bool. *)
 
 val min_float_value : t -> float
 (** Smallest representable value, as a float ([neg_infinity] for floats). *)

@@ -1,22 +1,19 @@
-type t = F of float | I of Dtype.t * int | B of bool | X of Fixed.t
+type t = F of float | I of Dtype.t * int | B of bool
 
 let zero = function
   | Dtype.Double | Dtype.Single -> F 0.0
   | Dtype.Bool -> B false
-  | Dtype.Fix f -> X (Fixed.zero f)
   | dt -> I (dt, 0)
 
 let dtype = function
   | F _ -> Dtype.Double
   | I (dt, _) -> dt
   | B _ -> Dtype.Bool
-  | X fx -> Dtype.Fix (Fixed.fmt fx)
 
 let to_float = function
   | F x -> x
   | I (_, n) -> float_of_int n
   | B b -> if b then 1.0 else 0.0
-  | X fx -> Fixed.to_float fx
 
 let saturate_int dt n =
   match Dtype.integer_range dt with
@@ -27,7 +24,6 @@ let of_float dt x =
   match dt with
   | Dtype.Double | Dtype.Single -> F x
   | Dtype.Bool -> B (x <> 0.0)
-  | Dtype.Fix f -> X (Fixed.of_float f x)
   | dt ->
       let r = Float.round x in
       let lo, hi =
@@ -49,32 +45,25 @@ let of_int dt n =
   | Dtype.Double | Dtype.Single ->
       invalid_arg "Value.of_int: float type"
   | Dtype.Bool -> B (n <> 0)
-  | Dtype.Fix f -> X (Fixed.of_float f (float_of_int n))
   | dt -> I (dt, saturate_int dt n)
 
 let to_int = function
   | F x -> int_of_float (Float.trunc x)
   | I (_, n) -> n
   | B b -> if b then 1 else 0
-  | X fx -> Fixed.raw fx
 
-let cast dt v =
-  match (dt, v) with
-  | Dtype.Fix f, X fx -> X (Fixed.convert f fx)
-  | _ -> of_float dt (to_float v)
+let cast dt v = of_float dt (to_float v)
 
 let equal a b =
   match (a, b) with
   | F x, F y -> Float.equal x y
   | I (ta, x), I (tb, y) -> Dtype.equal ta tb && x = y
   | B x, B y -> x = y
-  | X x, X y -> Qformat.equal (Fixed.fmt x) (Fixed.fmt y) && Fixed.raw x = Fixed.raw y
   | _ -> false
 
 let to_string = function
   | F x -> Printf.sprintf "%g" x
   | I (dt, n) -> Printf.sprintf "%d:%s" n (Dtype.to_string dt)
   | B b -> string_of_bool b
-  | X fx -> Fixed.to_string fx
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)

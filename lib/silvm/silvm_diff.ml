@@ -68,12 +68,11 @@ let values_agree mode mil sil =
   match mil with
   | Value.B b -> Mir_eval.is_truthy sil = b
   | Value.I (_, i) -> Mir_eval.to_int64 sil = Int64.of_int i
-  | Value.X _ -> Mir_eval.to_int64 sil = Int64.of_int (Value.to_int mil)
   | Value.F x -> floats_agree mode x (Mir_eval.to_double sil)
 
 (* [values_agree mode mil (probe_value probe)] specialised to the
-   probe's static type: the common pairings (an integer, boolean or
-   fixed-point MIL value against an integer cell, a double against a
+   probe's static type: the common pairings (an integer or boolean MIL
+   value against an integer cell, a double against a
    float cell) compare unboxed; the rest box and take the general
    path. Compiled integer cells are at most 32 bits wide, so their
    canonical value is also their int64 and double reading. *)
@@ -86,7 +85,6 @@ let agree mode (probe : Silvm_app.probe) : Value.t -> bool =
         match mil with
         | Value.I (_, i) -> n = i
         | Value.B b -> (n <> 0) = b
-        | Value.X fx -> n = Fixed.raw fx
         | Value.F x -> feq x (float_of_int n))
   | Silvm_app.Compiled_probe (Silvm_compile.TF (fty, get), st) -> (
       fun mil ->
@@ -100,7 +98,6 @@ let mil_to_string = function
   | Value.F x -> Printf.sprintf "%.17g" x
   | Value.I (dt, i) -> Printf.sprintf "%d:%s" i (Dtype.to_string dt)
   | Value.B b -> string_of_bool b
-  | Value.X f -> Printf.sprintf "fix:%d" (Fixed.raw f)
 
 (* every block output signal present in the generated block-I/O
    structure: the periodic population plus the function-call groups *)

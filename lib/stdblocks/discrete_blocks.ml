@@ -177,7 +177,7 @@ let pid ~ts g =
         });
   }
 
-let fix_pid ~ts ~fmt ~in_scale ~out_scale g =
+let fix_pid ~ts ~in_scale ~out_scale g =
   {
     Block.kind = "FixPid";
     params =
@@ -189,7 +189,6 @@ let fix_pid ~ts ~fmt ~in_scale ~out_scale g =
         ("u_min", Param.Float g.Pid.u_min);
         ("u_max", Param.Float g.Pid.u_max);
         ("ts", Param.Float ts);
-        ("fmt", Param.Dtype (Dtype.Fix fmt));
         ("in_scale", Param.Float in_scale);
         ("out_scale", Param.Float out_scale);
       ];
@@ -201,7 +200,7 @@ let fix_pid ~ts ~fmt ~in_scale ~out_scale g =
     event_outs = [||];
     make =
       (fun _ctx ->
-        let c = Pid.Fixpoint.create ~ts ~fmt ~in_scale ~out_scale g in
+        let c = Pid.Fixpoint.create ~ts ~in_scale ~out_scale g in
         let current = ref 0.0 in
         {
           Block.no_beh_state with

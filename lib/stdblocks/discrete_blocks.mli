@@ -29,7 +29,6 @@ val pid : ts:float -> Pid.gains -> Block.spec
 
 val fix_pid :
   ts:float ->
-  fmt:Qformat.t ->
   in_scale:float ->
   out_scale:float ->
   Pid.gains ->

@@ -13,7 +13,6 @@ let bits = function
   | Value.F x -> Int64.bits_of_float x
   | Value.I (_, n) -> Int64.of_int n
   | Value.B b -> if b then 1L else 0L
-  | Value.X f -> Int64.of_int (Fixed.raw f)
 
 let all_ports m =
   List.concat_map

@@ -56,7 +56,7 @@ let test_fixpid_matches_float_small_signals () =
   let g = Pid.gains ~kp:0.5 ~ki:2.0 ~u_min:(-10.0) ~u_max:10.0 () in
   let fc = Pid.create ~ts:1e-3 g in
   let xc =
-    Pid.Fixpoint.create ~ts:1e-3 ~fmt:Qformat.q15 ~in_scale:100.0 ~out_scale:10.0 g
+    Pid.Fixpoint.create ~ts:1e-3 ~in_scale:100.0 ~out_scale:10.0 g
   in
   (* drive both with the same quasi-sinusoidal profile *)
   let max_err = ref 0.0 in
@@ -74,7 +74,7 @@ let test_fixpid_matches_float_small_signals () =
 let test_fixpid_saturates_cleanly () =
   let g = Pid.gains ~kp:10.0 ~ki:0.0 ~u_min:0.0 ~u_max:24.0 () in
   let xc =
-    Pid.Fixpoint.create ~ts:1e-3 ~fmt:Qformat.q15 ~in_scale:500.0 ~out_scale:24.0 g
+    Pid.Fixpoint.create ~ts:1e-3 ~in_scale:500.0 ~out_scale:24.0 g
   in
   let u = Pid.Fixpoint.step xc ~sp:500.0 ~pv:0.0 in
   check_float 1e-6 "clamps at u_max" 24.0 u;
@@ -84,7 +84,7 @@ let test_fixpid_saturates_cleanly () =
 let test_fixpid_quantized_gains_close () =
   let g = Pid.gains ~kp:0.0304 ~ki:2.53 () in
   let xc =
-    Pid.Fixpoint.create ~ts:1e-3 ~fmt:Qformat.q15 ~in_scale:512.0 ~out_scale:24.0 g
+    Pid.Fixpoint.create ~ts:1e-3 ~in_scale:512.0 ~out_scale:24.0 g
   in
   let kp, ki, _ = Pid.Fixpoint.quantized_gains xc in
   check_bool "kp within 1%" true (Float.abs (kp -. 0.0304) /. 0.0304 < 0.01);

@@ -1,190 +1,127 @@
-(* Unit and property tests for the fixed-point substrate. *)
+(* The one fixed-point format: Pid.Fixpoint's Q15 signals and Q16.16
+   coefficients, and the three rules its step is built from, each as
+   the generated C states it (pe_cast_i16, pe_mul_shift, pe_sat_add32). *)
+
+module F = Pid.Fixpoint
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
+let i32_max = 0x7FFF_FFFF
+let i32_min = -0x8000_0000
+let q15 raw = ldexp (float_of_int raw) (-15)
 
 let test_format_ranges () =
-  check_int "q15 max raw" 32767 (Qformat.max_raw Qformat.q15);
-  check_int "q15 min raw" (-32768) (Qformat.min_raw Qformat.q15);
-  check_float "q15 resolution" (1.0 /. 32768.0) (Qformat.resolution Qformat.q15);
-  check_float "q15 max value" (32767.0 /. 32768.0) (Qformat.max_value Qformat.q15);
-  check_int "ufix12 max" 4095 (Qformat.max_raw (Qformat.ufix 12 0));
-  check_int "ufix12 min" 0 (Qformat.min_raw (Qformat.ufix 12 0))
-
-let test_format_invalid () =
-  Alcotest.check_raises "word_bits too large" (Invalid_argument "Qformat.make: word_bits must be in 1..62")
-    (fun () -> ignore (Qformat.make ~signed:false ~word_bits:63 ~frac_bits:0));
-  Alcotest.check_raises "negative frac" (Invalid_argument "Qformat.make: frac_bits must be >= 0")
-    (fun () -> ignore (Qformat.make ~signed:false ~word_bits:8 ~frac_bits:(-1)))
+  check_int "signal fraction bits" 15 F.sig_frac_bits;
+  check_int "coefficient fraction bits" 16 F.coef_frac_bits;
+  let lo, hi = F.sig_range in
+  check_float "q15 min value" (-1.0) lo;
+  check_float "q15 max value" (32767.0 /. 32768.0) hi;
+  check_int "q15 max raw" 32767 (F.quantize_sig hi);
+  check_int "q15 min raw" (-32768) (F.quantize_sig lo);
+  check_int "q15 resolution" 1 (F.quantize_sig (1.0 /. 32768.0))
 
 let test_of_float_roundtrip () =
-  let fx = Fixed.of_float Qformat.q15 0.5 in
-  check_int "0.5 raw" 16384 (Fixed.raw fx);
-  check_float "0.5 back" 0.5 (Fixed.to_float fx);
-  let fx = Fixed.of_float Qformat.q15 (-0.25) in
-  check_int "-0.25 raw" (-8192) (Fixed.raw fx)
+  check_int "0.5 raw" 16384 (F.quantize_sig 0.5);
+  check_float "0.5 back" 0.5 (q15 (F.quantize_sig 0.5));
+  check_int "-0.25 raw" (-8192) (F.quantize_sig (-0.25));
+  check_int "2.5 in Q16.16" 163840 (F.quantize_coef 2.5)
 
 let test_saturation () =
-  let fx = Fixed.of_float Qformat.q15 1.5 in
-  check_int "saturated to max" 32767 (Fixed.raw fx);
-  check_bool "is_saturated" true (Fixed.is_saturated fx);
-  let fx = Fixed.of_float Qformat.q15 (-3.0) in
-  check_int "saturated to min" (-32768) (Fixed.raw fx)
+  check_int "saturated to max" 32767 (F.quantize_sig 1.5);
+  check_int "saturated to min" (-32768) (F.quantize_sig (-3.0));
+  check_int "coefficient saturates high" i32_max (F.quantize_coef 1e6);
+  check_int "coefficient saturates low" i32_min (F.quantize_coef (-1e6));
+  check_int "infinity saturates" 32767 (F.quantize_sig infinity);
+  Alcotest.check_raises "nan" (Invalid_argument "Pid.Fixpoint: nan") (fun () ->
+      ignore (F.quantize_sig nan))
 
+(* the int32_t conversion of pe_mul_shift's result wraps *)
 let test_wrap () =
-  (* 1.0 in Q15 wraps to -1.0 under two's-complement truncation. *)
-  let fx = Fixed.of_float ~ovf:Fixed.Wrap Qformat.q15 1.0 in
-  check_int "wrap(1.0)" (-32768) (Fixed.raw fx);
-  let a = Fixed.of_float Qformat.q15 0.75 in
-  let s = Fixed.add ~ovf:Fixed.Wrap a a in
-  check_float "0.75+0.75 wraps negative" (-0.5) (Fixed.to_float s)
+  check_int "2^32 - 2 wraps to -2" (-2) (F.mul_shift i32_max (1 lsl 17) 16);
+  check_int "2^31 wraps to INT32_MIN" i32_min (F.mul_shift (1 lsl 30) 4 1);
+  check_int "-3*2^30 wraps to 2^30" (1 lsl 30) (F.mul_shift i32_min 3 1)
 
 let test_add_sub () =
-  let q = Qformat.q15 in
-  let a = Fixed.of_float q 0.25 and b = Fixed.of_float q 0.5 in
-  check_float "add" 0.75 (Fixed.to_float (Fixed.add a b));
-  check_float "sub" (-0.25) (Fixed.to_float (Fixed.sub a b));
-  check_float "neg" (-0.25) (Fixed.to_float (Fixed.neg a));
-  (* saturating add at the top of the range *)
-  let m = Fixed.create q (Qformat.max_raw q) in
-  check_int "sat add" (Qformat.max_raw q) (Fixed.raw (Fixed.add m b))
+  check_int "add" 7 (F.sat_add32 3 4);
+  check_int "add a negative" (-3) (F.sat_add32 5 (-8));
+  check_int "sat add high" i32_max (F.sat_add32 i32_max 1);
+  check_int "sat add low" i32_min (F.sat_add32 i32_min (-1));
+  check_int "sum of extremes" (-1) (F.sat_add32 i32_max i32_min)
 
 let test_mul () =
-  let q = Qformat.q15 in
-  let a = Fixed.of_float q 0.5 and b = Fixed.of_float q 0.5 in
-  check_float "0.5*0.5" 0.25 (Fixed.to_float (Fixed.mul a b));
-  (* Q15*Q15 -> Q30 kept in a 32-bit accumulator *)
-  let acc = Qformat.sfix 32 30 in
-  let p = Fixed.mul_to acc a b in
-  check_float "mac result" 0.25 (Fixed.to_float p);
-  check_int "mac raw" (16384 * 16384) (Fixed.raw p)
-
-let test_div () =
-  let q = Qformat.q15 in
-  let a = Fixed.of_float q 0.25 and b = Fixed.of_float q 0.5 in
-  check_float "0.25/0.5" 0.5 (Fixed.to_float (Fixed.div a b));
-  Alcotest.check_raises "div by zero" (Fixed.Overflow "Fixed.div: division by zero")
-    (fun () -> ignore (Fixed.div a (Fixed.zero q)))
-
-let test_convert () =
-  let a = Fixed.of_float Qformat.q15 0.123456 in
-  let b = Fixed.convert Qformat.q31 a in
-  check_float "q15->q31 lossless" (Fixed.to_float a) (Fixed.to_float b);
-  let c = Fixed.convert Qformat.q7 a in
-  Alcotest.(check bool) "q15->q7 error bounded" true
-    (Float.abs (Fixed.to_float c -. Fixed.to_float a) <= Qformat.resolution Qformat.q7 /. 2.0 +. 1e-12)
-
-let test_shift_scale () =
-  let q = Qformat.sfix 16 8 in
-  let a = Fixed.of_float q 1.5 in
-  check_float "shift left" 3.0 (Fixed.to_float (Fixed.shift a 1));
-  check_float "shift right" 0.75 (Fixed.to_float (Fixed.shift a (-1)));
-  check_float "scale 3x" 4.5 (Fixed.to_float (Fixed.scale_by_int a 3))
-
-let test_compare_order () =
-  let a = Fixed.of_float Qformat.q15 0.5 in
-  let b = Fixed.of_float Qformat.q7 0.25 in
-  check_bool "cross-format compare" true (Fixed.compare a b > 0);
-  check_float "min" 0.25 (Fixed.to_float (Fixed.min a b));
-  check_float "max" 0.5 (Fixed.to_float (Fixed.max a b))
+  check_int "0.5*0.5 in Q15" 8192 (F.mul_shift 16384 16384 15);
+  (* a Q16.16 coefficient times a Q15 signal, shifted by 15: Q16.16 *)
+  check_int "2.0*0.25 in Q16.16" (F.quantize_coef 0.5)
+    (F.mul_shift (F.quantize_coef 2.0) (F.quantize_sig 0.25) 15)
 
 let test_one () =
-  check_float "q15 one saturates" (32767.0 /. 32768.0)
-    (Fixed.to_float (Fixed.one Qformat.q15));
-  let u = Qformat.ufix 8 4 in
-  check_float "ufix one exact" 1.0 (Fixed.to_float (Fixed.one u))
+  check_int "q15 one saturates" 32767 (F.quantize_sig 1.0);
+  check_int "Q16.16 one exact" 65536 (F.quantize_coef 1.0)
 
+(* quantisation rounds a tie away from zero (C round()); a product
+   rounds it up (the +2^(s-1) bias before the arithmetic shift) *)
 let test_rounding_modes () =
-  let q = Qformat.sfix 16 0 in
-  let half = Fixed.of_float (Qformat.sfix 16 1) 0.5 in
-  check_int "nearest rounds up" 1
-    (Fixed.raw (Fixed.convert ~round:Fixed.Nearest q half));
-  check_int "floor rounds down" 0
-    (Fixed.raw (Fixed.convert ~round:Fixed.Floor q half));
-  let neg_half = Fixed.of_float (Qformat.sfix 16 1) (-0.5) in
-  check_int "floor of -0.5" (-1)
-    (Fixed.raw (Fixed.convert ~round:Fixed.Floor q neg_half));
-  check_int "zero of -0.5" 0
-    (Fixed.raw (Fixed.convert ~round:Fixed.Zero q neg_half))
+  check_int "+0.5 lsb" 1 (F.quantize_sig (q15 1 /. 2.0));
+  check_int "-0.5 lsb" (-1) (F.quantize_sig (-.q15 1 /. 2.0));
+  check_int "+1.5 lsb" 2 (F.quantize_sig (q15 3 /. 2.0));
+  check_int "-1.5 lsb" (-2) (F.quantize_sig (-.q15 3 /. 2.0));
+  check_int "product +0.5" 1 (F.mul_shift 1 1 1);
+  check_int "product -0.5" 0 (F.mul_shift (-1) 1 1);
+  check_int "product -1.5" (-1) (F.mul_shift (-3) 1 1);
+  (* the derivative filter at decay 0.5 on an odd negative memory *)
+  check_int "decay 0.5 of -3" (-1) (F.mul_shift (F.quantize_coef 0.5) (-3) 16)
 
 (* Property tests *)
 
-let fmt_gen =
-  QCheck2.Gen.(
-    let* signed = bool in
-    let* w = int_range (if signed then 2 else 1) 30 in
-    let* f = int_range 0 w in
-    return (Qformat.make ~signed ~word_bits:w ~frac_bits:f))
-
-let fixed_gen =
-  QCheck2.Gen.(
-    let* fmt = fmt_gen in
-    let* raw = int_range (Qformat.min_raw fmt) (Qformat.max_raw fmt) in
-    return (Fixed.create fmt raw))
+let raw_q15 = QCheck2.Gen.int_range (-32768) 32767
+let raw_i32 = QCheck2.Gen.int_range i32_min i32_max
 
 let prop_roundtrip =
   QCheck2.Test.make ~name:"of_float/to_float roundtrip is identity on representables"
-    ~count:500 fixed_gen (fun fx ->
-      let fx' = Fixed.of_float (Fixed.fmt fx) (Fixed.to_float fx) in
-      Fixed.raw fx' = Fixed.raw fx)
+    ~count:500
+    QCheck2.Gen.(pair raw_q15 raw_i32)
+    (fun (s, c) ->
+      F.quantize_sig (q15 s) = s
+      && F.quantize_coef (ldexp (float_of_int c) (-16)) = c)
 
 let prop_quantization_error =
   QCheck2.Test.make ~name:"quantisation error bounded by half resolution"
     ~count:500
-    QCheck2.Gen.(pair fmt_gen (float_range (-100.0) 100.0))
-    (fun (fmt, x) ->
-      let clamped = Float.min (Qformat.max_value fmt) (Float.max (Qformat.min_value fmt) x) in
-      let fx = Fixed.of_float fmt x in
-      Float.abs (Fixed.to_float fx -. clamped) <= (Qformat.resolution fmt /. 2.0) +. 1e-12)
+    (QCheck2.Gen.float_range (-100.0) 100.0)
+    (fun x ->
+      let lo, hi = F.sig_range in
+      let clamped = Float.min hi (Float.max lo x) in
+      Float.abs (q15 (F.quantize_sig x) -. clamped) <= ldexp 1.0 (-16)
+      && Float.abs (ldexp (float_of_int (F.quantize_coef x)) (-16) -. x)
+         <= ldexp 1.0 (-17))
 
 let prop_add_comm =
   QCheck2.Test.make ~name:"saturating add commutes" ~count:500
-    QCheck2.Gen.(
-      let* fmt = fmt_gen in
-      let* r1 = int_range (Qformat.min_raw fmt) (Qformat.max_raw fmt) in
-      let* r2 = int_range (Qformat.min_raw fmt) (Qformat.max_raw fmt) in
-      return (Fixed.create fmt r1, Fixed.create fmt r2))
-    (fun (a, b) -> Fixed.raw (Fixed.add a b) = Fixed.raw (Fixed.add b a))
+    QCheck2.Gen.(pair raw_i32 raw_i32)
+    (fun (a, b) -> F.sat_add32 a b = F.sat_add32 b a)
 
+(* the P and I products of the PID: a non-negative Q16.16 coefficient
+   times a Q15 signal never leaves the int32 range, so never wraps *)
 let prop_mul_range =
   QCheck2.Test.make ~name:"multiply of in-range q15 values stays in range"
     ~count:500
-    QCheck2.Gen.(pair (float_range (-1.0) 1.0) (float_range (-1.0) 1.0))
-    (fun (x, y) ->
-      let q = Qformat.q15 in
-      let p = Fixed.mul (Fixed.of_float q x) (Fixed.of_float q y) in
-      Fixed.raw p >= Qformat.min_raw q && Fixed.raw p <= Qformat.max_raw q)
+    QCheck2.Gen.(pair (int_range 0 i32_max) raw_q15)
+    (fun (c, e) ->
+      let r = F.mul_shift c e 15 in
+      r = ((c * e) + 16384) asr 15 && r >= -c && r <= c)
 
-let prop_convert_widening_exact =
-  QCheck2.Test.make ~name:"widening conversion is exact" ~count:500 fixed_gen
-    (fun fx ->
-      let f = Fixed.fmt fx in
-      let wide =
-        Qformat.make ~signed:true
-          ~word_bits:(Stdlib.min 62 (f.Qformat.word_bits + 8))
-          ~frac_bits:(f.Qformat.frac_bits + 4)
-      in
-      let w = Fixed.convert wide fx in
-      Float.abs (Fixed.to_float w -. Fixed.to_float fx) < 1e-15)
-
-let qsuite = List.map QCheck_alcotest.to_alcotest
-    [ prop_roundtrip; prop_quantization_error; prop_add_comm; prop_mul_range;
-      prop_convert_widening_exact ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_roundtrip; prop_quantization_error; prop_add_comm; prop_mul_range ]
 
 let suite =
   [
     Alcotest.test_case "format ranges" `Quick test_format_ranges;
-    Alcotest.test_case "format validation" `Quick test_format_invalid;
     Alcotest.test_case "of_float roundtrip" `Quick test_of_float_roundtrip;
     Alcotest.test_case "saturation" `Quick test_saturation;
     Alcotest.test_case "wrapping" `Quick test_wrap;
     Alcotest.test_case "add/sub/neg" `Quick test_add_sub;
     Alcotest.test_case "multiply" `Quick test_mul;
-    Alcotest.test_case "divide" `Quick test_div;
-    Alcotest.test_case "convert" `Quick test_convert;
-    Alcotest.test_case "shift/scale" `Quick test_shift_scale;
-    Alcotest.test_case "compare across formats" `Quick test_compare_order;
     Alcotest.test_case "one" `Quick test_one;
     Alcotest.test_case "rounding modes" `Quick test_rounding_modes;
   ]

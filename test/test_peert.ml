@@ -113,7 +113,7 @@ let test_fixpid_constants_match_simulation () =
   let a = Target.generate ~name:"servofx" ~project:b.Servo_system.project comp in
   let c = C_print.print_unit a.Target.model_c in
   let fx =
-    Pid.Fixpoint.create ~ts:1e-3 ~fmt:Qformat.q15 ~in_scale:512.0
+    Pid.Fixpoint.create ~ts:1e-3 ~in_scale:512.0
       ~out_scale:Dc_motor.default.Dc_motor.u_max b.Servo_system.gains
   in
   let rc = Pid.Fixpoint.raw_coefficients fx in
@@ -179,11 +179,11 @@ let test_cost_model_orderings () =
   let mcu = Mcu_db.mc56f8367 in
   let gain = Math_blocks.gain 2.0 in
   let float_cost = Cost_model.cycles_of_block mcu gain Dtype.Double in
-  let fix_cost = Cost_model.cycles_of_block mcu gain (Dtype.Fix Qformat.q15) in
+  let fix_cost = Cost_model.cycles_of_block mcu gain Dtype.Int16 in
   check_bool "soft-float double costs more than native fixed" true
     (float_cost > 5 * fix_cost);
   (* a MAC-less CPU pays more for fixed multiplies than a DSC *)
-  let hc12_cost = Cost_model.cycles_of_block Mcu_db.mc9s12dp256 gain (Dtype.Fix Qformat.q15) in
+  let hc12_cost = Cost_model.cycles_of_block Mcu_db.mc9s12dp256 gain Dtype.Int16 in
   check_bool "mac advantage" true (hc12_cost > fix_cost)
 
 let suite =

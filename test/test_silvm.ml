@@ -311,10 +311,11 @@ let test_servo_sil_golden () =
    Known SIL non-goals the generators deliberately avoid (the
    authoritative list, referenced from the README): UniformNoise (the
    engine-side RNG is not part of the generated application),
-   Single-typed signals end-to-end, the fixed-point PID's
-   pe_mul_shift rounding mode, 64-bit unsigned arithmetic, and
+   Single-typed signals end-to-end, 64-bit unsigned arithmetic, and
    multirate regrouping. Diagrams containing these still generate code;
-   they are just not claimed bit-exact and not drawn by the fuzzers. *)
+   they are just not claimed bit-exact and not drawn by the fuzzers.
+   The Q15 PID is not drawn here either: test_silvm_compile.ml's
+   "random Q15 PIDs" property holds it bit-exact against its C. *)
 
 let fuzz_count =
   match Sys.getenv_opt "SILVM_FUZZ_COUNT" with

@@ -126,6 +126,138 @@ let test_isr_demo_out_of_range_adc_caught () =
       ("both", Silvm_diff.Both);
     ]
 
+(* ---------------- the Q15 PID against its own C ---------------- *)
+
+(* A FixPid block between two signal sources, compared bit for bit at
+   every step: MIL (Pid.Fixpoint) against the compiled engine running
+   the generated C, shadowed by the reference engine, with the MIR
+   optimizer off and on. *)
+let fix_pid_divergence ~steps ~ts ~in_scale ~out_scale g sp pv =
+  let m = Model.create "fixpid" in
+  let pid =
+    Model.add m ~name:"pid"
+      (Discrete_blocks.fix_pid ~ts ~in_scale ~out_scale g)
+  in
+  let sp = Model.add m ~name:"sp" sp and pv = Model.add m ~name:"pv" pv in
+  let out = Model.add m ~name:"u" (Routing_blocks.outport 1) in
+  Model.connect m ~src:(sp, 0) ~dst:(pid, 0);
+  Model.connect m ~src:(pv, 0) ~dst:(pid, 1);
+  Model.connect m ~src:(pid, 0) ~dst:(out, 0);
+  let comp = Compile.compile ~default_dt:ts m in
+  List.find_map
+    (fun opt ->
+      let r =
+        Silvm_diff.run ~steps ~opt ~engine:Silvm_diff.Both ~name:"fixpid"
+          ~project:(empty_project ()) comp
+      in
+      Option.map (fun d -> (opt, d)) r.Silvm_diff.divergence)
+    [ false; true ]
+
+let fix_pid_steps = 200
+
+(* a signal as segments of (steps, value), played by a setpoint
+   schedule whose switch times fall mid-step *)
+let schedule_of ~ts segments =
+  let _, entries =
+    List.fold_left
+      (fun (k, acc) (len, v) ->
+        let t = if k = 0 then 0.0 else (float_of_int k -. 0.5) *. ts in
+        (k + len, (t, v) :: acc))
+      (0, []) segments
+  in
+  Sources.setpoint_schedule (List.rev entries)
+
+type fix_case = {
+  g : Pid.gains;
+  ts : float;
+  in_scale : float;
+  out_scale : float;
+  sp : (int * float) list;
+  pv : (int * float) list;
+}
+
+let gen_fix_case =
+  let open QCheck2.Gen in
+  let gain =
+    oneof
+      [ return 0.0; float_range 0.0 1.0; float_range 0.0 100.0;
+        (* Q16.16 coefficients at the int32 bound: the products wrap *)
+        float_range 0.0 1e6 ]
+  in
+  let* ts = oneofl [ 1e-3; 2e-3; 5e-4 ] in
+  let* kp = gain and* ki = gain and* kd = gain in
+  (* N = 1/Ts makes the filter decay 1/(1+N*Ts) exactly 0.5 *)
+  let* n = oneof [ return 0.0; return (1.0 /. ts); float_range 1.0 1e4 ] in
+  let* u_max = oneof [ return infinity; float_range 0.0 100.0 ] in
+  let* in_scale = oneof [ return 512.0; float_range 1.0 1e4 ] in
+  let* out_scale = oneof [ return 24.0; float_range 0.1 100.0 ] in
+  let value =
+    oneof
+      [
+        (* inside Q15 and just past it, of either sign *)
+        float_range (-2.0 *. in_scale) (2.0 *. in_scale);
+        (* quantisation ties *)
+        map
+          (fun k -> in_scale *. (float_of_int k +. 0.5) /. 32768.0)
+          (int_range (-40000) 40000);
+        (* far past Q15: the error saturates, e*2^15 past the int32 range *)
+        float_range (-1e9) 1e9;
+        oneofl [ 0.0; in_scale; -.in_scale; 4e7; -4e7 ];
+      ]
+  in
+  let signal = list_size (int_range 1 12) (pair (int_range 1 40) value) in
+  let* sp = signal and* pv = signal in
+  return
+    {
+      g = Pid.gains ~kp ~ki ~kd ~n ~u_min:(-.u_max) ~u_max ();
+      ts; in_scale; out_scale; sp; pv;
+    }
+
+let print_fix_case c =
+  let seg l =
+    String.concat "; " (List.map (fun (n, v) -> Printf.sprintf "%dx%h" n v) l)
+  in
+  Printf.sprintf
+    "kp=%h ki=%h kd=%h n=%h u=[%h, %h] ts=%g in=%h out=%h sp=[%s] pv=[%s]"
+    c.g.Pid.kp c.g.Pid.ki c.g.Pid.kd c.g.Pid.n c.g.Pid.u_min c.g.Pid.u_max
+    c.ts c.in_scale c.out_scale (seg c.sp) (seg c.pv)
+
+let prop_fix_pid_matches_c =
+  QCheck2.Test.make
+    ~name:
+      "random Q15 PIDs: MIL, compiled and interpreted SIL bit-identical \
+       (tri-lockstep, --opt off and on)"
+    ~count:prop_count ~print:print_fix_case gen_fix_case
+    (fun c ->
+      match
+        fix_pid_divergence ~steps:fix_pid_steps ~ts:c.ts ~in_scale:c.in_scale
+          ~out_scale:c.out_scale c.g (schedule_of ~ts:c.ts c.sp)
+          (schedule_of ~ts:c.ts c.pv)
+      with
+      | None -> true
+      | Some (opt, d) ->
+          QCheck2.Test.fail_reportf
+            "opt=%b diverged at step %d on %s[%d]: %s vs SIL=%s" opt
+            d.Silvm_diff.d_step d.Silvm_diff.d_block d.Silvm_diff.d_port
+            d.Silvm_diff.d_mil d.Silvm_diff.d_sil)
+
+(* a negative tie in the derivative filter (decay exactly 0.5): a
+   product rounded half away from zero instead of up, as pe_mul_shift
+   rounds it, is one LSB off at step 86 *)
+let test_fix_pid_negative_tie () =
+  let g = Pid.gains ~kp:0.03 ~ki:2.5 ~kd:0.05 ~n:1000.0 () in
+  match
+    fix_pid_divergence ~steps:fix_pid_steps ~ts:1e-3 ~in_scale:512.0
+      ~out_scale:24.0 g
+      (Sources.sine ~amp:400.0 ~freq_hz:3.0 ())
+      (Sources.constant 10.0)
+  with
+  | None -> ()
+  | Some (opt, d) ->
+      Alcotest.failf "opt=%b: diverged at step %d on %s[%d]: %s vs SIL=%s" opt
+        d.Silvm_diff.d_step d.Silvm_diff.d_block d.Silvm_diff.d_port
+        d.Silvm_diff.d_mil d.Silvm_diff.d_sil
+
 (* ---------------- per-signal comparators ---------------- *)
 
 (* [Silvm_diff.agree], resolved once per signal, must decide exactly as
@@ -172,15 +304,6 @@ let gen_mil =
         map
           (fun n -> Value.I (dt, n))
           (oneof [ oneofl [ lo; hi; 0; lo + 1; hi - 1 ]; int_range lo hi ]) );
-      ( oneofl
-          Qformat.[ q15; q31; q7; make ~signed:false ~word_bits:16 ~frac_bits:8 ]
-      >>= fun f ->
-        let lo, hi =
-          ity_range { Mir.bits = f.Qformat.word_bits; signed = f.Qformat.signed }
-        in
-        map
-          (fun r -> Value.X (Fixed.create f r))
-          (oneof [ oneofl [ lo; hi; 0 ]; int_range lo hi ]) );
       map (fun x -> Value.F x) gen_float;
     ]
 
@@ -252,8 +375,7 @@ let print_case (mode, mil, pv) =
     (match mil with
     | Value.F x -> Printf.sprintf "F %h" x
     | Value.I (dt, n) -> Printf.sprintf "I (%s, %d)" (Dtype.to_string dt) n
-    | Value.B b -> Printf.sprintf "B %b" b
-    | Value.X f -> Printf.sprintf "X %s raw %d" (Fixed.to_string f) (Fixed.raw f))
+    | Value.B b -> Printf.sprintf "B %b" b)
     (match pv with
     | `I (t, n) ->
         Printf.sprintf "TI (%c%d, %d)"
@@ -584,6 +706,8 @@ let suite =
       test_servo_both_1000;
     Alcotest.test_case "servo: 1000-step tri-lockstep (fixed)" `Slow
       test_servo_fixed_both_1000;
+    Alcotest.test_case "fix_pid: negative derivative tie matches its C" `Quick
+      test_fix_pid_negative_tie;
     Alcotest.test_case "isr-demo: 1000-step tri-lockstep" `Quick
       test_isr_demo_both_1000;
     Alcotest.test_case "isr-demo: out-of-range ADC word is a divergence"
@@ -610,5 +734,6 @@ let suite =
       test_opaque_statement_fails_lazily;
     qtest prop_compiled_interp_float;
     qtest prop_compiled_interp_int;
+    qtest prop_fix_pid_matches_c;
     qtest prop_comparators_match_values_agree;
   ]

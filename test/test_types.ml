@@ -7,25 +7,18 @@ let check_float eps = Alcotest.(check (float eps))
 let test_dtype_storage () =
   check_int "double bits" 64 (Dtype.bits Dtype.Double);
   check_int "uint16 bytes" 2 (Dtype.bytes Dtype.Uint16);
-  check_int "bool as byte" 1 (Dtype.bytes Dtype.Bool);
-  check_int "q15 container" 16 (Dtype.bits (Dtype.Fix Qformat.q15));
-  check_int "ufix12 rounds up to 16" 16 (Dtype.bits (Dtype.Fix (Qformat.ufix 12 0)))
+  check_int "bool as byte" 1 (Dtype.bytes Dtype.Bool)
 
 let test_c_names () =
   Alcotest.(check string) "uint16" "uint16_t" (Dtype.c_name Dtype.Uint16);
-  Alcotest.(check string) "double" "double" (Dtype.c_name Dtype.Double);
-  Alcotest.(check string) "q15 signed container" "int16_t"
-    (Dtype.c_name (Dtype.Fix Qformat.q15));
-  Alcotest.(check string) "ufix12 unsigned container" "uint16_t"
-    (Dtype.c_name (Dtype.Fix (Qformat.ufix 12 0)))
+  Alcotest.(check string) "double" "double" (Dtype.c_name Dtype.Double)
 
 let test_integer_ranges () =
   Alcotest.(check (option (pair int int))) "int8" (Some (-128, 127))
     (Dtype.integer_range Dtype.Int8);
   Alcotest.(check (option (pair int int))) "none for double" None
     (Dtype.integer_range Dtype.Double);
-  check_float 1e-9 "uint16 max" 65535.0 (Dtype.max_float_value Dtype.Uint16);
-  check_float 1e-9 "q15 min" (-1.0) (Dtype.min_float_value (Dtype.Fix Qformat.q15))
+  check_float 1e-9 "uint16 max" 65535.0 (Dtype.max_float_value Dtype.Uint16)
 
 let test_value_quantisation () =
   check_int "uint8 saturates" 255 (Value.to_int (Value.of_float Dtype.Uint8 300.0));
@@ -35,18 +28,9 @@ let test_value_quantisation () =
   check_bool "bool from nonzero" true (Value.to_bool (Value.of_float Dtype.Bool 0.1));
   check_int "nan to integer is 0" 0 (Value.to_int (Value.of_float Dtype.Int16 nan))
 
-let test_value_fixed_payload () =
-  let v = Value.of_float (Dtype.Fix Qformat.q15) 0.25 in
-  check_int "raw q15" 8192 (Value.to_int v);
-  check_float 1e-12 "real value" 0.25 (Value.to_float v);
-  check_bool "dtype preserved" true
-    (Dtype.equal (Value.dtype v) (Dtype.Fix Qformat.q15))
-
 let test_value_cast () =
   let v = Value.of_float Dtype.Double 100.7 in
-  check_int "double -> uint8" 101 (Value.to_int (Value.cast Dtype.Uint8 v));
-  let q = Value.cast (Dtype.Fix Qformat.q7) (Value.of_float (Dtype.Fix Qformat.q15) 0.5) in
-  check_int "q15 -> q7 raw" 64 (Value.to_int q)
+  check_int "double -> uint8" 101 (Value.to_int (Value.cast Dtype.Uint8 v))
 
 let test_value_equal () =
   check_bool "typed equality" true
@@ -65,8 +49,7 @@ let prop_of_float_within_type_bounds =
   QCheck2.Test.make ~name:"of_float lands within the type bounds" ~count:300
     QCheck2.Gen.(
       pair
-        (oneofl [ Dtype.Int8; Dtype.Uint8; Dtype.Int16; Dtype.Uint16;
-                  Dtype.Fix Qformat.q15; Dtype.Bool ])
+        (oneofl [ Dtype.Int8; Dtype.Uint8; Dtype.Int16; Dtype.Uint16; Dtype.Bool ])
         (float_range (-1e6) 1e6))
     (fun (dt, x) ->
       let v = Value.to_float (Value.of_float dt x) in
@@ -76,7 +59,7 @@ let prop_cast_idempotent =
   QCheck2.Test.make ~name:"cast to the same type is idempotent" ~count:300
     QCheck2.Gen.(
       pair
-        (oneofl [ Dtype.Int16; Dtype.Uint8; Dtype.Fix Qformat.q15; Dtype.Double ])
+        (oneofl [ Dtype.Int16; Dtype.Uint8; Dtype.Double ])
         (float_range (-100.0) 100.0))
     (fun (dt, x) ->
       let v = Value.of_float dt x in
@@ -139,7 +122,6 @@ let suite =
     Alcotest.test_case "c names" `Quick test_c_names;
     Alcotest.test_case "integer ranges" `Quick test_integer_ranges;
     Alcotest.test_case "value quantisation" `Quick test_value_quantisation;
-    Alcotest.test_case "fixed payload" `Quick test_value_fixed_payload;
     Alcotest.test_case "value cast" `Quick test_value_cast;
     Alcotest.test_case "value equality" `Quick test_value_equal;
     Alcotest.test_case "of_int float rejection" `Quick test_of_int_rejects_floats;
